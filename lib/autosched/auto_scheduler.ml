@@ -43,7 +43,8 @@ let loop_options config trip =
   in
   0 :: take max_options_per_loop sorted
 
-let count_nonzero l = List.length (List.filter (fun s -> s > 0) l)
+let count_nonzero sizes =
+  Array.fold_left (fun acc s -> if s > 0 then acc + 1 else acc) 0 sizes
 
 let rec product (options : int list list) : int list Seq.t =
   match options with
@@ -53,15 +54,14 @@ let rec product (options : int list list) : int list Seq.t =
         (fun choice -> Seq.map (fun tail -> choice :: tail) (product rest))
         (List.to_seq opts)
 
+let trivial = [ Schedule.Vectorize ]
+
 (* One schedule from (par combo option, tile combo, swap option). *)
 let assemble ~prefix ~par_opt ~tile_combo ~swap_opt =
   (match par_opt with
-  | Some sizes when count_nonzero (Array.to_list sizes) > 0 ->
-      [ Schedule.Parallelize sizes ]
+  | Some sizes when count_nonzero sizes > 0 -> [ Schedule.Parallelize sizes ]
   | Some _ | None -> [])
-  @ (if count_nonzero (Array.to_list tile_combo) > 0 then
-       [ Schedule.Tile tile_combo ]
-     else [])
+  @ (if count_nonzero tile_combo > 0 then [ Schedule.Tile tile_combo ] else [])
   @ (match swap_opt with Some i -> [ Schedule.Swap i ] | None -> [])
   @ [ Schedule.Vectorize ]
   |> fun steps -> prefix @ steps
@@ -102,58 +102,63 @@ let make_space config ~prefix ~trips ~iter_kinds =
   in
   { prefix; trips; par_slots; swap_opts }
 
+(* The par-combo stream of a space: None (no Parallelize step) first,
+   then every nonzero combination of the parallel slots, head slot
+   varying slowest — shared by the candidate stream and the subtask
+   enumeration so both walk the trie in the same order. *)
+let par_combos (space : domain_space) : int array option Seq.t =
+  let n = Array.length space.trips in
+  let slot_opts = List.map snd space.par_slots in
+  Seq.cons None
+    (Seq.filter_map
+       (fun combo ->
+         if not (List.exists (fun s -> s > 0) combo) then None
+         else begin
+           let sizes = Array.make n 0 in
+           List.iteri
+             (fun k size -> sizes.(fst (List.nth space.par_slots k)) <- size)
+             combo;
+           Some (Some sizes)
+         end)
+       (product slot_opts))
+
+(* What the tile step sees under a parallel combo: each loop's trip
+   count (a parallelized loop is tiled within its chunk) and how many
+   loops the combo parallelizes. *)
+let after_par (space : domain_space) = function
+  | None -> (space.trips, 0)
+  | Some sizes ->
+      ( Array.mapi (fun l s -> if s > 0 then s else space.trips.(l)) sizes,
+        count_nonzero sizes )
+
+(* The paper's "at least [min_tiled_loops] tiled loops" filter, counting
+   parallelized loops as tiled. *)
+let enough_tiled config ~par_count tile_combo =
+  par_count + count_nonzero tile_combo >= config.min_tiled_loops
+
 (* Exhaustive stream over one domain space. *)
 let space_candidates config (space : domain_space) : Schedule.t Seq.t =
-  let n = Array.length space.trips in
-  let par_combos : int array option Seq.t =
-    let slot_opts = List.map snd space.par_slots in
-    Seq.cons None
-      (Seq.filter_map
-         (fun combo ->
-           if count_nonzero combo = 0 then None
-           else begin
-             let sizes = Array.make n 0 in
-             List.iteri
-               (fun k size -> sizes.(fst (List.nth space.par_slots k)) <- size)
-               combo;
-             Some (Some sizes)
-           end)
-         (product slot_opts))
-  in
   Seq.concat_map
     (fun par_opt ->
-      let effective =
-        match par_opt with
-        | None -> space.trips
-        | Some sizes ->
-            Array.mapi (fun l s -> if s > 0 then s else space.trips.(l)) sizes
-      in
-      let par_count =
-        match par_opt with
-        | None -> 0
-        | Some sizes -> count_nonzero (Array.to_list sizes)
-      in
-      let tile_opts =
-        Array.to_list (Array.map (fun trip -> loop_options config trip) effective)
-      in
+      let effective, par_count = after_par space par_opt in
+      let tile_opts = Array.to_list (Array.map (loop_options config) effective) in
       Seq.concat_map
         (fun tile_combo ->
-          if par_count + count_nonzero tile_combo < config.min_tiled_loops then
-            Seq.empty
+          let tile_combo = Array.of_list tile_combo in
+          if not (enough_tiled config ~par_count tile_combo) then Seq.empty
           else
             Seq.map
               (fun swap_opt ->
-                assemble ~prefix:space.prefix ~par_opt
-                  ~tile_combo:(Array.of_list tile_combo) ~swap_opt)
+                assemble ~prefix:space.prefix ~par_opt ~tile_combo ~swap_opt)
               (List.to_seq space.swap_opts))
         (product tile_opts))
-    par_combos
+    (par_combos space)
 
 (* [loop_options] enumerates, filters and sorts divisors — far too
-   expensive to redo per sampling attempt per loop (the sampling loops
-   below draw tens of thousands of candidates, and trip counts repeat
-   constantly). One memo table per search invocation; [config] is fixed
-   for the table's lifetime, so the key is just the trip count. *)
+   expensive to redo per sampling attempt per loop (the sampler draws
+   tens of thousands of candidates, and trip counts repeat constantly).
+   One memo table per sampler; [config] is fixed for the table's
+   lifetime, so the key is just the trip count. *)
 let loop_options_memo config =
   let tbl = Hashtbl.create 32 in
   fun trip ->
@@ -167,10 +172,9 @@ let loop_options_memo config =
 (* Seeded random draw from one domain space. [opts] is the (memoized)
    tile-size option list per trip count. *)
 let random_candidate rng config ~opts (space : domain_space) =
-  let n = Array.length space.trips in
   let par_opt =
     if space.par_slots <> [] && Util.Rng.bool rng then begin
-      let sizes = Array.make n 0 in
+      let sizes = Array.make (Array.length space.trips) 0 in
       List.iter
         (fun (l, opts) -> sizes.(l) <- Util.Rng.choice_list rng opts)
         space.par_slots;
@@ -178,21 +182,11 @@ let random_candidate rng config ~opts (space : domain_space) =
     end
     else None
   in
-  let effective =
-    match par_opt with
-    | None -> space.trips
-    | Some sizes -> Array.mapi (fun l s -> if s > 0 then s else space.trips.(l)) sizes
-  in
+  let effective, par_count = after_par space par_opt in
   let tile_combo =
     Array.map (fun trip -> Util.Rng.choice_list rng (opts trip)) effective
   in
-  let count_nonzero_arr a =
-    Array.fold_left (fun acc s -> if s > 0 then acc + 1 else acc) 0 a
-  in
-  let par_count =
-    match par_opt with None -> 0 | Some sizes -> count_nonzero_arr sizes
-  in
-  if par_count + count_nonzero_arr tile_combo < config.min_tiled_loops then None
+  if not (enough_tiled config ~par_count tile_combo) then None
   else begin
     let swap_opt = Util.Rng.choice_list rng space.swap_opts in
     Some (assemble ~prefix:space.prefix ~par_opt ~tile_combo ~swap_opt)
@@ -223,8 +217,7 @@ let space_size config (space : domain_space) =
   par * tiles * List.length space.swap_opts
 
 let candidates config (op : Linalg.t) : Schedule.t Seq.t =
-  Seq.cons
-    [ Schedule.Vectorize ]
+  Seq.cons trivial
     (Seq.concat_map (space_candidates config) (List.to_seq (spaces config op)))
 
 (* The size estimate the search dispatches on (full enumeration vs
@@ -233,6 +226,8 @@ let candidates config (op : Linalg.t) : Schedule.t Seq.t =
 let space_total config op =
   1 + List.fold_left (fun acc s -> acc + space_size config s) 0 (spaces config op)
 
+let fits_budget config op = space_total config op <= config.max_schedules
+
 (* Seeded from the full op digest (name, dims, iter kinds), not just
    op_name: two same-named ops with different shapes must not share a
    sampling stream — their spaces differ, and a shared stream made the
@@ -240,38 +235,76 @@ let space_total config op =
    reason. Pinned by a determinism test. *)
 let sampling_seed (op : Linalg.t) = Hashtbl.hash (Linalg.digest op)
 
-(* The par-combo stream of a space: None (no Parallelize step) first,
-   then every nonzero combination of the parallel slots, head slot
-   varying slowest — shared by the sequential DFS and the frontier
-   decomposition so both enumerate in the same order. *)
-let par_combos (space : domain_space) : int array option Seq.t =
-  let n = Array.length space.trips in
-  let slot_opts = List.map snd space.par_slots in
-  Seq.cons None
-    (Seq.filter_map
-       (fun combo ->
-         if count_nonzero combo = 0 then None
-         else begin
-           let sizes = Array.make n 0 in
-           List.iteri
-             (fun k size -> sizes.(fst (List.nth space.par_slots k)) <- size)
-             combo;
-           Some (Some sizes)
-         end)
-       (product slot_opts))
+(* ---- The search engine ---------------------------------------------
 
-(* A frontier subtask: one independent subtrie of the (prefix;
-   parallelize; tile; swap; vectorize) decision trie — a space with its
-   prefix already applied, one parallel combo, and the tile choices of
-   the leading [frontier_depth] loops pinned. Subtasks share no mutable
-   state, so they evaluate on any domain; enumerating them in order and
-   concatenating their leaf streams reproduces the sequential DFS
-   leaf-for-leaf. *)
+   Every search is one composition of four parts: a candidate source
+   (exhaustive trie subtasks, or sampled chunks), the Par_eval executor
+   (inline for jobs = 1, the stealing pool otherwise), an in-order merge
+   into the recorder, and an optional ranker stage. Enumeration and
+   sampling stay sequential and jobs-independent; each task evaluates on
+   a fork whose noise stream is keyed by the task's index, so results
+   are byte-identical across every [jobs] value, noisy or not. *)
+
+(* The one result recorder: fed in evaluation order, it keeps the best
+   schedule so far, the evaluation count and one trace point per
+   evaluation. *)
+type recorder = {
+  mutable best : Schedule.t;
+  mutable best_s : float;
+  mutable count : int;
+  mutable points : (int * float) list;
+}
+
+let recorder () = { best = trivial; best_s = 0.0; count = 0; points = [] }
+
+let record r sched speedup =
+  r.count <- r.count + 1;
+  if speedup > r.best_s then begin
+    r.best_s <- speedup;
+    r.best <- sched
+  end;
+  r.points <- (r.count, r.best_s) :: r.points
+
+(* A candidate whose application fails is skipped without consuming
+   budget. *)
+let record_result r sched = function
+  | Ok speedup -> record r sched speedup
+  | Error _ -> ()
+
+let finish r =
+  {
+    best_schedule = r.best;
+    best_speedup = r.best_s;
+    explored = r.count;
+    trace = Array.of_list (List.rev r.points);
+  }
+
+(* Evaluate [scheds] through the executor, candidate [k] on a fork keyed
+   by stream [first + k], and record them in order. *)
+let eval_schedules exec evaluator op r ~first scheds =
+  Par_eval.map_forked exec evaluator ~first
+    (fun fork sched -> Evaluator.schedule_speedup fork op sched)
+    scheds
+  |> Array.iter2 (record_result r) scheds
+
+(* -- Candidate source: exhaustive trie subtasks --
+
+   A subtask is one independent subtrie of the (prefix; parallelize;
+   tile; swap; vectorize) decision trie: a space with its prefix and
+   parallel combo already applied, and the tile choices of the leading
+   [frontier_depth] loops pinned. Depth 2 yields enough subtasks to feed
+   and steal-balance a pool without making them trivial. Enumerating the
+   subtasks in order and concatenating their leaves reproduces
+   [candidates] leaf for leaf. *)
+let frontier_depth = 2
+
 type subtask = {
   st_space : domain_space;
-  st_pre : Sched_state.t;  (* root with the space prefix applied *)
   st_par : int array option;
   st_par_count : int;
+  st_state : Sched_state.t option;
+      (* prefix and parallel combo applied; [None] when the Parallelize
+         step fails, which prunes the subtrie but keeps its index *)
   st_tile_prefix : int list;  (* pinned tile choices of the leading loops *)
   st_rest_opts : int list list;  (* remaining loops' tile options *)
 }
@@ -285,351 +318,183 @@ let rec split_at k l =
         let h, t = split_at (k - 1) rest in
         (x :: h, t)
 
-(* Enumerate the frontier: (space, par combo, leading tile choices) in
-   exact sequential DFS order. [product] varies its head slowest, so
-   splitting the tile product at [frontier_depth] and enumerating
-   (head combo) x (rest combo) preserves the global candidate order.
-   Returns the root state alongside (the trivial [Vectorize] candidate
-   is the driver's, not a subtask). *)
-let subtasks ?(frontier_depth = 0) config op =
-  let root = Sched_state.init op in
-  let tasks = ref [] in
-  List.iter
+(* The subtasks in exact [candidates] order. [product] varies its head
+   slowest, so splitting the tile product at [frontier_depth] and
+   enumerating (head combo) x (rest combo) preserves the global order.
+   Prefix and Parallelize are applied here, once per (space, par combo),
+   not once per subtask. *)
+let subtasks config op =
+  List.concat_map
     (fun (space : domain_space) ->
-      let prefixed =
-        List.fold_left
-          (fun acc tr -> Result.bind acc (fun s -> Sched_state.apply s tr))
-          (Ok root) space.prefix
-      in
-      match prefixed with
-      | Error _ -> ()
+      match Sched_state.apply_all op space.prefix with
+      | Error _ -> []
       | Ok pre ->
-          Seq.iter
-            (fun par_opt ->
-              let effective =
-                match par_opt with
-                | None -> space.trips
-                | Some sizes ->
-                    Array.mapi
-                      (fun l s -> if s > 0 then s else space.trips.(l))
-                      sizes
-              in
-              let par_count =
-                match par_opt with
-                | None -> 0
-                | Some sizes -> count_nonzero (Array.to_list sizes)
-              in
-              let tile_opts =
-                Array.to_list
-                  (Array.map (fun trip -> loop_options config trip) effective)
-              in
-              let head_opts, rest_opts = split_at frontier_depth tile_opts in
-              Seq.iter
-                (fun tile_prefix ->
-                  tasks :=
-                    {
-                      st_space = space;
-                      st_pre = pre;
-                      st_par = par_opt;
-                      st_par_count = par_count;
-                      st_tile_prefix = tile_prefix;
-                      st_rest_opts = rest_opts;
-                    }
-                    :: !tasks)
-                (product head_opts))
-            (par_combos space))
-    (spaces config op);
-  (root, List.rev !tasks)
+          List.of_seq
+            (Seq.concat_map
+               (fun par_opt ->
+                 let effective, par_count = after_par space par_opt in
+                 let state =
+                   match par_opt with
+                   | None -> Some pre
+                   | Some sizes ->
+                       Result.to_option
+                         (Sched_state.apply pre (Schedule.Parallelize sizes))
+                 in
+                 let head_opts, rest_opts =
+                   split_at frontier_depth
+                     (Array.to_list (Array.map (loop_options config) effective))
+                 in
+                 Seq.map
+                   (fun tile_prefix ->
+                     {
+                       st_space = space;
+                       st_par = par_opt;
+                       st_par_count = par_count;
+                       st_state = state;
+                       st_tile_prefix = tile_prefix;
+                       st_rest_opts = rest_opts;
+                     })
+                   (product head_opts))
+               (par_combos space)))
+    (spaces config op)
 
-(* One subtask's leaves, in sequential DFS order: apply Parallelize once
-   for the whole subtrie, then enumerate the unpinned tile options, the
-   swaps and the final vectorize. A transformation that fails prunes its
-   subtree — exactly the candidates the naive loop would have skipped. *)
-let run_subtask config (st : subtask) ~eval =
-  let after_par =
-    match st.st_par with
-    | Some sizes when st.st_par_count > 0 -> (
-        match Sched_state.apply st.st_pre (Schedule.Parallelize sizes) with
-        | Ok s -> Some s
-        | Error _ -> None)
-    | Some _ | None -> Some st.st_pre
-  in
-  match after_par with
-  | None -> ()
+(* One subtask's leaves with their speedups on [ev], in [candidates]
+   order: the unpinned tile options, the swaps and the final vectorize,
+   each transformation applied once per trie node instead of once per
+   leaf. A transformation that fails prunes its subtree — exactly the
+   candidates a from-scratch [apply_all] would have skipped, so
+   explored counts, traces and noise streams line up with
+   [search_naive]. *)
+let run_subtask config ev st =
+  match st.st_state with
+  | None -> []
   | Some after_par ->
+      let leaves = ref [] in
       Seq.iter
         (fun rest_combo ->
-          let tile_combo = st.st_tile_prefix @ rest_combo in
-          if st.st_par_count + count_nonzero tile_combo < config.min_tiled_loops
-          then ()
-          else begin
-            let tile_arr = Array.of_list tile_combo in
+          let tile_combo = Array.of_list (st.st_tile_prefix @ rest_combo) in
+          if enough_tiled config ~par_count:st.st_par_count tile_combo then
             let after_tile =
-              if count_nonzero tile_combo > 0 then
-                match Sched_state.apply after_par (Schedule.Tile tile_arr) with
-                | Ok s -> Some s
-                | Error _ -> None
-              else Some after_par
+              if count_nonzero tile_combo = 0 then Ok after_par
+              else Sched_state.apply after_par (Schedule.Tile tile_combo)
             in
-            match after_tile with
-            | None -> ()
-            | Some after_tile ->
+            Result.iter
+              (fun after_tile ->
                 List.iter
                   (fun swap_opt ->
-                    let after_swap =
+                    let swapped =
                       match swap_opt with
-                      | None -> Some after_tile
-                      | Some i -> (
-                          match
-                            Sched_state.apply after_tile (Schedule.Swap i)
-                          with
-                          | Ok s -> Some s
-                          | Error _ -> None)
+                      | None -> Ok after_tile
+                      | Some i -> Sched_state.apply after_tile (Schedule.Swap i)
                     in
-                    match after_swap with
-                    | None -> ()
-                    | Some swapped -> (
-                        match Sched_state.apply swapped Schedule.Vectorize with
-                        | Error _ -> ()
-                        | Ok final ->
-                            eval
-                              (assemble ~prefix:st.st_space.prefix
-                                 ~par_opt:st.st_par ~tile_combo:tile_arr
-                                 ~swap_opt)
-                              final))
-                  st.st_space.swap_opts
-          end)
-        (product st.st_rest_opts)
+                    match
+                      Result.bind swapped (fun s -> Sched_state.apply s Schedule.Vectorize)
+                    with
+                    | Error _ -> ()
+                    | Ok final ->
+                        let sched =
+                          assemble ~prefix:st.st_space.prefix ~par_opt:st.st_par
+                            ~tile_combo ~swap_opt
+                        in
+                        leaves := (sched, Evaluator.speedup ev final) :: !leaves)
+                  st.st_space.swap_opts)
+              after_tile)
+        (product st.st_rest_opts);
+      List.rev !leaves
 
-(* Prefix-sharing enumeration of the exhaustive candidate stream: a DFS
-   over the (prefix; parallelize; tile; swap; vectorize) decision trie
-   that applies each transformation once per distinct trie node instead
-   of replaying the whole schedule per leaf ([Sched_state.apply_all],
-   which re-applies the shared prefix for every candidate containing
-   it). [eval] receives the exact schedule [candidates] would have
-   produced together with its fully applied terminal state.
+(* -- Candidate source: sampled chunks --
 
-   Bit-identity with mapping [apply_all] over [candidates] (the
-   differential property tests assert it): leaves are visited in the
-   same order; applying the same transformations in the same order from
-   [init] yields the same states ([apply] is deterministic, and
-   [apply_all] is its fold); and a transformation that fails at depth k
-   fails identically inside every naive candidate sharing that prefix,
-   so pruning the subtree skips exactly the candidates the naive loop
-   would have skipped — explored counts, traces and the evaluator's
-   jitter stream line up.
-
-   Implemented as the concatenation of the frontier subtasks at depth 0
-   (one subtask per (space, par combo)), which is the same trie walked
-   in the same order — the parallel search reuses the identical pieces
-   with a deeper frontier. *)
-let iter_candidates_shared config op
-    ~(eval : Schedule.t -> Sched_state.t -> unit) =
-  let root, tasks = subtasks config op in
-  (match Sched_state.apply root Schedule.Vectorize with
-  | Ok final -> eval [ Schedule.Vectorize ] final
-  | Error _ -> ());
-  List.iter (fun st -> run_subtask config st ~eval) tasks
-
-(* The shared skeleton of [search]/[search_naive]: bookkeeping plus the
-   budgeted sampling fallback; only the exhaustive branch differs. *)
-let search_with ~exhaustive ?(config = default_config) evaluator op =
-  let best_schedule = ref [ Schedule.Vectorize ] in
-  let best_speedup = ref 0.0 in
-  let explored = ref 0 in
-  let trace = ref [] in
-  let record sched speedup =
-    incr explored;
-    if speedup > !best_speedup then begin
-      best_speedup := speedup;
-      best_schedule := sched
-    end;
-    trace := (!explored, !best_speedup) :: !trace
-  in
-  let evaluate sched =
-    match Evaluator.schedule_speedup evaluator op sched with
-    | Error _ -> ()
-    | Ok speedup -> record sched speedup
-  in
-  let sps = spaces config op in
-  let total_size = space_total config op in
-  if total_size <= config.max_schedules then
-    (* Small space: full exhaustive enumeration. *)
-    exhaustive config op ~evaluate ~record
-  else begin
-    (* Large space: budgeted seeded sampling without replacement. *)
-    evaluate [ Schedule.Vectorize ];
-    let rng = Util.Rng.create (sampling_seed op) in
-    let opts = loop_options_memo config in
-    let seen = Hashtbl.create 1024 in
-    let attempts = ref 0 in
-    let max_attempts = config.max_schedules * 20 in
-    while !explored < config.max_schedules && !attempts < max_attempts do
-      incr attempts;
-      let space = Util.Rng.choice_list rng sps in
-      match random_candidate rng config ~opts space with
-      | None -> ()
-      | Some sched ->
-          (* Structural keys: generic hashing beats building a string
-             per attempt, and bucket collisions fall back to full
-             structural equality, so dedup stays exact. *)
-          if not (Hashtbl.mem seen sched) then begin
-            Hashtbl.add seen sched ();
-            evaluate sched
-          end
-    done
-  end;
-  {
-    best_schedule = !best_schedule;
-    best_speedup = !best_speedup;
-    explored = !explored;
-    trace = Array.of_list (List.rev !trace);
-  }
-
-(* ---- Domain-parallel search ---------------------------------------
-
-   The decomposition follows Par_eval's determinism contract: subtask
-   ENUMERATION stays sequential and jobs-independent, only EVALUATION
-   fans out across the pool (on evaluator forks with trie-path-keyed
-   noise streams), and results merge on this domain in enumeration
-   order, replaying the sequential bookkeeping verbatim. With a
-   noiseless evaluator every [jobs] value is byte-identical. *)
-
-let default_frontier_depth = 2
+   Budgeted seeded sampling without replacement. Draws stay sequential
+   on the calling domain, so the rng / dedup / attempts stream is the
+   same for every [jobs] value. *)
 let sampling_chunk = 32
 
-let search_parallel ~config ~frontier_depth ~pool evaluator op =
-  let best_schedule = ref [ Schedule.Vectorize ] in
-  let best_speedup = ref 0.0 in
-  let explored = ref 0 in
-  let trace = ref [] in
-  let record sched speedup =
-    incr explored;
-    if speedup > !best_speedup then begin
-      best_speedup := speedup;
-      best_schedule := sched
-    end;
-    trace := (!explored, !best_speedup) :: !trace
-  in
-  let sps = spaces config op in
-  let total_size = space_total config op in
-  (* Forks count their own evaluations; the deltas are summed back into
-     the parent so [Evaluator.explored] reads the same as after a
-     sequential run. *)
-  let delta = ref 0 in
-  if total_size <= config.max_schedules then begin
-    (* Exhaustive: one pool task per frontier subtask. The trivial
-       vectorize candidate is evaluated here on the parent, exactly
-       where the sequential DFS evaluates it. *)
-    let root, tasks = subtasks ~frontier_depth config op in
-    (match Sched_state.apply root Schedule.Vectorize with
-    | Ok final ->
-        record [ Schedule.Vectorize ] (Evaluator.speedup evaluator final)
-    | Error _ -> ());
-    let base = Par_eval.noise_base evaluator in
-    let results =
-      Util.Domain_pool.map_array pool
-        (fun (i, st) ->
-          let fork = Par_eval.derived_fork evaluator ~base ~stream:i in
-          let out = ref [] in
-          run_subtask config st ~eval:(fun sched final ->
-              out := (sched, Evaluator.speedup fork final) :: !out);
-          (List.rev !out, Evaluator.explored fork))
-        (Array.of_list (List.mapi (fun i st -> (i, st)) tasks))
-    in
-    Array.iter
-      (fun (leaves, d) ->
-        delta := !delta + d;
-        List.iter (fun (sched, s) -> record sched s) leaves)
-      results
-  end
-  else begin
-    (* Sampled fallback: candidate DRAWS stay sequential on this domain
-       — the rng / dedup / attempts stream is exactly the jobs=1 one —
-       and only evaluations fan out, in chunks merged in draw order.
-       Each chunk asks for at most the remaining budget, so successes
-       never overflow it; when chunk evaluations fail ([apply_all]
-       errors) the next chunk draws more, just as the sequential loop
-       redraws after a failure. *)
-    (match Evaluator.schedule_speedup evaluator op [ Schedule.Vectorize ] with
-    | Error _ -> ()
-    | Ok s -> record [ Schedule.Vectorize ] s);
-    let base = Par_eval.noise_base evaluator in
-    let rng = Util.Rng.create (sampling_seed op) in
-    let opts = loop_options_memo config in
-    let seen = Hashtbl.create 1024 in
-    let attempts = ref 0 in
-    let max_attempts = config.max_schedules * 20 in
-    let cand_idx = ref 0 in
-    let exhausted = ref false in
-    while (not !exhausted) && !explored < config.max_schedules do
-      let want = min sampling_chunk (config.max_schedules - !explored) in
-      let chunk = ref [] in
-      let got = ref 0 in
-      while !got < want && !attempts < max_attempts do
-        incr attempts;
-        let space = Util.Rng.choice_list rng sps in
-        match random_candidate rng config ~opts space with
-        | None -> ()
-        | Some sched ->
-            if not (Hashtbl.mem seen sched) then begin
-              Hashtbl.add seen sched ();
-              chunk := sched :: !chunk;
-              incr got
-            end
-      done;
-      match List.rev !chunk with
-      | [] -> exhausted := true
-      | chunk ->
-          let tagged =
-            Array.of_list
-              (List.mapi (fun k sched -> (!cand_idx + k, sched)) chunk)
-          in
-          cand_idx := !cand_idx + List.length chunk;
-          let results =
-            Util.Domain_pool.map_array pool
-              (fun (i, sched) ->
-                let fork = Par_eval.derived_fork evaluator ~base ~stream:i in
-                (* Bind before reading the counter: tuple components
-                   evaluate right-to-left, so an inline pair would read
-                   [explored] before the evaluation bumps it. *)
-                let r = Evaluator.schedule_speedup fork op sched in
-                (r, Evaluator.explored fork))
-              tagged
-          in
-          Array.iteri
-            (fun k (r, d) ->
-              delta := !delta + d;
-              if !explored < config.max_schedules then
-                match r with
-                | Ok s -> record (snd tagged.(k)) s
-                | Error _ -> ())
-            results
-    done
-  end;
-  Evaluator.set_explored evaluator (Evaluator.explored evaluator + !delta);
+type sampler = {
+  cfg : config;
+  rng : Util.Rng.t;
+  spaces : domain_space list;
+  opts : int -> int list;
+  seen : (Schedule.t, unit) Hashtbl.t;
+  mutable attempts : int;
+  max_attempts : int;
+}
+
+let sampler config op =
   {
-    best_schedule = !best_schedule;
-    best_speedup = !best_speedup;
-    explored = !explored;
-    trace = Array.of_list (List.rev !trace);
+    cfg = config;
+    rng = Util.Rng.create (sampling_seed op);
+    spaces = spaces config op;
+    opts = loop_options_memo config;
+    seen = Hashtbl.create 1024;
+    attempts = 0;
+    max_attempts = config.max_schedules * 20;
   }
 
-let search ?(config = default_config) ?(jobs = 1) ?pool
-    ?(frontier_depth = default_frontier_depth) evaluator op =
-  if jobs < 1 then invalid_arg "Auto_scheduler.search: jobs must be >= 1";
-  if jobs = 1 && Option.is_none pool then
-    search_with ~config evaluator op
-      ~exhaustive:(fun config op ~evaluate:_ ~record ->
-        iter_candidates_shared config op ~eval:(fun sched final ->
-            record sched (Evaluator.speedup evaluator final)))
-  else
-    Par_eval.with_pool ?pool ~jobs (fun pool ->
-        search_parallel ~config ~frontier_depth ~pool evaluator op)
+(* Up to [want] new distinct candidates in draw order; fewer only once
+   the attempts cap is reached. *)
+let draw s want =
+  let out = ref [] and got = ref 0 in
+  while !got < want && s.attempts < s.max_attempts do
+    s.attempts <- s.attempts + 1;
+    let space = Util.Rng.choice_list s.rng s.spaces in
+    match random_candidate s.rng s.cfg ~opts:s.opts space with
+    | None -> ()
+    | Some sched ->
+        (* Structural keys: generic hashing beats building a string per
+           attempt, and bucket collisions fall back to full structural
+           equality, so dedup stays exact. *)
+        if not (Hashtbl.mem s.seen sched) then begin
+          Hashtbl.add s.seen sched ();
+          out := sched :: !out;
+          incr got
+        end
+  done;
+  Array.of_list (List.rev !out)
 
-let search_naive ?config evaluator op =
-  search_with ?config evaluator op ~exhaustive:(fun config op ~evaluate ~record:_ ->
-      Seq.iter evaluate (candidates config op))
+(* The sampled regime after the trivial schedule: chunks that each ask
+   for at most the remaining budget, so successes never overflow it. A
+   candidate whose application fails consumes no budget and the next
+   chunk draws again, until the budget is spent or the attempts cap ends
+   the stream. [eval_chunk ~first chunk] evaluates and records one
+   chunk; [first] is its first candidate's index among all draws. *)
+let sample_loop config op r ~eval_chunk =
+  let s = sampler config op in
+  let rec go first =
+    let want = min sampling_chunk (config.max_schedules - r.count) in
+    if want > 0 then
+      match draw s want with
+      | [||] -> ()
+      | chunk ->
+          eval_chunk ~first chunk;
+          go (first + Array.length chunk)
+  in
+  go 0
+
+let search ?(config = default_config) ?(jobs = 1) ?pool evaluator op =
+  if jobs < 1 then invalid_arg "Auto_scheduler.search: jobs must be >= 1";
+  Par_eval.with_executor ?pool ~jobs (fun exec ->
+      let r = recorder () in
+      (* The trivial schedule is always evaluated, on the caller's
+         evaluator, so [best_speedup] is well-defined. *)
+      record_result r trivial (Evaluator.schedule_speedup evaluator op trivial);
+      if fits_budget config op then
+        Par_eval.map_forked exec evaluator ~first:0 (run_subtask config)
+          (Array.of_list (subtasks config op))
+        |> Array.iter (List.iter (fun (sched, s) -> record r sched s))
+      else sample_loop config op r ~eval_chunk:(eval_schedules exec evaluator op r);
+      finish r)
+
+let search_naive ?(config = default_config) evaluator op =
+  let r = recorder () in
+  let evaluate sched =
+    record_result r sched (Evaluator.schedule_speedup evaluator op sched)
+  in
+  if fits_budget config op then Seq.iter evaluate (candidates config op)
+  else begin
+    evaluate trivial;
+    sample_loop config op r ~eval_chunk:(fun ~first:_ chunk -> Array.iter evaluate chunk)
+  end;
+  finish r
 
 (* Staged re-ranking: a cheap learned ranker scores every candidate in
    the budgeted set WITHOUT applying it (the surrogate's features come
@@ -644,34 +509,14 @@ let search_naive ?config evaluator op =
 let default_rerank_k = 64
 
 let gather_candidates config op =
-  let sps = spaces config op in
-  let total_size = space_total config op in
-  if total_size <= config.max_schedules then
-    List.of_seq (candidates config op)
+  if fits_budget config op then List.of_seq (candidates config op)
   else begin
-    (* Same seeded sampling-without-replacement stream the exact search
-       falls back to, collected instead of evaluated. *)
-    let rng = Util.Rng.create (sampling_seed op) in
-    let opts = loop_options_memo config in
-    let seen = Hashtbl.create 1024 in
-    let out = ref [ [ Schedule.Vectorize ] ] in
-    Hashtbl.add seen [ Schedule.Vectorize ] ();
-    let collected = ref 1 in
-    let attempts = ref 0 in
-    let max_attempts = config.max_schedules * 20 in
-    while !collected < config.max_schedules && !attempts < max_attempts do
-      incr attempts;
-      let space = Util.Rng.choice_list rng sps in
-      match random_candidate rng config ~opts space with
-      | None -> ()
-      | Some sched ->
-          if not (Hashtbl.mem seen sched) then begin
-            Hashtbl.add seen sched ();
-            out := sched :: !out;
-            incr collected
-          end
-    done;
-    List.rev !out
+    (* The exact search's sampled stream, collected instead of
+       evaluated; the trivial schedule leads, takes one slot of the
+       budget and is never drawn again. *)
+    let s = sampler config op in
+    Hashtbl.add s.seen trivial ();
+    trivial :: Array.to_list (draw s (config.max_schedules - 1))
   end
 
 let search_staged ?(config = default_config) ?ranker
@@ -681,93 +526,17 @@ let search_staged ?(config = default_config) ?ranker
   match ranker with
   | None -> search ~config ~jobs ?pool evaluator op
   | Some rank ->
-      let cands = Array.of_list (gather_candidates config op) in
-      (* One batched ranking pass over the WHOLE aggregated candidate
-         set (the ranker amortizes it into a single network forward),
-         then sort ascending by predicted log-seconds; ties (and equal
-         predictions from a degenerate model) fall back to enumeration
-         order, keeping the stage deterministic. *)
-      let predictions = rank cands in
-      if Array.length predictions <> Array.length cands then
-        invalid_arg "Auto_scheduler.search_staged: ranker size mismatch";
-      let scored =
-        Array.mapi (fun i sched -> (predictions.(i), i, sched)) cands
-      in
-      Array.sort
-        (fun (a, i, _) (b, j, _) ->
-          match compare (a : float) b with 0 -> compare i j | c -> c)
-        scored;
-      let best_schedule = ref [ Schedule.Vectorize ] in
-      let best_speedup = ref 0.0 in
-      let explored = ref 0 in
-      let trace = ref [] in
-      let record sched speedup =
-        incr explored;
-        if speedup > !best_speedup then begin
-          best_speedup := speedup;
-          best_schedule := sched
-        end;
-        trace := (!explored, !best_speedup) :: !trace
-      in
-      let evaluate sched =
-        match Evaluator.schedule_speedup evaluator op sched with
-        | Error _ -> ()
-        | Ok speedup -> record sched speedup
-      in
-      (* The trivial vectorize schedule is always exact-evaluated, so
-         [best_speedup] is well-defined even if the ranker buries it.
-         The survivors are selected before any evaluation (selection
-         depends only on the ranking), which is what lets the parallel
-         path fan their exact evaluations out. *)
-      let trivial = [ Schedule.Vectorize ] in
+      (* The survivors are selected before any evaluation: the trivial
+         schedule is evaluated exactly anyway, so it never takes a slot. *)
       let trivial_key = Schedule.dedup_key trivial in
       let selected =
-        let taken = ref 0 in
-        let out = ref [] in
-        Array.iter
-          (fun (_, _, sched) ->
-            if !taken < rerank_k && Schedule.dedup_key sched <> trivial_key
-            then begin
-              incr taken;
-              out := sched :: !out
-            end)
-          scored;
-        List.rev !out
+        Par_eval.rank_order ~who:"Auto_scheduler.search_staged" rank
+          (Array.of_list (gather_candidates config op))
+        |> List.filter (fun sched -> Schedule.dedup_key sched <> trivial_key)
+        |> List.filteri (fun i _ -> i < rerank_k)
       in
-      if jobs = 1 && Option.is_none pool then begin
-        evaluate trivial;
-        List.iter evaluate selected
-      end
-      else
-        Par_eval.with_pool ?pool ~jobs (fun pool ->
-            evaluate trivial;
-            let base = Par_eval.noise_base evaluator in
-            let tagged =
-              Array.of_list (List.mapi (fun i sched -> (i, sched)) selected)
-            in
-            let results =
-              Util.Domain_pool.map_array pool
-                (fun (i, sched) ->
-                  let fork = Par_eval.derived_fork evaluator ~base ~stream:i in
-                  (* let-bound: tuples evaluate right-to-left, and the
-                     counter must be read after the evaluation. *)
-                  let r = Evaluator.schedule_speedup fork op sched in
-                  (r, Evaluator.explored fork))
-                tagged
-            in
-            let delta = ref 0 in
-            Array.iteri
-              (fun k (r, d) ->
-                delta := !delta + d;
-                match r with
-                | Ok s -> record (snd tagged.(k)) s
-                | Error _ -> ())
-              results;
-            Evaluator.set_explored evaluator
-              (Evaluator.explored evaluator + !delta));
-      {
-        best_schedule = !best_schedule;
-        best_speedup = !best_speedup;
-        explored = !explored;
-        trace = Array.of_list (List.rev !trace);
-      }
+      Par_eval.with_executor ?pool ~jobs (fun exec ->
+          let r = recorder () in
+          record_result r trivial (Evaluator.schedule_speedup evaluator op trivial);
+          eval_schedules exec evaluator op r ~first:0 (Array.of_list selected);
+          finish r)

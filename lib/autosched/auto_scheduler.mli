@@ -52,17 +52,10 @@ val sampling_seed : Linalg.t -> int
     with different shapes draw decorrelated candidate streams. Exposed
     so the determinism tests can pin the derivation. *)
 
-val default_frontier_depth : int
-(** Default trie-split depth of the parallel search (2): subtasks pin
-    the parallel combo plus the tile choices of the leading two loops,
-    which yields enough subtasks to feed and steal-balance a pool
-    without making them trivial. *)
-
 val search :
   ?config:config ->
   ?jobs:int ->
   ?pool:Util.Domain_pool.t ->
-  ?frontier_depth:int ->
   Evaluator.t ->
   Linalg.t ->
   result
@@ -74,30 +67,35 @@ val search :
     a prefix-sharing DFS: each transformation is applied once per
     distinct schedule prefix instead of once per candidate containing
     it, and evaluation goes through the evaluator's state-seconds
-    transposition cache. Results (best schedule, speedup, explored,
-    trace) are bit-identical to {!search_naive} — the differential
-    property suite asserts it.
+    transposition cache. With a noiseless evaluator, results (best
+    schedule, speedup, explored, trace) are bit-identical to
+    {!search_naive} — the differential property suite asserts it.
 
-    [jobs] (default 1; [Invalid_argument] below 1) parallelizes
-    evaluation over OCaml domains: the decision trie splits at
-    [frontier_depth] into independent subtrie tasks evaluated on a
-    work-stealing pool against the evaluator's shared (sharded,
-    domain-safe) caches, each task on an {!Evaluator.fork} whose noise
-    stream is derived from the subtask's position in the enumeration;
-    results merge back in enumeration order. The sampled fallback
-    likewise keeps its draws sequential and fans evaluations out in
-    chunks. Consequently results are BYTE-IDENTICAL across all [jobs]
-    values for noiseless evaluators, and across all [jobs >= 2] when
-    [noise > 0]. Pass [pool] to reuse a caller-owned pool (then [jobs]
-    only selects the parallel path); otherwise a private pool of
-    [jobs] workers is created and torn down around the call. *)
+    The decision trie splits at a fixed depth (the parallel combo plus
+    the leading two loops' tile choices) into independent subtrie
+    tasks; the sampled fallback keeps its draws sequential and
+    evaluates them in chunks. Each task evaluates on an
+    {!Evaluator.fork} whose noise stream is derived from the task's
+    position in the enumeration, against the evaluator's shared
+    (sharded, domain-safe) caches, and results merge back in
+    enumeration order. [jobs] (default 1; [Invalid_argument] below 1)
+    only picks where the tasks run: inline on the calling domain for
+    [jobs = 1], otherwise on a private work-stealing pool of [jobs]
+    OCaml domains, created and torn down around the call; a
+    caller-owned [pool] is always used when given. Consequently results
+    are BYTE-IDENTICAL across all [jobs] values, for any evaluator —
+    including one with [noise > 0]. *)
 
 val search_naive : ?config:config -> Evaluator.t -> Linalg.t -> result
 (** Reference implementation: re-applies every candidate from scratch
-    with {!Sched_state.apply_all} (no prefix sharing). Pair it with an
-    evaluator created with [~state_cache_capacity:0] for the fully
-    unmemoized baseline the differential tests and the evalcache bench
-    compare against. *)
+    with {!Sched_state.apply_all} (no prefix sharing), evaluating one
+    candidate after another on [evaluator] itself. It shares only the
+    candidate stream and the result bookkeeping with {!search}. Under
+    noise it draws jitter from the evaluator's own stream, so it makes
+    the same number of draws as {!search} but not the same values.
+    Pair it with an evaluator created with [~state_cache_capacity:0]
+    for the fully unmemoized baseline the differential tests and the
+    evalcache bench compare against. *)
 
 val default_rerank_k : int
 (** Exact re-evaluation budget of {!search_staged} (64). *)
@@ -127,10 +125,10 @@ val search_staged :
     [explored]/[trace] count exact evaluations only.
 
     [jobs]/[pool] follow {!search}'s contract: ranking stays one
-    batched call on the calling domain, the [rerank_k] exact
-    evaluations fan out over the pool on derived-stream forks and merge
-    in rank order — byte-identical to [jobs = 1] for noiseless
-    evaluators.
+    batched call on the calling domain, and the [rerank_k] exact
+    evaluations run as tasks on derived-stream forks, merged in rank
+    order — byte-identical across all [jobs] values for any
+    evaluator.
 
     Without [ranker] this is {!search} — byte-identical results, the
     guaranteed fallback when no surrogate checkpoint is available. *)

@@ -96,184 +96,87 @@ let expansions config (state : Sched_state.t) =
 
 let default_rerank_k = 32
 
-(* Stage-1 selection at one depth: optional batched surrogate ranking
-   of the deduplicated children — ONE network forward over the whole
-   depth's aggregated candidate set — then the [rerank_k] best survive.
-   Ties keep expansion order, so the stage is deterministic. *)
-let select_candidates ?ranker ~rerank_k collected =
-  match ranker with
-  | None -> collected
-  | Some rank ->
-      let arr = Array.of_list collected in
-      let predictions = rank arr in
-      if Array.length predictions <> Array.length arr then
-        invalid_arg "Beam_search.search: ranker size mismatch";
-      let indexed =
-        List.mapi (fun i child -> (predictions.(i), i, child)) collected
-      in
-      let sorted =
-        List.sort
-          (fun (a, i, _) (b, j, _) ->
-            match compare (a : float) b with 0 -> compare i j | c -> c)
-          indexed
-      in
-      List.filteri (fun i _ -> i < rerank_k) sorted
-      |> List.map (fun (_, _, child) -> child)
-
-let search_seq ~config ?ranker ~rerank_k evaluator op =
-  let explored = ref 0 in
-  (* Expansion is already prefix-shared: each child is one [apply] on
-     its parent's state, never an [apply_all] replay. The remaining
-     redundancy — distinct action sequences reaching the same nest
-     (tile/swap transpositions, revisits across depths) — is absorbed
-     by the evaluator's digest-keyed state-seconds cache inside
-     [score]. *)
-  (* Score = speedup with vectorization appended (virtually). *)
-  let score (state : Sched_state.t) =
-    incr explored;
-    match Sched_state.apply state Schedule.Vectorize with
-    | Ok v -> Evaluator.speedup evaluator v
-    | Error _ -> Evaluator.speedup evaluator state
-  in
-  let seen = Hashtbl.create 256 in
-  let remember (state : Sched_state.t) =
-    let key = Schedule.dedup_key state.Sched_state.applied in
-    if Hashtbl.mem seen key then false
-    else begin
-      Hashtbl.add seen key ();
-      true
-    end
-  in
-  let root = Sched_state.init op in
-  let best_speedup = ref (score root) in
-  let best_schedule = ref [ Schedule.Vectorize ] in
-  let beam = ref [ (root, !best_speedup) ] in
-  let depth = ref 0 in
-  while !depth < config.max_depth - 1 && !beam <> [] do
-    incr depth;
-    (* Gather this depth's deduplicated children unscored; what gets the
-       exact oracle depends on the mode below. *)
-    let collected = ref [] in
-    List.iter
-      (fun (state, _) ->
-        List.iter
-          (fun tr ->
-            match Sched_state.apply state tr with
-            | Error _ -> ()
-            | Ok child -> if remember child then collected := child :: !collected)
-          (expansions config state))
-      !beam;
-    let collected = List.rev !collected in
-    let candidates = select_candidates ?ranker ~rerank_k collected in
-    let children = ref [] in
-    List.iter
-      (fun child ->
-        let s = score child in
-        if s > !best_speedup then begin
-          best_speedup := s;
-          best_schedule := child.Sched_state.applied @ [ Schedule.Vectorize ]
-        end;
-        children := (child, s) :: !children)
-      candidates;
-    let sorted = List.sort (fun (_, a) (_, b) -> compare b a) !children in
-    beam := List.filteri (fun i _ -> i < config.beam_width) sorted
-  done;
-  { best_schedule = !best_schedule; best_speedup = !best_speedup; explored = !explored }
-
-(* Domain-parallel beam search, following Par_eval's determinism
-   contract. Per depth: expansion (pure [apply] per beam entry) fans
-   out and merges in entry x expansion order; dedup and the optional
-   batched ranking stay on this domain; exact scoring fans out on
-   evaluator forks whose noise streams are indexed by a global
-   scored-state counter; the merge replays the sequential beam update
-   in candidate order (including its prepend-then-stable-sort tie
-   behavior). Byte-identical to [search_seq] for noiseless evaluators,
-   for any job count. *)
-let search_par ~config ?ranker ~rerank_k ~pool evaluator op =
-  let explored = ref 0 in
-  let seen = Hashtbl.create 256 in
-  let remember (state : Sched_state.t) =
-    let key = Schedule.dedup_key state.Sched_state.applied in
-    if Hashtbl.mem seen key then false
-    else begin
-      Hashtbl.add seen key ();
-      true
-    end
-  in
-  let root = Sched_state.init op in
-  (* The root is scored on the parent evaluator — the same first draw
-     the sequential search makes; every later scoring runs on a
-     derived-stream fork. *)
-  let score_root state =
-    incr explored;
-    match Sched_state.apply state Schedule.Vectorize with
-    | Ok v -> Evaluator.speedup evaluator v
-    | Error _ -> Evaluator.speedup evaluator state
-  in
-  let best_speedup = ref (score_root root) in
-  let best_schedule = ref [ Schedule.Vectorize ] in
-  let base = Par_eval.noise_base evaluator in
-  let scored_total = ref 0 in
-  let delta = ref 0 in
-  let beam = ref [ (root, !best_speedup) ] in
-  let depth = ref 0 in
-  while !depth < config.max_depth - 1 && !beam <> [] do
-    incr depth;
-    let expanded =
-      Util.Domain_pool.map_array pool
-        (fun ((state : Sched_state.t), _) ->
-          List.filter_map
-            (fun tr ->
-              match Sched_state.apply state tr with
-              | Error _ -> None
-              | Ok child -> Some child)
-            (expansions config state))
-        (Array.of_list !beam)
-    in
-    let collected =
-      List.filter remember (List.concat (Array.to_list expanded))
-    in
-    let candidates = select_candidates ?ranker ~rerank_k collected in
-    let tagged =
-      Array.of_list
-        (List.mapi (fun k child -> (!scored_total + k, child)) candidates)
-    in
-    scored_total := !scored_total + Array.length tagged;
-    let results =
-      Util.Domain_pool.map_array pool
-        (fun (i, (child : Sched_state.t)) ->
-          let fork = Par_eval.derived_fork evaluator ~base ~stream:i in
-          let s =
-            match Sched_state.apply child Schedule.Vectorize with
-            | Ok v -> Evaluator.speedup fork v
-            | Error _ -> Evaluator.speedup fork child
-          in
-          (s, Evaluator.explored fork))
-        tagged
-    in
-    let children = ref [] in
-    Array.iteri
-      (fun k (s, d) ->
-        delta := !delta + d;
-        incr explored;
-        let child = snd tagged.(k) in
-        if s > !best_speedup then begin
-          best_speedup := s;
-          best_schedule := child.Sched_state.applied @ [ Schedule.Vectorize ]
-        end;
-        children := (child, s) :: !children)
-      results;
-    let sorted = List.sort (fun (_, a) (_, b) -> compare b a) !children in
-    beam := List.filteri (fun i _ -> i < config.beam_width) sorted
-  done;
-  Evaluator.set_explored evaluator (Evaluator.explored evaluator + !delta);
-  { best_schedule = !best_schedule; best_speedup = !best_speedup; explored = !explored }
-
+(* One loop for every [jobs] value. Per depth: expansion (a pure [apply]
+   per beam entry) goes through the executor and merges in entry x
+   expansion order; dedup and the optional batched ranking stay on this
+   domain; exact scoring goes through the executor on evaluator forks
+   keyed by a global scored-state index; the beam update then runs in
+   candidate order on this domain. *)
 let search ?(config = default_config) ?ranker ?(rerank_k = default_rerank_k)
     ?(jobs = 1) ?pool evaluator op =
   if jobs < 1 then invalid_arg "Beam_search.search: jobs must be >= 1";
-  if jobs = 1 && Option.is_none pool then
-    search_seq ~config ?ranker ~rerank_k evaluator op
-  else
-    Par_eval.with_pool ?pool ~jobs (fun pool ->
-        search_par ~config ?ranker ~rerank_k ~pool evaluator op)
+  Par_eval.with_executor ?pool ~jobs (fun exec ->
+      (* Expansion is already prefix-shared: each child is one [apply] on
+         its parent's state, never an [apply_all] replay. The remaining
+         redundancy — distinct action sequences reaching the same nest
+         (tile/swap transpositions, revisits across depths) — is absorbed
+         by the evaluator's digest-keyed state-seconds cache inside
+         [score]. *)
+      (* Score = speedup with vectorization appended (virtually). *)
+      let score ev (state : Sched_state.t) =
+        match Sched_state.apply state Schedule.Vectorize with
+        | Ok v -> Evaluator.speedup ev v
+        | Error _ -> Evaluator.speedup ev state
+      in
+      let seen = Hashtbl.create 256 in
+      let remember (state : Sched_state.t) =
+        let key = Schedule.dedup_key state.Sched_state.applied in
+        if Hashtbl.mem seen key then false
+        else begin
+          Hashtbl.add seen key ();
+          true
+        end
+      in
+      let root = Sched_state.init op in
+      (* The root is scored on the caller's evaluator. *)
+      let best_speedup = ref (score evaluator root) in
+      let best_schedule = ref [ Schedule.Vectorize ] in
+      let scored = ref 0 in
+      let beam = ref [ (root, !best_speedup) ] in
+      let depth = ref 0 in
+      while !depth < config.max_depth - 1 && !beam <> [] do
+        incr depth;
+        let expanded =
+          Par_eval.map exec
+            (fun ((state : Sched_state.t), _) ->
+              List.filter_map
+                (fun tr -> Result.to_option (Sched_state.apply state tr))
+                (expansions config state))
+            (Array.of_list !beam)
+        in
+        let collected =
+          List.filter remember (List.concat (Array.to_list expanded))
+        in
+        (* Staged mode: ONE batched surrogate forward over the depth's
+           deduplicated children, and only the [rerank_k] best-ranked
+           proceed to exact scoring. *)
+        let candidates =
+          Array.of_list
+            (match ranker with
+            | None -> collected
+            | Some rank ->
+                Par_eval.rank_order ~who:"Beam_search.search" rank
+                  (Array.of_list collected)
+                |> List.filteri (fun i _ -> i < rerank_k))
+        in
+        let scores =
+          Par_eval.map_forked exec evaluator ~first:!scored score candidates
+        in
+        scored := !scored + Array.length candidates;
+        let children = ref [] in
+        Array.iter2
+          (fun (child : Sched_state.t) s ->
+            if s > !best_speedup then begin
+              best_speedup := s;
+              best_schedule := child.Sched_state.applied @ [ Schedule.Vectorize ]
+            end;
+            children := (child, s) :: !children)
+          candidates scores;
+        let sorted = List.sort (fun (_, a) (_, b) -> compare b a) !children in
+        beam := List.filteri (fun i _ -> i < config.beam_width) sorted
+      done;
+      {
+        best_schedule = !best_schedule;
+        best_speedup = !best_speedup;
+        explored = 1 + !scored (* the root, then every scored child *);
+      })

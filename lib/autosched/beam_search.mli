@@ -48,12 +48,12 @@ val search :
     [explored] counts exact scorings only. Without [ranker], behavior
     is byte-identical to the exact search.
 
-    [jobs] (default 1; [Invalid_argument] below 1) parallelizes each
-    depth over OCaml domains: expansion and exact scoring fan out on a
-    work-stealing pool — scoring on {!Evaluator.fork}s with noise
-    streams derived from a global scored-state index — while dedup,
-    ranking and beam selection merge results on the calling domain in
-    expansion order. Results are byte-identical across all [jobs]
-    values for noiseless evaluators, and across all [jobs >= 2] when
-    the evaluator has [noise > 0]. Pass [pool] to reuse a caller-owned
-    pool (then [jobs] only selects the parallel path). *)
+    Each depth runs expansion and exact scoring as tasks — scoring on
+    {!Evaluator.fork}s with noise streams derived from a global
+    scored-state index — while dedup, ranking and beam selection merge
+    results on the calling domain in expansion order. [jobs] (default
+    1; [Invalid_argument] below 1) only picks where the tasks run:
+    inline for [jobs = 1], otherwise on a work-stealing pool of [jobs]
+    OCaml domains; a caller-owned [pool] is always used when given.
+    Results are byte-identical across all [jobs] values for any
+    evaluator, including one with [noise > 0]. *)

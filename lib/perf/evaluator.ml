@@ -24,7 +24,9 @@ type t = {
   (* Physical-identity memo for [base_seconds]: a search evaluates
      thousands of candidates of the SAME original op, so the common case
      is the exact same [Linalg.t] value — skip even the digest+lookup.
-     Per-fork (not shared), purely a wall-clock optimization. *)
+     A fork starts from its parent's memo (an immutable pair of a pure
+     value, safe to read from any domain) and then keeps its own; purely
+     a wall-clock optimization. *)
   mutable base_memo : (Linalg.t * float) option;
   (* "|" ^ machine name, precomputed once for state_key. *)
   machine_suffix : string;
@@ -81,7 +83,7 @@ let fork t =
     noise = t.noise;
     noise_rng = Util.Rng.create 0;
     measure_delay_s = t.measure_delay_s;
-    base_memo = None;
+    base_memo = t.base_memo;
     machine_suffix = t.machine_suffix;
     (* Forks inherit the measurement tap (the dataset logger is
        mutex-protected) and the attached surrogate cache, like the

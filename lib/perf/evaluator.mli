@@ -42,11 +42,12 @@ val create :
     default. *)
 
 val fork : t -> t
-(** A worker-local evaluator for parallel rollouts: shares the (domain
-    safe, sharded) base-time and state-seconds caches, copies machine
-    and noise sigma, and starts a fresh explored counter and jitter
-    stream. The caller is expected to seed the jitter stream via
-    {!set_noise_state} and merge the fork's {!explored} delta back. *)
+(** A worker-local evaluator for parallel rollouts and search tasks:
+    shares the (domain safe, sharded) base-time and state-seconds
+    caches, copies machine, noise sigma and the parent's last base-time
+    memo, and starts a fresh explored counter and jitter stream. The
+    caller is expected to seed the jitter stream via {!set_noise_state}
+    and merge the fork's {!explored} delta back. *)
 
 val machine : t -> Machine.t
 

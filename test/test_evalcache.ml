@@ -11,8 +11,10 @@
      shapes) while renamed copies of one nest share a digest;
    - [Auto_scheduler.search] (prefix-sharing DFS + transposition cache)
      is bit-identical to [Auto_scheduler.search_naive] with caching
-     disabled: same best schedule, best speedup, explored count, trace
-     and noise-stream consumption, exhaustive and sampled branches both;
+     disabled: same best schedule, best speedup, explored count and
+     trace, exhaustive and sampled branches both; under noise both still
+     make the same number of jitter draws;
+   - an evaluator fork inherits its parent's base-time memo;
    - the sampling seed derives from [Linalg.digest], so same-named ops
      with different shapes draw different candidate streams;
    - the serve result-cache key distinguishes same-named ops with
@@ -208,6 +210,21 @@ let test_state_cache_shared_across_forks () =
         s.Util.Sharded_cache.misses;
       check_int "parent hit the fork's entry" 1 s.Util.Sharded_cache.hits
 
+let test_fork_keeps_base_memo () =
+  let ev = Evaluator.create () in
+  let op = Test_helpers.small_matmul () in
+  ignore (Evaluator.base_seconds ev op);
+  let lookups () =
+    let s = (Evaluator.cache_stats ev).Evaluator.base in
+    s.Util.Sharded_cache.hits + s.Util.Sharded_cache.misses
+  in
+  let before = lookups () in
+  let f = Evaluator.fork ev in
+  check_bits "fork prices the op like its parent"
+    (Evaluator.base_seconds ev op) (Evaluator.base_seconds f op);
+  check_int "fork answered from the inherited memo, no cache lookup" before
+    (lookups ())
+
 let test_noise_stream_identical_cache_on_off () =
   let mk cap = Evaluator.create ~noise:0.05 ~noise_seed:7 ~state_cache_capacity:cap () in
   let on = mk 4096 and off = mk 0 in
@@ -247,6 +264,10 @@ let check_same_result name (a : Auto_scheduler.result)
       check_bits (Printf.sprintf "%s: trace point %d speedup" name i) s s')
     a.Auto_scheduler.trace
 
+(* Without noise the two searches must agree bit for bit. With noise
+   they draw from different streams — naive from the evaluator's single
+   sequential stream, search from per-task derived streams — so only the
+   evaluation count (jitter draws) and the trace length must agree. *)
 let differential ?noise ?(budget = 20000) op =
   let mk cap =
     Evaluator.create ?noise ~noise_seed:11 ~state_cache_capacity:cap ()
@@ -258,8 +279,13 @@ let differential ?noise ?(budget = 20000) op =
   let naive = Auto_scheduler.search_naive ~config naive_ev op in
   let memo_ev = mk 65536 in
   let memo = Auto_scheduler.search ~config memo_ev op in
-  check_same_result op.Linalg.op_name naive memo;
-  check_int (op.Linalg.op_name ^ ": evaluator explored (jitter stream length)")
+  (match noise with
+  | None -> check_same_result op.Linalg.op_name naive memo
+  | Some _ ->
+      check_int (op.Linalg.op_name ^ ": noisy trace length")
+        (Array.length naive.Auto_scheduler.trace)
+        (Array.length memo.Auto_scheduler.trace));
+  check_int (op.Linalg.op_name ^ ": evaluator explored (jitter draws)")
     (Evaluator.explored naive_ev) (Evaluator.explored memo_ev)
 
 let test_differential_exhaustive () =
@@ -270,14 +296,15 @@ let test_differential_exhaustive_im2col () =
   differential (Test_helpers.small_conv ())
 
 let test_differential_exhaustive_noisy () =
-  (* Noise makes any divergence in evaluation order or count visible as
-     a jitter-stream shift: every subsequent value would differ. *)
+  (* Under noise both searches must still make exactly one jitter draw
+     per evaluated candidate. *)
   differential ~noise:0.05 (Test_helpers.small_matmul ());
   differential ~noise:0.05 (Test_helpers.small_conv ())
 
 let test_differential_sampled_branch () =
   (* A space far over budget forces the seeded-sampling fallback in
-     both implementations; they must share the RNG stream too. *)
+     both implementations; they must share the RNG stream too (and,
+     noisy, still draw jitter once per evaluation). *)
   differential ~budget:60 (Linalg.matmul ~m:64 ~n:64 ~k:64 ());
   differential ~noise:0.03 ~budget:60 (Linalg.matmul ~m:64 ~n:64 ~k:64 ())
 
@@ -394,4 +421,6 @@ let suite =
       test_serve_digest_distinguishes_shapes;
     Alcotest.test_case "serve replies identical across cache" `Quick
       test_serve_engine_replies_identical_across_cache;
+    Alcotest.test_case "fork keeps the base memo" `Quick
+      test_fork_keeps_base_memo;
   ]

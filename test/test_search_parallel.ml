@@ -1,10 +1,10 @@
 (* The multicore search engine's contracts: the work-stealing pool, the
    sharded-cache observability additions (contention counter,
    shard_stats, to_alist), byte-identity of exhaustive / sampled /
-   staged / beam search across --jobs values (including the noisy-
-   evaluator variant and the im2col conv path), per-domain workspace
-   isolation under concurrent batched inference, and the dataset-log
-   tap under parallel search. *)
+   staged / beam search across --jobs values (noiseless and noisy) and
+   of the im2col conv path, the fixed trie-split depth against the
+   from-scratch search, per-domain workspace isolation under concurrent
+   batched inference, and the dataset-log tap under parallel search. *)
 
 (* ------------------------------------------------------------------ *)
 (* Work-stealing pool                                                  *)
@@ -242,11 +242,19 @@ let check_search_identity ~name ?noise ~budget ~expect_exhaustive op =
           | _ -> Alcotest.fail "state cache unexpectedly disabled")
         [ 2; 4 ]
   | Some _ ->
-      (* With jitter the parallel runs use candidate-indexed streams:
-         all jobs >= 2 agree with each other (not with jobs 1). *)
-      let k2, _, _ = run 2 in
-      let k4, _, _ = run 4 in
-      Alcotest.(check string) (name ^ ": noisy jobs 2 = jobs 4") k2 k4
+      (* With jitter every jobs value draws from the same task-indexed
+         streams, jobs 1 included. *)
+      let k1, e1, _ = run 1 in
+      List.iter
+        (fun jobs ->
+          let k, e, _ = run jobs in
+          Alcotest.(check string)
+            (Printf.sprintf "%s: noisy jobs %d = jobs 1" name jobs)
+            k1 k;
+          Alcotest.(check int)
+            (Printf.sprintf "%s: noisy explored merged (jobs %d)" name jobs)
+            e1 e)
+        [ 2; 4 ]
 
 let test_search_exhaustive_identity () =
   let op = exhaustive_op () in
@@ -268,27 +276,31 @@ let test_search_noisy_parallel_identity () =
   check_search_identity ~name:"noisy exhaustive" ~noise:0.05
     ~budget:(exhaustive_budget op) ~expect_exhaustive:true op
 
-let test_search_frontier_depths_agree () =
-  let op = exhaustive_op () in
-  let config =
-    {
-      Auto_scheduler.default_config with
-      Auto_scheduler.max_schedules = exhaustive_budget op;
-    }
-  in
-  let base =
-    result_key (Auto_scheduler.search ~config (Evaluator.create ()) op)
-  in
+(* The trie splits at a fixed depth of 2; the split must reproduce the
+   from-scratch stream leaf for leaf, including on an op with fewer
+   loops than the depth (a 1-D add: the split leaves nothing to
+   enumerate inside each subtask) and on the conv/im2col twin space. *)
+let test_search_fixed_depth_matches_naive () =
   List.iter
-    (fun frontier_depth ->
-      let r =
-        Auto_scheduler.search ~config ~jobs:2 ~frontier_depth
-          (Evaluator.create ()) op
+    (fun (name, op) ->
+      let config =
+        {
+          Auto_scheduler.default_config with
+          Auto_scheduler.max_schedules = exhaustive_budget op;
+        }
       in
-      Alcotest.(check string)
-        (Printf.sprintf "frontier depth %d" frontier_depth)
-        base (result_key r))
-    [ 0; 1; 3; 8 ]
+      let naive =
+        result_key (Auto_scheduler.search_naive ~config (Evaluator.create ()) op)
+      in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: jobs %d = naive" name jobs)
+            naive
+            (result_key
+               (Auto_scheduler.search ~config ~jobs (Evaluator.create ()) op)))
+        [ 1; 2 ])
+    [ ("1-D add", Linalg.add [| 48 |]); ("conv+im2col", tiny_conv ()) ]
 
 let test_search_pool_reuse () =
   (* A caller-owned stealing pool shared by consecutive searches, one
@@ -315,18 +327,35 @@ let test_search_pool_reuse () =
           Alcotest.(check string) "pooled = sequential" seq par)
         [ exhaustive_op (); sampled_op () ])
 
-let test_search_staged_identity () =
-  let op = exhaustive_op () in
+let check_staged_identity ?noise name op =
   let config = Auto_scheduler.default_config in
   let run jobs =
-    let ev = Evaluator.create () in
+    let ev =
+      match noise with
+      | None -> Evaluator.create ()
+      | Some sigma -> Evaluator.create ~noise:sigma ~noise_seed:5 ()
+    in
     result_key
       (Auto_scheduler.search_staged ~config ~ranker:pseudo_schedule_ranker
          ~rerank_k:24 ~jobs ev op)
   in
   let k1 = run 1 in
-  Alcotest.(check string) "staged jobs 2" k1 (run 2);
-  Alcotest.(check string) "staged jobs 4" k1 (run 4)
+  Alcotest.(check string) (name ^ " jobs 2") k1 (run 2);
+  Alcotest.(check string) (name ^ " jobs 4") k1 (run 4)
+
+let test_search_staged_identity () =
+  check_staged_identity "staged" (exhaustive_op ())
+
+(* On the 64^3 matmul the re-ranked candidates beat the trivial
+   schedule, so their jittered speedups reach the trace; on the small
+   matmul the trivial schedule (always on the caller's stream) stays
+   best and would hide a stream mismatch. *)
+let test_search_noisy_staged_identity () =
+  check_staged_identity ~noise:0.05 "noisy staged" (sampled_op ())
+
+let test_search_noisy_sampled_identity () =
+  check_search_identity ~name:"noisy sampled" ~noise:0.05 ~budget:250
+    ~expect_exhaustive:false (sampled_op ())
 
 let test_search_jobs_validated () =
   Alcotest.check_raises "jobs 0 rejected"
@@ -372,10 +401,19 @@ let test_beam_ranked_identity () =
 let test_beam_noisy_parallel_identity () =
   let op = exhaustive_op () in
   let run jobs =
-    beam_key
-      (Beam_search.search ~jobs (Evaluator.create ~noise:0.05 ~noise_seed:4 ()) op)
+    let ev = Evaluator.create ~noise:0.05 ~noise_seed:4 () in
+    let r = Beam_search.search ~jobs ev op in
+    (beam_key r, Evaluator.explored ev)
   in
-  Alcotest.(check string) "noisy beam jobs 2 = jobs 4" (run 2) (run 4)
+  let k1, e1 = run 1 in
+  List.iter
+    (fun jobs ->
+      let k, e = run jobs in
+      Alcotest.(check string) (Printf.sprintf "noisy beam jobs %d = jobs 1" jobs) k1 k;
+      Alcotest.(check int)
+        (Printf.sprintf "noisy beam explored merged (jobs %d)" jobs)
+        e1 e)
+    [ 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain workspace isolation                                      *)
@@ -502,10 +540,10 @@ let suite =
       test_search_sampled_identity;
     Alcotest.test_case "search: conv im2col identity" `Slow
       test_search_conv_identity;
-    Alcotest.test_case "search: noisy jobs 2 = jobs 4" `Slow
+    Alcotest.test_case "search: noisy jobs 1/2/4" `Slow
       test_search_noisy_parallel_identity;
-    Alcotest.test_case "search: frontier depths agree" `Slow
-      test_search_frontier_depths_agree;
+    Alcotest.test_case "search: fixed depth = naive" `Slow
+      test_search_fixed_depth_matches_naive;
     Alcotest.test_case "search: caller-owned pool reuse" `Slow
       test_search_pool_reuse;
     Alcotest.test_case "search: staged identity jobs 1/2/4" `Slow
@@ -515,7 +553,7 @@ let suite =
     Alcotest.test_case "beam: identity jobs 1/2/4" `Slow test_beam_identity;
     Alcotest.test_case "beam: ranked identity jobs 1/2/4" `Slow
       test_beam_ranked_identity;
-    Alcotest.test_case "beam: noisy jobs 2 = jobs 4" `Slow
+    Alcotest.test_case "beam: noisy jobs 1/2/4" `Slow
       test_beam_noisy_parallel_identity;
     Alcotest.test_case "workspace isolation under concurrent inference" `Slow
       test_workspace_isolation;
@@ -523,4 +561,8 @@ let suite =
       test_dataset_log_concurrent_adds;
     Alcotest.test_case "dataset log: parallel search tap" `Slow
       test_dataset_log_parallel_search_tap;
+    Alcotest.test_case "search: noisy sampled jobs 1/2/4" `Slow
+      test_search_noisy_sampled_identity;
+    Alcotest.test_case "search: noisy staged jobs 1/2/4" `Slow
+      test_search_noisy_staged_identity;
   ]
