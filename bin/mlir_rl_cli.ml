@@ -25,6 +25,11 @@ let spec_arg =
     & info [] ~docv:"OP"
         ~doc:"Operation spec, e.g. matmul:1024x1024x1024 or conv2d:56x56x64,k3,f128,s1")
 
+(* Backbone depth of the policy that [train] builds and saves, and that
+   [infer] and [serve] (and so every fleet replica) build to load its
+   checkpoint. *)
+let backbone_layers = 2
+
 (* Uniform --jobs validation, shared by every command that takes the
    flag (train / infer / autoschedule / serve): reject below 1 with one
    message, before any other work. The default is 1 everywhere —
@@ -327,7 +332,7 @@ let train_cmd =
       | None -> Env.create ~evaluator cfg
     in
     let rng = Util.Rng.create seed in
-    let policy = Policy.create ~hidden ~backbone_layers:2 rng cfg in
+    let policy = Policy.create ~hidden ~backbone_layers rng cfg in
     let ops =
       if specs = [] then begin
         let split = Generator.generate ~seed () in
@@ -488,7 +493,7 @@ let infer_cmd =
     let cfg = Env_config.default in
     let env = Env.create cfg in
     let rng = Util.Rng.create 0 in
-    let policy = Policy.create ~hidden ~backbone_layers:2 rng cfg in
+    let policy = Policy.create ~hidden ~backbone_layers rng cfg in
     (match Policy.load policy load_path with
     | Ok () -> ()
     | Error e ->
@@ -557,6 +562,7 @@ let serve_cmd =
       {
         Serve.Engine.default_config with
         Serve.Engine.hidden;
+        backbone_layers;
         checkpoint = load_path;
         cache_capacity;
         measure_delay_s = measure_delay_ms /. 1000.0;

@@ -21,9 +21,16 @@ type node = {
   grad : Tensor.t Lazy.t;
       (* Allocated on first touch. Inference tapes (batched sampling,
          serving) never call [backward], so their nodes never pay for a
-         gradient buffer; training tapes force every grad during
-         [backward], which preserves the eager semantics (zeros until
+         gradient buffer; training tapes force the grads [backward]
+         reaches, which preserves the eager semantics (zeros until
          accumulated into) bit for bit. *)
+  needs_grad : bool;
+      (* Some parameter leaf lies upstream: true for parameters, false
+         for constants, the OR of the parents for ops. [backward] runs
+         no step for a node without it, and no step forces or
+         accumulates into such a parent's [grad] — so the gradient of a
+         constant (the observation, the branch indicators) and of
+         everything computed from constants alone is never formed. *)
   back : unit -> unit;  (* reads [grad], accumulates into parents *)
 }
 
@@ -57,11 +64,11 @@ end
 let value n = n.value
 let grad n = Lazy.force n.grad
 
-(* Scratch for backward steps that need a real output buffer (the dB
-   half of the matmul backward). Reset once per [backward]; the hand-out
-   sequence is the reverse tape order, which is stable for a fixed
-   network, so after the first minibatch every [get] reuses a pooled
-   buffer. Per-domain, never shared. *)
+(* Scratch for backward steps that stage buffers (the transposed left
+   operand and the product of the matmul's dB step). Reset once per
+   [backward]; the hand-out sequence is the reverse tape order, which
+   is stable for a fixed network, so after the first minibatch every
+   [get] reuses a pooled buffer. Per-domain, never shared. *)
 let bw_ws_key = Domain.DLS.new_key Tensor.Workspace.create
 let bw_ws () = Domain.DLS.get bw_ws_key
 
@@ -82,18 +89,30 @@ let lazy_grad tape shape =
          Tensor.fill_inplace g 0.0;
          g)
 
-let mk tape value back_of =
+let mk tape ~needs_grad value back_of =
   let rec node =
-    { value; grad = lazy_grad tape (Tensor.dims value); back = (fun () -> back_of node) }
+    {
+      value;
+      grad = lazy_grad tape (Tensor.dims value);
+      needs_grad;
+      back = (fun () -> back_of node);
+    }
   in
   Tape.push tape node;
   node
 
+(* Ops of one parent run their backward step only when that parent
+   needs a gradient, so the step need not check. *)
+let mk1 tape a value back_of = mk tape ~needs_grad:a.needs_grad value back_of
+
+let mk2 tape a b value back_of =
+  mk tape ~needs_grad:(a.needs_grad || b.needs_grad) value back_of
+
 let of_param tape (p : Param.t) =
-  mk tape p.Param.data (fun node ->
+  mk tape ~needs_grad:true p.Param.data (fun node ->
       Tensor.add_inplace p.Param.grad (Lazy.force node.grad))
 
-let const tape t = mk tape t (fun _ -> ())
+let const tape t = mk tape ~needs_grad:false t (fun _ -> ())
 
 let matmul tape a b =
   let value =
@@ -101,64 +120,71 @@ let matmul tape a b =
       ~dst:(alloc tape [| a.value.Tensor.shape.(0); b.value.Tensor.shape.(1) |])
       a.value b.value
   in
-  mk tape value (fun node ->
-      (* dA = dC * B^T ; dB = A^T * dC. dA fuses the product with the
-         accumulate (each cell formed in a register, added once); dB
-         needs a staging buffer because transpose-A accumulates across p
-         in memory — drawn from the backward workspace, so neither half
-         allocates in steady state. *)
+  mk2 tape a b value (fun node ->
+      (* dA = dC * B^T ; dB = A^T * dC, both on the zero-skipping row
+         kernel: dA gathers the zeros of dC's rows, dB those of A's
+         columns, which it reads as rows of A^T staged in the backward
+         workspace next to the product — neither half allocates in
+         steady state. *)
       let g = Lazy.force node.grad in
-      Tensor.matmul_transpose_b_addto ~dst:(Lazy.force a.grad) g b.value;
-      let scratch =
-        Tensor.Workspace.get (bw_ws ()) (Tensor.dims b.value)
-      in
-      Tensor.matmul_transpose_a_into ~dst:scratch a.value g |> ignore;
-      Tensor.add_inplace (Lazy.force b.grad) scratch)
+      if a.needs_grad then
+        Tensor.matmul_transpose_b_addto ~dst:(Lazy.force a.grad) g b.value;
+      if b.needs_grad then begin
+        let ws = bw_ws () and shape = a.value.Tensor.shape in
+        let at = Tensor.Workspace.get ws [| shape.(1); shape.(0) |] in
+        let db = Tensor.Workspace.get ws (Tensor.dims b.value) in
+        Tensor.add_inplace (Lazy.force b.grad)
+          (Tensor.matmul_into ~dst:db (Tensor.transpose_into ~dst:at a.value) g)
+      end)
 
 let add tape a b =
   let value = Tensor.add_into ~dst:(alloc tape (Tensor.dims a.value)) a.value b.value in
-  mk tape value (fun node ->
+  mk2 tape a b value (fun node ->
       let g = Lazy.force node.grad in
-      Tensor.add_inplace (Lazy.force a.grad) g;
-      Tensor.add_inplace (Lazy.force b.grad) g)
+      if a.needs_grad then Tensor.add_inplace (Lazy.force a.grad) g;
+      if b.needs_grad then Tensor.add_inplace (Lazy.force b.grad) g)
 
 let sub tape a b =
   let value = Tensor.sub_into ~dst:(alloc tape (Tensor.dims a.value)) a.value b.value in
-  mk tape value (fun node ->
+  mk2 tape a b value (fun node ->
       let g = Lazy.force node.grad in
-      Tensor.add_inplace (Lazy.force a.grad) g;
-      let bg = (Lazy.force b.grad).Tensor.data and gd = g.Tensor.data in
-      for i = 0 to Tensor.numel g - 1 do
-        uset bg i (uget bg i -. uget gd i)
-      done)
+      if a.needs_grad then Tensor.add_inplace (Lazy.force a.grad) g;
+      if b.needs_grad then begin
+        let bg = (Lazy.force b.grad).Tensor.data and gd = g.Tensor.data in
+        for i = 0 to Tensor.numel g - 1 do
+          uset bg i (uget bg i -. uget gd i)
+        done
+      end)
 
 let mul tape a b =
   let value = Tensor.mul_into ~dst:(alloc tape (Tensor.dims a.value)) a.value b.value in
-  mk tape value (fun node ->
+  mk2 tape a b value (fun node ->
       let g = Lazy.force node.grad in
-      Tensor.add_mul_inplace (Lazy.force a.grad) g b.value;
-      Tensor.add_mul_inplace (Lazy.force b.grad) g a.value)
+      if a.needs_grad then Tensor.add_mul_inplace (Lazy.force a.grad) g b.value;
+      if b.needs_grad then Tensor.add_mul_inplace (Lazy.force b.grad) g a.value)
 
 let add_bias tape x b =
   let value =
     Tensor.add_bias_into ~dst:(alloc tape (Tensor.dims x.value)) x.value b.value
   in
-  mk tape value (fun node ->
+  mk2 tape x b value (fun node ->
       let g = Lazy.force node.grad in
-      Tensor.add_inplace (Lazy.force x.grad) g;
-      let m = x.value.Tensor.shape.(0) and n = x.value.Tensor.shape.(1) in
-      let bg = (Lazy.force b.grad).Tensor.data and gd = g.Tensor.data in
-      for i = 0 to m - 1 do
-        let row = i * n in
-        for j = 0 to n - 1 do
-          uset bg j (uget bg j +. uget gd (row + j))
+      if x.needs_grad then Tensor.add_inplace (Lazy.force x.grad) g;
+      if b.needs_grad then begin
+        let m = x.value.Tensor.shape.(0) and n = x.value.Tensor.shape.(1) in
+        let bg = (Lazy.force b.grad).Tensor.data and gd = g.Tensor.data in
+        for i = 0 to m - 1 do
+          let row = i * n in
+          for j = 0 to n - 1 do
+            uset bg j (uget bg j +. uget gd (row + j))
+          done
         done
-      done)
+      end)
 
 let unary tape a ~f ~df =
   (* df receives (input value, output gradient) elementwise *)
   let value = Tensor.map_into f ~dst:(alloc tape (Tensor.dims a.value)) a.value in
-  mk tape value (fun node ->
+  mk1 tape a value (fun node ->
       let gd = (Lazy.force node.grad).Tensor.data in
       let ag = (Lazy.force a.grad).Tensor.data in
       let av = a.value.Tensor.data in
@@ -173,7 +199,7 @@ let unary tape a ~f ~df =
    arithmetic with zero boxing. *)
 let relu tape a =
   let value = Tensor.relu_into ~dst:(alloc tape (Tensor.dims a.value)) a.value in
-  mk tape value (fun node ->
+  mk1 tape a value (fun node ->
       let gd = (Lazy.force node.grad).Tensor.data in
       let ag = (Lazy.force a.grad).Tensor.data in
       let av = a.value.Tensor.data in
@@ -187,7 +213,7 @@ let exp_ tape a =
   for i = 0 to Tensor.numel a.value - 1 do
     uset vd i (exp (uget avd i))
   done;
-  mk tape value (fun node ->
+  mk1 tape a value (fun node ->
       let gd = (Lazy.force node.grad).Tensor.data in
       let ag = (Lazy.force a.grad).Tensor.data in
       let av = a.value.Tensor.data in
@@ -208,16 +234,21 @@ let min_ tape a b =
   let value =
     Tensor.map2_into Float.min ~dst:(alloc tape (Tensor.dims a.value)) a.value b.value
   in
-  mk tape value (fun node ->
+  mk2 tape a b value (fun node ->
       let gd = (Lazy.force node.grad).Tensor.data in
-      let ag = (Lazy.force a.grad).Tensor.data
-      and bg = (Lazy.force b.grad).Tensor.data in
       let av = a.value.Tensor.data and bv = b.value.Tensor.data in
-      for i = 0 to Tensor.numel a.value - 1 do
-        let gi = uget gd i in
-        if uget av i <= uget bv i then uset ag i (uget ag i +. gi)
-        else uset bg i (uget bg i +. gi)
-      done)
+      if a.needs_grad then begin
+        let ag = (Lazy.force a.grad).Tensor.data in
+        for i = 0 to Tensor.numel a.value - 1 do
+          if uget av i <= uget bv i then uset ag i (uget ag i +. uget gd i)
+        done
+      end;
+      if b.needs_grad then begin
+        let bg = (Lazy.force b.grad).Tensor.data in
+        for i = 0 to Tensor.numel a.value - 1 do
+          if not (uget av i <= uget bv i) then uset bg i (uget bg i +. uget gd i)
+        done
+      end)
 
 let log_softmax tape a =
   let x = a.value in
@@ -241,7 +272,7 @@ let log_softmax tape a =
       uset od (row + j) (uget xd (row + j) -. log_z)
     done
   done;
-  mk tape out (fun node ->
+  mk1 tape a out (fun node ->
       (* dx_ij = g_ij - softmax_ij * sum_j g_ij *)
       let gd = (Lazy.force node.grad).Tensor.data in
       let ag = (Lazy.force a.grad).Tensor.data in
@@ -269,7 +300,7 @@ let gather_cols tape a cols =
   for i = 0 to m - 1 do
     Tensor.set out i (Tensor.get2 x i cols.(i))
   done;
-  mk tape out (fun node ->
+  mk1 tape a out (fun node ->
       let gd = (Lazy.force node.grad).Tensor.data in
       let ag = (Lazy.force a.grad).Tensor.data in
       let n = x.Tensor.shape.(1) in
@@ -287,7 +318,7 @@ let slice_cols tape a ~lo ~hi =
     invalid_arg "Autodiff.slice_cols: bad range";
   let w = hi - lo in
   let out = Tensor.slice_cols_into ~dst:(alloc tape [| m; w |]) x ~lo ~hi in
-  mk tape out (fun node ->
+  mk1 tape a out (fun node ->
       let gd = (Lazy.force node.grad).Tensor.data in
       let ag = (Lazy.force a.grad).Tensor.data in
       for i = 0 to m - 1 do
@@ -303,7 +334,7 @@ let sum_rows tape a =
     invalid_arg "Autodiff.sum_rows: expected rank 2";
   let m = x.Tensor.shape.(0) and n = x.Tensor.shape.(1) in
   let value = Tensor.sum_rows_into ~dst:(alloc tape [| m |]) x in
-  mk tape value (fun node ->
+  mk1 tape a value (fun node ->
       let gd = (Lazy.force node.grad).Tensor.data in
       let ag = (Lazy.force a.grad).Tensor.data in
       for i = 0 to m - 1 do
@@ -317,7 +348,7 @@ let sum_rows tape a =
 let sum_all tape a =
   let value = alloc tape [| 1 |] in
   Tensor.set value 0 (Tensor.sum a.value);
-  mk tape value (fun node ->
+  mk1 tape a value (fun node ->
       let g = Tensor.get (Lazy.force node.grad) 0 in
       let ag = (Lazy.force a.grad).Tensor.data in
       for i = 0 to Tensor.numel a.value - 1 do
@@ -333,4 +364,4 @@ let backward (tape : Tape.t) node =
     invalid_arg "Autodiff.backward: loss must be a scalar";
   Tensor.Workspace.reset (bw_ws ());
   Tensor.fill_inplace (Lazy.force node.grad) 1.0;
-  List.iter (fun n -> n.back ()) tape.Tape.nodes
+  List.iter (fun n -> if n.needs_grad then n.back ()) tape.Tape.nodes

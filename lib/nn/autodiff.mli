@@ -44,13 +44,18 @@ type node
 
 val value : node -> Tensor.t
 val grad : node -> Tensor.t
-(** Gradient accumulated so far (zeros before {!backward}). *)
+(** Gradient accumulated so far (zeros before {!backward}). Only nodes
+    with a parameter leaf upstream receive one: the grad of a {!const}
+    leaf, and of any node computed from constants alone, stays zero
+    after {!backward}. *)
 
 val of_param : Tape.t -> Param.t -> node
 (** Parameter leaf: backward adds into [Param.grad]. *)
 
 val const : Tape.t -> Tensor.t -> node
-(** Constant leaf: no gradient flows out of it. *)
+(** Constant leaf: no gradient flows into or out of it, and backward
+    skips every product that would only feed it (the observation's
+    gradient in a network's first layer). *)
 
 (* -- differentiable operations -- *)
 
@@ -94,5 +99,6 @@ val mean_all : Tape.t -> node -> node
 
 val backward : Tape.t -> node -> unit
 (** Seed the given (scalar) node's gradient with ones and propagate
-    backwards through everything recorded on the tape. Raises
-    [Invalid_argument] if the node holds more than one element. *)
+    backwards through every node on the tape that has a parameter leaf
+    upstream. Raises [Invalid_argument] if the node holds more than one
+    element. *)

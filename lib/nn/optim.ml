@@ -111,15 +111,16 @@ let load opt path =
       Ok ()
 
 let clip_grad_norm opt max_norm =
+  (* A plain loop, not [Array.iter]: a closure capturing [sq] would box
+     the accumulator on every gradient element. *)
   let sq = ref 0.0 in
-  Array.iter
-    (fun (p : Autodiff.Param.t) ->
-      let gd = p.grad.Tensor.data in
-      for i = 0 to Tensor.numel p.grad - 1 do
-        let g = uget gd i in
-        sq := !sq +. (g *. g)
-      done)
-    opt.params;
+  for k = 0 to Array.length opt.params - 1 do
+    let gd = opt.params.(k).Autodiff.Param.grad.Tensor.data in
+    for i = 0 to Bigarray.Array1.dim gd - 1 do
+      let g = uget gd i in
+      sq := !sq +. (g *. g)
+    done
+  done;
   let norm = sqrt !sq in
   if norm > max_norm && norm > 0.0 then begin
     let k = max_norm /. norm in

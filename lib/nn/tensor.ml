@@ -10,12 +10,12 @@
 
    Every kernel pair is bit-identical: the [_into] variant and its
    allocating twin perform the same float operations in the same order,
-   and the register-/cache-blocked matmul preserves the exact
-   accumulation order of the naive triple loop (for each output element
-   the reduction index p ascends 0..k-1, added one product at a time),
-   so blocking and unrolling are invisible at the bit level. This is
-   what keeps the jobs=1-vs-N byte-equality, checkpoint-resume and
-   serve-determinism contracts intact (docs/performance.md). *)
+   and the zero-skipping matmul row kernel keeps the accumulation order
+   of the naive triple loop (for each output element the reduction
+   index p ascends 0..k-1, added one product at a time), so unrolling
+   and skipping are invisible at the bit level for finite operands.
+   This is what keeps the jobs=1-vs-N byte-equality, checkpoint-resume
+   and serve-determinism contracts intact (docs/performance.md). *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -176,91 +176,102 @@ module Workspace = struct
     Array.fold_left (fun acc b -> acc + (8 * Bigarray.Array1.dim b)) 0 ws.slots
 end
 
-(* -- matmul ------------------------------------------------------------ *)
+(* -- matmul ------------------------------------------------------------
 
-(* Cache-tile edge for the blocked matmul, in elements per dimension.
-   128 x 128 doubles per B tile (128 KiB) measured fastest on the
-   bench/micro sweep; tunable via MLIR_RL_MM_BLOCK or
-   [set_matmul_block]. Blocking never changes results (see the header
-   comment), only locality. *)
-let default_matmul_block = 128
-let matmul_block_ref = ref default_matmul_block
+   One row kernel serves the whole matmul family. For row i of A it
+   gathers the columns p with A[i,p] <> 0 and adds A[i,p] * B[p,:] into
+   the output row over the gathered p in ascending order, four rows of
+   B per pass with one chained add per product — the naive i-p-j loop's
+   accumulation order with the exact-zero terms left out. The policy's
+   matmul inputs are sparse: the observation is ~94% zeros, ReLU
+   outputs about half, and the backward's output gradients are zeroed
+   by ReLU and the branch indicators.
 
-let set_matmul_block b =
-  if b < 4 then invalid_arg "Tensor.set_matmul_block: block must be >= 4";
-  matmul_block_ref := b
+   Skipping is invisible at the bit level as long as B is finite: a
+   skipped term A[i,p] * B[p,j] is an exact +-0.0, every sum starts at
+   +0.0 (and so never becomes -0.0), and adding +-0.0 to such a sum
+   leaves it unchanged. With an infinite or NaN entry in B the dense
+   loop would produce NaN where this kernel keeps the sum. *)
 
-let matmul_block () = !matmul_block_ref
+(* Per-domain scratch: the gathered column indices of the current row,
+   and the buffers [matmul_transpose_b_addto] stages through. *)
+type scratch = { mutable idx : int array; ws : Workspace.t }
 
-let () =
-  match Sys.getenv_opt "MLIR_RL_MM_BLOCK" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-    | Some b when b >= 4 -> matmul_block_ref := b
-    | _ -> ())
-  | None -> ()
+let scratch_key = Domain.DLS.new_key (fun () -> { idx = [||]; ws = Workspace.create () })
 
-(* Register-blocked panel: out rows [i] over p in [p0,p1), j in [j0,j1),
-   p unrolled by 4 (one chained add per product, ascending p) and j by 4
-   (distinct output elements). Accumulation order per output element is
-   exactly the naive kernel's. *)
-let matmul_panel (a : buf) (b : buf) (out : buf) ~arow ~orow ~n ~p0 ~p1 ~j0 ~j1 =
-  let p4 = p0 + ((p1 - p0) / 4 * 4) in
-  let j4 = j0 + ((j1 - j0) / 4 * 4) in
-  let p = ref p0 in
-  while !p < p4 do
-    let q = !p in
-    let av0 = uget a (arow + q)
-    and av1 = uget a (arow + q + 1)
-    and av2 = uget a (arow + q + 2)
-    and av3 = uget a (arow + q + 3) in
-    let b0 = q * n and b1 = (q + 1) * n and b2 = (q + 2) * n and b3 = (q + 3) * n in
-    let j = ref j0 in
-    while !j < j4 do
-      let s = !j in
-      let acc0 =
-        (((uget out (orow + s) +. (av0 *. uget b (b0 + s)))
-          +. (av1 *. uget b (b1 + s)))
-         +. (av2 *. uget b (b2 + s)))
-        +. (av3 *. uget b (b3 + s))
-      in
-      let acc1 =
-        (((uget out (orow + s + 1) +. (av0 *. uget b (b0 + s + 1)))
-          +. (av1 *. uget b (b1 + s + 1)))
-         +. (av2 *. uget b (b2 + s + 1)))
-        +. (av3 *. uget b (b3 + s + 1))
-      in
-      let acc2 =
-        (((uget out (orow + s + 2) +. (av0 *. uget b (b0 + s + 2)))
-          +. (av1 *. uget b (b1 + s + 2)))
-         +. (av2 *. uget b (b2 + s + 2)))
-        +. (av3 *. uget b (b3 + s + 2))
-      in
-      let acc3 =
-        (((uget out (orow + s + 3) +. (av0 *. uget b (b0 + s + 3)))
-          +. (av1 *. uget b (b1 + s + 3)))
-         +. (av2 *. uget b (b2 + s + 3)))
-        +. (av3 *. uget b (b3 + s + 3))
-      in
-      uset out (orow + s) acc0;
-      uset out (orow + s + 1) acc1;
-      uset out (orow + s + 2) acc2;
-      uset out (orow + s + 3) acc3;
-      j := s + 4
-    done;
-    for s = j4 to j1 - 1 do
-      uset out (orow + s)
-        ((((uget out (orow + s) +. (av0 *. uget b (b0 + s)))
-           +. (av1 *. uget b (b1 + s)))
-          +. (av2 *. uget b (b2 + s)))
-        +. (av3 *. uget b (b3 + s)))
-    done;
-    p := q + 4
+let scratch k =
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.idx < k then s.idx <- Array.make k 0;
+  s
+
+(* out[orow .. orow+n) += a[arow .. arow+k) * b, b row-major [k; n].
+   Each pass over the output row takes four gathered rows of b and
+   updates four adjacent output elements per step: the elements are
+   independent, so the interleaving cannot change any element's chain. *)
+let row_kernel (a : buf) (b : buf) (out : buf) idx ~arow ~k ~orow ~n =
+  let cnt = ref 0 in
+  for p = 0 to k - 1 do
+    if uget a (arow + p) <> 0.0 then begin
+      Array.unsafe_set idx !cnt p;
+      incr cnt
+    end
   done;
-  for q = p4 to p1 - 1 do
-    let av = uget a (arow + q) in
-    let brow = q * n in
-    for s = j0 to j1 - 1 do
-      uset out (orow + s) (uget out (orow + s) +. (av *. uget b (brow + s)))
+  let cnt = !cnt in
+  let c4 = cnt / 4 * 4 and n4 = n / 4 * 4 in
+  let q = ref 0 in
+  while !q < c4 do
+    let p0 = Array.unsafe_get idx !q
+    and p1 = Array.unsafe_get idx (!q + 1)
+    and p2 = Array.unsafe_get idx (!q + 2)
+    and p3 = Array.unsafe_get idx (!q + 3) in
+    let av0 = uget a (arow + p0)
+    and av1 = uget a (arow + p1)
+    and av2 = uget a (arow + p2)
+    and av3 = uget a (arow + p3) in
+    let b0 = p0 * n and b1 = p1 * n and b2 = p2 * n and b3 = p3 * n in
+    let j = ref 0 in
+    while !j < n4 do
+      let s = orow + !j and t = !j in
+      let c0 =
+        (((uget out s +. (av0 *. uget b (b0 + t))) +. (av1 *. uget b (b1 + t)))
+         +. (av2 *. uget b (b2 + t)))
+        +. (av3 *. uget b (b3 + t))
+      and c1 =
+        (((uget out (s + 1) +. (av0 *. uget b (b0 + t + 1)))
+          +. (av1 *. uget b (b1 + t + 1)))
+         +. (av2 *. uget b (b2 + t + 1)))
+        +. (av3 *. uget b (b3 + t + 1))
+      and c2 =
+        (((uget out (s + 2) +. (av0 *. uget b (b0 + t + 2)))
+          +. (av1 *. uget b (b1 + t + 2)))
+         +. (av2 *. uget b (b2 + t + 2)))
+        +. (av3 *. uget b (b3 + t + 2))
+      and c3 =
+        (((uget out (s + 3) +. (av0 *. uget b (b0 + t + 3)))
+          +. (av1 *. uget b (b1 + t + 3)))
+         +. (av2 *. uget b (b2 + t + 3)))
+        +. (av3 *. uget b (b3 + t + 3))
+      in
+      uset out s c0;
+      uset out (s + 1) c1;
+      uset out (s + 2) c2;
+      uset out (s + 3) c3;
+      j := t + 4
+    done;
+    for j = n4 to n - 1 do
+      uset out (orow + j)
+        ((((uget out (orow + j) +. (av0 *. uget b (b0 + j)))
+           +. (av1 *. uget b (b1 + j)))
+          +. (av2 *. uget b (b2 + j)))
+        +. (av3 *. uget b (b3 + j)))
+    done;
+    q := !q + 4
+  done;
+  for q = c4 to cnt - 1 do
+    let p = Array.unsafe_get idx q in
+    let av = uget a (arow + p) and brow = p * n in
+    for j = 0 to n - 1 do
+      uset out (orow + j) (uget out (orow + j) +. (av *. uget b (brow + j)))
     done
   done
 
@@ -284,188 +295,60 @@ let matmul_into ~dst a b =
     invalid_arg "Tensor.matmul_into: dst aliases an operand";
   let ad = a.data and bd = b.data and out = dst.data in
   Bigarray.Array1.fill out 0.0;
-  let blk = !matmul_block_ref in
-  if k <= blk && n <= blk then
-    for i = 0 to m - 1 do
-      matmul_panel ad bd out ~arow:(i * k) ~orow:(i * n) ~n ~p0:0 ~p1:k ~j0:0
-        ~j1:n
-    done
-  else begin
-    (* p tiles outermost, then j tiles, rows streamed inside: for any
-       output element the p tiles (and p within a tile) still ascend, so
-       the accumulation order is the naive kernel's. *)
-    let pp = ref 0 in
-    while !pp < k do
-      let p1 = min k (!pp + blk) in
-      let jj = ref 0 in
-      while !jj < n do
-        let j1 = min n (!jj + blk) in
-        for i = 0 to m - 1 do
-          matmul_panel ad bd out ~arow:(i * k) ~orow:(i * n) ~n ~p0:!pp ~p1
-            ~j0:!jj ~j1
-        done;
-        jj := j1
-      done;
-      pp := p1
-    done
-  end;
+  let idx = (scratch k).idx in
+  for i = 0 to m - 1 do
+    row_kernel ad bd out idx ~arow:(i * k) ~k ~orow:(i * n) ~n
+  done;
   dst
 
 let matmul a b =
   let m, _, n = matmul_dims "Tensor.matmul" a b in
   matmul_into ~dst:(unsafe_create [| m; n |]) a b
 
-(* a : [k; m], b : [k; n] -> [m; n]. The zero-skip guard stays: this
-   kernel runs on backward grads, which masking and ReLU do zero out in
-   practice (the forward matmul is dense and has no guard). *)
-let matmul_transpose_a_dims a b =
-  check_rank2 "Tensor.matmul_transpose_a" a;
-  check_rank2 "Tensor.matmul_transpose_a" b;
-  let k = a.shape.(0) and m = a.shape.(1) in
-  let k' = b.shape.(0) and n = b.shape.(1) in
-  if k <> k' then invalid_arg "Tensor.matmul_transpose_a: dimension mismatch";
-  (m, k, n)
-
-let matmul_transpose_a_into ~dst a b =
-  let m, k, n = matmul_transpose_a_dims a b in
-  check_dst "Tensor.matmul_transpose_a_into" dst m n;
-  let ad = a.data and bd = b.data and out = dst.data in
-  Bigarray.Array1.fill out 0.0;
-  for p = 0 to k - 1 do
-    let arow = p * m and brow = p * n in
-    for i = 0 to m - 1 do
-      let av = uget ad (arow + i) in
-      if av <> 0.0 then begin
-        let orow = i * n in
-        for j = 0 to n - 1 do
-          uset out (orow + j) (uget out (orow + j) +. (av *. uget bd (brow + j)))
-        done
-      end
-    done
-  done;
-  dst
-
-let matmul_transpose_a a b =
-  let m, _, n = matmul_transpose_a_dims a b in
-  matmul_transpose_a_into ~dst:(unsafe_create [| m; n |]) a b
-
-(* a : [m; k], b : [n; k] -> [m; n]; per-element register accumulator
-   over ascending p (p unrolled by 4, adds chained left-to-right). *)
-let matmul_transpose_b_dims a b =
-  check_rank2 "Tensor.matmul_transpose_b" a;
-  check_rank2 "Tensor.matmul_transpose_b" b;
-  let m = a.shape.(0) and k = a.shape.(1) in
-  let n = b.shape.(0) and k' = b.shape.(1) in
-  if k <> k' then invalid_arg "Tensor.matmul_transpose_b: dimension mismatch";
-  (m, k, n)
-
-let transpose_b_cell (ad : buf) (bd : buf) ~arow ~brow ~k =
-  let k4 = k / 4 * 4 in
-  let acc = ref 0.0 in
-  let p = ref 0 in
-  while !p < k4 do
-    let q = !p in
-    acc :=
-      (((!acc +. (uget ad (arow + q) *. uget bd (brow + q)))
-        +. (uget ad (arow + q + 1) *. uget bd (brow + q + 1)))
-       +. (uget ad (arow + q + 2) *. uget bd (brow + q + 2)))
-      +. (uget ad (arow + q + 3) *. uget bd (brow + q + 3));
-    p := q + 4
-  done;
-  for q = k4 to k - 1 do
-    acc := !acc +. (uget ad (arow + q) *. uget bd (brow + q))
-  done;
-  !acc
-
-let matmul_transpose_b_into ~dst a b =
-  let m, k, n = matmul_transpose_b_dims a b in
-  check_dst "Tensor.matmul_transpose_b_into" dst m n;
-  let ad = a.data and bd = b.data and out = dst.data in
+let transpose_into ~dst t =
+  check_rank2 "Tensor.transpose_into" t;
+  let m = t.shape.(0) and n = t.shape.(1) in
+  check_dst "Tensor.transpose_into" dst n m;
+  if dst.data == t.data then invalid_arg "Tensor.transpose_into: dst aliases src";
+  let src = t.data and out = dst.data in
   for i = 0 to m - 1 do
-    let arow = i * k and orow = i * n in
+    let row = i * n in
     for j = 0 to n - 1 do
-      uset out (orow + j) (transpose_b_cell ad bd ~arow ~brow:(j * k) ~k)
+      uset out ((j * m) + i) (uget src (row + j))
     done
   done;
   dst
 
-let matmul_transpose_b a b =
-  let m, _, n = matmul_transpose_b_dims a b in
-  matmul_transpose_b_into ~dst:(unsafe_create [| m; n |]) a b
+let transpose t =
+  check_rank2 "Tensor.transpose" t;
+  transpose_into ~dst:(unsafe_create [| t.shape.(1); t.shape.(0) |]) t
 
-(* dst += a * b^T, the [Autodiff.matmul] backward step for dA. The cell
-   sum is formed in a register starting from 0 and added to [dst] once,
-   exactly like the historical "allocate the product, then
-   [add_inplace]" pair. *)
-(* Four adjacent cells of one output row, interleaved: each cell keeps
-   its own accumulator with exactly [transpose_b_cell]'s chained-add
-   order, but the four independent chains overlap in the pipeline
-   instead of serializing on one accumulator's add latency (~4x the
-   throughput of cell-at-a-time). Cells are independent, so the
-   interleaving cannot change any cell's result. *)
-let transpose_b_row4 (ad : buf) (bd : buf) (out : buf) ~arow ~orow ~j ~k =
-  let brow0 = j * k in
-  let brow1 = brow0 + k in
-  let brow2 = brow1 + k in
-  let brow3 = brow2 + k in
-  let k4 = k / 4 * 4 in
-  let acc0 = ref 0.0 and acc1 = ref 0.0 and acc2 = ref 0.0 and acc3 = ref 0.0 in
-  let p = ref 0 in
-  while !p < k4 do
-    let q = !p in
-    let a0 = uget ad (arow + q)
-    and a1 = uget ad (arow + q + 1)
-    and a2 = uget ad (arow + q + 2)
-    and a3 = uget ad (arow + q + 3) in
-    acc0 :=
-      (((!acc0 +. (a0 *. uget bd (brow0 + q)))
-        +. (a1 *. uget bd (brow0 + q + 1)))
-       +. (a2 *. uget bd (brow0 + q + 2)))
-      +. (a3 *. uget bd (brow0 + q + 3));
-    acc1 :=
-      (((!acc1 +. (a0 *. uget bd (brow1 + q)))
-        +. (a1 *. uget bd (brow1 + q + 1)))
-       +. (a2 *. uget bd (brow1 + q + 2)))
-      +. (a3 *. uget bd (brow1 + q + 3));
-    acc2 :=
-      (((!acc2 +. (a0 *. uget bd (brow2 + q)))
-        +. (a1 *. uget bd (brow2 + q + 1)))
-       +. (a2 *. uget bd (brow2 + q + 2)))
-      +. (a3 *. uget bd (brow2 + q + 3));
-    acc3 :=
-      (((!acc3 +. (a0 *. uget bd (brow3 + q)))
-        +. (a1 *. uget bd (brow3 + q + 1)))
-       +. (a2 *. uget bd (brow3 + q + 2)))
-      +. (a3 *. uget bd (brow3 + q + 3));
-    p := q + 4
-  done;
-  for q = k4 to k - 1 do
-    let av = uget ad (arow + q) in
-    acc0 := !acc0 +. (av *. uget bd (brow0 + q));
-    acc1 := !acc1 +. (av *. uget bd (brow1 + q));
-    acc2 := !acc2 +. (av *. uget bd (brow2 + q));
-    acc3 := !acc3 +. (av *. uget bd (brow3 + q))
-  done;
-  uset out (orow + j) (uget out (orow + j) +. !acc0);
-  uset out (orow + j + 1) (uget out (orow + j + 1) +. !acc1);
-  uset out (orow + j + 2) (uget out (orow + j + 2) +. !acc2);
-  uset out (orow + j + 3) (uget out (orow + j + 3) +. !acc3)
+let matmul_transpose_a a b = matmul (transpose a) b
+let matmul_transpose_b a b = matmul a (transpose b)
 
+(* dst += a * b^T, the [Autodiff.matmul] backward step for dA; a : [m; k]
+   is the output gradient, whose zeros the gather skips. Each product row
+   is formed from +0.0 in scratch and added to [dst] once, so [dst] ends
+   up exactly as if the whole product had been allocated and
+   [add_inplace]d. *)
 let matmul_transpose_b_addto ~dst a b =
-  let m, k, n = matmul_transpose_b_dims a b in
+  check_rank2 "Tensor.matmul_transpose_b_addto" a;
+  check_rank2 "Tensor.matmul_transpose_b_addto" b;
+  let m = a.shape.(0) and k = a.shape.(1) and n = b.shape.(0) in
+  if b.shape.(1) <> k then
+    invalid_arg "Tensor.matmul_transpose_b_addto: dimension mismatch";
   check_dst "Tensor.matmul_transpose_b_addto" dst m n;
-  let ad = a.data and bd = b.data and out = dst.data in
-  let n4 = n / 4 * 4 in
+  let s = scratch k in
+  Workspace.reset s.ws;
+  let bt = (transpose_into ~dst:(Workspace.get s.ws [| k; n |]) b).data in
+  let row = (Workspace.get s.ws [| n |]).data in
+  let ad = a.data and out = dst.data in
   for i = 0 to m - 1 do
-    let arow = i * k and orow = i * n in
-    let j = ref 0 in
-    while !j < n4 do
-      transpose_b_row4 ad bd out ~arow ~orow ~j:!j ~k;
-      j := !j + 4
-    done;
-    for j = n4 to n - 1 do
-      uset out (orow + j)
-        (uget out (orow + j) +. transpose_b_cell ad bd ~arow ~brow:(j * k) ~k)
+    Bigarray.Array1.fill row 0.0;
+    row_kernel ad bt row s.idx ~arow:(i * k) ~k ~orow:0 ~n;
+    let orow = i * n in
+    for j = 0 to n - 1 do
+      uset out (orow + j) (uget out (orow + j) +. uget row j)
     done
   done
 
@@ -491,24 +374,6 @@ let slice_cols t ~lo ~hi =
   if lo < 0 || hi > n || lo >= hi then
     invalid_arg "Tensor.slice_cols: bad column range";
   slice_cols_into ~dst:(unsafe_create [| m; hi - lo |]) t ~lo ~hi
-
-let transpose_into ~dst t =
-  check_rank2 "Tensor.transpose_into" t;
-  let m = t.shape.(0) and n = t.shape.(1) in
-  check_dst "Tensor.transpose_into" dst n m;
-  if dst.data == t.data then invalid_arg "Tensor.transpose_into: dst aliases src";
-  let src = t.data and out = dst.data in
-  for i = 0 to m - 1 do
-    let row = i * n in
-    for j = 0 to n - 1 do
-      uset out ((j * m) + i) (uget src (row + j))
-    done
-  done;
-  dst
-
-let transpose t =
-  check_rank2 "Tensor.transpose" t;
-  transpose_into ~dst:(unsafe_create [| t.shape.(1); t.shape.(0) |]) t
 
 let same_shape a b = a.shape = b.shape
 

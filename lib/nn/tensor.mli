@@ -10,10 +10,11 @@
       bit-identical to their allocating twin (same float operations in
       the same order).
 
-    The matmul family is register- and cache-blocked but preserves the
-    exact accumulation order of the naive triple loop, so kernel
-    selection and the tile size never change results at the bit level
-    (see docs/performance.md, "Tensor kernels"). *)
+    The matmul family runs one row kernel that skips the exact-zero
+    entries of its left operand and otherwise keeps the accumulation
+    order of the naive triple loop, so for a finite right operand its
+    results are bit-identical to that loop (see docs/performance.md,
+    "Tensor kernels"). *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -98,8 +99,9 @@ end
 
 val matmul : t -> t -> t
 (** [matmul a b] for shapes ([m; k], [k; n]). Raises [Invalid_argument]
-    on rank or dimension mismatch. Cache-blocked (see
-    {!set_matmul_block}); bit-identical to the naive i-p-j loop. *)
+    on rank or dimension mismatch. Skips the zero entries of [a];
+    bit-identical to the naive i-p-j loop whenever [b] is finite (a
+    skipped [0 * inf] would have been NaN). *)
 
 val matmul_into : dst:t -> t -> t -> t
 (** [matmul_into ~dst a b] writes [a * b] into [dst] ([m; n]) and
@@ -108,24 +110,14 @@ val matmul_into : dst:t -> t -> t -> t
 val matmul_transpose_a : t -> t -> t
 (** [matmul_transpose_a a b] computes [a^T * b] for a of shape [k; m]. *)
 
-val matmul_transpose_a_into : dst:t -> t -> t -> t
-
 val matmul_transpose_b : t -> t -> t
 (** [matmul_transpose_b a b] computes [a * b^T] for b of shape [n; k]. *)
 
-val matmul_transpose_b_into : dst:t -> t -> t -> t
-
 val matmul_transpose_b_addto : dst:t -> t -> t -> unit
-(** [matmul_transpose_b_addto ~dst a b]: dst += a * b^T, with each cell
-    formed in a register and added once — bit-identical to allocating
-    the product and [add_inplace]-ing it, with zero scratch. *)
-
-val matmul_block : unit -> int
-(** Current cache-tile edge (elements) for the blocked matmul. *)
-
-val set_matmul_block : int -> unit
-(** Set the tile edge (>= 4). Also settable via the [MLIR_RL_MM_BLOCK]
-    environment variable at startup. Never affects results. *)
+(** [matmul_transpose_b_addto ~dst a b]: dst += a * b^T, skipping the
+    zero entries of [a]. Each product row is formed in per-domain
+    scratch and added once — bit-identical to allocating the product and
+    [add_inplace]-ing it. *)
 
 val transpose : t -> t
 (** Rank-2 transpose. *)

@@ -1,6 +1,7 @@
 type config = {
   env_cfg : Env_config.t;
   hidden : int;
+  backbone_layers : int;
   checkpoint : string option;
   cache_capacity : int;
   measure_delay_s : float;
@@ -11,6 +12,7 @@ let default_config =
   {
     env_cfg = Env_config.default;
     hidden = 64;
+    backbone_layers = 4;
     checkpoint = None;
     cache_capacity = 4096;
     measure_delay_s = 0.0;
@@ -51,7 +53,8 @@ let create cfg =
   | Error e -> Error ("bad env config: " ^ e)
   | Ok () -> (
       let policy =
-        Policy.create ~hidden:cfg.hidden (Util.Rng.create 0x51) cfg.env_cfg
+        Policy.create ~hidden:cfg.hidden ~backbone_layers:cfg.backbone_layers
+          (Util.Rng.create 0x51) cfg.env_cfg
       in
       let load_result =
         match cfg.checkpoint with

@@ -17,6 +17,10 @@ type t
 type config = {
   env_cfg : Env_config.t;
   hidden : int;  (** policy width; see {!Policy.create} *)
+  backbone_layers : int;
+      (** policy backbone depth; see {!Policy.create}. A checkpoint
+          loads only into the architecture that saved it: the CLI's
+          [train --save] writes depth 2. *)
   checkpoint : string option;
       (** weights to serve ({!Serialize} format); [None] serves a
           seed-0x51-initialized policy — useful for smoke tests *)
@@ -43,8 +47,9 @@ type config = {
 }
 
 val default_config : config
-(** [Env_config.default], hidden 64, no checkpoint, capacity 4096,
-    no measurement delay, jobs 1. *)
+(** [Env_config.default], hidden 64, backbone depth 4 ({!Policy.create}'s
+    default), no checkpoint, capacity 4096, no measurement delay,
+    jobs 1. *)
 
 type outcome = {
   schedule : string;  (** printable {!Schedule} notation *)

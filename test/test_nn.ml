@@ -80,60 +80,69 @@ let test_transpose_known () =
   Alcotest.(check bool) "transpose_into matches" true
     (Tensor.equal xt (Tensor.transpose_into ~dst:(Tensor.zeros [| 3; 2 |]) x))
 
-(* Every [_into] kernel against its allocating twin, bit for bit, on
-   shapes that hit the tile and unroll remainders of the blocked matmul
-   family, across several tile sizes. *)
+(* Float-array references: the naive i-p-j loop with memory accumulation,
+   every product added (zeros included) in ascending p. *)
+let naive_matmul a b ~m ~k ~n =
+  let out = Array.make (m * n) 0.0 in
+  for i = 0 to m - 1 do
+    for p = 0 to k - 1 do
+      let av = a.((i * k) + p) in
+      for j = 0 to n - 1 do
+        out.((i * n) + j) <- out.((i * n) + j) +. (av *. b.((p * n) + j))
+      done
+    done
+  done;
+  out
+
+let transpose_array x ~rows ~cols =
+  Array.init (rows * cols) (fun idx -> x.(((idx mod rows) * cols) + (idx / rows)))
+
+(* A [rows; cols] matrix with about [share] of its entries zeroed; every
+   other zero is -0.0, which the kernels must skip like +0.0. *)
+let sparse_matrix rng ~share rows cols =
+  Tensor.init [| rows; cols |] (fun i ->
+      let v = Util.Rng.gaussian rng in
+      if Util.Rng.uniform rng < share then if i land 1 = 0 then 0.0 else -0.0
+      else v)
+
+let zero_shares = [ 0.0; 0.5; 0.94; 1.0 ]
+
+(* Every [_into] kernel against its allocating twin and the matmul
+   family against the naive loop, bit for bit, on shapes that hit the
+   4-wide unroll's remainders, across zero shares of the left operand. *)
 let test_into_kernels_bit_identical () =
-  let saved_block = Tensor.matmul_block () in
-  Fun.protect
-    ~finally:(fun () -> Tensor.set_matmul_block saved_block)
-    (fun () ->
+  List.iter
+    (fun share ->
       List.iter
-        (fun block ->
-          Tensor.set_matmul_block block;
-          List.iter
-            (fun (m, k, n) ->
-              let rng = Util.Rng.create (m + (10 * k) + (100 * n)) in
-              let a = Tensor.init [| m; k |] (fun _ -> Util.Rng.gaussian rng) in
-              let b = Tensor.init [| k; n |] (fun _ -> Util.Rng.gaussian rng) in
-              let ctx op = Printf.sprintf "%s %dx%dx%d block=%d" op m k n block in
-              let eq name x y =
-                Alcotest.(check bool) (ctx name) true (Tensor.equal x y)
-              in
-              (* The blocked matmul must equal the naive i-p-j reference. *)
-              let naive = Tensor.zeros [| m; n |] in
-              for i = 0 to m - 1 do
-                for p = 0 to k - 1 do
-                  let av = Tensor.get2 a i p in
-                  for j = 0 to n - 1 do
-                    Tensor.set2 naive i j
-                      (Tensor.get2 naive i j +. (av *. Tensor.get2 b p j))
-                  done
-                done
-              done;
-              eq "matmul=naive" (Tensor.matmul a b) naive;
-              eq "matmul_into"
-                (Tensor.matmul_into ~dst:(Tensor.zeros [| m; n |]) a b)
-                (Tensor.matmul a b);
-              let at = Tensor.transpose a in
-              eq "matmul_transpose_a_into"
-                (Tensor.matmul_transpose_a_into ~dst:(Tensor.zeros [| m; n |]) at b)
-                (Tensor.matmul_transpose_a at b);
-              let bt = Tensor.transpose b in
-              eq "matmul_transpose_b_into"
-                (Tensor.matmul_transpose_b_into ~dst:(Tensor.zeros [| m; n |]) a bt)
-                (Tensor.matmul_transpose_b a bt);
-              (* addto must equal allocate-then-add, starting from a
-                 nonzero accumulator. *)
-              let seed = Tensor.init [| m; n |] (fun _ -> Util.Rng.gaussian rng) in
-              let addto = Tensor.copy seed in
-              Tensor.matmul_transpose_b_addto ~dst:addto a bt;
-              let via_alloc = Tensor.copy seed in
-              Tensor.add_inplace via_alloc (Tensor.matmul_transpose_b a bt);
-              eq "matmul_transpose_b_addto" addto via_alloc)
-            [ (1, 1, 1); (3, 5, 2); (5, 7, 3); (17, 13, 9); (33, 65, 17) ])
-        [ 4; 8; 48; 64 ]);
-  (* Elementwise and reduction twins (tile size irrelevant). *)
+        (fun (m, k, n) ->
+          let rng = Util.Rng.create (m + (10 * k) + (100 * n)) in
+          let a = sparse_matrix rng ~share m k in
+          let b = Tensor.init [| k; n |] (fun _ -> Util.Rng.gaussian rng) in
+          let ctx op = Printf.sprintf "%s %dx%dx%d zeros=%g" op m k n share in
+          let eq name x y =
+            Alcotest.(check bool) (ctx name) true (Tensor.equal x y)
+          in
+          let naive =
+            Tensor.of_array [| m; n |]
+              (naive_matmul (Tensor.to_array a) (Tensor.to_array b) ~m ~k ~n)
+          in
+          eq "matmul=naive" (Tensor.matmul a b) naive;
+          eq "matmul_into"
+            (Tensor.matmul_into ~dst:(Tensor.zeros [| m; n |]) a b)
+            (Tensor.matmul a b);
+          let bt = Tensor.transpose b in
+          eq "matmul_transpose_b" (Tensor.matmul_transpose_b a bt) naive;
+          (* addto must equal allocate-then-add, starting from a
+             nonzero accumulator. *)
+          let seed = Tensor.init [| m; n |] (fun _ -> Util.Rng.gaussian rng) in
+          let addto = Tensor.copy seed in
+          Tensor.matmul_transpose_b_addto ~dst:addto a bt;
+          let via_alloc = Tensor.copy seed in
+          Tensor.add_inplace via_alloc (Tensor.matmul_transpose_b a bt);
+          eq "matmul_transpose_b_addto" addto via_alloc)
+        [ (1, 1, 1); (3, 5, 2); (5, 7, 3); (17, 13, 9); (33, 65, 17) ])
+    zero_shares;
+  (* Elementwise and reduction twins. *)
   let rng = Util.Rng.create 77 in
   let m = 7 and n = 11 in
   let x = Tensor.init [| m; n |] (fun _ -> Util.Rng.gaussian rng) in
@@ -156,6 +165,57 @@ let test_into_kernels_bit_identical () =
   eq "map_into" (Tensor.map_into exp ~dst:(d ()) x) (Tensor.map exp x);
   eq "map2_into" (Tensor.map2_into Float.min ~dst:(d ()) x y)
     (Tensor.map2 Float.min x y)
+
+(* The three places the row kernel runs — the forward [matmul_into], the
+   dA step [matmul_transpose_b_addto] and the dB step of
+   [Autodiff.matmul] — against the naive loop, bitwise, with zeros and
+   -0.0 planted in the operand whose zeros are skipped. *)
+let qcheck_matmul_kernels_naive =
+  QCheck.Test.make ~name:"matmul kernels = naive i-p-j loop (zero skipping)"
+    ~count:120
+    QCheck.(
+      quad (int_range 0 9999) (int_range 0 3)
+        (pair (int_range 1 9) (int_range 1 512))
+        (int_range 1 19))
+    (fun (seed, share_i, (m, k), n) ->
+      let rng = Util.Rng.create seed in
+      let share = List.nth zero_shares share_i in
+      let a = sparse_matrix rng ~share m k in
+      let b = Tensor.init [| k; n |] (fun _ -> Util.Rng.gaussian rng) in
+      let fa = Tensor.to_array a and fb = Tensor.to_array b in
+      (* forward: a * b *)
+      let fwd_ok =
+        Tensor.equal
+          (Tensor.matmul_into ~dst:(Tensor.create [| m; n |] nan) a b)
+          (Tensor.of_array [| m; n |] (naive_matmul fa fb ~m ~k ~n))
+      in
+      (* dA: acc += a * c^T for c : [n; k], from a nonzero accumulator *)
+      let c = Tensor.init [| n; k |] (fun _ -> Util.Rng.gaussian rng) in
+      let acc = Tensor.init [| m; n |] (fun _ -> Util.Rng.gaussian rng) in
+      let expect =
+        Array.map2 ( +. ) (Tensor.to_array acc)
+          (naive_matmul fa
+             (transpose_array (Tensor.to_array c) ~rows:n ~cols:k)
+             ~m ~k ~n)
+      in
+      Tensor.matmul_transpose_b_addto ~dst:acc a c;
+      let da_ok = Tensor.equal acc (Tensor.of_array [| m; n |] expect) in
+      (* dB: the gradient of sum((a * w) . g) in w is a^T * g *)
+      let w =
+        Autodiff.Param.create "w" (Tensor.init [| k; n |] (fun _ -> Util.Rng.gaussian rng))
+      in
+      let g = Tensor.init [| m; n |] (fun _ -> Util.Rng.gaussian rng) in
+      let tape = Autodiff.Tape.create () in
+      let y = Autodiff.matmul tape (Autodiff.const tape a) (Autodiff.of_param tape w) in
+      Autodiff.backward tape
+        (Autodiff.sum_all tape (Autodiff.mul tape y (Autodiff.const tape g)));
+      let db_ok =
+        Tensor.equal w.Autodiff.Param.grad
+          (Tensor.of_array [| k; n |]
+             (naive_matmul (transpose_array fa ~rows:m ~cols:k) (Tensor.to_array g)
+                ~m:k ~k:m ~n))
+      in
+      fwd_ok && da_ok && db_ok)
 
 (* --- Workspace arena --- *)
 
@@ -220,6 +280,38 @@ let test_tape_workspace_grads_bit_identical () =
           (Tensor.equal g (List.nth plain i)))
       with_ws
   done
+
+(* Gradient pruning is invisible: feeding the input as a constant (whose
+   gradient backward never forms) or as a parameter leaf (whose gradient
+   it does) leaves every network parameter's gradient bit-identical, and
+   the constant's own grad stays zero. *)
+let test_const_leaf_pruning_invisible () =
+  let rng = Util.Rng.create 41 in
+  let mlp = Layers.mlp rng ~dims:[ 13; 9; 3 ] "net" in
+  let params = Layers.mlp_params mlp in
+  let x = sparse_matrix rng ~share:0.5 6 13 in
+  let run leaf =
+    List.iter Autodiff.Param.zero_grad params;
+    let tape = Autodiff.Tape.create () in
+    let xo = leaf tape in
+    let y = Layers.forward_mlp tape mlp xo in
+    Autodiff.backward tape (Autodiff.mean_all tape (Autodiff.square tape y));
+    (xo, List.map (fun p -> Tensor.copy p.Autodiff.Param.grad) params)
+  in
+  let x_const, pruned = run (fun tape -> Autodiff.const tape x) in
+  let x_param = Autodiff.Param.create "x" x in
+  let _, full = run (fun tape -> Autodiff.of_param tape x_param) in
+  List.iteri
+    (fun i g ->
+      Alcotest.(check bool)
+        (Printf.sprintf "param grad %d bit-identical" i)
+        true
+        (Tensor.equal g (List.nth full i)))
+    pruned;
+  Alcotest.(check bool) "const leaf grad stays zero" true
+    (Tensor.equal (Autodiff.grad x_const) (Tensor.zeros [| 6; 13 |]));
+  Alcotest.(check bool) "parameter leaf grad is formed" true
+    (Tensor.sum (Tensor.map Float.abs x_param.Autodiff.Param.grad) > 0.0)
 
 (* --- Autodiff vs finite differences --- *)
 
@@ -376,6 +468,23 @@ let test_clip_grad_norm () =
   in
   Alcotest.(check (float 1e-9)) "clipped to max" 1.5 new_norm
 
+(* The norm's accumulator stays unboxed: one call over the 64-wide,
+   two-layer-backbone policy's ~67k gradient elements allocates a
+   constant handful of words, not a boxed float per element. *)
+let test_clip_grad_norm_allocation () =
+  let policy =
+    Policy.create ~hidden:64 ~backbone_layers:2 (Util.Rng.create 3) Env_config.default
+  in
+  let params = Policy.params policy in
+  List.iter (fun p -> Tensor.fill_inplace p.Autodiff.Param.grad 0.25) params;
+  let opt = Optim.adam ~lr:1e-3 params in
+  let w0 = Gc.minor_words () in
+  let norm = Optim.clip_grad_norm opt 0.5 in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "clipped" true (norm > 0.5);
+  if words >= 1000.0 then
+    Alcotest.failf "clip_grad_norm allocated %.0f minor words" words
+
 (* --- distributions --- *)
 
 let test_masked_log_probs_excludes () =
@@ -492,4 +601,9 @@ let suite =
     Alcotest.test_case "sample distribution" `Quick test_sample_distribution_matches;
     Alcotest.test_case "entropy uniform max" `Quick test_entropy_uniform_max;
     QCheck_alcotest.to_alcotest qcheck_log_probs_normalized;
+    QCheck_alcotest.to_alcotest qcheck_matmul_kernels_naive;
+    Alcotest.test_case "const-leaf pruning invisible" `Quick
+      test_const_leaf_pruning_invisible;
+    Alcotest.test_case "clip grad norm allocation" `Quick
+      test_clip_grad_norm_allocation;
   ]

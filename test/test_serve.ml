@@ -440,6 +440,36 @@ let test_engine_resolve () =
         (Astring_contains.contains msg "loops")
   | _ -> Alcotest.fail "8-loop nest should be Unsupported"
 
+(* What [train --save] writes (a backbone-2 policy) loads into an engine
+   configured for that depth, weights and all; the default depth-4
+   engine rejects it with a typed error. *)
+let test_engine_loads_train_checkpoint () =
+  let path = Filename.temp_file "engine_bb2" ".params" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let policy =
+        Policy.create ~hidden:16 ~backbone_layers:2 (Util.Rng.create 9)
+          Env_config.default
+      in
+      Policy.save policy path;
+      let cfg =
+        {
+          Serve.Engine.default_config with
+          Serve.Engine.hidden = 16;
+          checkpoint = Some path;
+        }
+      in
+      (match Serve.Engine.create { cfg with Serve.Engine.backbone_layers = 2 } with
+      | Ok e ->
+          check "serves the saved weights" true
+            (Serve.Engine.policy_digest e = Digest.to_hex (Digest.file path));
+          Serve.Engine.shutdown e
+      | Error e -> Alcotest.failf "backbone-2 checkpoint rejected: %s" e);
+      match Serve.Engine.create cfg with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "depth-4 engine accepted a backbone-2 checkpoint")
+
 let test_engine_cache_and_determinism () =
   let e = mk_engine () in
   let op = function
@@ -639,4 +669,6 @@ let suite =
       test_server_sheds_when_full;
     Alcotest.test_case "server drain is idempotent and concurrent-safe" `Quick
       test_server_drain_idempotent;
+    Alcotest.test_case "engine loads a train --save checkpoint" `Quick
+      test_engine_loads_train_checkpoint;
   ]
