@@ -84,7 +84,6 @@ let start_fleet ~replicas ~measure_delay_ms =
           "--hidden"; string_of_int replica_hidden;
           "--workers"; "1";
           "--max-batch"; "8";
-          "--max-wait-ms"; "1";
           "--max-queue"; "256";
           "--measure-delay-ms"; Printf.sprintf "%g" measure_delay_ms;
         ]

@@ -557,7 +557,7 @@ let infer_cmd =
 let serve_cmd =
   (* A single replica: engine + batched server in this process. *)
   let run_single ~hidden ~load_path ~workers ~max_batch ~max_queue
-      ~max_wait_ms ~cache_capacity ~measure_delay_ms ~jobs ~socket =
+      ~cache_capacity ~measure_delay_ms ~jobs ~socket =
     let engine_cfg =
       {
         Serve.Engine.default_config with
@@ -577,24 +577,15 @@ let serve_cmd =
           exit 1
     in
     let config =
-      {
-        Serve.Server.workers;
-        batcher =
-          {
-            Serve.Batcher.max_queue;
-            max_batch;
-            max_wait_s = max_wait_ms /. 1000.0;
-          };
-      }
+      { Serve.Server.workers; batcher = { Serve.Batcher.max_queue; max_batch } }
     in
     let server = Serve.Server.create ~config engine in
     (* Banner on stderr: stdout carries only protocol lines in stdio
        mode. *)
     Format.eprintf
-      "mlir-rl serve: policy %s | workers %d | batch <= %d, wait <= %gms, \
-       queue <= %d | %s@."
+      "mlir-rl serve: policy %s | workers %d | batch <= %d, queue <= %d | %s@."
       (Serve.Engine.policy_digest engine)
-      workers max_batch max_wait_ms max_queue
+      workers max_batch max_queue
       (match socket with
       | Some p -> "unix socket " ^ p
       | None -> "stdio");
@@ -609,7 +600,7 @@ let serve_cmd =
      front (crash restart, health checks, breaker shedding,
      consistent-hash routing, hedged retries). *)
   let run_fleet ~replicas ~hidden ~load_path ~workers ~max_batch ~max_queue
-      ~max_wait_ms ~cache_capacity ~measure_delay_ms ~jobs ~socket =
+      ~cache_capacity ~measure_delay_ms ~jobs ~socket =
     let dir =
       Filename.concat
         (Filename.get_temp_dir_name ())
@@ -626,7 +617,6 @@ let serve_cmd =
         "--workers"; string_of_int workers;
         "--max-batch"; string_of_int max_batch;
         "--max-queue"; string_of_int max_queue;
-        "--max-wait-ms"; Printf.sprintf "%g" max_wait_ms;
         "--cache-capacity"; string_of_int cache_capacity;
         "--measure-delay-ms"; Printf.sprintf "%g" measure_delay_ms;
         "--jobs"; string_of_int jobs;
@@ -707,13 +697,9 @@ let serve_cmd =
         Serve.Frontend.serve_channels_handler handler stdin stdout;
         cleanup ()
   in
-  let run hidden load_path workers max_batch max_queue max_wait_ms
-      cache_capacity socket replicas measure_delay_ms jobs =
+  let run hidden load_path workers max_batch max_queue cache_capacity socket
+      replicas measure_delay_ms jobs =
     check_jobs jobs;
-    if max_wait_ms < 0.0 then begin
-      Format.eprintf "--max-wait-ms must be >= 0@.";
-      exit 2
-    end;
     if measure_delay_ms < 0.0 then begin
       Format.eprintf "--measure-delay-ms must be >= 0@.";
       exit 2
@@ -724,10 +710,10 @@ let serve_cmd =
     end;
     if replicas = 1 then
       run_single ~hidden ~load_path ~workers ~max_batch ~max_queue
-        ~max_wait_ms ~cache_capacity ~measure_delay_ms ~jobs ~socket
+        ~cache_capacity ~measure_delay_ms ~jobs ~socket
     else
       run_fleet ~replicas ~hidden ~load_path ~workers ~max_batch ~max_queue
-        ~max_wait_ms ~cache_capacity ~measure_delay_ms ~jobs ~socket
+        ~cache_capacity ~measure_delay_ms ~jobs ~socket
   in
   let hidden =
     Arg.(value & opt int 64 & info [ "hidden" ] ~doc:"Hidden width used at training")
@@ -745,19 +731,16 @@ let serve_cmd =
     Arg.(value & opt int 1 & info [ "workers" ] ~doc:"Rollout worker domains")
   in
   let max_batch =
-    Arg.(value & opt int 8 & info [ "max-batch" ] ~doc:"Micro-batch size cap")
+    Arg.(
+      value & opt int 8
+      & info [ "max-batch" ]
+          ~doc:"Cap on queued requests fused into one batched rollout")
   in
   let max_queue =
     Arg.(
       value & opt int 64
       & info [ "max-queue" ]
           ~doc:"Admission bound; beyond it requests are answered overloaded")
-  in
-  let max_wait_ms =
-    Arg.(
-      value & opt float 2.0
-      & info [ "max-wait-ms" ]
-          ~doc:"How long an under-full batch may wait for company")
   in
   let cache_capacity =
     Arg.(
@@ -809,8 +792,7 @@ let serve_cmd =
           multi-replica fleet")
     Term.(
       const run $ hidden $ load_path $ workers $ max_batch $ max_queue
-      $ max_wait_ms $ cache_capacity $ socket $ replicas $ measure_delay_ms
-      $ jobs)
+      $ cache_capacity $ socket $ replicas $ measure_delay_ms $ jobs)
 
 let request_cmd =
   let run id spec ir_file stats metrics ping deadline_ms socket timeout_ms =
@@ -834,13 +816,15 @@ let request_cmd =
         let target =
           match (spec, ir_file) with
           | Some s, _ -> Serve.Protocol.Spec s
-          | None, Some path ->
+          | None, Some path -> (
               if not (Sys.file_exists path) then
                 fail (Printf.sprintf "no such file: %s" path);
-              let ic = open_in path in
-              let text = really_input_string ic (in_channel_length ic) in
-              close_in ic;
-              Serve.Protocol.Ir text
+              match
+                Util.Atomic_file.with_in ~path (fun ic ->
+                    Ok (In_channel.input_all ic))
+              with
+              | Ok text -> Serve.Protocol.Ir text
+              | Error e -> fail e)
           | None, None -> assert false
         in
         Serve.Protocol.Optimize { id; target; deadline_ms }
@@ -974,15 +958,19 @@ let fleet_status_cmd =
 let analyze_cmd =
   let nest_of_target target =
     if Sys.file_exists target then begin
-      let ic = open_in target in
-      let len = in_channel_length ic in
-      let text = really_input_string ic len in
-      close_in ic;
-      match Ir_parser.parse_result text with
-      | Ok nest -> nest
+      match
+        Util.Atomic_file.with_in ~path:target (fun ic ->
+            Ok (In_channel.input_all ic))
+      with
       | Error e ->
-          Format.eprintf "%s: parse error: %s@." target e;
+          Format.eprintf "cannot read %s@." e;
           exit 2
+      | Ok text -> (
+          match Ir_parser.parse_result text with
+          | Ok nest -> nest
+          | Error e ->
+              Format.eprintf "%s: parse error: %s@." target e;
+              exit 2)
     end
     else Lower.to_loop_nest (op_of_spec target)
   in

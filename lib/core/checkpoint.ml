@@ -91,11 +91,8 @@ let parse_meta lines =
 let load_meta ~path =
   let file = meta_path path in
   if not (Sys.file_exists file) then Error ("no such checkpoint: " ^ file)
-  else begin
-    let ic = open_in file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
+  else
+    Util.Atomic_file.with_in ~path:file (fun ic ->
         let lines = ref [] in
         (try
            while true do
@@ -105,7 +102,6 @@ let load_meta ~path =
         match List.rev !lines with
         | header :: rest when header = magic -> parse_meta rest
         | _ -> Error "not a mlir-rl checkpoint file")
-  end
 
 let save ~path meta ~params ~optimizer =
   write_meta path meta;

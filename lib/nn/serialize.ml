@@ -26,11 +26,8 @@ let save_params path params =
 let load_params path params =
   if not (Sys.file_exists path) then
     Error (Printf.sprintf "no such file: %s" path)
-  else begin
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
+  else
+    Util.Atomic_file.with_in ~path (fun ic ->
         let line () = try Some (input_line ic) with End_of_file -> None in
         match line () with
         | Some header when header = magic -> (
@@ -97,7 +94,6 @@ let load_params path params =
                     go params))
         | Some _ -> Error "not a mlir-rl parameter file"
         | None -> Error "empty file")
-  end
 
 let params_equal a b =
   List.length a = List.length b

@@ -1,6 +1,6 @@
-type config = { max_queue : int; max_batch : int; max_wait_s : float }
+type config = { max_queue : int; max_batch : int }
 
-let default_config = { max_queue = 64; max_batch = 8; max_wait_s = 0.002 }
+let default_config = { max_queue = 64; max_batch = 8 }
 
 type 'a item = { payload : 'a; enqueued_at : float; deadline : float option }
 
@@ -22,7 +22,6 @@ type 'a t = {
 let create cfg =
   if cfg.max_queue < 1 then invalid_arg "Batcher.create: max_queue < 1";
   if cfg.max_batch < 1 then invalid_arg "Batcher.create: max_batch < 1";
-  if cfg.max_wait_s < 0.0 then invalid_arg "Batcher.create: max_wait_s < 0";
   { cfg; rev_items = []; len = 0; admitted = 0; shed = 0; expired = 0 }
 
 let length t = t.len
@@ -56,51 +55,25 @@ let pop_expired t ~now =
     expired
   end
 
-let should_flush t ~now =
-  t.len >= t.cfg.max_batch
-  ||
-  match List.rev t.rev_items with
-  | [] -> false
-  | head :: _ -> now -. head.enqueued_at >= t.cfg.max_wait_s
-
-let take_batch ?(force = false) t ~now =
-  if t.len = 0 then []
-  else if force || should_flush t ~now then begin
-    let in_order = List.rev t.rev_items in
-    let rec split i acc = function
-      | x :: rest when i < t.cfg.max_batch -> split (i + 1) (x :: acc) rest
-      | rest -> (List.rev acc, rest)
-    in
-    let batch, rest = split 0 [] in_order in
-    t.rev_items <- List.rev rest;
-    t.len <- List.length rest;
-    batch
-  end
-  else []
-
-let soonest_deadline t =
-  List.fold_left
-    (fun acc it ->
-      match it.deadline with Some d -> Float.min d acc | None -> acc)
-    Float.infinity t.rev_items
+let take_batch t =
+  let rec split i acc = function
+    | x :: rest when i < t.cfg.max_batch -> split (i + 1) (x :: acc) rest
+    | rest -> (List.rev acc, rest)
+  in
+  let batch, rest = split 0 [] (List.rev t.rev_items) in
+  t.rev_items <- List.rev rest;
+  t.len <- List.length rest;
+  batch
 
 let next_expiry_in t ~now =
-  let d = soonest_deadline t in
-  if Float.is_finite d then Some (Float.max 0.0 (d -. now)) else None
-
-let next_deadline_in t ~now =
-  if t.len = 0 then None
-  else begin
-    let soonest = soonest_deadline t -. now in
-    let flush_in =
-      if t.len >= t.cfg.max_batch then 0.0
-      else
-        match List.rev t.rev_items with
-        | [] -> Float.infinity
-        | head :: _ -> head.enqueued_at +. t.cfg.max_wait_s -. now
-    in
-    Some (Float.max 0.0 (Float.min soonest flush_in))
-  end
+  let soonest =
+    List.fold_left
+      (fun acc it ->
+        match it.deadline with Some d -> Float.min d acc | None -> acc)
+      Float.infinity t.rev_items
+  in
+  if Float.is_finite soonest then Some (Float.max 0.0 (soonest -. now))
+  else None
 
 let admitted_total t = t.admitted
 

@@ -1,4 +1,4 @@
-(** Admission control and micro-batching, layer 2 of [lib/serve].
+(** Admission control and batch formation, layer 2 of [lib/serve].
 
     A bounded FIFO of pending requests with three policies:
 
@@ -9,28 +9,27 @@
     - {b per-request deadlines}: an admitted item whose deadline passes
       while it queues is surfaced by {!pop_expired} (answered
       [Deadline_exceeded]) rather than dispatched late;
-    - {b micro-batching}: {!take_batch} releases work only when a batch
-      is worth flushing — [max_batch] items are waiting, or the oldest
-      has waited [max_wait_s] — so a brief wait under light load buys
-      batched-inference amortization under heavy load.
+    - {b batching without waiting}: {!take_batch} releases the oldest
+      [min length max_batch] items whenever it is called. The server
+      calls it as soon as a worker is free, so a request never waits
+      for company; batches form only from the backlog that builds up
+      while every worker is busy.
 
     The structure is deliberately {e pure}: no threads, no mutex, no
-    clock. Every operation takes [now] (seconds, any monotonic origin)
-    explicitly, which makes the flush/deadline logic unit-testable with
-    a scripted clock; {!Server} provides the real clock and the lock. *)
+    clock. Every time-dependent operation takes [now] (seconds, any
+    monotonic origin) explicitly, which makes the deadline logic
+    unit-testable with a scripted clock; {!Server} provides the real
+    clock and the lock. *)
 
 type 'a t
 
 type config = {
   max_queue : int;  (** admission bound; >= 1 *)
-  max_batch : int;  (** flush as soon as this many are waiting; >= 1 *)
-  max_wait_s : float;
-      (** flush when the oldest item has waited this long; 0 disables
-          waiting entirely (every {!take_batch} flushes what is there) *)
+  max_batch : int;  (** most items one {!take_batch} releases; >= 1 *)
 }
 
 val default_config : config
-(** [max_queue = 64], [max_batch = 8], [max_wait_s = 0.002]. *)
+(** [max_queue = 64], [max_batch = 8]. *)
 
 type 'a item = {
   payload : 'a;
@@ -41,37 +40,29 @@ type 'a item = {
 type admit_result = Admitted | Shed
 
 val create : config -> 'a t
-(** Raises [Invalid_argument] on a non-positive [max_queue]/[max_batch]
-    or negative [max_wait_s]. *)
+(** Raises [Invalid_argument] on a non-positive [max_queue] or
+    [max_batch]. *)
 
 val length : 'a t -> int
 
 val admit : 'a t -> now:float -> ?deadline_ms:int -> 'a -> admit_result
 (** FIFO-append unless full. A [deadline_ms] of 0 admits the item
-    already expired — it will come back from the next {!pop_expired},
-    never from {!take_batch}. *)
+    already expired — it will come back from the next {!pop_expired}. *)
 
 val pop_expired : 'a t -> now:float -> 'a item list
 (** Remove and return every queued item whose deadline is [<= now], in
-    queue order. Call before {!take_batch} so expired items are not
-    dispatched. *)
+    queue order. Call before {!take_batch}, under the same lock, so
+    expired items are not dispatched. *)
 
-val take_batch : ?force:bool -> 'a t -> now:float -> 'a item list
-(** The oldest [min length max_batch] items if the flush condition holds
-    ([length >= max_batch], or the head item has waited [>= max_wait_s],
-    or [force] — used when draining); [[]] otherwise. Never returns an
-    expired item if {!pop_expired} was called with the same [now]. *)
-
-val next_deadline_in : 'a t -> now:float -> float option
-(** Seconds until the next flush-by-timeout or deadline-expiry event
-    (0. if one is already due), or [None] when the queue is empty. The
-    dispatcher sleeps at most this long. *)
+val take_batch : 'a t -> 'a item list
+(** Remove and return the oldest [min length max_batch] items in FIFO
+    order; [[]] only when the queue is empty. *)
 
 val next_expiry_in : 'a t -> now:float -> float option
-(** Like {!next_deadline_in} but considering only request deadlines, not
-    the flush timer — what a dispatcher with no free worker (so unable
-    to flush anyway) must still wake up for. [None] when no queued item
-    carries a deadline. *)
+(** Seconds until the soonest queued request deadline (0. if one is
+    already due), or [None] when no queued item carries a deadline —
+    the only timed event a dispatcher with a non-empty queue and no
+    free worker must wake up for. *)
 
 val admitted_total : 'a t -> int
 

@@ -3,10 +3,10 @@ type config = { workers : int; batcher : Batcher.config }
 let default_config = { workers = 1; batcher = Batcher.default_config }
 
 (* Event-driven timed wait for the dispatcher. The stdlib has no timed
-   condition wait, so blocking "until notified or until the flush
-   timer fires" uses the classic self-pipe: waiters select on the read
-   end with the timer as select's timeout, notifiers write one byte.
-   The byte persists until drained, so a notification sent between
+   condition wait, so blocking "until notified or until the next
+   request deadline" uses the classic self-pipe: waiters select on the
+   read end with the deadline as select's timeout, notifiers write one
+   byte. The byte persists until drained, so a notification sent between
    "checked state under the lock" and "entered select" wakes the very
    next wait — no lost-wakeup window, and an idle dispatcher burns no
    CPU (it used to sleep-poll in sub-millisecond slices). *)
@@ -137,14 +137,17 @@ let run_batch t (items : job Batcher.item list) =
 
 (* -- dispatcher ------------------------------------------------------- *)
 
-(* The dispatcher blocks on its {!Waker} whenever there is nothing to
-   do: forever when no timed event is scheduled, with the distance to
-   the next flush/deadline as the select timeout otherwise. Every
-   state change that could unblock it (admission, drain, a worker slot
-   freeing) notifies the waker, and the notification byte persists
-   until drained — so an idle or timer-waiting dispatcher costs zero
-   CPU and still reacts to events immediately, where it used to
-   sleep-poll in sub-millisecond slices. *)
+(* Work-conserving dispatch: whenever a worker slot is free and the
+   queue is not empty, the oldest [min length max_batch] requests go to
+   the pool at once. A request never waits for company — a batched
+   rollout is not measurably cheaper per row than a lone one
+   (EXPERIMENTS.md) — so batches form only from the backlog that builds
+   while every worker is busy. Otherwise the dispatcher blocks on its
+   {!Waker}: forever on an empty queue, until the soonest request
+   deadline on a backlog. Every state change that could unblock it
+   (admission, drain, a worker slot freeing) notifies the waker, and
+   the notification byte persists until drained, so an idle dispatcher
+   costs zero CPU and still reacts to events immediately. *)
 let dispatcher_loop t =
   let finished = ref false in
   while not !finished do
@@ -153,8 +156,7 @@ let dispatcher_loop t =
     let expired = Batcher.pop_expired t.batcher ~now:tnow in
     let batch =
       if t.in_flight < t.cfg.workers then begin
-        let force = t.state <> Running in
-        let b = Batcher.take_batch ~force t.batcher ~now:tnow in
+        let b = Batcher.take_batch t.batcher in
         if b <> [] then t.in_flight <- t.in_flight + 1;
         b
       end
@@ -165,23 +167,12 @@ let dispatcher_loop t =
       && batch = [] && expired = []
     in
     if drained_now then t.state <- Drained;
-    (* Decide how to wait before releasing the lock. With all workers
-       busy the flush timer cannot fire anyway, so only request
-       deadlines force timed wakeups; notifications sent after we
-       unlock are parked in the waker pipe and wake the select
+    (* Decide how to wait before releasing the lock. Notifications sent
+       after we unlock are parked in the waker pipe and wake the select
        instantly, so the decision cannot go stale. *)
-    let wait_plan =
-      if drained_now || batch <> [] || expired <> [] then `Continue
-      else if t.in_flight >= t.cfg.workers then
-        match Batcher.next_expiry_in t.batcher ~now:tnow with
-        | None -> `Block
-        | Some s when s <= 0.0 -> `Continue
-        | Some s -> `Sleep s
-      else
-        match Batcher.next_deadline_in t.batcher ~now:tnow with
-        | None -> `Block (* empty queue *)
-        | Some s when s <= 0.0 -> `Continue
-        | Some s -> `Sleep s
+    let wait =
+      if drained_now || batch <> [] || expired <> [] then None
+      else Some (Batcher.next_expiry_in t.batcher ~now:tnow)
     in
     Mutex.unlock t.mutex;
     List.iter
@@ -204,10 +195,7 @@ let dispatcher_loop t =
       in
       ()
     end;
-    (match wait_plan with
-    | `Block -> Waker.wait t.waker None
-    | `Sleep s -> Waker.wait t.waker (Some s)
-    | `Continue -> ());
+    Option.iter (Waker.wait t.waker) wait;
     if drained_now then begin
       Mutex.lock t.mutex;
       Condition.broadcast t.cond;

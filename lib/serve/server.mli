@@ -12,10 +12,12 @@
     (parse failures answered synchronously), then admits into the
     batcher — a full queue answers [Overloaded], a draining server
     [Shutting_down]. The dispatcher wakes on admission, expires
-    overdue requests ([Deadline_exceeded]), and when a worker slot is
-    free flushes a micro-batch ([max_batch] waiting, or the oldest
-    waited [max_wait_ms]) to the pool, where {!Engine.solve_batch}
-    answers the whole batch with one lockstep rollout per step.
+    overdue requests ([Deadline_exceeded]), and whenever a worker slot
+    is free hands the oldest [min queued max_batch] requests to the
+    pool at once, where {!Engine.solve_batch} answers them with one
+    lockstep rollout per step. Dispatch is work-conserving: nothing
+    waits for company, so batches form only from the backlog that
+    builds while every worker is busy.
 
     [stats]/[metrics]/[ping] are answered synchronously on the
     caller's thread and never queue.

@@ -185,38 +185,33 @@ let rec save ?(merge = true) t ~path =
   Array.length all
 
 and load ~path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match input_line ic with
-          | exception End_of_file -> Error "empty log file"
-          | first -> (
-              match
-                Scanf.sscanf_opt first "surrogate-log v%d dim=%d" (fun v d ->
-                    (v, d))
-              with
-              | None -> Error "not a surrogate log (bad header)"
-              | Some (v, _) when v <> format_version ->
-                  Error (Printf.sprintf "unsupported log version %d" v)
-              | Some (_, d) when d <> Features.dim ->
-                  Error
-                    (Printf.sprintf
-                       "feature dim %d does not match this build (%d)" d
-                       Features.dim)
-              | Some (_, d) -> (
-                  let t = create () in
-                  let rec go lineno =
-                    match input_line ic with
-                    | exception End_of_file -> Ok t
-                    | line when String.trim line = "" -> go (lineno + 1)
-                    | line -> (
-                        match parse_line ~expect_dim:d lineno line with
-                        | Error e -> Error e
-                        | Ok entry ->
-                            ignore (add t entry);
-                            go (lineno + 1))
-                  in
-                  go 2)))
+  Util.Atomic_file.with_in ~path (fun ic ->
+      match input_line ic with
+      | exception End_of_file -> Error "empty log file"
+      | first -> (
+          match
+            Scanf.sscanf_opt first "surrogate-log v%d dim=%d" (fun v d ->
+                (v, d))
+          with
+          | None -> Error "not a surrogate log (bad header)"
+          | Some (v, _) when v <> format_version ->
+              Error (Printf.sprintf "unsupported log version %d" v)
+          | Some (_, d) when d <> Features.dim ->
+              Error
+                (Printf.sprintf
+                   "feature dim %d does not match this build (%d)" d
+                   Features.dim)
+          | Some (_, d) -> (
+              let t = create () in
+              let rec go lineno =
+                match input_line ic with
+                | exception End_of_file -> Ok t
+                | line when String.trim line = "" -> go (lineno + 1)
+                | line -> (
+                    match parse_line ~expect_dim:d lineno line with
+                    | Error e -> Error e
+                    | Ok entry ->
+                        ignore (add t entry);
+                        go (lineno + 1))
+              in
+              go 2)))

@@ -269,11 +269,8 @@ let parse_floats ~expect s =
 let load ~path =
   if not (Sys.file_exists path) then
     Error (Printf.sprintf "no such checkpoint: %s" path)
-  else begin
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
+  else
+    Util.Atomic_file.with_in ~path (fun ic ->
         let line () = try Some (input_line ic) with End_of_file -> None in
         let field tag =
           match line () with
@@ -360,4 +357,3 @@ let load ~path =
               load_all rest
         in
         load_all (params t))
-  end

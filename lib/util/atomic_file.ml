@@ -23,3 +23,11 @@ let with_out ~path f =
       ok := true)
 
 let write_string ~path s = with_out ~path (fun oc -> output_string oc s)
+
+let with_in ~path f =
+  match open_in path with
+  | exception Sys_error e -> Error e
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> try f ic with Sys_error e -> Error (path ^ ": " ^ e))

@@ -1,4 +1,4 @@
-(** Atomic (temp-file + rename) file writes.
+(** Atomic (temp-file + rename) file writes, and the matching reader.
 
     Shared by the training checkpoint ({!module:Checkpoint} in
     [lib/core]) and every artifact writer that must survive a crash
@@ -19,3 +19,11 @@ val with_out : path:string -> (out_channel -> unit) -> unit
 val write_string : path:string -> string -> unit
 (** [write_string ~path s] atomically replaces [path]'s content with
     [s]. *)
+
+val with_in :
+  path:string -> (in_channel -> ('a, string) result) -> ('a, string) result
+(** [with_in ~path f] opens [path] for reading, runs [f] on its channel
+    and closes it. Any [Sys_error] — from opening a missing or
+    unreadable file, or from reading a path that names a directory —
+    becomes [Error msg] instead of escaping, so a loader built on it
+    returns a typed error on every path. *)

@@ -96,7 +96,14 @@ let test_restore_rejects_garbage () =
   close_out oc;
   Alcotest.(check bool) "corrupt meta rejected" true
     (Result.is_error (Checkpoint.load_meta ~path));
-  cleanup path
+  cleanup path;
+  (* a meta path that is a directory is a load error, not an exception *)
+  (try Sys.mkdir (path ^ ".meta") 0o700 with Sys_error _ -> ());
+  Fun.protect
+    ~finally:(fun () -> try Sys.rmdir (path ^ ".meta") with Sys_error _ -> ())
+    (fun () ->
+      Alcotest.(check bool) "directory meta rejected" true
+        (Result.is_error (Checkpoint.load_meta ~path)))
 
 let test_optim_state_roundtrip () =
   (* Take two Adam steps, save; a third step from the saved point must

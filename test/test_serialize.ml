@@ -55,7 +55,10 @@ let test_load_missing_file () =
   let rng = Util.Rng.create 1 in
   let params = Layers.mlp_params (Layers.mlp rng ~dims:[ 2; 2 ] "m") in
   Alcotest.(check bool) "missing file" true
-    (Result.is_error (Serialize.load_params "/nonexistent/file.params" params))
+    (Result.is_error (Serialize.load_params "/nonexistent/file.params" params));
+  Alcotest.(check bool) "a directory is a load error, not an exception" true
+    (Result.is_error
+       (Serialize.load_params (Filename.get_temp_dir_name ()) params))
 
 let test_policy_roundtrip_behaviour () =
   (* A restored policy must make the same greedy decisions. *)

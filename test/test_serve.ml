@@ -3,14 +3,15 @@
    - Protocol: encode/decode identity on randomized requests and
      responses, and totality under fuzz — malformed lines come back as
      [Error _], never as an exception;
-   - Batcher: admission bound, deadline expiry, flush-on-max-batch,
-     flush-on-timeout, forced drain — all on a scripted clock;
+   - Batcher: admission bound, deadline expiry, immediate release
+     capped at max_batch in FIFO order — all on a scripted clock;
    - Metrics: counters, histogram quantiles, Prometheus rendering;
    - Engine: target resolution (spec / IR / unsupported), raise_nest
      round-trips, cache behavior, batch-independent determinism;
    - Server: the end-to-end acceptance property — identical requests
      produce byte-identical reply lines whether or not they hit the
-     cache — plus shed, deadline, drain idempotence. *)
+     cache — plus work-conserving batching, shed, deadline, drain
+     idempotence. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -157,41 +158,35 @@ let test_protocol_malformed () =
 (* Batcher (scripted clock)                                           *)
 (* ------------------------------------------------------------------ *)
 
-let bcfg ?(max_queue = 8) ?(max_batch = 3) ?(max_wait_s = 0.010) () =
-  { Serve.Batcher.max_queue; max_batch; max_wait_s }
+let bcfg ?(max_queue = 8) ?(max_batch = 3) () =
+  { Serve.Batcher.max_queue; max_batch }
 
 let payloads items = List.map (fun it -> it.Serve.Batcher.payload) items
 
-let test_batcher_flush_on_max_batch () =
+let test_batcher_lone_item () =
   let b = Serve.Batcher.create (bcfg ()) in
-  check "admit 1" true (Serve.Batcher.admit b ~now:0.0 "a" = Serve.Batcher.Admitted);
-  check "admit 2" true (Serve.Batcher.admit b ~now:0.0 "b" = Serve.Batcher.Admitted);
-  check "under max_batch and max_wait: no flush" true
-    (Serve.Batcher.take_batch b ~now:0.001 = []);
+  check "empty queue: nothing to take" true (Serve.Batcher.take_batch b = []);
+  ignore (Serve.Batcher.admit b ~now:0.0 "a");
+  Alcotest.(check (list string))
+    "a lone item leaves at its own admission instant" [ "a" ]
+    (payloads (Serve.Batcher.take_batch b));
+  check_int "queue drained" 0 (Serve.Batcher.length b);
+  ignore (Serve.Batcher.admit b ~now:0.0 "b");
   ignore (Serve.Batcher.admit b ~now:0.001 "c");
   Alcotest.(check (list string))
-    "max_batch reached: flush in FIFO order, immediately" [ "a"; "b"; "c" ]
-    (payloads (Serve.Batcher.take_batch b ~now:0.001));
-  check_int "queue drained" 0 (Serve.Batcher.length b)
-
-let test_batcher_flush_on_timeout () =
-  let b = Serve.Batcher.create (bcfg ()) in
-  ignore (Serve.Batcher.admit b ~now:0.0 "a");
-  check "before max_wait: hold" true (Serve.Batcher.take_batch b ~now:0.009 = []);
-  Alcotest.(check (list string))
-    "oldest waited max_wait: flush the singleton" [ "a" ]
-    (payloads (Serve.Batcher.take_batch b ~now:0.010))
+    "an under-full backlog leaves whole, in FIFO order" [ "b"; "c" ]
+    (payloads (Serve.Batcher.take_batch b))
 
 let test_batcher_caps_batch () =
   let b = Serve.Batcher.create (bcfg ~max_queue:10 ~max_batch:3 ()) in
   List.iter (fun p -> ignore (Serve.Batcher.admit b ~now:0.0 p))
     [ "a"; "b"; "c"; "d"; "e" ];
   Alcotest.(check (list string))
-    "first flush takes the oldest max_batch" [ "a"; "b"; "c" ]
-    (payloads (Serve.Batcher.take_batch b ~now:0.0));
+    "first batch takes the oldest max_batch" [ "a"; "b"; "c" ]
+    (payloads (Serve.Batcher.take_batch b));
   Alcotest.(check (list string))
-    "remainder flushes next (their head is old enough)" [ "d"; "e" ]
-    (payloads (Serve.Batcher.take_batch b ~now:0.010))
+    "the remainder is the next batch" [ "d"; "e" ]
+    (payloads (Serve.Batcher.take_batch b))
 
 let test_batcher_shed_on_full () =
   let b = Serve.Batcher.create (bcfg ~max_queue:2 ()) in
@@ -200,8 +195,8 @@ let test_batcher_shed_on_full () =
   check "3 shed" true (Serve.Batcher.admit b ~now:0.0 "c" = Serve.Batcher.Shed);
   check_int "admitted counter" 2 (Serve.Batcher.admitted_total b);
   check_int "shed counter" 1 (Serve.Batcher.shed_total b);
-  ignore (Serve.Batcher.take_batch ~force:true b ~now:0.0);
-  check "after drain there is room again" true
+  ignore (Serve.Batcher.take_batch b);
+  check "after a batch leaves there is room again" true
     (Serve.Batcher.admit b ~now:0.0 "d" = Serve.Batcher.Admitted)
 
 let test_batcher_deadlines () =
@@ -215,7 +210,7 @@ let test_batcher_deadlines () =
   check_int "expired counter" 1 (Serve.Batcher.expired_total b);
   Alcotest.(check (list string))
     "expired item is gone from subsequent batches" [ "patient" ]
-    (payloads (Serve.Batcher.take_batch ~force:true b ~now:0.005));
+    (payloads (Serve.Batcher.take_batch b));
   (* a zero deadline is admitted already expired *)
   ignore (Serve.Batcher.admit b ~now:1.0 ~deadline_ms:0 "dead-on-arrival");
   Alcotest.(check (list string))
@@ -224,23 +219,18 @@ let test_batcher_deadlines () =
 
 let test_batcher_next_event () =
   let b = Serve.Batcher.create (bcfg ()) in
-  check "empty queue: no event" true (Serve.Batcher.next_deadline_in b ~now:0.0 = None);
+  check "empty queue: no event" true (Serve.Batcher.next_expiry_in b ~now:0.0 = None);
   ignore (Serve.Batcher.admit b ~now:0.0 "a");
-  Alcotest.(check (option (float 1e-9)))
-    "flush timer is the next event" (Some 0.010)
-    (Serve.Batcher.next_deadline_in b ~now:0.0);
   check "no deadlines: no expiry event" true
     (Serve.Batcher.next_expiry_in b ~now:0.0 = None);
-  ignore (Serve.Batcher.admit b ~now:0.0 ~deadline_ms:4 "b");
+  ignore (Serve.Batcher.admit b ~now:0.0 ~deadline_ms:8 "b");
+  ignore (Serve.Batcher.admit b ~now:0.0 ~deadline_ms:4 "c");
   Alcotest.(check (option (float 1e-9)))
-    "a sooner deadline preempts the flush timer" (Some 0.004)
-    (Serve.Batcher.next_deadline_in b ~now:0.0);
-  Alcotest.(check (option (float 1e-9)))
-    "expiry event tracks only deadlines" (Some 0.004)
+    "the soonest deadline is the next event" (Some 0.004)
     (Serve.Batcher.next_expiry_in b ~now:0.0);
   Alcotest.(check (option (float 1e-9)))
     "events in the past clamp to zero" (Some 0.0)
-    (Serve.Batcher.next_deadline_in b ~now:1.0)
+    (Serve.Batcher.next_expiry_in b ~now:1.0)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                            *)
@@ -382,10 +372,15 @@ let test_act_greedy_batch_matches_scalar () =
 (* Engine                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let mk_engine ?(cache_capacity = 256) () =
+let mk_engine ?(cache_capacity = 256) ?(measure_delay_s = 0.0) () =
   match
     Serve.Engine.create
-      { Serve.Engine.default_config with Serve.Engine.hidden = 32; cache_capacity }
+      {
+        Serve.Engine.default_config with
+        Serve.Engine.hidden = 32;
+        cache_capacity;
+        measure_delay_s;
+      }
   with
   | Ok e -> e
   | Error e -> Alcotest.failf "engine create failed: %s" e
@@ -466,9 +461,15 @@ let test_engine_loads_train_checkpoint () =
             (Serve.Engine.policy_digest e = Digest.to_hex (Digest.file path));
           Serve.Engine.shutdown e
       | Error e -> Alcotest.failf "backbone-2 checkpoint rejected: %s" e);
-      match Serve.Engine.create cfg with
+      (match Serve.Engine.create cfg with
       | Error _ -> ()
-      | Ok _ -> Alcotest.fail "depth-4 engine accepted a backbone-2 checkpoint")
+      | Ok _ -> Alcotest.fail "depth-4 engine accepted a backbone-2 checkpoint");
+      (* a path that exists but is not a readable file is a typed error
+         too, not an escaping Sys_error *)
+      let dir = Filename.get_temp_dir_name () in
+      match Serve.Engine.create { cfg with Serve.Engine.checkpoint = Some dir } with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a directory loaded as a checkpoint")
 
 let test_engine_cache_and_determinism () =
   let e = mk_engine () in
@@ -521,20 +522,64 @@ let sync_submit server req =
   Option.get !slot
 
 let mk_server ?(workers = 1) ?(max_queue = 16) ?(max_batch = 4)
-    ?(max_wait_s = 0.0) () =
-  let engine = mk_engine () in
+    ?measure_delay_s () =
+  let engine = mk_engine ?measure_delay_s () in
   ( Serve.Server.create
       ~config:
-        {
-          Serve.Server.workers;
-          batcher = { Serve.Batcher.max_queue; max_batch; max_wait_s };
-        }
+        { Serve.Server.workers; batcher = { Serve.Batcher.max_queue; max_batch } }
       engine,
     engine )
 
 let optimize ?deadline_ms id spec =
   Serve.Protocol.Optimize
     { id; target = Serve.Protocol.Spec spec; deadline_ms }
+
+(* Reply collector for requests submitted without waiting. *)
+let collector () =
+  let got = ref [] in
+  let m = Mutex.create () in
+  let record resp =
+    Mutex.lock m;
+    got := resp :: !got;
+    Mutex.unlock m
+  in
+  let ok_ids () =
+    Mutex.lock m;
+    let ids =
+      List.filter_map
+        (function
+          | Serve.Protocol.Ok_reply r -> Some r.Serve.Protocol.r_id | _ -> None)
+        !got
+    in
+    Mutex.unlock m;
+    List.sort compare ids
+  in
+  (record, ok_ids)
+
+let stats_show server s =
+  Astring_contains.contains (Serve.Server.stats_body server) s
+
+(* Occupy the single worker of a server whose engine stalls on every
+   uncached nest: submit [id], then poll until the dispatcher has handed
+   it to the worker and the queue is empty again. Requests submitted
+   after this returns queue up behind it for the rest of the stall. *)
+let hold_worker server id spec record =
+  Serve.Server.submit server (optimize id spec) record;
+  let give_up = Unix.gettimeofday () +. 10.0 in
+  while not (stats_show server "queue=0 in_flight=1") do
+    if Unix.gettimeofday () > give_up then
+      Alcotest.fail "the worker never picked up the held request";
+    Unix.sleepf 0.001
+  done
+
+(* Give the dispatcher time to act on the requests just submitted. With
+   its only worker held, it must leave them queued. *)
+let check_backlog server ~queued =
+  Unix.sleepf 0.02;
+  check
+    (Printf.sprintf "%d requests wait behind the busy worker" queued)
+    true
+    (stats_show server (Printf.sprintf "queue=%d in_flight=1" queued))
 
 let test_server_byte_identical_replies () =
   let server, engine = mk_server () in
@@ -586,35 +631,45 @@ let test_server_typed_errors () =
       | _ -> Alcotest.fail "metrics should answer metrics")
 
 let test_server_sheds_when_full () =
-  (* workers=1, a queue of 2 and a far-off flush (max_batch and
-     max_wait both unreachable in this test's lifetime) make shedding
-     deterministic: two requests sit in the queue, the third bounces. *)
-  let server, _ =
-    mk_server ~workers:1 ~max_queue:2 ~max_batch:64 ~max_wait_s:10.0 ()
-  in
-  let got = ref [] in
-  let m = Mutex.create () in
-  let record resp =
-    Mutex.lock m;
-    got := resp :: !got;
-    Mutex.unlock m
-  in
-  Serve.Server.submit server (optimize "q1" "matmul:16x16x16") record;
-  Serve.Server.submit server (optimize "q2" "relu:32x8") record;
-  let shed_reply = sync_submit server (optimize "q3" "add:16x16") in
-  (match shed_reply with
-  | Serve.Protocol.Error_reply { e_id = "q3"; code = Serve.Protocol.Overloaded; _ }
+  (* One worker held busy and a 2-deep queue make shedding
+     deterministic: two requests wait behind the held one, the next one
+     bounces. *)
+  let server, _ = mk_server ~max_queue:2 ~measure_delay_s:0.5 () in
+  let record, ok_ids = collector () in
+  let spec = "matmul:16x16x16" in
+  hold_worker server "q1" spec record;
+  Serve.Server.submit server (optimize "q2" spec) record;
+  Serve.Server.submit server (optimize "q3" spec) record;
+  check_backlog server ~queued:2;
+  (match sync_submit server (optimize "q4" spec) with
+  | Serve.Protocol.Error_reply { e_id = "q4"; code = Serve.Protocol.Overloaded; _ }
     -> ()
-  | _ -> Alcotest.fail "third request should be shed as overloaded");
-  (* drain must serve the two queued requests, not drop them *)
+  | _ -> Alcotest.fail "a request beyond the full queue should be shed");
+  (* drain must serve the held and the queued requests, not drop them *)
   Serve.Server.drain server;
-  let ok_ids =
-    List.filter_map
-      (function Serve.Protocol.Ok_reply r -> Some r.Serve.Protocol.r_id | _ -> None)
-      !got
-  in
   Alcotest.(check (list string))
-    "drain served everything admitted" [ "q1"; "q2" ] (List.sort compare ok_ids)
+    "drain served everything admitted" [ "q1"; "q2"; "q3" ] (ok_ids ())
+
+(* Nothing waits for company, but the backlog that builds behind a busy
+   worker leaves as one batch as soon as the worker frees up. *)
+let test_server_batches_backlog () =
+  let server, _ = mk_server ~max_batch:4 ~measure_delay_s:0.5 () in
+  let record, ok_ids = collector () in
+  let spec = "matmul:16x16x16" in
+  hold_worker server "held" spec record;
+  List.iter
+    (fun id -> Serve.Server.submit server (optimize id spec) record)
+    [ "b1"; "b2"; "b3" ];
+  check_backlog server ~queued:3;
+  Serve.Server.drain server;
+  let m = Serve.Server.metrics server in
+  check_int "two batches: the held request, then the backlog" 2
+    (Serve.Metrics.hist_count m "serve_batch_size");
+  Alcotest.(check (float 1e-9))
+    "the three queued requests left together" 4.0
+    (Serve.Metrics.hist_sum m "serve_batch_size");
+  Alcotest.(check (list string))
+    "every request answered" [ "b1"; "b2"; "b3"; "held" ] (ok_ids ())
 
 let test_server_drain_idempotent () =
   let server, _ = mk_server () in
@@ -638,10 +693,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_decode_never_raises;
     Alcotest.test_case "malformed lines decode to typed errors" `Quick
       test_protocol_malformed;
-    Alcotest.test_case "batcher flushes on max_batch" `Quick
-      test_batcher_flush_on_max_batch;
-    Alcotest.test_case "batcher flushes on timeout" `Quick
-      test_batcher_flush_on_timeout;
+    Alcotest.test_case "batcher releases a lone item at once" `Quick
+      test_batcher_lone_item;
     Alcotest.test_case "batcher caps batch size, keeps FIFO order" `Quick
       test_batcher_caps_batch;
     Alcotest.test_case "batcher sheds when full" `Quick test_batcher_shed_on_full;
@@ -671,4 +724,6 @@ let suite =
       test_server_drain_idempotent;
     Alcotest.test_case "engine loads a train --save checkpoint" `Quick
       test_engine_loads_train_checkpoint;
+    Alcotest.test_case "server batches the backlog behind a busy worker"
+      `Quick test_server_batches_backlog;
   ]

@@ -224,8 +224,11 @@ let test_log_load_rejects_garbage () =
   reject "bad magic" "not-a-log\n";
   reject "bad dim" "surrogate-log v1 dim=3\nd\tm\t0x1p-20\t1 2 3\n";
   Sys.remove path;
-  match Surrogate.Dataset_log.load ~path with
+  (match Surrogate.Dataset_log.load ~path with
   | Ok _ -> Alcotest.fail "missing file: expected load error"
+  | Error _ -> ());
+  match Surrogate.Dataset_log.load ~path:(Filename.get_temp_dir_name ()) with
+  | Ok _ -> Alcotest.fail "directory: expected load error"
   | Error _ -> ()
 
 let test_log_evaluator_tap () =
@@ -320,7 +323,10 @@ let test_model_checkpoint_roundtrip () =
   (match Surrogate.Model.load ~path with
   | Ok _ -> Alcotest.fail "bad version: expected load error"
   | Error _ -> ());
-  Sys.remove path
+  Sys.remove path;
+  match Surrogate.Model.load ~path:(Filename.get_temp_dir_name ()) with
+  | Ok _ -> Alcotest.fail "directory: expected load error"
+  | Error _ -> ()
 
 let test_model_predict_batch_matches () =
   let entries = synthetic_entries 40 in
