@@ -41,55 +41,41 @@ let forward tape t obs_tensor =
   let value = Layers.forward_mlp tape t.value_net obs in
   (logits, value)
 
-let safe_row row =
-  if Array.exists (fun b -> b) row then row
-  else begin
-    let r = Array.copy row in
-    r.(0) <- true;
-    r
-  end
-
 (* Per-domain workspace for the tape-free paths; reset per call, every
    escaping result extracted as a scalar before return (see Policy). *)
 let ws_key = Domain.DLS.new_key Tensor.Workspace.create
 
-let forward_values ~ws t obs_t =
-  let out = Layers.forward_batch ~ws t.backbone obs_t in
-  let feat = Tensor.relu_into ~dst:out out in
-  Layers.forward_batch ~ws t.head feat
-
-let act_batch rngs t ~obs ~masks =
-  (* Tape-free batched [act]; row-independent kernels + per-row rngs
-     make this bit-equal to acting on each row alone (see Policy). *)
-  let b = Array.length obs in
-  if Array.length rngs <> b || Array.length masks <> b then
-    invalid_arg "Flat_policy.act_batch: obs/masks/rngs length mismatch";
+(* The one tape-free routine: [pick i lp] chooses row [i]'s menu index
+   from the masked log-probs [lp]; the value net runs only when
+   [value]. Row-independent kernels make a batched call bit-equal to
+   singleton calls (see Policy). *)
+let decide t ~obs ~masks ~pick ~value =
   let ws = Domain.DLS.get ws_key in
   Tensor.Workspace.reset ws;
   let obs_t = obs_tensor_of_rows ~ws obs in
-  let logits = forward_values ~ws t obs_t in
-  let value = Layers.forward_batch ~ws t.value_net obs_t in
-  let lp =
-    Distributions.masked_log_probs_values ~ws logits
-      ~mask:(Array.map safe_row masks)
-  in
-  let choices = Distributions.sample_batch rngs lp in
-  Array.init b (fun i ->
-      (choices.(i), Tensor.get2 lp i choices.(i), Tensor.get2 value i 0))
+  let out = Layers.forward_batch ~ws t.backbone obs_t in
+  let logits = Layers.forward_batch ~ws t.head (Tensor.relu_into ~dst:out out) in
+  let mask = Array.map Policy.safe_row masks in
+  let lp = Distributions.masked_log_probs_values ~ws logits ~mask in
+  let values = if value then Some (Layers.forward_batch ~ws t.value_net obs_t) else None in
+  Array.init (Array.length obs) (fun i ->
+      let c = pick i lp in
+      let v = Option.fold values ~none:nan ~some:(fun v -> Tensor.get2 v i 0) in
+      (c, Tensor.get2 lp i c, v))
+
+let act_batch rngs t ~obs ~masks =
+  let b = Array.length obs in
+  if Array.length rngs <> b || Array.length masks <> b then
+    invalid_arg "Flat_policy.act_batch: obs/masks/rngs length mismatch";
+  decide t ~obs ~masks ~pick:(fun i lp -> Distributions.sample rngs.(i) lp i) ~value:true
 
 let act rng t ~obs ~mask =
   (act_batch [| rng |] t ~obs:[| obs |] ~masks:[| mask |]).(0)
 
 let act_greedy t ~obs ~mask =
-  (* Same values as the tape path ([forward_batch] mirrors [forward_mlp]
-     bit for bit), minus the tape and the value-net forward. *)
-  let ws = Domain.DLS.get ws_key in
-  Tensor.Workspace.reset ws;
-  let logits = forward_values ~ws t (obs_tensor_of_rows ~ws [| obs |]) in
-  let lp =
-    Distributions.masked_log_probs_values ~ws logits ~mask:[| safe_row mask |]
-  in
-  Distributions.argmax lp 0
+  let argmax i lp = Distributions.argmax lp i in
+  let c, _, _ = (decide t ~obs:[| obs |] ~masks:[| mask |] ~pick:argmax ~value:false).(0) in
+  c
 
 let evaluate t tape (samples : sample array) =
   let b = Array.length samples in
@@ -99,7 +85,7 @@ let evaluate t tape (samples : sample array) =
       (Array.map (fun s -> s.f_obs) samples)
   in
   let logits, value = forward tape t obs in
-  let mask = Array.map (fun s -> safe_row s.f_mask) samples in
+  let mask = Array.map (fun s -> Policy.safe_row s.f_mask) samples in
   let lp = Distributions.masked_log_probs tape logits ~mask in
   let log_prob =
     Distributions.log_prob_of tape lp (Array.map (fun s -> s.f_choice) samples)

@@ -4,69 +4,71 @@ type sample = {
   s_masks : Action_space.masks;
 }
 
+(* A branch of the hierarchy (paper §4.2): the transformation that
+   selects it, its head, and the [segments] distributions its output
+   row splits into — a tile size per loop for tiling and
+   parallelization, one swap for interchange. [seg_masks] and [choices]
+   read a row's per-segment masks and stored choices; [action] builds
+   the action from the chosen segments. *)
+type branch = {
+  transform : int;
+  head : Layers.mlp;
+  segments : int;
+  seg_masks : Action_space.masks -> bool array array;
+  choices : Action_space.hierarchical -> int array;
+  action : int array -> Action_space.hierarchical;
+}
+
 type t = {
   cfg : Env_config.t;
   backbone : Layers.mlp;
   t_head : Layers.mlp;
-  tile_head : Layers.mlp;
-  par_head : Layers.mlp;
-  swap_head : Layers.mlp;
+  branches : branch list;  (* tiling, parallelization, interchange *)
   value_net : Layers.mlp;
 }
 
 let create ?(hidden = 512) ?(backbone_layers = 4) rng (cfg : Env_config.t) =
-  let obs_dim = Env_config.obs_dim cfg in
   let n = cfg.Env_config.n_max in
-  let m = Env_config.n_tile_choices cfg in
-  let backbone_dims =
-    obs_dim :: List.init backbone_layers (fun _ -> hidden)
+  let dims = Env_config.obs_dim cfg :: List.init backbone_layers (fun _ -> hidden) in
+  let head out name = Layers.mlp rng ~dims:[ hidden; hidden; out ] name in
+  let tiling transform name seg_masks =
+    let head = head (n * Env_config.n_tile_choices cfg) name in
+    let action cs = { Action_space.transform; tile_choices = cs; swap_choice = 0 } in
+    let choices a = a.Action_space.tile_choices in
+    { transform; head; segments = n; seg_masks; choices; action }
   in
-  {
-    cfg;
-    backbone = Layers.mlp rng ~dims:backbone_dims "backbone";
-    t_head =
-      Layers.mlp rng ~dims:[ hidden; hidden; Env_config.n_transformations ]
-        "transform_head";
-    tile_head = Layers.mlp rng ~dims:[ hidden; hidden; n * m ] "tiling_head";
-    par_head = Layers.mlp rng ~dims:[ hidden; hidden; n * m ] "parallel_head";
-    swap_head = Layers.mlp rng ~dims:[ hidden; hidden; n ] "interchange_head";
-    value_net =
-      Layers.mlp rng
-        ~dims:(obs_dim :: List.init backbone_layers (fun _ -> hidden) @ [ 1 ])
-        "value_net";
-  }
+  (* [rng] draws the value net's weights first and the backbone's last,
+     the order every existing checkpoint was seeded in. *)
+  let value_net = Layers.mlp rng ~dims:(dims @ [ 1 ]) "value_net" in
+  let swap =
+    let transform = Action_space.t_interchange in
+    let action cs =
+      { Action_space.transform; tile_choices = Array.make n 0; swap_choice = cs.(0) }
+    in
+    let seg_masks ms = [| ms.Action_space.swap_mask |] in
+    let choices a = [| a.Action_space.swap_choice |] in
+    let head = head n "interchange_head" in
+    { transform; head; segments = 1; seg_masks; choices; action }
+  in
+  let par =
+    tiling Action_space.t_parallelize "parallel_head" (fun ms -> ms.Action_space.par_mask)
+  in
+  let tile =
+    tiling Action_space.t_tile "tiling_head" (fun ms -> ms.Action_space.tile_mask)
+  in
+  let t_head = head Env_config.n_transformations "transform_head" in
+  let backbone = Layers.mlp rng ~dims "backbone" in
+  { cfg; backbone; t_head; branches = [ tile; par; swap ]; value_net }
 
 let params t =
-  Layers.mlp_params t.backbone
-  @ Layers.mlp_params t.t_head
-  @ Layers.mlp_params t.tile_head
-  @ Layers.mlp_params t.par_head
-  @ Layers.mlp_params t.swap_head
-  @ Layers.mlp_params t.value_net
+  List.concat_map Layers.mlp_params
+    ((t.backbone :: t.t_head :: List.map (fun br -> br.head) t.branches)
+    @ [ t.value_net ])
 
 let param_count t = Layers.param_count (params t)
 
-type heads = {
-  h_t : Autodiff.node;  (* [B; 5] *)
-  h_tile : Autodiff.node;  (* [B; n*m] *)
-  h_par : Autodiff.node;
-  h_swap : Autodiff.node;  (* [B; n] *)
-  h_value : Autodiff.node;  (* [B; 1] *)
-}
-
-let forward tape t obs_tensor =
-  let obs = Autodiff.const tape obs_tensor in
-  let feat = Autodiff.relu tape (Layers.forward_mlp tape t.backbone obs) in
-  {
-    h_t = Layers.forward_mlp tape t.t_head feat;
-    h_tile = Layers.forward_mlp tape t.tile_head feat;
-    h_par = Layers.forward_mlp tape t.par_head feat;
-    h_swap = Layers.forward_mlp tape t.swap_head feat;
-    h_value = Layers.forward_mlp tape t.value_net obs;
-  }
-
-(* A mask row that is safe to feed to log-softmax even when the branch is
-   not taken: force index 0 on when everything is masked. *)
+(* A mask row that is safe to feed to log-softmax: force index 0 on
+   when everything is masked. *)
 let safe_row row =
   if Array.exists (fun b -> b) row then row
   else begin
@@ -94,86 +96,76 @@ let obs_tensor_of_rows ?ws rows =
   done;
   t
 
-(* Per-loop log-prob/entropy of a tiling-style head. *)
-let tiling_branch tape (cfg : Env_config.t) head_node ~tile_masks ~choices =
-  let n = cfg.Env_config.n_max in
-  let m = Env_config.n_tile_choices cfg in
-  let b = Array.length choices in
-  let total_lp = ref None in
-  let total_ent = ref None in
-  for l = 0 to n - 1 do
-    let logits = Autodiff.slice_cols tape head_node ~lo:(l * m) ~hi:((l + 1) * m) in
-    let mask = Array.init b (fun i -> safe_row tile_masks.(i).(l)) in
-    let lp = Distributions.masked_log_probs tape logits ~mask in
-    let acts = Array.init b (fun i -> choices.(i).(l)) in
-    let chosen = Distributions.log_prob_of tape lp acts in
-    let ent = Distributions.entropy tape lp in
-    total_lp :=
-      Some
-        (match !total_lp with
-        | None -> chosen
-        | Some acc -> Autodiff.add tape acc chosen);
-    total_ent :=
-      Some
-        (match !total_ent with
-        | None -> ent
-        | Some acc -> Autodiff.add tape acc ent)
-  done;
-  (Option.get !total_lp, Option.get !total_ent)
+(* -- branch-gathered heads --
+
+   The joint log-probability of an action is the transformation's plus
+   the chosen branch's, so a branch head runs only on the rows that
+   chose it: their backbone features are gathered in ascending row
+   order, and the head's [segments] distributions per row are read as
+   one [rows * segments; width] log-softmax, row [j * segments + l]
+   being segment [l] of gathered row [j]. Sampling, greedy decoding and
+   the PPO update share this layout. The bytes equal those of running
+   every head on every row: a row outside a branch only ever added an
+   exact +-0.0 to a sum (docs/performance.md, "Branch-gathered
+   heads"). *)
+
+let rows_taking transform tis =
+  List.filter (fun i -> tis.(i) = transform) (List.init (Array.length tis) Fun.id)
+  |> Array.of_list
+
+let segment_masks br rows masks_of =
+  let s = br.segments in
+  Array.init (Array.length rows * s) (fun r ->
+      safe_row (br.seg_masks (masks_of rows.(r / s))).(r mod s))
 
 let evaluate t tape (samples : sample array) =
-  let cfg = t.cfg in
   let b = Array.length samples in
   let obs =
-    obs_tensor_of_rows
-      ?ws:(Autodiff.Tape.ws tape)
-      (Array.map (fun s -> s.s_obs) samples)
+    obs_tensor_of_rows ?ws:(Autodiff.Tape.ws tape) (Array.map (fun s -> s.s_obs) samples)
   in
-  let heads = forward tape t obs in
-  (* transformation head *)
+  let obs = Autodiff.const tape obs in
+  let feat = Autodiff.relu tape (Layers.forward_mlp tape t.backbone obs) in
+  (* The chosen log-probabilities go on the tape before the entropy:
+     both add into [lp]'s gradient, in reverse tape order, so this
+     order is part of the trained bytes. *)
+  let score logits ~mask ~choices =
+    let lp = Distributions.masked_log_probs tape logits ~mask in
+    let chosen = Distributions.log_prob_of tape lp choices in
+    let ent = Distributions.entropy tape lp in
+    (chosen, ent)
+  in
+  let tis = Array.map (fun s -> s.s_action.Action_space.transform) samples in
   let t_mask = Array.map (fun s -> safe_row s.s_masks.Action_space.t_mask) samples in
-  let t_lp = Distributions.masked_log_probs tape heads.h_t ~mask:t_mask in
-  let t_actions = Array.map (fun s -> s.s_action.Action_space.transform) samples in
-  let logp_t = Distributions.log_prob_of tape t_lp t_actions in
-  let ent_t = Distributions.entropy tape t_lp in
-  (* branch heads *)
-  let tile_masks = Array.map (fun s -> s.s_masks.Action_space.tile_mask) samples in
-  let par_masks = Array.map (fun s -> s.s_masks.Action_space.par_mask) samples in
-  let choices = Array.map (fun s -> s.s_action.Action_space.tile_choices) samples in
-  let tile_lp, tile_ent =
-    tiling_branch tape cfg heads.h_tile ~tile_masks ~choices
+  let joint = score (Layers.forward_mlp tape t.t_head feat) ~mask:t_mask ~choices:tis in
+  let add_branch (log_prob, entropy) br =
+    let rows = rows_taking br.transform tis in
+    let k = Array.length rows and s = br.segments in
+    if k = 0 then (log_prob, entropy)
+    else begin
+      let feat_k = Autodiff.gather_rows tape feat rows in
+      let logits = Layers.forward_mlp tape br.head feat_k in
+      let width = (Autodiff.value logits).Tensor.shape.(1) / s in
+      let choices =
+        Array.init (k * s) (fun r ->
+            (br.choices samples.(rows.(r / s)).s_action).(r mod s))
+      in
+      let chosen, ent =
+        score
+          (Autodiff.reshape tape logits [| k * s; width |])
+          ~mask:(segment_masks br rows (fun i -> samples.(i).s_masks))
+          ~choices
+      in
+      (* each row's segment sum, put back at the row's batch position *)
+      let per_row x =
+        let sums = Autodiff.sum_rows tape (Autodiff.reshape tape x [| k; s |]) in
+        Autodiff.scatter_rows tape sums rows ~n:b
+      in
+      let log_prob = Autodiff.add tape log_prob (per_row chosen) in
+      (log_prob, Autodiff.add tape entropy (per_row ent))
+    end
   in
-  let par_lp, par_ent =
-    tiling_branch tape cfg heads.h_par ~tile_masks:par_masks ~choices
-  in
-  let swap_mask = Array.map (fun s -> safe_row s.s_masks.Action_space.swap_mask) samples in
-  let swap_lp_all = Distributions.masked_log_probs tape heads.h_swap ~mask:swap_mask in
-  let swap_actions =
-    Array.map
-      (fun s ->
-        let c = s.s_action.Action_space.swap_choice in
-        if c >= 0 && c < cfg.Env_config.n_max then c else 0)
-      samples
-  in
-  let swap_lp = Distributions.log_prob_of tape swap_lp_all swap_actions in
-  let swap_ent = Distributions.entropy tape swap_lp_all in
-  (* combine through branch indicators *)
-  let indicator k =
-    Autodiff.const tape
-      (Tensor.init [| b |] (fun i ->
-           if samples.(i).s_action.Action_space.transform = k then 1.0 else 0.0))
-  in
-  let ind_tile = indicator Action_space.t_tile in
-  let ind_par = indicator Action_space.t_parallelize in
-  let ind_swap = indicator Action_space.t_interchange in
-  let combine base tile par swap =
-    let x = Autodiff.add tape base (Autodiff.mul tape ind_tile tile) in
-    let x = Autodiff.add tape x (Autodiff.mul tape ind_par par) in
-    Autodiff.add tape x (Autodiff.mul tape ind_swap swap)
-  in
-  let log_prob = combine logp_t tile_lp par_lp swap_lp in
-  let entropy = combine ent_t tile_ent par_ent swap_ent in
-  let value = Autodiff.gather_cols tape heads.h_value (Array.make b 0) in
+  let log_prob, entropy = List.fold_left add_branch joint t.branches in
+  let value = Autodiff.reshape tape (Layers.forward_mlp tape t.value_net obs) [| b |] in
   { Ppo.log_prob; entropy; value }
 
 let ppo_policy t =
@@ -182,189 +174,101 @@ let ppo_policy t =
 let save t path = Serialize.save_params path (params t)
 let load t path = Serialize.load_params path (params t)
 
-(* -- sampling -- *)
+(* -- batched, tape-free inference --
 
-(* -- batched, tape-free sampling --
+   The rollout engine and the server advance a slab of episodes in
+   lockstep and ask for all their next actions at once; stacking the
+   observations into one matrix amortizes the forward pass. Every
+   kernel here is row-independent with the single-row accumulation
+   order, and row [i] decides its transformation, then its branch's
+   segments in order, drawing only from its own rng — so a batched call
+   is bit-equal to singleton calls on each row, whichever rows share
+   the batch.
 
-   The parallel rollout engine advances a slab of episodes in lockstep
-   and asks for all their next actions at once. Stacking the
-   observations into one matrix amortizes the forward pass; because
-   every kernel on this path is row-independent with per-row
-   accumulation order identical to the single-row case, and each row
-   draws only from its own rng, [act_batch] on a batch is bit-equal to
-   [act] on each row separately.
-
-   All intermediates live in a per-domain workspace (reset at the top of
-   each batched call, every escaping result extracted as a scalar before
-   return), so a steady-state rollout allocates almost nothing per
-   step. Branch heads are lazy: their forward passes run only if some
-   row took the branch — in particular the greedy serving path never
-   pays for the value net. Laziness is invisible to results because an
-   unforced head is an unread head. *)
+   Intermediates live in a per-domain workspace, reset at the top of
+   each call; every escaping result is extracted as a scalar first. *)
 
 let ws_key = Domain.DLS.new_key Tensor.Workspace.create
 
-type head_values = {
-  v_t : Tensor.t;
-  v_tile : Tensor.t Lazy.t;
-  v_par : Tensor.t Lazy.t;
-  v_swap : Tensor.t Lazy.t;
-  v_value : Tensor.t Lazy.t;
-}
-
-let forward_values ?ws t obs_tensor =
-  let out = Layers.forward_batch ?ws t.backbone obs_tensor in
-  (* The backbone always has at least one layer, so [out] is a fresh (or
-     workspace) activation, never the observation matrix itself — the
-     in-place ReLU cannot clobber caller data. *)
+(* The one tape-free routine: [pick i lp r] decides row [i] of the batch
+   from row [r] of the masked log-probs [lp] — a draw from row [i]'s
+   rng, or the argmax. Returns the actions, their joint
+   log-probabilities and, when [value], the value estimates. *)
+let decide t ~obs ~masks ~pick ~value =
+  let b = Array.length obs in
+  if Array.length masks <> b then invalid_arg "Policy: obs/masks length mismatch";
+  let ws = Domain.DLS.get ws_key in
+  Tensor.Workspace.reset ws;
+  let obs_t = obs_tensor_of_rows ~ws obs in
+  let out = Layers.forward_batch ~ws t.backbone obs_t in
+  (* With at least one backbone layer, [out] is a workspace activation,
+     not the observation matrix: the in-place ReLU cannot clobber it. *)
   assert (t.backbone.Layers.layers <> []);
   let feat = Tensor.relu_into ~dst:out out in
-  {
-    v_t = Layers.forward_batch ?ws t.t_head feat;
-    v_tile = lazy (Layers.forward_batch ?ws t.tile_head feat);
-    v_par = lazy (Layers.forward_batch ?ws t.par_head feat);
-    v_swap = lazy (Layers.forward_batch ?ws t.swap_head feat);
-    v_value = lazy (Layers.forward_batch ?ws t.value_net obs_tensor);
-  }
+  let t_mask = Array.map (fun ms -> safe_row ms.Action_space.t_mask) masks in
+  let t_logits = Layers.forward_batch ~ws t.t_head feat in
+  let t_lp = Distributions.masked_log_probs_values ~ws t_logits ~mask:t_mask in
+  let tis = Array.init b (fun i -> pick i t_lp i) in
+  let logps = Array.init b (fun i -> Tensor.get2 t_lp i tis.(i)) in
+  let n = t.cfg.Env_config.n_max in
+  let actions =
+    Array.map
+      (fun transform ->
+        { Action_space.transform; tile_choices = Array.make n 0; swap_choice = 0 })
+      tis
+  in
+  let decide_branch br =
+    let rows = rows_taking br.transform tis in
+    let k = Array.length rows and s = br.segments in
+    if k > 0 then begin
+      let dst = Tensor.Workspace.get ws [| k; feat.Tensor.shape.(1) |] in
+      let feat_k = Tensor.gather_rows_into ~dst feat rows in
+      let logits = Layers.forward_batch ~ws br.head feat_k in
+      (* the [k; segments * width] output viewed as [k * segments; width] *)
+      let width = logits.Tensor.shape.(1) / s in
+      let logits = { logits with Tensor.shape = [| k * s; width |] } in
+      let mask = segment_masks br rows (fun i -> masks.(i)) in
+      let lp = Distributions.masked_log_probs_values ~ws logits ~mask in
+      Array.iteri
+        (fun j i ->
+          let cs = Array.make s 0 in
+          for l = 0 to s - 1 do
+            let r = (j * s) + l in
+            cs.(l) <- pick i lp r;
+            logps.(i) <- logps.(i) +. Tensor.get2 lp r cs.(l)
+          done;
+          actions.(i) <- br.action cs)
+        rows
+    end
+  in
+  List.iter decide_branch t.branches;
+  let values =
+    if not value then [||]
+    else begin
+      let v = Layers.forward_batch ~ws t.value_net obs_t in
+      Array.init b (fun i -> Tensor.get2 v i 0)
+    end
+  in
+  (actions, logps, values)
 
 let act_batch ?(temperature = 1.0) rngs t ~obs ~masks =
-  let cfg = t.cfg in
-  let n = cfg.Env_config.n_max in
-  let m = Env_config.n_tile_choices cfg in
-  let b = Array.length obs in
-  if Array.length rngs <> b || Array.length masks <> b then
-    invalid_arg "Policy.act_batch: obs/masks/rngs length mismatch";
-  let draw rng lp row =
-    if temperature = 1.0 then Distributions.sample rng lp row
-    else Distributions.sample_tempered rng lp row ~temperature
+  if Array.length rngs <> Array.length obs then
+    invalid_arg "Policy.act_batch: obs/rngs length mismatch";
+  let draw i lp r =
+    if temperature = 1.0 then Distributions.sample rngs.(i) lp r
+    else Distributions.sample_tempered rngs.(i) lp r ~temperature
   in
-  let ws = Domain.DLS.get ws_key in
-  Tensor.Workspace.reset ws;
-  let heads = forward_values ~ws t (obs_tensor_of_rows ~ws obs) in
-  let t_mask = Array.map (fun ms -> safe_row ms.Action_space.t_mask) masks in
-  let t_lp = Distributions.masked_log_probs_values ~ws heads.v_t ~mask:t_mask in
-  let tis = Array.init b (fun i -> draw rngs.(i) t_lp i) in
-  let logps = Array.init b (fun i -> Tensor.get2 t_lp i tis.(i)) in
-  let tile_choices = Array.init b (fun _ -> Array.make n 0) in
-  let swap_choices = Array.make b 0 in
-  (* A branch head's forward runs only if some row took the branch, and
-     row [i] draws from its rng only when row [i] did — so each row's
-     rng consumption matches [act] exactly. *)
-  let branch head pick_mask wanted =
-    if Array.exists (fun ti -> ti = wanted) tis then begin
-      let head = Lazy.force head in
-      for l = 0 to n - 1 do
-        let logits =
-          Tensor.slice_cols_into
-            ~dst:(Tensor.Workspace.get ws [| b; m |])
-            head ~lo:(l * m) ~hi:((l + 1) * m)
-        in
-        let mask = Array.init b (fun i -> safe_row (pick_mask masks.(i)).(l)) in
-        let lp = Distributions.masked_log_probs_values ~ws logits ~mask in
-        for i = 0 to b - 1 do
-          if tis.(i) = wanted then begin
-            let c = draw rngs.(i) lp i in
-            tile_choices.(i).(l) <- c;
-            logps.(i) <- logps.(i) +. Tensor.get2 lp i c
-          end
-        done
-      done
-    end
-  in
-  branch heads.v_tile (fun ms -> ms.Action_space.tile_mask) Action_space.t_tile;
-  branch heads.v_par (fun ms -> ms.Action_space.par_mask)
-    Action_space.t_parallelize;
-  if Array.exists (fun ti -> ti = Action_space.t_interchange) tis then begin
-    let swap_mask = Array.map (fun ms -> safe_row ms.Action_space.swap_mask) masks in
-    let swap_lp =
-      Distributions.masked_log_probs_values ~ws (Lazy.force heads.v_swap)
-        ~mask:swap_mask
-    in
-    for i = 0 to b - 1 do
-      if tis.(i) = Action_space.t_interchange then begin
-        let c = draw rngs.(i) swap_lp i in
-        swap_choices.(i) <- c;
-        logps.(i) <- logps.(i) +. Tensor.get2 swap_lp i c
-      end
-    done
-  end;
-  let values = Lazy.force heads.v_value in
-  Array.init b (fun i ->
-      ( {
-          Action_space.transform = tis.(i);
-          tile_choices = tile_choices.(i);
-          swap_choice = swap_choices.(i);
-        },
-        logps.(i),
-        Tensor.get2 values i 0 ))
+  let actions, logps, values = decide t ~obs ~masks ~pick:draw ~value:true in
+  Array.mapi (fun i a -> (a, logps.(i), values.(i))) actions
 
 let act ?temperature rng t ~obs ~masks =
-  (* Singleton [act_batch]: same draws from [rng], same log-probability
-     and value — the batched path is bit-equal to a per-row evaluation
-     by the contract above, so collapsing the singleton onto it changes
-     nothing except dropping the per-step tape. *)
   (act_batch ?temperature [| rng |] t ~obs:[| obs |] ~masks:[| masks |]).(0)
 
-(* Batched greedy decoding for the serving path: one forward pass for a
-   slab of concurrently advancing request episodes, argmax per row. The
-   argmax reads the same masked log-softmax values as [act_greedy]'s
-   tape, and every kernel is row-independent, so each row's action is
-   identical to a singleton [act_greedy] call — which is what makes
-   served schedules independent of how requests were batched. *)
+(* Greedy serving never runs the value net. *)
 let act_greedy_batch t ~obs ~masks =
-  let cfg = t.cfg in
-  let n = cfg.Env_config.n_max in
-  let m = Env_config.n_tile_choices cfg in
-  let b = Array.length obs in
-  if Array.length masks <> b then
-    invalid_arg "Policy.act_greedy_batch: obs/masks length mismatch";
-  let ws = Domain.DLS.get ws_key in
-  Tensor.Workspace.reset ws;
-  (* The value net is lazy and never forced here: greedy serving skips
-     that whole forward pass. *)
-  let heads = forward_values ~ws t (obs_tensor_of_rows ~ws obs) in
-  let t_mask = Array.map (fun ms -> safe_row ms.Action_space.t_mask) masks in
-  let t_lp = Distributions.masked_log_probs_values ~ws heads.v_t ~mask:t_mask in
-  let tis = Array.init b (fun i -> Distributions.argmax t_lp i) in
-  let tile_choices = Array.init b (fun _ -> Array.make n 0) in
-  let swap_choices = Array.make b 0 in
-  let branch head pick_mask wanted =
-    if Array.exists (fun ti -> ti = wanted) tis then begin
-      let head = Lazy.force head in
-      for l = 0 to n - 1 do
-        let logits =
-          Tensor.slice_cols_into
-            ~dst:(Tensor.Workspace.get ws [| b; m |])
-            head ~lo:(l * m) ~hi:((l + 1) * m)
-        in
-        let mask = Array.init b (fun i -> safe_row (pick_mask masks.(i)).(l)) in
-        let lp = Distributions.masked_log_probs_values ~ws logits ~mask in
-        for i = 0 to b - 1 do
-          if tis.(i) = wanted then tile_choices.(i).(l) <- Distributions.argmax lp i
-        done
-      done
-    end
-  in
-  branch heads.v_tile (fun ms -> ms.Action_space.tile_mask) Action_space.t_tile;
-  branch heads.v_par (fun ms -> ms.Action_space.par_mask)
-    Action_space.t_parallelize;
-  if Array.exists (fun ti -> ti = Action_space.t_interchange) tis then begin
-    let swap_mask = Array.map (fun ms -> safe_row ms.Action_space.swap_mask) masks in
-    let swap_lp =
-      Distributions.masked_log_probs_values ~ws (Lazy.force heads.v_swap)
-        ~mask:swap_mask
-    in
-    for i = 0 to b - 1 do
-      if tis.(i) = Action_space.t_interchange then
-        swap_choices.(i) <- Distributions.argmax swap_lp i
-    done
-  end;
-  Array.init b (fun i ->
-      {
-        Action_space.transform = tis.(i);
-        tile_choices = tile_choices.(i);
-        swap_choice = swap_choices.(i);
-      })
+  let argmax _ lp r = Distributions.argmax lp r in
+  let actions, _, _ = decide t ~obs ~masks ~pick:argmax ~value:false in
+  actions
 
 let act_greedy t ~obs ~masks =
   (act_greedy_batch t ~obs:[| obs |] ~masks:[| masks |]).(0)

@@ -7,7 +7,9 @@
     swaps. A separate value network (four dense layers) estimates
     V(s). Joint log-probabilities are the sum of the transformation
     log-probability and the chosen branch's parameter log-probabilities;
-    entropies combine the same way. *)
+    entropies combine the same way. A branch head therefore runs only
+    on the rows that chose its branch, in sampling, greedy decoding and
+    the PPO update alike. *)
 
 type sample = {
   s_obs : float array;
@@ -29,6 +31,10 @@ val param_count : t -> int
 val obs_tensor_of_rows : ?ws:Tensor.Workspace.t -> float array array -> Tensor.t
 (** Stack observation rows into a \[batch; obs_dim\] matrix, optionally
     in a workspace buffer (shared helper for batched inference paths). *)
+
+val safe_row : bool array -> bool array
+(** A mask row that {!Distributions.masked_log_probs} accepts: the row
+    itself, or a copy admitting index 0 when the row admits nothing. *)
 
 val act :
   ?temperature:float ->
@@ -69,11 +75,11 @@ val act_greedy_batch :
   obs:float array array ->
   masks:Action_space.masks array ->
   Action_space.hierarchical array
-(** Batched, tape-free {!act_greedy}: one forward pass for a slab of
-    concurrently advancing episodes, argmax per row. Row [i]'s action is
-    identical to a singleton {!act_greedy} call on row [i] — served
-    schedules therefore do not depend on request batching (the serving
-    daemon's determinism contract). *)
+(** Batched, tape-free {!act_greedy}: the routine behind {!act_batch}
+    with an argmax per row in place of the draw, and no value net. Row
+    [i]'s action is identical to a singleton {!act_greedy} call on row
+    [i] — served schedules therefore do not depend on request batching
+    (the serving daemon's determinism contract). *)
 
 val ppo_policy : t -> sample Ppo.policy
 (** The {!Ppo} plug: batch re-evaluation of stored samples. *)

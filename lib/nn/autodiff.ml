@@ -29,8 +29,8 @@ type node = {
          for constants, the OR of the parents for ops. [backward] runs
          no step for a node without it, and no step forces or
          accumulates into such a parent's [grad] — so the gradient of a
-         constant (the observation, the branch indicators) and of
-         everything computed from constants alone is never formed. *)
+         constant (the observation, a mask penalty) and of everything
+         computed from constants alone is never formed. *)
   back : unit -> unit;  (* reads [grad], accumulates into parents *)
 }
 
@@ -327,6 +327,59 @@ let slice_cols tape a ~lo ~hi =
           uset ag (arow + j) (uget ag (arow + j) +. uget gd (grow + j))
         done
       done)
+
+(* Row ops index the leading dimension; a row is the [w] contiguous
+   elements the trailing dimensions span. *)
+let row_width name shape =
+  if Array.length shape = 0 then invalid_arg (name ^ ": expected rank >= 1");
+  Array.fold_left ( * ) 1 (Array.sub shape 1 (Array.length shape - 1))
+
+(* dst[di .. di+w) += src[si .. si+w) *)
+let add_row dst di src si w =
+  for c = 0 to w - 1 do
+    uset dst (di + c) (uget dst (di + c) +. uget src (si + c))
+  done
+
+let gather_rows tape a rows =
+  let shape = Tensor.dims a.value in
+  let w = row_width "Autodiff.gather_rows" shape in
+  shape.(0) <- Array.length rows;
+  let value = Tensor.gather_rows_into ~dst:(alloc tape shape) a.value rows in
+  mk1 tape a value (fun node ->
+      let gd = (Lazy.force node.grad).Tensor.data in
+      let ag = (Lazy.force a.grad).Tensor.data in
+      Array.iteri (fun j r -> add_row ag (r * w) gd (j * w) w) rows)
+
+let scatter_rows tape a rows ~n =
+  let shape = Tensor.dims a.value in
+  let w = row_width "Autodiff.scatter_rows" shape in
+  if Array.length rows <> shape.(0) then
+    invalid_arg "Autodiff.scatter_rows: one row index per input row required";
+  Array.iter
+    (fun r ->
+      if r < 0 || r >= n then invalid_arg "Autodiff.scatter_rows: row out of range")
+    rows;
+  shape.(0) <- n;
+  let value = alloc tape shape in
+  Tensor.fill_inplace value 0.0;
+  let vd = value.Tensor.data and xd = a.value.Tensor.data in
+  Array.iteri (fun j r -> add_row vd (r * w) xd (j * w) w) rows;
+  mk1 tape a value (fun node ->
+      let gd = (Lazy.force node.grad).Tensor.data in
+      let ag = (Lazy.force a.grad).Tensor.data in
+      Array.iteri (fun j r -> add_row ag (j * w) gd (r * w) w) rows)
+
+let reshape tape a shape =
+  let x = a.value in
+  if Array.exists (fun d -> d < 0) shape
+     || Array.fold_left ( * ) 1 shape <> Tensor.numel x
+  then invalid_arg "Autodiff.reshape: size mismatch";
+  (* A view of [a]'s buffer: a node's value is read-only while its tape
+     lives. *)
+  let value = { x with Tensor.shape = Array.copy shape } in
+  mk1 tape a value (fun node ->
+      add_row (Lazy.force a.grad).Tensor.data 0 (Lazy.force node.grad).Tensor.data 0
+        (Tensor.numel x))
 
 let sum_rows tape a =
   let x = a.value in

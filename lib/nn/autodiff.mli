@@ -89,6 +89,23 @@ val gather_cols : Tape.t -> node -> int array -> node
 val slice_cols : Tape.t -> node -> lo:int -> hi:int -> node
 (** Columns [lo, hi) of a rank-2 tensor. *)
 
+val gather_rows : Tape.t -> node -> int array -> node
+(** [gather_rows t x rows]: row [j] of the result is row [rows.(j)] of
+    [x], rows being slices along the leading dimension
+    ({!Tensor.gather_rows_into}). The backward step adds each result
+    row's gradient into its source row, so a repeated index
+    accumulates. Raises [Invalid_argument] on an index out of range. *)
+
+val scatter_rows : Tape.t -> node -> int array -> n:int -> node
+(** [scatter_rows t x rows ~n], the adjoint of {!gather_rows}: a result
+    with [n] rows, zero except that row [j] of [x] is added into row
+    [rows.(j)]. [rows] has one entry per row of [x]; an index out of
+    \[0, n) raises [Invalid_argument]. *)
+
+val reshape : Tape.t -> node -> int array -> node
+(** The same elements in row-major order under a new shape of equal
+    size; the value is a view, not a copy. *)
+
 val sum_rows : Tape.t -> node -> node
 (** [m; n] -> [m]. *)
 

@@ -130,12 +130,6 @@ let sample_tempered rng log_probs row ~temperature =
    with Exit -> ());
   !chosen
 
-let sample_batch rngs log_probs =
-  let m = log_probs.Tensor.shape.(0) in
-  if Array.length rngs <> m then
-    invalid_arg "Distributions.sample_batch: one rng per batch row";
-  Array.init m (fun i -> sample rngs.(i) log_probs i)
-
 let argmax log_probs row = Tensor.argmax_row log_probs row
 
 let log_prob_of tape log_probs actions =

@@ -23,12 +23,6 @@ val masked_log_probs_values :
     logits row [i] and mask row [i]. With [?ws] the result lives in the
     workspace (valid until its next [reset]). *)
 
-val sample_batch : Util.Rng.t array -> Tensor.t -> int array
-(** [sample_batch rngs log_probs] draws one action per row of a
-    \[batch; k\] log-probability tensor, row [i] using [rngs.(i)] —
-    exactly one uniform per row, so per-row streams stay independent of
-    the batch composition. *)
-
 val sample : Util.Rng.t -> Tensor.t -> int -> int
 (** [sample rng log_probs row] draws an index from the categorical
     distribution of the given row of a \[batch; k\] log-probability

@@ -375,6 +375,31 @@ let slice_cols t ~lo ~hi =
     invalid_arg "Tensor.slice_cols: bad column range";
   slice_cols_into ~dst:(unsafe_create [| m; hi - lo |]) t ~lo ~hi
 
+(* Rows are slices along the leading dimension, [w] elements each: the
+   product of the trailing dimensions. *)
+let gather_rows_into ~dst t rows =
+  if Array.length t.shape = 0 then
+    invalid_arg "Tensor.gather_rows_into: expected rank >= 1";
+  let m = t.shape.(0) in
+  Array.iter
+    (fun r ->
+      if r < 0 || r >= m then invalid_arg "Tensor.gather_rows_into: row out of range")
+    rows;
+  let shape = Array.copy t.shape in
+  shape.(0) <- Array.length rows;
+  if dst.shape <> shape then
+    invalid_arg "Tensor.gather_rows_into: destination shape mismatch";
+  let w = product (Array.sub shape 1 (Array.length shape - 1)) in
+  let src = t.data and out = dst.data in
+  Array.iteri
+    (fun j r ->
+      let s = r * w and o = j * w in
+      for c = 0 to w - 1 do
+        uset out (o + c) (uget src (s + c))
+      done)
+    rows;
+  dst
+
 let same_shape a b = a.shape = b.shape
 
 let map_into f ~dst t =

@@ -131,6 +131,14 @@ val slice_cols : t -> lo:int -> hi:int -> t
 
 val slice_cols_into : dst:t -> t -> lo:int -> hi:int -> t
 
+val gather_rows_into : dst:t -> t -> int array -> t
+(** [gather_rows_into ~dst t rows]: row [j] of [dst] is a copy of row
+    [rows.(j)] of [t], rows being slices along the leading dimension.
+    [rows] may be empty, unsorted or repeat an index; [dst] has [t]'s
+    shape with the leading dimension replaced by [Array.length rows].
+    Raises [Invalid_argument] on a row index out of range or a
+    mismatched [dst]. *)
+
 val map : (float -> float) -> t -> t
 val map_into : (float -> float) -> dst:t -> t -> t
 val map2 : (float -> float -> float) -> t -> t -> t

@@ -77,3 +77,38 @@ let small_maxpool () =
       p_kernel = 2;
       p_stride = 2;
     }
+
+(* Distinct real environment states — the (observation, masks) pairs
+   [policy] visits while sampling episodes on a few small ops — for
+   mixed batches in which rows take different branches. *)
+let policy_states cfg policy =
+  let rng = Util.Rng.create 77 in
+  let seen = Hashtbl.create 64 in
+  let states = ref [] in
+  List.iter
+    (fun op ->
+      let env = Env.create cfg in
+      let obs = ref (Env.reset env op) and live = ref true and steps = ref 0 in
+      while !live && !steps < 6 do
+        let masks = Env.masks env in
+        if not (Hashtbl.mem seen !obs) then begin
+          Hashtbl.add seen !obs ();
+          states := (!obs, masks) :: !states
+        end;
+        let action, _, _ = Policy.act rng policy ~obs:!obs ~masks in
+        let r = Env.step_hierarchical env action in
+        obs := r.Env.obs;
+        live := not r.Env.terminal;
+        incr steps
+      done)
+    [
+      Linalg.matmul ~m:64 ~n:64 ~k:64 ();
+      Linalg.matmul ~m:128 ~n:32 ~k:16 ();
+      small_matmul ();
+      small_conv ();
+      Linalg.add [| 64; 64 |];
+      Linalg.relu [| 32; 16 |];
+      small_maxpool ();
+      Linalg.matmul ~m:32 ~n:8 ~k:8 ();
+    ];
+  Array.of_list (List.rev !states)

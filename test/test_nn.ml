@@ -217,6 +217,93 @@ let qcheck_matmul_kernels_naive =
       in
       fwd_ok && da_ok && db_ok)
 
+(* --- Row gather / scatter / reshape --- *)
+
+(* Naive references on flat row-major arrays, [w] elements per row. *)
+let naive_gather x ~w rows =
+  Array.concat (Array.to_list (Array.map (fun r -> Array.sub x (r * w) w) rows))
+
+let naive_scatter x ~w rows ~n =
+  let out = Array.make (n * w) 0.0 in
+  Array.iteri
+    (fun j r ->
+      for c = 0 to w - 1 do
+        out.((r * w) + c) <- out.((r * w) + c) +. x.((j * w) + c)
+      done)
+    rows;
+  out
+
+(* Values and gradients of the row ops against the naive loops, bitwise,
+   on rank-1 and rank-2 tensors and row lists that are empty, unsorted
+   or repeat an index. The gradient of sum(op(x) . g) in x is the
+   adjoint op applied to g: scatter for gather, gather for scatter, the
+   flat copy for reshape. *)
+let qcheck_row_ops_naive =
+  QCheck.Test.make ~name:"gather/scatter rows, reshape = naive loops" ~count:200
+    QCheck.(quad (int_range 0 9999) (int_range 1 7) (int_range 1 5) bool)
+    (fun (seed, m, w, rank1) ->
+      let rng = Util.Rng.create seed in
+      let w = if rank1 then 1 else w in
+      let shape rows = if rank1 then [| rows |] else [| rows; w |] in
+      let k = Util.Rng.int rng 9 in
+      let rows = Array.init k (fun _ -> Util.Rng.int rng m) in
+      let gaussian rows = Tensor.init (shape rows) (fun _ -> Util.Rng.gaussian rng) in
+      let x = gaussian m in
+      let fx = Tensor.to_array x in
+      let eq t expect = Tensor.equal t (Tensor.of_array (Tensor.dims t) expect) in
+      (* [value], and the parameter's gradient, of sum(op(p) . g) *)
+      let through op p_data g =
+        let p = Autodiff.Param.create "p" p_data in
+        let tape = Autodiff.Tape.create () in
+        let y = op tape (Autodiff.of_param tape p) in
+        Autodiff.backward tape
+          (Autodiff.sum_all tape (Autodiff.mul tape y (Autodiff.const tape g)));
+        (Autodiff.value y, p.Autodiff.Param.grad)
+      in
+      let tensor_ok =
+        eq
+          (Tensor.gather_rows_into ~dst:(Tensor.create (shape k) nan) x rows)
+          (naive_gather fx ~w rows)
+      in
+      let g = gaussian k in
+      let y, gx = through (fun tape p -> Autodiff.gather_rows tape p rows) x g in
+      let gather_ok =
+        eq y (naive_gather fx ~w rows)
+        && eq gx (naive_scatter (Tensor.to_array g) ~w rows ~n:m)
+      in
+      let s = gaussian k and h = gaussian m in
+      let z, gs = through (fun tape p -> Autodiff.scatter_rows tape p rows ~n:m) s h in
+      let scatter_ok =
+        eq z (naive_scatter (Tensor.to_array s) ~w rows ~n:m)
+        && eq gs (naive_gather (Tensor.to_array h) ~w rows)
+      in
+      let q = Tensor.init [| w; m |] (fun _ -> Util.Rng.gaussian rng) in
+      let r, gr = through (fun tape p -> Autodiff.reshape tape p [| w; m |]) x q in
+      let reshape_ok =
+        Tensor.dims r = [| w; m |] && eq r fx && eq gr (Tensor.to_array q)
+      in
+      tensor_ok && gather_ok && scatter_ok && reshape_ok)
+
+let test_row_ops_reject_bad_indices () =
+  let x = Tensor.zeros [| 3; 2 |] in
+  let raises name f =
+    Alcotest.(check bool) (name ^ " raises Invalid_argument") true
+      (match f () with exception Invalid_argument _ -> true | _ -> false)
+  in
+  raises "gather_rows_into row 3" (fun () ->
+      Tensor.gather_rows_into ~dst:(Tensor.zeros [| 1; 2 |]) x [| 3 |]);
+  raises "gather_rows_into row -1" (fun () ->
+      Tensor.gather_rows_into ~dst:(Tensor.zeros [| 2; 2 |]) x [| 0; -1 |]);
+  raises "gather_rows_into dst shape" (fun () ->
+      Tensor.gather_rows_into ~dst:(Tensor.zeros [| 2; 2 |]) x [| 0 |]);
+  let tape = Autodiff.Tape.create () in
+  let n = Autodiff.const tape x in
+  raises "gather_rows row 3" (fun () -> Autodiff.gather_rows tape n [| 1; 3 |]);
+  raises "scatter_rows row n" (fun () -> Autodiff.scatter_rows tape n [| 0; 1; 2 |] ~n:2);
+  raises "scatter_rows row -1" (fun () -> Autodiff.scatter_rows tape n [| 0; -1; 2 |] ~n:3);
+  raises "scatter_rows index count" (fun () -> Autodiff.scatter_rows tape n [| 0; 1 |] ~n:3);
+  raises "reshape size" (fun () -> Autodiff.reshape tape n [| 4; 2 |])
+
 (* --- Workspace arena --- *)
 
 let test_workspace_reuse () =
@@ -400,6 +487,26 @@ let test_grad_slice_sum_rows () =
       let right = Autodiff.slice_cols tape y ~lo:3 ~hi:6 in
       let h = Autodiff.mul tape left (Autodiff.exp_ tape right) in
       (tape, Autodiff.mean_all tape (Autodiff.sum_rows tape h)))
+    ~params:(Layers.linear_params layer) ~eps:1e-5 ~tol:1e-4
+
+let test_grad_gather_scatter_reshape () =
+  (* A branch-head shaped chain: gather rows (unsorted, repeated), view
+     the segments as rows, log-softmax, pick, sum per row, scatter back
+     (repeated). *)
+  let rng = Util.Rng.create 25 in
+  let layer = Layers.linear rng ~in_dim:3 ~out_dim:6 "l" in
+  let x = Tensor.init [| 4; 3 |] (fun _ -> Util.Rng.gaussian rng) in
+  let weights = Tensor.init [| 5 |] (fun _ -> Util.Rng.gaussian rng) in
+  finite_diff_check
+    ~build:(fun () ->
+      let tape = Autodiff.Tape.create () in
+      let y = Layers.forward_linear tape layer (Autodiff.const tape x) in
+      let rows = Autodiff.gather_rows tape y [| 2; 0; 2 |] in
+      let lp = Autodiff.log_softmax tape (Autodiff.reshape tape rows [| 9; 2 |]) in
+      let picked = Autodiff.gather_cols tape lp [| 0; 1; 1; 0; 0; 1; 1; 1; 0 |] in
+      let per_row = Autodiff.sum_rows tape (Autodiff.reshape tape picked [| 3; 3 |]) in
+      let back = Autodiff.scatter_rows tape per_row [| 4; 1; 4 |] ~n:5 in
+      (tape, Autodiff.mean_all tape (Autodiff.mul tape back (Autodiff.const tape weights))))
     ~params:(Layers.linear_params layer) ~eps:1e-5 ~tol:1e-4
 
 let test_backward_rejects_non_scalar () =
@@ -602,8 +709,13 @@ let suite =
     Alcotest.test_case "entropy uniform max" `Quick test_entropy_uniform_max;
     QCheck_alcotest.to_alcotest qcheck_log_probs_normalized;
     QCheck_alcotest.to_alcotest qcheck_matmul_kernels_naive;
+    QCheck_alcotest.to_alcotest qcheck_row_ops_naive;
     Alcotest.test_case "const-leaf pruning invisible" `Quick
       test_const_leaf_pruning_invisible;
     Alcotest.test_case "clip grad norm allocation" `Quick
       test_clip_grad_norm_allocation;
+    Alcotest.test_case "grad: gather/scatter/reshape" `Quick
+      test_grad_gather_scatter_reshape;
+    Alcotest.test_case "row ops reject bad indices" `Quick
+      test_row_ops_reject_bad_indices;
   ]

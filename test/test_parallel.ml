@@ -150,27 +150,65 @@ let test_act_batch_matches_singletons () =
     batched
 
 let test_act_batch_matches_scalar_act () =
-  (* The scalar tape-building path and the tape-free batched path must
-     sample identically from the same rng state. *)
+  (* Mixed batches of distinct real env states, whose rows take the
+     tiling, parallelization and interchange branches: every row of
+     [act_batch] equals a singleton [act] on that row from the same rng
+     state — action, log-prob, value and rng position — and every row of
+     [act_greedy_batch] a singleton [act_greedy], whichever rows and
+     branches share the batch. *)
   let cfg = Env_config.default in
   let policy =
     Policy.create ~hidden:16 ~backbone_layers:2 (Util.Rng.create 5) cfg
   in
-  let st = Sched_state.init (Linalg.matmul ~m:64 ~n:64 ~k:64 ()) in
-  let obs = Observation.extract cfg st in
-  let masks = Action_space.masks cfg st in
-  for trial = 0 to 9 do
-    let r_scalar = Util.Rng.create (200 + trial) in
-    let r_batch = Util.Rng.create (200 + trial) in
-    let a_s, l_s, v_s = Policy.act r_scalar policy ~obs ~masks in
-    let batched =
-      Policy.act_batch [| r_batch |] policy ~obs:[| obs |] ~masks:[| masks |]
-    in
-    let a_b, l_b, v_b = batched.(0) in
-    Alcotest.(check bool) (Printf.sprintf "trial %d action" trial) true (a_s = a_b);
-    Alcotest.(check (float 1e-9)) (Printf.sprintf "trial %d logp" trial) l_s l_b;
-    Alcotest.(check (float 1e-9)) (Printf.sprintf "trial %d value" trial) v_s v_b
-  done
+  let states = Test_helpers.policy_states cfg policy in
+  let n = Array.length states in
+  Alcotest.(check bool) "at least 16 distinct states" true (n >= 16);
+  let seed i = 200 + i in
+  let singles =
+    Array.init n (fun i ->
+        let rng = Util.Rng.create (seed i) in
+        let obs, masks = states.(i) in
+        let r = Policy.act rng policy ~obs ~masks in
+        (r, Util.Rng.state rng))
+  in
+  let transform i =
+    let (a, _, _), _ = singles.(i) in
+    a.Action_space.transform
+  in
+  let rows_taking t = List.filter (fun i -> transform i = t) (List.init n Fun.id) in
+  List.iter
+    (fun (name, t) ->
+      Alcotest.(check bool) (name ^ " rows present") true (rows_taking t <> []))
+    [
+      ("tiling", Action_space.t_tile);
+      ("parallelization", Action_space.t_parallelize);
+      ("interchange", Action_space.t_interchange);
+    ];
+  let bits = Int64.bits_of_float in
+  let check_batch label rows =
+    let rows = Array.of_list rows in
+    let obs = Array.map (fun i -> fst states.(i)) rows in
+    let masks = Array.map (fun i -> snd states.(i)) rows in
+    let rngs = Array.map (fun i -> Util.Rng.create (seed i)) rows in
+    let batched = Policy.act_batch rngs policy ~obs ~masks in
+    let greedy = Policy.act_greedy_batch policy ~obs ~masks in
+    Array.iteri
+      (fun j i ->
+        let what s = Printf.sprintf "%s row %d %s" label i s in
+        let (a, l, v), pos = singles.(i) and a', l', v' = batched.(j) in
+        Alcotest.(check bool) (what "action") true (a = a');
+        Alcotest.(check int64) (what "logp") (bits l) (bits l');
+        Alcotest.(check int64) (what "value") (bits v) (bits v');
+        Alcotest.(check int64) (what "rng position") pos (Util.Rng.state rngs.(j));
+        Alcotest.(check bool) (what "greedy action") true
+          (greedy.(j) = Policy.act_greedy policy ~obs:obs.(j) ~masks:masks.(j)))
+      rows
+  in
+  let all = List.init n Fun.id in
+  check_batch "mixed" all;
+  check_batch "reversed" (List.rev all);
+  check_batch "no interchange"
+    (List.filter (fun i -> transform i <> Action_space.t_interchange) all)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded cache                                                       *)
