@@ -399,10 +399,10 @@ let run ?(quick = false) (_c : Bench_common.config) =
     match recovered_at with Some t -> t -. recovery_started | None -> -1.0
   in
   let m = Serve.Supervisor.metrics fleet.sup in
-  let hedges = Serve.Metrics.counter m "fleet_hedges_total" in
-  let rescues = Serve.Metrics.counter m "fleet_hedge_rescues_total" in
-  let upstream = Serve.Metrics.counter m "fleet_upstream_failures_total" in
-  let unavailable = Serve.Metrics.counter m "fleet_unavailable_total" in
+  let hedges = Util.Metrics.counter m "fleet_hedges_total" in
+  let rescues = Util.Metrics.counter m "fleet_hedge_rescues_total" in
+  let upstream = Util.Metrics.counter m "fleet_upstream_failures_total" in
+  let unavailable = Util.Metrics.counter m "fleet_unavailable_total" in
   let restarts =
     Array.fold_left
       (fun acc r -> acc + r.Serve.Supervisor.rs_restarts)

@@ -157,8 +157,15 @@ let run ~quick (c : Bench_common.config) =
   let verifier_was = Verifier.enabled () and sanitizer_was = Sanitizer.enabled () in
   Verifier.set_enabled true;
   Sanitizer.set_enabled true;
-  Verifier.reset_stats ();
-  Sanitizer.reset_stats ();
+  (* The check counters are process-wide: report this sweep's deltas. *)
+  let counter = Util.Metrics.counter Util.Metrics.global in
+  let baseline =
+    List.map
+      (fun n -> (n, counter n))
+      [ "verify_checks_total"; "verify_violations_total"; "sanitize_runs_total";
+        "sanitize_skips_total"; "sanitize_violations_total" ]
+  in
+  let delta n = counter n - List.assoc n baseline in
   Fun.protect
     ~finally:(fun () ->
       Verifier.set_enabled verifier_was;
@@ -172,23 +179,19 @@ let run ~quick (c : Bench_common.config) =
       episodes rng cfg per_op ops;
       im2col_sweep ops;
       let secs = Unix.gettimeofday () -. t0 in
-      let v = Verifier.stats () in
-      let s = Sanitizer.stats () in
+      let v_violations = delta "verify_violations_total" in
+      let s_violations = delta "sanitize_violations_total" in
       Printf.printf
         "%d ops x %d random episodes (+ im2col sweep) in %.2f s wall-clock\n"
         (List.length ops) per_op secs;
       Printf.printf "verifier  : %6d checks            %d violations\n"
-        v.Verifier.checks v.Verifier.violations;
+        (delta "verify_checks_total") v_violations;
       Printf.printf "sanitizer : %6d differential runs %d violations (%d skips)\n"
-        s.Sanitizer.runs s.Sanitizer.violations s.Sanitizer.skips;
-      if v.Verifier.violations = 0 && s.Sanitizer.violations = 0 then
+        (delta "sanitize_runs_total") s_violations (delta "sanitize_skips_total");
+      if v_violations = 0 && s_violations = 0 then
         Printf.printf
           "-> zero violations: every legality-approved schedule is verified \
            and differentially clean\n"
       else
         Printf.printf "-> SWEEP FAILED: violations on legality-approved schedules\n";
-      Verifier.reset_stats ();
-      Sanitizer.reset_stats ();
-      mutation_demo ();
-      Verifier.reset_stats ();
-      Sanitizer.reset_stats ())
+      mutation_demo ())

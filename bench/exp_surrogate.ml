@@ -196,8 +196,6 @@ let staged_vs_exact ~rerank_k model
     let ranker = Surrogate.Ranker.create ~machine:Machine.e5_2680_v4 model in
     let ev = Evaluator.create () in
     Surrogate.Ranker.attach ranker ev;
-    let before = (Surrogate.Counters.stats ()).Surrogate.Counters.scored in
-    Surrogate.Counters.incr_searches ();
     let t0 = now () in
     let r =
       Auto_scheduler.search_staged ~config
@@ -205,8 +203,9 @@ let staged_vs_exact ~rerank_k model
         ~rerank_k ev op
     in
     staged_wall := Float.min !staged_wall (now () -. t0);
-    Surrogate.Counters.add_reranked r.Auto_scheduler.explored;
-    scored := (Surrogate.Counters.stats ()).Surrogate.Counters.scored - before;
+    (* A fresh ranker per rep: its cache misses are the candidates the
+       network scored in this search. *)
+    scored := (Surrogate.Ranker.cache_stats ranker).Util.Sharded_cache.misses;
     staged := Some r
   done;
   let staged = Option.get !staged in

@@ -40,20 +40,18 @@ let check_jobs jobs =
     exit 2
   end
 
-(* Verifier / differential-sanitizer counters, printed to stderr (the
-   determinism smokes diff stdout) at the end of commands that apply
-   transformations. Silent unless a check layer is on. *)
-let report_check_stats () =
-  if Verifier.enabled () then begin
-    let v = Verifier.stats () in
-    Format.eprintf "verifier: %d checks, %d violations@." v.Verifier.checks
-      v.Verifier.violations
-  end;
-  if Sanitizer.enabled () then begin
-    let s = Sanitizer.stats () in
-    Format.eprintf "sanitizer: %d differential runs, %d skips, %d violations@."
-      s.Sanitizer.runs s.Sanitizer.skips s.Sanitizer.violations
-  end
+(* Telemetry of commands that apply transformations, printed to stderr
+   in the serve [stats] format: the evaluator's cache counters, then the
+   process-wide registry (verifier and sanitizer counters). Stderr,
+   because the determinism smokes diff stdout and cache hit/miss splits
+   depend on scheduling under --jobs > 1. *)
+let report_metrics ev =
+  let m = Util.Metrics.create () in
+  Util.Metrics.add_collector m (fun () ->
+      Evaluator.cache_counters (Evaluator.cache_stats ev));
+  Format.eprintf "metrics: %s@."
+    (String.concat " "
+       (List.map Util.Metrics.stats_line [ m; Util.Metrics.global ]))
 
 (* --- show --- *)
 
@@ -164,14 +162,9 @@ let autoschedule_cmd =
               exit 2
           | Ok ranker ->
               Surrogate.Ranker.attach ranker ev;
-              Surrogate.Counters.incr_searches ();
-              let r =
-                Auto_scheduler.search_staged ~config
-                  ~ranker:(Surrogate.Ranker.schedule_scorer ranker op)
-                  ~rerank_k ~jobs ev op
-              in
-              Surrogate.Counters.add_reranked r.Auto_scheduler.explored;
-              r)
+              Auto_scheduler.search_staged ~config
+                ~ranker:(Surrogate.Ranker.schedule_scorer ranker op)
+                ~rerank_k ~jobs ev op)
     in
     Format.printf "explored : %d schedules@." r.Auto_scheduler.explored;
     Format.printf "best     : %s@." (Schedule.to_string r.Auto_scheduler.best_schedule);
@@ -180,13 +173,7 @@ let autoschedule_cmd =
     Format.printf "time     : %.6f s (base %.6f s)@."
       (base /. r.Auto_scheduler.best_speedup)
       base;
-    (* Cache counters go to stderr: under --jobs > 1 the hit/miss split
-       across the shared sharded caches is scheduling-dependent (the
-       cached values are pure, so the search result is byte-identical),
-       and stdout must stay diffable across --jobs values. *)
-    Format.eprintf "caches   : %s@."
-      (Evaluator.render_cache_stats (Evaluator.cache_stats ev));
-    report_check_stats ()
+    report_metrics ev
   in
   let budget_arg =
     Arg.(value & opt int 3000 & info [ "budget" ] ~doc:"Exploration budget")
@@ -397,13 +384,7 @@ let train_cmd =
           (Robust_evaluator.retry_count r)
           (Robust_evaluator.degraded_count r)
     | None -> ());
-    (* Cache counters go to stderr: under --jobs > 1 speculative
-       episodes make hit/miss splits scheduling-dependent (the cached
-       values are pure, so the training results stay byte-identical),
-       and stdout must stay byte-identical across --jobs values. *)
-    Format.eprintf "evaluator caches: %s@."
-      (Evaluator.render_cache_stats (Evaluator.cache_stats evaluator));
-    report_check_stats ();
+    report_metrics evaluator;
     Format.printf "@.greedy schedules:@.";
     Array.iteri
       (fun i op ->

@@ -22,23 +22,18 @@ let outcome_to_string = function
   | Skipped r -> "skipped: " ^ r
   | Mismatch r -> "MISMATCH: " ^ r
 
-type stats = { runs : int; skips : int; violations : int }
-
+(* Lock-free on the check path; the registry reads them at render time. *)
 let runs_ctr = Atomic.make 0
 let skips_ctr = Atomic.make 0
 let violations_ctr = Atomic.make 0
 
-let stats () =
-  {
-    runs = Atomic.get runs_ctr;
-    skips = Atomic.get skips_ctr;
-    violations = Atomic.get violations_ctr;
-  }
-
-let reset_stats () =
-  Atomic.set runs_ctr 0;
-  Atomic.set skips_ctr 0;
-  Atomic.set violations_ctr 0
+let () =
+  Util.Metrics.add_collector Util.Metrics.global (fun () ->
+      [
+        ("sanitize_runs_total", Atomic.get runs_ctr);
+        ("sanitize_skips_total", Atomic.get skips_ctr);
+        ("sanitize_violations_total", Atomic.get violations_ctr);
+      ])
 
 (* Digest-pair dedup registry. Size-capped: a pathological run that
    somehow produces hundreds of thousands of distinct pairs drops its

@@ -14,11 +14,14 @@
     transformed) comparison thousands of times. Enablement, the budget
     and all counters are process-global and domain-safe; the
     [MLIR_RL_SANITIZE] / [MLIR_RL_SANITIZE_BUDGET] environment
-    variables set the defaults.
+    variables set the defaults. The counters are lock-free atomics,
+    registered on {!Util.Metrics.global} as [sanitize_runs_total],
+    [sanitize_skips_total] and [sanitize_violations_total].
 
     Violations are {e counted}, not raised — the sanitizer is a
-    monitoring layer (surfaced in serve metrics and CLI stats); the
-    {!Verifier} is the fail-stop layer. *)
+    monitoring layer (surfaced in the CLI's [metrics:] line and the
+    serve [stats]/[metrics] replies); the {!Verifier} is the fail-stop
+    layer. *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
@@ -35,11 +38,6 @@ type outcome =
   | Matched  (** outputs agree within tolerance *)
   | Skipped of string  (** not executed (over budget, uninterpretable) *)
   | Mismatch of string  (** differential violation — includes evidence *)
-
-type stats = { runs : int; skips : int; violations : int }
-
-val stats : unit -> stats
-val reset_stats : unit -> unit
 
 val fresh_pair : reference:string -> candidate:string -> bool
 (** Global dedup registry keyed by digest pair: true exactly once per

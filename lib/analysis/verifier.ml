@@ -9,17 +9,16 @@ let enabled_flag =
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 
-type stats = { checks : int; violations : int }
-
+(* Lock-free on the check path; the registry reads them at render time. *)
 let checks_ctr = Atomic.make 0
 let violations_ctr = Atomic.make 0
 
-let stats () =
-  { checks = Atomic.get checks_ctr; violations = Atomic.get violations_ctr }
-
-let reset_stats () =
-  Atomic.set checks_ctr 0;
-  Atomic.set violations_ctr 0
+let () =
+  Util.Metrics.add_collector Util.Metrics.global (fun () ->
+      [
+        ("verify_checks_total", Atomic.get checks_ctr);
+        ("verify_violations_total", Atomic.get violations_ctr);
+      ])
 
 let check ?expected_digest (nest : Loop_nest.t) =
   match Loop_nest.validate nest with

@@ -28,13 +28,6 @@ let create ?evaluator ?robust cfg =
   (match Env_config.validate cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Env.create: " ^ msg));
-  (* The verifier/sanitizer switches are process-global (they must
-     cover forked worker envs and the shared evaluator path), so a
-     config asking for them turns them on for the process; a config
-     with them off leaves whatever MLIR_RL_VERIFY / MLIR_RL_SANITIZE
-     established untouched. *)
-  if cfg.Env_config.verify_transforms then Verifier.set_enabled true;
-  if cfg.Env_config.sanitize then Sanitizer.set_enabled true;
   let ev =
     match (robust, evaluator) with
     | Some r, _ -> Robust_evaluator.evaluator r

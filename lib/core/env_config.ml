@@ -22,12 +22,6 @@ type t = {
   static_legality : bool;
       (* intersect the paper's syntactic masks with the static
          dependence-analysis verdicts (lib/analysis) *)
-  verify_transforms : bool;
-      (* run the post-transform Verifier after every accepted
-         transformation *)
-  sanitize : bool;
-      (* differentially execute transformed nests against their
-         originals at measurement time *)
   footprint_features : bool;
       (* append per-level footprint / reuse-distance features to the
          observation; changes obs_dim, so off by default to keep
@@ -56,24 +50,11 @@ let default =
     machine = Machine.e5_2680_v4;
     features = all_features;
     static_legality = true;
-    (* The env-var defaults keep the flags in sync with the process-wide
-       toggles in lib/analysis, so MLIR_RL_VERIFY=1 / MLIR_RL_SANITIZE=1
-       turn the checks on everywhere without threading a config. *)
-    verify_transforms =
-      (match Sys.getenv_opt "MLIR_RL_VERIFY" with
-      | Some ("1" | "true" | "yes") -> true
-      | Some _ | None -> false);
-    sanitize =
-      (match Sys.getenv_opt "MLIR_RL_SANITIZE" with
-      | Some ("1" | "true" | "yes") -> true
-      | Some _ | None -> false);
     footprint_features = false;
   }
 
 let with_reward_mode reward_mode t = { t with reward_mode }
 let with_static_legality static_legality t = { t with static_legality }
-let with_verify verify_transforms t = { t with verify_transforms }
-let with_sanitize sanitize t = { t with sanitize }
 
 let with_footprint_features footprint_features t =
   { t with footprint_features }

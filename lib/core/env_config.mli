@@ -41,14 +41,6 @@ type t = {
       (** intersect the paper's syntactic action masks (§3.1.1) with the
           sound verdicts of the static dependence analysis
           ({!Legality}); on by default *)
-  verify_transforms : bool;
-      (** run the post-transform {!Verifier} (validate + bounds + digest
-          consistency) after every accepted transformation; defaults to
-          the [MLIR_RL_VERIFY] environment variable *)
-  sanitize : bool;
-      (** differentially execute transformed nests against their
-          originals at measurement time ({!Sanitizer}); defaults to the
-          [MLIR_RL_SANITIZE] environment variable *)
   footprint_features : bool;
       (** append 2·N per-level footprint / reuse-distance features to
           the observation. Changes [obs_dim] — and therefore network
@@ -63,8 +55,6 @@ val default : t
 
 val with_reward_mode : reward_mode -> t -> t
 val with_static_legality : bool -> t -> t
-val with_verify : bool -> t -> t
-val with_sanitize : bool -> t -> t
 val with_footprint_features : bool -> t -> t
 
 val n_tile_choices : t -> int

@@ -1,11 +1,7 @@
 let magic = "mlir-rl-params v1"
 
 let save_params path params =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
+  Util.Atomic_file.with_out ~path (fun oc ->
       output_string oc (magic ^ "\n");
       Printf.fprintf oc "%d\n" (List.length params);
       List.iter
@@ -20,8 +16,7 @@ let save_params path params =
             Printf.fprintf oc "%h" (Tensor.get data i)
           done;
           output_char oc '\n')
-        params);
-  Sys.rename tmp path
+        params)
 
 let load_params path params =
   if not (Sys.file_exists path) then

@@ -8,8 +8,9 @@
 
 val save_params : string -> Autodiff.Param.t list -> unit
 (** [save_params path params] writes all parameters to [path]
-    atomically (via a temporary file). Raises [Sys_error] on IO
-    failure. *)
+    atomically ({!Util.Atomic_file.with_out}: a uniquely named temporary
+    file, removed if the write fails), so concurrent saves to one path
+    leave one complete file. Raises [Sys_error] on IO failure. *)
 
 val load_params : string -> Autodiff.Param.t list -> (unit, string) result
 (** [load_params path params] restores values in place. Errors on

@@ -12,6 +12,6 @@ val sanitize_state : Sched_state.t -> Sanitizer.outcome option
     [None] when there is nothing to check (no transformations applied
     yet) or the (original, transformed) digest pair was already
     sanitized this process ({!Sanitizer.fresh_pair}). Mismatches are
-    counted in {!Sanitizer.stats} and logged to stderr; nothing is
-    raised. The caller is responsible for consulting
+    counted in [sanitize_violations_total] and logged to stderr;
+    nothing is raised. The caller is responsible for consulting
     {!Sanitizer.enabled}. *)

@@ -38,10 +38,10 @@ type t = {
      noise stream, so enabling it is bit-invisible to every consumer. *)
   mutable measure_hook : measure_hook option;
   (* A surrogate ranker's prediction-cache stats closure, attached so
-     its counters surface through the one {!cache_stats} record (CLI
-     stderr stats, serve /stats, Prometheus) instead of growing another
-     ad-hoc stats path. A closure rather than the cache itself keeps
-     the ranker's key type out of this interface. *)
+     its counters surface through the one {!cache_stats} record (and so
+     {!cache_counters}) instead of growing another ad-hoc stats path. A
+     closure rather than the cache itself keeps the ranker's key type
+     out of this interface. *)
   mutable surrogate_cache : (unit -> Util.Sharded_cache.stats) option;
 }
 
@@ -203,37 +203,19 @@ let cache_stats t =
     surrogate = Option.map (fun stats -> stats ()) t.surrogate_cache;
   }
 
-(* The tagged cache groups of a stats record, present-only — the single
-   source both renderers (and serve's Prometheus dump) fold over. *)
-let cache_stats_groups stats =
+(* One counter per (cache, field), present caches only — the names every
+   telemetry registry renders these caches under. *)
+let cache_counters stats =
   [ ("base", Some stats.base); ("state", stats.state);
     ("surrogate", stats.surrogate) ]
-  |> List.filter_map (fun (tag, s) -> Option.map (fun s -> (tag, s)) s)
-
-let render_cache_stats stats =
-  let one (tag, (s : Util.Sharded_cache.stats)) =
-    let total = s.Util.Sharded_cache.hits + s.Util.Sharded_cache.misses in
-    let rate =
-      if total = 0 then 0.0
-      else 100.0 *. float_of_int s.Util.Sharded_cache.hits /. float_of_int total
-    in
-    Printf.sprintf
-      "%s %d/%d hits (%.1f%%, %d evictions, %d contended, %d live/%d cap)" tag
-      s.Util.Sharded_cache.hits total rate s.Util.Sharded_cache.evictions
-      s.Util.Sharded_cache.contention s.Util.Sharded_cache.size
-      s.Util.Sharded_cache.capacity
-  in
-  let groups = List.map one (cache_stats_groups stats) in
-  let groups =
-    if stats.state = None then groups @ [ "state cache disabled" ] else groups
-  in
-  String.concat " | " groups
-
-let render_cache_kv stats =
-  String.concat " "
-    (List.map
-       (fun (tag, (s : Util.Sharded_cache.stats)) ->
-         Printf.sprintf "eval_%s_hits=%d eval_%s_misses=%d eval_%s_contention=%d"
-           tag s.Util.Sharded_cache.hits tag s.Util.Sharded_cache.misses tag
-           s.Util.Sharded_cache.contention)
-       (cache_stats_groups stats))
+  |> List.concat_map (fun (tag, s) ->
+         match s with
+         | None -> []
+         | Some (s : Util.Sharded_cache.stats) ->
+             let name f = Printf.sprintf "eval_%s_cache_%s_total" tag f in
+             [
+               (name "hits", s.Util.Sharded_cache.hits);
+               (name "misses", s.Util.Sharded_cache.misses);
+               (name "evictions", s.Util.Sharded_cache.evictions);
+               (name "contention", s.Util.Sharded_cache.contention);
+             ])

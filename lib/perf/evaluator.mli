@@ -111,10 +111,10 @@ val set_measure_hook : t -> measure_hook option -> unit
 
 val attach_surrogate_cache : t -> (unit -> Util.Sharded_cache.stats) -> unit
 (** Attach a surrogate ranker's prediction-cache stats so its counters
-    appear in {!cache_stats} (and hence CLI stderr stats, serve
-    [/stats] and Prometheus) alongside the base/state caches. Takes a
-    closure, not the cache, so rankers may key their cache however they
-    like. Purely observational: the evaluator never touches the cache. *)
+    appear in {!cache_stats} (and hence {!cache_counters}) alongside the
+    base/state caches. Takes a closure, not the cache, so rankers may
+    key their cache however they like. Purely observational: the
+    evaluator never touches the cache. *)
 
 type cache_stats = {
   base : Util.Sharded_cache.stats;  (** base-time cache, keyed by op *)
@@ -131,17 +131,9 @@ val cache_stats : t -> cache_stats
     collection they depend on scheduling — report them on stderr or in
     metrics, never on determinism-checked stdout). *)
 
-val cache_stats_groups :
-  cache_stats -> (string * Util.Sharded_cache.stats) list
-(** The present cache groups as [(tag, stats)] pairs, in fixed
-    [base; state; surrogate] order — the single source every renderer
-    (human, key=value, Prometheus) folds over. *)
-
-val render_cache_stats : cache_stats -> string
-(** One-line human-readable rendering of {!cache_stats} — what the CLI
-    prints after [autoschedule]/[train] and serve exposes in stats. *)
-
-val render_cache_kv : cache_stats -> string
-(** [eval_<tag>_hits=N eval_<tag>_misses=N] pairs for each present
-    cache, space-separated — the machine-readable form serve's
-    [/stats] body embeds. *)
+val cache_counters : cache_stats -> (string * int) list
+(** [eval_<tag>_cache_{hits,misses,evictions,contention}_total] for each
+    present cache, tags in [base; state; surrogate] order. Whoever owns
+    the evaluator passes [fun () -> cache_counters (cache_stats ev)] to
+    {!Util.Metrics.add_collector}, so CLI stderr, serve [stats] and
+    Prometheus render one set of names. *)

@@ -72,7 +72,7 @@ type t = {
   engine : Engine.t;
   cfg : config;
   pool : Util.Domain_pool.t;
-  metrics : Metrics.t;
+  metrics : Util.Metrics.t;
   mutex : Mutex.t;
   cond : Condition.t;  (** drain waiters; the dispatcher waits on [waker] *)
   waker : Waker.t;
@@ -93,13 +93,15 @@ let code_counter code =
   "serve_replies_" ^ Protocol.error_code_to_string code ^ "_total"
 
 let reply_error t job code message =
-  Metrics.incr t.metrics (code_counter code);
-  Metrics.observe t.metrics "serve_latency_seconds" (now () -. job.submitted_at);
+  Util.Metrics.incr t.metrics (code_counter code);
+  Util.Metrics.observe t.metrics "serve_latency_seconds"
+    (now () -. job.submitted_at);
   job.reply (Protocol.Error_reply { e_id = job.j_id; code; message })
 
 let reply_ok t job (o : Engine.outcome) =
-  Metrics.incr t.metrics "serve_replies_ok_total";
-  Metrics.observe t.metrics "serve_latency_seconds" (now () -. job.submitted_at);
+  Util.Metrics.incr t.metrics "serve_replies_ok_total";
+  Util.Metrics.observe t.metrics "serve_latency_seconds"
+    (now () -. job.submitted_at);
   job.reply
     (Protocol.Ok_reply
        {
@@ -116,10 +118,11 @@ let run_batch t (items : job Batcher.item list) =
   let t0 = now () in
   List.iter
     (fun (it : job Batcher.item) ->
-      Metrics.observe t.metrics "serve_queue_wait_seconds"
+      Util.Metrics.observe t.metrics "serve_queue_wait_seconds"
         (t0 -. it.Batcher.enqueued_at))
     items;
-  Metrics.observe t.metrics "serve_batch_size" (float_of_int (Array.length jobs));
+  Util.Metrics.observe t.metrics "serve_batch_size"
+    (float_of_int (Array.length jobs));
   let results =
     try Engine.solve_batch t.engine (Array.map (fun j -> j.op) jobs)
     with e ->
@@ -177,7 +180,7 @@ let dispatcher_loop t =
     Mutex.unlock t.mutex;
     List.iter
       (fun (it : job Batcher.item) ->
-        Metrics.incr t.metrics "serve_expired_total";
+        Util.Metrics.incr t.metrics "serve_expired_total";
         reply_error t it.Batcher.payload Protocol.Deadline_exceeded
           "deadline expired while queued")
       expired;
@@ -211,7 +214,7 @@ let create ?(config = default_config) engine =
       engine;
       cfg = config;
       pool = Util.Domain_pool.create ~size:config.workers;
-      metrics = Metrics.create ();
+      metrics = Util.Metrics.create ();
       mutex = Mutex.create ();
       cond = Condition.create ();
       waker = Waker.create ();
@@ -222,13 +225,22 @@ let create ?(config = default_config) engine =
       drain_done = false;
     }
   in
+  (* The evaluator caches sit below the result cache: base times per op
+     and memoized state seconds per nest digest, shared by every forked
+     rollout env. *)
+  Util.Metrics.add_collector t.metrics (fun () ->
+      Evaluator.cache_counters (Engine.evaluator_cache_stats engine));
   t.dispatcher <- Some (Domain.spawn (fun () -> dispatcher_loop t));
   t
 
+(* The instance fields are one snapshot under the lock: the dispatcher
+   pops a batch and bumps [in_flight] in one critical section, so an
+   unlocked read could show neither. The registries render outside it,
+   because the evaluator collector takes the cache shard locks. *)
 let stats_body t =
   let cache = Engine.cache_stats t.engine in
-  let eval = Engine.evaluator_cache_stats t.engine in
-  let extra =
+  Mutex.lock t.mutex;
+  let fields =
     Printf.sprintf
       "state=%s queue=%d in_flight=%d admitted=%d shed=%d expired=%d \
        cache_hits=%d cache_misses=%d cache_size=%d"
@@ -243,68 +255,13 @@ let stats_body t =
       cache.Util.Sharded_cache.hits cache.Util.Sharded_cache.misses
       cache.Util.Sharded_cache.size
   in
-  (* The evaluator caches sit below the result cache: base times per op
-     and memoized state seconds per nest digest, shared by every forked
-     rollout env. *)
-  let eval_extra = Evaluator.render_cache_kv eval in
-  (* Verifier / differential-sanitizer counters (process-global in
-     lib/analysis; populated only when MLIR_RL_VERIFY / MLIR_RL_SANITIZE
-     enabled them, otherwise all zero). *)
-  let analysis_extra =
-    let v = Verifier.stats () in
-    let s = Sanitizer.stats () in
-    let sg = Surrogate.Counters.stats () in
-    Printf.sprintf
-      "verify_checks=%d verify_violations=%d sanitize_runs=%d \
-       sanitize_skips=%d sanitize_violations=%d surrogate_scored=%d \
-       surrogate_reranked=%d surrogate_searches=%d"
-      v.Verifier.checks v.Verifier.violations s.Sanitizer.runs
-      s.Sanitizer.skips s.Sanitizer.violations sg.Surrogate.Counters.scored
-      sg.Surrogate.Counters.reranked sg.Surrogate.Counters.searches
-  in
-  extra ^ " " ^ eval_extra ^ " " ^ analysis_extra ^ " "
-  ^ Metrics.stats_line t.metrics
-
-(* Evaluator-cache counters appended to the Prometheus dump, read at
-   render time from the shared sharded-cache counters. *)
-let eval_cache_metrics t =
-  let s = Engine.evaluator_cache_stats t.engine in
-  let b = Buffer.create 256 in
-  let counter name v =
-    Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n%s %d\n" name name v)
-  in
-  let cache tag (c : Util.Sharded_cache.stats) =
-    counter
-      (Printf.sprintf "serve_eval_%s_cache_hits_total" tag)
-      c.Util.Sharded_cache.hits;
-    counter
-      (Printf.sprintf "serve_eval_%s_cache_misses_total" tag)
-      c.Util.Sharded_cache.misses;
-    counter
-      (Printf.sprintf "serve_eval_%s_cache_evictions_total" tag)
-      c.Util.Sharded_cache.evictions;
-    counter
-      (Printf.sprintf "serve_eval_%s_cache_contention_total" tag)
-      c.Util.Sharded_cache.contention
-  in
-  List.iter
-    (fun (tag, st) -> cache tag st)
-    (Evaluator.cache_stats_groups s);
-  let sg = Surrogate.Counters.stats () in
-  counter "serve_surrogate_scored_total" sg.Surrogate.Counters.scored;
-  counter "serve_surrogate_reranked_total" sg.Surrogate.Counters.reranked;
-  counter "serve_surrogate_searches_total" sg.Surrogate.Counters.searches;
-  let v = Verifier.stats () in
-  let sz = Sanitizer.stats () in
-  counter "serve_verify_checks_total" v.Verifier.checks;
-  counter "serve_verify_violations_total" v.Verifier.violations;
-  counter "serve_sanitize_runs_total" sz.Sanitizer.runs;
-  counter "serve_sanitize_skips_total" sz.Sanitizer.skips;
-  counter "serve_sanitize_violations_total" sz.Sanitizer.violations;
-  Buffer.contents b
+  Mutex.unlock t.mutex;
+  String.concat " "
+    (fields
+    :: List.map Util.Metrics.stats_line [ t.metrics; Util.Metrics.global ])
 
 let submit t (req : Protocol.request) reply =
-  Metrics.incr t.metrics "serve_requests_total";
+  Util.Metrics.incr t.metrics "serve_requests_total";
   match req with
   | Protocol.Ping { id } -> reply (Protocol.Pong { p_id = id })
   | Protocol.Stats { id } ->
@@ -312,12 +269,17 @@ let submit t (req : Protocol.request) reply =
   | Protocol.Metrics { id } ->
       reply
         (Protocol.Metrics_reply
-           { m_id = id; body = Metrics.render t.metrics ^ eval_cache_metrics t })
+           {
+             m_id = id;
+             body =
+               Util.Metrics.render t.metrics
+               ^ Util.Metrics.render Util.Metrics.global;
+           })
   | Protocol.Optimize { id; target; deadline_ms } -> (
       let submitted_at = now () in
       match Engine.resolve_target t.engine target with
       | Error (code, msg) ->
-          Metrics.incr t.metrics (code_counter code);
+          Util.Metrics.incr t.metrics (code_counter code);
           reply (Protocol.Error_reply { e_id = id; code; message = msg })
       | Ok op -> (
           let job = { j_id = id; op; reply; submitted_at } in
@@ -337,7 +299,7 @@ let submit t (req : Protocol.request) reply =
           match verdict with
           | `Admitted -> ()
           | `Shed ->
-              Metrics.incr t.metrics "serve_shed_total";
+              Util.Metrics.incr t.metrics "serve_shed_total";
               reply_error t job Protocol.Overloaded "admission queue full"
           | `Shutting_down ->
               reply_error t job Protocol.Shutting_down "server is draining"))

@@ -51,12 +51,18 @@ val drain : t -> unit
     from several threads — one caller does the work, the rest block
     until the drain completes. *)
 
-val metrics : t -> Metrics.t
+val metrics : t -> Util.Metrics.t
 (** Live registry — counters [serve_requests_total],
     [serve_replies_total{...}]-style per-code counters, histograms
     [serve_latency_seconds], [serve_queue_wait_seconds],
-    [serve_batch_size]. See [docs/serving.md] for the full reference. *)
+    [serve_batch_size], and the engine evaluator's
+    [eval_<tag>_cache_*_total] counters as a collector. The [metrics]
+    reply renders it followed by {!Util.Metrics.global}. See
+    [docs/serving.md] for the full reference. *)
 
 val stats_body : t -> string
-(** The [k=v] body served for [stats] requests: metrics summary plus
-    engine cache and batcher counters. *)
+(** The [k=v] body served for [stats] requests: the instance fields
+    ([state queue in_flight admitted shed expired cache_hits
+    cache_misses cache_size], one snapshot under the server lock), then
+    {!Util.Metrics.stats_line} of {!metrics} and of
+    {!Util.Metrics.global}. *)

@@ -82,7 +82,7 @@ type t = {
   slots : slot array;
   mutex : Mutex.t;
   cond : Condition.t;  (* in_flight decrements and drain progress *)
-  metrics : Metrics.t;
+  metrics : Util.Metrics.t;
   mutable draining : bool;
   mutable heartbeat : Thread.t option;
   mutable heartbeat_stop : bool;
@@ -110,16 +110,16 @@ let draining t =
 
 let update_slot_gauges_locked t slot ~now =
   let g fmt = Printf.sprintf fmt slot.index in
-  Metrics.set_gauge t.metrics
+  Util.Metrics.set_gauge t.metrics
     (g "fleet_replica_%d_up")
     (if slot.state = Up then 1.0 else 0.0);
-  Metrics.set_gauge t.metrics
+  Util.Metrics.set_gauge t.metrics
     (g "fleet_replica_%d_breaker_state")
     (Breaker.state_to_float (Breaker.state slot.breaker ~now));
-  Metrics.set_gauge t.metrics
+  Util.Metrics.set_gauge t.metrics
     (g "fleet_replica_%d_in_flight")
     (float_of_int slot.in_flight);
-  Metrics.set_gauge t.metrics
+  Util.Metrics.set_gauge t.metrics
     (g "fleet_replica_%d_restarts")
     (float_of_int slot.restarts)
 
@@ -140,7 +140,7 @@ let take_down_locked t slot =
   | Some p -> p.Replica.kill ()
   | None -> ());
   slot.proc <- None;
-  Metrics.incr t.metrics "fleet_replica_down_total";
+  Util.Metrics.incr t.metrics "fleet_replica_down_total";
   schedule_restart_locked t slot;
   update_slot_gauges_locked t slot ~now:(t.now ())
 
@@ -157,10 +157,10 @@ let install_launch_locked t slot result ~relaunch =
       slot.started_at <- t.now ();
       if relaunch then begin
         slot.restarts <- slot.restarts + 1;
-        Metrics.incr t.metrics "fleet_restarts_total"
+        Util.Metrics.incr t.metrics "fleet_restarts_total"
       end
   | Error _ ->
-      Metrics.incr t.metrics "fleet_launch_failures_total";
+      Util.Metrics.incr t.metrics "fleet_launch_failures_total";
       schedule_restart_locked t slot);
   update_slot_gauges_locked t slot ~now:(t.now ())
 
@@ -200,7 +200,7 @@ let create ?(config = default_config) ?now ?sleep ~launcher () =
           slots = Array.init config.replicas mk_slot;
           mutex = Mutex.create ();
           cond = Condition.create ();
-          metrics = Metrics.create ();
+          metrics = Util.Metrics.create ();
           draining = false;
           heartbeat = None;
           heartbeat_stop = false;
@@ -270,20 +270,20 @@ let tick t =
             if slot.state = Starting then begin
               slot.state <- Up;
               Backoff.reset slot.backoff;
-              Metrics.incr t.metrics "fleet_replica_ready_total"
+              Util.Metrics.incr t.metrics "fleet_replica_ready_total"
             end
           end
           else begin
-            Metrics.incr t.metrics "fleet_health_failures_total";
+            Util.Metrics.incr t.metrics "fleet_health_failures_total";
             if not (proc.Replica.alive ()) then begin
-              Metrics.incr t.metrics "fleet_crashes_detected_total";
+              Util.Metrics.incr t.metrics "fleet_crashes_detected_total";
               take_down_locked t slot
             end
             else if slot.state = Starting then begin
               (* Not serving yet: give it ready_timeout_s, no breaker
                  food (a loading replica is not misbehaving). *)
               if now -. slot.started_at > t.cfg.ready_timeout_s then begin
-                Metrics.incr t.metrics "fleet_ready_timeouts_total";
+                Util.Metrics.incr t.metrics "fleet_ready_timeouts_total";
                 take_down_locked t slot
               end
             end
@@ -293,7 +293,7 @@ let tick t =
                  a stall is a crash that forgot to exit. *)
               Breaker.record_failure slot.breaker ~now;
               if Breaker.state slot.breaker ~now = Open then begin
-                Metrics.incr t.metrics "fleet_stall_recycles_total";
+                Util.Metrics.incr t.metrics "fleet_stall_recycles_total";
                 take_down_locked t slot
               end
             end
@@ -385,10 +385,10 @@ let finish_attempt t (slot, (proc : Replica.t), gen) outcome =
      match outcome with
      | Ok _ -> Breaker.record_success slot.breaker ~now
      | Error _ ->
-         Metrics.incr t.metrics "fleet_transport_errors_total";
+         Util.Metrics.incr t.metrics "fleet_transport_errors_total";
          Breaker.record_failure slot.breaker ~now;
          if not (proc.Replica.alive ()) then begin
-           Metrics.incr t.metrics "fleet_crashes_detected_total";
+           Util.Metrics.incr t.metrics "fleet_crashes_detected_total";
            take_down_locked t slot
          end);
   update_slot_gauges_locked t slot ~now;
@@ -406,16 +406,16 @@ let route_optimize t req ~id ~key =
   let started = t.now () in
   let fail code message = Protocol.Error_reply { e_id = id; code; message } in
   let ok resp =
-    Metrics.observe t.metrics "fleet_latency_seconds" (t.now () -. started);
+    Util.Metrics.observe t.metrics "fleet_latency_seconds" (t.now () -. started);
     (match resp with
-    | Protocol.Ok_reply _ -> Metrics.incr t.metrics "fleet_replies_ok_total"
-    | _ -> Metrics.incr t.metrics "fleet_replies_other_total");
+    | Protocol.Ok_reply _ -> Util.Metrics.incr t.metrics "fleet_replies_ok_total"
+    | _ -> Util.Metrics.incr t.metrics "fleet_replies_other_total");
     resp
   in
-  Metrics.incr t.metrics "fleet_requests_total";
+  Util.Metrics.incr t.metrics "fleet_requests_total";
   match pick t ~key ~exclude:[] with
   | None ->
-      Metrics.incr t.metrics "fleet_unavailable_total";
+      Util.Metrics.incr t.metrics "fleet_unavailable_total";
       fail Protocol.Unavailable
         "no healthy replica (fleet down, restarting, or shedding)"
   | Some ((slot1, _, _) as res1) -> (
@@ -424,24 +424,24 @@ let route_optimize t req ~id ~key =
       | Error e1 -> (
           let e1s = Replica.error_to_string e1 in
           if not t.cfg.hedge then begin
-            Metrics.incr t.metrics "fleet_upstream_failures_total";
+            Util.Metrics.incr t.metrics "fleet_upstream_failures_total";
             fail Protocol.Upstream_failure e1s
           end
           else begin
-            Metrics.incr t.metrics "fleet_hedges_total";
+            Util.Metrics.incr t.metrics "fleet_hedges_total";
             match pick t ~key ~exclude:[ slot1.index ] with
             | None ->
-                Metrics.incr t.metrics "fleet_upstream_failures_total";
+                Util.Metrics.incr t.metrics "fleet_upstream_failures_total";
                 fail Protocol.Upstream_failure
                   (Printf.sprintf "replica %d failed (%s); no hedge target"
                      slot1.index e1s)
             | Some res2 -> (
                 match attempt t res2 req with
                 | Ok resp ->
-                    Metrics.incr t.metrics "fleet_hedge_rescues_total";
+                    Util.Metrics.incr t.metrics "fleet_hedge_rescues_total";
                     ok resp
                 | Error e2 ->
-                    Metrics.incr t.metrics "fleet_upstream_failures_total";
+                    Util.Metrics.incr t.metrics "fleet_upstream_failures_total";
                     fail Protocol.Upstream_failure
                       (Printf.sprintf
                          "replica %d failed (%s); hedge on replica %d failed \
@@ -493,7 +493,7 @@ let status_body t =
            (Breaker.state_to_string r.rs_breaker)
            r.rs_in_flight r.rs_generation))
     st;
-  Buffer.add_string b (Metrics.stats_line t.metrics);
+  Buffer.add_string b (Util.Metrics.stats_line t.metrics);
   Buffer.contents b
 
 let scrape_replicas t =
@@ -521,7 +521,7 @@ let render_metrics t =
   Mutex.lock t.mutex;
   update_gauges_locked t;
   Mutex.unlock t.mutex;
-  Metrics.merge_rendered (Metrics.render t.metrics :: scrape_replicas t)
+  Util.Metrics.merge_rendered (Util.Metrics.render t.metrics :: scrape_replicas t)
 
 (* ---------- front door ---------- *)
 
@@ -614,7 +614,7 @@ let reload ?launcher t =
             errors :=
               Printf.sprintf "replica %d: relaunch failed: %s" slot.index e
               :: !errors;
-            Metrics.incr t.metrics "fleet_launch_failures_total";
+            Util.Metrics.incr t.metrics "fleet_launch_failures_total";
             slot.restarting <- false;
             schedule_restart_locked t slot
         | Ok _ -> install_launch_locked t slot result ~relaunch:true);
@@ -645,7 +645,7 @@ let reload ?launcher t =
             if not (wait_ready ()) then begin
               Mutex.lock t.mutex;
               if slot.generation = gen then begin
-                Metrics.incr t.metrics "fleet_ready_timeouts_total";
+                Util.Metrics.incr t.metrics "fleet_ready_timeouts_total";
                 take_down_locked t slot
               end;
               Mutex.unlock t.mutex;
@@ -655,7 +655,7 @@ let reload ?launcher t =
             end
       end)
     t.slots;
-  Metrics.incr t.metrics "fleet_reloads_total";
+  Util.Metrics.incr t.metrics "fleet_reloads_total";
   match !errors with
   | [] -> Ok ()
   | es -> Error (String.concat "; " (List.rev es))

@@ -123,15 +123,15 @@ val status : t -> replica_status array
 
 val status_body : t -> string
 (** Multi-line fleet status: one [k=v] header line, one line per
-    replica, then the supervisor's {!Metrics.stats_line}. *)
+    replica, then the supervisor's {!Util.Metrics.stats_line}. *)
 
-val metrics : t -> Metrics.t
+val metrics : t -> Util.Metrics.t
 (** The supervisor's own registry: [fleet_*] counters and histograms
     plus per-replica [fleet_replica_<i>_up] / [..._breaker_state] /
     [..._in_flight] gauges. *)
 
 val render_metrics : t -> string
-(** {!Metrics.merge_rendered} of the supervisor's registry and a
+(** {!Util.Metrics.merge_rendered} of the supervisor's registry and a
     deadline-bounded [metrics] scrape of every live replica: one
     Prometheus document with fleet-level series and the replicas'
     [serve_*] series summed across the fleet. *)

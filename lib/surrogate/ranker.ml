@@ -116,7 +116,7 @@ let memo_add_locked t key v =
 
 (* One guarded forward over the reused input tensor. Features are raw;
    normalization lives inside the model. *)
-let forward t features =
+let score_features t features =
   Mutex.lock t.forward_mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.forward_mutex)
@@ -131,10 +131,6 @@ let forward t features =
       Tensor.Workspace.reset t.ws;
       let y = Layers.forward_batch ~ws:t.ws (Model.net t.model) t.input in
       (Tensor.get y 0 *. Model.target_std t.model) +. Model.target_mean t.model)
-
-let score_features t features =
-  Counters.add_scored 1;
-  forward t features
 
 (* Callers hold cache_mutex. *)
 let op_prefix_locked t op =
@@ -271,7 +267,6 @@ let score_schedules t op (scheds : Schedule.t array) =
       keys;
     Mutex.unlock t.cache_mutex;
     let misses = List.rev !misses in
-    Counters.add_scored (List.length misses);
     score_misses t op_blk misses out;
     lock_cache t;
     List.iter

@@ -34,12 +34,13 @@ val cache_stats : t -> Util.Sharded_cache.stats
 
 val attach : t -> Evaluator.t -> unit
 (** Expose this ranker's prediction cache as the evaluator's surrogate
-    cache group ({!Evaluator.attach_surrogate_cache}), so CLI stderr
-    and serve [/stats] report its hit rates alongside base/state. *)
+    cache group ({!Evaluator.attach_surrogate_cache}), so
+    {!Evaluator.cache_counters} reports it as
+    [eval_surrogate_cache_*_total] alongside base/state. Its [misses]
+    count the candidates the network actually scored. *)
 
 val score_features : t -> float array -> float
-(** Predicted log-seconds for a raw feature vector (uncached; counts
-    toward {!Counters}). *)
+(** Predicted log-seconds for a raw feature vector (uncached). *)
 
 val score_schedule : t -> Linalg.t -> Schedule.t -> float
 (** Predicted log-seconds of running [op] under [sched] — memoized by

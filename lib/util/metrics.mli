@@ -1,5 +1,4 @@
-(** Server metrics: counters and latency histograms, layer of [lib/serve]
-    shared by the batcher, server and frontends.
+(** Telemetry registry: counters, gauges and latency histograms.
 
     A {!t} is a small mutex-guarded registry, safe to update from worker
     domains and frontend threads. Histograms use logarithmic buckets
@@ -7,13 +6,31 @@
     histogram spans microseconds to minutes with bounded relative error,
     and quantile estimates never cost more than a bucket walk.
 
+    A layer that keeps its own counters (lock-free atomics on a check
+    path, cache hit counters) exposes them through {!add_collector}
+    instead of copying them in: the registry reads them at render time.
+    Process-wide layers register on {!global}; whoever owns a
+    per-instance component registers it on the owner's registry.
+
     Everything renders to the Prometheus text exposition format
     ({!render}) — scrapeable with [curl | grep] — and to a compact
-    [k=v] line for the wire protocol's [stats] verb ({!stats_line}). *)
+    [k=v] line ({!stats_line}): the serve [stats] reply and the CLI's
+    stderr [metrics:] line. *)
 
 type t
 
 val create : unit -> t
+
+val global : t
+(** The process-wide registry: the verifier and sanitizer register
+    their check counters here at module initialisation. *)
+
+val add_collector : t -> (unit -> (string * int) list) -> unit
+(** [add_collector t f] adds counters owned by another layer: every
+    {!counter}, {!render} and {!stats_line} call runs [f] and reads its
+    [(name, value)] pairs as counters. Values for one name sum across
+    collectors and the registry's own counter of that name. [f] runs
+    outside the registry lock, so it may take its own locks. *)
 
 (** {1 Counters} *)
 
@@ -21,7 +38,8 @@ val incr : t -> ?by:int -> string -> unit
 (** Bump counter [name], creating it at 0 first. [by] defaults to 1. *)
 
 val counter : t -> string -> int
-(** Current value; 0 for a counter never bumped. *)
+(** Current value, collected counters included; 0 for a counter never
+    bumped. *)
 
 (** {1 Gauges}
 

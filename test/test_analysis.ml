@@ -7,6 +7,19 @@
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* The check counters are process-wide, so tests read deltas: the
+   function returned by [counters_since ()] gives how far a counter has
+   moved since that call. *)
+let counters_since () =
+  let counter = Util.Metrics.counter Util.Metrics.global in
+  let before =
+    List.map
+      (fun n -> (n, counter n))
+      [ "verify_checks_total"; "verify_violations_total"; "sanitize_runs_total";
+        "sanitize_skips_total"; "sanitize_violations_total" ]
+  in
+  fun name -> counter name - List.assoc name before
+
 let sched s =
   match Schedule.of_string s with
   | Ok sc -> sc
@@ -281,30 +294,27 @@ let test_verifier_mutations () =
   | Ok () -> Alcotest.fail "verifier accepted a stale digest"
   | Error e -> check "reports digest drift" true (String.sub e 0 6 = "digest"));
   (* The counted entry point raises and counts. *)
-  Verifier.reset_stats ();
+  let moved = counters_since () in
   (try
      Verifier.run broken;
      Alcotest.fail "Verifier.run did not raise"
    with Verifier.Violation _ -> ());
-  let s = Verifier.stats () in
-  check_int "one check" 1 s.Verifier.checks;
-  check_int "one violation" 1 s.Verifier.violations
+  check_int "one check" 1 (moved "verify_checks_total");
+  check_int "one violation" 1 (moved "verify_violations_total")
 
 let test_verifier_in_apply () =
-  Verifier.reset_stats ();
+  let moved = counters_since () in
   Verifier.set_enabled true;
   Fun.protect
-    ~finally:(fun () ->
-      Verifier.set_enabled false;
-      Verifier.reset_stats ())
+    ~finally:(fun () -> Verifier.set_enabled false)
     (fun () ->
       let op = Test_helpers.small_conv () in
       ignore (apply_exn op "T(0,2,2,2,0,0,0) V");
       ignore (apply_exn op "C T(8,2,3) S(1) V");
-      let s = Verifier.stats () in
       check "apply ran a verifier check per transformation" true
-        (s.Verifier.checks >= 6);
-      check_int "no violations on legal schedules" 0 s.Verifier.violations)
+        (moved "verify_checks_total" >= 6);
+      check_int "no violations on legal schedules" 0
+        (moved "verify_violations_total"))
 
 (* ------------------------------------------------------------------ *)
 (* Sanitizer                                                          *)
@@ -356,7 +366,6 @@ let test_sanitizer_sound_on_legal_transforms () =
         | Sanitizer.Skipped _ -> ())
       candidates
   done;
-  Sanitizer.reset_stats ();
   check "differential actually executed" true (!ran > 100)
 
 let test_sanitizer_full_schedules () =
@@ -385,8 +394,7 @@ let test_sanitizer_full_schedules () =
       | None ->
           Alcotest.failf "%s on %s: pair already seen or nothing to do" s
             op.Linalg.op_name)
-    cases;
-  Sanitizer.reset_stats ()
+    cases
 
 (* Rewrite only the reduction subscript of the loads of one buffer —
    a targeted miscompile. (A uniform rewrite of every occurrence of an
@@ -436,9 +444,7 @@ let test_sanitizer_catches_miscompile () =
   let old = Sanitizer.budget () in
   Sanitizer.set_budget 4;
   Fun.protect
-    ~finally:(fun () ->
-      Sanitizer.set_budget old;
-      Sanitizer.reset_stats ())
+    ~finally:(fun () -> Sanitizer.set_budget old)
     (fun () ->
       match Sanitizer.check ~reference:nest ~candidate:mutant with
       | Sanitizer.Skipped _ -> ()
@@ -447,24 +453,22 @@ let test_sanitizer_catches_miscompile () =
             (Sanitizer.outcome_to_string o))
 
 let test_sanitizer_stats () =
-  Sanitizer.reset_stats ();
+  let moved = counters_since () in
   let nest = Lower.to_loop_nest (Linalg.matmul ~m:2 ~n:2 ~k:2 ()) in
   (match Sanitizer.check ~reference:nest ~candidate:nest with
   | Sanitizer.Matched -> ()
   | o -> Alcotest.failf "identity pair: %s" (Sanitizer.outcome_to_string o));
   ignore (Sanitizer.skip "test");
-  let s = Sanitizer.stats () in
-  check_int "runs" 1 s.Sanitizer.runs;
-  check_int "skips" 1 s.Sanitizer.skips;
-  check_int "violations" 0 s.Sanitizer.violations;
+  check_int "runs" 1 (moved "sanitize_runs_total");
+  check_int "skips" 1 (moved "sanitize_skips_total");
+  check_int "violations" 0 (moved "sanitize_violations_total");
   (* fresh_pair admits each digest pair exactly once. *)
   let d = Loop_nest.digest nest in
   let other = Loop_nest.digest (buggy_interchange nest) in
   check "first sighting" true
     (Sanitizer.fresh_pair ~reference:d ~candidate:other);
   check "second sighting" false
-    (Sanitizer.fresh_pair ~reference:d ~candidate:other);
-  Sanitizer.reset_stats ()
+    (Sanitizer.fresh_pair ~reference:d ~candidate:other)
 
 (* ------------------------------------------------------------------ *)
 (* Observation features and lint satellites                           *)

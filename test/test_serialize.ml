@@ -135,6 +135,41 @@ let test_golden_file_compat () =
   Sys.remove path;
   Sys.remove path2
 
+let test_concurrent_saves () =
+  (* Two domains save different weights to one path, 20 times each.
+     Every save must return, the file must load as one of the two
+     complete weight sets, and no temporary file may be left behind. *)
+  let weights seed =
+    Layers.mlp_params (Layers.mlp (Util.Rng.create seed) ~dims:[ 8; 16; 4 ] "m")
+  in
+  let a = weights 1 and b = weights 2 in
+  let dir = Filename.temp_file "mlir_rl_saves" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let path = Filename.concat dir "w.params" in
+  let saver params () =
+    List.init 20 (fun _ ->
+        match Serialize.save_params path params with
+        | () -> true
+        | exception Sys_error _ -> false)
+  in
+  let other = Domain.spawn (saver b) in
+  let mine = saver a () in
+  let theirs = Domain.join other in
+  Alcotest.(check bool) "every save returned" true
+    (List.for_all Fun.id (mine @ theirs));
+  let loaded = weights 3 in
+  (match Serialize.load_params path loaded with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "file holds one complete weight set" true
+    (Serialize.params_equal loaded a || Serialize.params_equal loaded b);
+  Alcotest.(check (list string))
+    "no temp file left behind" [ "w.params" ]
+    (Array.to_list (Sys.readdir dir));
+  Sys.remove path;
+  Sys.rmdir dir
+
 let suite =
   [
     Alcotest.test_case "roundtrip params" `Quick test_roundtrip_params;
@@ -146,4 +181,6 @@ let suite =
     Alcotest.test_case "policy roundtrip behaviour" `Quick
       test_policy_roundtrip_behaviour;
     Alcotest.test_case "exact float roundtrip" `Quick test_exact_float_roundtrip;
+    Alcotest.test_case "concurrent saves to one path" `Quick
+      test_concurrent_saves;
   ]

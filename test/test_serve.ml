@@ -237,31 +237,31 @@ let test_batcher_next_event () =
 (* ------------------------------------------------------------------ *)
 
 let test_metrics_counters () =
-  let m = Serve.Metrics.create () in
-  check_int "unbumped counter reads 0" 0 (Serve.Metrics.counter m "x");
-  Serve.Metrics.incr m "x";
-  Serve.Metrics.incr m "x" ~by:4;
-  check_int "incr accumulates" 5 (Serve.Metrics.counter m "x")
+  let m = Util.Metrics.create () in
+  check_int "unbumped counter reads 0" 0 (Util.Metrics.counter m "x");
+  Util.Metrics.incr m "x";
+  Util.Metrics.incr m "x" ~by:4;
+  check_int "incr accumulates" 5 (Util.Metrics.counter m "x")
 
 let test_metrics_histogram () =
-  let m = Serve.Metrics.create () in
+  let m = Util.Metrics.create () in
   check "empty histogram has no quantile" true
-    (Serve.Metrics.quantile m "lat" 0.5 = None);
-  List.iter (Serve.Metrics.observe m "lat") [ 0.001; 0.001; 0.001; 0.1 ];
-  check_int "count" 4 (Serve.Metrics.hist_count m "lat");
-  Alcotest.(check (float 1e-9)) "sum" 0.103 (Serve.Metrics.hist_sum m "lat");
-  (match Serve.Metrics.quantile m "lat" 0.5 with
+    (Util.Metrics.quantile m "lat" 0.5 = None);
+  List.iter (Util.Metrics.observe m "lat") [ 0.001; 0.001; 0.001; 0.1 ];
+  check_int "count" 4 (Util.Metrics.hist_count m "lat");
+  Alcotest.(check (float 1e-9)) "sum" 0.103 (Util.Metrics.hist_sum m "lat");
+  (match Util.Metrics.quantile m "lat" 0.5 with
   | Some q -> check "p50 upper bound is near the mode" true (q >= 0.001 && q < 0.005)
   | None -> Alcotest.fail "p50 missing");
-  match Serve.Metrics.quantile m "lat" 1.0 with
+  match Util.Metrics.quantile m "lat" 1.0 with
   | Some q -> check "p100 covers the largest observation" true (q >= 0.1)
   | None -> Alcotest.fail "p100 missing"
 
 let test_metrics_render () =
-  let m = Serve.Metrics.create () in
-  Serve.Metrics.incr m "serve_requests_total" ~by:7;
-  Serve.Metrics.observe m "serve_latency_seconds" 0.002;
-  let text = Serve.Metrics.render m in
+  let m = Util.Metrics.create () in
+  Util.Metrics.incr m "serve_requests_total" ~by:7;
+  Util.Metrics.observe m "serve_latency_seconds" 0.002;
+  let text = Util.Metrics.render m in
   let has needle = Astring_contains.contains text needle in
   check "counter TYPE line" true (has "# TYPE serve_requests_total counter");
   check "counter value" true (has "serve_requests_total 7");
@@ -269,7 +269,7 @@ let test_metrics_render () =
   check "cumulative +Inf bucket" true
     (has "serve_latency_seconds_bucket{le=\"+Inf\"} 1");
   check "histogram count" true (has "serve_latency_seconds_count 1");
-  let stats = Serve.Metrics.stats_line m in
+  let stats = Util.Metrics.stats_line m in
   check "stats line carries counters" true
     (Astring_contains.contains stats "serve_requests_total=7")
 
@@ -664,10 +664,10 @@ let test_server_batches_backlog () =
   Serve.Server.drain server;
   let m = Serve.Server.metrics server in
   check_int "two batches: the held request, then the backlog" 2
-    (Serve.Metrics.hist_count m "serve_batch_size");
+    (Util.Metrics.hist_count m "serve_batch_size");
   Alcotest.(check (float 1e-9))
     "the three queued requests left together" 4.0
-    (Serve.Metrics.hist_sum m "serve_batch_size");
+    (Util.Metrics.hist_sum m "serve_batch_size");
   Alcotest.(check (list string))
     "every request answered" [ "b1"; "b2"; "b3"; "held" ] (ok_ids ())
 
@@ -684,6 +684,47 @@ let test_server_drain_idempotent () =
   match sync_submit server (optimize "late" "matmul:8x8x8") with
   | Serve.Protocol.Error_reply { code = Serve.Protocol.Shutting_down; _ } -> ()
   | _ -> Alcotest.fail "post-drain optimize should answer shutting_down"
+
+(* The layer counters reach both replies: the evaluator collector the
+   server registers, and the check counters on the process-wide
+   registry. Those are process-wide, so the test compares deltas. *)
+let test_server_reports_layer_counters () =
+  let server, _ = mk_server () in
+  let was = Verifier.enabled () in
+  Verifier.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Verifier.set_enabled was;
+      Serve.Server.drain server)
+    (fun () ->
+      let verify_checks () =
+        match sync_submit server (Serve.Protocol.Metrics { id = "m" }) with
+        | Serve.Protocol.Metrics_reply { body; _ } -> (
+            match
+              List.find_map
+                (fun line ->
+                  match String.split_on_char ' ' line with
+                  | [ "verify_checks_total"; v ] -> int_of_string_opt v
+                  | _ -> None)
+                (String.split_on_char '\n' body)
+            with
+            | Some v -> v
+            | None -> Alcotest.fail "metrics reply lacks verify_checks_total")
+        | _ -> Alcotest.fail "metrics should answer metrics"
+      in
+      let before = verify_checks () in
+      (match sync_submit server (optimize "v" "matmul:16x16x16") with
+      | Serve.Protocol.Ok_reply _ -> ()
+      | _ -> Alcotest.fail "optimize should succeed");
+      check "an optimize request raises verify_checks_total" true
+        (verify_checks () > before);
+      match sync_submit server (Serve.Protocol.Stats { id = "s" }) with
+      | Serve.Protocol.Stats_reply { body; _ } ->
+          check "stats carry the evaluator cache counters" true
+            (Astring_contains.contains body "eval_state_cache_misses_total=");
+          check "stats carry the check counters" true
+            (Astring_contains.contains body "verify_violations_total=")
+      | _ -> Alcotest.fail "stats should answer stats")
 
 let suite =
   [
@@ -726,4 +767,6 @@ let suite =
       test_engine_loads_train_checkpoint;
     Alcotest.test_case "server batches the backlog behind a busy worker"
       `Quick test_server_batches_backlog;
+    Alcotest.test_case "server: layer counters in stats and metrics" `Quick
+      test_server_reports_layer_counters;
   ]

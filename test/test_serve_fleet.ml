@@ -363,7 +363,7 @@ let test_supervisor_restart_backoff_spacing () =
   check_int "fourth attempt at the cap" 4 (List.length !attempt_times);
   let m = Serve.Supervisor.metrics sup in
   check_int "every failure counted" 4
-    (Serve.Metrics.counter m "fleet_launch_failures_total");
+    (Util.Metrics.counter m "fleet_launch_failures_total");
   Serve.Supervisor.drain sup
 
 let test_supervisor_crash_detect_and_restart () =
@@ -379,7 +379,7 @@ let test_supervisor_crash_detect_and_restart () =
     (List.nth (states sup) 1);
   let m = Serve.Supervisor.metrics sup in
   check "crash counted" true
-    (Serve.Metrics.counter m "fleet_crashes_detected_total" >= 1);
+    (Util.Metrics.counter m "fleet_crashes_detected_total" >= 1);
   (* Before the backoff delay: still down. *)
   Serve.Supervisor.tick sup;
   check_str "not relaunched early" "down" (List.nth (states sup) 1);
@@ -391,7 +391,7 @@ let test_supervisor_crash_detect_and_restart () =
   check_int "restart counted" 1 st.Serve.Supervisor.rs_restarts;
   check "generation bumped" true (st.Serve.Supervisor.rs_generation > gen_before);
   check "restart metric" true
-    (Serve.Metrics.counter m "fleet_restarts_total" >= 1);
+    (Util.Metrics.counter m "fleet_restarts_total" >= 1);
   (* The two bystander replicas were never touched. *)
   check_int "no collateral restarts" 0
     ((Serve.Supervisor.status sup).(0).Serve.Supervisor.rs_restarts
@@ -460,9 +460,9 @@ let test_supervisor_hedge_and_breaker_shed () =
     | _ -> Alcotest.fail "expected a hedged Ok_reply"
   done;
   check_int "one hedge per failed attempt" threshold
-    (Serve.Metrics.counter m "fleet_hedges_total");
+    (Util.Metrics.counter m "fleet_hedges_total");
   check_int "every hedge rescued" threshold
-    (Serve.Metrics.counter m "fleet_hedge_rescues_total");
+    (Util.Metrics.counter m "fleet_hedge_rescues_total");
   check "breaker open after consecutive transport failures" true
     ((Serve.Supervisor.status sup).(0).Serve.Supervisor.rs_breaker
     = Serve.Breaker.Open);
@@ -472,7 +472,7 @@ let test_supervisor_hedge_and_breaker_shed () =
   | Serve.Protocol.Ok_reply _ -> ()
   | _ -> Alcotest.fail "expected a shed Ok_reply");
   check_int "no hedge once shedding" threshold
-    (Serve.Metrics.counter m "fleet_hedges_total");
+    (Util.Metrics.counter m "fleet_hedges_total");
   Serve.Supervisor.drain sup
 
 let test_supervisor_garbled_reply_is_hedged () =
@@ -489,7 +489,7 @@ let test_supervisor_garbled_reply_is_hedged () =
   | Serve.Protocol.Ok_reply { r_id; _ } -> check_str "rescued" "g1" r_id
   | _ -> Alcotest.fail "expected rescue of a garbled reply");
   check_int "garble counted as hedge rescue" 1
-    (Serve.Metrics.counter (Serve.Supervisor.metrics sup)
+    (Util.Metrics.counter (Serve.Supervisor.metrics sup)
        "fleet_hedge_rescues_total");
   Serve.Supervisor.drain sup
 
@@ -519,7 +519,7 @@ let test_supervisor_upstream_failure_and_no_hedge () =
       ()
   | _ -> Alcotest.fail "expected upstream_failure with hedging disabled");
   check_int "no hedge when disabled" 0
-    (Serve.Metrics.counter (Serve.Supervisor.metrics sup) "fleet_hedges_total");
+    (Util.Metrics.counter (Serve.Supervisor.metrics sup) "fleet_hedges_total");
   Serve.Supervisor.drain sup
 
 let test_supervisor_unavailable_when_all_down () =
@@ -530,7 +530,7 @@ let test_supervisor_unavailable_when_all_down () =
   | Serve.Protocol.Error_reply { code = Serve.Protocol.Unavailable; _ } -> ()
   | _ -> Alcotest.fail "expected unavailable with the whole fleet down");
   check_int "unavailability counted" 1
-    (Serve.Metrics.counter (Serve.Supervisor.metrics sup)
+    (Util.Metrics.counter (Serve.Supervisor.metrics sup)
        "fleet_unavailable_total");
   Serve.Supervisor.drain sup
 
@@ -619,17 +619,17 @@ let test_supervisor_reload_waits_and_swaps () =
 (* ------------------------------------------------------------------ *)
 
 let test_metrics_merge_rendered () =
-  let a = Serve.Metrics.create () and b = Serve.Metrics.create () in
-  Serve.Metrics.incr a ~by:2 "serve_requests_total";
-  Serve.Metrics.incr b ~by:3 "serve_requests_total";
-  Serve.Metrics.incr b "serve_cache_hits_total";
-  Serve.Metrics.set_gauge a "serve_queue_depth" 4.0;
-  Serve.Metrics.set_gauge b "serve_queue_depth" 1.0;
-  Serve.Metrics.observe a "serve_latency_seconds" 0.010;
-  Serve.Metrics.observe b "serve_latency_seconds" 0.020;
+  let a = Util.Metrics.create () and b = Util.Metrics.create () in
+  Util.Metrics.incr a ~by:2 "serve_requests_total";
+  Util.Metrics.incr b ~by:3 "serve_requests_total";
+  Util.Metrics.incr b "serve_cache_hits_total";
+  Util.Metrics.set_gauge a "serve_queue_depth" 4.0;
+  Util.Metrics.set_gauge b "serve_queue_depth" 1.0;
+  Util.Metrics.observe a "serve_latency_seconds" 0.010;
+  Util.Metrics.observe b "serve_latency_seconds" 0.020;
   let merged =
-    Serve.Metrics.merge_rendered
-      [ Serve.Metrics.render a; Serve.Metrics.render b ]
+    Util.Metrics.merge_rendered
+      [ Util.Metrics.render a; Util.Metrics.render b ]
   in
   let has s = Astring_contains.contains merged s in
   check "counters sum across replicas" true (has "serve_requests_total 5");
@@ -644,12 +644,12 @@ let test_supervisor_fleet_metrics () =
   check "ready" true (Serve.Supervisor.await_ready sup ~timeout_s:5.0);
   ignore (Serve.Supervisor.call sup (optimize "m1" "matmul:32x32x32"));
   let m = Serve.Supervisor.metrics sup in
-  check_int "request counted" 1 (Serve.Metrics.counter m "fleet_requests_total");
+  check_int "request counted" 1 (Util.Metrics.counter m "fleet_requests_total");
   check_int "ok reply counted" 1
-    (Serve.Metrics.counter m "fleet_replies_ok_total");
+    (Util.Metrics.counter m "fleet_replies_ok_total");
   check "latency observed" true
-    (Serve.Metrics.hist_count m "fleet_latency_seconds" = 1);
-  check "up gauge" true (Serve.Metrics.gauge m "fleet_replica_0_up" = Some 1.0);
+    (Util.Metrics.hist_count m "fleet_latency_seconds" = 1);
+  check "up gauge" true (Util.Metrics.gauge m "fleet_replica_0_up" = Some 1.0);
   let rendered = Serve.Supervisor.render_metrics sup in
   check "rendered fleet series" true
     (Astring_contains.contains rendered "fleet_requests_total 1");

@@ -395,8 +395,9 @@ let test_ranker_attaches_to_evaluator () =
   | None -> Alcotest.fail "surrogate group missing after attach"
   | Some s ->
       check "live counters" true (s.Util.Sharded_cache.misses > 0));
-  let groups = Evaluator.cache_stats_groups (Evaluator.cache_stats ev) in
-  check "rendered in unified groups" true (List.mem_assoc "surrogate" groups)
+  let counters = Evaluator.cache_counters (Evaluator.cache_stats ev) in
+  check "rendered in unified counters" true
+    (List.mem_assoc "eval_surrogate_cache_misses_total" counters)
 
 (* ------------------------------------------------------------------ *)
 (* Staged search                                                      *)
@@ -486,20 +487,24 @@ let test_beam_staged () =
 (* Counters                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The surrogate's activity is its cache's: once a ranker is attached,
+   the evaluator's cache counters carry one miss per distinct candidate
+   the network scored, and repeats are hits. *)
 let test_counters () =
-  Surrogate.Counters.reset ();
-  Surrogate.Counters.add_scored 5;
-  Surrogate.Counters.add_reranked 3;
-  Surrogate.Counters.incr_searches ();
-  let s = Surrogate.Counters.stats () in
-  check_int "scored" 5 s.Surrogate.Counters.scored;
-  check_int "reranked" 3 s.Surrogate.Counters.reranked;
-  check_int "searches" 1 s.Surrogate.Counters.searches;
-  Surrogate.Counters.reset ();
-  let z = Surrogate.Counters.stats () in
-  check_int "reset scored" 0 z.Surrogate.Counters.scored;
-  check_int "reset reranked" 0 z.Surrogate.Counters.reranked;
-  check_int "reset searches" 0 z.Surrogate.Counters.searches
+  let ranker = Surrogate.Ranker.create ~machine (trained_model ()) in
+  let ev = Evaluator.create () in
+  Surrogate.Ranker.attach ranker ev;
+  let op = Linalg.matmul ~m:24 ~n:16 ~k:8 () in
+  let scheds = Array.of_list sample_schedules in
+  ignore (Surrogate.Ranker.score_schedules ranker op scheds);
+  ignore (Surrogate.Ranker.score_schedules ranker op scheds);
+  let counter name =
+    List.assoc name (Evaluator.cache_counters (Evaluator.cache_stats ev))
+  in
+  check_int "one miss per distinct candidate scored" (Array.length scheds)
+    (counter "eval_surrogate_cache_misses_total");
+  check_int "repeats answered from the cache" (Array.length scheds)
+    (counter "eval_surrogate_cache_hits_total")
 
 let suite =
   [

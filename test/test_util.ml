@@ -1,4 +1,4 @@
-(* Tests for Util.Rng and Util.Stats. *)
+(* Tests for Util.Rng, Util.Stats, Util.Atomic_file and Util.Metrics. *)
 
 let test_rng_deterministic () =
   let a = Util.Rng.create 42 and b = Util.Rng.create 42 in
@@ -182,6 +182,81 @@ let qcheck_rng_int_in_range =
       let v = Util.Rng.int rng bound in
       v >= 0 && v < bound)
 
+(* -- Metrics collectors ------------------------------------------- *)
+
+let test_metrics_collectors () =
+  let m = Util.Metrics.create () in
+  let live = ref 3 in
+  Util.Metrics.incr m "b_total" ~by:2;
+  Util.Metrics.add_collector m (fun () -> [ ("c_total", !live); ("a_total", 1) ]);
+  Util.Metrics.add_collector m (fun () -> [ ("a_total", 4) ]);
+  Alcotest.(check int) "stored counter" 2 (Util.Metrics.counter m "b_total");
+  Alcotest.(check int) "one name sums across collectors" 5
+    (Util.Metrics.counter m "a_total");
+  live := 7;
+  Alcotest.(check int) "collectors are read live" 7
+    (Util.Metrics.counter m "c_total");
+  Alcotest.(check string) "stats line sorts stored and collected together"
+    "a_total=5 b_total=2 c_total=7" (Util.Metrics.stats_line m);
+  Alcotest.(check string) "render sorts stored and collected together"
+    "# TYPE a_total counter\na_total 5\n# TYPE b_total counter\nb_total 2\n\
+     # TYPE c_total counter\nc_total 7\n"
+    (Util.Metrics.render m)
+
+let test_metrics_collector_takes_own_lock () =
+  (* The collector takes its layer's lock, and another domain bumps the
+     registry while holding that lock. Reading collectors under the
+     registry lock would deadlock the two domains. *)
+  let m = Util.Metrics.create () in
+  let layer_lock = Mutex.create () in
+  let layer_count = ref 0 in
+  Util.Metrics.add_collector m (fun () ->
+      Mutex.lock layer_lock;
+      let v = !layer_count in
+      Mutex.unlock layer_lock;
+      [ ("layer_total", v) ]);
+  let rounds = 2000 in
+  let finished = Atomic.make 0 in
+  let bumper =
+    Domain.spawn (fun () ->
+        for _ = 1 to rounds do
+          Mutex.lock layer_lock;
+          incr layer_count;
+          Util.Metrics.incr m "bumps_total";
+          Mutex.unlock layer_lock
+        done;
+        Atomic.incr finished)
+  in
+  let reader =
+    Domain.spawn (fun () ->
+        for _ = 1 to rounds do
+          ignore (Util.Metrics.render m);
+          ignore (Util.Metrics.stats_line m)
+        done;
+        Atomic.incr finished)
+  in
+  let give_up = Unix.gettimeofday () +. 10.0 in
+  while Atomic.get finished < 2 && Unix.gettimeofday () < give_up do
+    Unix.sleepf 0.001
+  done;
+  if Atomic.get finished < 2 then
+    Alcotest.fail "a collector read deadlocked against a registry bump";
+  Domain.join bumper;
+  Domain.join reader;
+  Alcotest.(check int) "collected" rounds (Util.Metrics.counter m "layer_total");
+  Alcotest.(check int) "stored" rounds (Util.Metrics.counter m "bumps_total")
+
+let test_metrics_merge_collected () =
+  let replica hits =
+    let m = Util.Metrics.create () in
+    Util.Metrics.add_collector m (fun () ->
+        [ ("eval_state_cache_hits_total", hits) ]);
+    Util.Metrics.render m
+  in
+  Alcotest.(check string) "collected counters sum across dumps"
+    "# TYPE eval_state_cache_hits_total counter\neval_state_cache_hits_total 7\n"
+    (Util.Metrics.merge_rendered [ replica 3; replica 4 ])
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -214,4 +289,10 @@ let suite =
       test_atomic_exception_cleans_tmp;
     QCheck_alcotest.to_alcotest qcheck_geomean_le_mean;
     QCheck_alcotest.to_alcotest qcheck_rng_int_in_range;
+    Alcotest.test_case "metrics: collectors read with stored counters" `Quick
+      test_metrics_collectors;
+    Alcotest.test_case "metrics: collector taking its own lock" `Quick
+      test_metrics_collector_takes_own_lock;
+    Alcotest.test_case "metrics: merge sums collected counters" `Quick
+      test_metrics_merge_collected;
   ]
