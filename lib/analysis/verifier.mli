@@ -3,12 +3,13 @@
     A cheap structural check run after every accepted transformation
     (wired into [Sched_state.apply] behind the [MLIR_RL_VERIFY]
     environment variable / {!set_enabled}): the transformed nest must
-    pass {!Loop_nest.validate}, every access must be provably in-bounds
-    ({!Bounds}), and the incrementally maintained digest must equal a
-    from-scratch {!Loop_nest.digest} of the nest. A failure means a
-    transformation produced a malformed nest (or the digest bookkeeping
-    drifted) — it raises {!Violation} so the bug surfaces at the
-    transformation that introduced it, not as silent garbage downstream.
+    pass {!Loop_nest.validate} and every access must be provably
+    in-bounds ({!Bounds}). A caller that carries a digest for the nest
+    can also have it checked against a from-scratch {!Loop_nest.digest}
+    ([Sched_state] hashes on demand, so it passes none). A failure means
+    a transformation produced a malformed nest — it raises {!Violation}
+    so the bug surfaces at the transformation that introduced it, not as
+    silent garbage downstream.
 
     The enable flag and the check/violation counters are process-global
     and domain-safe, mirroring the legality-certificate toggle: parallel

@@ -59,78 +59,65 @@ let gather_refs (nest : Loop_nest.t) =
       { info with const_spread = Array.map2 (fun h l -> h - l) hi lo } :: acc)
     tbl []
 
-(* Bounding-box extent of array dim [d] when loops [from_depth..n-1]
-   iterate fully and the others are fixed. *)
-let dim_extent (r : ref_info) trips ~from_depth d =
-  let e = r.idx.(d) in
-  let ext = ref (1 + r.const_spread.(d)) in
-  Array.iteri
-    (fun l c ->
-      if l >= from_depth && c <> 0 then ext := !ext + (abs c * (trips.(l) - 1)))
-    e.Affine.coeffs;
-  min !ext r.shape.(d)
-
-(* True when the last array dimension is traversed densely by some loop
-   in the region, enabling spatial line reuse. A merged group with
-   constant spread s and coefficient c covers offsets {0..s} every c
-   elements, so it is dense whenever |c| <= s + 1 (e.g. plain unit
-   stride, or an 8-way unrolled stride-8 access). *)
-let dense_last_dim (r : ref_info) ~from_depth =
-  let last = Array.length r.idx - 1 in
-  if last < 0 then false
-  else
-    let e = r.idx.(last) in
-    let max_step = r.const_spread.(last) + 1 in
-    let dense = ref false in
-    Array.iteri
-      (fun l c ->
-        if l >= from_depth && abs c >= 1 && abs c <= max_step then dense := true)
-      e.Affine.coeffs;
-    !dense
-
-let distinct_lines machine (r : ref_info) trips ~from_depth =
-  let nd = Array.length r.shape in
-  if nd = 0 then 1.0
-  else begin
-    let elems_per_line =
-      machine.Machine.l1.Machine.line_bytes / machine.Machine.elem_bytes
-    in
-    let last_extent = dim_extent r trips ~from_depth (nd - 1) in
-    let last_lines =
-      if dense_last_dim r ~from_depth then
-        float_of_int
-          ((last_extent + elems_per_line - 1) / elems_per_line)
-      else float_of_int last_extent
-    in
-    let other = ref 1.0 in
-    for d = 0 to nd - 2 do
-      other := !other *. float_of_int (dim_extent r trips ~from_depth d)
-    done;
-    Float.max 1.0 (!other *. last_lines)
-  end
-
 (* Reuse tables shared by every cache level of one estimate: per
    reference, its distinct lines at every region depth (lines.(d) for
-   loops d..n-1 iterating), and per depth the total working-set bytes.
-   Previously each of the three cache-level charges recomputed both
-   ([footprint_bytes] per depth, plus the depth-0 lines per reference)
-   — the one-pass tables make [estimate] hash the memory behaviour of
-   the gathered references exactly once. The fold over [refs] keeps the
-   reference order and the per-term expression of the old
-   [footprint_bytes], so the float sums are bit-identical. *)
+   loops d..n-1 iterating, the others fixed), and per depth the total
+   working-set bytes. One innermost-first sweep per reference keeps, per
+   array dim, the bounding-box extent of the region as a running integer
+   sum over the loops, and whether some loop of the region walks the last
+   array dim densely; each depth's lines are then the capped extents'
+   float product in array-dim order. Integer sums are exact, so this is
+   bit-identical to recomputing every depth from scratch. The fold over
+   [refs] keeps the reference order, so the footprint sums are too. *)
 type reuse_tables = {
   ref_lines : (ref_info * float array) list;  (* gather_refs order *)
   footprints : float array;  (* bytes of the region at each depth *)
 }
 
+(* Distinct lines of [r] at every region depth. The last array dim is
+   dense, enabling spatial line reuse, when some region loop steps it by
+   at most the merged group's constant spread plus one: offsets {0..s}
+   every c elements cover it whenever |c| <= s + 1 (e.g. plain unit
+   stride, or an 8-way unrolled stride-8 access). *)
+let ref_lines machine trips (r : ref_info) =
+  let n = Array.length trips in
+  let nd = Array.length r.shape in
+  let lines = Array.make (n + 1) 1.0 in
+  if nd > 0 then begin
+    let elems_per_line =
+      machine.Machine.l1.Machine.line_bytes / machine.Machine.elem_bytes
+    in
+    let last = nd - 1 in
+    let max_step = r.const_spread.(last) + 1 in
+    let ext = Array.map (fun s -> 1 + s) r.const_spread in
+    let dense = ref false in
+    for depth = n downto 0 do
+      if depth < n then begin
+        for d = 0 to last do
+          ext.(d) <-
+            ext.(d) + (abs r.idx.(d).Affine.coeffs.(depth) * (trips.(depth) - 1))
+        done;
+        let c = abs r.idx.(last).Affine.coeffs.(depth) in
+        if c >= 1 && c <= max_step then dense := true
+      end;
+      let last_extent = min ext.(last) r.shape.(last) in
+      let last_lines =
+        if !dense then
+          float_of_int ((last_extent + elems_per_line - 1) / elems_per_line)
+        else float_of_int last_extent
+      in
+      let other = ref 1.0 in
+      for d = 0 to last - 1 do
+        other := !other *. float_of_int (min ext.(d) r.shape.(d))
+      done;
+      lines.(depth) <- Float.max 1.0 (!other *. last_lines)
+    done
+  end;
+  lines
+
 let reuse_tables machine refs trips =
   let n = Array.length trips in
-  let ref_lines =
-    List.map
-      (fun r ->
-        (r, Array.init (n + 1) (fun d -> distinct_lines machine r trips ~from_depth:d)))
-      refs
-  in
+  let ref_lines = List.map (fun r -> (r, ref_lines machine trips r)) refs in
   let line_bytes = float_of_int machine.Machine.l1.Machine.line_bytes in
   let footprints =
     Array.init (n + 1) (fun d ->

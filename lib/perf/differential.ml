@@ -14,7 +14,7 @@ let sanitize_state (state : Sched_state.t) =
   else begin
     let reference = Lower.to_loop_nest state.Sched_state.original in
     let ref_digest = Loop_nest.digest reference in
-    let cand_digest = state.Sched_state.nest_digest in
+    let cand_digest = Sched_state.digest state in
     if not (Sanitizer.fresh_pair ~reference:ref_digest ~candidate:cand_digest)
     then None
     else begin

@@ -121,8 +121,9 @@ let base_seconds t (op : Linalg.t) =
    Jitter is applied after the lookup and [explored] counts every
    logical call, so measurement noise streams, speedup values and
    paper-figure traces are byte-identical whether a call hits or
-   misses; only wall-clock changes. The key leads with the O(1)
-   structural digest maintained by {!Sched_state.apply}; iter kinds
+   misses; only wall-clock changes. The key leads with the structural
+   digest, hashed here when the state is priced — [Sched_state.apply]
+   hashes nothing, so intermediate states never pay for one; iter kinds
    ride along because the cost model reads them through loop origins,
    which the nest digest records only as indices. *)
 let state_key t (state : Sched_state.t) =

@@ -7,25 +7,22 @@ let divisors n =
   go 1 []
 
 let point_band_start (nest : Loop_nest.t) =
-  let n = Array.length nest.loops in
-  let seen = Hashtbl.create 8 in
+  let loops = nest.loops in
+  let n = Array.length loops in
+  (* The longest suffix of pairwise-distinct origins. Nests are a dozen
+     loops deep, so the quadratic scan beats allocating a table. *)
+  let rec seen_after origin j =
+    j < n && (loops.(j).Loop_nest.origin = origin || seen_after origin (j + 1))
+  in
   let rec scan i =
-    if i < 0 then 0
-    else
-      let origin = nest.loops.(i).Loop_nest.origin in
-      if Hashtbl.mem seen origin then i + 1
-      else begin
-        Hashtbl.add seen origin ();
-        scan (i - 1)
-      end
+    if i < 0 || seen_after loops.(i).Loop_nest.origin (i + 1) then i + 1
+    else scan (i - 1)
   in
   scan (n - 1)
 
 let point_band (nest : Loop_nest.t) =
   let p0 = point_band_start nest in
   Array.sub nest.loops p0 (Array.length nest.loops - p0)
-
-let dim_expr n_dims d = Affine.dim n_dims d
 
 let tile ?(parallel = false) sizes (nest : Loop_nest.t) =
   let n = Array.length nest.loops in
@@ -81,28 +78,31 @@ let tile ?(parallel = false) sizes (nest : Loop_nest.t) =
           Array.concat
             [ Array.sub nest.loops 0 p0; Array.of_list tile_band; new_point ]
         in
-        (* Rank of each tiled rel within the tile band. *)
-        let tile_rank = Hashtbl.create 8 in
-        List.iteri (fun r rel -> Hashtbl.add tile_rank rel r) tiled_rels;
-        let subst =
-          Array.init n (fun j ->
-              if j < p0 then dim_expr new_n j
-              else
-                let rel = j - p0 in
-                let point_pos = p0 + k + rel in
-                match Hashtbl.find_opt tile_rank rel with
-                | None -> dim_expr new_n point_pos
-                | Some r ->
-                    Affine.add_expr
-                      (Affine.scale sizes.(rel) (dim_expr new_n (p0 + r)))
-                      (dim_expr new_n point_pos))
+        (* Position of each tiled rel's loop in the tile band, else -1. *)
+        let tile_pos = Array.make point_count (-1) in
+        List.iteri (fun r rel -> tile_pos.(rel) <- p0 + r) tiled_rels;
+        (* Remap coefficients directly, as [interchange] does: an outer
+           dim keeps its index, point dim [rel] moves to [p0+k+rel], and
+           a tiled one also puts [size*c] on its tile loop. Every target
+           receives one source coefficient, so this is exactly
+           [Affine.substitute] over [d -> size*tile + point] without its
+           per-coefficient temporaries. *)
+        let remap (e : Affine.expr) =
+          let c = e.Affine.coeffs in
+          if Array.length c <> n then
+            invalid_arg "Loop_transforms.tile: subscript arity mismatch";
+          let c' = Array.make new_n 0 in
+          Array.blit c 0 c' 0 p0;
+          for rel = 0 to point_count - 1 do
+            let v = c.(p0 + rel) in
+            c'.(p0 + k + rel) <- v;
+            if tile_pos.(rel) >= 0 then c'.(tile_pos.(rel)) <- sizes.(rel) * v
+          done;
+          { e with Affine.coeffs = c' }
         in
-        let nest' =
-          Loop_nest.map_body_exprs
-            (fun e -> Affine.substitute e subst)
-            { nest with Loop_nest.loops = new_loops }
-        in
-        Ok nest'
+        Ok
+          (Loop_nest.map_body_exprs remap
+             { nest with Loop_nest.loops = new_loops })
   end
 
 let is_permutation perm =

@@ -2,7 +2,6 @@ type t = {
   original : Linalg.t;
   op : Linalg.t;
   nest : Loop_nest.t;
-  nest_digest : string;
   applied : Schedule.t;
   packing_elements : int;
   parallelized : bool;
@@ -15,14 +14,13 @@ let init op =
     original = op;
     op;
     nest;
-    nest_digest = Loop_nest.digest nest;
     applied = [];
     packing_elements = 0;
     parallelized = false;
     vectorized = false;
   }
 
-let digest state = state.nest_digest
+let digest state = Loop_nest.digest state.nest
 
 let n_point_loops state = Linalg.n_loops state.op
 
@@ -108,24 +106,11 @@ let certificate_check (before : Loop_nest.t) (tr : Schedule.transformation)
 
 let record state tr nest =
   if !certify then certificate_check state.nest tr nest;
-  (* The digest is refreshed here, once per accepted transformation —
-     every evaluation of the resulting state then gets an O(1) cache
-     key instead of re-hashing (or worse, re-printing) the nest. *)
-  let state' =
-    {
-      state with
-      nest;
-      nest_digest = Loop_nest.digest nest;
-      applied = state.applied @ [ tr ];
-    }
-  in
   (* Post-transform verifier (MLIR_RL_VERIFY): independently re-proves
-     the accepted state well-formed — validate, bounds soundness, and
-     the digest the state will be cached under. Raises
-     Verifier.Violation at the transformation that broke the nest. *)
-  if Verifier.enabled () then
-    Verifier.run ~expected_digest:state'.nest_digest state'.nest;
-  state'
+     the accepted nest well-formed — validate and bounds soundness.
+     Raises Verifier.Violation at the transformation that broke it. *)
+  if Verifier.enabled () then Verifier.run nest;
+  { state with nest; applied = state.applied @ [ tr ] }
 
 (* Point loops whose op dim is a reduction cannot run in parallel: that
    would race on the accumulator (MLIR's tile_using_forall rejects it). *)
@@ -147,9 +132,13 @@ let apply state (tr : Schedule.transformation) =
         if state.parallelized then
           Error "parallelization may be used only once per schedule"
         else if
-          Array.exists
-            (fun l -> sizes.(l) > 0 && not (parallelizable_loop state l))
-            (Array.init (Array.length sizes) (fun l -> l))
+          (* A wrong arity is [tile]'s error to report: a size past the
+             band names no loop, reduction or not. *)
+          Array.length sizes
+          = Array.length (Loop_transforms.point_band state.nest)
+          && Array.exists
+               (fun l -> sizes.(l) > 0 && not (parallelizable_loop state l))
+               (Array.init (Array.length sizes) (fun l -> l))
         then Error "cannot parallelize a reduction dimension"
         else
           Result.map
@@ -178,15 +167,12 @@ let apply state (tr : Schedule.transformation) =
           | Ok (gemm, `Packing_elements elems) ->
               let nest = Lower.to_loop_nest gemm in
               if !certify then certificate_check state.nest tr nest;
-              let nest_digest = Loop_nest.digest nest in
-              if Verifier.enabled () then
-                Verifier.run ~expected_digest:nest_digest nest;
+              if Verifier.enabled () then Verifier.run nest;
               Ok
                 {
                   state with
                   op = gemm;
                   nest;
-                  nest_digest;
                   applied = state.applied @ [ tr ];
                   packing_elements = elems;
                 })

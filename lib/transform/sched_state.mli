@@ -10,9 +10,6 @@ type t = {
   original : Linalg.t;  (** the untransformed operation *)
   op : Linalg.t;  (** current op — replaced by a GEMM after im2col *)
   nest : Loop_nest.t;  (** current transformed loop nest *)
-  nest_digest : string;
-      (** {!Loop_nest.digest} of [nest], maintained across {!apply} so
-          evaluation-time memoization never re-hashes the nest *)
   applied : Schedule.t;  (** transformations so far, in order *)
   packing_elements : int;  (** elements materialized by im2col, else 0 *)
   parallelized : bool;
@@ -23,10 +20,10 @@ val init : Linalg.t -> t
 (** Start a schedule on an op; lowers it to its canonical nest. *)
 
 val digest : t -> string
-(** The structural digest of the current nest, O(1) — equal to
-    [Loop_nest.digest state.nest] by construction (the invariant the
-    digest-soundness property tests pin down). The transposition cache
-    in {!Evaluator} keys state-seconds lookups by it. *)
+(** [Loop_nest.digest state.nest], computed on demand in O(nest size).
+    {!apply} hashes nothing: only a state that gets priced pays for its
+    digest, which the transposition cache in {!Evaluator} keys
+    state-seconds lookups by. *)
 
 val n_point_loops : t -> int
 (** Loop count of the current op — the arity that [Tile]/[Parallelize]

@@ -421,7 +421,6 @@ let test_certificates () =
           Sched_state.original = op;
           op;
           nest = rec_nest;
-          nest_digest = Loop_nest.digest rec_nest;
           applied = [];
           packing_elements = 0;
           parallelized = false;

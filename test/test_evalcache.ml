@@ -3,9 +3,10 @@
    exhaustive search.
 
    The load-bearing properties, each pinned here:
-   - the digest maintained incrementally across [Sched_state.apply]
-     equals a from-scratch [Loop_nest.digest] of the current nest, on
-     every state the candidate streams can reach (including im2col);
+   - [Sched_state.digest], computed when a state is priced rather than
+     maintained across [Sched_state.apply], equals a from-scratch
+     [Loop_nest.digest] of the current nest, on every state the
+     candidate streams can reach (including im2col);
    - distinct nests get distinct digests (checked exhaustively over the
      search states of several ops, and probabilistically over random
      shapes) while renamed copies of one nest share a digest;
@@ -18,7 +19,9 @@
    - the sampling seed derives from [Linalg.digest], so same-named ops
      with different shapes draw different candidate streams;
    - the serve result-cache key distinguishes same-named ops with
-     different shapes, and cached replies stay byte-identical. *)
+     different shapes, and cached replies stay byte-identical;
+   - every candidate's applicability, digest and cost-model fields
+     over a fixed op set hash to one pinned MD5. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -34,7 +37,7 @@ let check_bits name a b =
 (* ------------------------------------------------------------------ *)
 
 (* Walk a candidate schedule step by step from [init], checking the
-   incremental-digest invariant on every intermediate state. *)
+   digest against a from-scratch hash on every intermediate state. *)
 let check_stepwise op sched =
   let st = ref (Sched_state.init op) in
   check_str "init digest is from-scratch"
@@ -388,6 +391,116 @@ let test_serve_engine_replies_identical_across_cache () =
         | Some s -> s.Util.Sharded_cache.misses > 0
         | None -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Pinned candidate-evaluation bytes                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* One MD5 over everything a candidate evaluation produces, for every
+   [gather_candidates] entry of a fixed op set at budget 600: whether the
+   schedule applies, the state digest, and every [Cost_model.estimate]
+   field (floats by IEEE bit pattern). The tiny ops fit the budget, so
+   they run the full enumeration; the seeded [Generator] draws overflow it
+   and run the sampled stream. Both sets cover matmul, an im2col-able
+   conv2d, maxpool, add and relu. The constant was computed at commit
+   b72b2d8, before the linear-time rewrites of candidate evaluation
+   (digest only priced states, remap tile subscripts directly, one-pass
+   reuse tables), which must not move a single bit. *)
+let pinned_fingerprint = "04f593b446620ecd9a648c9ed82241ea"
+
+let candidate_fingerprint () =
+  let config = { Auto_scheduler.default_config with max_schedules = 600 } in
+  let exhaustive =
+    [
+      Linalg.matmul ~m:2 ~n:4 ~k:8 ();
+      Linalg.conv2d
+        {
+          Linalg.batch = 1;
+          in_h = 5;
+          in_w = 5;
+          channels = 1;
+          kernel_h = 3;
+          kernel_w = 3;
+          filters = 1;
+          stride = 1;
+        };
+      Linalg.maxpool
+        {
+          Linalg.p_batch = 1;
+          p_in_h = 4;
+          p_in_w = 4;
+          p_channels = 1;
+          p_kernel = 2;
+          p_stride = 2;
+        };
+      Linalg.add [| 4; 4 |];
+      Linalg.relu [| 4; 8 |];
+    ]
+  in
+  let rng = Util.Rng.create 7 in
+  let sampled =
+    List.map (Generator.random_op rng)
+      [ "matmul"; "conv2d"; "maxpool"; "add"; "relu" ]
+  in
+  List.iter
+    (fun op ->
+      check "exhaustive-regime op fits the budget" true
+        (Auto_scheduler.space_total config op <= config.max_schedules))
+    exhaustive;
+  List.iter
+    (fun op ->
+      check "sampled-regime op overflows the budget" true
+        (Auto_scheduler.space_total config op > config.max_schedules))
+    sampled;
+  let machine = Machine.e5_2680_v4 in
+  let b = Buffer.create (1 lsl 16) in
+  let add_float x = Buffer.add_string b (Int64.to_string (Int64.bits_of_float x)) in
+  let sep () = Buffer.add_char b ';' in
+  let applied = ref 0 and total = ref 0 in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun sched ->
+          incr total;
+          Buffer.add_string b (Schedule.to_string sched);
+          sep ();
+          match Sched_state.apply_all op sched with
+          | Error _ -> Buffer.add_string b "rejected\n"
+          | Ok st ->
+              incr applied;
+              Buffer.add_string b (Sched_state.digest st);
+              sep ();
+              let r =
+                Cost_model.estimate ~machine
+                  ~iter_kinds:st.Sched_state.op.Linalg.iter_kinds
+                  ~packing_elements:st.Sched_state.packing_elements
+                  st.Sched_state.nest
+              in
+              List.iter
+                (fun x -> add_float x; sep ())
+                [ r.Cost_model.seconds; r.Cost_model.compute_cycles;
+                  r.Cost_model.parallel_factor; r.Cost_model.packing_seconds;
+                  r.Cost_model.vector_efficiency ];
+              List.iter
+                (fun (t : Cost_model.level_traffic) ->
+                  Buffer.add_string b t.Cost_model.level;
+                  sep ();
+                  add_float t.Cost_model.miss_lines;
+                  sep ();
+                  add_float t.Cost_model.cycles;
+                  sep ())
+                r.Cost_model.traffic;
+              Buffer.add_string b
+                (Printf.sprintf "%d;%b\n" r.Cost_model.launches
+                   r.Cost_model.vectorized))
+        (Auto_scheduler.gather_candidates config op))
+    (exhaustive @ sampled);
+  (Digest.to_hex (Digest.string (Buffer.contents b)), !applied, !total)
+
+let test_pinned_candidate_fingerprint () =
+  let fp, applied, total = candidate_fingerprint () in
+  check "most candidates apply" true (applied > 0 && applied * 2 > total);
+  check_str "candidate evaluation bytes" pinned_fingerprint fp
+
 let suite =
   [
     Alcotest.test_case "incremental digest = from-scratch" `Quick
@@ -423,4 +536,6 @@ let suite =
       test_serve_engine_replies_identical_across_cache;
     Alcotest.test_case "fork keeps the base memo" `Quick
       test_fork_keeps_base_memo;
+    Alcotest.test_case "pinned candidate-evaluation fingerprint" `Quick
+      test_pinned_candidate_fingerprint;
   ]

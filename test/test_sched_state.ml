@@ -101,6 +101,23 @@ let test_tau_independent () =
   in
   Alcotest.(check int) "8 steps recorded" 8 (List.length st.Sched_state.applied)
 
+(* A size past the point band names no loop, so a wrong-arity
+   Parallelize gets the tile arity error wherever its extra size sits,
+   never the reduction-dim rejection. *)
+let test_parallelize_arity_checked_first () =
+  let op = Linalg.matmul ~m:64 ~n:64 ~k:64 () in
+  List.iter
+    (fun sizes ->
+      match
+        Sched_state.apply_all op
+          [ Schedule.Parallelize sizes; Schedule.Vectorize ]
+      with
+      | Ok _ -> Alcotest.fail "a 4-size parallelize of a 3-loop nest applied"
+      | Error e ->
+          Alcotest.(check string) "arity error"
+            "tile: 4 sizes for a 3-loop point band" e)
+    [ [| 0; 0; 0; 4 |]; [| 4; 0; 0; 0 |] ]
+
 let suite =
   [
     Alcotest.test_case "init" `Quick test_init;
@@ -116,4 +133,6 @@ let suite =
     Alcotest.test_case "apply_all error" `Quick test_apply_all_error_propagates;
     Alcotest.test_case "apply_all records order" `Quick test_apply_all_records_order;
     Alcotest.test_case "no step cap in state" `Quick test_tau_independent;
+    Alcotest.test_case "parallelize arity checked first" `Quick
+      test_parallelize_arity_checked_first;
   ]

@@ -149,6 +149,130 @@ let qcheck_random_schedules_preserve =
       Test_helpers.check_schedule_preserves op (List.rev !steps);
       true)
 
+(* The tiling of record: point-band detection by a table of seen
+   origins, and subscripts rebuilt by [Affine.substitute] over
+   [d -> size*tile + point]. [Loop_transforms] now remaps coefficients
+   directly and scans origins without a table; both must agree with
+   these on every nest. [reference_tile] assumes valid sizes. *)
+let reference_point_band_start (nest : Loop_nest.t) =
+  let n = Array.length nest.Loop_nest.loops in
+  let seen = Hashtbl.create 8 in
+  let rec scan i =
+    if i < 0 then 0
+    else
+      let origin = nest.Loop_nest.loops.(i).Loop_nest.origin in
+      if Hashtbl.mem seen origin then i + 1
+      else begin
+        Hashtbl.add seen origin ();
+        scan (i - 1)
+      end
+  in
+  scan (n - 1)
+
+let reference_tile ~parallel sizes (nest : Loop_nest.t) =
+  let loops = nest.Loop_nest.loops in
+  let n = Array.length loops in
+  let p0 = reference_point_band_start nest in
+  let point_count = n - p0 in
+  let tiled_rels =
+    List.filter (fun rel -> sizes.(rel) > 0) (List.init point_count Fun.id)
+  in
+  let k = List.length tiled_rels in
+  let new_n = n + k in
+  let tile_band =
+    List.map
+      (fun rel ->
+        let l = loops.(p0 + rel) in
+        {
+          Loop_nest.ub = l.Loop_nest.ub / sizes.(rel);
+          kind = (if parallel then Loop_nest.Parallel else Loop_nest.Seq);
+          origin = l.Loop_nest.origin;
+        })
+      tiled_rels
+  in
+  let new_point =
+    Array.init point_count (fun rel ->
+        let l = loops.(p0 + rel) in
+        if sizes.(rel) > 0 then { l with Loop_nest.ub = sizes.(rel) } else l)
+  in
+  let new_loops =
+    Array.concat [ Array.sub loops 0 p0; Array.of_list tile_band; new_point ]
+  in
+  let subst =
+    Array.init n (fun j ->
+        if j < p0 then Affine.dim new_n j
+        else
+          let rel = j - p0 in
+          let point = Affine.dim new_n (p0 + k + rel) in
+          match List.find_index (( = ) rel) tiled_rels with
+          | None -> point
+          | Some r ->
+              Affine.add_expr
+                (Affine.scale sizes.(rel) (Affine.dim new_n (p0 + r)))
+                point)
+  in
+  Loop_nest.map_body_exprs
+    (fun e -> Affine.substitute e subst)
+    { nest with Loop_nest.loops = new_loops }
+
+let tile_kinds =
+  [| "matmul"; "conv2d"; "maxpool"; "add"; "relu"; "batch_matmul";
+     "conv2d_nchw"; "dwconv"; "avgpool"; "bias_add"; "exp" |]
+
+(* Random divisor sizes for the point band, at least one positive. *)
+let random_tile_sizes rng (nest : Loop_nest.t) =
+  let band = Loop_transforms.point_band nest in
+  let sizes =
+    Array.map
+      (fun (l : Loop_nest.loop) ->
+        if Util.Rng.bool rng then 0
+        else
+          Util.Rng.choice rng
+            (Array.of_list (Loop_transforms.divisors l.Loop_nest.ub)))
+      band
+  in
+  if Array.for_all (fun s -> s = 0) sizes then begin
+    let l = Util.Rng.int rng (Array.length band) in
+    sizes.(l) <- band.(l).Loop_nest.ub
+  end;
+  sizes
+
+let qcheck_tile_matches_substitution =
+  QCheck.Test.make ~name:"tile and point_band_start match the substitution"
+    ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let op = Generator.random_op rng (Util.Rng.choice rng tile_kinds) in
+      let nest = ref (Lower.to_loop_nest op) in
+      for _ = 1 to Util.Rng.int rng 3 do
+        nest :=
+          reference_tile ~parallel:(Util.Rng.bool rng)
+            (random_tile_sizes rng !nest) !nest
+      done;
+      let nest = !nest in
+      let parallel = Util.Rng.bool rng in
+      let sizes = random_tile_sizes rng nest in
+      Loop_transforms.point_band_start nest = reference_point_band_start nest
+      &&
+      match Loop_transforms.tile ~parallel sizes nest with
+      | Error e -> QCheck.Test.fail_reportf "valid sizes rejected: %s" e
+      | Ok tiled ->
+          tiled = reference_tile ~parallel sizes nest
+          && Loop_transforms.point_band_start tiled
+             = reference_point_band_start tiled)
+
+let test_tile_rejects_wrong_arity_subscript () =
+  let nest =
+    Loop_nest.map_body_exprs
+      (fun e -> { e with Affine.coeffs = Array.append e.Affine.coeffs [| 0 |] })
+      (Lower.to_loop_nest (Test_helpers.small_matmul ()))
+  in
+  Alcotest.(check bool) "Invalid_argument" true
+    (match Loop_transforms.tile [| 2; 0; 0 |] nest with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
 let suite =
   [
     Alcotest.test_case "divisors" `Quick test_divisors;
@@ -178,4 +302,7 @@ let suite =
     Alcotest.test_case "vectorize marks innermost" `Quick test_vectorize_marks_innermost;
     Alcotest.test_case "parallel band flag" `Quick test_parallel_band_flag;
     QCheck_alcotest.to_alcotest qcheck_random_schedules_preserve;
+    QCheck_alcotest.to_alcotest qcheck_tile_matches_substitution;
+    Alcotest.test_case "tile rejects wrong-arity subscript" `Quick
+      test_tile_rejects_wrong_arity_subscript;
   ]
