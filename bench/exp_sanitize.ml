@@ -91,7 +91,8 @@ let episodes rng cfg per_op ops =
         let finished = ref false in
         while not !finished do
           let st = Env.state env in
-          let mask = Action_space.simple_mask cfg st menu in
+          let ctx = Action_space.legality_of cfg st in
+          let mask = Action_space.simple_mask ?ctx st menu in
           let legal = ref [] in
           Array.iteri (fun i b -> if b then legal := i :: !legal) mask;
           let tr =
@@ -99,7 +100,6 @@ let episodes rng cfg per_op ops =
             | [] -> None
             | l ->
                 let i = List.nth l (Util.Rng.int rng (List.length l)) in
-                let ctx = Action_space.legality_of cfg st in
                 Action_space.legalize ?ctx st
                   menu.(i).Action_space.transformation
           in

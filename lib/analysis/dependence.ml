@@ -80,38 +80,27 @@ let accesses (nest : Loop_nest.t) =
          @ [ { stmt = s; seq = 1; is_store = true; mref = r } ])
        nest.Loop_nest.body)
 
-let stored_buffers (nest : Loop_nest.t) =
-  List.sort_uniq compare
-    (List.map (fun (r : Loop_nest.mem_ref) -> r.Loop_nest.buf)
-       (Loop_nest.stores_of_body nest))
-
 (* ------------------------------------------------------------------ *)
 (* Feasibility of one direction-constrained system                    *)
 (* ------------------------------------------------------------------ *)
 
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
-(* Range of [a*i - b*j] with [0 <= i, j <= u-1] under the constraint.
-   [None] means the constrained region is empty (u < 2 for < or >). *)
-let term_range ~u a b = function
-  | Must Eq ->
-      let v = (a - b) * (u - 1) in
-      Some (min 0 v, max 0 v)
-  | Any ->
-      let ai = a * (u - 1) and bj = -b * (u - 1) in
-      Some (min 0 ai + min 0 bj, max 0 ai + max 0 bj)
+(* Range [term_lo, term_hi] of [a*i - b*j] with [0 <= i, j <= u-1] under
+   the constraint. A [<] or [>] constraint needs [u >= 2] (a nonempty
+   region); queries check that once, up front, with [region_nonempty]. *)
+let term_lo ~u a b = function
+  | Must Eq -> min 0 ((a - b) * (u - 1))
+  | Any -> min 0 (a * (u - 1)) + min 0 (-b * (u - 1))
   | Must Lt ->
-      if u < 2 then None
-      else
-        (* vertices of {0 <= i < j <= u-1}: (0,1), (0,u-1), (u-2,u-1) *)
-        let v1 = -b and v2 = -b * (u - 1) and v3 = (a * (u - 2)) - (b * (u - 1)) in
-        Some (min v1 (min v2 v3), max v1 (max v2 v3))
+      (* vertices of {0 <= i < j <= u-1}: (0,1), (0,u-1), (u-2,u-1) *)
+      min (-b) (min (-b * (u - 1)) ((a * (u - 2)) - (b * (u - 1))))
   | Must Gt ->
-      if u < 2 then None
-      else
-        (* vertices of {0 <= j < i <= u-1}: (1,0), (u-1,0), (u-1,u-2) *)
-        let v1 = a and v2 = a * (u - 1) and v3 = (a * (u - 1)) - (b * (u - 2)) in
-        Some (min v1 (min v2 v3), max v1 (max v2 v3))
+      (* vertices of {0 <= j < i <= u-1}: (1,0), (u-1,0), (u-1,u-2) *)
+      min a (min (a * (u - 1)) ((a * (u - 1)) - (b * (u - 2))))
+
+(* max f = -(min -f), and [-f] is the same form with negated coefficients *)
+let term_hi ~u a b c = -term_lo ~u (-a) (-b) c
 
 let region_nonempty (loops : Loop_nest.loop array) cs =
   let ok = ref true in
@@ -123,80 +112,68 @@ let region_nonempty (loops : Loop_nest.loop array) cs =
     cs;
   !ok
 
-(* One subscript dimension: can [ea(i) = eb(j)] hold under [cs]? *)
+(* One subscript dimension: can [ea(i) = eb(j)] hold under [cs]? The
+   region must be nonempty. *)
 let dim_feasible (loops : Loop_nest.loop array) (ea : Affine.expr)
     (eb : Affine.expr) cs =
   let n = Array.length loops in
+  let a = ea.Affine.coeffs and b = eb.Affine.coeffs in
   (* Banerjee bounds *)
   let lo = ref (ea.Affine.const - eb.Affine.const) in
   let hi = ref !lo in
-  let empty = ref false in
   for k = 0 to n - 1 do
-    match term_range ~u:loops.(k).Loop_nest.ub ea.Affine.coeffs.(k)
-            eb.Affine.coeffs.(k) cs.(k)
-    with
-    | None -> empty := true
-    | Some (tlo, thi) ->
-        lo := !lo + tlo;
-        hi := !hi + thi
+    let u = loops.(k).Loop_nest.ub in
+    lo := !lo + term_lo ~u a.(k) b.(k) cs.(k);
+    hi := !hi + term_hi ~u a.(k) b.(k) cs.(k)
   done;
-  if !empty then false
-  else if !lo > 0 || !hi < 0 then false
+  if !lo > 0 || !hi < 0 then false
   else begin
     (* GCD / ZIV: sum_k (a_k i_k - b_k j_k) = cb - ca must have an
-       integer solution. Loops pinned by [Eq] merge into one variable;
-       trip-count-1 loops contribute nothing (their variable is 0). *)
-    let g = ref 0 in
-    for k = 0 to n - 1 do
-      if loops.(k).Loop_nest.ub > 1 then
+       integer solution. Each live loop contributes only multiples of its
+       pair gcd: [a_k - b_k] when pinned by [Eq] (the two variables
+       merge), [gcd a_k b_k] otherwise; trip-count-1 loops contribute
+       nothing (their variable is 0), and 0 is the gcd identity.
+       [suffix.(k)] is the gcd over loops [k..n-1], so [suffix.(0)] is
+       the whole system's. *)
+    let pair_gcd k =
+      if loops.(k).Loop_nest.ub <= 1 then 0
+      else
         match cs.(k) with
-        | Must Eq ->
-            g := gcd !g (ea.Affine.coeffs.(k) - eb.Affine.coeffs.(k))
-        | Any | Must Lt | Must Gt ->
-            g := gcd !g ea.Affine.coeffs.(k);
-            g := gcd !g eb.Affine.coeffs.(k)
+        | Must Eq -> abs (a.(k) - b.(k))
+        | Any | Must Lt | Must Gt -> gcd a.(k) b.(k)
+    in
+    let suffix = Array.make (n + 1) 0 in
+    for k = n - 1 downto 0 do
+      suffix.(k) <- gcd suffix.(k + 1) (pair_gcd k)
     done;
     let diff = eb.Affine.const - ea.Affine.const in
-    if !g = 0 then diff = 0
-    else if diff mod !g <> 0 then false
+    let g = suffix.(0) in
+    if g = 0 then diff = 0
+    else if diff mod g <> 0 then false
     else begin
       (* Per-dimension stride refinement. Writing the system as
-         [sum_k t_k = diff] with [t_k = a_k i - b_k j] ranging over
-         [term_range k], each pair contributes only multiples of its own
-         gcd ([a_k - b_k] when pinned to Eq). So for every k there must
-         exist [t] in k's range with [t = diff (mod gcd of the others)].
-         This catches post-tiling subscripts like [8*ic + ip] where a
-         [<] on the point loop bounds [t] to [-7, -1] but the chunk pair
-         only supplies multiples of 8 — the plain GCD test (gcd = 1)
-         cannot see it. *)
-      let live k = loops.(k).Loop_nest.ub > 1 in
-      let pair_gcd k =
-        match cs.(k) with
-        | Must Eq -> abs (ea.Affine.coeffs.(k) - eb.Affine.coeffs.(k))
-        | Any | Must Lt | Must Gt ->
-            gcd ea.Affine.coeffs.(k) eb.Affine.coeffs.(k)
-      in
-      let feasible = ref true in
-      for k = 0 to n - 1 do
-        if !feasible && live k then begin
-          let g_rest = ref 0 in
-          for j = 0 to n - 1 do
-            if j <> k && live j then g_rest := gcd !g_rest (pair_gcd j)
-          done;
-          match
-            term_range ~u:loops.(k).Loop_nest.ub ea.Affine.coeffs.(k)
-              eb.Affine.coeffs.(k) cs.(k)
-          with
-          | None -> feasible := false
-          | Some (lo, hi) ->
-              let ok =
-                if !g_rest = 0 then lo <= diff && diff <= hi
-                else
-                  let gr = !g_rest in
-                  lo + ((((diff - lo) mod gr) + gr) mod gr) <= hi
-              in
-              if not ok then feasible := false
-        end
+         [sum_k t_k = diff] with [t_k = a_k i - b_k j] ranging over k's
+         term range, each pair contributes only multiples of its own
+         gcd. So for every live k there must exist [t] in k's range with
+         [t = diff (mod gcd of the others)]; the gcd of the others is
+         [gcd prefix suffix.(k+1)] with [prefix] the running gcd of the
+         loops before k, one pass in all. This catches post-tiling
+         subscripts like [8*ic + ip] where a [<] on the point loop
+         bounds [t] to [-7, -1] but the chunk pair only supplies
+         multiples of 8 — the plain GCD test (gcd = 1) cannot see it. *)
+      let feasible = ref true and prefix = ref 0 and k = ref 0 in
+      while !feasible && !k < n do
+        let u = loops.(!k).Loop_nest.ub in
+        if u > 1 then begin
+          let gr = gcd !prefix suffix.(!k + 1) in
+          let lo = term_lo ~u a.(!k) b.(!k) cs.(!k)
+          and hi = term_hi ~u a.(!k) b.(!k) cs.(!k) in
+          feasible :=
+            if gr = 0 then lo <= diff && diff <= hi
+            else lo + ((((diff - lo) mod gr) + gr) mod gr) <= hi;
+          prefix := gcd !prefix (pair_gcd !k)
+        end;
+        incr k
       done;
       !feasible
     end
@@ -204,44 +181,22 @@ let dim_feasible (loops : Loop_nest.loop array) (ea : Affine.expr)
 
 let refs_feasible (loops : Loop_nest.loop array) (ra : Loop_nest.mem_ref)
     (rb : Loop_nest.mem_ref) cs =
-  region_nonempty loops cs
-  && Array.length ra.Loop_nest.idx = Array.length rb.Loop_nest.idx
+  Array.length ra.Loop_nest.idx = Array.length rb.Loop_nest.idx
   &&
-  let ok = ref true in
-  Array.iteri
-    (fun d ea ->
-      if !ok && not (dim_feasible loops ea rb.Loop_nest.idx.(d) cs) then
-        ok := false)
-    ra.Loop_nest.idx;
+  let ok = ref true and d = ref 0 in
+  while !ok && !d < Array.length ra.Loop_nest.idx do
+    ok := dim_feasible loops ra.Loop_nest.idx.(!d) rb.Loop_nest.idx.(!d) cs;
+    incr d
+  done;
   !ok
 
 (* ------------------------------------------------------------------ *)
-(* Pair enumeration and existence queries                             *)
+(* Prepared access pairs and existence queries                        *)
 (* ------------------------------------------------------------------ *)
 
 let same_subscripts (ra : Loop_nest.mem_ref) (rb : Loop_nest.mem_ref) =
   Array.length ra.Loop_nest.idx = Array.length rb.Loop_nest.idx
   && Array.for_all2 Affine.equal_expr ra.Loop_nest.idx rb.Loop_nest.idx
-
-(* Ordered pairs (src, dst) of accesses to the same stored buffer with at
-   least one store. The same unordered pair appears in both orders, so a
-   query constraining some loop to [<] also covers the symmetric [>]
-   case of the reverse pair. *)
-let dep_pairs nest =
-  let accs = accesses nest in
-  let stored = stored_buffers nest in
-  List.concat_map
-    (fun a ->
-      List.filter_map
-        (fun b ->
-          if
-            a.mref.Loop_nest.buf = b.mref.Loop_nest.buf
-            && (a.is_store || b.is_store)
-            && List.mem a.mref.Loop_nest.buf stored
-          then Some (a, b)
-          else None)
-        accs)
-    accs
 
 let pair_kind a b =
   match (a.is_store, b.is_store) with
@@ -260,24 +215,56 @@ let accumulator_stmt (Loop_nest.Store (r, e)) =
   List.exists (fun lr -> same_subscripts lr r && lr.Loop_nest.buf = r.Loop_nest.buf)
     (load_refs [] e)
 
-(* [exists_dep nest cs] — is there any access pair whose dependence
-   system is feasible under the per-loop constraints [cs]?
+type pair = {
+  src : access;
+  dst : access;
+  accumulator : bool;
+      (* same accumulator statement, identical subscripts: the [C += ...]
+         reduction pair [~exclude_accumulator] skips *)
+}
+
+type prepared = { loops : Loop_nest.loop array; pairs : pair array }
+
+(* Ordered pairs (src, dst) of accesses to the same buffer with at least
+   one store (so the buffer is a stored one). The same unordered pair
+   appears in both orders, so a query constraining some loop to [<] also
+   covers the symmetric [>] case of the reverse pair. *)
+let prepare (nest : Loop_nest.t) =
+  let accs = accesses nest in
+  let acc_stmts = Array.of_list (List.map accumulator_stmt nest.Loop_nest.body) in
+  let pairs =
+    List.concat_map
+      (fun a ->
+        List.filter_map
+          (fun b ->
+            if a.mref.Loop_nest.buf = b.mref.Loop_nest.buf && (a.is_store || b.is_store)
+            then
+              Some
+                {
+                  src = a;
+                  dst = b;
+                  accumulator =
+                    a.stmt = b.stmt && acc_stmts.(a.stmt)
+                    && same_subscripts a.mref b.mref;
+                }
+            else None)
+          accs)
+      accs
+  in
+  { loops = nest.Loop_nest.loops; pairs = Array.of_list pairs }
+
+(* [exists_dep p cs] — is there any access pair whose dependence system
+   is feasible under the per-loop constraints [cs]?
    [~exclude_accumulator:true] additionally skips same-subscript pairs
    within one accumulator statement (the [C += ...] reduction pattern),
    used by the vectorization verdict. *)
-let exists_dep ?(exclude_accumulator = false) (nest : Loop_nest.t) cs =
-  let acc_stmts =
-    if exclude_accumulator then
-      Array.of_list (List.map accumulator_stmt nest.Loop_nest.body)
-    else [||]
-  in
-  List.exists
-    (fun (a, b) ->
-      (not
-         (exclude_accumulator && a.stmt = b.stmt && acc_stmts.(a.stmt)
-         && same_subscripts a.mref b.mref))
-      && refs_feasible nest.Loop_nest.loops a.mref b.mref cs)
-    (dep_pairs nest)
+let exists_dep ?(exclude_accumulator = false) p cs =
+  region_nonempty p.loops cs
+  && Array.exists
+       (fun pr ->
+         (not (exclude_accumulator && pr.accumulator))
+         && refs_feasible p.loops pr.src.mref pr.dst.mref cs)
+       p.pairs
 
 (* ------------------------------------------------------------------ *)
 (* Full analysis: dependences with direction vectors                  *)
@@ -285,28 +272,33 @@ let exists_dep ?(exclude_accumulator = false) (nest : Loop_nest.t) cs =
 
 let textually_before a b = (a.stmt, a.seq) < (b.stmt, b.seq)
 
-let refine_dirs (nest : Loop_nest.t) a b cs =
+let analyze (nest : Loop_nest.t) =
+  let { loops; pairs } = prepare nest in
+  let n = Array.length loops in
+  let feasible pr cs =
+    region_nonempty loops cs && refs_feasible loops pr.src.mref pr.dst.mref cs
+  in
   (* For each unconstrained loop, which single direction (if any) is
      feasible with everything else fixed? *)
-  Array.mapi
-    (fun k c ->
-      match c with
-      | Must d -> Some d
-      | Any ->
-          let feasible_with d =
-            let cs' = Array.copy cs in
-            cs'.(k) <- Must d;
-            refs_feasible nest.Loop_nest.loops a.mref b.mref cs'
-          in
-          let options = List.filter feasible_with [ Lt; Eq; Gt ] in
-          (match options with [ d ] -> Some d | _ -> None))
-    cs
-
-let analyze (nest : Loop_nest.t) =
-  let n = Loop_nest.n_loops nest in
+  let refine_dirs pr cs =
+    Array.mapi
+      (fun k c ->
+        match c with
+        | Must d -> Some d
+        | Any ->
+            let feasible_with d =
+              let cs' = Array.copy cs in
+              cs'.(k) <- Must d;
+              feasible pr cs'
+            in
+            let options = List.filter feasible_with [ Lt; Eq; Gt ] in
+            (match options with [ d ] -> Some d | _ -> None))
+      cs
+  in
   let deps = ref [] in
-  List.iter
-    (fun (a, b) ->
+  Array.iter
+    (fun pr ->
+      let a = pr.src and b = pr.dst in
       let emit carrier dirs =
         deps :=
           {
@@ -321,17 +313,13 @@ let analyze (nest : Loop_nest.t) =
       in
       (* Loop-independent dependence: same iteration, [a] executes
          before [b] in the body. *)
-      let all_eq = Array.make n (Must Eq) in
-      if
-        textually_before a b
-        && refs_feasible nest.Loop_nest.loops a.mref b.mref all_eq
-      then emit None (Array.make n (Some Eq));
+      if textually_before a b && feasible pr (Array.make n (Must Eq)) then
+        emit None (Array.make n (Some Eq));
       (* Carried dependences, one per feasible carrier level. *)
       for c = 0 to n - 1 do
         let cs = Array.init n (fun k -> if k < c then Must Eq else Any) in
         cs.(c) <- Must Lt;
-        if refs_feasible nest.Loop_nest.loops a.mref b.mref cs then
-          emit (Some c) (refine_dirs nest a b cs)
+        if feasible pr cs then emit (Some c) (refine_dirs pr cs)
       done)
-    (dep_pairs nest);
+    pairs;
   List.rev !deps

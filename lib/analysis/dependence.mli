@@ -36,14 +36,21 @@ val dir_label : dir option -> string
 val pp_dependence : Format.formatter -> dependence -> unit
 val dependence_to_string : dependence -> string
 
-val exists_dep : ?exclude_accumulator:bool -> Loop_nest.t -> constr array -> bool
-(** [exists_dep nest cs] — does any ordered pair of same-buffer accesses
-    (at least one a store) admit a dependence under the per-loop
-    constraints [cs] (length = loop count)? Pairs are enumerated in both
-    orders, so a [Must Lt] constraint also covers the symmetric [Gt]
-    case of the reversed pair. With [~exclude_accumulator:true],
-    same-statement pairs with identical subscripts (the [C += ...]
-    reduction idiom) are skipped. *)
+type prepared
+(** A nest's ordered same-buffer access pairs (at least one a store),
+    each with its accumulator flag, built once per nest. *)
+
+val prepare : Loop_nest.t -> prepared
+
+val exists_dep : ?exclude_accumulator:bool -> prepared -> constr array -> bool
+(** [exists_dep (prepare nest) cs] — does any ordered pair of
+    same-buffer accesses (at least one a store) admit a dependence under
+    the per-loop constraints [cs] (length = loop count)? Pairs are
+    enumerated in both orders, so a [Must Lt] constraint also covers the
+    symmetric [Gt] case of the reversed pair. With
+    [~exclude_accumulator:true], same-statement pairs with identical
+    subscripts (the [C += ...] reduction idiom) are skipped. One query
+    costs O(pairs x subscript dims x loops). *)
 
 val analyze : Loop_nest.t -> dependence list
 (** All dependences of the nest: at most one loop-independent entry plus

@@ -6,11 +6,20 @@
     bug (enforced by the differential suite in test/test_dependence.ml).
 
     Loop indices are absolute positions in the nest; the action layer
-    translates point-band-relative indices before asking. *)
+    translates point-band-relative indices before asking.
+
+    A [t] answers lazily: {!analyze} only prepares the nest's access
+    pairs, and each verdict runs its dependence queries on first ask and
+    memoizes the answer, so callers pay only for what they read (the
+    action masks ask about the point band). The memo is unsynchronized
+    mutable state: a [t] belongs to one domain. Build one per nest where
+    it is needed — the environment builds one per masks call. *)
 
 type t
 
 val analyze : Loop_nest.t -> t
+(** Prepares the access pairs; runs no query. *)
+
 val n_loops : t -> int
 
 val carries_dependence : t -> int -> bool
@@ -40,7 +49,7 @@ val can_tile : t -> band_start:int -> bool
 (** The band [\[band_start, n)] is fully permutable, so rectangular
     tiling (which hoists chunk loops above untiled band members) is
     order-safe. Accumulator self-dependences are exempt, as in
-    {!can_interchange}. Memoized per [band_start]. *)
+    {!can_interchange}. Memoized per [band_start], like every verdict. *)
 
 val can_unroll : t -> bool
 (** Always true: unrolling replicates the body in iteration order. *)

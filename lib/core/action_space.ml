@@ -242,8 +242,7 @@ let legalize ?ctx (state : Sched_state.t) (tr : Schedule.transformation) =
   | Schedule.Unroll f ->
       if f >= 2 then Some tr else None
 
-let simple_mask (cfg : Env_config.t) (state : Sched_state.t) menu =
-  let ctx = legality_of cfg state in
+let simple_mask ?ctx (state : Sched_state.t) menu =
   Array.map
     (fun item ->
       match item.transformation with

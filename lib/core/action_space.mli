@@ -77,22 +77,27 @@ val simple_menu : Env_config.t -> n_loops:int -> simple_item array
     zeroed where they do not divide), each adjacent swap, im2col,
     vectorize. *)
 
-val simple_mask : Env_config.t -> Sched_state.t -> simple_item array -> bool array
-(** Which menu entries are currently legal. When
-    [cfg.static_legality] is on, the syntactic conditions are
-    intersected with the dependence-analysis verdicts ({!Legality}). *)
-
 (* -- static legality context -- *)
 
 type legality_ctx
 (** Dependence-analysis verdicts for one [Sched_state.t] nest, plus the
     point-band offset translating point-loop indices to absolute loop
-    positions. Recompute after every transformation — verdicts describe
-    one specific nest. *)
+    positions. Verdicts are computed on first ask and memoized
+    ({!Legality.t}), so a step's mask and {!legalize} sharing one context
+    pay for each verdict once; like the [Legality.t] inside, a context
+    belongs to one domain. Recompute after every transformation —
+    verdicts describe one specific nest. *)
 
 val legality_of : Env_config.t -> Sched_state.t -> legality_ctx option
 (** [None] when [cfg.static_legality] is off — all static checks then
     default to permissive, leaving only the paper's syntactic masks. *)
+
+val simple_mask :
+  ?ctx:legality_ctx -> Sched_state.t -> simple_item array -> bool array
+(** Which menu entries are currently legal: the syntactic conditions,
+    intersected (with [ctx]) with the dependence-analysis verdicts
+    ({!Legality}). Pass the [legality_of] context that the same step's
+    {!legalize} gets, so one analysis serves both. *)
 
 val swap_legal : ?ctx:legality_ctx -> Sched_state.t -> int -> bool
 (** Can point loops (i, i+1) be swapped? The single adjacent-swap

@@ -388,16 +388,18 @@ let train_flat ?callback ?resume config env policy ~ops =
   let menu = Flat_policy.menu policy in
   let step_slab ~envs ~rngs ~obs =
     let cfg = Env.config envs.(0) in
+    let ctxs = Array.map (fun e -> Action_space.legality_of cfg (Env.state e)) envs in
     let masks =
-      Array.map (fun e -> Action_space.simple_mask cfg (Env.state e) menu) envs
+      Array.mapi
+        (fun i e -> Action_space.simple_mask ?ctx:ctxs.(i) (Env.state e) menu)
+        envs
     in
     let acts = Flat_policy.act_batch rngs policy ~obs ~masks in
     Array.init (Array.length envs) (fun i ->
         let choice, log_prob, value = acts.(i) in
         let env = envs.(i) in
-        let ctx = Action_space.legality_of cfg (Env.state env) in
         let tr =
-          Action_space.legalize ?ctx (Env.state env)
+          Action_space.legalize ?ctx:ctxs.(i) (Env.state env)
             menu.(choice).Action_space.transformation
         in
         let result = Env.step env tr in

@@ -186,15 +186,31 @@ type tally = {
   mutable vec_checked : int;
 }
 
-let tally = { par_legal = 0; par_illegal = 0; swap_legal = 0;
-              swap_illegal = 0; tile_legal = 0; tile_illegal = 0;
-              vec_checked = 0 }
+let new_tally () =
+  { par_legal = 0; par_illegal = 0; swap_legal = 0; swap_illegal = 0;
+    tile_legal = 0; tile_illegal = 0; vec_checked = 0 }
 
-let check_nest rng nest =
+(* Swap loops [k] and [k+1] anywhere in the nest, outer chunk loops
+   included ([Loop_transforms.swap_adjacent] only reaches the point
+   band). *)
+let swap_loops k (nest : Loop_nest.t) =
+  let n = Array.length nest.Loop_nest.loops in
+  let src j = if j = k then k + 1 else if j = k + 1 then k else j in
+  Loop_nest.map_body_exprs
+    (fun e ->
+      { e with Affine.coeffs = Array.init n (fun j -> e.Affine.coeffs.(src j)) })
+    { nest with Loop_nest.loops = Array.init n (fun j -> nest.Loop_nest.loops.(src j)) }
+
+(* Every claimed-legal verdict is replayed on the interpreter. Loop
+   indices are absolute; transformations the environment applies to the
+   point band [p0, n) only — forall parallelization and tiling — are
+   checked there, at the band start the action masks ask about. *)
+let check_nest tally rng nest =
   match Loop_nest.validate nest with
   | Error e -> Alcotest.failf "generator produced an invalid nest: %s" e
   | Ok () ->
       let n = Loop_nest.n_loops nest in
+      let p0 = Loop_transforms.point_band_start nest in
       let leg = Legality.analyze nest in
       let inputs = input_data rng nest in
       let reference = run_all nest ~inputs in
@@ -215,15 +231,16 @@ let check_nest rng nest =
             (reverse_loop k nest);
           (* and through the env's actual Parallelize path: tile the loop
              to a forall and reverse the hoisted chunk loop *)
-          let sizes = Array.make n 0 in
-          sizes.(k) <- smallest_divisor nest.Loop_nest.loops.(k).Loop_nest.ub;
-          if sizes.(k) < nest.Loop_nest.loops.(k).Loop_nest.ub then
+          let sizes = Array.make (n - p0) 0 in
+          let ub = nest.Loop_nest.loops.(k).Loop_nest.ub in
+          if k >= p0 then sizes.(k - p0) <- smallest_divisor ub;
+          if k >= p0 && sizes.(k - p0) < ub then
             match Loop_transforms.tile ~parallel:true sizes nest with
             | Error e -> Alcotest.failf "tile ~parallel rejected: %s" e
             | Ok tiled ->
                 expect_equal
                   (Printf.sprintf "parallelize (forall) loop %d" k)
-                  (reverse_loop 0 tiled)
+                  (reverse_loop p0 tiled)
         end
         else tally.par_illegal <- tally.par_illegal + 1
       done;
@@ -231,7 +248,11 @@ let check_nest rng nest =
       for k = 0 to n - 2 do
         if Legality.can_interchange leg k then begin
           tally.swap_legal <- tally.swap_legal + 1;
-          match Loop_transforms.swap_adjacent k nest with
+          let swapped =
+            if k < p0 then Ok (swap_loops k nest)
+            else Loop_transforms.swap_adjacent (k - p0) nest
+          in
+          match swapped with
           | Error e -> Alcotest.failf "swap_adjacent rejected: %s" e
           | Ok swapped ->
               expect_equal ~tol:reassoc
@@ -240,13 +261,13 @@ let check_nest rng nest =
         end
         else tally.swap_illegal <- tally.swap_illegal + 1
       done;
-      (* tile verdict: full-band rectangular tiling must be exact *)
-      if Legality.can_tile leg ~band_start:0 then begin
+      (* tile verdict: point-band rectangular tiling must be exact *)
+      if Legality.can_tile leg ~band_start:p0 then begin
         tally.tile_legal <- tally.tile_legal + 1;
         let sizes =
           Array.map
             (fun (l : Loop_nest.loop) -> smallest_divisor l.Loop_nest.ub)
-            nest.Loop_nest.loops
+            (Array.sub nest.Loop_nest.loops p0 (n - p0))
         in
         match Loop_transforms.tile sizes nest with
         | Error e -> Alcotest.failf "tile rejected: %s" e
@@ -263,10 +284,55 @@ let check_nest rng nest =
 
 let test_randomized () =
   let rng = Util.Rng.create 2024 in
+  let tally = new_tally () in
   for _ = 1 to 300 do
-    check_nest rng (gen_nest rng)
+    check_nest tally rng (gen_nest rng)
   done;
   (* the corpus must exercise both sides of every verdict *)
+  check "some parallel-legal" true (tally.par_legal > 50);
+  check "some parallel-illegal" true (tally.par_illegal > 50);
+  check "some swap-legal" true (tally.swap_legal > 20);
+  check "some swap-illegal" true (tally.swap_illegal > 5);
+  check "some tile-legal" true (tally.tile_legal > 50);
+  check "some tile-illegal" true (tally.tile_illegal > 10);
+  check "some vectorize checks" true (tally.vec_checked > 20)
+
+(* The action masks ask about the point band, which sits behind the
+   chunk loops of earlier tilings and parallelizations. Deepen each
+   random nest by one or two point-band tilings with random divisor
+   sizes (sequential or forall) and hold the deeper nest's verdicts to
+   the same rule: every claimed-legal one must replay exactly on the
+   interpreter. The deepened nest is its own reference — the tilings
+   need not be legal on the shallow nest. *)
+let deepen rng (nest : Loop_nest.t) =
+  let p0 = Loop_transforms.point_band_start nest in
+  let point = Array.sub nest.Loop_nest.loops p0 (Loop_nest.n_loops nest - p0) in
+  let random_divisor (l : Loop_nest.loop) =
+    let ds = List.filter (fun d -> d > 1) (Loop_transforms.divisors l.Loop_nest.ub) in
+    List.nth ds (Util.Rng.int rng (List.length ds))
+  in
+  let sizes =
+    Array.map (fun l -> if Util.Rng.int rng 3 = 0 then 0 else random_divisor l) point
+  in
+  if Array.for_all (fun s -> s = 0) sizes then begin
+    let i = Util.Rng.int rng (Array.length sizes) in
+    sizes.(i) <- random_divisor point.(i)
+  end;
+  match Loop_transforms.tile ~parallel:(Util.Rng.int rng 2 = 0) sizes nest with
+  | Ok deeper -> deeper
+  | Error e -> Alcotest.failf "deepening tile rejected: %s" e
+
+let test_randomized_deep () =
+  let rng = Util.Rng.create 4049 in
+  let tally = new_tally () in
+  let deep = ref 0 in
+  for _ = 1 to 200 do
+    let nest = deepen rng (gen_nest rng) in
+    let nest = if Util.Rng.int rng 2 = 0 then deepen rng nest else nest in
+    if Loop_nest.n_loops nest >= 4 then incr deep;
+    check_nest tally rng nest
+  done;
+  check "some nests four loops deep" true (!deep > 50);
   check "some parallel-legal" true (tally.par_legal > 50);
   check "some parallel-illegal" true (tally.par_illegal > 50);
   check "some swap-legal" true (tally.swap_legal > 20);
@@ -435,6 +501,200 @@ let test_certificates () =
                                  path under test *))
          with Failure m -> Astring_contains.contains m "legality certificate"))
 
+(* ------------------------------------------------------------------ *)
+(* Pinned legality bytes                                              *)
+(* ------------------------------------------------------------------ *)
+
+let bits b = String.init (Array.length b) (fun i -> if b.(i) then '1' else '0')
+
+(* Every verdict of one fresh analysis, rendered in one canonical layout.
+   [~reverse:true] asks them in the opposite order — vectorize first,
+   band starts and loops from the innermost out — so a memo whose answer
+   depends on what was asked before cannot hide behind the layout. *)
+let verdict_bytes ~reverse nest =
+  let leg = Legality.analyze nest in
+  let n = Loop_nest.n_loops nest in
+  let par = Array.make n false and swap = Array.make n false in
+  let carried = Array.make n false and tile = Array.make n false in
+  let vec = ref false in
+  let idx = List.init n Fun.id in
+  let ask_vectorize () = vec := Legality.can_vectorize leg in
+  let ask_tiles order =
+    List.iter (fun b -> tile.(b) <- Legality.can_tile leg ~band_start:b) order
+  in
+  let ask_loops order fields =
+    List.iter (fun k -> List.iter (fun f -> f k) fields) order
+  in
+  let fields =
+    [
+      (fun k -> par.(k) <- Legality.can_parallelize leg k);
+      (fun k -> swap.(k) <- Legality.can_interchange leg k);
+      (fun k -> carried.(k) <- Legality.carries_dependence leg k);
+    ]
+  in
+  if reverse then begin
+    ask_vectorize ();
+    ask_tiles (List.rev idx);
+    ask_loops (List.rev idx) (List.rev fields)
+  end
+  else begin
+    ask_loops idx fields;
+    ask_tiles idx;
+    ask_vectorize ()
+  end;
+  Printf.sprintf "n=%d par=%s swap=%s carried=%s tile=%s vec=%b" n (bits par)
+    (bits swap) (bits carried) (bits tile) !vec
+
+let mask_bytes (m : Action_space.masks) =
+  let rows r = String.concat "/" (Array.to_list (Array.map bits r)) in
+  Printf.sprintf "t=%s tile=%s par=%s swap=%s" (bits m.Action_space.t_mask)
+    (rows m.Action_space.tile_mask) (rows m.Action_space.par_mask)
+    (bits m.Action_space.swap_mask)
+
+(* One random action the masks admit. Vectorize is left to the end of
+   the episode so the nests grow deep; slot choices are uniform over
+   each loop's admitted slots. *)
+let random_masked_action rng cfg st (m : Action_space.masks) =
+  let pick = function
+    | [] -> None
+    | l -> Some (List.nth l (Util.Rng.int rng (List.length l)))
+  in
+  let admitted row = List.filter (fun i -> row.(i)) (List.init (Array.length row) Fun.id) in
+  match pick (List.filter (fun t -> t <> Action_space.t_vectorize) (admitted m.Action_space.t_mask)) with
+  | None -> None
+  | Some transform ->
+      let rows =
+        if transform = Action_space.t_parallelize then m.Action_space.par_mask
+        else m.Action_space.tile_mask
+      in
+      let tile_choices =
+        Array.map (fun row -> Option.value ~default:0 (pick (admitted row))) rows
+      in
+      let swap_choice =
+        Option.value ~default:0 (pick (admitted m.Action_space.swap_mask))
+      in
+      Action_space.to_transformation cfg st
+        { Action_space.transform; tile_choices; swap_choice }
+
+(* MD5 over every legality verdict and every action mask along seeded
+   random masked episodes: matmul, conv2d with and without im2col,
+   maxpool, add and relu, tiled and parallelized until the nests reach
+   ten loops and more; then every verdict of three canonical nests with
+   true cross-iteration dependences, plain and tiled. The constant was computed at commit 333dbb5,
+   before the analysis answered verdicts lazily from prepared access
+   pairs with a linear stride refinement — which must not move a bit. *)
+let pinned_legality_fingerprint = "57549d67ab4b470dabb3f947d9406e13"
+
+let legality_fingerprint () =
+  let cfg = Env_config.default in
+  let conv =
+    Linalg.conv2d
+      {
+        Linalg.batch = 1;
+        in_h = 10;
+        in_w = 10;
+        channels = 4;
+        kernel_h = 3;
+        kernel_w = 3;
+        filters = 8;
+        stride = 1;
+      }
+  in
+  let episodes =
+    [
+      (Linalg.matmul ~m:16 ~n:24 ~k:32 (), []);
+      (conv, []);
+      (conv, [ Schedule.Im2col ]);
+      ( Linalg.maxpool
+          {
+            Linalg.p_batch = 2;
+            p_in_h = 16;
+            p_in_w = 16;
+            p_channels = 8;
+            p_kernel = 2;
+            p_stride = 2;
+          },
+        [] );
+      (Linalg.add [| 12; 16; 8 |], []);
+      (Linalg.relu [| 24; 32 |], []);
+    ]
+  in
+  let rng = Util.Rng.create 19 in
+  let b = Buffer.create (1 lsl 16) in
+  let states = ref 0 and deepest = ref 0 in
+  let add_verdicts nest =
+    let forward = verdict_bytes ~reverse:false nest in
+    Alcotest.(check string) "verdicts independent of query order" forward
+      (verdict_bytes ~reverse:true nest);
+    Buffer.add_string b forward
+  in
+  let visit st =
+    let nest = st.Sched_state.nest in
+    incr states;
+    deepest := max !deepest (Loop_nest.n_loops nest);
+    Buffer.add_string b (Schedule.to_string st.Sched_state.applied);
+    Buffer.add_char b '|';
+    add_verdicts nest;
+    Buffer.add_char b '|';
+    Buffer.add_string b (mask_bytes (Action_space.masks cfg st));
+    Buffer.add_char b '\n'
+  in
+  List.iter
+    (fun (op, prefix) ->
+      for _ = 1 to 4 do
+        let st =
+          match Sched_state.apply_all op prefix with
+          | Ok st -> st
+          | Error e -> Alcotest.fail e
+        in
+        let rec step st k =
+          visit st;
+          let next =
+            if k = 0 then
+              if (Action_space.masks cfg st).Action_space.t_mask.(Action_space.t_vectorize)
+              then Some Schedule.Vectorize
+              else None
+            else random_masked_action rng cfg st (Action_space.masks cfg st)
+          in
+          match next with
+          | None -> if k > 0 then step st (k - 1)
+          | Some tr -> (
+              match Sched_state.apply st tr with
+              | Ok st' ->
+                  if Sched_state.is_done st' then visit st' else step st' (k - 1)
+              | Error e -> Alcotest.failf "masked action rejected: %s" e)
+        in
+        step st 5
+      done)
+    episodes;
+  (* The dataset's dependences are all accumulator self-dependences; the
+     canonical recurrence, skewed and column-wise nests add true
+     cross-iteration ones, plain and with the point band tiled
+     sequentially or as a forall. *)
+  List.iter
+    (fun src ->
+      let nest = parse src in
+      let sizes =
+        Array.map
+          (fun (l : Loop_nest.loop) -> smallest_divisor l.Loop_nest.ub)
+          nest.Loop_nest.loops
+      in
+      let tiled parallel = Result.get_ok (Loop_transforms.tile ~parallel sizes nest) in
+      List.iter
+        (fun nest ->
+          add_verdicts nest;
+          Buffer.add_char b '\n')
+        [ nest; tiled false; tiled true ])
+    [ recurrence; skewed; columnwise ];
+  (Digest.to_hex (Digest.string (Buffer.contents b)), !states, !deepest)
+
+let test_pinned_legality_fingerprint () =
+  let fp, states, deepest = legality_fingerprint () in
+  check "many states visited" true (states > 100);
+  check "nests reach ten loops" true (deepest >= 10);
+  Alcotest.(check string) "legality verdict and mask bytes"
+    pinned_legality_fingerprint fp
+
 let suite =
   [
     Alcotest.test_case "300 randomized nests, zero unsound verdicts" `Slow
@@ -448,4 +708,8 @@ let suite =
     Alcotest.test_case "static masks only shrink" `Quick test_mask_intersection;
     Alcotest.test_case "certificates accept legal schedules" `Quick
       test_certificates;
+    Alcotest.test_case "pinned legality fingerprint" `Quick
+      test_pinned_legality_fingerprint;
+    Alcotest.test_case "deepened randomized nests, zero unsound verdicts" `Slow
+      test_randomized_deep;
   ]

@@ -156,7 +156,9 @@ let test_simple_menu_and_mask () =
   let menu = Action_space.simple_menu cfg ~n_loops:3 in
   (* 3 tiles + 3 pars + 2 swaps + im2col + vectorize = 10 *)
   Alcotest.(check int) "menu size" 10 (Array.length menu);
-  let mask = Action_space.simple_mask cfg st menu in
+  let mask =
+    Action_space.simple_mask ?ctx:(Action_space.legality_of cfg st) st menu
+  in
   Alcotest.(check bool) "vectorize allowed" true mask.(Array.length menu - 1);
   Alcotest.(check bool) "im2col masked for matmul" false mask.(Array.length menu - 2)
 

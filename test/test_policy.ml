@@ -300,7 +300,9 @@ let test_flat_policy_act_and_evaluate () =
   let st = Sched_state.init (Test_helpers.small_matmul ()) in
   let obs = Observation.extract cfg st in
   let menu = Flat_policy.menu policy in
-  let mask = Action_space.simple_mask cfg st menu in
+  let mask =
+    Action_space.simple_mask ?ctx:(Action_space.legality_of cfg st) st menu
+  in
   let choice, logp, _ = Flat_policy.act rng policy ~obs ~mask in
   Alcotest.(check bool) "choice masked" true mask.(choice);
   let tape = Autodiff.Tape.create () in
@@ -316,7 +318,10 @@ let test_flat_greedy_masked () =
   let policy = Flat_policy.create ~hidden:16 ~backbone_layers:1 rng cfg ~n_loops:3 in
   let st = Sched_state.init (Test_helpers.small_matmul ()) in
   let obs = Observation.extract cfg st in
-  let mask = Action_space.simple_mask cfg st (Flat_policy.menu policy) in
+  let mask =
+    Action_space.simple_mask ?ctx:(Action_space.legality_of cfg st) st
+      (Flat_policy.menu policy)
+  in
   let c = Flat_policy.act_greedy policy ~obs ~mask in
   Alcotest.(check bool) "greedy masked" true mask.(c)
 
