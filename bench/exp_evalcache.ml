@@ -2,19 +2,21 @@
    structural digests, the state-seconds transposition cache and the
    prefix-sharing exhaustive search actually save.
 
-   Four measurements, mirroring the paths the caches sit on:
+   Three measurements, mirroring the paths the caches sit on:
 
    1. digest microbench: [Loop_nest.digest] (structural, no printing)
       vs the print+MD5 scheme it replaced in lib/serve;
    2. exhaustive auto-scheduler search: candidates/sec of
       [Auto_scheduler.search_naive] on a cache-disabled evaluator
       (apply_all per candidate, full cost model per evaluation) vs the
-      prefix-sharing [Auto_scheduler.search], cold and with a warm
-      state cache (the serve/repeated-tuning scenario);
-   3. beam search end to end, transposition cache off vs on, cold and
-      warm;
-   4. --jobs 4 training throughput (noise + faults on), state cache
+      prefix-sharing [Auto_scheduler.search], which prices its distinct
+      candidates on forks without the state cache;
+   3. --jobs 4 training throughput (noise + faults on), state cache
       off vs on.
+
+   Beam search is not measured: like the exhaustive search, it prices
+   on forks without the state cache, so the cache has nothing to
+   save there.
 
    Every memoized run is checked against its naive twin (same best
    schedule, speedup and explored count — the differential suite in
@@ -71,7 +73,7 @@ let digest_bench ~iters =
           } );
     ]
 
-(* -- 2/3. search: naive vs memoized ----------------------------------- *)
+(* -- 2. search: naive vs prefix-sharing --------------------------------- *)
 
 type search_point = {
   label : string;
@@ -120,63 +122,16 @@ let exhaustive_bench ~budget ?(tile_sizes = []) op =
       (fun ~config ev op -> Auto_scheduler.search_naive ~config ev op)
       (Evaluator.create ~state_cache_capacity:0 ())
   in
-  let memo_ev = Evaluator.create () in
-  let cold_pt, cold_r =
-    run "memoized, cold state cache"
+  let dfs_pt, dfs_r =
+    run "prefix-sharing DFS, uncached forks"
       (fun ~config ev op -> Auto_scheduler.search ~config ev op)
-      memo_ev
+      (Evaluator.create ())
   in
-  let warm_pt, warm_r =
-    run "memoized, warm state cache"
-      (fun ~config ev op -> Auto_scheduler.search ~config ev op)
-      memo_ev
-  in
-  require_equal "exhaustive naive vs memoized-cold" (fingerprint naive_r)
-    (fingerprint cold_r);
-  require_equal "exhaustive memoized cold vs warm" (fingerprint cold_r)
-    (fingerprint warm_r);
-  (* The warm run's explored counter includes the cold run's (same
-     evaluator); isolate the delta. *)
-  let warm_pt =
-    { warm_pt with evaluated = warm_pt.evaluated - cold_pt.evaluated }
-  in
-  [ naive_pt; cold_pt; warm_pt ]
+  require_equal "exhaustive naive vs prefix-sharing" (fingerprint naive_r)
+    (fingerprint dfs_r);
+  [ naive_pt; dfs_pt ]
 
-let beam_bench op =
-  let run label cap ev_opt =
-    let ev =
-      match ev_opt with
-      | Some ev -> ev
-      | None -> Evaluator.create ~state_cache_capacity:cap ()
-    in
-    let before = Evaluator.explored ev in
-    let t0 = now () in
-    let r = Beam_search.search ev op in
-    let wall_s = now () -. t0 in
-    let state_hits, state_misses = state_stats ev in
-    ( {
-        label;
-        wall_s;
-        evaluated = Evaluator.explored ev - before;
-        state_hits;
-        state_misses;
-      },
-      r,
-      ev )
-  in
-  let off_pt, off_r, _ = run "cache off" 0 None in
-  let on_pt, on_r, on_ev = run "cache on, cold" 65536 None in
-  let warm_pt, warm_r, _ = run "cache on, warm" 65536 (Some on_ev) in
-  let fp (r : Beam_search.result) =
-    Printf.sprintf "%s|%.17g|%d"
-      (Schedule.to_string r.Beam_search.best_schedule)
-      r.Beam_search.best_speedup r.Beam_search.explored
-  in
-  require_equal "beam off vs on" (fp off_r) (fp on_r);
-  require_equal "beam on vs warm" (fp on_r) (fp warm_r);
-  [ off_pt; on_pt; warm_pt ]
-
-(* -- 4. parallel training throughput ---------------------------------- *)
+(* -- 3. parallel training throughput ---------------------------------- *)
 
 type train_point = {
   t_label : string;
@@ -249,8 +204,7 @@ let print_search_table points =
     points
 
 let json_of_results ~quick (dig : digest_point list)
-    (exhaustive : search_point list) (beam : search_point list)
-    (train : train_point list) =
+    (exhaustive : search_point list) (train : train_point list) =
   let b = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\n";
@@ -284,7 +238,6 @@ let json_of_results ~quick (dig : digest_point list)
     add "  ],\n"
   in
   search_json "exhaustive" exhaustive;
-  search_json "beam" beam;
   add "  \"train_jobs4\": [\n";
   let t_base = List.hd train in
   let t_base_rate =
@@ -321,8 +274,7 @@ let run ?(quick = false) (c : Bench_common.config) =
         (d.print_md5_ns /. d.structural_ns))
     dig;
 
-  Bench_common.subheading
-    "exhaustive auto-scheduler search (prefix-sharing DFS + state cache)";
+  Bench_common.subheading "exhaustive auto-scheduler search (prefix-sharing DFS)";
   (* A 7-loop conv: deep nests are where the cost model is expensive
      relative to a cache probe. tile_sizes restricted so the space
      (~11k candidates with the im2col twin) stays exhaustive. *)
@@ -341,10 +293,6 @@ let run ?(quick = false) (c : Bench_common.config) =
   in
   let exhaustive = exhaustive_bench ~budget:20000 ~tile_sizes:[ 2; 4 ] ex_op in
   print_search_table exhaustive;
-
-  Bench_common.subheading "beam search (transposition cache inside score)";
-  let beam = beam_bench ex_op in
-  print_search_table beam;
 
   Bench_common.subheading "training throughput, --jobs 4 (noise 2%, faults 10%)";
   let iterations = if quick then 2 else 4 in
@@ -366,7 +314,7 @@ let run ?(quick = false) (c : Bench_common.config) =
         (hit_pct t.t_state_hits t.t_state_misses))
     train;
 
-  let json = json_of_results ~quick dig exhaustive beam train in
+  let json = json_of_results ~quick dig exhaustive train in
   let path = "BENCH_evalcache.json" in
   (* Atomic (temp + rename): a reader or a crash mid-run never sees a
      half-written artifact. *)

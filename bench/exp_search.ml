@@ -4,12 +4,12 @@
    reported.
 
    The evaluator runs with [measure_delay_s] > 0: each state-seconds
-   computation (transposition-cache miss) sleeps like a hardware
-   measurement would, so the bench measures how well the search overlaps
-   measurement latency — the quantity that matters on a real tuning box —
-   instead of this container's core count. Sleeps on different domains
-   overlap regardless of cores; compute does not, and is negligible at
-   these delays.
+   computation (every candidate: search forks price uncached) sleeps
+   like a hardware measurement would, so the bench measures how well
+   the search overlaps measurement latency — the quantity that matters
+   on a real tuning box — instead of the host's core count. Sleeps on
+   different domains overlap regardless of cores; compute does not, and
+   is negligible at these delays.
 
    Every parallel run is fingerprinted (best schedule, speedup, explored,
    digest of the full trace) against the jobs=1 run; a divergence prints

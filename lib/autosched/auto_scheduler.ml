@@ -528,12 +528,16 @@ let search_staged ?(config = default_config) ?ranker
   | Some rank ->
       (* The survivors are selected before any evaluation: the trivial
          schedule is evaluated exactly anyway, so it never takes a slot. *)
-      let trivial_key = Schedule.dedup_key trivial in
+      let rec survivors k = function
+        | sched :: rest when k > 0 ->
+            if Schedule.equal sched trivial then survivors k rest
+            else sched :: survivors (k - 1) rest
+        | _ -> []
+      in
       let selected =
-        Par_eval.rank_order ~who:"Auto_scheduler.search_staged" rank
-          (Array.of_list (gather_candidates config op))
-        |> List.filter (fun sched -> Schedule.dedup_key sched <> trivial_key)
-        |> List.filteri (fun i _ -> i < rerank_k)
+        survivors rerank_k
+          (Par_eval.rank_order ~who:"Auto_scheduler.search_staged" rank
+             (Array.of_list (gather_candidates config op)))
       in
       Par_eval.with_executor ?pool ~jobs (fun exec ->
           let r = recorder () in

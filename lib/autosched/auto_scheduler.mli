@@ -66,25 +66,27 @@ val search :
     When the space fits the budget, the exhaustive enumeration runs as
     a prefix-sharing DFS: each transformation is applied once per
     distinct schedule prefix instead of once per candidate containing
-    it, and evaluation goes through the evaluator's state-seconds
-    transposition cache. With a noiseless evaluator, results (best
-    schedule, speedup, explored, trace) are bit-identical to
-    {!search_naive} — the differential property suite asserts it.
+    it. Every candidate is a distinct schedule, so candidates are
+    priced directly, on evaluator forks without the state-seconds
+    transposition cache (only the trivial schedule, priced on
+    [evaluator] itself, consults it). With a noiseless evaluator,
+    results (best schedule, speedup, explored, trace) are bit-identical
+    to {!search_naive} — the differential property suite asserts it.
 
     The decision trie splits at a fixed depth (the parallel combo plus
     the leading two loops' tile choices) into independent subtrie
     tasks; the sampled fallback keeps its draws sequential and
     evaluates them in chunks. Each task evaluates on an
     {!Evaluator.fork} whose noise stream is derived from the task's
-    position in the enumeration, against the evaluator's shared
-    (sharded, domain-safe) caches, and results merge back in
-    enumeration order. [jobs] (default 1; [Invalid_argument] below 1)
-    only picks where the tasks run: inline on the calling domain for
-    [jobs = 1], otherwise on a private work-stealing pool of [jobs]
-    OCaml domains, created and torn down around the call; a
-    caller-owned [pool] is always used when given. Consequently results
-    are BYTE-IDENTICAL across all [jobs] values, for any evaluator —
-    including one with [noise > 0]. *)
+    position in the enumeration, sharing the evaluator's base-time
+    cache, and results merge back in enumeration order. [jobs]
+    (default 1; [Invalid_argument] below 1) only picks where the tasks
+    run: inline on the calling domain for [jobs = 1], otherwise on a
+    private work-stealing pool of [jobs] OCaml domains, created and
+    torn down around the call; a caller-owned [pool] is always used
+    when given. Consequently results are BYTE-IDENTICAL across all
+    [jobs] values, for any evaluator — including one with
+    [noise > 0]. *)
 
 val search_naive : ?config:config -> Evaluator.t -> Linalg.t -> result
 (** Reference implementation: re-applies every candidate from scratch

@@ -107,11 +107,10 @@ let search ?(config = default_config) ?ranker ?(rerank_k = default_rerank_k)
   if jobs < 1 then invalid_arg "Beam_search.search: jobs must be >= 1";
   Par_eval.with_executor ?pool ~jobs (fun exec ->
       (* Expansion is already prefix-shared: each child is one [apply] on
-         its parent's state, never an [apply_all] replay. The remaining
-         redundancy — distinct action sequences reaching the same nest
-         (tile/swap transpositions, revisits across depths) — is absorbed
-         by the evaluator's digest-keyed state-seconds cache inside
-         [score]. *)
+         its parent's state, never an [apply_all] replay. Distinct action
+         sequences reaching the same nest (tile/swap transpositions) are
+         priced again: too few repeat to repay a state-cache lookup per
+         child (see [Par_eval.derived_fork]). *)
       (* Score = speedup with vectorization appended (virtually). *)
       let score ev (state : Sched_state.t) =
         match Sched_state.apply state Schedule.Vectorize with

@@ -49,11 +49,13 @@ val search :
     is byte-identical to the exact search.
 
     Each depth runs expansion and exact scoring as tasks — scoring on
-    {!Evaluator.fork}s with noise streams derived from a global
-    scored-state index — while dedup, ranking and beam selection merge
-    results on the calling domain in expansion order. [jobs] (default
-    1; [Invalid_argument] below 1) only picks where the tasks run:
-    inline for [jobs = 1], otherwise on a work-stealing pool of [jobs]
-    OCaml domains; a caller-owned [pool] is always used when given.
-    Results are byte-identical across all [jobs] values for any
-    evaluator, including one with [noise > 0]. *)
+    {!Evaluator.fork}s without the state-seconds transposition cache,
+    with noise streams derived from a global scored-state index (only
+    the root, scored on [evaluator] itself, consults the cache) — while
+    dedup, ranking and beam selection merge results on the calling
+    domain in expansion order. [jobs] (default 1; [Invalid_argument]
+    below 1) only picks where the tasks run: inline for [jobs = 1],
+    otherwise on a work-stealing pool of [jobs] OCaml domains; a
+    caller-owned [pool] is always used when given. Results are
+    byte-identical across all [jobs] values for any evaluator,
+    including one with [noise > 0]. *)

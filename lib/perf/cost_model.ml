@@ -23,84 +23,151 @@ let scalar_loop_overhead_cycles = 1.0
    (unrolled copies, neighbouring stencil taps) are merged: their
    footprints overlap almost entirely, so we keep one representative and
    fold the constant spread into the per-dimension extents. *)
-type ref_info = {
+type group = {
   shape : int array;
-  idx : Affine.expr array;
+  idx : Affine.expr array;  (* the first occurrence's subscripts *)
   deps : bool array;  (* per loop: does the subscript use it? *)
-  const_spread : int array;  (* max - min constant per array dim *)
-  count : int;  (* occurrences in the body (loads + stores) *)
+  lo : int array;  (* min constant per array dim *)
+  hi : int array;  (* max constant per array dim *)
 }
 
-let gather_refs (nest : Loop_nest.t) =
+let spread g d = g.hi.(d) - g.lo.(d)
+
+(* What one walk of the body gathers: the reference groups, the body's
+   memory operations and flops, and — when the innermost loop is a
+   vector loop — the vectorized issue cost of its references, summed in
+   walk order. Vectorized code hoists loop-invariant operands out of the
+   vector loop, and keeps the accumulator in registers across an
+   adjacent inner reduction loop (unroll-and-jam). *)
+type body = {
+  nest : Loop_nest.t;
+  (* Keyed by (buffer, coefficients); the fold order of this table fixes
+     the group order, and with it the float sums over groups. *)
+  groups : (string * int array array, group) Hashtbl.t;
+  mutable mem_ops : int;  (* loads + stores *)
+  mutable flops : int;
+  vectorized : bool;
+  vec_trip : int;
+  (* The loop outside the vector loop iterates a reduction dim: an
+     accumulator stored by the body stays in a register across it. *)
+  outer_reduction : bool;
+  outer_trip : int;
+  vector_cost : float array;
+      (* one cell: a mutable float field of this record would box on
+         every add *)
+}
+
+let new_group nest (r : Loop_nest.mem_ref) =
   let n = Loop_nest.n_loops nest in
-  let tbl = Hashtbl.create 16 in
-  let add (r : Loop_nest.mem_ref) =
-    let key = (r.buf, Array.map (fun (e : Affine.expr) -> e.coeffs) r.idx) in
-    let consts = Array.map (fun (e : Affine.expr) -> e.const) r.idx in
-    match Hashtbl.find_opt tbl key with
-    | Some (info, lo, hi) ->
-        let lo = Array.map2 min lo consts and hi = Array.map2 max hi consts in
-        Hashtbl.replace tbl key ({ info with count = info.count + 1 }, lo, hi)
+  let deps = Array.make n false in
+  for i = 0 to Array.length r.idx - 1 do
+    for d = 0 to n - 1 do
+      if r.idx.(i).Affine.coeffs.(d) <> 0 then deps.(d) <- true
+    done
+  done;
+  let consts = Array.map (fun (e : Affine.expr) -> e.const) r.idx in
+  {
+    shape = Loop_nest.buffer_shape nest r.buf;
+    idx = r.idx;
+    deps;
+    lo = consts;
+    hi = Array.copy consts;
+  }
+
+(* Loads are walked before stores, each in body order, as the group
+   order and the vectorized cost sum require. *)
+let add_ref b (r : Loop_nest.mem_ref) =
+  b.mem_ops <- b.mem_ops + 1;
+  let key = (r.buf, Array.map (fun (e : Affine.expr) -> e.coeffs) r.idx) in
+  let g =
+    match Hashtbl.find_opt b.groups key with
+    | Some g ->
+        for d = 0 to Array.length r.idx - 1 do
+          let c = r.idx.(d).Affine.const in
+          if c < g.lo.(d) then g.lo.(d) <- c;
+          if c > g.hi.(d) then g.hi.(d) <- c
+        done;
+        g
     | None ->
-        let shape = Loop_nest.buffer_shape nest r.buf in
-        let deps =
-          Array.init n (fun d ->
-              Array.exists (fun (e : Affine.expr) -> e.coeffs.(d) <> 0) r.idx)
-        in
-        Hashtbl.replace tbl key
-          ( { shape; idx = r.idx; deps; const_spread = Array.map (fun _ -> 0) consts; count = 1 },
-            consts,
-            Array.copy consts )
+        let g = new_group b.nest r in
+        Hashtbl.replace b.groups key g;
+        g
   in
-  List.iter add (Loop_nest.loads_of_body nest);
-  List.iter add (Loop_nest.stores_of_body nest);
-  Hashtbl.fold
-    (fun _ (info, lo, hi) acc ->
-      { info with const_spread = Array.map2 (fun h l -> h - l) hi lo } :: acc)
-    tbl []
+  if b.vectorized then begin
+    let n = Array.length g.deps in
+    b.vector_cost.(0) <-
+      b.vector_cost.(0)
+      +.
+      if not g.deps.(n - 1) then 1.0 /. float_of_int b.vec_trip
+      else if
+        b.outer_reduction
+        && (not g.deps.(n - 2))
+        && List.exists
+             (fun (Loop_nest.Store (s, _)) -> s.Loop_nest.buf = r.buf)
+             b.nest.Loop_nest.body
+      then 1.0 /. float_of_int b.outer_trip
+      else 1.0
+  end
 
-(* Reuse tables shared by every cache level of one estimate: per
-   reference, its distinct lines at every region depth (lines.(d) for
-   loops d..n-1 iterating, the others fixed), and per depth the total
-   working-set bytes. One innermost-first sweep per reference keeps, per
-   array dim, the bounding-box extent of the region as a running integer
-   sum over the loops, and whether some loop of the region walks the last
-   array dim densely; each depth's lines are then the capped extents'
-   float product in array-dim order. Integer sums are exact, so this is
-   bit-identical to recomputing every depth from scratch. The fold over
-   [refs] keeps the reference order, so the footprint sums are too. *)
-type reuse_tables = {
-  ref_lines : (ref_info * float array) list;  (* gather_refs order *)
-  footprints : float array;  (* bytes of the region at each depth *)
-}
+let rec walk_loads b (e : Loop_nest.sexpr) =
+  match e with
+  | Loop_nest.Load r -> add_ref b r
+  | Loop_nest.Const _ -> ()
+  | Loop_nest.Binop (_, x, y) ->
+      b.flops <- b.flops + 1;
+      walk_loads b x;
+      walk_loads b y
+  | Loop_nest.Unop (_, x) ->
+      b.flops <- b.flops + 1;
+      walk_loads b x
 
-(* Distinct lines of [r] at every region depth. The last array dim is
-   dense, enabling spatial line reuse, when some region loop steps it by
-   at most the merged group's constant spread plus one: offsets {0..s}
-   every c elements cover it whenever |c| <= s + 1 (e.g. plain unit
-   stride, or an 8-way unrolled stride-8 access). *)
-let ref_lines machine trips (r : ref_info) =
+(* Distinct stores: by buffer and subscripts, coefficients and
+   constants both. *)
+let rec distinct_stores = function
+  | [] -> 0
+  | Loop_nest.Store (r, _) :: rest ->
+      let repeated = List.exists (fun (Loop_nest.Store (r', _)) -> r' = r) rest in
+      (if repeated then 0 else 1) + distinct_stores rest
+
+(* Distinct lines of [g] at every region depth (loops depth..n-1
+   iterating, the others fixed), each depth's bytes added to
+   [footprints.(depth)], and the whole nest's lines (depth 0) returned
+   in [base.(i)]. One innermost-first sweep keeps, per array dim, the
+   bounding-box extent of the region as a running integer sum over the
+   loops; integer sums are exact, so this is bit-identical to
+   recomputing every depth from scratch, and the footprint sums add the
+   groups in group order. The last array dim is dense, enabling spatial
+   line reuse, when some region loop steps it by at most the group's
+   constant spread plus one: offsets {0..s} every c elements cover it
+   whenever |c| <= s + 1 (e.g. plain unit stride, or an 8-way unrolled
+   stride-8 access). *)
+let add_lines machine trips ~line_bytes footprints base i g =
   let n = Array.length trips in
-  let nd = Array.length r.shape in
-  let lines = Array.make (n + 1) 1.0 in
-  if nd > 0 then begin
+  let nd = Array.length g.shape in
+  if nd = 0 then begin
+    for depth = 0 to n do
+      footprints.(depth) <- footprints.(depth) +. (1.0 *. line_bytes)
+    done;
+    base.(i) <- 1.0
+  end
+  else begin
     let elems_per_line =
       machine.Machine.l1.Machine.line_bytes / machine.Machine.elem_bytes
     in
     let last = nd - 1 in
-    let max_step = r.const_spread.(last) + 1 in
-    let ext = Array.map (fun s -> 1 + s) r.const_spread in
+    let max_step = spread g last + 1 in
+    let ext = Array.init nd (fun d -> 1 + spread g d) in
     let dense = ref false in
     for depth = n downto 0 do
       if depth < n then begin
         for d = 0 to last do
           ext.(d) <-
-            ext.(d) + (abs r.idx.(d).Affine.coeffs.(depth) * (trips.(depth) - 1))
+            ext.(d) + (abs g.idx.(d).Affine.coeffs.(depth) * (trips.(depth) - 1))
         done;
-        let c = abs r.idx.(last).Affine.coeffs.(depth) in
+        let c = abs g.idx.(last).Affine.coeffs.(depth) in
         if c >= 1 && c <= max_step then dense := true
       end;
-      let last_extent = min ext.(last) r.shape.(last) in
+      let last_extent = min ext.(last) g.shape.(last) in
       let last_lines =
         if !dense then
           float_of_int ((last_extent + elems_per_line - 1) / elems_per_line)
@@ -108,83 +175,57 @@ let ref_lines machine trips (r : ref_info) =
       in
       let other = ref 1.0 in
       for d = 0 to last - 1 do
-        other := !other *. float_of_int (min ext.(d) r.shape.(d))
+        other := !other *. float_of_int (min ext.(d) g.shape.(d))
       done;
-      lines.(depth) <- Float.max 1.0 (!other *. last_lines)
+      let lines = Float.max 1.0 (!other *. last_lines) in
+      footprints.(depth) <- footprints.(depth) +. (lines *. line_bytes);
+      if depth = 0 then base.(i) <- lines
     done
-  end;
-  lines
-
-let reuse_tables machine refs trips =
-  let n = Array.length trips in
-  let ref_lines = List.map (fun r -> (r, ref_lines machine trips r)) refs in
-  let line_bytes = float_of_int machine.Machine.l1.Machine.line_bytes in
-  let footprints =
-    Array.init (n + 1) (fun d ->
-        List.fold_left
-          (fun acc (_, lines) -> acc +. (lines.(d) *. line_bytes))
-          0.0 ref_lines)
-  in
-  { ref_lines; footprints }
-
-(* Miss lines brought into a cache of [capacity] bytes: the distinct
-   lines of each reference, re-streamed across every outer loop the
-   reference does not depend on whenever the working set inside that
-   loop exceeds the cache. *)
-let miss_lines tables trips ~capacity =
-  let n = Array.length trips in
-  (* fits.(d): working set of loops d..n-1 fits comfortably. *)
-  let fits =
-    Array.init (n + 1) (fun d ->
-        tables.footprints.(d) <= fit_fraction *. float_of_int capacity)
-  in
-  List.map
-    (fun (r, lines) ->
-      let base = lines.(0) in
-      let factor = ref 1.0 in
-      for d = 0 to n - 1 do
-        if (not r.deps.(d)) && not fits.(d + 1) then
-          factor := !factor *. float_of_int trips.(d)
-      done;
-      (r, base *. !factor))
-    tables.ref_lines
+  end
 
 (* A reference whose innermost-varying traversal is last-dim contiguous
    benefits from hardware prefetching. *)
-let is_streaming (r : ref_info) =
-  let nd = Array.length r.idx in
-  if nd = 0 then true
-  else
-    let last = r.idx.(nd - 1) in
-    let max_step = r.const_spread.(nd - 1) + 1 in
-    Array.exists (fun c -> abs c >= 1 && abs c <= max_step) last.Affine.coeffs
+let is_streaming g =
+  let nd = Array.length g.idx in
+  nd = 0
+  ||
+  let max_step = spread g (nd - 1) + 1 in
+  Array.exists
+    (fun c -> abs c >= 1 && abs c <= max_step)
+    g.idx.(nd - 1).Affine.coeffs
 
-let flops_of_body (nest : Loop_nest.t) =
-  let rec count (e : Loop_nest.sexpr) =
-    match e with
-    | Loop_nest.Load _ | Loop_nest.Const _ -> 0
-    | Loop_nest.Binop (_, a, b) -> 1 + count a + count b
-    | Loop_nest.Unop (_, a) -> 1 + count a
-  in
-  List.fold_left
-    (fun acc (Loop_nest.Store (_, e)) -> acc + count e)
-    0 nest.Loop_nest.body
-
-let mem_ops_of_body (nest : Loop_nest.t) =
-  List.length (Loop_nest.loads_of_body nest)
-  + List.length (Loop_nest.stores_of_body nest)
-
-(* Flat element stride of [r] when loop [d] advances by one. *)
-let stride_wrt (r : ref_info) d =
-  let nd = Array.length r.shape in
-  let strides = Array.make nd 1 in
-  for i = nd - 2 downto 0 do
-    strides.(i) <- strides.(i + 1) * r.shape.(i + 1)
+(* Miss lines brought into a cache of [capacity] bytes, and the cycles
+   they cost: the distinct lines of each group, re-streamed across every
+   outer loop the group does not depend on whenever the working set
+   inside that loop exceeds the cache; summed in group order into
+   [out.(k)] and [out.(k + 1)]. *)
+let charge groups base footprints trips ~capacity ~next_latency out k =
+  let n = Array.length trips in
+  let limit = fit_fraction *. float_of_int capacity in
+  let lines = ref 0.0 and cycles = ref 0.0 in
+  for i = 0 to Array.length groups - 1 do
+    let g = groups.(i) in
+    let factor = ref 1.0 in
+    for d = 0 to n - 1 do
+      (* the working set of loops d+1..n-1 does not fit comfortably *)
+      if (not g.deps.(d)) && not (footprints.(d + 1) <= limit) then
+        factor := !factor *. float_of_int trips.(d)
+    done;
+    let l = base.(i) *. !factor in
+    let discount = if is_streaming g then prefetch_discount else 1.0 in
+    lines := !lines +. l;
+    cycles := !cycles +. (l *. next_latency *. discount)
   done;
-  let s = ref 0 in
-  Array.iteri
-    (fun i (e : Affine.expr) -> s := !s + (e.coeffs.(d) * strides.(i)))
-    r.idx;
+  out.(k) <- !lines;
+  out.(k + 1) <- !cycles
+
+(* Flat element stride of [g] when loop [d] advances by one. *)
+let stride_wrt g d =
+  let s = ref 0 and stride = ref 1 in
+  for i = Array.length g.shape - 1 downto 0 do
+    s := !s + (g.idx.(i).Affine.coeffs.(d) * !stride);
+    stride := !stride * g.shape.(i)
+  done;
   !s
 
 let estimate ~machine ~(iter_kinds : Linalg.iter_kind array)
@@ -192,20 +233,43 @@ let estimate ~machine ~(iter_kinds : Linalg.iter_kind array)
   let open Machine in
   let n = Loop_nest.n_loops nest in
   let trips = Loop_nest.trip_counts nest in
-  let total_iters =
-    Array.fold_left (fun acc t -> acc *. float_of_int t) 1.0 trips
+  let total_iters = ref 1.0 in
+  for d = 0 to n - 1 do
+    total_iters := !total_iters *. float_of_int trips.(d)
+  done;
+  let total_iters = !total_iters in
+  let reduction_at d =
+    let origin = nest.loops.(d).Loop_nest.origin in
+    origin < Array.length iter_kinds
+    && iter_kinds.(origin) = Linalg.Reduction_iter
   in
-  let refs = gather_refs nest in
-  (* --- vectorization --- *)
+  (* --- one walk of the body: loads, then stores --- *)
   let vectorized = n > 0 && nest.loops.(n - 1).Loop_nest.kind = Loop_nest.Vector in
   let vec_trip = if n > 0 then trips.(n - 1) else 1 in
+  let body =
+    {
+      nest;
+      groups = Hashtbl.create 16;
+      mem_ops = 0;
+      flops = 0;
+      vectorized;
+      vec_trip;
+      outer_reduction = vectorized && n >= 2 && reduction_at (n - 2);
+      outer_trip = (if n >= 2 then trips.(n - 2) else 1);
+      vector_cost = [| 0.0 |];
+    }
+  in
+  List.iter (fun (Loop_nest.Store (_, e)) -> walk_loads body e) nest.body;
+  List.iter (fun (Loop_nest.Store (r, _)) -> add_ref body r) nest.body;
+  let groups =
+    Array.of_list (Hashtbl.fold (fun _ g acc -> g :: acc) body.groups [])
+  in
+  (* --- vectorization --- *)
   let contiguous =
     (not vectorized)
-    || List.for_all
-         (fun r ->
-           if not r.deps.(n - 1) then true
-           else abs (stride_wrt r (n - 1)) <= 1)
-         refs
+    || Array.for_all
+         (fun g -> (not g.deps.(n - 1)) || abs (stride_wrt g (n - 1)) <= 1)
+         groups
   in
   let vec_eff =
     if not vectorized then 0.0
@@ -217,42 +281,9 @@ let estimate ~machine ~(iter_kinds : Linalg.iter_kind array)
       lane_fill *. if contiguous then 1.0 else 0.3
   in
   (* --- issue model --- *)
-  let flops = float_of_int (flops_of_body nest) in
+  let flops = float_of_int body.flops in
   let mem_ops =
-    if not vectorized then float_of_int (mem_ops_of_body nest)
-    else begin
-      (* Vectorized code hoists loop-invariant operands out of the vector
-         loop, and keeps the accumulator in registers across an adjacent
-         inner reduction loop (unroll-and-jam). *)
-      let stores = Loop_nest.stores_of_body nest in
-      let store_bufs =
-        List.map (fun (r : Loop_nest.mem_ref) -> r.Loop_nest.buf) stores
-      in
-      let dep_on (r : Loop_nest.mem_ref) d =
-        Array.exists (fun (e : Affine.expr) -> e.coeffs.(d) <> 0) r.idx
-      in
-      let reduction_at d =
-        d >= 0
-        &&
-        let origin = nest.loops.(d).Loop_nest.origin in
-        origin < Array.length iter_kinds
-        && iter_kinds.(origin) = Linalg.Reduction_iter
-      in
-      let cost_of (r : Loop_nest.mem_ref) =
-        if not (dep_on r (n - 1)) then 1.0 /. float_of_int vec_trip
-        else if
-          List.mem r.Loop_nest.buf store_bufs
-          && n >= 2
-          && reduction_at (n - 2)
-          && not (dep_on r (n - 2))
-        then 1.0 /. float_of_int trips.(n - 2)
-        else 1.0
-      in
-      List.fold_left
-        (fun acc r -> acc +. cost_of r)
-        0.0
-        (Loop_nest.loads_of_body nest @ stores)
-    end
+    if vectorized then body.vector_cost.(0) else float_of_int body.mem_ops
   in
   let flop_rate =
     if vectorized then Float.max machine.scalar_flops_per_cycle
@@ -268,27 +299,12 @@ let estimate ~machine ~(iter_kinds : Linalg.iter_kind array)
   let issue = Float.max (flops /. flop_rate) (mem_ops /. load_rate) in
   (* Loop-carried reduction chain: innermost loop iterating a reduction
      dim serializes the accumulator updates. *)
-  let innermost_is_reduction =
-    n > 0
-    &&
-    let origin = nest.loops.(n - 1).Loop_nest.origin in
-    origin < Array.length iter_kinds
-    && iter_kinds.(origin) = Linalg.Reduction_iter
-  in
+  let innermost_is_reduction = n > 0 && reduction_at (n - 1) in
   (* Body replication from unrolling: several stores to the same ref
      mean the accumulator is register-promoted across the unrolled copies
      (one memory round-trip per iteration instead of one per copy). *)
   let replication =
-    let stores = Loop_nest.stores_of_body nest in
-    let distinct =
-      List.sort_uniq compare
-        (List.map
-           (fun (r : Loop_nest.mem_ref) ->
-             ( r.Loop_nest.buf,
-               Array.map (fun (e : Affine.expr) -> (e.coeffs, e.const)) r.idx ))
-           stores)
-    in
-    max 1 (List.length stores / max 1 (List.length distinct))
+    max 1 (List.length nest.body / max 1 (distinct_stores nest.body))
   in
   let chain =
     if innermost_is_reduction && flops > 0.0 then
@@ -313,27 +329,20 @@ let estimate ~machine ~(iter_kinds : Linalg.iter_kind array)
   let cycles_per_iter = Float.max issue chain +. overhead in
   let compute_cycles = total_iters *. cycles_per_iter in
   (* --- memory hierarchy traffic --- *)
-  let tables = reuse_tables machine refs trips in
-  let charge ~capacity ~next_latency =
-    let per_ref = miss_lines tables trips ~capacity in
-    List.fold_left
-      (fun (lines, cycles) (r, l) ->
-        let discount = if is_streaming r then prefetch_discount else 1.0 in
-        (lines +. l, cycles +. (l *. next_latency *. discount)))
-      (0.0, 0.0) per_ref
-  in
-  let l1_lines, l1_cycles =
-    charge ~capacity:machine.l1.size_bytes
-      ~next_latency:machine.l2.latency_cycles
-  in
-  let l2_lines, l2_cycles =
-    charge ~capacity:machine.l2.size_bytes
-      ~next_latency:machine.l3.latency_cycles
-  in
-  let l3_lines, l3_cycles =
-    charge ~capacity:machine.l3.size_bytes
-      ~next_latency:machine.mem_latency_cycles
-  in
+  let line_bytes = float_of_int machine.l1.line_bytes in
+  let footprints = Array.make (n + 1) 0.0 in
+  let base = Array.make (Array.length groups) 0.0 in
+  Array.iteri (add_lines machine trips ~line_bytes footprints base) groups;
+  let traffic = Array.make 6 0.0 in
+  charge groups base footprints trips ~capacity:machine.l1.size_bytes
+    ~next_latency:machine.l2.latency_cycles traffic 0;
+  charge groups base footprints trips ~capacity:machine.l2.size_bytes
+    ~next_latency:machine.l3.latency_cycles traffic 2;
+  charge groups base footprints trips ~capacity:machine.l3.size_bytes
+    ~next_latency:machine.mem_latency_cycles traffic 4;
+  let l1_lines = traffic.(0) and l1_cycles = traffic.(1) in
+  let l2_lines = traffic.(2) and l2_cycles = traffic.(3) in
+  let l3_lines = traffic.(4) and l3_cycles = traffic.(5) in
   (* Streaming DRAM floor: bytes cannot move faster than bandwidth. *)
   let mem_bytes = l3_lines *. float_of_int machine.l1.line_bytes in
   let freq = machine.freq_ghz *. 1e9 in

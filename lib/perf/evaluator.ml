@@ -14,9 +14,10 @@ type t = {
   noise : float;
   noise_rng : Util.Rng.t;
   (* Emulated hardware-measurement stall per state-seconds COMPUTATION
-     (transposition-cache misses only — a cached measurement needs no
-     re-measurement). The analytic cost model answers in microseconds,
-     which no real deployment does; benches of parallel search scaling
+     (transposition-cache misses, or every call without the cache — a
+     cached measurement needs no re-measurement). The analytic cost
+     model answers in microseconds, which no real deployment does;
+     benches of parallel search scaling
      would otherwise measure this host's core count instead of how well
      the search overlaps measurement latency. Bit-invisible to every
      result: only wall-clock changes. 0 (off) by default. *)
@@ -33,15 +34,15 @@ type t = {
   (* Measurement tap: called once per state-seconds COMPUTATION with the
      pure, pre-jitter cost-model value — the surrogate's dataset logger
      installs itself here. With the transposition cache on, that is once
-     per distinct (digest, kinds, packing, machine) key, so the log
-     dedups for free; the hook never sees jitter and never perturbs the
-     noise stream, so enabling it is bit-invisible to every consumer. *)
+     per distinct (digest, kinds, packing, machine) key; without it
+     (the search forks of lib/autosched), once per call. The hook never sees
+     jitter and never perturbs the noise stream, so enabling it is
+     bit-invisible to every consumer. *)
   mutable measure_hook : measure_hook option;
-  (* A surrogate ranker's prediction-cache stats closure, attached so
-     its counters surface through the one {!cache_stats} record (and so
+  (* A surrogate ranker's stats closure, attached so its counters
+     surface through the one {!cache_stats} record (and so
      {!cache_counters}) instead of growing another ad-hoc stats path. A
-     closure rather than the cache itself keeps the ranker's key type
-     out of this interface. *)
+     closure keeps the ranker's type out of this interface. *)
   mutable surrogate_cache : (unit -> Util.Sharded_cache.stats) option;
 }
 
@@ -69,7 +70,7 @@ let create ?(machine = Machine.e5_2680_v4) ?(noise = 0.0) ?(noise_seed = 0)
     surrogate_cache = None;
   }
 
-let fork t =
+let fork ?(state_cache = true) t =
   (* Same machine and noise sigma, and the same (shared, domain-safe)
      caches — base times and pre-jitter state times are pure, so every
      fork may reuse them. The explored counter and jitter stream are
@@ -78,7 +79,7 @@ let fork t =
   {
     machine = t.machine;
     base_cache = t.base_cache;
-    state_cache = t.state_cache;
+    state_cache = (if state_cache then t.state_cache else None);
     explored = 0;
     noise = t.noise;
     noise_rng = Util.Rng.create 0;

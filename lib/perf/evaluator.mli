@@ -33,21 +33,27 @@ val create :
     the pure pre-jitter cost-model value and jitter is applied after
     lookup, so results are bit-identical with the cache on or off.
     [measure_delay_s] emulates the hardware-measurement stall of a real
-    deployment: every state-seconds computation (transposition-cache
-    miss) sleeps that long before pricing, so parallel-search benches
-    scale with how well the search overlaps measurement latency instead
-    of with this host's core count — the same device the serve engine's
-    [measure_delay_s] models at batch level. Cache hits stay instant
-    and results are bit-identical with the delay on or off; 0 (off) by
-    default. *)
+    deployment: every state-seconds computation (a transposition-cache
+    miss, or any pricing on an evaluator without the cache — so every
+    candidate the auto-scheduler and beam searches price) sleeps that
+    long before pricing, so parallel-search benches scale with how well
+    the search overlaps measurement latency instead of with the host's
+    core count — the same device the serve engine's [measure_delay_s]
+    models at batch level. Cache hits stay instant and results are
+    bit-identical with the delay on or off; 0 (off) by default. *)
 
-val fork : t -> t
+val fork : ?state_cache:bool -> t -> t
 (** A worker-local evaluator for parallel rollouts and search tasks:
     shares the (domain safe, sharded) base-time and state-seconds
     caches, copies machine, noise sigma and the parent's last base-time
     memo, and starts a fresh explored counter and jitter stream. The
     caller is expected to seed the jitter stream via {!set_noise_state}
-    and merge the fork's {!explored} delta back. *)
+    and merge the fork's {!explored} delta back. [~state_cache:false]
+    (default [true]) gives a fork that prices every state with the cost
+    model instead of consulting the transposition cache — for callers
+    whose states seldom repeat, such as the search forks of
+    [lib/autosched]; its values, jitter draws and explored counts are
+    the same either way. *)
 
 val machine : t -> Machine.t
 
@@ -60,10 +66,11 @@ val base_seconds : t -> Linalg.t -> float
 val state_seconds : t -> Sched_state.t -> float
 (** Estimated time of the current transformed nest, including the im2col
     packing charge. Memoized through the transposition cache (keyed by
-    {!Sched_state.digest}): a state whose nest was already priced — by
-    this evaluator or any fork sharing its caches — skips the cost
-    model entirely. [explored] still counts every call and jitter is
-    still drawn per call, so traces and noise streams are unchanged. *)
+    {!Sched_state.digest}) when this evaluator carries one: a state
+    whose nest was already priced — by this evaluator or any fork
+    sharing its caches — skips the cost model entirely. [explored]
+    still counts every call and jitter is still drawn per call, so
+    traces and noise streams are unchanged. *)
 
 val timeout_factor : float
 (** The paper's adaptive timeout: measurements above
@@ -100,28 +107,28 @@ type measure_hook = Sched_state.t -> seconds:float -> unit
     and the pure, pre-jitter cost-model seconds. *)
 
 val set_measure_hook : t -> measure_hook option -> unit
-(** Install (or clear) the measurement tap. The hook fires inside the
-    transposition-cache miss path, so with the cache on it runs once
-    per distinct (digest, iter kinds, packing, machine) key — the
-    surrogate dataset logger gets a deduplicated stream for free. It
-    must be fast and, if the evaluator is forked across domains,
-    thread-safe; it never observes jitter and never perturbs the noise
-    stream, so installing it is bit-invisible to all consumers. Forks
-    inherit the hook. *)
+(** Install (or clear) the measurement tap. The hook fires on every
+    state-seconds computation: once per transposition-cache miss, and
+    on every call of an evaluator without the cache — which includes
+    every candidate the auto-scheduler and beam searches price, since
+    their forks price uncached. Consumers that want one record per nest dedup themselves
+    (the surrogate dataset logger does). It must be fast and, if the
+    evaluator is forked across domains, thread-safe; it never observes
+    jitter and never perturbs the noise stream, so installing it is
+    bit-invisible to all consumers. Forks inherit the hook. *)
 
 val attach_surrogate_cache : t -> (unit -> Util.Sharded_cache.stats) -> unit
-(** Attach a surrogate ranker's prediction-cache stats so its counters
-    appear in {!cache_stats} (and hence {!cache_counters}) alongside the
-    base/state caches. Takes a closure, not the cache, so rankers may
-    key their cache however they like. Purely observational: the
-    evaluator never touches the cache. *)
+(** Attach a surrogate ranker's stats, in the cache-stats shape, so its
+    counters appear in {!cache_stats} (and hence {!cache_counters})
+    alongside the base/state caches. Takes a closure, so the ranker's
+    type stays out of this interface. Purely observational. *)
 
 type cache_stats = {
   base : Util.Sharded_cache.stats;  (** base-time cache, keyed by op *)
   state : Util.Sharded_cache.stats option;
       (** state-seconds transposition cache; [None] when disabled *)
   surrogate : Util.Sharded_cache.stats option;
-      (** attached surrogate prediction cache; [None] unless a ranker
+      (** attached surrogate ranker's stats; [None] unless a ranker
           called {!attach_surrogate_cache} *)
 }
 

@@ -3,48 +3,41 @@
 
     Scoring never applies a candidate's transformations — features come
     from a memoized per-op static block plus a cheap encoding of the
-    schedule itself — and predictions are memoized in a bounded
-    ranker-private cache the evaluator can surface in its unified cache
-    statistics. The
-    reused forward-pass buffers are mutex-guarded, so one ranker may be
-    shared across domains. *)
+    schedule itself — and a batch of candidates runs through one
+    forward pass. Predictions are not memoized: a search's candidates
+    are distinct schedules. The reused forward-pass buffers are
+    mutex-guarded, so one ranker may be shared across domains. *)
 
 type t
 
-val default_cache_capacity : int
-(** Prediction-cache capacity (65536 entries). *)
-
-val create : ?cache_capacity:int -> machine:Machine.t -> Model.t -> t
+val create : machine:Machine.t -> Model.t -> t
 
 val of_checkpoint :
-  ?cache_capacity:int ->
-  machine:Machine.t ->
-  path:string ->
-  unit ->
-  (t, string) result
+  machine:Machine.t -> path:string -> unit -> (t, string) result
 (** {!Model.load} + {!create}. *)
 
 val machine : t -> Machine.t
 val model : t -> Model.t
 
 val cache_stats : t -> Util.Sharded_cache.stats
-(** Hit/miss/eviction counters of the ranker-private prediction memo
-    (reported in the {!Util.Sharded_cache.stats} shape so it plugs into
-    the evaluator's unified cache rendering; [shards = 1]). *)
+(** The ranker's activity in the {!Util.Sharded_cache.stats} shape, so
+    it plugs into the evaluator's unified cache rendering: [misses] is
+    the number of candidates the network has scored; the ranker keeps
+    no memo, so [hits], [evictions], [contention], [size] and
+    [capacity] are 0 and [shards] is 1. *)
 
 val attach : t -> Evaluator.t -> unit
-(** Expose this ranker's prediction cache as the evaluator's surrogate
-    cache group ({!Evaluator.attach_surrogate_cache}), so
-    {!Evaluator.cache_counters} reports it as
-    [eval_surrogate_cache_*_total] alongside base/state. Its [misses]
-    count the candidates the network actually scored. *)
+(** Expose {!cache_stats} as the evaluator's surrogate group
+    ({!Evaluator.attach_surrogate_cache}), so
+    {!Evaluator.cache_counters} reports the scored count as
+    [eval_surrogate_cache_misses_total] alongside base/state. *)
 
 val score_features : t -> float array -> float
-(** Predicted log-seconds for a raw feature vector (uncached). *)
+(** Predicted log-seconds for a raw feature vector. *)
 
 val score_schedule : t -> Linalg.t -> Schedule.t -> float
-(** Predicted log-seconds of running [op] under [sched] — memoized by
-    (per-ranker op id | schedule); no transformation is applied. *)
+(** Predicted log-seconds of running [op] under [sched]; no
+    transformation is applied. *)
 
 val score_state : t -> Sched_state.t -> float
 (** [score_schedule] on the state's original op and applied schedule,
@@ -52,10 +45,10 @@ val score_state : t -> Sched_state.t -> float
     does the same before consulting the oracle). *)
 
 val score_schedules : t -> Linalg.t -> Schedule.t array -> float array
-(** Batched stage-1 scoring: cached predictions answer repeats, and all
-    misses run through a single forward — one [m; dim] matmul per layer
-    instead of [m] tiny ones — which amortizes the network cost to well
-    under the exact path's per-candidate price. *)
+(** Batched stage-1 scoring: every candidate runs through a single
+    forward — one [m; dim] matmul per layer instead of [m] tiny ones —
+    which amortizes the network cost to well under the exact path's
+    per-candidate price. *)
 
 val score_states : t -> Sched_state.t array -> float array
 (** [score_schedules] over the states' virtually-vectorized schedules

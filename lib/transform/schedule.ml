@@ -24,11 +24,12 @@ let transformation_to_string = function
 let to_string sched =
   String.concat " " (List.map transformation_to_string sched)
 
-(* Injective encoding for dedup tables and memo keys on hot search
-   paths: one Buffer, no Printf. Each transformation is a tag char plus
+(* Injective encoding for dedup tables on hot search paths: one
+   Buffer, no Printf. Each transformation is a tag char plus
    ','-terminated integers, closed with ';', so distinct schedules never
    collide. [to_string] stays the human-readable / parseable form. *)
-let add_dedup_key b sched =
+let dedup_key sched =
+  let b = Buffer.create 48 in
   let ints arr =
     Array.iter
       (fun v ->
@@ -57,11 +58,7 @@ let add_dedup_key b sched =
           Buffer.add_char b 'U';
           Buffer.add_string b (string_of_int f));
       Buffer.add_char b ';')
-    sched
-
-let dedup_key sched =
-  let b = Buffer.create 48 in
-  add_dedup_key b sched;
+    sched;
   Buffer.contents b
 
 let pp ppf sched = Format.pp_print_string ppf (to_string sched)

@@ -28,13 +28,9 @@ val of_string : string -> (t, string) result
     spaces. *)
 
 val dedup_key : t -> string
-(** Injective encoding for dedup tables and memo keys on hot search
-    paths — several times cheaper than {!to_string} (single buffer, no
-    [Printf]) but not human-oriented and not parseable. *)
-
-val add_dedup_key : Buffer.t -> t -> unit
-(** Append the {!dedup_key} encoding to a caller-owned buffer — lets a
-    hot loop build prefixed keys with one allocation per key. *)
+(** Injective encoding for dedup tables on hot search paths — several
+    times cheaper than {!to_string} (single buffer, no [Printf]) but
+    not human-oriented and not parseable. *)
 
 val equal : t -> t -> bool
 

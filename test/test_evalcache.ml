@@ -333,9 +333,9 @@ let test_sampling_seed_from_shape () =
   check "same op always gets the same seed" true
     (Auto_scheduler.sampling_seed a = Auto_scheduler.sampling_seed a)
 
-(* Beam search rides the same caches without a dedicated DFS (its
-   expansion is already incremental): results must not move when the
-   transposition cache is enabled. *)
+(* Beam search scores its children on forks without the transposition
+   cache, and its root on the caller's evaluator: results must not move
+   when that evaluator carries the cache. *)
 let test_beam_identical_with_cache () =
   let op = Linalg.matmul ~m:32 ~n:32 ~k:32 () in
   let run cap =
@@ -348,6 +348,44 @@ let test_beam_identical_with_cache () =
   check_bits "beam best speedup" off.Beam_search.best_speedup
     on.Beam_search.best_speedup;
   check_int "beam explored" off.Beam_search.explored on.Beam_search.explored
+
+(* The searches price on forks without the transposition cache: only
+   the trivial schedule (the beam's root), priced on the caller's
+   evaluator, looks it up. Exhaustive and sampled regimes; plain,
+   staged and beam search; jobs 1 and 2. *)
+let test_search_prices_uncached () =
+  let flat scheds = Array.make (Array.length scheds) 0.0 in
+  List.iter
+    (fun (regime, budget, op) ->
+      let config =
+        { Auto_scheduler.default_config with Auto_scheduler.max_schedules = budget }
+      in
+      List.iter
+        (fun jobs ->
+          let expect what explored =
+            let ev = Evaluator.create () in
+            let what = Printf.sprintf "%s, %s, jobs %d" what regime jobs in
+            check (what ^ ": candidates priced") true (explored ev > 1);
+            match (Evaluator.cache_stats ev).Evaluator.state with
+            | None -> Alcotest.fail "state cache missing"
+            | Some s ->
+                check_int (what ^ ": no hits") 0 s.Util.Sharded_cache.hits;
+                check_int (what ^ ": one miss, the trivial schedule") 1
+                  s.Util.Sharded_cache.misses
+          in
+          expect "search" (fun ev ->
+              (Auto_scheduler.search ~config ~jobs ev op).Auto_scheduler.explored);
+          expect "staged" (fun ev ->
+              (Auto_scheduler.search_staged ~config ~ranker:flat ~rerank_k:16 ~jobs
+                 ev op)
+                .Auto_scheduler.explored);
+          expect "beam" (fun ev ->
+              (Beam_search.search ~jobs ev op).Beam_search.explored))
+        [ 1; 2 ])
+    [
+      ("exhaustive", 20000, Test_helpers.small_matmul ());
+      ("sampled", 60, Linalg.matmul ~m:64 ~n:64 ~k:64 ());
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Serve cache keys                                                   *)
@@ -501,6 +539,116 @@ let test_pinned_candidate_fingerprint () =
   check "most candidates apply" true (applied > 0 && applied * 2 > total);
   check_str "candidate evaluation bytes" pinned_fingerprint fp
 
+(* ------------------------------------------------------------------ *)
+(* Pinned search results                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* One MD5 over what every search front end returns — best schedule,
+   best speedup (IEEE bits), explored count and, for the auto-scheduler,
+   every trace point — for one op per Table 2 kind. Each op runs the
+   exhaustive and the sampled [Auto_scheduler.search], [search_staged]
+   with a small seeded surrogate, and [Beam_search.search] plain and
+   ranked; every run is repeated noiseless and at noise 0.05, at jobs 1
+   and 2. One ranker serves every run, as one serves a whole CLI or
+   bench process. The constant pins the noise streams, explored counts
+   and traces, so moving which evaluator forks carry the state cache,
+   or how the ranker scores a batch, must not move a bit of it. It was
+   computed at commit 8f96818. *)
+let pinned_search_fingerprint = "5a34745dd70920ef84c62ebb76a70256"
+
+let search_fingerprint () =
+  let ops =
+    [
+      Linalg.matmul ~m:4 ~n:8 ~k:12 ();
+      Linalg.conv2d
+        {
+          Linalg.batch = 1;
+          in_h = 5;
+          in_w = 5;
+          channels = 1;
+          kernel_h = 3;
+          kernel_w = 3;
+          filters = 2;
+          stride = 1;
+        };
+      Linalg.maxpool
+        {
+          Linalg.p_batch = 1;
+          p_in_h = 8;
+          p_in_w = 8;
+          p_channels = 1;
+          p_kernel = 2;
+          p_stride = 2;
+        };
+      Linalg.add [| 8; 16 |];
+      Linalg.relu [| 16; 8 |];
+    ]
+  in
+  let exhaustive = { Auto_scheduler.default_config with max_schedules = 3000 } in
+  let sampled = { Auto_scheduler.default_config with max_schedules = 60 } in
+  let staged = { Auto_scheduler.default_config with max_schedules = 400 } in
+  let beam = { Beam_search.default_config with Beam_search.max_depth = 5 } in
+  let ranker =
+    Surrogate.Ranker.create ~machine:Machine.e5_2680_v4
+      (Surrogate.Model.create ~hidden:[ 16 ] ~seed:5 ())
+  in
+  let b = Buffer.create (1 lsl 16) in
+  let add_float x = Buffer.add_string b (Int64.to_string (Int64.bits_of_float x)) in
+  let add_auto tag (r : Auto_scheduler.result) =
+    Buffer.add_string b tag;
+    Buffer.add_string b (Schedule.to_string r.Auto_scheduler.best_schedule);
+    add_float r.Auto_scheduler.best_speedup;
+    Buffer.add_string b (Printf.sprintf ";%d;" r.Auto_scheduler.explored);
+    Array.iter
+      (fun (n, s) -> Buffer.add_string b (string_of_int n); add_float s)
+      r.Auto_scheduler.trace;
+    Buffer.add_char b '\n'
+  in
+  let add_beam tag (r : Beam_search.result) =
+    Buffer.add_string b tag;
+    Buffer.add_string b (Schedule.to_string r.Beam_search.best_schedule);
+    add_float r.Beam_search.best_speedup;
+    Buffer.add_string b (Printf.sprintf ";%d\n" r.Beam_search.explored)
+  in
+  List.iter
+    (fun op ->
+      check "exhaustive regime fits" true
+        (Auto_scheduler.space_total exhaustive op <= exhaustive.max_schedules);
+      check "sampled regime overflows" true
+        (Auto_scheduler.space_total sampled op > sampled.max_schedules);
+      List.iter
+        (fun noise ->
+          List.iter
+            (fun jobs ->
+              let ev () = Evaluator.create ?noise ~noise_seed:17 () in
+              let tag what =
+                Printf.sprintf "%s|%s|%s|%d|" op.Linalg.op_name what
+                  (match noise with None -> "-" | Some n -> string_of_float n)
+                  jobs
+              in
+              add_auto (tag "exhaustive")
+                (Auto_scheduler.search ~config:exhaustive ~jobs (ev ()) op);
+              add_auto (tag "sampled")
+                (Auto_scheduler.search ~config:sampled ~jobs (ev ()) op);
+              add_auto (tag "staged")
+                (Auto_scheduler.search_staged ~config:staged
+                   ~ranker:(Surrogate.Ranker.schedule_scorer ranker op)
+                   ~rerank_k:16 ~jobs (ev ()) op);
+              add_beam (tag "beam")
+                (Beam_search.search ~config:beam ~jobs (ev ()) op);
+              add_beam (tag "ranked beam")
+                (Beam_search.search ~config:beam
+                   ~ranker:(Surrogate.Ranker.state_scorer ranker)
+                   ~rerank_k:8 ~jobs (ev ()) op))
+            [ 1; 2 ])
+        [ None; Some 0.05 ])
+    ops;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_pinned_search_fingerprint () =
+  check_str "search result bytes" pinned_search_fingerprint
+    (search_fingerprint ())
+
 let suite =
   [
     Alcotest.test_case "incremental digest = from-scratch" `Quick
@@ -538,4 +686,8 @@ let suite =
       test_fork_keeps_base_memo;
     Alcotest.test_case "pinned candidate-evaluation fingerprint" `Quick
       test_pinned_candidate_fingerprint;
+    Alcotest.test_case "pinned search fingerprint" `Quick
+      test_pinned_search_fingerprint;
+    Alcotest.test_case "search prices candidates uncached" `Quick
+      test_search_prices_uncached;
   ]

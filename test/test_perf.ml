@@ -229,6 +229,96 @@ let qcheck_speedup_positive =
       let st = Sched_state.init op in
       Evaluator.speedup ev st > 0.0)
 
+(* [Cost_model.estimate] against the reference copy of the estimate it
+   replaced (cost_model_ref.ml): every report field must agree by bit
+   pattern. Each case draws a generator op of any kind, prices its
+   budgeted candidate set — sampled or exhaustive, with the im2col twin
+   for convolutions — each candidate also with an [Unroll] inserted
+   before its final vectorize and with an [Unroll] instead of it, so
+   merged reference groups carry a constant spread and stores repeat;
+   and it prices one example nest under all-parallel and all-reduction
+   iter kinds, plus its raised op's candidates when it raises. Every
+   state is priced on two machine profiles. *)
+let report_bits (r : Cost_model.report) =
+  let f x = Int64.to_string (Int64.bits_of_float x) in
+  String.concat ";"
+    ([ f r.Cost_model.seconds; f r.Cost_model.compute_cycles;
+       f r.Cost_model.parallel_factor; string_of_int r.Cost_model.launches;
+       f r.Cost_model.packing_seconds; string_of_bool r.Cost_model.vectorized;
+       f r.Cost_model.vector_efficiency ]
+    @ List.concat_map
+        (fun (t : Cost_model.level_traffic) ->
+          [ t.Cost_model.level; f t.Cost_model.miss_lines; f t.Cost_model.cycles ])
+        r.Cost_model.traffic)
+
+let example_nests =
+  lazy
+    (List.map
+       (fun file ->
+         let ic = open_in (Filename.concat "../examples/nests" file) in
+         let text = really_input_string ic (in_channel_length ic) in
+         close_in ic;
+         Ir_parser.parse text)
+       (List.sort compare
+          (List.filter
+             (fun f -> Filename.check_suffix f ".nest")
+             (Array.to_list (Sys.readdir "../examples/nests")))))
+
+let estimate_kinds =
+  [| "matmul"; "conv2d"; "maxpool"; "add"; "relu"; "batch_matmul";
+     "conv2d_nchw"; "dwconv"; "avgpool"; "mul"; "sub"; "div"; "exp"; "log";
+     "bias_add" |]
+
+let qcheck_estimate_matches_reference =
+  QCheck.Test.make ~name:"estimate matches the reference bit for bit"
+    ~count:30
+    QCheck.(pair (int_range 0 (Array.length estimate_kinds - 1)) (int_range 0 10_000))
+    (fun (kind, seed) ->
+      let rng = Util.Rng.create seed in
+      let machines = [ Machine.e5_2680_v4; Machine.avx512_server ] in
+      let agree ~iter_kinds ?packing_elements nest =
+        List.for_all
+          (fun machine ->
+            let got = Cost_model.estimate ~machine ~iter_kinds ?packing_elements nest in
+            let want =
+              Cost_model_ref.estimate ~machine ~iter_kinds ?packing_elements nest
+            in
+            report_bits got = report_bits want
+            || QCheck.Test.fail_reportf "%s on %s:\n  got  %s\n  want %s"
+                 nest.Loop_nest.name machine.Machine.name (report_bits got)
+                 (report_bits want))
+          machines
+      in
+      let agree_state (st : Sched_state.t) =
+        agree ~iter_kinds:st.Sched_state.op.Linalg.iter_kinds
+          ~packing_elements:st.Sched_state.packing_elements st.Sched_state.nest
+      in
+      let candidates op =
+        let config = { Auto_scheduler.default_config with max_schedules = 24 } in
+        List.concat_map
+          (fun sched ->
+            let f = Util.Rng.choice rng [| 2; 3; 4; 8 |] in
+            let body = List.filter (fun t -> t <> Schedule.Vectorize) sched in
+            [ sched; body @ [ Schedule.Unroll f; Schedule.Vectorize ];
+              body @ [ Schedule.Unroll f ] ])
+          (Auto_scheduler.gather_candidates config op)
+        |> List.for_all (fun sched ->
+               match Sched_state.apply_all op sched with
+               | Error _ -> true
+               | Ok st -> agree_state st)
+      in
+      let op = Generator.random_op rng estimate_kinds.(kind) in
+      let nests = Lazy.force example_nests in
+      let nest = List.nth nests (seed mod List.length nests) in
+      let n = Loop_nest.n_loops nest in
+      agree_state (Sched_state.init op)
+      && candidates op
+      && agree ~iter_kinds:(Array.make n Linalg.Parallel_iter) nest
+      && agree ~iter_kinds:(Array.make n Linalg.Reduction_iter) nest
+      && (match Lower.raise_nest nest with
+         | Ok raised -> candidates raised
+         | Error _ -> true))
+
 let suite =
   [
     Alcotest.test_case "positive time" `Quick test_positive_time;
@@ -257,4 +347,5 @@ let suite =
     Alcotest.test_case "cache sim tiling direction" `Quick
       test_cache_sim_validates_tiling_direction;
     QCheck_alcotest.to_alcotest qcheck_speedup_positive;
+    QCheck_alcotest.to_alcotest qcheck_estimate_matches_reference;
   ]

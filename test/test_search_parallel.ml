@@ -226,10 +226,9 @@ let check_search_identity ~name ?noise ~budget ~expect_exhaustive op =
           Alcotest.(check int)
             (Printf.sprintf "%s: evaluator explored merged (jobs %d)" name jobs)
             e1 e;
-          (* Cache-level identity: every candidate does exactly one
-             state-cache lookup, and the distinct-key set is the same —
-             only the hit/miss split may shift when racing misses
-             compute the same (pure) value twice. *)
+          (* Cache-level identity: the candidates price on uncached
+             forks, so the lookups (the trivial schedule's) and the
+             distinct-key set are the same for every jobs value. *)
           match (c1.Evaluator.state, c.Evaluator.state) with
           | Some s1, Some s ->
               Alcotest.(check int)
