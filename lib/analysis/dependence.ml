@@ -90,14 +90,14 @@ let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
    the constraint. A [<] or [>] constraint needs [u >= 2] (a nonempty
    region); queries check that once, up front, with [region_nonempty]. *)
 let term_lo ~u a b = function
-  | Must Eq -> min 0 ((a - b) * (u - 1))
-  | Any -> min 0 (a * (u - 1)) + min 0 (-b * (u - 1))
+  | Must Eq -> Int.min 0 ((a - b) * (u - 1))
+  | Any -> Int.min 0 (a * (u - 1)) + Int.min 0 (-b * (u - 1))
   | Must Lt ->
       (* vertices of {0 <= i < j <= u-1}: (0,1), (0,u-1), (u-2,u-1) *)
-      min (-b) (min (-b * (u - 1)) ((a * (u - 2)) - (b * (u - 1))))
+      Int.min (-b) (Int.min (-b * (u - 1)) ((a * (u - 2)) - (b * (u - 1))))
   | Must Gt ->
       (* vertices of {0 <= j < i <= u-1}: (1,0), (u-1,0), (u-1,u-2) *)
-      min a (min (a * (u - 1)) ((a * (u - 1)) - (b * (u - 2))))
+      Int.min a (Int.min (a * (u - 1)) ((a * (u - 1)) - (b * (u - 2))))
 
 (* max f = -(min -f), and [-f] is the same form with negated coefficients *)
 let term_hi ~u a b c = -term_lo ~u (-a) (-b) c

@@ -112,7 +112,7 @@ let can_unroll (_ : t) = true  (* unrolling replicates the body in order *)
 
 (* A band starting at or past [n] is empty, hence trivially permutable;
    one starting before 0 is the whole nest. *)
-let can_tile t ~band_start = ask t (Tile (max 0 (min band_start t.n)))
+let can_tile t ~band_start = ask t (Tile (Int.max 0 (Int.min band_start t.n)))
 
 (* The per-action legality table, for the CLI and the docs. *)
 type verdicts = {

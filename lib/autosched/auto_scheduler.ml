@@ -154,44 +154,6 @@ let space_candidates config (space : domain_space) : Schedule.t Seq.t =
         (product tile_opts))
     (par_combos space)
 
-(* [loop_options] enumerates, filters and sorts divisors — far too
-   expensive to redo per sampling attempt per loop (the sampler draws
-   tens of thousands of candidates, and trip counts repeat constantly).
-   One memo table per sampler; [config] is fixed for the table's
-   lifetime, so the key is just the trip count. *)
-let loop_options_memo config =
-  let tbl = Hashtbl.create 32 in
-  fun trip ->
-    match Hashtbl.find_opt tbl trip with
-    | Some opts -> opts
-    | None ->
-        let opts = loop_options config trip in
-        Hashtbl.add tbl trip opts;
-        opts
-
-(* Seeded random draw from one domain space. [opts] is the (memoized)
-   tile-size option list per trip count. *)
-let random_candidate rng config ~opts (space : domain_space) =
-  let par_opt =
-    if space.par_slots <> [] && Util.Rng.bool rng then begin
-      let sizes = Array.make (Array.length space.trips) 0 in
-      List.iter
-        (fun (l, opts) -> sizes.(l) <- Util.Rng.choice_list rng opts)
-        space.par_slots;
-      if Array.exists (fun s -> s > 0) sizes then Some sizes else None
-    end
-    else None
-  in
-  let effective, par_count = after_par space par_opt in
-  let tile_combo =
-    Array.map (fun trip -> Util.Rng.choice_list rng (opts trip)) effective
-  in
-  if not (enough_tiled config ~par_count tile_combo) then None
-  else begin
-    let swap_opt = Util.Rng.choice_list rng space.swap_opts in
-    Some (assemble ~prefix:space.prefix ~par_opt ~tile_combo ~swap_opt)
-  end
-
 let spaces config (op : Linalg.t) =
   let plain =
     make_space config ~prefix:[] ~trips:(Linalg.loop_bounds op)
@@ -279,12 +241,61 @@ let finish r =
     trace = Array.of_list (List.rev r.points);
   }
 
+(* -- Shared heads --
+
+   A candidate's head is its leading steps: its space's prefix (Im2col
+   or nothing) and its Parallelize step. An op has at most two spaces
+   and a few hundred parallel combos, yet a search evaluates thousands
+   of candidates per head, so each search applies every head once, on
+   the calling domain, and evaluates only the rest of a candidate (tile,
+   swap, vectorize) from the head's state. States are immutable, so pool
+   tasks share a head by reading it. *)
+type heads = (Schedule.t, Sched_state.t option) Hashtbl.t
+
+(* The state after [steps] (a head), [None] when they do not apply.
+   Every prefix of a head is memoized too, so a search lowers the op and
+   rewrites it to im2col once, not once per head. *)
+let rec head_state (heads : heads) op steps =
+  match Hashtbl.find_opt heads steps with
+  | Some state -> state
+  | None ->
+      let state =
+        match List.rev steps with
+        | [] -> Some (Sched_state.init op)
+        | last :: rev_before ->
+            Option.bind (head_state heads op (List.rev rev_before)) (fun pre ->
+                Result.to_option (Sched_state.apply pre last))
+      in
+      Hashtbl.add heads steps state;
+      state
+
+let rec split_head = function
+  | (Schedule.Im2col | Schedule.Parallelize _) as step :: rest ->
+      let head, tail = split_head rest in
+      (step :: head, tail)
+  | tail -> ([], tail)
+
 (* Evaluate [scheds] through the executor, candidate [k] on a fork keyed
-   by stream [first + k], and record them in order. *)
-let eval_schedules exec evaluator op r ~first scheds =
-  Par_eval.map_forked exec evaluator ~first
-    (fun fork sched -> Evaluator.schedule_speedup fork op sched)
+   by stream [first + k], and record them in order. Heads are looked up
+   (and applied when new) here, in candidate order; each fork applies
+   only the candidate's remaining steps. The result is the one
+   [Evaluator.schedule_speedup] gives: the same [Sched_state.apply]
+   calls in the same order, and a candidate whose head fails is skipped
+   like any other that fails to apply. *)
+let eval_schedules exec evaluator op heads r ~first scheds =
+  Array.map
+    (fun sched ->
+      let head, rest = split_head sched in
+      (head_state heads op head, rest))
     scheds
+  |> Par_eval.map_forked exec evaluator ~first (fun fork (head, rest) ->
+         match head with
+         | None -> Error "head does not apply"
+         | Some state ->
+             List.fold_left
+               (fun acc tr -> Result.bind acc (fun s -> Sched_state.apply s tr))
+               (Ok state) rest
+             |> Result.map (Evaluator.speedup fork))
   |> Array.iter2 (record_result r) scheds
 
 (* -- Candidate source: exhaustive trie subtasks --
@@ -321,24 +332,24 @@ let rec split_at k l =
 (* The subtasks in exact [candidates] order. [product] varies its head
    slowest, so splitting the tile product at [frontier_depth] and
    enumerating (head combo) x (rest combo) preserves the global order.
-   Prefix and Parallelize are applied here, once per (space, par combo),
-   not once per subtask. *)
+   Each head (prefix and Parallelize) is applied here, once, not once
+   per subtask. *)
 let subtasks config op =
+  let heads = Hashtbl.create 64 in
   List.concat_map
     (fun (space : domain_space) ->
-      match Sched_state.apply_all op space.prefix with
-      | Error _ -> []
-      | Ok pre ->
+      match head_state heads op space.prefix with
+      | None -> []
+      | Some _ ->
           List.of_seq
             (Seq.concat_map
                (fun par_opt ->
                  let effective, par_count = after_par space par_opt in
                  let state =
-                   match par_opt with
-                   | None -> Some pre
-                   | Some sizes ->
-                       Result.to_option
-                         (Sched_state.apply pre (Schedule.Parallelize sizes))
+                   head_state heads op
+                     (match par_opt with
+                     | None -> space.prefix
+                     | Some sizes -> space.prefix @ [ Schedule.Parallelize sizes ])
                  in
                  let head_opts, rest_opts =
                    split_at frontier_depth
@@ -409,12 +420,120 @@ let run_subtask config ev st =
    same for every [jobs] value. *)
 let sampling_chunk = 32
 
+(* One domain space as the sampler draws from it. Every option list is
+   an array picked with [Util.Rng.int rng (Array.length a)], the very
+   call [Util.Rng.choice_list] makes on the list, so the draw stream
+   does not depend on the representation. *)
+type draw_space = {
+  space : domain_space;
+  par_opts : int array array;  (* each parallel slot's sizes, 0 first *)
+  slot_of : int array;  (* each loop's parallel slot, or -1 *)
+  tile_opts : int array array;  (* each loop's tile sizes at its full trip *)
+  par_tile_opts : int array array array;
+      (* [k].(i): the tile sizes of slot [k]'s loop when parallelized at
+         its [i]th size (the full-trip sizes when that size is 0) *)
+  swaps : int option array;
+  pick : int array;  (* scratch: each slot's drawn option index *)
+  key : int array;
+      (* scratch: the current draw's dedup key — the space's index, each
+         slot's parallel size, each loop's tile size, the swap index *)
+}
+
+let draw_space config index (space : domain_space) =
+  let n = Array.length space.trips in
+  let opts trip = Array.of_list (loop_options config trip) in
+  let tile_opts = Array.map opts space.trips in
+  let slots = Array.of_list space.par_slots in
+  let slot_of = Array.make n (-1) in
+  Array.iteri (fun k (l, _) -> slot_of.(l) <- k) slots;
+  let par_opts = Array.map (fun (_, sizes) -> Array.of_list sizes) slots in
+  let key = Array.make (Array.length slots + n + 2) 0 in
+  key.(0) <- index;
+  {
+    space;
+    par_opts;
+    slot_of;
+    tile_opts;
+    par_tile_opts =
+      Array.mapi
+        (fun k sizes ->
+          Array.map (fun s -> if s > 0 then opts s else tile_opts.(fst slots.(k))) sizes)
+        par_opts;
+    swaps = Array.of_list space.swap_opts;
+    pick = Array.make (Array.length slots) 0;
+    key;
+  }
+
+(* One seeded draw into [ds.key]; [false] when the min-tiled filter
+   rejects it. The calls on [rng] keep the list sampler's order: the
+   parallel coin (only when the space has parallel slots), one pick per
+   slot, one pick per loop among the sizes of its effective trip count,
+   then — past the filter — the swap. *)
+let random_key rng config ds =
+  let key = ds.key and nslots = Array.length ds.par_opts in
+  let par = nslots > 0 && Util.Rng.bool rng in
+  let tiled = ref 0 in
+  for k = 0 to nslots - 1 do
+    let size =
+      if par then begin
+        let i = Util.Rng.int rng (Array.length ds.par_opts.(k)) in
+        ds.pick.(k) <- i;
+        ds.par_opts.(k).(i)
+      end
+      else 0
+    in
+    if size > 0 then incr tiled;
+    key.(1 + k) <- size
+  done;
+  for l = 0 to Array.length ds.tile_opts - 1 do
+    let k = ds.slot_of.(l) in
+    let opts =
+      if par && k >= 0 then ds.par_tile_opts.(k).(ds.pick.(k)) else ds.tile_opts.(l)
+    in
+    let size = opts.(Util.Rng.int rng (Array.length opts)) in
+    if size > 0 then incr tiled;
+    key.(1 + nslots + l) <- size
+  done;
+  !tiled >= config.min_tiled_loops
+  && begin
+       key.(Array.length key - 1) <- Util.Rng.int rng (Array.length ds.swaps);
+       true
+     end
+
+(* The schedule [ds.key] names. Parallel sizes that are all zero add no
+   Parallelize step, like the no-parallel branch, whose key they share. *)
+let schedule_of_key ds =
+  let key = ds.key and n = Array.length ds.tile_opts in
+  let nslots = Array.length ds.par_opts in
+  let par = Array.init n (fun l -> if ds.slot_of.(l) < 0 then 0 else key.(1 + ds.slot_of.(l))) in
+  assemble ~prefix:ds.space.prefix ~par_opt:(Some par)
+    ~tile_combo:(Array.sub key (1 + nslots) n)
+    ~swap_opt:ds.swaps.(key.(Array.length key - 1))
+
+(* Dedup keys are sizes, not option indices: the sizes determine the
+   schedule, so a custom [tile_sizes] list that names a size twice still
+   dedups by schedule. *)
+module Seen = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec from i = i = n || (a.(i) = b.(i) && from (i + 1)) in
+    from 0
+
+  (* Sizes are small and mostly powers of two, which a plain polynomial
+     hash leaves clustered in the low bits a bucket index reads; the
+     final [Hashtbl.hash] mixes them. *)
+  let hash (a : t) = Hashtbl.hash (Array.fold_left (fun h x -> (h * 0x100000001b3) lxor x) 0 a)
+end)
+
 type sampler = {
   cfg : config;
   rng : Util.Rng.t;
-  spaces : domain_space list;
-  opts : int -> int list;
-  seen : (Schedule.t, unit) Hashtbl.t;
+  spaces : draw_space array;  (* the plain space first *)
+  seen : unit Seen.t;
   mutable attempts : int;
   max_attempts : int;
 }
@@ -423,31 +542,24 @@ let sampler config op =
   {
     cfg = config;
     rng = Util.Rng.create (sampling_seed op);
-    spaces = spaces config op;
-    opts = loop_options_memo config;
-    seen = Hashtbl.create 1024;
+    spaces = Array.of_list (List.mapi (draw_space config) (spaces config op));
+    seen = Seen.create 1024;
     attempts = 0;
     max_attempts = config.max_schedules * 20;
   }
 
 (* Up to [want] new distinct candidates in draw order; fewer only once
-   the attempts cap is reached. *)
+   the attempts cap is reached. Only a new draw builds its schedule. *)
 let draw s want =
   let out = ref [] and got = ref 0 in
   while !got < want && s.attempts < s.max_attempts do
     s.attempts <- s.attempts + 1;
-    let space = Util.Rng.choice_list s.rng s.spaces in
-    match random_candidate s.rng s.cfg ~opts:s.opts space with
-    | None -> ()
-    | Some sched ->
-        (* Structural keys: generic hashing beats building a string per
-           attempt, and bucket collisions fall back to full structural
-           equality, so dedup stays exact. *)
-        if not (Hashtbl.mem s.seen sched) then begin
-          Hashtbl.add s.seen sched ();
-          out := sched :: !out;
-          incr got
-        end
+    let ds = s.spaces.(Util.Rng.int s.rng (Array.length s.spaces)) in
+    if random_key s.rng s.cfg ds && not (Seen.mem s.seen ds.key) then begin
+      Seen.add s.seen (Array.copy ds.key) ();
+      out := schedule_of_key ds :: !out;
+      incr got
+    end
   done;
   Array.of_list (List.rev !out)
 
@@ -481,7 +593,9 @@ let search ?(config = default_config) ?(jobs = 1) ?pool evaluator op =
         Par_eval.map_forked exec evaluator ~first:0 (run_subtask config)
           (Array.of_list (subtasks config op))
         |> Array.iter (List.iter (fun (sched, s) -> record r sched s))
-      else sample_loop config op r ~eval_chunk:(eval_schedules exec evaluator op r);
+      else
+        sample_loop config op r
+          ~eval_chunk:(eval_schedules exec evaluator op (Hashtbl.create 64) r);
       finish r)
 
 let search_naive ?(config = default_config) evaluator op =
@@ -499,9 +613,10 @@ let search_naive ?(config = default_config) evaluator op =
 (* Staged re-ranking: a cheap learned ranker scores every candidate in
    the budgeted set WITHOUT applying it (the surrogate's features come
    from the schedule parameters alone), then only the [rerank_k] most
-   promising candidates pay for the exact path ([Sched_state.apply_all]
-   plus the analytical cost model). [explored] counts exact evaluations
-   only, so traces stay comparable with [search].
+   promising candidates pay for the exact path ([eval_schedules]: their
+   steps after a shared head, plus the analytical cost model).
+   [explored] counts exact evaluations only, so traces stay comparable
+   with [search].
 
    The ranker is a plain closure — this layer cannot depend on
    lib/surrogate (perf < autosched < surrogate in the library order);
@@ -515,7 +630,9 @@ let gather_candidates config op =
        evaluated; the trivial schedule leads, takes one slot of the
        budget and is never drawn again. *)
     let s = sampler config op in
-    Hashtbl.add s.seen trivial ();
+    (* The trivial schedule's key: the plain space, every size 0, no
+       swap. With [min_tiled_loops = 0] it can be drawn. *)
+    Seen.add s.seen (Array.make (Array.length s.spaces.(0).key) 0) ();
     trivial :: Array.to_list (draw s (config.max_schedules - 1))
   end
 
@@ -542,5 +659,6 @@ let search_staged ?(config = default_config) ?ranker
       Par_eval.with_executor ?pool ~jobs (fun exec ->
           let r = recorder () in
           record_result r trivial (Evaluator.schedule_speedup evaluator op trivial);
-          eval_schedules exec evaluator op r ~first:0 (Array.of_list selected);
+          eval_schedules exec evaluator op (Hashtbl.create 16) r ~first:0
+            (Array.of_list selected);
           finish r)

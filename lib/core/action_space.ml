@@ -73,22 +73,24 @@ let swap_legal ?ctx (state : Sched_state.t) i =
 (* Tile size selected by each slot for each point loop: slot 0 = no
    tiling; slots 1.. = largest divisors <= max_tile_size, descending
    (1 and the full trip count are excluded — both leave the loop
-   effectively untiled). *)
+   effectively untiled). A downward scan stops once the slots are full,
+   so a step costs at most [max_tile_size] divisions per loop, however
+   long the loop. *)
 let slot_sizes (cfg : Env_config.t) (state : Sched_state.t) =
   let m = Env_config.n_tile_choices cfg in
-  let trips = Sched_state.point_trip_counts state in
   Array.map
     (fun trip ->
-      let divisors =
-        List.filter
-          (fun d -> d > 1 && d < trip && d <= cfg.Env_config.max_tile_size)
-          (Loop_transforms.divisors trip)
-      in
-      let descending = List.rev divisors in
       let slots = Array.make m 0 in
-      List.iteri (fun i d -> if i + 1 < m then slots.(i + 1) <- d) descending;
+      let next = ref 1 and d = ref (Int.min (trip - 1) cfg.Env_config.max_tile_size) in
+      while !next < m && !d >= 2 do
+        if trip mod !d = 0 then begin
+          slots.(!next) <- !d;
+          incr next
+        end;
+        decr d
+      done;
       slots)
-    trips
+    (Sched_state.point_trip_counts state)
 
 let masks (cfg : Env_config.t) (state : Sched_state.t) =
   let n_max = cfg.Env_config.n_max in
@@ -116,8 +118,8 @@ let masks (cfg : Env_config.t) (state : Sched_state.t) =
       (fun row -> Array.exists (fun b -> b) (Array.sub row 1 (m - 1)))
       rows
   in
-  let some_tiling_possible = has_positive (Array.sub tile_mask 0 (min n_loops n_max)) in
-  let some_par_possible = has_positive (Array.sub par_mask 0 (min n_loops n_max)) in
+  let some_tiling_possible = has_positive (Array.sub tile_mask 0 (Int.min n_loops n_max)) in
+  let some_par_possible = has_positive (Array.sub par_mask 0 (Int.min n_loops n_max)) in
   let swap_mask = Array.init n_max (fun i -> swap_legal ?ctx state i) in
   let t_mask =
     [|

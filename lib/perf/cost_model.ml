@@ -167,7 +167,7 @@ let add_lines machine trips ~line_bytes footprints base i g =
         let c = abs g.idx.(last).Affine.coeffs.(depth) in
         if c >= 1 && c <= max_step then dense := true
       end;
-      let last_extent = min ext.(last) g.shape.(last) in
+      let last_extent = Int.min ext.(last) g.shape.(last) in
       let last_lines =
         if !dense then
           float_of_int ((last_extent + elems_per_line - 1) / elems_per_line)
@@ -175,7 +175,7 @@ let add_lines machine trips ~line_bytes footprints base i g =
       in
       let other = ref 1.0 in
       for d = 0 to last - 1 do
-        other := !other *. float_of_int (min ext.(d) g.shape.(d))
+        other := !other *. float_of_int (Int.min ext.(d) g.shape.(d))
       done;
       let lines = Float.max 1.0 (!other *. last_lines) in
       footprints.(depth) <- footprints.(depth) +. (lines *. line_bytes);
@@ -304,7 +304,7 @@ let estimate ~machine ~(iter_kinds : Linalg.iter_kind array)
      mean the accumulator is register-promoted across the unrolled copies
      (one memory round-trip per iteration instead of one per copy). *)
   let replication =
-    max 1 (List.length nest.body / max 1 (distinct_stores nest.body))
+    Int.max 1 (List.length nest.body / Int.max 1 (distinct_stores nest.body))
   in
   let chain =
     if innermost_is_reduction && flops > 0.0 then
@@ -379,7 +379,7 @@ let estimate ~machine ~(iter_kinds : Linalg.iter_kind array)
   let parallel_factor =
     if par_iters <= 1 then 1.0
     else begin
-      let workers = min machine.cores par_iters in
+      let workers = Int.min machine.cores par_iters in
       let chunks = (par_iters + workers - 1) / workers in
       let imbalance =
         float_of_int par_iters /. float_of_int (chunks * workers)

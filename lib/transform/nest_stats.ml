@@ -11,7 +11,7 @@ let log2 x = log x /. log 2.0
 
 (* log2 of a trip count, scaled so realistic trips land in [0, 1]
    (2^16 iterations per loop). Matches the paper's loop-info block. *)
-let log2_trip_norm trip = log2 (float_of_int (max 1 trip)) /. 16.0
+let log2_trip_norm trip = log2 (float_of_int (Int.max 1 trip)) /. 16.0
 
 (* log2(1 + count), scaled for element counts (footprints, reuse
    distances — up to 2^32 elements). *)

@@ -117,6 +117,35 @@ let test_masks_divisors () =
   Alcotest.(check (array int)) "loop 1 sizes" [| 0; 6; 4; 3; 2 |] sizes.(1);
   Alcotest.(check (array int)) "loop 2 sizes" [| 0; 8; 4; 2; 0 |] sizes.(2)
 
+(* The list formula [Action_space.slot_sizes] used before its bounded
+   scan: every divisor of the trip count, filtered, reversed, indexed. *)
+let slot_sizes_by_divisor_lists ~slots ~max_tile divisors trip =
+  let kept = List.filter (fun d -> d > 1 && d < trip && d <= max_tile) divisors in
+  let out = Array.make slots 0 in
+  List.iteri (fun i d -> if i + 1 < slots then out.(i + 1) <- d) (List.rev kept);
+  out
+
+let test_slot_sizes_match_divisor_lists () =
+  for trip = 1 to 4096 do
+    let st = Sched_state.init (Linalg.add [| trip |]) in
+    let divisors = Loop_transforms.divisors trip in
+    List.iter
+      (fun max_tile ->
+        List.iter
+          (fun slots ->
+            let cfg =
+              { cfg with Env_config.max_tile_size = max_tile; n_tile_slots = slots }
+            in
+            let got = (Action_space.slot_sizes cfg st).(0) in
+            let want = slot_sizes_by_divisor_lists ~slots ~max_tile divisors trip in
+            if got <> want then
+              Alcotest.(check (array int))
+                (Printf.sprintf "trip %d, max tile %d, %d slots" trip max_tile slots)
+                want got)
+          [ 1; 2; 5; 8 ])
+      [ 1; 2; 7; 16; 64; 128; 5000 ]
+  done
+
 let test_masks_padded_loops () =
   let st = Sched_state.init (Test_helpers.small_matmul ()) in
   let m = Action_space.masks cfg st in
@@ -367,6 +396,8 @@ let suite =
     Alcotest.test_case "rejects oversized op" `Quick test_observation_rejects_oversized;
     Alcotest.test_case "masks initial matmul" `Quick test_masks_initial_matmul;
     Alcotest.test_case "masks divisors" `Quick test_masks_divisors;
+    Alcotest.test_case "slot sizes match divisor lists" `Quick
+      test_slot_sizes_match_divisor_lists;
     Alcotest.test_case "masks padded loops" `Quick test_masks_padded_loops;
     Alcotest.test_case "masks conv im2col" `Quick test_masks_conv_im2col;
     Alcotest.test_case "all-zero tile is noop" `Quick test_to_transformation_noop;

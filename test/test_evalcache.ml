@@ -271,7 +271,7 @@ let check_same_result name (a : Auto_scheduler.result)
    they draw from different streams — naive from the evaluator's single
    sequential stream, search from per-task derived streams — so only the
    evaluation count (jitter draws) and the trace length must agree. *)
-let differential ?noise ?(budget = 20000) op =
+let differential ?noise ?(budget = 20000) ?(jobs = 1) op =
   let mk cap =
     Evaluator.create ?noise ~noise_seed:11 ~state_cache_capacity:cap ()
   in
@@ -281,7 +281,7 @@ let differential ?noise ?(budget = 20000) op =
   let naive_ev = mk 0 in
   let naive = Auto_scheduler.search_naive ~config naive_ev op in
   let memo_ev = mk 65536 in
-  let memo = Auto_scheduler.search ~config memo_ev op in
+  let memo = Auto_scheduler.search ~config ~jobs memo_ev op in
   (match noise with
   | None -> check_same_result op.Linalg.op_name naive memo
   | Some _ ->
@@ -310,6 +310,43 @@ let test_differential_sampled_branch () =
      noisy, still draw jitter once per evaluation). *)
   differential ~budget:60 (Linalg.matmul ~m:64 ~n:64 ~k:64 ());
   differential ~noise:0.03 ~budget:60 (Linalg.matmul ~m:64 ~n:64 ~k:64 ())
+
+let test_differential_sampled_heads () =
+  (* Sampled candidates run from shared heads: the im2col rewrite and
+     each Parallelize step are applied once per search, on the calling
+     domain, and read by every candidate that starts with them, on the
+     pool too. [search_naive] applies every candidate from scratch. *)
+  let conv =
+    Linalg.conv2d
+      { Linalg.batch = 1; in_h = 8; in_w = 8; channels = 3; kernel_h = 3;
+        kernel_w = 3; filters = 4; stride = 1 }
+  and pool =
+    Linalg.maxpool
+      { Linalg.p_batch = 1; p_in_h = 56; p_in_w = 56; p_channels = 16;
+        p_kernel = 2; p_stride = 2 }
+  in
+  let budget = 150 in
+  let config =
+    { Auto_scheduler.default_config with Auto_scheduler.max_schedules = budget }
+  in
+  let draws_head op is_head =
+    List.exists
+      (fun sched -> is_head (List.hd sched))
+      (Auto_scheduler.gather_candidates config op)
+  in
+  check "the conv draws im2col heads" true
+    (draws_head conv (( = ) Schedule.Im2col));
+  check "the maxpool draws parallel heads" true
+    (draws_head pool (function Schedule.Parallelize _ -> true | _ -> false));
+  List.iter
+    (fun op ->
+      check "sampled regime" true (Auto_scheduler.space_total config op > budget);
+      List.iter
+        (fun jobs ->
+          differential ~budget ~jobs op;
+          differential ~noise:0.05 ~budget ~jobs op)
+        [ 1; 2 ])
+    [ conv; pool ]
 
 let test_search_deterministic () =
   let op = Linalg.matmul ~m:64 ~n:64 ~k:64 () in
@@ -672,6 +709,8 @@ let suite =
       test_differential_exhaustive_noisy;
     Alcotest.test_case "differential: sampled branch" `Quick
       test_differential_sampled_branch;
+    Alcotest.test_case "differential: sampled heads, jobs 1 and 2" `Quick
+      test_differential_sampled_heads;
     Alcotest.test_case "search is deterministic" `Quick
       test_search_deterministic;
     Alcotest.test_case "sampling seed derives from op digest" `Quick
