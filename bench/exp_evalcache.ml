@@ -1,22 +1,16 @@
 (* Memoized evaluation pipeline: how much of the evaluation bill the
-   structural digests, the state-seconds transposition cache and the
-   prefix-sharing exhaustive search actually save.
+   structural digests and the prefix-sharing exhaustive search save.
 
-   Three measurements, mirroring the paths the caches sit on:
+   Two measurements:
 
    1. digest microbench: [Loop_nest.digest] (structural, no printing)
       vs the print+MD5 scheme it replaced in lib/serve;
    2. exhaustive auto-scheduler search: candidates/sec of
-      [Auto_scheduler.search_naive] on a cache-disabled evaluator
-      (apply_all per candidate, full cost model per evaluation) vs the
-      prefix-sharing [Auto_scheduler.search], which prices its distinct
-      candidates on forks without the state cache;
-   3. --jobs 4 training throughput (noise + faults on), state cache
-      off vs on.
-
-   Beam search is not measured: like the exhaustive search, it prices
-   on forks without the state cache, so the cache has nothing to
-   save there.
+      [Auto_scheduler.search_naive] (apply_all per candidate, full cost
+      model per evaluation) vs the prefix-sharing
+      [Auto_scheduler.search], which applies each transformation once
+      per distinct schedule prefix and prices its distinct candidates
+      on evaluator forks.
 
    Every memoized run is checked against its naive twin (same best
    schedule, speedup and explored count — the differential suite in
@@ -78,15 +72,8 @@ let digest_bench ~iters =
 type search_point = {
   label : string;
   wall_s : float;
-  evaluated : int;  (* logical evaluations (cost-model calls saved or not) *)
-  state_hits : int;
-  state_misses : int;
+  evaluated : int;  (* evaluations, one cost-model call each *)
 }
-
-let state_stats ev =
-  match (Evaluator.cache_stats ev).Evaluator.state with
-  | None -> (0, 0)
-  | Some s -> (s.Util.Sharded_cache.hits, s.Util.Sharded_cache.misses)
 
 let fingerprint (r : Auto_scheduler.result) =
   Printf.sprintf "%s|%.17g|%d"
@@ -113,17 +100,15 @@ let exhaustive_bench ~budget ?(tile_sizes = []) op =
     let t0 = now () in
     let r = search ~config ev op in
     let wall_s = now () -. t0 in
-    let state_hits, state_misses = state_stats ev in
-    ( { label; wall_s; evaluated = Evaluator.explored ev; state_hits; state_misses },
-      r )
+    ({ label; wall_s; evaluated = Evaluator.explored ev }, r)
   in
   let naive_pt, naive_r =
-    run "naive (no caches, apply_all per candidate)"
+    run "naive (apply_all per candidate)"
       (fun ~config ev op -> Auto_scheduler.search_naive ~config ev op)
-      (Evaluator.create ~state_cache_capacity:0 ())
+      (Evaluator.create ())
   in
   let dfs_pt, dfs_r =
-    run "prefix-sharing DFS, uncached forks"
+    run "prefix-sharing DFS"
       (fun ~config ev op -> Auto_scheduler.search ~config ev op)
       (Evaluator.create ())
   in
@@ -131,80 +116,22 @@ let exhaustive_bench ~budget ?(tile_sizes = []) op =
     (fingerprint dfs_r);
   [ naive_pt; dfs_pt ]
 
-(* -- 3. parallel training throughput ---------------------------------- *)
-
-type train_point = {
-  t_label : string;
-  t_wall_s : float;
-  episodes : int;
-  t_state_hits : int;
-  t_state_misses : int;
-}
-
-let train_once (c : Bench_common.config) ~state_cache ~jobs ~iterations ~ops =
-  let cfg = Env_config.default in
-  let evaluator =
-    Evaluator.create ~machine:cfg.Env_config.machine ~noise:0.02
-      ~noise_seed:(c.Bench_common.seed + 13)
-      ~state_cache_capacity:(if state_cache then 65536 else 0)
-      ()
-  in
-  let faults =
-    Faults.create
-      ~config:(Faults.flaky ~rate:0.1 ())
-      ~seed:(c.Bench_common.seed + 31) ()
-  in
-  let robust = Robust_evaluator.create ~faults evaluator in
-  let env = Env.create ~robust cfg in
-  let rng = Util.Rng.create c.Bench_common.seed in
-  let policy =
-    Policy.create ~hidden:c.Bench_common.hidden ~backbone_layers:2 rng cfg
-  in
-  let config =
-    {
-      Trainer.default_config with
-      Trainer.iterations;
-      seed = c.Bench_common.seed;
-      jobs;
-    }
-  in
-  let t0 = now () in
-  let stats = Trainer.train config env policy ~ops in
-  let t_wall_s = now () -. t0 in
-  let episodes =
-    match List.rev stats with [] -> 0 | s :: _ -> s.Trainer.episodes
-  in
-  let t_state_hits, t_state_misses = state_stats evaluator in
-  {
-    t_label = (if state_cache then "state cache on" else "state cache off");
-    t_wall_s;
-    episodes;
-    t_state_hits;
-    t_state_misses;
-  }
-
 (* -- harness ----------------------------------------------------------- *)
 
 let rate (p : search_point) = float_of_int p.evaluated /. p.wall_s
 
-let hit_pct hits misses =
-  let total = hits + misses in
-  if total = 0 then 0.0 else 100.0 *. float_of_int hits /. float_of_int total
-
 let print_search_table points =
-  Printf.printf "%-42s %10s %10s %12s %9s\n" "variant" "wall (s)" "evals"
-    "evals/sec" "hit rate";
+  Printf.printf "%-42s %10s %10s %12s\n" "variant" "wall (s)" "evals"
+    "evals/sec";
   let base = rate (List.hd points) in
   List.iter
     (fun p ->
-      Printf.printf "%-42s %10.4f %10d %12.0f %8.1f%%  (%.2fx)\n" p.label
-        p.wall_s p.evaluated (rate p)
-        (hit_pct p.state_hits p.state_misses)
-        (rate p /. base))
+      Printf.printf "%-42s %10.4f %10d %12.0f  (%.2fx)\n" p.label p.wall_s
+        p.evaluated (rate p) (rate p /. base))
     points
 
 let json_of_results ~quick (dig : digest_point list)
-    (exhaustive : search_point list) (train : train_point list) =
+    (exhaustive : search_point list) =
   let b = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\n";
@@ -228,42 +155,20 @@ let json_of_results ~quick (dig : digest_point list)
       (fun i p ->
         add
           "    {\"variant\": \"%s\", \"wall_seconds\": %.4f, \"evaluations\": \
-           %d, \"evals_per_sec\": %.0f, \"state_hit_rate_pct\": %.1f, \
-           \"speedup_vs_naive\": %.2f}%s\n"
-          p.label p.wall_s p.evaluated (rate p)
-          (hit_pct p.state_hits p.state_misses)
-          (rate p /. base)
+           %d, \"evals_per_sec\": %.0f, \"speedup_vs_naive\": %.2f}%s\n"
+          p.label p.wall_s p.evaluated (rate p) (rate p /. base)
           (if i = List.length points - 1 then "" else ","))
       points;
     add "  ],\n"
   in
   search_json "exhaustive" exhaustive;
-  add "  \"train_jobs4\": [\n";
-  let t_base = List.hd train in
-  let t_base_rate =
-    float_of_int t_base.episodes /. t_base.t_wall_s
-  in
-  List.iteri
-    (fun i t ->
-      let r = float_of_int t.episodes /. t.t_wall_s in
-      add
-        "    {\"variant\": \"%s\", \"wall_seconds\": %.2f, \"episodes\": %d, \
-         \"episodes_per_sec\": %.1f, \"state_hit_rate_pct\": %.1f, \
-         \"speedup_vs_off\": %.2f}%s\n"
-        t.t_label t.t_wall_s t.episodes r
-        (hit_pct t.t_state_hits t.t_state_misses)
-        (r /. t_base_rate)
-        (if i = List.length train - 1 then "" else ","))
-    train;
-  add "  ],\n";
   add "  \"mismatch\": %b\n" !mismatch;
   add "}\n";
   Buffer.contents b
 
-let run ?(quick = false) (c : Bench_common.config) =
+let run ?(quick = false) () =
   mismatch := false;
-  Bench_common.heading
-    "memoized evaluation pipeline: digests, transposition cache, prefix sharing";
+  Bench_common.heading "memoized evaluation pipeline: digests, prefix sharing";
 
   Bench_common.subheading "structural digest vs print+MD5 (ns per digest)";
   let dig = digest_bench ~iters:(if quick then 2000 else 20000) in
@@ -275,8 +180,8 @@ let run ?(quick = false) (c : Bench_common.config) =
     dig;
 
   Bench_common.subheading "exhaustive auto-scheduler search (prefix-sharing DFS)";
-  (* A 7-loop conv: deep nests are where the cost model is expensive
-     relative to a cache probe. tile_sizes restricted so the space
+  (* A 7-loop conv: a deep nest, where a candidate's shared prefix is
+     the most work to re-apply. tile_sizes restricted so the space
      (~11k candidates with the im2col twin) stays exhaustive. *)
   let ex_op =
     Linalg.conv2d
@@ -294,27 +199,7 @@ let run ?(quick = false) (c : Bench_common.config) =
   let exhaustive = exhaustive_bench ~budget:20000 ~tile_sizes:[ 2; 4 ] ex_op in
   print_search_table exhaustive;
 
-  Bench_common.subheading "training throughput, --jobs 4 (noise 2%, faults 10%)";
-  let iterations = if quick then 2 else 4 in
-  (* Deep nests again: on shallow matmuls the policy forward pass, not
-     the cost model, dominates an episode step and the cache's effect
-     drowns in scheduler noise. *)
-  let train_ops = [| ex_op; Linalg.matmul ~m:128 ~n:128 ~k:64 () |] in
-  let train =
-    [
-      train_once c ~state_cache:false ~jobs:4 ~iterations ~ops:train_ops;
-      train_once c ~state_cache:true ~jobs:4 ~iterations ~ops:train_ops;
-    ]
-  in
-  List.iter
-    (fun t ->
-      Printf.printf "%-16s %8.2f s %6d episodes %8.1f eps/s  hit rate %.1f%%\n"
-        t.t_label t.t_wall_s t.episodes
-        (float_of_int t.episodes /. t.t_wall_s)
-        (hit_pct t.t_state_hits t.t_state_misses))
-    train;
-
-  let json = json_of_results ~quick dig exhaustive train in
+  let json = json_of_results ~quick dig exhaustive in
   let path = "BENCH_evalcache.json" in
   (* Atomic (temp + rename): a reader or a crash mid-run never sees a
      half-written artifact. *)

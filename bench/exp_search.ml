@@ -4,10 +4,10 @@
    reported.
 
    The evaluator runs with [measure_delay_s] > 0: each state-seconds
-   computation (every candidate: search forks price uncached) sleeps
-   like a hardware measurement would, so the bench measures how well
-   the search overlaps measurement latency — the quantity that matters
-   on a real tuning box — instead of the host's core count. Sleeps on
+   call (one per candidate) sleeps like a hardware measurement would,
+   so the bench measures how well the search overlaps measurement
+   latency — the quantity that matters on a real tuning box — instead
+   of the host's core count. Sleeps on
    different domains overlap regardless of cores; compute does not, and
    is negligible at these delays.
 
@@ -83,11 +83,10 @@ let run_scaling ~label ~delay ~run_search ~fp =
           if jobs > 1 then Some (Util.Domain_pool.create_stealing ~size:jobs)
           else None
         in
-        (* Best-of-N walls, fresh evaluator per repetition (a warm
-           transposition cache would skip the simulated measurement
-           sleeps). Jitter on a shared container only ever slows a run
-           down, so the minimum is the honest throughput; fingerprints
-           must agree on every repetition, not just the fastest. *)
+        (* Best-of-N walls, fresh evaluator per repetition. Jitter on
+           a shared container only ever slows a run down, so the
+           minimum is the honest throughput; fingerprints must agree on
+           every repetition, not just the fastest. *)
         let best_wall = ref infinity in
         let last_fp = ref None in
         let explored = ref 0 in

@@ -103,15 +103,7 @@ let training_throughput c ~iterations =
           "base cache: %d hits, %d misses, %d evictions (%d live / %d cap, %d shards)\n"
           base.Util.Sharded_cache.hits base.Util.Sharded_cache.misses
           base.Util.Sharded_cache.evictions base.Util.Sharded_cache.size
-          base.Util.Sharded_cache.capacity base.Util.Sharded_cache.shards;
-        match cache.Evaluator.state with
-        | None -> ()
-        | Some st ->
-            Bench_common.note
-              "state cache: %d hits, %d misses, %d evictions (%d live / %d cap)\n"
-              st.Util.Sharded_cache.hits st.Util.Sharded_cache.misses
-              st.Util.Sharded_cache.evictions st.Util.Sharded_cache.size
-              st.Util.Sharded_cache.capacity
+          base.Util.Sharded_cache.capacity base.Util.Sharded_cache.shards
       end)
     [ 1; 2; 4 ]
 

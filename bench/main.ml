@@ -69,7 +69,7 @@ let () =
   if want "tensor" then Exp_tensor.run ~quick:fast c;
   if want "serve" then Exp_serve.run ~quick:fast c;
   if want "fleet" then Exp_fleet.run ~quick:fast c;
-  if want "evalcache" then Exp_evalcache.run ~quick:fast c;
+  if want "evalcache" then Exp_evalcache.run ~quick:fast ();
   if want "search" then Exp_search.run ~quick:fast c;
   if want "surrogate" then Exp_surrogate.run ~quick:fast c;
   if want "micro" then Micro.run ();

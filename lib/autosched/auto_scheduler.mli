@@ -66,12 +66,11 @@ val search :
     When the space fits the budget, the exhaustive enumeration runs as
     a prefix-sharing DFS: each transformation is applied once per
     distinct schedule prefix instead of once per candidate containing
-    it. Every candidate is a distinct schedule, so candidates are
-    priced directly, on evaluator forks without the state-seconds
-    transposition cache (only the trivial schedule, priced on
-    [evaluator] itself, consults it). With a noiseless evaluator,
-    results (best schedule, speedup, explored, trace) are bit-identical
-    to {!search_naive} — the differential property suite asserts it.
+    it. Every candidate is a distinct schedule, priced once, on an
+    evaluator fork (the trivial schedule is priced on [evaluator]
+    itself). With a noiseless evaluator, results (best schedule,
+    speedup, explored, trace) are bit-identical to {!search_naive} —
+    the differential property suite asserts it.
 
     The decision trie splits at a fixed depth (the parallel combo plus
     the leading two loops' tile choices) into independent subtrie
@@ -101,9 +100,8 @@ val search_naive : ?config:config -> Evaluator.t -> Linalg.t -> result
     candidate stream and the result bookkeeping with {!search}. Under
     noise it draws jitter from the evaluator's own stream, so it makes
     the same number of draws as {!search} but not the same values.
-    Pair it with an evaluator created with [~state_cache_capacity:0]
-    for the fully unmemoized baseline the differential tests and the
-    evalcache bench compare against. *)
+    The differential tests and the evalcache bench compare {!search}
+    against it. *)
 
 val default_rerank_k : int
 (** Exact re-evaluation budget of {!search_staged} (64). *)

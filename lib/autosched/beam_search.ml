@@ -109,8 +109,9 @@ let search ?(config = default_config) ?ranker ?(rerank_k = default_rerank_k)
       (* Expansion is already prefix-shared: each child is one [apply] on
          its parent's state, never an [apply_all] replay. Distinct action
          sequences reaching the same nest (tile/swap transpositions) are
-         priced again: too few repeat to repay a state-cache lookup per
-         child (see [Par_eval.derived_fork]). *)
+         priced again: 13.8% of children repeat a nest, too few to repay
+         a lookup per child (docs/performance.md, "Why there is no state
+         cache"). *)
       (* Score = speedup with vectorization appended (virtually). *)
       let score ev (state : Sched_state.t) =
         match Sched_state.apply state Schedule.Vectorize with

@@ -49,9 +49,8 @@ val search :
     is byte-identical to the exact search.
 
     Each depth runs expansion and exact scoring as tasks — scoring on
-    {!Evaluator.fork}s without the state-seconds transposition cache,
-    with noise streams derived from a global scored-state index (only
-    the root, scored on [evaluator] itself, consults the cache) — while
+    {!Evaluator.fork}s with noise streams derived from a global
+    scored-state index (the root is scored on [evaluator] itself) — while
     dedup, ranking and beam selection merge results on the calling
     domain in expansion order. [jobs] (default 1; [Invalid_argument]
     below 1) only picks where the tasks run: inline for [jobs = 1],

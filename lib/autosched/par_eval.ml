@@ -38,19 +38,9 @@ let map (exec : executor) f xs =
   | Some pool -> Util.Domain_pool.map_array pool f xs
 
 (* A task-local evaluator whose jitter stream is keyed by [stream] on
-   top of [base] (the parent's noise state when the tasks began). It
-   prices without the state cache: a lookup costs a key, a hash and a
-   shard lock on top of the cost model, and neither search repeats
-   enough nests to repay it. On perfbench's seed-5 search draw the
-   exact search's 68,952 lookups hit none and beam's 11,958 hit 13.8%.
-   Over 12 alternating 30 s perfbench search runs per side (2-vCPU
-   shared VM), beam scored a median 142.8k states/s on uncached forks
-   and 101.1k on cached ones (search.beam_states_per_s; uncached won
-   all 12 pairs). Pricing still goes through [Evaluator.state_seconds],
-   so values, jitter draws, explored counts, the sanitizer and the
-   measurement tap are unchanged. *)
+   top of [base] (the parent's noise state when the tasks began). *)
 let derived_fork evaluator ~base ~stream =
-  let fork = Evaluator.fork ~state_cache:false evaluator in
+  let fork = Evaluator.fork evaluator in
   Evaluator.set_noise_state fork (Util.Rng.state (Util.Rng.derive base ~stream));
   fork
 

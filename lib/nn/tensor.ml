@@ -28,18 +28,16 @@ type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
    Tensor payloads are plain memory, so pace them like memory. The
    larger minor heap (32 MB/domain, set before any domain spawns)
    spaces out the stop-the-world minor collections that multi-domain
-   runs on few cores otherwise spend their time synchronizing on.
-   MLIR_RL_GC_DEFAULT=1 restores the runtime defaults. *)
+   runs on few cores otherwise spend their time synchronizing on. *)
 let () =
-  if Sys.getenv_opt "MLIR_RL_GC_DEFAULT" = None then
-    Gc.set
-      {
-        (Gc.get ()) with
-        Gc.minor_heap_size = 4194304;
-        custom_major_ratio = 10000;
-        custom_minor_ratio = 10000;
-        custom_minor_max_size = 65536;
-      }
+  Gc.set
+    {
+      (Gc.get ()) with
+      Gc.minor_heap_size = 4194304;
+      custom_major_ratio = 10000;
+      custom_minor_ratio = 10000;
+      custom_minor_max_size = 65536;
+    }
 
 type t = { shape : int array; data : buf }
 

@@ -9,17 +9,14 @@ type measure_hook = Sched_state.t -> seconds:float -> unit
 type t = {
   machine : Machine.t;
   base_cache : (string, float) Util.Sharded_cache.t;
-  state_cache : (string, float) Util.Sharded_cache.t option;
   mutable explored : int;
   noise : float;
   noise_rng : Util.Rng.t;
-  (* Emulated hardware-measurement stall per state-seconds COMPUTATION
-     (transposition-cache misses, or every call without the cache — a
-     cached measurement needs no re-measurement). The analytic cost
-     model answers in microseconds, which no real deployment does;
-     benches of parallel search scaling
-     would otherwise measure this host's core count instead of how well
-     the search overlaps measurement latency. Bit-invisible to every
+  (* Emulated hardware-measurement stall per state-seconds call. The
+     analytic cost model answers in microseconds, which no real
+     deployment does; benches of parallel search scaling would
+     otherwise measure this host's core count instead of how well the
+     search overlaps measurement latency. Bit-invisible to every
      result: only wall-clock changes. 0 (off) by default. *)
   measure_delay_s : float;
   (* Physical-identity memo for [base_seconds]: a search evaluates
@@ -29,15 +26,11 @@ type t = {
      value, safe to read from any domain) and then keeps its own; purely
      a wall-clock optimization. *)
   mutable base_memo : (Linalg.t * float) option;
-  (* "|" ^ machine name, precomputed once for state_key. *)
-  machine_suffix : string;
-  (* Measurement tap: called once per state-seconds COMPUTATION with the
-     pure, pre-jitter cost-model value — the surrogate's dataset logger
-     installs itself here. With the transposition cache on, that is once
-     per distinct (digest, kinds, packing, machine) key; without it
-     (the search forks of lib/autosched), once per call. The hook never sees
-     jitter and never perturbs the noise stream, so enabling it is
-     bit-invisible to every consumer. *)
+  (* Measurement tap: called once per state-seconds call with the pure,
+     pre-jitter cost-model value — the surrogate's dataset logger
+     installs itself here. The hook never sees jitter and never perturbs
+     the noise stream, so enabling it is bit-invisible to every
+     consumer. *)
   mutable measure_hook : measure_hook option;
   (* A surrogate ranker's stats closure, attached so its counters
      surface through the one {!cache_stats} record (and so
@@ -48,47 +41,37 @@ type t = {
 
 let timeout_factor = 10.0
 let default_cache_capacity = 4096
-let default_state_cache_capacity = 65536
 
 let create ?(machine = Machine.e5_2680_v4) ?(noise = 0.0) ?(noise_seed = 0)
-    ?(cache_capacity = default_cache_capacity)
-    ?(state_cache_capacity = default_state_cache_capacity)
-    ?(measure_delay_s = 0.0) () =
+    ?(cache_capacity = default_cache_capacity) ?(measure_delay_s = 0.0) () =
   {
     machine;
     base_cache = Util.Sharded_cache.create ~capacity:cache_capacity ();
-    state_cache =
-      (if state_cache_capacity <= 0 then None
-       else Some (Util.Sharded_cache.create ~capacity:state_cache_capacity ()));
     explored = 0;
     noise;
     noise_rng = Util.Rng.create noise_seed;
     measure_delay_s;
     base_memo = None;
-    machine_suffix = "|" ^ machine.Machine.name;
     measure_hook = None;
     surrogate_cache = None;
   }
 
-let fork ?(state_cache = true) t =
+let fork t =
   (* Same machine and noise sigma, and the same (shared, domain-safe)
-     caches — base times and pre-jitter state times are pure, so every
-     fork may reuse them. The explored counter and jitter stream are
-     per-fork: each parallel episode runs its own decorrelated noise
-     stream and reports its explored delta for the trainer to merge. *)
+     base-time cache — base times are pure, so every fork may reuse
+     them. The explored counter and jitter stream are per-fork: each
+     parallel episode runs its own decorrelated noise stream and
+     reports its explored delta for the trainer to merge. *)
   {
     machine = t.machine;
     base_cache = t.base_cache;
-    state_cache = (if state_cache then t.state_cache else None);
     explored = 0;
     noise = t.noise;
     noise_rng = Util.Rng.create 0;
     measure_delay_s = t.measure_delay_s;
     base_memo = t.base_memo;
-    machine_suffix = t.machine_suffix;
     (* Forks inherit the measurement tap (the dataset logger is
-       mutex-protected) and the attached surrogate cache, like the
-       other shared caches. *)
+       mutex-protected) and the attached surrogate cache. *)
     measure_hook = t.measure_hook;
     surrogate_cache = t.surrogate_cache;
   }
@@ -117,53 +100,6 @@ let base_seconds t (op : Linalg.t) =
       t.base_memo <- Some (op, s);
       s
 
-(* The transposition cache memoizes the PURE part of a measurement —
-   the cost-model seconds of (nest, iter kinds, packing, machine).
-   Jitter is applied after the lookup and [explored] counts every
-   logical call, so measurement noise streams, speedup values and
-   paper-figure traces are byte-identical whether a call hits or
-   misses; only wall-clock changes. The key leads with the structural
-   digest, hashed here when the state is priced — [Sched_state.apply]
-   hashes nothing, so intermediate states never pay for one; iter kinds
-   ride along because the cost model reads them through loop origins,
-   which the nest digest records only as indices. *)
-let state_key t (state : Sched_state.t) =
-  let ik = state.Sched_state.op.Linalg.iter_kinds in
-  let kinds =
-    String.init (Array.length ik) (fun i ->
-        match ik.(i) with
-        | Linalg.Parallel_iter -> 'p'
-        | Linalg.Reduction_iter -> 'r')
-  in
-  (* One-pass concat (no sprintf formatting machinery): this runs once
-     per candidate on the search hot path. *)
-  String.concat ""
-    [
-      Sched_state.digest state; "|"; kinds; "|";
-      string_of_int state.Sched_state.packing_elements; t.machine_suffix;
-    ]
-
-let pure_state_seconds t (state : Sched_state.t) =
-  let compute () =
-    (* The sleep blocks only this domain's OS thread, so concurrent
-       misses on distinct keys stall concurrently — which is exactly
-       the overlap a parallel search buys on measurement-bound
-       deployments. [find_or_compute] runs us outside the shard lock. *)
-    if t.measure_delay_s > 0.0 then Unix.sleepf t.measure_delay_s;
-    let s =
-      Cost_model.seconds ~machine:t.machine
-        ~iter_kinds:state.Sched_state.op.Linalg.iter_kinds
-        ~packing_elements:state.Sched_state.packing_elements
-        state.Sched_state.nest
-    in
-    (match t.measure_hook with None -> () | Some hook -> hook state ~seconds:s);
-    s
-  in
-  match t.state_cache with
-  | None -> compute ()
-  | Some cache ->
-      Util.Sharded_cache.find_or_compute cache (state_key t state) compute
-
 let set_measure_hook t hook = t.measure_hook <- hook
 let attach_surrogate_cache t stats = t.surrogate_cache <- Some stats
 
@@ -175,7 +111,18 @@ let state_seconds t (state : Sched_state.t) =
      it to one interpretation per distinct transformed nest per process;
      when disabled the cost is a single atomic load. *)
   if Sanitizer.enabled () then ignore (Differential.sanitize_state state);
-  jitter t (pure_state_seconds t state)
+  (* The sleep blocks only this domain's OS thread, so concurrent
+     pricings stall concurrently — which is exactly the overlap a
+     parallel search buys on measurement-bound deployments. *)
+  if t.measure_delay_s > 0.0 then Unix.sleepf t.measure_delay_s;
+  let s =
+    Cost_model.seconds ~machine:t.machine
+      ~iter_kinds:state.Sched_state.op.Linalg.iter_kinds
+      ~packing_elements:state.Sched_state.packing_elements
+      state.Sched_state.nest
+  in
+  (match t.measure_hook with None -> () | Some hook -> hook state ~seconds:s);
+  jitter t s
 
 let measure t state =
   let base = base_seconds t state.Sched_state.original in
@@ -201,15 +148,14 @@ let set_noise_state t s = Util.Rng.set_state t.noise_rng s
 let cache_stats t =
   {
     base = Util.Sharded_cache.stats t.base_cache;
-    state = Option.map Util.Sharded_cache.stats t.state_cache;
+    state = None;
     surrogate = Option.map (fun stats -> stats ()) t.surrogate_cache;
   }
 
 (* One counter per (cache, field), present caches only — the names every
    telemetry registry renders these caches under. *)
 let cache_counters stats =
-  [ ("base", Some stats.base); ("state", stats.state);
-    ("surrogate", stats.surrogate) ]
+  [ ("base", Some stats.base); ("surrogate", stats.surrogate) ]
   |> List.concat_map (fun (tag, s) ->
          match s with
          | None -> []

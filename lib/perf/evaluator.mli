@@ -6,15 +6,15 @@
     to a capped, penalized measurement). *)
 
 type t
-(** An evaluator bound to a machine; caches base times per op and
-    pre-jitter state times per nest digest (the transposition cache). *)
+(** An evaluator bound to a machine; caches base times per op. Every
+    state it prices goes through the cost model: there is no state-time
+    cache (see docs/performance.md, "Why there is no state cache"). *)
 
 val create :
   ?machine:Machine.t ->
   ?noise:float ->
   ?noise_seed:int ->
   ?cache_capacity:int ->
-  ?state_cache_capacity:int ->
   ?measure_delay_s:float ->
   unit ->
   t
@@ -25,35 +25,21 @@ val create :
     noise. Base times stay noiseless so speedups are jittered only
     through the measurement. [cache_capacity] bounds the base-time
     cache (default 4096 entries, FIFO eviction — an eviction only costs
-    a recompute). [state_cache_capacity] bounds the state-seconds
-    transposition cache, keyed by
-    (nest digest, iter kinds, packing elements, machine); default
-    65536 entries, [<= 0] disables it (the naive-reference mode the
-    differential tests and benches compare against). The cache stores
-    the pure pre-jitter cost-model value and jitter is applied after
-    lookup, so results are bit-identical with the cache on or off.
-    [measure_delay_s] emulates the hardware-measurement stall of a real
-    deployment: every state-seconds computation (a transposition-cache
-    miss, or any pricing on an evaluator without the cache — so every
-    candidate the auto-scheduler and beam searches price) sleeps that
+    a recompute). [measure_delay_s] emulates the hardware-measurement
+    stall of a real deployment: every {!state_seconds} call sleeps that
     long before pricing, so parallel-search benches scale with how well
     the search overlaps measurement latency instead of with the host's
     core count — the same device the serve engine's [measure_delay_s]
-    models at batch level. Cache hits stay instant and results are
-    bit-identical with the delay on or off; 0 (off) by default. *)
+    models at batch level. Results are bit-identical with the delay on
+    or off; 0 (off) by default. *)
 
-val fork : ?state_cache:bool -> t -> t
+val fork : t -> t
 (** A worker-local evaluator for parallel rollouts and search tasks:
-    shares the (domain safe, sharded) base-time and state-seconds
-    caches, copies machine, noise sigma and the parent's last base-time
+    shares the (domain safe, sharded) base-time cache, copies machine,
+    noise sigma, the measurement tap and the parent's last base-time
     memo, and starts a fresh explored counter and jitter stream. The
     caller is expected to seed the jitter stream via {!set_noise_state}
-    and merge the fork's {!explored} delta back. [~state_cache:false]
-    (default [true]) gives a fork that prices every state with the cost
-    model instead of consulting the transposition cache — for callers
-    whose states seldom repeat, such as the search forks of
-    [lib/autosched]; its values, jitter draws and explored counts are
-    the same either way. *)
+    and merge the fork's {!explored} delta back. *)
 
 val machine : t -> Machine.t
 
@@ -65,12 +51,9 @@ val base_seconds : t -> Linalg.t -> float
 
 val state_seconds : t -> Sched_state.t -> float
 (** Estimated time of the current transformed nest, including the im2col
-    packing charge. Memoized through the transposition cache (keyed by
-    {!Sched_state.digest}) when this evaluator carries one: a state
-    whose nest was already priced — by this evaluator or any fork
-    sharing its caches — skips the cost model entirely. [explored]
-    still counts every call and jitter is still drawn per call, so
-    traces and noise streams are unchanged. *)
+    packing charge. Every call prices the state with the cost model,
+    counts in {!explored}, fires the measurement tap and draws jitter,
+    so a state priced twice costs two pricings and two draws. *)
 
 val timeout_factor : float
 (** The paper's adaptive timeout: measurements above
@@ -108,11 +91,9 @@ type measure_hook = Sched_state.t -> seconds:float -> unit
 
 val set_measure_hook : t -> measure_hook option -> unit
 (** Install (or clear) the measurement tap. The hook fires on every
-    state-seconds computation: once per transposition-cache miss, and
-    on every call of an evaluator without the cache — which includes
-    every candidate the auto-scheduler and beam searches price, since
-    their forks price uncached. Consumers that want one record per nest dedup themselves
-    (the surrogate dataset logger does). It must be fast and, if the
+    {!state_seconds} call, so once per priced state, repeats included;
+    consumers that want one record per nest dedup themselves (the
+    surrogate dataset logger does). It must be fast and, if the
     evaluator is forked across domains, thread-safe; it never observes
     jitter and never perturbs the noise stream, so installing it is
     bit-invisible to all consumers. Forks inherit the hook. *)
@@ -120,27 +101,30 @@ val set_measure_hook : t -> measure_hook option -> unit
 val attach_surrogate_cache : t -> (unit -> Util.Sharded_cache.stats) -> unit
 (** Attach a surrogate ranker's stats, in the cache-stats shape, so its
     counters appear in {!cache_stats} (and hence {!cache_counters})
-    alongside the base/state caches. Takes a closure, so the ranker's
+    alongside the base-time cache. Takes a closure, so the ranker's
     type stays out of this interface. Purely observational. *)
 
 type cache_stats = {
   base : Util.Sharded_cache.stats;  (** base-time cache, keyed by op *)
   state : Util.Sharded_cache.stats option;
-      (** state-seconds transposition cache; [None] when disabled *)
+      (** always [None]: the evaluator keeps no state-time cache. The
+          field stays because the end-to-end benchmark's report reads
+          it; it goes when that reader does. *)
   surrogate : Util.Sharded_cache.stats option;
       (** attached surrogate ranker's stats; [None] unless a ranker
           called {!attach_surrogate_cache} *)
 }
 
 val cache_stats : t -> cache_stats
-(** Hit/miss/eviction counters of the caches. Forks share the caches,
-    so the counters aggregate across all of them (and under parallel
+(** Hit/miss/eviction counters of the base-time cache and of an
+    attached surrogate ranker. Forks share the base-time cache, so its
+    counters aggregate across all of them (and under parallel
     collection they depend on scheduling — report them on stderr or in
     metrics, never on determinism-checked stdout). *)
 
 val cache_counters : cache_stats -> (string * int) list
 (** [eval_<tag>_cache_{hits,misses,evictions,contention}_total] for each
-    present cache, tags in [base; state; surrogate] order. Whoever owns
-    the evaluator passes [fun () -> cache_counters (cache_stats ev)] to
+    present cache, tags in [base; surrogate] order. Whoever owns the
+    evaluator passes [fun () -> cache_counters (cache_stats ev)] to
     {!Util.Metrics.add_collector}, so CLI stderr, serve [stats] and
     Prometheus render one set of names. *)

@@ -2,11 +2,10 @@
 
    Entries are (structural digest, machine, measured seconds, feature
    vector) rows collected from the evaluator's measurement tap. The
-   in-memory store dedups by (digest | machine) — with the evaluator's
-   transposition cache on the tap already fires once per distinct key,
-   this makes dedup hold with the cache off or across evaluators too —
-   and enforces a bounded-size FIFO rotation: when full, the oldest
-   entries rotate out (counted, never silently).
+   in-memory store dedups by (digest | machine) — the tap fires on every
+   pricing, repeats included, so this is what keeps one row per nest,
+   across evaluators too — and enforces a bounded-size FIFO rotation:
+   when full, the oldest entries rotate out (counted, never silently).
 
    Persistence is a versioned, tab-separated text file written through
    {!Util.Atomic_file} (temp + rename), so a crash mid-write leaves the

@@ -21,9 +21,9 @@ val init : Linalg.t -> t
 
 val digest : t -> string
 (** [Loop_nest.digest state.nest], computed on demand in O(nest size).
-    {!apply} hashes nothing: only a state that gets priced pays for its
-    digest, which the transposition cache in {!Evaluator} keys
-    state-seconds lookups by. *)
+    {!apply} hashes nothing: only a state that asks pays for its
+    digest — the surrogate's dataset log and the sanitizer's pair dedup
+    key by it. *)
 
 val n_point_loops : t -> int
 (** Loop count of the current op — the arity that [Tile]/[Parallelize]

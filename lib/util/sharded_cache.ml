@@ -100,53 +100,18 @@ let find_or_compute t key f =
       add t key v;
       v
 
-let empty_stats ~capacity ~shards =
-  { hits = 0; misses = 0; evictions = 0; contention = 0; size = 0;
-    capacity; shards }
-
-let shard_snapshot ~capacity s =
-  with_shard s (fun () ->
-      {
-        hits = s.hits;
-        misses = s.misses;
-        evictions = s.evictions;
-        contention = s.contention;
-        size = Hashtbl.length s.tbl;
-        capacity;
-        shards = 1;
-      })
-
 let stats (t : _ t) =
   Array.fold_left
-    (fun acc s ->
-      let snap = shard_snapshot ~capacity:t.shard_capacity s in
-      {
-        acc with
-        hits = acc.hits + snap.hits;
-        misses = acc.misses + snap.misses;
-        evictions = acc.evictions + snap.evictions;
-        contention = acc.contention + snap.contention;
-        size = acc.size + snap.size;
-      })
-    (empty_stats ~capacity:t.capacity ~shards:(Array.length t.shards))
-    t.shards
-
-let shard_stats (t : _ t) =
-  Array.map (shard_snapshot ~capacity:t.shard_capacity) t.shards
-
-let length t = (stats t).size
-
-let to_alist (t : _ t) =
-  Array.fold_left
-    (fun acc s ->
+    (fun (acc : stats) (s : _ shard) ->
       with_shard s (fun () ->
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.tbl acc))
-    [] t.shards
-
-let clear (t : _ t) =
-  Array.iter
-    (fun s ->
-      with_shard s (fun () ->
-          Hashtbl.reset s.tbl;
-          Queue.clear s.order))
+          {
+            acc with
+            hits = acc.hits + s.hits;
+            misses = acc.misses + s.misses;
+            evictions = acc.evictions + s.evictions;
+            contention = acc.contention + s.contention;
+            size = acc.size + Hashtbl.length s.tbl;
+          }))
+    { hits = 0; misses = 0; evictions = 0; contention = 0; size = 0;
+      capacity = t.capacity; shards = Array.length t.shards }
     t.shards

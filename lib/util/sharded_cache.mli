@@ -44,19 +44,3 @@ val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 
 val stats : ('k, 'v) t -> stats
 (** Aggregate counters across shards (locks each shard briefly). *)
-
-val shard_stats : ('k, 'v) t -> stats array
-(** Per-shard counters, one [stats] per shard (each with [shards = 1]
-    and the shard's own capacity) — shows skew that the aggregate
-    hides, e.g. one hot shard absorbing most contention. *)
-
-val length : ('k, 'v) t -> int
-(** Current number of live entries. *)
-
-val to_alist : ('k, 'v) t -> ('k * 'v) list
-(** Snapshot of the live entries in unspecified order (sort before
-    comparing). Used by the determinism benches to check that parallel
-    and sequential searches leave byte-identical cache contents. *)
-
-val clear : ('k, 'v) t -> unit
-(** Drop every entry. Counters are kept. *)

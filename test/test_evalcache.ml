@@ -1,6 +1,5 @@
-(* The memoized evaluation pipeline: structural nest digests, the
-   evaluator's state-seconds transposition cache, and prefix-sharing
-   exhaustive search.
+(* The memoized evaluation pipeline: structural nest digests,
+   prefix-sharing exhaustive search and the evaluator's pricing path.
 
    The load-bearing properties, each pinned here:
    - [Sched_state.digest], computed when a state is priced rather than
@@ -10,11 +9,13 @@
    - distinct nests get distinct digests (checked exhaustively over the
      search states of several ops, and probabilistically over random
      shapes) while renamed copies of one nest share a digest;
-   - [Auto_scheduler.search] (prefix-sharing DFS + transposition cache)
-     is bit-identical to [Auto_scheduler.search_naive] with caching
-     disabled: same best schedule, best speedup, explored count and
-     trace, exhaustive and sampled branches both; under noise both still
-     make the same number of jitter draws;
+   - every [Evaluator.state_seconds] call prices: it counts in
+     [explored] and fires the measurement tap, and every search prices
+     each candidate it counts exactly once, through that tap;
+   - [Auto_scheduler.search] (prefix-sharing DFS) is bit-identical to
+     [Auto_scheduler.search_naive]: same best schedule, best speedup,
+     explored count and trace, exhaustive and sampled branches both;
+     under noise both still make the same number of jitter draws;
    - an evaluator fork inherits its parent's base-time memo;
    - the sampling seed derives from [Linalg.digest], so same-named ops
      with different shapes draw different candidate streams;
@@ -173,7 +174,7 @@ let qcheck_digest_distinct_shapes =
       if (m1, n1, k1) = (m2, n2, k2) then d1 = d2 else d1 <> d2)
 
 (* ------------------------------------------------------------------ *)
-(* Evaluator state-seconds transposition cache                        *)
+(* Evaluator pricing path                                             *)
 (* ------------------------------------------------------------------ *)
 
 let vectorized_state op =
@@ -181,37 +182,23 @@ let vectorized_state op =
   | Ok st -> st
   | Error e -> Alcotest.failf "vectorize failed: %s" e
 
-let test_state_cache_hits_and_stats () =
+(* A tap that counts its calls, from any domain. *)
+let counting_tap ev =
+  let taps = Atomic.make 0 in
+  Evaluator.set_measure_hook ev (Some (fun _ ~seconds:_ -> Atomic.incr taps));
+  taps
+
+let test_every_call_prices () =
   let ev = Evaluator.create () in
+  let taps = counting_tap ev in
   let st = vectorized_state (Test_helpers.small_matmul ()) in
   let s1 = Evaluator.state_seconds ev st in
   let s2 = Evaluator.state_seconds ev st in
   check_bits "repeat evaluation returns the same seconds" s1 s2;
-  (match (Evaluator.cache_stats ev).Evaluator.state with
-  | None -> Alcotest.fail "state cache should be on by default"
-  | Some s ->
-      check_int "one miss" 1 s.Util.Sharded_cache.misses;
-      check_int "one hit" 1 s.Util.Sharded_cache.hits);
-  check_int "explored counts logical calls, hits included" 2
-    (Evaluator.explored ev);
-  let off = Evaluator.create ~state_cache_capacity:0 () in
-  check "capacity 0 disables the state cache" true
-    ((Evaluator.cache_stats off).Evaluator.state = None);
-  check_bits "cached and uncached values agree" s1
-    (Evaluator.state_seconds off st)
-
-let test_state_cache_shared_across_forks () =
-  let ev = Evaluator.create () in
-  let st = vectorized_state (Test_helpers.small_matmul ()) in
-  let f = Evaluator.fork ev in
-  ignore (Evaluator.state_seconds f st);
-  ignore (Evaluator.state_seconds ev st);
-  match (Evaluator.cache_stats ev).Evaluator.state with
-  | None -> Alcotest.fail "state cache missing"
-  | Some s ->
-      check_int "fork's miss visible through parent" 1
-        s.Util.Sharded_cache.misses;
-      check_int "parent hit the fork's entry" 1 s.Util.Sharded_cache.hits
+  check_int "explored counts both calls" 2 (Evaluator.explored ev);
+  check_int "the tap fires on both calls" 2 (Atomic.get taps);
+  check "no state-time cache" true
+    ((Evaluator.cache_stats ev).Evaluator.state = None)
 
 let test_fork_keeps_base_memo () =
   let ev = Evaluator.create () in
@@ -227,22 +214,6 @@ let test_fork_keeps_base_memo () =
     (Evaluator.base_seconds ev op) (Evaluator.base_seconds f op);
   check_int "fork answered from the inherited memo, no cache lookup" before
     (lookups ())
-
-let test_noise_stream_identical_cache_on_off () =
-  let mk cap = Evaluator.create ~noise:0.05 ~noise_seed:7 ~state_cache_capacity:cap () in
-  let on = mk 4096 and off = mk 0 in
-  let ops =
-    [ Test_helpers.small_matmul (); Test_helpers.small_conv () ]
-  in
-  (* Repeats included: the cached path must draw jitter exactly like
-     the computing path. *)
-  let states = List.concat_map (fun op -> [ vectorized_state op ]) ops in
-  let states = states @ states @ states in
-  List.iter
-    (fun st ->
-      check_bits "jittered speedup identical with cache on/off"
-        (Evaluator.speedup on st) (Evaluator.speedup off st))
-    states
 
 (* ------------------------------------------------------------------ *)
 (* Differential search equivalence                                    *)
@@ -272,15 +243,12 @@ let check_same_result name (a : Auto_scheduler.result)
    sequential stream, search from per-task derived streams — so only the
    evaluation count (jitter draws) and the trace length must agree. *)
 let differential ?noise ?(budget = 20000) ?(jobs = 1) op =
-  let mk cap =
-    Evaluator.create ?noise ~noise_seed:11 ~state_cache_capacity:cap ()
-  in
   let config =
     { Auto_scheduler.default_config with Auto_scheduler.max_schedules = budget }
   in
-  let naive_ev = mk 0 in
+  let naive_ev = Evaluator.create ?noise ~noise_seed:11 () in
   let naive = Auto_scheduler.search_naive ~config naive_ev op in
-  let memo_ev = mk 65536 in
+  let memo_ev = Evaluator.create ?noise ~noise_seed:11 () in
   let memo = Auto_scheduler.search ~config ~jobs memo_ev op in
   (match noise with
   | None -> check_same_result op.Linalg.op_name naive memo
@@ -370,27 +338,12 @@ let test_sampling_seed_from_shape () =
   check "same op always gets the same seed" true
     (Auto_scheduler.sampling_seed a = Auto_scheduler.sampling_seed a)
 
-(* Beam search scores its children on forks without the transposition
-   cache, and its root on the caller's evaluator: results must not move
-   when that evaluator carries the cache. *)
-let test_beam_identical_with_cache () =
-  let op = Linalg.matmul ~m:32 ~n:32 ~k:32 () in
-  let run cap =
-    Beam_search.search (Evaluator.create ~state_cache_capacity:cap ()) op
-  in
-  let off = run 0 and on = run 65536 in
-  check_str "beam best schedule"
-    (Schedule.to_string off.Beam_search.best_schedule)
-    (Schedule.to_string on.Beam_search.best_schedule);
-  check_bits "beam best speedup" off.Beam_search.best_speedup
-    on.Beam_search.best_speedup;
-  check_int "beam explored" off.Beam_search.explored on.Beam_search.explored
-
-(* The searches price on forks without the transposition cache: only
-   the trivial schedule (the beam's root), priced on the caller's
-   evaluator, looks it up. Exhaustive and sampled regimes; plain,
-   staged and beam search; jobs 1 and 2. *)
-let test_search_prices_uncached () =
+(* Every search prices each candidate it counts exactly once, through
+   [Evaluator.state_seconds] and so through the measurement tap, on the
+   caller's evaluator or a fork of it: the sanitizer and the surrogate's
+   dataset logger sit on that path. Exhaustive and sampled regimes;
+   plain, staged and beam search; jobs 1 and 2. *)
+let test_searches_price_through_tap () =
   let flat scheds = Array.make (Array.length scheds) 0.0 in
   List.iter
     (fun (regime, budget, op) ->
@@ -399,16 +352,16 @@ let test_search_prices_uncached () =
       in
       List.iter
         (fun jobs ->
-          let expect what explored =
+          let expect what run =
             let ev = Evaluator.create () in
+            let taps = counting_tap ev in
+            let explored = run ev in
             let what = Printf.sprintf "%s, %s, jobs %d" what regime jobs in
-            check (what ^ ": candidates priced") true (explored ev > 1);
-            match (Evaluator.cache_stats ev).Evaluator.state with
-            | None -> Alcotest.fail "state cache missing"
-            | Some s ->
-                check_int (what ^ ": no hits") 0 s.Util.Sharded_cache.hits;
-                check_int (what ^ ": one miss, the trivial schedule") 1
-                  s.Util.Sharded_cache.misses
+            check (what ^ ": candidates priced") true (explored > 1);
+            check_int (what ^ ": evaluator explored") explored
+              (Evaluator.explored ev);
+            check_int (what ^ ": one tap per explored") explored
+              (Atomic.get taps)
           in
           expect "search" (fun ev ->
               (Auto_scheduler.search ~config ~jobs ev op).Auto_scheduler.explored);
@@ -460,11 +413,11 @@ let test_serve_engine_replies_identical_across_cache () =
         first;
       check "second batch hit the result cache" true
         (Serve.Engine.cache_hits engine >= 2);
-      let eval = Serve.Engine.evaluator_cache_stats engine in
+      let eval =
+        Evaluator.cache_counters (Serve.Engine.evaluator_cache_stats engine)
+      in
       check "engine surfaces evaluator cache stats" true
-        (match eval.Evaluator.state with
-        | Some s -> s.Util.Sharded_cache.misses > 0
-        | None -> false)
+        (List.assoc "eval_base_cache_misses_total" eval > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Pinned candidate-evaluation bytes                                  *)
@@ -588,9 +541,9 @@ let test_pinned_candidate_fingerprint () =
    ranked; every run is repeated noiseless and at noise 0.05, at jobs 1
    and 2. One ranker serves every run, as one serves a whole CLI or
    bench process. The constant pins the noise streams, explored counts
-   and traces, so moving which evaluator forks carry the state cache,
-   or how the ranker scores a batch, must not move a bit of it. It was
-   computed at commit 8f96818. *)
+   and traces, so changing how the evaluator prices a state, or how the
+   ranker scores a batch, must not move a bit of it. It was computed at
+   commit 8f96818. *)
 let pinned_search_fingerprint = "5a34745dd70920ef84c62ebb76a70256"
 
 let search_fingerprint () =
@@ -695,12 +648,8 @@ let suite =
     Alcotest.test_case "no collisions across search states" `Quick
       test_digest_collision_free_over_search_states;
     QCheck_alcotest.to_alcotest qcheck_digest_distinct_shapes;
-    Alcotest.test_case "state cache: hits, stats, disable knob" `Quick
-      test_state_cache_hits_and_stats;
-    Alcotest.test_case "state cache shared across forks" `Quick
-      test_state_cache_shared_across_forks;
-    Alcotest.test_case "noise stream identical cache on/off" `Quick
-      test_noise_stream_identical_cache_on_off;
+    Alcotest.test_case "every state_seconds call prices" `Quick
+      test_every_call_prices;
     Alcotest.test_case "differential: exhaustive" `Quick
       test_differential_exhaustive;
     Alcotest.test_case "differential: exhaustive with im2col" `Quick
@@ -715,8 +664,6 @@ let suite =
       test_search_deterministic;
     Alcotest.test_case "sampling seed derives from op digest" `Quick
       test_sampling_seed_from_shape;
-    Alcotest.test_case "beam search identical with cache" `Quick
-      test_beam_identical_with_cache;
     Alcotest.test_case "serve digest distinguishes shapes" `Quick
       test_serve_digest_distinguishes_shapes;
     Alcotest.test_case "serve replies identical across cache" `Quick
@@ -727,6 +674,6 @@ let suite =
       test_pinned_candidate_fingerprint;
     Alcotest.test_case "pinned search fingerprint" `Quick
       test_pinned_search_fingerprint;
-    Alcotest.test_case "search prices candidates uncached" `Quick
-      test_search_prices_uncached;
+    Alcotest.test_case "searches price every candidate through the tap"
+      `Quick test_searches_price_through_tap;
   ]

@@ -234,9 +234,7 @@ let test_cache_eviction () =
   done;
   let s = Util.Sharded_cache.stats c in
   Alcotest.(check bool) "bounded" true (s.Util.Sharded_cache.size <= capacity);
-  Alcotest.(check bool) "evicted" true (s.Util.Sharded_cache.evictions > 0);
-  Alcotest.(check int) "length agrees" s.Util.Sharded_cache.size
-    (Util.Sharded_cache.length c)
+  Alcotest.(check bool) "evicted" true (s.Util.Sharded_cache.evictions > 0)
 
 let test_cache_hammer () =
   (* Four domains pound overlapping key ranges through find_or_compute;

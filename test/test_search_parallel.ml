@@ -1,8 +1,7 @@
 (* The multicore search engine's contracts: the work-stealing pool, the
-   sharded-cache observability additions (contention counter,
-   shard_stats, to_alist), byte-identity of exhaustive / sampled /
-   staged / beam search across --jobs values (noiseless and noisy) and
-   of the im2col conv path, the fixed trie-split depth against the
+   sharded cache's contention counter, byte-identity of exhaustive /
+   sampled / staged / beam search across --jobs values (noiseless and
+   noisy) and of the im2col conv path, the fixed trie-split depth against the
    from-scratch search, per-domain workspace isolation under concurrent
    batched inference, and the dataset-log tap under parallel search. *)
 
@@ -74,7 +73,7 @@ let test_steal_pool_shutdown () =
       ignore (Util.Domain_pool.submit pool (fun () -> 0)))
 
 (* ------------------------------------------------------------------ *)
-(* Sharded cache: contention counter, shard_stats, to_alist            *)
+(* Sharded cache: contention counter                                  *)
 
 let test_cache_contention_single_domain_zero () =
   let c = Util.Sharded_cache.create ~shards:2 ~capacity:64 () in
@@ -111,34 +110,6 @@ let test_cache_contention_counted () =
     end
   in
   Alcotest.(check bool) "contention observed" true (round 50 > 0)
-
-let test_cache_shard_stats_and_to_alist () =
-  let shards = 4 in
-  let c = Util.Sharded_cache.create ~shards ~capacity:1024 () in
-  for i = 0 to 99 do
-    Util.Sharded_cache.add c (string_of_int i) (i * 3)
-  done;
-  ignore (Util.Sharded_cache.find_opt c "0");
-  ignore (Util.Sharded_cache.find_opt c "no-such-key");
-  let agg = Util.Sharded_cache.stats c in
-  let per = Util.Sharded_cache.shard_stats c in
-  Alcotest.(check int) "one entry per shard" shards (Array.length per);
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 per in
-  Alcotest.(check int) "hits sum" agg.Util.Sharded_cache.hits
-    (sum (fun s -> s.Util.Sharded_cache.hits));
-  Alcotest.(check int) "misses sum" agg.Util.Sharded_cache.misses
-    (sum (fun s -> s.Util.Sharded_cache.misses));
-  Alcotest.(check int) "size sum" agg.Util.Sharded_cache.size
-    (sum (fun s -> s.Util.Sharded_cache.size));
-  Array.iter
-    (fun s -> Alcotest.(check int) "per-shard view" 1 s.Util.Sharded_cache.shards)
-    per;
-  let alist = Util.Sharded_cache.to_alist c in
-  Alcotest.(check int) "to_alist length" 100 (List.length alist);
-  List.iter
-    (fun (k, v) ->
-      Alcotest.(check int) (Printf.sprintf "key %s" k) (int_of_string k * 3) v)
-    alist
 
 (* ------------------------------------------------------------------ *)
 (* Search byte-identity across jobs                                    *)
@@ -212,41 +183,28 @@ let check_search_identity ~name ?noise ~budget ~expect_exhaustive op =
       | Some sigma -> Evaluator.create ~noise:sigma ~noise_seed:9 ()
     in
     let r = Auto_scheduler.search ~config ~jobs ev op in
-    (result_key r, Evaluator.explored ev, Evaluator.cache_stats ev)
+    (result_key r, Evaluator.explored ev)
   in
   match noise with
   | None ->
-      let k1, e1, c1 = run 1 in
+      let k1, e1 = run 1 in
       List.iter
         (fun jobs ->
-          let k, e, c = run jobs in
+          let k, e = run jobs in
           Alcotest.(check string)
             (Printf.sprintf "%s: jobs %d = jobs 1" name jobs)
             k1 k;
           Alcotest.(check int)
             (Printf.sprintf "%s: evaluator explored merged (jobs %d)" name jobs)
-            e1 e;
-          (* Cache-level identity: the candidates price on uncached
-             forks, so the lookups (the trivial schedule's) and the
-             distinct-key set are the same for every jobs value. *)
-          match (c1.Evaluator.state, c.Evaluator.state) with
-          | Some s1, Some s ->
-              Alcotest.(check int)
-                (Printf.sprintf "%s: state-cache lookups (jobs %d)" name jobs)
-                (s1.Util.Sharded_cache.hits + s1.Util.Sharded_cache.misses)
-                (s.Util.Sharded_cache.hits + s.Util.Sharded_cache.misses);
-              Alcotest.(check int)
-                (Printf.sprintf "%s: state-cache keys (jobs %d)" name jobs)
-                s1.Util.Sharded_cache.size s.Util.Sharded_cache.size
-          | _ -> Alcotest.fail "state cache unexpectedly disabled")
+            e1 e)
         [ 2; 4 ]
   | Some _ ->
       (* With jitter every jobs value draws from the same task-indexed
          streams, jobs 1 included. *)
-      let k1, e1, _ = run 1 in
+      let k1, e1 = run 1 in
       List.iter
         (fun jobs ->
-          let k, e, _ = run jobs in
+          let k, e = run jobs in
           Alcotest.(check string)
             (Printf.sprintf "%s: noisy jobs %d = jobs 1" name jobs)
             k1 k;
@@ -531,8 +489,6 @@ let suite =
       test_cache_contention_single_domain_zero;
     Alcotest.test_case "cache: contention counted under domains" `Slow
       test_cache_contention_counted;
-    Alcotest.test_case "cache: shard_stats and to_alist" `Quick
-      test_cache_shard_stats_and_to_alist;
     Alcotest.test_case "search: exhaustive identity jobs 1/2/4" `Slow
       test_search_exhaustive_identity;
     Alcotest.test_case "search: sampled identity jobs 1/2/4" `Slow
@@ -541,6 +497,8 @@ let suite =
       test_search_conv_identity;
     Alcotest.test_case "search: noisy jobs 1/2/4" `Slow
       test_search_noisy_parallel_identity;
+    Alcotest.test_case "search: noisy sampled jobs 1/2/4" `Slow
+      test_search_noisy_sampled_identity;
     Alcotest.test_case "search: fixed depth = naive" `Slow
       test_search_fixed_depth_matches_naive;
     Alcotest.test_case "search: caller-owned pool reuse" `Slow
@@ -560,8 +518,6 @@ let suite =
       test_dataset_log_concurrent_adds;
     Alcotest.test_case "dataset log: parallel search tap" `Slow
       test_dataset_log_parallel_search_tap;
-    Alcotest.test_case "search: noisy sampled jobs 1/2/4" `Slow
-      test_search_noisy_sampled_identity;
     Alcotest.test_case "search: noisy staged jobs 1/2/4" `Slow
       test_search_noisy_staged_identity;
   ]

@@ -721,7 +721,7 @@ let test_server_reports_layer_counters () =
       match sync_submit server (Serve.Protocol.Stats { id = "s" }) with
       | Serve.Protocol.Stats_reply { body; _ } ->
           check "stats carry the evaluator cache counters" true
-            (Astring_contains.contains body "eval_state_cache_misses_total=");
+            (Astring_contains.contains body "eval_base_cache_misses_total=");
           check "stats carry the check counters" true
             (Astring_contains.contains body "verify_violations_total=")
       | _ -> Alcotest.fail "stats should answer stats")

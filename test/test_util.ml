@@ -250,11 +250,11 @@ let test_metrics_merge_collected () =
   let replica hits =
     let m = Util.Metrics.create () in
     Util.Metrics.add_collector m (fun () ->
-        [ ("eval_state_cache_hits_total", hits) ]);
+        [ ("eval_base_cache_hits_total", hits) ]);
     Util.Metrics.render m
   in
   Alcotest.(check string) "collected counters sum across dumps"
-    "# TYPE eval_state_cache_hits_total counter\neval_state_cache_hits_total 7\n"
+    "# TYPE eval_base_cache_hits_total counter\neval_base_cache_hits_total 7\n"
     (Util.Metrics.merge_rendered [ replica 3; replica 4 ])
 
 let suite =
