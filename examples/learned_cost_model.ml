@@ -1,13 +1,12 @@
-(* The learned cost model (paper §6.1 future work): train an MLP to
-   predict log speedups from the environment's observation vector, then
-   use it to pre-rank candidate schedules so only the most promising few
-   reach the (expensive) timing oracle.
+(* The learned cost model (paper §6.1 future work): log the states exact
+   search prices through the evaluator's measurement tap, fit the
+   surrogate latency model on them, then let it pre-rank a fresh op's
+   candidate schedules so only the most promising few reach the
+   (expensive) timing oracle.
 
    Run with: dune exec examples/learned_cost_model.exe *)
 
 let () =
-  let cfg = Env_config.default in
-  let rng = Util.Rng.create 11 in
   let evaluator = Evaluator.create () in
   let ops =
     Array.init 24 (fun i ->
@@ -15,88 +14,42 @@ let () =
           (Util.Rng.create (100 + i))
           [| "matmul"; "conv2d"; "maxpool"; "add"; "relu" |].(i mod 5))
   in
+  let config =
+    { Auto_scheduler.default_config with Auto_scheduler.max_schedules = 200 }
+  in
   Format.printf "collecting measured schedules on %d ops...@." (Array.length ops);
-  let train_data = Learned_cost.collect ~samples:512 rng cfg evaluator ~ops in
-  let test_data = Learned_cost.collect ~samples:96 rng cfg evaluator ~ops in
-  let model = Learned_cost.create ~hidden:96 ~layers:2 rng cfg in
-  let report = Learned_cost.fit ~epochs:50 model train_data in
-  Format.printf "regression: MSE %.3f -> %.3f after %d epochs@."
-    report.Learned_cost.initial_loss report.Learned_cost.final_loss
-    report.Learned_cost.epochs_run;
-  Format.printf "held-out rank correlation: %.3f@.@."
-    (Learned_cost.rank_correlation model test_data);
+  let log = Surrogate.Dataset_log.create () in
+  Surrogate.Dataset_log.attach log evaluator;
+  Array.iter (fun op -> ignore (Auto_scheduler.search ~config evaluator op)) ops;
+  Surrogate.Dataset_log.detach evaluator;
+  let model = Surrogate.Model.create ~seed:11 () in
+  let report =
+    Surrogate.Model.fit ~epochs:30 ~seed:11 model
+      (Surrogate.Dataset_log.entries log)
+  in
+  Format.printf "regression on %d logged states: val MSE %.3f -> %.3f after %d epochs@."
+    report.Surrogate.Model.examples report.Surrogate.Model.initial_val_loss
+    report.Surrogate.Model.val_losses.(report.Surrogate.Model.epochs_run - 1)
+    report.Surrogate.Model.epochs_run;
+  Format.printf "held-out rank correlation: %.3f@.@." report.Surrogate.Model.spearman;
 
-  (* Use the model as a pre-filter: rank 200 random candidate schedules
-     for a fresh matmul, measure only the model's top 10. *)
+  (* Use the model as a pre-filter: rank a fresh matmul's candidate
+     schedules, measure only the model's top 10. *)
   let op = Linalg.matmul ~m:768 ~n:768 ~k:768 () in
-  let candidate_rng = Util.Rng.create 77 in
-  let candidates =
-    List.init 200 (fun _ ->
-        let state = ref (Sched_state.init op) in
-        (* random legal episodes, like Learned_cost.collect *)
-        let cfg_tau = cfg.Env_config.tau in
-        (try
-           for _ = 1 to 1 + Util.Rng.int candidate_rng cfg_tau do
-             if Sched_state.is_done !state then raise Exit;
-             let masks = Action_space.masks cfg !state in
-             let valid =
-               List.filter
-                 (fun i -> masks.Action_space.t_mask.(i))
-                 (List.init Env_config.n_transformations (fun i -> i))
-             in
-             let transform = Util.Rng.choice_list candidate_rng valid in
-             let rows =
-               if transform = Action_space.t_parallelize then
-                 masks.Action_space.par_mask
-               else masks.Action_space.tile_mask
-             in
-             let pick row =
-               Util.Rng.choice_list candidate_rng
-                 (List.filter (fun j -> row.(j))
-                    (List.init (Array.length row) (fun j -> j)))
-             in
-             let action =
-               {
-                 Action_space.transform;
-                 tile_choices = Array.init cfg.Env_config.n_max (fun l -> pick rows.(l));
-                 swap_choice =
-                   (match
-                      List.filter
-                        (fun j -> masks.Action_space.swap_mask.(j))
-                        (List.init cfg.Env_config.n_max (fun j -> j))
-                    with
-                   | [] -> 0
-                   | l -> Util.Rng.choice_list candidate_rng l);
-               }
-             in
-             match Action_space.to_transformation cfg !state action with
-             | None -> ()
-             | Some tr -> (
-                 match Sched_state.apply !state tr with
-                 | Ok st -> state := st
-                 | Error _ -> ())
-           done
-         with Exit -> ());
-        !state)
+  let ranker =
+    Surrogate.Ranker.create ~machine:(Evaluator.machine evaluator) model
   in
-  let scored =
-    List.map (fun st -> (Learned_cost.predict_speedup model st, st)) candidates
+  let guided =
+    Auto_scheduler.search_staged ~config
+      ~ranker:(Surrogate.Ranker.schedule_scorer ranker op)
+      ~rerank_k:10 evaluator op
   in
-  let sorted = List.sort (fun (a, _) (b, _) -> compare b a) scored in
-  let top = List.filteri (fun i _ -> i < 10) sorted in
-  Evaluator.reset_explored evaluator;
-  let best =
-    List.fold_left
-      (fun acc (_, st) -> Float.max acc (Evaluator.speedup evaluator st))
-      0.0 top
-  in
-  let truly_best =
-    List.fold_left
-      (fun acc st -> Float.max acc (Evaluator.speedup evaluator st))
-      0.0 candidates
-  in
-  Format.printf
-    "model-guided: measured only 10/200 candidates, best found %.1fx@." best;
-  Format.printf "oracle over all 200 candidates: %.1fx@." truly_best;
+  let exact = Auto_scheduler.search ~config evaluator op in
+  Format.printf "model-guided: measured only %d/%d candidates, best found %.1fx@."
+    guided.Auto_scheduler.explored exact.Auto_scheduler.explored
+    guided.Auto_scheduler.best_speedup;
+  Format.printf "exact search over all %d candidates: %.1fx@."
+    exact.Auto_scheduler.explored exact.Auto_scheduler.best_speedup;
   Format.printf "=> the learned model recovers %.0f%% of the attainable speedup@."
-    (100.0 *. best /. truly_best)
+    (100.0 *. guided.Auto_scheduler.best_speedup
+    /. exact.Auto_scheduler.best_speedup)

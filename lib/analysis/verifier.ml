@@ -20,26 +20,14 @@ let () =
         ("verify_violations_total", Atomic.get violations_ctr);
       ])
 
-let check ?expected_digest (nest : Loop_nest.t) =
+let check (nest : Loop_nest.t) =
   match Loop_nest.validate nest with
   | Error e -> Error ("validate: " ^ e)
-  | Ok () -> (
-      match Bounds.check nest with
-      | Error e -> Error ("bounds: " ^ e)
-      | Ok () -> (
-          match expected_digest with
-          | None -> Ok ()
-          | Some d ->
-              let fresh = Loop_nest.digest nest in
-              if String.equal d fresh then Ok ()
-              else
-                Error
-                  (Printf.sprintf
-                     "digest drift: state carries %s, recomputed %s" d fresh)))
+  | Ok () -> Result.map_error (fun e -> "bounds: " ^ e) (Bounds.check nest)
 
-let run ?expected_digest nest =
+let run nest =
   Atomic.incr checks_ctr;
-  match check ?expected_digest nest with
+  match check nest with
   | Ok () -> ()
   | Error e ->
       Atomic.incr violations_ctr;

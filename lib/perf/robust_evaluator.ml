@@ -1,5 +1,3 @@
-type aggregation = Median | Trimmed_mean of float
-
 type config = {
   min_repeats : int;
   max_repeats : int;
@@ -8,7 +6,6 @@ type config = {
   backoff_base : float;
   backoff_factor : float;
   hang_cap : float;
-  aggregation : aggregation;
 }
 
 let default_config =
@@ -20,7 +17,6 @@ let default_config =
     backoff_base = 1.0;
     backoff_factor = 2.0;
     hang_cap = 60.0;
-    aggregation = Median;
   }
 
 let validate c =
@@ -32,11 +28,7 @@ let validate c =
   else if c.backoff_base < 0.0 then Error "backoff_base must be >= 0"
   else if c.backoff_factor < 1.0 then Error "backoff_factor must be >= 1"
   else if c.hang_cap < 0.0 then Error "hang_cap must be >= 0"
-  else
-    match c.aggregation with
-    | Trimmed_mean frac when frac < 0.0 || frac >= 0.5 ->
-        Error "trimmed-mean fraction out of [0, 0.5)"
-    | _ -> Ok ()
+  else Ok ()
 
 type quality = Exact | Degraded of string
 
@@ -99,11 +91,6 @@ let config t = t.config
 let measurements t = t.measurements
 let degraded_count t = t.degraded
 let retry_count t = t.total_retries
-
-let aggregate config xs =
-  match config.aggregation with
-  | Median -> Util.Stats.median xs
-  | Trimmed_mean frac -> Util.Stats.trimmed_mean frac xs
 
 (* The degradation fallback: the noiseless analytical estimate, exactly
    what the plain evaluator would report with jitter disabled. *)
@@ -182,7 +169,7 @@ let measure t (state : Sched_state.t) =
           charged = !charged;
         }
     | xs ->
-        let agg = aggregate cfg xs in
+        let agg = Util.Stats.median xs in
         let timed_out = agg > cap in
         let quality =
           if !exhausted && !n_samples < cfg.min_repeats then begin

@@ -8,8 +8,7 @@
 
     - {b adaptive repeats}: measure at least [min_repeats] times and
       keep sampling (up to [max_repeats]) until the relative standard
-      deviation drops below [stability_rsd], then aggregate by median
-      or trimmed mean;
+      deviation drops below [stability_rsd], then take the median;
     - {b bounded retries}: transient failures (timeouts, compile
       failures, hangs, crashes) are retried up to [max_retries] times
       with exponential backoff, every pause charged to the simulated
@@ -18,8 +17,6 @@
       falls back to the pure cost-model estimate and is flagged
       [Degraded] so the training loop can track how much of its signal
       was synthetic. *)
-
-type aggregation = Median | Trimmed_mean of float
 
 type config = {
   min_repeats : int;  (** samples required before aggregating *)
@@ -30,12 +27,11 @@ type config = {
   backoff_base : float;  (** seconds charged for the first retry pause *)
   backoff_factor : float;  (** exponential backoff multiplier *)
   hang_cap : float;  (** max seconds charged for a hung run *)
-  aggregation : aggregation;
 }
 
 val default_config : config
 (** 3..9 repeats to 5% stability, 4 retries with 1s/2x backoff, 60s
-    hang cap, median aggregation. *)
+    hang cap. *)
 
 val validate : config -> (unit, string) result
 

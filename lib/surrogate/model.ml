@@ -170,8 +170,13 @@ let fit ?(epochs = 40) ?(batch_size = 64) ?(learning_rate = 1e-3) ?(seed = 7)
           var.(i) <- var.(i) +. (df *. df))
         e.Dataset_log.features)
     train;
+  (* A feature (near-)constant in training keeps std 1: dividing by a
+     clamped tiny std would turn an unseen op's small difference into a
+     huge input. Its training inputs stay at about 0 either way. *)
   Array.iteri
-    (fun i v -> t.f_std.(i) <- Float.max 1e-6 (sqrt (v /. nt)))
+    (fun i v ->
+      let sd = sqrt (v /. nt) in
+      t.f_std.(i) <- (if sd < 1e-6 then 1.0 else sd))
     var;
   let targets = Array.map log_seconds train in
   t.t_mean <- Array.fold_left ( +. ) 0.0 targets /. nt;

@@ -57,7 +57,8 @@ val fit :
   report
 (** Adam on standardized log-seconds MSE (shuffled minibatches,
     gradient-norm clipping at 5.0). Computes and stores the
-    normalization statistics from the training split. Raises
+    normalization statistics from the training split; a feature whose
+    training std is below 1e-6 gets std 1. Raises
     [Invalid_argument] on fewer than 4 examples. *)
 
 val eval_loss : t -> Dataset_log.entry array -> float

@@ -26,16 +26,6 @@ let median xs =
   if n mod 2 = 1 then arr.(n / 2)
   else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.0
 
-let trimmed_mean frac xs =
-  check_non_empty "Stats.trimmed_mean" xs;
-  if frac < 0.0 || frac >= 0.5 then
-    invalid_arg "Stats.trimmed_mean: frac out of [0, 0.5)";
-  let arr = Array.of_list (sorted xs) in
-  let n = Array.length arr in
-  let drop = int_of_float (frac *. float_of_int n) in
-  let kept = Array.sub arr drop (n - (2 * drop)) in
-  Array.fold_left ( +. ) 0.0 kept /. float_of_int (Array.length kept)
-
 let stddev xs =
   check_non_empty "Stats.stddev" xs;
   let m = mean xs in

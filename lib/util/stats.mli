@@ -10,12 +10,6 @@ val geomean : float list -> float
 val median : float list -> float
 (** Median (average of the two middle values for even lengths). *)
 
-val trimmed_mean : float -> float list -> float
-(** [trimmed_mean frac xs] drops the lowest and highest [frac] fraction
-    of the sorted values and averages the rest — the paper-style robust
-    aggregate for noisy timings. [frac] must be in [0, 0.5). Raises
-    [Invalid_argument] on an empty list. *)
-
 val stddev : float list -> float
 (** Population standard deviation. *)
 

@@ -279,9 +279,8 @@ let buggy_interchange (nest : Loop_nest.t) =
 let test_verifier_mutations () =
   let op = Test_helpers.small_matmul () in
   let nest = Lower.to_loop_nest op in
-  check "clean nest passes" true
-    (Verifier.check ~expected_digest:(Loop_nest.digest nest) nest = Ok ());
-  (* Mutation 1: broken interchange -> out-of-bounds accesses. *)
+  check "clean nest passes" true (Verifier.check nest = Ok ());
+  (* Mutation: broken interchange -> out-of-bounds accesses. *)
   let broken = buggy_interchange nest in
   (match Verifier.check broken with
   | Ok () -> Alcotest.fail "verifier accepted a broken interchange"
@@ -289,10 +288,6 @@ let test_verifier_mutations () =
       check "reports validate or bounds stage" true
         (String.length e >= 8
         && (String.sub e 0 8 = "validate" || String.sub e 0 6 = "bounds")));
-  (* Mutation 2: digest bookkeeping drift. *)
-  (match Verifier.check ~expected_digest:"deadbeef" nest with
-  | Ok () -> Alcotest.fail "verifier accepted a stale digest"
-  | Error e -> check "reports digest drift" true (String.sub e 0 6 = "digest"));
   (* The counted entry point raises and counts. *)
   let moved = counters_since () in
   (try

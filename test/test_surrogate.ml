@@ -12,6 +12,8 @@
      (hex encoding);
    - training is seeded end to end (same log + seed => bit-identical
      predictions) and a checkpoint round-trip predicts identically;
+   - a model fit on a tap-collected log ranks held-out states, and a
+     feature that is constant in training cannot blow a prediction up;
    - the ranker's batched scoring agrees with its single-candidate
      path, and its scored-candidate count reaches the evaluator's
      unified cache stats;
@@ -280,7 +282,63 @@ let test_model_fit_decreases_val_loss () =
     report.Surrogate.Model.val_losses.(report.Surrogate.Model.epochs_run - 1)
   in
   check "val loss decreased" true
-    (final < report.Surrogate.Model.initial_val_loss)
+    (final < report.Surrogate.Model.initial_val_loss);
+  check "fit rejects fewer than 4 examples" true
+    (match
+       Surrogate.Model.fit (Surrogate.Model.create ~seed:11 ())
+         (synthetic_entries 3)
+     with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
+(* A feature that never varies in the training split (every machine
+   feature of a one-machine log) standardizes with std 1, so an entry
+   where it does vary moves the prediction a little, not by orders of
+   magnitude. *)
+let test_model_constant_feature () =
+  let pin v (e : Surrogate.Dataset_log.entry) =
+    let features = Array.copy e.Surrogate.Dataset_log.features in
+    features.(20) <- v;
+    { e with Surrogate.Dataset_log.features }
+  in
+  let entries = Array.map (pin 0.25) (synthetic_entries 160) in
+  let model = Surrogate.Model.create ~seed:11 () in
+  ignore (Surrogate.Model.fit ~epochs:6 ~seed:11 model entries);
+  let predict (e : Surrogate.Dataset_log.entry) =
+    Surrogate.Model.predict model e.Surrogate.Dataset_log.features
+  in
+  let moved = predict (pin 0.5 entries.(0)) -. predict entries.(0) in
+  check
+    (Printf.sprintf "prediction moved by %g" moved)
+    true
+    (Float.abs moved < 1.0)
+
+(* The ranking staged search relies on, learned from what the
+   evaluator's measurement tap records during exact searches. *)
+let test_model_ranks_tap_log () =
+  let log = Surrogate.Dataset_log.create () in
+  let ev = Evaluator.create () in
+  Surrogate.Dataset_log.attach log ev;
+  let config =
+    { Auto_scheduler.default_config with Auto_scheduler.max_schedules = 100 }
+  in
+  List.iter
+    (fun op -> ignore (Auto_scheduler.search ~config ev op))
+    [
+      Linalg.matmul ~m:256 ~n:256 ~k:256 ();
+      Linalg.matmul ~m:512 ~n:128 ~k:256 ();
+      Linalg.add [| 512; 512 |];
+      Linalg.relu [| 1024; 256 |];
+    ];
+  Surrogate.Dataset_log.detach ev;
+  let model = Surrogate.Model.create ~seed:7 () in
+  let report =
+    Surrogate.Model.fit ~epochs:30 model (Surrogate.Dataset_log.entries log)
+  in
+  check
+    (Printf.sprintf "val spearman %.3f > 0.5" report.Surrogate.Model.spearman)
+    true
+    (report.Surrogate.Model.spearman > 0.5)
 
 let test_model_fit_deterministic () =
   let entries = synthetic_entries 80 in
@@ -569,6 +627,10 @@ let suite =
     Alcotest.test_case "log: evaluator tap" `Quick test_log_evaluator_tap;
     Alcotest.test_case "model: fit decreases val loss" `Quick
       test_model_fit_decreases_val_loss;
+    Alcotest.test_case "model: feature constant in training" `Quick
+      test_model_constant_feature;
+    Alcotest.test_case "model: ranks held-out states of a tap-collected log"
+      `Quick test_model_ranks_tap_log;
     Alcotest.test_case "model: fit deterministic" `Quick
       test_model_fit_deterministic;
     Alcotest.test_case "model: checkpoint roundtrip" `Quick
