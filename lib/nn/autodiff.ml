@@ -16,22 +16,28 @@ module Param = struct
   let numel p = Tensor.numel p.data
 end
 
+(* A node's gradient buffer exists only once a backward step writes
+   it. The first writer of a parent's gradient may fill a fresh buffer
+   with its result directly ([fresh_grad]); every later writer
+   accumulates into it ([acc_grad]). Writing directly equals adding into
+   zeros whenever the result holds no -0.0, which [0.0 +. g] and a
+   matmul sum (started at +0.0) guarantee. Inference tapes (batched
+   sampling, serving) never call [backward], so their nodes never pay
+   for a gradient buffer. *)
+type grad = Untouched | Buf of Tensor.t
+
 type node = {
   value : Tensor.t;
-  grad : Tensor.t Lazy.t;
-      (* Allocated on first touch. Inference tapes (batched sampling,
-         serving) never call [backward], so their nodes never pay for a
-         gradient buffer; training tapes force the grads [backward]
-         reaches, which preserves the eager semantics (zeros until
-         accumulated into) bit for bit. *)
+  mutable grad : grad;
+  ws : Tensor.Workspace.t option;  (* the tape's arena, for [grad]'s buffer *)
   needs_grad : bool;
       (* Some parameter leaf lies upstream: true for parameters, false
          for constants, the OR of the parents for ops. [backward] runs
-         no step for a node without it, and no step forces or
-         accumulates into such a parent's [grad] — so the gradient of a
-         constant (the observation, a mask penalty) and of everything
-         computed from constants alone is never formed. *)
-  back : unit -> unit;  (* reads [grad], accumulates into parents *)
+         no step for a node without it, and no step writes such a
+         parent's [grad] — so the gradient of a constant (the
+         observation, a mask penalty) and of everything computed from
+         constants alone is never formed. *)
+  back : unit -> unit;  (* reads [grad], writes into parents' *)
 }
 
 module Tape = struct
@@ -41,9 +47,9 @@ module Tape = struct
     ws : Tensor.Workspace.t option;
   }
 
-  (* A tape created with [~ws] draws every node value and every forced
-     gradient from the workspace instead of the heap: after the first
-     tape over a given network, the op sequence repeats, so every
+  (* A tape created with [~ws] draws every node value and every
+     gradient buffer from the workspace instead of the heap: after the
+     first tape over a given network, the op sequence repeats, so every
      buffer is a pooled reuse and a whole forward/backward allocates
      nothing. The workspace is reset here, which invalidates buffers
      handed out to the PREVIOUS tape that used it — callers must
@@ -62,7 +68,6 @@ module Tape = struct
 end
 
 let value n = n.value
-let grad n = Lazy.force n.grad
 
 (* Scratch for backward steps that stage buffers (the transposed left
    operand and the product of the matmul's dB step). Reset once per
@@ -78,22 +83,35 @@ let alloc tape shape =
   | None -> Tensor.zeros shape
   | Some ws -> Tensor.Workspace.get ws shape
 
-(* Gradients start at zero either way; a workspace slot holds stale
-   data from the previous tape and is cleared on first touch. *)
-let lazy_grad tape shape =
-  match tape.Tape.ws with
-  | None -> lazy (Tensor.zeros shape)
-  | Some ws ->
-      lazy
-        (let g = Tensor.Workspace.get ws shape in
-         Tensor.fill_inplace g 0.0;
-         g)
+(* [n]'s gradient buffer for a first writer, which must overwrite every
+   element: a workspace slot holds stale data from the previous tape. *)
+let fresh_grad n =
+  let g =
+    match n.ws with
+    | None -> Tensor.zeros n.value.Tensor.shape
+    | Some ws -> Tensor.Workspace.get ws n.value.Tensor.shape
+  in
+  n.grad <- Buf g;
+  g
+
+(* [n]'s gradient buffer for a writer that adds into it: zeros on first
+   touch. *)
+let acc_grad n =
+  match n.grad with
+  | Buf g -> g
+  | Untouched ->
+      let g = fresh_grad n in
+      Tensor.fill_inplace g 0.0;
+      g
+
+let grad = acc_grad
 
 let mk tape ~needs_grad value back_of =
   let rec node =
     {
       value;
-      grad = lazy_grad tape (Tensor.dims value);
+      grad = Untouched;
+      ws = tape.Tape.ws;
       needs_grad;
       back = (fun () -> back_of node);
     }
@@ -110,7 +128,7 @@ let mk2 tape a b value back_of =
 
 let of_param tape (p : Param.t) =
   mk tape ~needs_grad:true p.Param.data (fun node ->
-      Tensor.add_inplace p.Param.grad (Lazy.force node.grad))
+      Tensor.add_inplace p.Param.grad (acc_grad node))
 
 let const tape t = mk tape ~needs_grad:false t (fun _ -> ())
 
@@ -123,34 +141,52 @@ let matmul tape a b =
   mk2 tape a b value (fun node ->
       (* dA = dC * B^T ; dB = A^T * dC, both on the zero-skipping row
          kernel: dA gathers the zeros of dC's rows, dB those of A's
-         columns, which it reads as rows of A^T staged in the backward
-         workspace next to the product — neither half allocates in
-         steady state. *)
-      let g = Lazy.force node.grad in
-      if a.needs_grad then
-        Tensor.matmul_transpose_b_addto ~dst:(Lazy.force a.grad) g b.value;
+         columns, which it reads as rows of A^T. The transposed operand
+         is staged in the backward workspace. The first writer of a
+         parent's gradient forms the product in that buffer; a later
+         one stages it and adds. Neither half allocates in steady
+         state. *)
+      let g = acc_grad node and ws = bw_ws () in
+      if a.needs_grad then begin
+        match a.grad with
+        | Untouched ->
+            let shape = b.value.Tensor.shape in
+            let bt =
+              Tensor.transpose_into
+                ~dst:(Tensor.Workspace.get ws [| shape.(1); shape.(0) |])
+                b.value
+            in
+            ignore (Tensor.matmul_into ~dst:(fresh_grad a) g bt)
+        | Buf ag -> Tensor.matmul_transpose_b_addto ~dst:ag g b.value
+      end;
       if b.needs_grad then begin
-        let ws = bw_ws () and shape = a.value.Tensor.shape in
-        let at = Tensor.Workspace.get ws [| shape.(1); shape.(0) |] in
-        let db = Tensor.Workspace.get ws (Tensor.dims b.value) in
-        Tensor.add_inplace (Lazy.force b.grad)
-          (Tensor.matmul_into ~dst:db (Tensor.transpose_into ~dst:at a.value) g)
+        let shape = a.value.Tensor.shape in
+        let at =
+          Tensor.transpose_into
+            ~dst:(Tensor.Workspace.get ws [| shape.(1); shape.(0) |])
+            a.value
+        in
+        match b.grad with
+        | Untouched -> ignore (Tensor.matmul_into ~dst:(fresh_grad b) at g)
+        | Buf bg ->
+            let db = Tensor.Workspace.get ws (Tensor.dims b.value) in
+            Tensor.add_inplace bg (Tensor.matmul_into ~dst:db at g)
       end)
 
 let add tape a b =
   let value = Tensor.add_into ~dst:(alloc tape (Tensor.dims a.value)) a.value b.value in
   mk2 tape a b value (fun node ->
-      let g = Lazy.force node.grad in
-      if a.needs_grad then Tensor.add_inplace (Lazy.force a.grad) g;
-      if b.needs_grad then Tensor.add_inplace (Lazy.force b.grad) g)
+      let g = acc_grad node in
+      if a.needs_grad then Tensor.add_inplace (acc_grad a) g;
+      if b.needs_grad then Tensor.add_inplace (acc_grad b) g)
 
 let sub tape a b =
   let value = Tensor.sub_into ~dst:(alloc tape (Tensor.dims a.value)) a.value b.value in
   mk2 tape a b value (fun node ->
-      let g = Lazy.force node.grad in
-      if a.needs_grad then Tensor.add_inplace (Lazy.force a.grad) g;
+      let g = acc_grad node in
+      if a.needs_grad then Tensor.add_inplace (acc_grad a) g;
       if b.needs_grad then begin
-        let bg = (Lazy.force b.grad).Tensor.data and gd = g.Tensor.data in
+        let bg = (acc_grad b).Tensor.data and gd = g.Tensor.data in
         for i = 0 to Tensor.numel g - 1 do
           uset bg i (uget bg i -. uget gd i)
         done
@@ -159,20 +195,20 @@ let sub tape a b =
 let mul tape a b =
   let value = Tensor.mul_into ~dst:(alloc tape (Tensor.dims a.value)) a.value b.value in
   mk2 tape a b value (fun node ->
-      let g = Lazy.force node.grad in
-      if a.needs_grad then Tensor.add_mul_inplace (Lazy.force a.grad) g b.value;
-      if b.needs_grad then Tensor.add_mul_inplace (Lazy.force b.grad) g a.value)
+      let g = acc_grad node in
+      if a.needs_grad then Tensor.add_mul_inplace (acc_grad a) g b.value;
+      if b.needs_grad then Tensor.add_mul_inplace (acc_grad b) g a.value)
 
 let add_bias tape x b =
   let value =
     Tensor.add_bias_into ~dst:(alloc tape (Tensor.dims x.value)) x.value b.value
   in
   mk2 tape x b value (fun node ->
-      let g = Lazy.force node.grad in
-      if x.needs_grad then Tensor.add_inplace (Lazy.force x.grad) g;
+      let g = acc_grad node in
+      if x.needs_grad then Tensor.add_inplace (acc_grad x) g;
       if b.needs_grad then begin
         let m = x.value.Tensor.shape.(0) and n = x.value.Tensor.shape.(1) in
-        let bg = (Lazy.force b.grad).Tensor.data and gd = g.Tensor.data in
+        let bg = (acc_grad b).Tensor.data and gd = g.Tensor.data in
         for i = 0 to m - 1 do
           let row = i * n in
           for j = 0 to n - 1 do
@@ -185,8 +221,8 @@ let unary tape a ~f ~df =
   (* df receives (input value, output gradient) elementwise *)
   let value = Tensor.map_into f ~dst:(alloc tape (Tensor.dims a.value)) a.value in
   mk1 tape a value (fun node ->
-      let gd = (Lazy.force node.grad).Tensor.data in
-      let ag = (Lazy.force a.grad).Tensor.data in
+      let gd = (acc_grad node).Tensor.data in
+      let ag = (acc_grad a).Tensor.data in
       let av = a.value.Tensor.data in
       for i = 0 to Tensor.numel a.value - 1 do
         uset ag i (uget ag i +. df (uget av i) (uget gd i))
@@ -196,16 +232,28 @@ let unary tape a ~f ~df =
    they bypass [unary]: calling a [float -> float -> float] closure per
    element boxes three floats per call — measured as the bulk of a
    backward pass's minor allocation. Direct loops keep the identical
-   arithmetic with zero boxing. *)
+   arithmetic with zero boxing. As the first writer of its input's
+   gradient, [relu]'s backward picks between 0.0 and [0.0 +. g]
+   through [sel], like [Tensor.relu_into]'s forward: a branch on the
+   input's sign mispredicts about half the time. *)
 let relu tape a =
   let value = Tensor.relu_into ~dst:(alloc tape (Tensor.dims a.value)) a.value in
   mk1 tape a value (fun node ->
-      let gd = (Lazy.force node.grad).Tensor.data in
-      let ag = (Lazy.force a.grad).Tensor.data in
+      let gd = (acc_grad node).Tensor.data in
       let av = a.value.Tensor.data in
-      for i = 0 to Tensor.numel a.value - 1 do
-        if uget av i > 0.0 then uset ag i (uget ag i +. uget gd i)
-      done)
+      match a.grad with
+      | Untouched ->
+          let ag = (fresh_grad a).Tensor.data in
+          let sel = [| 0.0; 0.0 |] in
+          for i = 0 to Tensor.numel a.value - 1 do
+            Array.unsafe_set sel 1 (0.0 +. uget gd i);
+            uset ag i (Array.unsafe_get sel (Bool.to_int (uget av i > 0.0)))
+          done
+      | Buf ag ->
+          let ag = ag.Tensor.data in
+          for i = 0 to Tensor.numel a.value - 1 do
+            if uget av i > 0.0 then uset ag i (uget ag i +. uget gd i)
+          done)
 
 let exp_ tape a =
   let value = alloc tape (Tensor.dims a.value) in
@@ -214,8 +262,8 @@ let exp_ tape a =
     uset vd i (exp (uget avd i))
   done;
   mk1 tape a value (fun node ->
-      let gd = (Lazy.force node.grad).Tensor.data in
-      let ag = (Lazy.force a.grad).Tensor.data in
+      let gd = (acc_grad node).Tensor.data in
+      let ag = (acc_grad a).Tensor.data in
       let av = a.value.Tensor.data in
       for i = 0 to Tensor.numel a.value - 1 do
         uset ag i (uget ag i +. (uget gd i *. exp (uget av i)))
@@ -235,16 +283,16 @@ let min_ tape a b =
     Tensor.map2_into Float.min ~dst:(alloc tape (Tensor.dims a.value)) a.value b.value
   in
   mk2 tape a b value (fun node ->
-      let gd = (Lazy.force node.grad).Tensor.data in
+      let gd = (acc_grad node).Tensor.data in
       let av = a.value.Tensor.data and bv = b.value.Tensor.data in
       if a.needs_grad then begin
-        let ag = (Lazy.force a.grad).Tensor.data in
+        let ag = (acc_grad a).Tensor.data in
         for i = 0 to Tensor.numel a.value - 1 do
           if uget av i <= uget bv i then uset ag i (uget ag i +. uget gd i)
         done
       end;
       if b.needs_grad then begin
-        let bg = (Lazy.force b.grad).Tensor.data in
+        let bg = (acc_grad b).Tensor.data in
         for i = 0 to Tensor.numel a.value - 1 do
           if not (uget av i <= uget bv i) then uset bg i (uget bg i +. uget gd i)
         done
@@ -274,8 +322,8 @@ let log_softmax tape a =
   done;
   mk1 tape a out (fun node ->
       (* dx_ij = g_ij - softmax_ij * sum_j g_ij *)
-      let gd = (Lazy.force node.grad).Tensor.data in
-      let ag = (Lazy.force a.grad).Tensor.data in
+      let gd = (acc_grad node).Tensor.data in
+      let ag = (acc_grad a).Tensor.data in
       let v = node.value.Tensor.data in
       for i = 0 to m - 1 do
         let row = i * n in
@@ -301,8 +349,8 @@ let gather_cols tape a cols =
     Tensor.set out i (Tensor.get2 x i cols.(i))
   done;
   mk1 tape a out (fun node ->
-      let gd = (Lazy.force node.grad).Tensor.data in
-      let ag = (Lazy.force a.grad).Tensor.data in
+      let gd = (acc_grad node).Tensor.data in
+      let ag = (acc_grad a).Tensor.data in
       let n = x.Tensor.shape.(1) in
       for i = 0 to m - 1 do
         let idx = (i * n) + cols.(i) in
@@ -319,8 +367,8 @@ let slice_cols tape a ~lo ~hi =
   let w = hi - lo in
   let out = Tensor.slice_cols_into ~dst:(alloc tape [| m; w |]) x ~lo ~hi in
   mk1 tape a out (fun node ->
-      let gd = (Lazy.force node.grad).Tensor.data in
-      let ag = (Lazy.force a.grad).Tensor.data in
+      let gd = (acc_grad node).Tensor.data in
+      let ag = (acc_grad a).Tensor.data in
       for i = 0 to m - 1 do
         let arow = (i * n) + lo and grow = i * w in
         for j = 0 to w - 1 do
@@ -346,8 +394,8 @@ let gather_rows tape a rows =
   shape.(0) <- Array.length rows;
   let value = Tensor.gather_rows_into ~dst:(alloc tape shape) a.value rows in
   mk1 tape a value (fun node ->
-      let gd = (Lazy.force node.grad).Tensor.data in
-      let ag = (Lazy.force a.grad).Tensor.data in
+      let gd = (acc_grad node).Tensor.data in
+      let ag = (acc_grad a).Tensor.data in
       Array.iteri (fun j r -> add_row ag (r * w) gd (j * w) w) rows)
 
 let scatter_rows tape a rows ~n =
@@ -365,8 +413,8 @@ let scatter_rows tape a rows ~n =
   let vd = value.Tensor.data and xd = a.value.Tensor.data in
   Array.iteri (fun j r -> add_row vd (r * w) xd (j * w) w) rows;
   mk1 tape a value (fun node ->
-      let gd = (Lazy.force node.grad).Tensor.data in
-      let ag = (Lazy.force a.grad).Tensor.data in
+      let gd = (acc_grad node).Tensor.data in
+      let ag = (acc_grad a).Tensor.data in
       Array.iteri (fun j r -> add_row ag (j * w) gd (r * w) w) rows)
 
 let reshape tape a shape =
@@ -378,7 +426,7 @@ let reshape tape a shape =
      lives. *)
   let value = { x with Tensor.shape = Array.copy shape } in
   mk1 tape a value (fun node ->
-      add_row (Lazy.force a.grad).Tensor.data 0 (Lazy.force node.grad).Tensor.data 0
+      add_row (acc_grad a).Tensor.data 0 (acc_grad node).Tensor.data 0
         (Tensor.numel x))
 
 let sum_rows tape a =
@@ -388,8 +436,8 @@ let sum_rows tape a =
   let m = x.Tensor.shape.(0) and n = x.Tensor.shape.(1) in
   let value = Tensor.sum_rows_into ~dst:(alloc tape [| m |]) x in
   mk1 tape a value (fun node ->
-      let gd = (Lazy.force node.grad).Tensor.data in
-      let ag = (Lazy.force a.grad).Tensor.data in
+      let gd = (acc_grad node).Tensor.data in
+      let ag = (acc_grad a).Tensor.data in
       for i = 0 to m - 1 do
         let gi = uget gd i in
         let row = i * n in
@@ -402,8 +450,8 @@ let sum_all tape a =
   let value = alloc tape [| 1 |] in
   Tensor.set value 0 (Tensor.sum a.value);
   mk1 tape a value (fun node ->
-      let g = Tensor.get (Lazy.force node.grad) 0 in
-      let ag = (Lazy.force a.grad).Tensor.data in
+      let g = Tensor.get (acc_grad node) 0 in
+      let ag = (acc_grad a).Tensor.data in
       for i = 0 to Tensor.numel a.value - 1 do
         uset ag i (uget ag i +. g)
       done)
@@ -416,5 +464,5 @@ let backward (tape : Tape.t) node =
   if Tensor.numel node.value <> 1 then
     invalid_arg "Autodiff.backward: loss must be a scalar";
   Tensor.Workspace.reset (bw_ws ());
-  Tensor.fill_inplace (Lazy.force node.grad) 1.0;
+  Tensor.fill_inplace (acc_grad node) 1.0;
   List.iter (fun n -> if n.needs_grad then n.back ()) tape.Tape.nodes

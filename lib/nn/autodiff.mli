@@ -23,7 +23,7 @@ module Tape : sig
   type t
 
   val create : ?ws:Tensor.Workspace.t -> unit -> t
-  (** With [~ws], every node value and every forced gradient is drawn
+  (** With [~ws], every node value and every gradient buffer is drawn
       from the workspace instead of the heap — a steady-state training
       step (same network each minibatch) allocates nothing. [create]
       resets [ws], invalidating buffers handed out to the previous tape

@@ -19,7 +19,7 @@ type algo =
 
 type t = {
   params : Autodiff.Param.t array;
-  mutable lr : float;
+  lr : float;
   algo : algo;
 }
 
@@ -42,40 +42,68 @@ let adam ?(beta1 = 0.9) ?(beta2 = 0.999) ?(eps = 1e-8) ~lr params =
 
 let sgd ~lr params = { params = Array.of_list params; lr; algo = Sgd }
 
-let step opt =
-  match opt.algo with
+(* A plain loop, not [Array.iter]: a closure capturing [sq] would box
+   the accumulator on every gradient element. *)
+let grad_norm params =
+  let sq = ref 0.0 in
+  for k = 0 to Array.length params - 1 do
+    let gd = params.(k).Autodiff.Param.grad.Tensor.data in
+    for i = 0 to Bigarray.Array1.dim gd - 1 do
+      let g = uget gd i in
+      sq := !sq +. (g *. g)
+    done
+  done;
+  sqrt !sq
+
+(* One read pass for the norm, then one sweep that per element scales
+   the gradient by the clip factor in a register, applies the update
+   and stores +0.0 back, so the next [backward] accumulates from zero.
+   The bits equal those of clipping in place ([g *. (max_norm /. norm)])
+   and then stepping as separate passes; unclipped, [g *. 1.0] is [g]. *)
+let step ?max_grad_norm opt =
+  let norm = grad_norm opt.params in
+  let k =
+    match max_grad_norm with
+    | Some max_norm when norm > max_norm && norm > 0.0 -> max_norm /. norm
+    | _ -> 1.0
+  in
+  let lr = opt.lr in
+  (match opt.algo with
   | Sgd ->
-      Array.iter
-        (fun (p : Autodiff.Param.t) ->
-          let d = p.data.Tensor.data and g = p.grad.Tensor.data in
-          for i = 0 to Tensor.numel p.data - 1 do
-            uset d i (uget d i -. (opt.lr *. uget g i))
-          done)
-        opt.params
+      for p = 0 to Array.length opt.params - 1 do
+        let param = opt.params.(p) in
+        let d = param.Autodiff.Param.data.Tensor.data
+        and gd = param.Autodiff.Param.grad.Tensor.data in
+        for i = 0 to Bigarray.Array1.dim d - 1 do
+          uset d i (uget d i -. (lr *. (uget gd i *. k)));
+          uset gd i 0.0
+        done
+      done
   | Adam a ->
       a.t <- a.t + 1;
       let t = float_of_int a.t in
-      let bc1 = 1.0 -. (a.beta1 ** t) in
-      let bc2 = 1.0 -. (a.beta2 ** t) in
-      Array.iteri
-        (fun k (p : Autodiff.Param.t) ->
-          let md = a.m.(k).Tensor.data and vd = a.v.(k).Tensor.data in
-          let d = p.data.Tensor.data and gd = p.grad.Tensor.data in
-          for i = 0 to Tensor.numel p.data - 1 do
-            let g = uget gd i in
-            let mi = (a.beta1 *. uget md i) +. ((1.0 -. a.beta1) *. g) in
-            let vi = (a.beta2 *. uget vd i) +. ((1.0 -. a.beta2) *. g *. g) in
-            uset md i mi;
-            uset vd i vi;
-            let m_hat = mi /. bc1 in
-            let v_hat = vi /. bc2 in
-            uset d i (uget d i -. (opt.lr *. m_hat /. (sqrt v_hat +. a.eps)))
-          done)
-        opt.params
+      let b1 = a.beta1 and b2 = a.beta2 and eps = a.eps in
+      let c1 = 1.0 -. b1 and c2 = 1.0 -. b2 in
+      let bc1 = 1.0 -. (b1 ** t) in
+      let bc2 = 1.0 -. (b2 ** t) in
+      for p = 0 to Array.length opt.params - 1 do
+        let param = opt.params.(p) in
+        let md = a.m.(p).Tensor.data and vd = a.v.(p).Tensor.data in
+        let d = param.Autodiff.Param.data.Tensor.data
+        and gd = param.Autodiff.Param.grad.Tensor.data in
+        for i = 0 to Bigarray.Array1.dim d - 1 do
+          let g = uget gd i *. k in
+          let mi = (b1 *. uget md i) +. (c1 *. g) in
+          let vi = (b2 *. uget vd i) +. (c2 *. g *. g) in
+          uset md i mi;
+          uset vd i vi;
+          uset d i (uget d i -. (lr *. (mi /. bc1) /. (sqrt (vi /. bc2) +. eps)));
+          uset gd i 0.0
+        done
+      done);
+  norm
 
 let zero_grad opt = Array.iter Autodiff.Param.zero_grad opt.params
-
-let set_lr opt lr = opt.lr <- lr
 
 (* Adam moments (and the step counter, boxed as a 1-element tensor) as
    named parameters, so checkpoints reuse the Serialize format. *)
@@ -100,30 +128,20 @@ let save opt path =
   in
   Serialize.save_params path (state_params opt step_tensor)
 
+(* The step counter is stored as a float: anything but a finite,
+   non-negative integer would feed NaN or a negative power into the
+   bias corrections of the next step. *)
 let load opt path =
   let step_tensor = Tensor.of_array [| 1 |] [| 0.0 |] in
   match Serialize.load_params path (state_params opt step_tensor) with
   | Error _ as e -> e
-  | Ok () ->
-      (match opt.algo with
-      | Sgd -> ()
-      | Adam a -> a.t <- int_of_float (Tensor.get step_tensor 0));
-      Ok ()
-
-let clip_grad_norm opt max_norm =
-  (* A plain loop, not [Array.iter]: a closure capturing [sq] would box
-     the accumulator on every gradient element. *)
-  let sq = ref 0.0 in
-  for k = 0 to Array.length opt.params - 1 do
-    let gd = opt.params.(k).Autodiff.Param.grad.Tensor.data in
-    for i = 0 to Bigarray.Array1.dim gd - 1 do
-      let g = uget gd i in
-      sq := !sq +. (g *. g)
-    done
-  done;
-  let norm = sqrt !sq in
-  if norm > max_norm && norm > 0.0 then begin
-    let k = max_norm /. norm in
-    Array.iter (fun (p : Autodiff.Param.t) -> Tensor.scale_inplace p.grad k) opt.params
-  end;
-  norm
+  | Ok () -> (
+      match opt.algo with
+      | Sgd -> Ok ()
+      | Adam a ->
+          let s = Tensor.get step_tensor 0 in
+          if Float.is_integer s && s >= 0.0 && s < float_of_int max_int then begin
+            a.t <- int_of_float s;
+            Ok ()
+          end
+          else Error (Printf.sprintf "bad adam.step %h: not a non-negative integer" s))

@@ -14,12 +14,18 @@ val adam :
 
 val sgd : lr:float -> Autodiff.Param.t list -> t
 
-val step : t -> unit
-(** Apply one update from the parameters' accumulated gradients. *)
+val step : ?max_grad_norm:float -> t -> float
+(** Apply one update from the parameters' accumulated gradients and
+    return their global L2 norm before clipping. With
+    [~max_grad_norm], a norm above it first scales every gradient by
+    [max_grad_norm /. norm]. The step leaves every gradient at +0.0,
+    ready for the next {!Autodiff.backward}. One read pass for the
+    norm and one sweep for the update; the bytes equal zeroing,
+    backward, clipping and stepping as separate passes. *)
 
 val zero_grad : t -> unit
-
-val set_lr : t -> float -> unit
+(** Set every gradient to +0.0. Only needed when something other than
+    {!step} last wrote the gradients. *)
 
 val save : t -> string -> unit
 (** Persist the optimizer state (Adam moments and step counter) in the
@@ -28,8 +34,5 @@ val save : t -> string -> unit
 
 val load : t -> string -> (unit, string) result
 (** Restore state saved by {!save} into an optimizer built over the
-    same parameter list (names and shapes are validated). *)
-
-val clip_grad_norm : t -> float -> float
-(** [clip_grad_norm t max_norm] rescales all gradients if their global L2
-    norm exceeds [max_norm]; returns the pre-clip norm. *)
+    same parameter list (names and shapes are validated). A step
+    counter that is not a finite, non-negative integer is an [Error]. *)

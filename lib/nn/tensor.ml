@@ -205,14 +205,20 @@ let scratch k =
 (* out[orow .. orow+n) += a[arow .. arow+k) * b, b row-major [k; n].
    Each pass over the output row takes four gathered rows of b and
    updates four adjacent output elements per step: the elements are
-   independent, so the interleaving cannot change any element's chain. *)
+   independent, so the interleaving cannot change any element's chain.
+
+   Two choices are about the machine, not the arithmetic. The gather
+   stores every p and advances the count by the comparison's 0 or 1:
+   whether a ReLU output is zero is a coin flip to the branch
+   predictor. And each product is written [uget b i *. av]: x86's
+   two-operand [mulsd] overwrites its destination, and with [av] first
+   ocamlopt copies the register holding it before every product
+   (docs/performance.md, "A note on operand order"). *)
 let row_kernel (a : buf) (b : buf) (out : buf) idx ~arow ~k ~orow ~n =
   let cnt = ref 0 in
   for p = 0 to k - 1 do
-    if uget a (arow + p) <> 0.0 then begin
-      Array.unsafe_set idx !cnt p;
-      incr cnt
-    end
+    Array.unsafe_set idx !cnt p;
+    cnt := !cnt + Bool.to_int (uget a (arow + p) <> 0.0)
   done;
   let cnt = !cnt in
   let c4 = cnt / 4 * 4 and n4 = n / 4 * 4 in
@@ -231,24 +237,24 @@ let row_kernel (a : buf) (b : buf) (out : buf) idx ~arow ~k ~orow ~n =
     while !j < n4 do
       let s = orow + !j and t = !j in
       let c0 =
-        (((uget out s +. (av0 *. uget b (b0 + t))) +. (av1 *. uget b (b1 + t)))
-         +. (av2 *. uget b (b2 + t)))
-        +. (av3 *. uget b (b3 + t))
+        (((uget out s +. (uget b (b0 + t) *. av0)) +. (uget b (b1 + t) *. av1))
+         +. (uget b (b2 + t) *. av2))
+        +. (uget b (b3 + t) *. av3)
       and c1 =
-        (((uget out (s + 1) +. (av0 *. uget b (b0 + t + 1)))
-          +. (av1 *. uget b (b1 + t + 1)))
-         +. (av2 *. uget b (b2 + t + 1)))
-        +. (av3 *. uget b (b3 + t + 1))
+        (((uget out (s + 1) +. (uget b (b0 + t + 1) *. av0))
+          +. (uget b (b1 + t + 1) *. av1))
+         +. (uget b (b2 + t + 1) *. av2))
+        +. (uget b (b3 + t + 1) *. av3)
       and c2 =
-        (((uget out (s + 2) +. (av0 *. uget b (b0 + t + 2)))
-          +. (av1 *. uget b (b1 + t + 2)))
-         +. (av2 *. uget b (b2 + t + 2)))
-        +. (av3 *. uget b (b3 + t + 2))
+        (((uget out (s + 2) +. (uget b (b0 + t + 2) *. av0))
+          +. (uget b (b1 + t + 2) *. av1))
+         +. (uget b (b2 + t + 2) *. av2))
+        +. (uget b (b3 + t + 2) *. av3)
       and c3 =
-        (((uget out (s + 3) +. (av0 *. uget b (b0 + t + 3)))
-          +. (av1 *. uget b (b1 + t + 3)))
-         +. (av2 *. uget b (b2 + t + 3)))
-        +. (av3 *. uget b (b3 + t + 3))
+        (((uget out (s + 3) +. (uget b (b0 + t + 3) *. av0))
+          +. (uget b (b1 + t + 3) *. av1))
+         +. (uget b (b2 + t + 3) *. av2))
+        +. (uget b (b3 + t + 3) *. av3)
       in
       uset out s c0;
       uset out (s + 1) c1;
@@ -258,10 +264,10 @@ let row_kernel (a : buf) (b : buf) (out : buf) idx ~arow ~k ~orow ~n =
     done;
     for j = n4 to n - 1 do
       uset out (orow + j)
-        ((((uget out (orow + j) +. (av0 *. uget b (b0 + j)))
-           +. (av1 *. uget b (b1 + j)))
-          +. (av2 *. uget b (b2 + j)))
-        +. (av3 *. uget b (b3 + j)))
+        ((((uget out (orow + j) +. (uget b (b0 + j) *. av0))
+           +. (uget b (b1 + j) *. av1))
+          +. (uget b (b2 + j) *. av2))
+        +. (uget b (b3 + j) *. av3))
     done;
     q := !q + 4
   done;
@@ -269,7 +275,7 @@ let row_kernel (a : buf) (b : buf) (out : buf) idx ~arow ~k ~orow ~n =
     let p = Array.unsafe_get idx q in
     let av = uget a (arow + p) and brow = p * n in
     for j = 0 to n - 1 do
-      uset out (orow + j) (uget out (orow + j) +. (av *. uget b (brow + j)))
+      uset out (orow + j) (uget out (orow + j) +. (uget b (brow + j) *. av))
     done
   done
 
@@ -410,12 +416,18 @@ let map_into f ~dst t =
 
 let map f t = map_into f ~dst:(unsafe_create t.shape) t
 
+(* [if v > 0.0 then v else 0.0] without the branch, which mispredicts
+   on about half of a ReLU's inputs: [sel] holds 0.0 and [v], and the
+   comparison's 0 or 1 picks one. Same bits for every input, NaN
+   included. *)
 let relu_into ~dst t =
   if not (same_shape dst t) then invalid_arg "Tensor.relu_into: shape mismatch";
   let src = t.data and out = dst.data in
+  let sel = [| 0.0; 0.0 |] in
   for i = 0 to numel t - 1 do
     let v = uget src i in
-    uset out i (if v > 0.0 then v else 0.0)
+    Array.unsafe_set sel 1 v;
+    uset out i (Array.unsafe_get sel (Bool.to_int (v > 0.0)))
   done;
   dst
 

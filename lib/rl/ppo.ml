@@ -74,6 +74,9 @@ let update config policy optimizer transitions ~rng =
   in
   let advantages = Gae.normalize advantages in
   let indices = Array.init n (fun i -> i) in
+  (* [Optim.step] leaves the gradients zeroed for the next minibatch;
+     only the first one needs a clean start. *)
+  Optim.zero_grad optimizer;
   let stat_policy = ref 0.0
   and stat_value = ref 0.0
   and stat_entropy = ref 0.0
@@ -122,10 +125,8 @@ let update config policy optimizer transitions ~rng =
              (Autodiff.scale tape config.value_coef value_loss))
           (Autodiff.scale tape config.entropy_coef entropy_mean)
       in
-      Optim.zero_grad optimizer;
       Autodiff.backward tape loss;
-      let gnorm = Optim.clip_grad_norm optimizer config.max_grad_norm in
-      Optim.step optimizer;
+      let gnorm = Optim.step ~max_grad_norm:config.max_grad_norm optimizer in
       (* statistics *)
       let ratio_v = Autodiff.value ratio in
       let kl = ref 0.0 and clipfrac = ref 0 in

@@ -192,6 +192,7 @@ let fit ?(epochs = 40) ?(batch_size = 64) ?(learning_rate = 1e-3) ?(seed = 7)
   let xs = Array.map (normalize_features t) train in
   let ys = Array.map (fun y -> (y -. t.t_mean) /. t.t_std) targets in
   let optimizer = Optim.adam ~lr:learning_rate (params t) in
+  Optim.zero_grad optimizer;
   let rng = Util.Rng.create seed in
   let indices = Array.init (Array.length train) (fun i -> i) in
   let initial_val_loss = eval_loss t validation in
@@ -207,10 +208,8 @@ let fit ?(epochs = 40) ?(batch_size = 64) ?(learning_rate = 1e-3) ?(seed = 7)
       pos := !pos + size;
       let tape = Autodiff.Tape.create () in
       let loss = mse_loss t tape bx by in
-      Optim.zero_grad optimizer;
       Autodiff.backward tape loss;
-      ignore (Optim.clip_grad_norm optimizer 5.0);
-      Optim.step optimizer
+      ignore (Optim.step ~max_grad_norm:5.0 optimizer)
     done;
     (let tape = Autodiff.Tape.create () in
      train_losses.(epoch) <- Tensor.get (Autodiff.value (mse_loss t tape xs ys)) 0);

@@ -122,7 +122,7 @@ let test_optim_state_roundtrip () =
           Tensor.set g i 0.01
         done)
       params;
-    Optim.step optimizer
+    ignore (Optim.step optimizer)
   in
   poke ();
   poke ();
@@ -224,6 +224,111 @@ let test_checkpoint_files_written () =
       Alcotest.(check int) "meta records last iteration" 3 m.Checkpoint.iteration);
   cleanup path
 
+(* The bytes training writes, pinned. Every other identity test here
+   compares two runs of one build, so a change that moved both runs the
+   same way would pass them. The policy half trains 3 iterations at
+   hidden 16 with 2 backbone layers on one matmul and one conv, at jobs
+   1 and 2, and hashes the final checkpoint's weights and Adam state
+   (the [Serialize.save_params] and [Optim.save] bytes). The surrogate
+   half fits 5 epochs on a log the evaluator's tap collected and hashes
+   the saved checkpoint. An intended change to these bytes updates the
+   constants and says so in CHANGES.md. *)
+let pinned_train_fingerprint = "b41ee3ebd6e77c177f221b2524f2f158"
+let pinned_surrogate_fingerprint = "56e88f2ce6ea213251e025a2f4e255fc"
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let train_fingerprint ~jobs =
+  let path = tmp_prefix (Printf.sprintf "pinned_j%d" jobs) in
+  cleanup path;
+  let cfg = Env_config.default in
+  let policy = Policy.create ~hidden:16 ~backbone_layers:2 (Util.Rng.create 3) cfg in
+  let ops =
+    Array.map
+      (fun spec ->
+        match Op_spec.parse spec with Ok op -> op | Error e -> Alcotest.fail e)
+      [| "matmul:64x64x64"; "conv2d:8x8x3,k3,f4,s1" |]
+  in
+  let config =
+    {
+      Trainer.default_config with
+      Trainer.iterations = 3;
+      seed = 3;
+      jobs;
+      checkpoint_path = Some path;
+      checkpoint_every = 3;
+    }
+  in
+  ignore (Trainer.train config (Env.create cfg) policy ~ops);
+  let bytes = read_file (path ^ ".params") ^ read_file (path ^ ".optim") in
+  cleanup path;
+  Digest.to_hex (Digest.string bytes)
+
+let surrogate_fingerprint () =
+  let log = Surrogate.Dataset_log.create () in
+  let ev = Evaluator.create () in
+  Surrogate.Dataset_log.attach log ev;
+  let config =
+    { Auto_scheduler.default_config with Auto_scheduler.max_schedules = 48 }
+  in
+  List.iter
+    (fun op -> ignore (Auto_scheduler.search ~config ev op))
+    [ Linalg.matmul ~m:16 ~n:16 ~k:16 (); Linalg.add [| 32; 32 |] ];
+  Surrogate.Dataset_log.detach ev;
+  let model = Surrogate.Model.create ~seed:5 () in
+  ignore
+    (Surrogate.Model.fit ~epochs:5 ~seed:5 model (Surrogate.Dataset_log.entries log));
+  let path = Filename.temp_file "mlir_rl_pinned_surrogate" ".ckpt" in
+  Surrogate.Model.save model ~path;
+  let bytes = read_file path in
+  Sys.remove path;
+  Digest.to_hex (Digest.string bytes)
+
+let test_pinned_training_fingerprint () =
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "trained weights and Adam state, jobs %d" jobs)
+        pinned_train_fingerprint (train_fingerprint ~jobs))
+    [ 1; 2 ];
+  Alcotest.(check string) "surrogate checkpoint" pinned_surrogate_fingerprint
+    (surrogate_fingerprint ())
+
+(* A step counter that is not a finite, non-negative integer must not
+   load: NaN or a negative power in the bias corrections would write
+   NaN into the weights on the next step. *)
+let test_optim_load_rejects_bad_step () =
+  let path = tmp_prefix "badstep" ^ ".optim" in
+  let cfg = Env_config.default in
+  let params =
+    Policy.params (Policy.create ~hidden:8 ~backbone_layers:1 (Util.Rng.create 5) cfg)
+  in
+  let optimizer = Optim.adam ~lr:1e-2 params in
+  Optim.save optimizer path;
+  let saved = String.split_on_char '\n' (read_file path) in
+  let with_step value =
+    (* the value line follows the "adam.step" header *)
+    let rec go = function
+      | header :: _ :: rest when String.starts_with ~prefix:"adam.step " header ->
+          header :: value :: rest
+      | line :: rest -> line :: go rest
+      | [] -> []
+    in
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc (String.concat "\n" (go saved)));
+    Optim.load optimizer path
+  in
+  Alcotest.(check bool) "an integral step loads" true (Result.is_ok (with_step "0x1.8p+1"));
+  List.iter
+    (fun value ->
+      match with_step value with
+      | Ok () -> Alcotest.failf "adam.step %s loaded" value
+      | Error e ->
+          Alcotest.(check bool) ("error names the step: " ^ e) true
+            (Astring_contains.contains e "adam.step"))
+    [ "nan"; "inf"; "-inf"; "-0x1p+3"; "0x1.8p+0" ];
+  Sys.remove path
+
 let suite =
   [
     Alcotest.test_case "meta roundtrip" `Quick test_meta_roundtrip;
@@ -239,4 +344,8 @@ let suite =
       test_resume_without_path_rejected;
     Alcotest.test_case "checkpoint files written" `Quick
       test_checkpoint_files_written;
+    Alcotest.test_case "pinned training fingerprint" `Quick
+      test_pinned_training_fingerprint;
+    Alcotest.test_case "optimizer load rejects a bad step" `Quick
+      test_optim_load_rejects_bad_step;
   ]

@@ -155,6 +155,11 @@ let test_into_kernels_bit_identical () =
   eq "mul_into" (Tensor.mul_into ~dst:(d ()) x y) (Tensor.mul x y);
   eq "scale_into" (Tensor.scale_into 1.7 ~dst:(d ()) x) (Tensor.scale 1.7 x);
   eq "relu_into" (Tensor.relu_into ~dst:(d ()) x) (Tensor.relu x);
+  (* the branch-free ReLU against the branch, on the inputs where a
+     select could differ from it *)
+  let edge = Tensor.of_array [| 7 |] [| nan; -0.0; 0.0; infinity; neg_infinity; 5e-324; -1.0 |] in
+  eq "relu = branchy map" (Tensor.relu edge)
+    (Tensor.map (fun v -> if v > 0.0 then v else 0.0) edge);
   eq "add_bias_into" (Tensor.add_bias_into ~dst:(d ()) x bias)
     (Tensor.add_bias x bias);
   eq "slice_cols_into"
@@ -509,6 +514,88 @@ let test_grad_gather_scatter_reshape () =
       (tape, Autodiff.mean_all tape (Autodiff.mul tape back (Autodiff.const tape weights))))
     ~params:(Layers.linear_params layer) ~eps:1e-5 ~tol:1e-4
 
+(* The accumulate arms of relu's and matmul's backward steps, which the
+   policy network never reaches (each of its activations and weight
+   nodes has one reader): [x] feeds both relu and an add, the weight
+   [w1] and the input [a] each feed two matmuls. Every parameter
+   gradient must equal, bit for bit, zero-filling each node's gradient
+   and adding every contribution into it in reverse tape order. Inputs
+   include signed zeros, subnormals and, for relu, NaN and infinities.
+   The graph runs twice on one workspace whose slots start as NaN, so
+   a first writer that leaves any element unwritten shows. *)
+let test_grad_accumulate_arms_bit_identical () =
+  let t2 rows cols v = Tensor.of_array [| rows; cols |] v in
+  let xs = [| nan; -0.0; 0.0; 5e-324; -5e-324; 1.5; -2.0; infinity; neg_infinity; 1e-310 |] in
+  let cs = [| 1.0; -0.0; 0.5; 5e-324; nan; -3.0; 2.0; 0.0; 1e-310; -1e300 |] in
+  let av =
+    [| -0.0; 1.5; 5e-324; -2.0; 0.0; -0.0; 0.75; 1e-310; -0.0; 3.0; -1.25; 0.0 |]
+  in
+  let w1v = Array.init 20 (fun i -> if i = 3 then -0.0 else if i = 7 then 1e-310 else float_of_int (i - 9) /. 4.0) in
+  let w2v = Array.init 20 (fun i -> if i = 11 then 5e-324 else float_of_int (7 - i) /. 3.0) in
+  let bv = Array.init 12 (fun i -> if i mod 5 = 0 then -0.0 else float_of_int (i - 6) /. 2.0) in
+  let c2v = Array.init 15 (fun i -> if i = 4 then -0.0 else if i = 9 then 5e-324 else float_of_int (i - 7)) in
+  let px = Autodiff.Param.create "x" (t2 1 10 xs) and pz = Autodiff.Param.create "z" (t2 1 10 xs) in
+  let pa = Autodiff.Param.create "a" (t2 3 4 av) in
+  let pw1 = Autodiff.Param.create "w1" (t2 4 5 w1v) and pw2 = Autodiff.Param.create "w2" (t2 4 5 w2v) in
+  let params = [ px; pz; pa; pw1; pw2 ] in
+  (* reference: every node gradient starts as zeros and is added into *)
+  let zeros_like t = Tensor.zeros (Tensor.dims t) in
+  let acc t = let z = zeros_like t in Tensor.add_inplace z t; z in
+  let relu_ref ~into input g =
+    for i = 0 to Tensor.numel input - 1 do
+      if Tensor.get input i > 0.0 then Tensor.set into i (Tensor.get into i +. Tensor.get g i)
+    done
+  in
+  let c = t2 1 10 cs and c2 = t2 3 5 c2v and b = t2 3 4 bv in
+  let g = zeros_like c in
+  Tensor.add_mul_inplace g (Tensor.ones [| 1; 10 |]) c;
+  let gy = acc g and grz = acc g in
+  let gz = zeros_like c in
+  relu_ref ~into:gz px.Autodiff.Param.data grz;
+  let gx = acc gy and gr = acc gy in
+  relu_ref ~into:gx px.Autodiff.Param.data gr;
+  let gs = zeros_like c2 in
+  Tensor.add_mul_inplace gs (Tensor.ones [| 3; 5 |]) c2;
+  let g12 = acc gs and gy3 = acc gs in
+  let gy1 = acc g12 and gy2 = acc g12 in
+  let a = pa.Autodiff.Param.data and w1 = pw1.Autodiff.Param.data and w2 = pw2.Autodiff.Param.data in
+  let gw1 = zeros_like w1 in
+  Tensor.add_inplace gw1 (Tensor.matmul (Tensor.transpose b) gy3);
+  Tensor.add_inplace gw1 (Tensor.matmul (Tensor.transpose a) gy1);
+  let gw2 = acc (Tensor.matmul (Tensor.transpose a) gy2) in
+  let ga = zeros_like a in
+  Tensor.add_inplace ga (Tensor.matmul gy2 (Tensor.transpose w2));
+  Tensor.add_inplace ga (Tensor.matmul gy1 (Tensor.transpose w1));
+  let expected = [ acc gx; acc gz; acc ga; acc gw1; acc gw2 ] in
+  let ws = Tensor.Workspace.create () in
+  for _ = 1 to 100 do
+    Tensor.fill_inplace (Tensor.Workspace.get ws [| 64 |]) nan
+  done;
+  for run = 1 to 2 do
+    List.iter Autodiff.Param.zero_grad params;
+    let tape = Autodiff.Tape.create ~ws () in
+    let x = Autodiff.of_param tape px and z = Autodiff.of_param tape pz in
+    let y = Autodiff.add tape x (Autodiff.relu tape x) in
+    let s = Autodiff.add tape y (Autodiff.relu tape z) in
+    let a = Autodiff.of_param tape pa in
+    let w1 = Autodiff.of_param tape pw1 and w2 = Autodiff.of_param tape pw2 in
+    let y1 = Autodiff.matmul tape a w1 and y2 = Autodiff.matmul tape a w2 in
+    let y3 = Autodiff.matmul tape (Autodiff.const tape b) w1 in
+    let s2 = Autodiff.add tape (Autodiff.add tape y1 y2) y3 in
+    let loss =
+      Autodiff.add tape
+        (Autodiff.sum_all tape (Autodiff.mul tape s (Autodiff.const tape c)))
+        (Autodiff.sum_all tape (Autodiff.mul tape s2 (Autodiff.const tape c2)))
+    in
+    Autodiff.backward tape loss;
+    List.iter2
+      (fun (p : Autodiff.Param.t) e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "run %d: grad of %s" run p.name)
+          true (Tensor.equal p.grad e))
+      params expected
+  done
+
 let test_backward_rejects_non_scalar () =
   let tape = Autodiff.Tape.create () in
   let x = Autodiff.const tape (Tensor.zeros [| 2 |]) in
@@ -536,11 +623,10 @@ let test_sgd_descends_quadratic () =
   let p = Autodiff.Param.create "x" (Tensor.of_array [| 1 |] [| 5.0 |]) in
   let opt = Optim.sgd ~lr:0.1 [ p ] in
   for _ = 1 to 100 do
-    Optim.zero_grad opt;
     let tape = Autodiff.Tape.create () in
     let x = Autodiff.of_param tape p in
     Autodiff.backward tape (Autodiff.sum_all tape (Autodiff.square tape x));
-    Optim.step opt
+    ignore (Optim.step opt)
   done;
   Alcotest.(check bool) "near zero" true (Float.abs (Tensor.get p.Autodiff.Param.data 0) < 1e-3)
 
@@ -549,35 +635,42 @@ let test_adam_descends_rosenbrock_1d () =
   let p = Autodiff.Param.create "x" (Tensor.of_array [| 1 |] [| -2.0 |]) in
   let opt = Optim.adam ~lr:0.1 [ p ] in
   for _ = 1 to 500 do
-    Optim.zero_grad opt;
     let tape = Autodiff.Tape.create () in
     let x = Autodiff.of_param tape p in
     let diff = Autodiff.add_scalar tape (-3.0) x in
     Autodiff.backward tape (Autodiff.sum_all tape (Autodiff.square tape diff));
-    Optim.step opt
+    ignore (Optim.step opt)
   done;
   Alcotest.(check bool) "converges to 3" true
     (Float.abs (Tensor.get p.Autodiff.Param.data 0 -. 3.0) < 1e-2)
 
+(* The step clips before it updates: with lr 1 from zero weights, the
+   applied update is the clipped gradient, whose norm is the bound. It
+   reports the pre-clip norm and leaves every gradient at +0.0; without
+   a bound the same gradients go through unscaled. *)
 let test_clip_grad_norm () =
-  let p = Autodiff.Param.create "p" (Tensor.zeros [| 4 |]) in
-  Tensor.fill_inplace p.Autodiff.Param.grad 3.0;
-  (* norm = 6 *)
-  let opt = Optim.sgd ~lr:1.0 [ p ] in
-  let norm = Optim.clip_grad_norm opt 1.5 in
-  Alcotest.(check (float 1e-9)) "reported pre-clip norm" 6.0 norm;
-  let new_norm =
+  let run max_grad_norm =
+    let p = Autodiff.Param.create "p" (Tensor.zeros [| 4 |]) in
+    Tensor.fill_inplace p.Autodiff.Param.grad 3.0;
+    (* norm = 6 *)
+    let opt = Optim.sgd ~lr:1.0 [ p ] in
+    let norm = Optim.step ?max_grad_norm opt in
+    Alcotest.(check (float 1e-9)) "reported pre-clip norm" 6.0 norm;
+    Alcotest.(check bool) "gradients left at +0.0" true
+      (Tensor.equal p.Autodiff.Param.grad (Tensor.zeros [| 4 |]));
     sqrt
       (Array.fold_left
-         (fun acc g -> acc +. (g *. g))
+         (fun acc w -> acc +. (w *. w))
          0.0
-         (Tensor.to_array p.Autodiff.Param.grad))
+         (Tensor.to_array p.Autodiff.Param.data))
   in
-  Alcotest.(check (float 1e-9)) "clipped to max" 1.5 new_norm
+  Alcotest.(check (float 1e-9)) "clipped to max" 1.5 (run (Some 1.5));
+  Alcotest.(check (float 1e-9)) "unclipped" 6.0 (run None)
 
-(* The norm's accumulator stays unboxed: one call over the 64-wide,
-   two-layer-backbone policy's ~67k gradient elements allocates a
-   constant handful of words, not a boxed float per element. *)
+(* Neither the norm's accumulator nor the sweep's per-element values
+   are boxed: one clipped Adam step over the 64-wide,
+   two-layer-backbone policy's ~67k parameters allocates a constant
+   handful of words, not a boxed float per element. *)
 let test_clip_grad_norm_allocation () =
   let policy =
     Policy.create ~hidden:64 ~backbone_layers:2 (Util.Rng.create 3) Env_config.default
@@ -586,11 +679,81 @@ let test_clip_grad_norm_allocation () =
   List.iter (fun p -> Tensor.fill_inplace p.Autodiff.Param.grad 0.25) params;
   let opt = Optim.adam ~lr:1e-3 params in
   let w0 = Gc.minor_words () in
-  let norm = Optim.clip_grad_norm opt 0.5 in
+  let norm = Optim.step ~max_grad_norm:0.5 opt in
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check bool) "clipped" true (norm > 0.5);
   if words >= 1000.0 then
-    Alcotest.failf "clip_grad_norm allocated %.0f minor words" words
+    Alcotest.failf "Optim.step allocated %.0f minor words" words
+
+(* The one-sweep step against the multi-pass reference in optim_ref.ml:
+   same weights bit for bit after each of 1-3 steps, the same [save]
+   bytes after the last, and every gradient +0.0 after each step.
+   Gradients come from signed zeros, subnormals, tiny, normal and large
+   values, so moments start at zero, become non-zero and stay or
+   return to zero (a subnormal gradient leaves both moments at 0.0);
+   weights include signed zeros, and a negative rate flips the sign of
+   a zero update, so subtracting a signed zero shows. *)
+let qcheck_optim_matches_reference =
+  let grad_values = [| 0.0; -0.0; 5e-324; 1e-310; 1e-30; 0.37; 1.5; 1e3 |] in
+  let gen =
+    QCheck.Gen.(
+      let grad = map2 (fun v neg -> if neg then -.v else v) (oneofa grad_values) bool in
+      let shape = list_size (int_range 1 3) (int_range 1 6) in
+      quad
+        (pair shape (int_range 1 3))
+        (pair bool (oneofl [ 0.0; 1e-3; 0.1; -0.1 ]))
+        (oneofl [ None; Some 0.5; Some 1e-3; Some 1e6 ])
+        (pair (list_repeat 60 grad)
+           (list_repeat 20
+              (frequency [ (8, float_range (-2.0) 2.0); (1, return 0.0); (1, return (-0.0)) ]))))
+  in
+  QCheck.Test.make ~name:"optimizer step matches the multi-pass reference" ~count:300
+    (QCheck.make gen)
+    (fun ((sizes, steps), (use_adam, lr), max_grad_norm, (grads, init)) ->
+      let grads = Array.of_list grads and init = Array.of_list init in
+      let mk () =
+        List.mapi
+          (fun i n ->
+            Autodiff.Param.create (Printf.sprintf "p%d" i)
+              (Tensor.init [| n |] (fun j -> init.((7 * i + j) mod 20))))
+          sizes
+      in
+      let ps = mk () and rs = mk () in
+      let opt = if use_adam then Optim.adam ~lr ps else Optim.sgd ~lr ps in
+      let ref_opt = if use_adam then Optim_ref.adam ~lr rs else Optim_ref.sgd ~lr rs in
+      let same = ref true in
+      for s = 0 to steps - 1 do
+        Optim_ref.zero_grad ref_opt;
+        List.iteri
+          (fun i (p, r) ->
+            for j = 0 to Autodiff.Param.numel p - 1 do
+              let g = grads.((s * 17 + i * 6 + j) mod 60) in
+              Tensor.set p.Autodiff.Param.grad j g;
+              Tensor.set r.Autodiff.Param.grad j g
+            done)
+          (List.combine ps rs);
+        let norm = Optim.step ?max_grad_norm opt in
+        (match max_grad_norm with
+        | Some m ->
+            let ref_norm = Optim_ref.clip_grad_norm ref_opt m in
+            if Int64.bits_of_float norm <> Int64.bits_of_float ref_norm then same := false
+        | None -> ());
+        Optim_ref.step ref_opt;
+        List.iter2
+          (fun (p : Autodiff.Param.t) (r : Autodiff.Param.t) ->
+            if not (Tensor.equal p.data r.data) then same := false;
+            if not (Tensor.equal p.grad (Tensor.zeros (Tensor.dims p.grad))) then
+              same := false)
+          ps rs
+      done;
+      let bytes save =
+        let path = Filename.temp_file "mlir_rl_optim" ".state" in
+        save path;
+        let s = In_channel.with_open_bin path In_channel.input_all in
+        Sys.remove path;
+        s
+      in
+      !same && bytes (Optim.save opt) = bytes (Optim_ref.save ref_opt))
 
 (* --- distributions --- *)
 
@@ -718,4 +881,7 @@ let suite =
       test_grad_gather_scatter_reshape;
     Alcotest.test_case "row ops reject bad indices" `Quick
       test_row_ops_reject_bad_indices;
+    QCheck_alcotest.to_alcotest qcheck_optim_matches_reference;
+    Alcotest.test_case "grad: accumulate arms bit-identical" `Quick
+      test_grad_accumulate_arms_bit_identical;
   ]
