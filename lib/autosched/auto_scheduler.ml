@@ -58,13 +58,17 @@ let trivial = [ Schedule.Vectorize ]
 
 (* One schedule from (par combo option, tile combo, swap option). *)
 let assemble ~prefix ~par_opt ~tile_combo ~swap_opt =
-  (match par_opt with
-  | Some sizes when count_nonzero sizes > 0 -> [ Schedule.Parallelize sizes ]
-  | Some _ | None -> [])
-  @ (if count_nonzero tile_combo > 0 then [ Schedule.Tile tile_combo ] else [])
-  @ (match swap_opt with Some i -> [ Schedule.Swap i ] | None -> [])
-  @ [ Schedule.Vectorize ]
-  |> fun steps -> prefix @ steps
+  let steps = [ Schedule.Vectorize ] in
+  let steps = match swap_opt with Some i -> Schedule.Swap i :: steps | None -> steps in
+  let steps =
+    if count_nonzero tile_combo > 0 then Schedule.Tile tile_combo :: steps else steps
+  in
+  let steps =
+    match par_opt with
+    | Some sizes when count_nonzero sizes > 0 -> Schedule.Parallelize sizes :: steps
+    | Some _ | None -> steps
+  in
+  prefix @ steps
 
 type domain_space = {
   prefix : Schedule.t;
@@ -516,17 +520,19 @@ let schedule_of_key ds =
 module Seen = Hashtbl.Make (struct
   type t = int array
 
-  let equal (a : t) b =
-    let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec from i = i = n || (a.(i) = b.(i) && from (i + 1)) in
-    from 0
+  (* Plain loops: both run on every draw, rejected ones included. *)
+  let rec same (a : t) (b : t) i = i = Array.length a || (a.(i) = b.(i) && same a b (i + 1))
+  let equal (a : t) b = Array.length a = Array.length b && same a b 0
 
   (* Sizes are small and mostly powers of two, which a plain polynomial
      hash leaves clustered in the low bits a bucket index reads; the
      final [Hashtbl.hash] mixes them. *)
-  let hash (a : t) = Hashtbl.hash (Array.fold_left (fun h x -> (h * 0x100000001b3) lxor x) 0 a)
+  let hash (a : t) =
+    let h = ref 0 in
+    for i = 0 to Array.length a - 1 do
+      h := (!h * 0x100000001b3) lxor a.(i)
+    done;
+    Hashtbl.hash !h
 end)
 
 type sampler = {

@@ -70,9 +70,7 @@ let rank_order ~who rank cands =
   let predictions = rank cands in
   if Array.length predictions <> Array.length cands then
     invalid_arg (who ^ ": ranker size mismatch");
-  let scored = Array.mapi (fun i c -> (predictions.(i), i, c)) cands in
-  Array.sort
-    (fun (a, i, _) (b, j, _) ->
-      match compare (a : float) b with 0 -> compare i j | c -> c)
-    scored;
-  Array.to_list (Array.map (fun (_, _, c) -> c) scored)
+  (* A stable sort of indices by prediction: ties stay in input order. *)
+  let order = Array.init (Array.length cands) Fun.id in
+  Array.stable_sort (fun i j -> Float.compare predictions.(i) predictions.(j)) order;
+  Array.fold_right (fun i acc -> cands.(i) :: acc) order []

@@ -22,10 +22,11 @@ let n_loops t = Array.length t.loops
 let trip_counts t = Array.map (fun l -> l.ub) t.loops
 let iteration_count t = Array.fold_left (fun acc l -> acc * l.ub) 1 t.loops
 
-let buffer_shape t name =
-  match List.assoc_opt name t.buffers with
-  | Some shape -> shape
-  | None -> raise Not_found
+let rec shape_in name = function
+  | (b, shape) :: rest -> if String.equal b name then shape else shape_in name rest
+  | [] -> raise Not_found
+
+let buffer_shape t name = shape_in name t.buffers
 
 let rec refs_of_sexpr acc = function
   | Load r -> r :: acc

@@ -1,5 +1,13 @@
 let mask_penalty = -1e9
 
+(* The Bigarray primitives, not [Tensor.unsafe_get]/[unsafe_set]: the
+   dev profile compiles the library with [-opaque], which keeps those
+   cross-module calls real calls that box each float. The loops below
+   run once per element of every masked row, so they fetch the raw
+   buffer once and load and store inline. *)
+let uget (b : Tensor.buf) i : float = Bigarray.Array1.unsafe_get b i
+let uset (b : Tensor.buf) i (v : float) = Bigarray.Array1.unsafe_set b i v
+
 let masked_log_probs tape logits ~mask =
   let v = Autodiff.value logits in
   if Array.length v.Tensor.shape <> 2 then
@@ -22,11 +30,11 @@ let masked_log_probs tape logits ~mask =
         Tensor.fill_inplace t 0.0;
         t
   in
+  let pdata = penalty.Tensor.data in
   for i = 0 to m - 1 do
     let row = i * k and mrow = mask.(i) in
     for j = 0 to k - 1 do
-      if not (Array.unsafe_get mrow j) then
-        Tensor.unsafe_set penalty (row + j) mask_penalty
+      if not (Array.unsafe_get mrow j) then uset pdata (row + j) mask_penalty
     done
   done;
   let masked = Autodiff.add tape logits (Autodiff.const tape penalty) in
@@ -57,11 +65,12 @@ let masked_log_probs_values ?ws logits ~mask =
     | None -> Tensor.zeros [| m; k |]
   in
   let masked = Array.make k 0.0 in
+  let ldata = logits.Tensor.data and odata = out.Tensor.data in
   for i = 0 to m - 1 do
     let row = i * k and mrow = mask.(i) in
     for j = 0 to k - 1 do
       Array.unsafe_set masked j
-        (Tensor.unsafe_get logits (row + j)
+        (uget ldata (row + j)
         +. if Array.unsafe_get mrow j then 0.0 else mask_penalty)
     done;
     let row_max = ref neg_infinity in
@@ -74,7 +83,7 @@ let masked_log_probs_values ?ws logits ~mask =
     done;
     let log_z = !row_max +. log !sum in
     for j = 0 to k - 1 do
-      Tensor.unsafe_set out (row + j) (Array.unsafe_get masked j -. log_z)
+      uset odata (row + j) (Array.unsafe_get masked j -. log_z)
     done
   done;
   out
@@ -82,12 +91,13 @@ let masked_log_probs_values ?ws logits ~mask =
 let sample rng log_probs row =
   let k = log_probs.Tensor.shape.(1) in
   let base = row * k in
+  let data = log_probs.Tensor.data in
   let u = Util.Rng.uniform rng in
   let acc = ref 0.0 in
   let chosen = ref (k - 1) in
   (try
      for j = 0 to k - 1 do
-       acc := !acc +. exp (Tensor.unsafe_get log_probs (base + j));
+       acc := !acc +. exp (uget data (base + j));
        if u < !acc then begin
          chosen := j;
          raise Exit
@@ -101,18 +111,16 @@ let sample_tempered rng log_probs row ~temperature =
     invalid_arg "Distributions.sample_tempered: temperature must be positive";
   let k = log_probs.Tensor.shape.(1) in
   let base = row * k in
+  let data = log_probs.Tensor.data in
   (* renormalize exp(lp / T) with a max-shift for stability *)
   let row_max = ref neg_infinity in
   for j = 0 to k - 1 do
-    row_max :=
-      Float.max !row_max (Tensor.unsafe_get log_probs (base + j) /. temperature)
+    row_max := Float.max !row_max (uget data (base + j) /. temperature)
   done;
   let z = ref 0.0 in
   let weights = Array.make k 0.0 in
   for j = 0 to k - 1 do
-    let w =
-      exp ((Tensor.unsafe_get log_probs (base + j) /. temperature) -. !row_max)
-    in
+    let w = exp ((uget data (base + j) /. temperature) -. !row_max) in
     weights.(j) <- w;
     z := !z +. w
   done;

@@ -1,8 +1,9 @@
-(* Without flambda a cross-module [Tensor.unsafe_get] is a real call
-   that boxes its float result. The loops below touch every parameter
-   element every step, so they fetch the raw buffer once and use the
-   Bigarray primitives, which compile to inline loads/stores from any
-   module. *)
+(* The dev profile compiles the library with [-opaque], which hides
+   [Tensor]'s implementation from this module: a cross-module
+   [Tensor.unsafe_get] stays a real call that boxes its float result.
+   The loops below touch every parameter element every step, so they
+   fetch the raw buffer once and use the Bigarray primitives, which
+   compile to inline loads/stores from any module. *)
 let uget (b : Tensor.buf) i : float = Bigarray.Array1.unsafe_get b i
 let uset (b : Tensor.buf) i (v : float) = Bigarray.Array1.unsafe_set b i v
 

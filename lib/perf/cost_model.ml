@@ -18,17 +18,34 @@ let prefetch_discount = 0.2
    vectorizer amortizes it across lanes. *)
 let scalar_loop_overhead_cycles = 1.0
 
+(* [Float.max] and [Float.min] without their [caml_signbit] calls when
+   the operands are ordered or equal and non-zero; equal zeros and NaNs
+   still go through them, so the result is theirs on every input. *)
+let[@inline] fmax (x : float) y =
+  if x > y then x
+  else if y > x then y
+  else if x = y && x <> 0.0 then x
+  else Float.max x y
+
+let[@inline] fmin (x : float) y =
+  if x < y then x
+  else if y < x then y
+  else if x = y && x <> 0.0 then x
+  else Float.min x y
+
 (* A deduplicated memory reference of the nest body. References that
    share coefficient structure and differ only in constant offsets
    (unrolled copies, neighbouring stencil taps) are merged: their
    footprints overlap almost entirely, so we keep one representative and
    fold the constant spread into the per-dimension extents. *)
 type group = {
+  buf : string;
   shape : int array;
   idx : Affine.expr array;  (* the first occurrence's subscripts *)
   deps : bool array;  (* per loop: does the subscript use it? *)
   lo : int array;  (* min constant per array dim *)
   hi : int array;  (* max constant per array dim *)
+  hash : int;  (* [Hashtbl.hash (buf, coefficient arrays)]: see [order_groups] *)
 }
 
 let spread g d = g.hi.(d) - g.lo.(d)
@@ -41,9 +58,8 @@ let spread g d = g.hi.(d) - g.lo.(d)
    adjacent inner reduction loop (unroll-and-jam). *)
 type body = {
   nest : Loop_nest.t;
-  (* Keyed by (buffer, coefficients); the fold order of this table fixes
-     the group order, and with it the float sums over groups. *)
-  groups : (string * int array array, group) Hashtbl.t;
+  mutable groups : group array;  (* the first [count], in first-occurrence order *)
+  mutable count : int;
   mutable mem_ops : int;  (* loads + stores *)
   mutable flops : int;
   vectorized : bool;
@@ -57,6 +73,30 @@ type body = {
          every add *)
 }
 
+(* A group's key is its buffer and the coefficient arrays of its
+   subscripts; two keys are equal when the polymorphic compare of
+   [(buf, coefficient arrays)] says so. *)
+let rec same_ints (a : int array) (b : int array) i =
+  i = Array.length a || (a.(i) = b.(i) && same_ints a b (i + 1))
+
+let rec same_coeffs (a : Affine.expr array) (b : Affine.expr array) d =
+  d = Array.length a
+  ||
+  let ca = a.(d).Affine.coeffs and cb = b.(d).Affine.coeffs in
+  (ca == cb || (Array.length ca = Array.length cb && same_ints ca cb 0))
+  && same_coeffs a b (d + 1)
+
+let rec find_group b (r : Loop_nest.mem_ref) i =
+  if i = b.count then -1
+  else
+    let g = b.groups.(i) in
+    if
+      String.equal g.buf r.buf
+      && Array.length g.idx = Array.length r.idx
+      && same_coeffs g.idx r.idx 0
+    then i
+    else find_group b r (i + 1)
+
 let new_group nest (r : Loop_nest.mem_ref) =
   let n = Loop_nest.n_loops nest in
   let deps = Array.make n false in
@@ -67,31 +107,47 @@ let new_group nest (r : Loop_nest.mem_ref) =
   done;
   let consts = Array.map (fun (e : Affine.expr) -> e.const) r.idx in
   {
+    buf = r.buf;
     shape = Loop_nest.buffer_shape nest r.buf;
     idx = r.idx;
     deps;
     lo = consts;
     hi = Array.copy consts;
+    hash = Hashtbl.hash (r.buf, Array.map (fun (e : Affine.expr) -> e.coeffs) r.idx);
   }
 
-(* Loads are walked before stores, each in body order, as the group
-   order and the vectorized cost sum require. *)
+let push_group b g =
+  let len = Array.length b.groups in
+  if b.count = len then begin
+    let grown = Array.make (Int.max 4 (2 * len)) g in
+    Array.blit b.groups 0 grown 0 len;
+    b.groups <- grown
+  end;
+  b.groups.(b.count) <- g;
+  b.count <- b.count + 1
+
+let rec stores_into buf = function
+  | [] -> false
+  | Loop_nest.Store (s, _) :: rest -> String.equal s.Loop_nest.buf buf || stores_into buf rest
+
 let add_ref b (r : Loop_nest.mem_ref) =
   b.mem_ops <- b.mem_ops + 1;
-  let key = (r.buf, Array.map (fun (e : Affine.expr) -> e.coeffs) r.idx) in
+  let i = find_group b r 0 in
   let g =
-    match Hashtbl.find_opt b.groups key with
-    | Some g ->
-        for d = 0 to Array.length r.idx - 1 do
-          let c = r.idx.(d).Affine.const in
-          if c < g.lo.(d) then g.lo.(d) <- c;
-          if c > g.hi.(d) then g.hi.(d) <- c
-        done;
-        g
-    | None ->
-        let g = new_group b.nest r in
-        Hashtbl.replace b.groups key g;
-        g
+    if i >= 0 then begin
+      let g = b.groups.(i) in
+      for d = 0 to Array.length r.idx - 1 do
+        let c = r.idx.(d).Affine.const in
+        if c < g.lo.(d) then g.lo.(d) <- c;
+        if c > g.hi.(d) then g.hi.(d) <- c
+      done;
+      g
+    end
+    else begin
+      let g = new_group b.nest r in
+      push_group b g;
+      g
+    end
   in
   if b.vectorized then begin
     let n = Array.length g.deps in
@@ -102,9 +158,7 @@ let add_ref b (r : Loop_nest.mem_ref) =
       else if
         b.outer_reduction
         && (not g.deps.(n - 2))
-        && List.exists
-             (fun (Loop_nest.Store (s, _)) -> s.Loop_nest.buf = r.buf)
-             b.nest.Loop_nest.body
+        && stores_into r.buf b.nest.Loop_nest.body
       then 1.0 /. float_of_int b.outer_trip
       else 1.0
   end
@@ -121,6 +175,50 @@ let rec walk_loads b (e : Loop_nest.sexpr) =
       b.flops <- b.flops + 1;
       walk_loads b x
 
+let rec walk_stored b = function
+  | [] -> ()
+  | Loop_nest.Store (_, e) :: rest ->
+      walk_loads b e;
+      walk_stored b rest
+
+let rec walk_stores b = function
+  | [] -> ()
+  | Loop_nest.Store (r, _) :: rest ->
+      add_ref b r;
+      walk_stores b rest
+
+(* Loads are walked before stores, each in body order, as the group
+   order and the vectorized cost sum require. *)
+let walk_body b stmts =
+  walk_stored b stmts;
+  walk_stores b stmts
+
+(* The group order fixes the float sums over groups, so it is part of
+   every price. It is the order in which a [Hashtbl.create ~random:false
+   16] keyed by (buffer, coefficient arrays) folds the groups into a
+   list: by bucket [hash land (size - 1)] from the highest bucket down,
+   and by first occurrence within a bucket, where [size] starts at 16
+   and doubles while the group count exceeds twice it. A stable
+   insertion sort by bucket gives it from first-occurrence order; each
+   key is hashed once, with the unseeded hash, so the order does not
+   depend on OCAMLRUNPARAM's [R] flag. *)
+let order_groups groups count =
+  let size = ref 16 in
+  while count > 2 * !size do
+    size := 2 * !size
+  done;
+  let mask = !size - 1 in
+  for i = 1 to count - 1 do
+    let g = groups.(i) in
+    let bucket = g.hash land mask in
+    let j = ref (i - 1) in
+    while !j >= 0 && groups.(!j).hash land mask < bucket do
+      groups.(!j + 1) <- groups.(!j);
+      decr j
+    done;
+    groups.(!j + 1) <- g
+  done
+
 (* Distinct stores: by buffer and subscripts, coefficients and
    constants both. *)
 let rec distinct_stores = function
@@ -134,29 +232,31 @@ let rec distinct_stores = function
    [footprints.(depth)], and the whole nest's lines (depth 0) returned
    in [base.(i)]. One innermost-first sweep keeps, per array dim, the
    bounding-box extent of the region as a running integer sum over the
-   loops; integer sums are exact, so this is bit-identical to
+   loops in [ext]; integer sums are exact, so this is bit-identical to
    recomputing every depth from scratch, and the footprint sums add the
    groups in group order. The last array dim is dense, enabling spatial
    line reuse, when some region loop steps it by at most the group's
    constant spread plus one: offsets {0..s} every c elements cover it
    whenever |c| <= s + 1 (e.g. plain unit stride, or an 8-way unrolled
-   stride-8 access). *)
-let add_lines machine trips ~line_bytes footprints base i g =
+   stride-8 access). A group dense over the whole nest, or one of rank
+   0, is a hardware-prefetched stream: [discount.(i)] gets its latency
+   multiplier. *)
+let add_lines ~elems_per_line ~line_bytes trips footprints base discount ext i g =
   let n = Array.length trips in
   let nd = Array.length g.shape in
   if nd = 0 then begin
     for depth = 0 to n do
       footprints.(depth) <- footprints.(depth) +. (1.0 *. line_bytes)
     done;
-    base.(i) <- 1.0
+    base.(i) <- 1.0;
+    discount.(i) <- prefetch_discount
   end
   else begin
-    let elems_per_line =
-      machine.Machine.l1.Machine.line_bytes / machine.Machine.elem_bytes
-    in
     let last = nd - 1 in
     let max_step = spread g last + 1 in
-    let ext = Array.init nd (fun d -> 1 + spread g d) in
+    for d = 0 to last do
+      ext.(d) <- 1 + spread g d
+    done;
     let dense = ref false in
     for depth = n downto 0 do
       if depth < n then begin
@@ -177,47 +277,46 @@ let add_lines machine trips ~line_bytes footprints base i g =
       for d = 0 to last - 1 do
         other := !other *. float_of_int (Int.min ext.(d) g.shape.(d))
       done;
-      let lines = Float.max 1.0 (!other *. last_lines) in
+      let lines = fmax 1.0 (!other *. last_lines) in
       footprints.(depth) <- footprints.(depth) +. (lines *. line_bytes);
       if depth = 0 then base.(i) <- lines
-    done
+    done;
+    discount.(i) <- (if !dense then prefetch_discount else 1.0)
   end
 
-(* A reference whose innermost-varying traversal is last-dim contiguous
-   benefits from hardware prefetching. *)
-let is_streaming g =
-  let nd = Array.length g.idx in
-  nd = 0
-  ||
-  let max_step = spread g (nd - 1) + 1 in
-  Array.exists
-    (fun c -> abs c >= 1 && abs c <= max_step)
-    g.idx.(nd - 1).Affine.coeffs
-
-(* Miss lines brought into a cache of [capacity] bytes, and the cycles
-   they cost: the distinct lines of each group, re-streamed across every
-   outer loop the group does not depend on whenever the working set
-   inside that loop exceeds the cache; summed in group order into
-   [out.(k)] and [out.(k + 1)]. *)
-let charge groups base footprints trips ~capacity ~next_latency out k =
+(* Miss lines brought into L1, L2 and L3, and the cycles they cost: the
+   distinct lines of each group, re-streamed across every outer loop the
+   group does not depend on whenever the working set inside that loop
+   exceeds the level's cache; summed in group order into [out.(0..5)],
+   lines then cycles per level. *)
+let charge (machine : Machine.t) groups count base discount footprints trips out =
   let n = Array.length trips in
-  let limit = fit_fraction *. float_of_int capacity in
-  let lines = ref 0.0 and cycles = ref 0.0 in
-  for i = 0 to Array.length groups - 1 do
-    let g = groups.(i) in
-    let factor = ref 1.0 in
+  let limit (c : Machine.cache) = fit_fraction *. float_of_int c.Machine.size_bytes in
+  let limit1 = limit machine.l1 and limit2 = limit machine.l2 in
+  let limit3 = limit machine.l3 in
+  let lat1 = machine.l2.latency_cycles and lat2 = machine.l3.latency_cycles in
+  let lat3 = machine.mem_latency_cycles in
+  for i = 0 to count - 1 do
+    let deps = groups.(i).deps in
+    let f1 = ref 1.0 and f2 = ref 1.0 and f3 = ref 1.0 in
     for d = 0 to n - 1 do
       (* the working set of loops d+1..n-1 does not fit comfortably *)
-      if (not g.deps.(d)) && not (footprints.(d + 1) <= limit) then
-        factor := !factor *. float_of_int trips.(d)
+      if not deps.(d) then begin
+        let fp = footprints.(d + 1) and trip = float_of_int trips.(d) in
+        if not (fp <= limit1) then f1 := !f1 *. trip;
+        if not (fp <= limit2) then f2 := !f2 *. trip;
+        if not (fp <= limit3) then f3 := !f3 *. trip
+      end
     done;
-    let l = base.(i) *. !factor in
-    let discount = if is_streaming g then prefetch_discount else 1.0 in
-    lines := !lines +. l;
-    cycles := !cycles +. (l *. next_latency *. discount)
-  done;
-  out.(k) <- !lines;
-  out.(k + 1) <- !cycles
+    let lines = base.(i) and disc = discount.(i) in
+    let l1 = lines *. !f1 and l2 = lines *. !f2 and l3 = lines *. !f3 in
+    out.(0) <- out.(0) +. l1;
+    out.(1) <- out.(1) +. (l1 *. lat1 *. disc);
+    out.(2) <- out.(2) +. l2;
+    out.(3) <- out.(3) +. (l2 *. lat2 *. disc);
+    out.(4) <- out.(4) +. l3;
+    out.(5) <- out.(5) +. (l3 *. lat3 *. disc)
+  done
 
 (* Flat element stride of [g] when loop [d] advances by one. *)
 let stride_wrt g d =
@@ -228,9 +327,28 @@ let stride_wrt g d =
   done;
   !s
 
-let estimate ~machine ~(iter_kinds : Linalg.iter_kind array)
-    ?(packing_elements = 0) (nest : Loop_nest.t) =
-  let open Machine in
+let reduction_at ~(iter_kinds : Linalg.iter_kind array) (nest : Loop_nest.t) d =
+  let origin = nest.loops.(d).Loop_nest.origin in
+  origin < Array.length iter_kinds && iter_kinds.(origin) = Linalg.Reduction_iter
+
+(* Parallel-region forks: the iterations of the loops outside the first
+   parallel loop, 0 without one. *)
+let rec launches_from (loops : Loop_nest.loop array) d acc =
+  if d = Array.length loops then 0
+  else if loops.(d).Loop_nest.kind = Loop_nest.Parallel then acc
+  else launches_from loops (d + 1) (acc * loops.(d).Loop_nest.ub)
+
+(* The cells of [price]'s [out] after the six traffic cells. *)
+let out_compute = 6
+let out_parallel = 7
+let out_packing = 8
+let out_vec_eff = 9
+let out_cells = 10
+
+(* The one pricing path of [estimate] and [seconds]: returns the
+   seconds, and leaves the other report numbers in [out]. *)
+let price ~(machine : Machine.t) ~iter_kinds ~packing_elements
+    (nest : Loop_nest.t) out =
   let n = Loop_nest.n_loops nest in
   let trips = Loop_nest.trip_counts nest in
   let total_iters = ref 1.0 in
@@ -238,47 +356,40 @@ let estimate ~machine ~(iter_kinds : Linalg.iter_kind array)
     total_iters := !total_iters *. float_of_int trips.(d)
   done;
   let total_iters = !total_iters in
-  let reduction_at d =
-    let origin = nest.loops.(d).Loop_nest.origin in
-    origin < Array.length iter_kinds
-    && iter_kinds.(origin) = Linalg.Reduction_iter
-  in
   (* --- one walk of the body: loads, then stores --- *)
   let vectorized = n > 0 && nest.loops.(n - 1).Loop_nest.kind = Loop_nest.Vector in
   let vec_trip = if n > 0 then trips.(n - 1) else 1 in
   let body =
     {
       nest;
-      groups = Hashtbl.create 16;
+      groups = [||];
+      count = 0;
       mem_ops = 0;
       flops = 0;
       vectorized;
       vec_trip;
-      outer_reduction = vectorized && n >= 2 && reduction_at (n - 2);
+      outer_reduction = vectorized && n >= 2 && reduction_at ~iter_kinds nest (n - 2);
       outer_trip = (if n >= 2 then trips.(n - 2) else 1);
       vector_cost = [| 0.0 |];
     }
   in
-  List.iter (fun (Loop_nest.Store (_, e)) -> walk_loads body e) nest.body;
-  List.iter (fun (Loop_nest.Store (r, _)) -> add_ref body r) nest.body;
-  let groups =
-    Array.of_list (Hashtbl.fold (fun _ g acc -> g :: acc) body.groups [])
-  in
+  walk_body body nest.body;
+  let groups = body.groups and count = body.count in
+  order_groups groups count;
   (* --- vectorization --- *)
-  let contiguous =
-    (not vectorized)
-    || Array.for_all
-         (fun g -> (not g.deps.(n - 1)) || abs (stride_wrt g (n - 1)) <= 1)
-         groups
-  in
+  let contiguous = ref true in
+  if vectorized then
+    for i = 0 to count - 1 do
+      let g = groups.(i) in
+      if g.deps.(n - 1) && abs (stride_wrt g (n - 1)) > 1 then contiguous := false
+    done;
   let vec_eff =
     if not vectorized then 0.0
     else
       let lane_fill =
-        Float.min 1.0
-          (float_of_int vec_trip /. float_of_int machine.vector_lanes)
+        fmin 1.0 (float_of_int vec_trip /. float_of_int machine.vector_lanes)
       in
-      lane_fill *. if contiguous then 1.0 else 0.3
+      lane_fill *. if !contiguous then 1.0 else 0.3
   in
   (* --- issue model --- *)
   let flops = float_of_int body.flops in
@@ -286,26 +397,20 @@ let estimate ~machine ~(iter_kinds : Linalg.iter_kind array)
     if vectorized then body.vector_cost.(0) else float_of_int body.mem_ops
   in
   let flop_rate =
-    if vectorized then Float.max machine.scalar_flops_per_cycle
-        (machine.vector_flops_per_cycle *. vec_eff)
+    if vectorized then
+      fmax machine.scalar_flops_per_cycle (machine.vector_flops_per_cycle *. vec_eff)
     else machine.scalar_flops_per_cycle
   in
   let load_rate =
     float_of_int machine.load_ports
     *.
-    if vectorized then Float.max 1.0 (float_of_int machine.vector_lanes *. vec_eff)
+    if vectorized then fmax 1.0 (float_of_int machine.vector_lanes *. vec_eff)
     else 1.0
   in
-  let issue = Float.max (flops /. flop_rate) (mem_ops /. load_rate) in
+  let issue = fmax (flops /. flop_rate) (mem_ops /. load_rate) in
   (* Loop-carried reduction chain: innermost loop iterating a reduction
      dim serializes the accumulator updates. *)
-  let innermost_is_reduction = n > 0 && reduction_at (n - 1) in
-  (* Body replication from unrolling: several stores to the same ref
-     mean the accumulator is register-promoted across the unrolled copies
-     (one memory round-trip per iteration instead of one per copy). *)
-  let replication =
-    Int.max 1 (List.length nest.body / Int.max 1 (distinct_stores nest.body))
-  in
+  let innermost_is_reduction = n > 0 && reduction_at ~iter_kinds nest (n - 1) in
   let chain =
     if innermost_is_reduction && flops > 0.0 then
       if vectorized then
@@ -316,66 +421,56 @@ let estimate ~machine ~(iter_kinds : Linalg.iter_kind array)
         (* Unvectorized structured-op code round-trips the accumulator
            through memory every iteration: load-to-use plus FMA plus
            store-to-load forwarding serialize. Unrolled copies keep the
-           accumulator in a register between them. *)
+           accumulator in a register between them: several stores to
+           the same ref mean it is register-promoted across the unrolled
+           copies (one memory round-trip per iteration instead of one
+           per copy). *)
+        let replication =
+          Int.max 1
+            (List.length nest.body / Int.max 1 (distinct_stores nest.body))
+        in
         (machine.fma_latency_cycles *. float_of_int replication)
         +. (2.0 *. machine.l1.latency_cycles)
     else 0.0
   in
   let overhead =
     scalar_loop_overhead_cycles
-    /. if vectorized then Float.max 1.0 (float_of_int machine.vector_lanes *. vec_eff)
+    /. if vectorized then fmax 1.0 (float_of_int machine.vector_lanes *. vec_eff)
        else 1.0
   in
-  let cycles_per_iter = Float.max issue chain +. overhead in
+  let cycles_per_iter = fmax issue chain +. overhead in
   let compute_cycles = total_iters *. cycles_per_iter in
   (* --- memory hierarchy traffic --- *)
   let line_bytes = float_of_int machine.l1.line_bytes in
+  let elems_per_line = machine.l1.line_bytes / machine.elem_bytes in
   let footprints = Array.make (n + 1) 0.0 in
-  let base = Array.make (Array.length groups) 0.0 in
-  Array.iteri (add_lines machine trips ~line_bytes footprints base) groups;
-  let traffic = Array.make 6 0.0 in
-  charge groups base footprints trips ~capacity:machine.l1.size_bytes
-    ~next_latency:machine.l2.latency_cycles traffic 0;
-  charge groups base footprints trips ~capacity:machine.l2.size_bytes
-    ~next_latency:machine.l3.latency_cycles traffic 2;
-  charge groups base footprints trips ~capacity:machine.l3.size_bytes
-    ~next_latency:machine.mem_latency_cycles traffic 4;
-  let l1_lines = traffic.(0) and l1_cycles = traffic.(1) in
-  let l2_lines = traffic.(2) and l2_cycles = traffic.(3) in
-  let l3_lines = traffic.(4) and l3_cycles = traffic.(5) in
+  let base = Array.make count 0.0 and discount = Array.make count 0.0 in
+  let max_rank = ref 0 in
+  for i = 0 to count - 1 do
+    max_rank := Int.max !max_rank (Array.length groups.(i).shape)
+  done;
+  let ext = Array.make !max_rank 0 in
+  for i = 0 to count - 1 do
+    add_lines ~elems_per_line ~line_bytes trips footprints base discount ext i
+      groups.(i)
+  done;
+  charge machine groups count base discount footprints trips out;
+  let l3_lines = out.(4) and l3_cycles = out.(5) in
   (* Streaming DRAM floor: bytes cannot move faster than bandwidth. *)
   let mem_bytes = l3_lines *. float_of_int machine.l1.line_bytes in
   let freq = machine.freq_ghz *. 1e9 in
   let mem_seconds_lat = l3_cycles /. freq in
   let mem_seconds_bw = mem_bytes /. (machine.single_core_bw_gbs *. 1e9) in
-  let mem_seconds_single = Float.max mem_seconds_lat mem_seconds_bw in
-  let cache_cycles = l1_cycles +. l2_cycles in
+  let mem_seconds_single = fmax mem_seconds_lat mem_seconds_bw in
+  let cache_cycles = out.(1) +. out.(3) in
   (* --- parallelism --- *)
-  let par_iters =
-    Array.fold_left
-      (fun acc (l : Loop_nest.loop) ->
-        if l.Loop_nest.kind = Loop_nest.Parallel then acc * l.Loop_nest.ub
-        else acc)
-      1 nest.loops
-  in
-  let first_parallel =
-    let rec find i =
-      if i >= n then None
-      else if nest.loops.(i).Loop_nest.kind = Loop_nest.Parallel then Some i
-      else find (i + 1)
-    in
-    find 0
-  in
-  let launches =
-    match first_parallel with
-    | None -> 0
-    | Some p ->
-        let acc = ref 1 in
-        for d = 0 to p - 1 do
-          acc := !acc * trips.(d)
-        done;
-        !acc
-  in
+  let par_iters = ref 1 in
+  for d = 0 to n - 1 do
+    let l = nest.loops.(d) in
+    if l.Loop_nest.kind = Loop_nest.Parallel then par_iters := !par_iters * l.Loop_nest.ub
+  done;
+  let par_iters = !par_iters in
+  let launches = launches_from nest.loops 0 1 in
   let parallel_factor =
     if par_iters <= 1 then 1.0
     else begin
@@ -384,15 +479,15 @@ let estimate ~machine ~(iter_kinds : Linalg.iter_kind array)
       let imbalance =
         float_of_int par_iters /. float_of_int (chunks * workers)
       in
-      Float.max 1.0
+      fmax 1.0
         (float_of_int workers *. imbalance *. machine.parallel_efficiency)
     end
   in
   let bw_scale =
-    Float.min parallel_factor (machine.total_bw_gbs /. machine.single_core_bw_gbs)
+    fmin parallel_factor (machine.total_bw_gbs /. machine.single_core_bw_gbs)
   in
   let core_seconds = (compute_cycles +. cache_cycles) /. freq /. parallel_factor in
-  let mem_seconds = mem_seconds_single /. Float.max 1.0 bw_scale in
+  let mem_seconds = mem_seconds_single /. fmax 1.0 bw_scale in
   let launch_seconds =
     float_of_int launches *. machine.parallel_launch_cycles /. freq
   in
@@ -401,26 +496,35 @@ let estimate ~machine ~(iter_kinds : Linalg.iter_kind array)
     if packing_elements = 0 then 0.0
     else
       let bytes = float_of_int (packing_elements * machine.elem_bytes) in
-      Float.max
+      fmax
         (2.0 *. bytes /. (machine.single_core_bw_gbs *. 1e9))
         (float_of_int packing_elements *. 1.0 /. freq)
   in
-  let seconds = core_seconds +. mem_seconds +. launch_seconds +. packing_seconds in
+  out.(out_compute) <- compute_cycles;
+  out.(out_parallel) <- parallel_factor;
+  out.(out_packing) <- packing_seconds;
+  out.(out_vec_eff) <- vec_eff;
+  core_seconds +. mem_seconds +. launch_seconds +. packing_seconds
+
+let estimate ~machine ~iter_kinds ?(packing_elements = 0) (nest : Loop_nest.t) =
+  let out = Array.make out_cells 0.0 in
+  let seconds = price ~machine ~iter_kinds ~packing_elements nest out in
+  let n = Loop_nest.n_loops nest in
   {
     seconds;
-    compute_cycles;
+    compute_cycles = out.(out_compute);
     traffic =
       [
-        { level = "l1"; miss_lines = l1_lines; cycles = l1_cycles };
-        { level = "l2"; miss_lines = l2_lines; cycles = l2_cycles };
-        { level = "l3"; miss_lines = l3_lines; cycles = l3_cycles };
+        { level = "l1"; miss_lines = out.(0); cycles = out.(1) };
+        { level = "l2"; miss_lines = out.(2); cycles = out.(3) };
+        { level = "l3"; miss_lines = out.(4); cycles = out.(5) };
       ];
-    parallel_factor;
-    launches;
-    packing_seconds;
-    vectorized;
-    vector_efficiency = vec_eff;
+    parallel_factor = out.(out_parallel);
+    launches = launches_from nest.loops 0 1;
+    packing_seconds = out.(out_packing);
+    vectorized = n > 0 && nest.loops.(n - 1).Loop_nest.kind = Loop_nest.Vector;
+    vector_efficiency = out.(out_vec_eff);
   }
 
-let seconds ~machine ~iter_kinds ?packing_elements nest =
-  (estimate ~machine ~iter_kinds ?packing_elements nest).seconds
+let seconds ~machine ~iter_kinds ?(packing_elements = 0) nest =
+  price ~machine ~iter_kinds ~packing_elements nest (Array.make out_cells 0.0)

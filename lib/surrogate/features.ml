@@ -98,52 +98,51 @@ let op_block (op : Linalg.t) =
    block (sizes are <= 256). *)
 let size_norm size = if size <= 0 then 0.0 else log2 (float_of_int size) /. 8.0
 
+let set_sizes out off sizes =
+  for l = 0 to Int.min max_dims (Array.length sizes) - 1 do
+    let size = sizes.(l) in
+    if size > 0 then out.(off + l) <- size_norm size
+  done
+
+(* pos.(j) = current position of original point loop j; swaps and
+   interchanges permute it. *)
+let encode_step out pos (tr : Schedule.transformation) =
+  match tr with
+  | Schedule.Tile sizes -> set_sizes out 0 sizes
+  | Schedule.Parallelize sizes -> set_sizes out max_dims sizes
+  | Schedule.Swap i ->
+      if i >= 0 && i + 1 < max_dims then
+        for j = 0 to max_dims - 1 do
+          let p = pos.(j) in
+          if p = i then pos.(j) <- i + 1 else if p = i + 1 then pos.(j) <- i
+        done
+  | Schedule.Interchange perm ->
+      let old = Array.copy pos in
+      Array.iteri
+        (fun j p ->
+          if j < max_dims && p >= 0 && p < max_dims then
+            Array.iteri (fun k pk -> if pk = j then pos.(k) <- p) old)
+        perm
+  | Schedule.Im2col -> out.((3 * max_dims) + 0) <- 1.0
+  | Schedule.Vectorize -> out.((3 * max_dims) + 1) <- 1.0
+  | Schedule.Unroll f -> out.((3 * max_dims) + 2) <- size_norm f
+
+let rec encode_steps out pos n = function
+  | [] -> n
+  | tr :: rest ->
+      encode_step out pos tr;
+      encode_steps out pos (n + 1) rest
+
+(* Called once per candidate a staged search ranks, so it runs as plain
+   loops: no closure per step or per size. *)
 let schedule_block_into (out : float array) (sched : Schedule.t) =
   Array.fill out 0 schedule_dim 0.0;
-  (* pos.(j) = current position of original point loop j; swaps and
-     interchanges permute it. *)
-  let pos = Array.init max_dims (fun j -> j) in
-  let n_steps = ref 0 in
-  List.iter
-    (fun (tr : Schedule.transformation) ->
-      incr n_steps;
-      match tr with
-      | Schedule.Tile sizes ->
-          Array.iteri
-            (fun l size ->
-              if l < max_dims && size > 0 then out.(l) <- size_norm size)
-            sizes
-      | Schedule.Parallelize sizes ->
-          Array.iteri
-            (fun l size ->
-              if l < max_dims && size > 0 then
-                out.(max_dims + l) <- size_norm size)
-            sizes
-      | Schedule.Swap i ->
-          if i >= 0 && i + 1 < max_dims then begin
-            Array.iteri
-              (fun j p ->
-                if p = i then pos.(j) <- i + 1
-                else if p = i + 1 then pos.(j) <- i)
-              (Array.copy pos)
-          end
-      | Schedule.Interchange perm ->
-          let old = Array.copy pos in
-          Array.iteri
-            (fun j p ->
-              if j < max_dims && p >= 0 && p < max_dims then
-                Array.iteri
-                  (fun k pk -> if pk = j then pos.(k) <- p)
-                  old)
-            perm
-      | Schedule.Im2col -> out.((3 * max_dims) + 0) <- 1.0
-      | Schedule.Vectorize -> out.((3 * max_dims) + 1) <- 1.0
-      | Schedule.Unroll f -> out.((3 * max_dims) + 2) <- size_norm f)
-    sched;
-  Array.iteri
-    (fun j p -> out.((2 * max_dims) + j) <- float_of_int p /. 8.0)
-    pos;
-  out.((3 * max_dims) + 3) <- float_of_int !n_steps /. 8.0
+  let pos = Array.init max_dims Fun.id in
+  let n_steps = encode_steps out pos 0 sched in
+  for j = 0 to max_dims - 1 do
+    out.((2 * max_dims) + j) <- float_of_int pos.(j) /. 8.0
+  done;
+  out.((3 * max_dims) + 3) <- float_of_int n_steps /. 8.0
 
 let schedule_block (sched : Schedule.t) =
   let out = Array.make schedule_dim 0.0 in

@@ -6,19 +6,18 @@ let divisors n =
   in
   go 1 []
 
+(* The longest suffix of pairwise-distinct origins. Nests are a dozen
+   loops deep, so the quadratic scan beats allocating a table. *)
+let rec seen_after (loops : Loop_nest.loop array) origin j =
+  j < Array.length loops
+  && (loops.(j).Loop_nest.origin = origin || seen_after loops origin (j + 1))
+
+let rec distinct_suffix loops i =
+  if i < 0 || seen_after loops loops.(i).Loop_nest.origin (i + 1) then i + 1
+  else distinct_suffix loops (i - 1)
+
 let point_band_start (nest : Loop_nest.t) =
-  let loops = nest.loops in
-  let n = Array.length loops in
-  (* The longest suffix of pairwise-distinct origins. Nests are a dozen
-     loops deep, so the quadratic scan beats allocating a table. *)
-  let rec seen_after origin j =
-    j < n && (loops.(j).Loop_nest.origin = origin || seen_after origin (j + 1))
-  in
-  let rec scan i =
-    if i < 0 || seen_after loops.(i).Loop_nest.origin (i + 1) then i + 1
-    else scan (i - 1)
-  in
-  scan (n - 1)
+  distinct_suffix nest.loops (Array.length nest.loops - 1)
 
 let point_band (nest : Loop_nest.t) =
   let p0 = point_band_start nest in
@@ -35,52 +34,46 @@ let tile ?(parallel = false) sizes (nest : Loop_nest.t) =
   else if not (Array.exists (fun t -> t > 0) sizes) then
     Error "tile: at least one tile size must be positive"
   else begin
+    (* The error names the last bad size. *)
     let bad = ref None in
-    Array.iteri
-      (fun rel t ->
-        if t > 0 then begin
-          let ub = nest.loops.(p0 + rel).Loop_nest.ub in
-          if t > ub || ub mod t <> 0 then
-            bad :=
-              Some
-                (Printf.sprintf "tile: size %d does not divide trip count %d"
-                   t ub)
-        end
-        else if t < 0 then bad := Some "tile: negative tile size")
-      sizes;
+    for rel = 0 to point_count - 1 do
+      let t = sizes.(rel) in
+      if t > 0 then begin
+        let ub = nest.loops.(p0 + rel).Loop_nest.ub in
+        if t > ub || ub mod t <> 0 then
+          bad :=
+            Some (Printf.sprintf "tile: size %d does not divide trip count %d" t ub)
+      end
+      else if t < 0 then bad := Some "tile: negative tile size"
+    done;
     match !bad with
     | Some msg -> Error msg
     | None ->
-        let tiled_rels =
-          List.filter (fun rel -> sizes.(rel) > 0)
-            (List.init point_count (fun i -> i))
-        in
-        let k = List.length tiled_rels in
+        let k = Array.fold_left (fun k t -> if t > 0 then k + 1 else k) 0 sizes in
         let new_n = n + k in
-        let tile_band =
-          List.map
-            (fun rel ->
-              let l = nest.loops.(p0 + rel) in
+        (* The outer loops, then the tile band (one tile loop per tiled
+           point loop, in point order), then the point band. [tile_pos]
+           is each tiled rel's loop in the tile band, else -1. *)
+        let new_loops = Array.make new_n nest.loops.(p0) in
+        Array.blit nest.loops 0 new_loops 0 p0;
+        let tile_pos = Array.make point_count (-1) in
+        let r = ref 0 in
+        for rel = 0 to point_count - 1 do
+          let l = nest.loops.(p0 + rel) in
+          let size = sizes.(rel) in
+          if size > 0 then begin
+            tile_pos.(rel) <- p0 + !r;
+            new_loops.(p0 + !r) <-
               {
-                Loop_nest.ub = l.Loop_nest.ub / sizes.(rel);
+                Loop_nest.ub = l.Loop_nest.ub / size;
                 kind = (if parallel then Loop_nest.Parallel else Loop_nest.Seq);
                 origin = l.Loop_nest.origin;
-              })
-            tiled_rels
-        in
-        let new_point =
-          Array.init point_count (fun rel ->
-              let l = nest.loops.(p0 + rel) in
-              if sizes.(rel) > 0 then { l with Loop_nest.ub = sizes.(rel) }
-              else l)
-        in
-        let new_loops =
-          Array.concat
-            [ Array.sub nest.loops 0 p0; Array.of_list tile_band; new_point ]
-        in
-        (* Position of each tiled rel's loop in the tile band, else -1. *)
-        let tile_pos = Array.make point_count (-1) in
-        List.iteri (fun r rel -> tile_pos.(rel) <- p0 + r) tiled_rels;
+              };
+            new_loops.(p0 + k + rel) <- { l with Loop_nest.ub = size };
+            incr r
+          end
+          else new_loops.(p0 + k + rel) <- l
+        done;
         (* Remap coefficients directly, as [interchange] does: an outer
            dim keeps its index, point dim [rel] moves to [p0+k+rel], and
            a tiled one also puts [size*c] on its tile loop. Every target
@@ -150,14 +143,31 @@ let interchange perm (nest : Loop_nest.t) =
   end
 
 let swap_adjacent i (nest : Loop_nest.t) =
-  let point_count = Array.length nest.loops - point_band_start nest in
+  let p0 = point_band_start nest in
+  let point_count = Array.length nest.loops - p0 in
   if i < 0 || i >= point_count - 1 then
     Error (Printf.sprintf "swap_adjacent: index %d out of range" i)
   else begin
-    let perm = Array.init point_count (fun j -> j) in
-    perm.(i) <- i + 1;
-    perm.(i + 1) <- i;
-    interchange perm nest
+    (* [interchange] of the transposition of [i] and [i+1], without its
+       permutation arrays: the two loops trade places and so do the two
+       coefficients of every subscript. A subscript whose two
+       coefficients are equal is kept as it is. *)
+    let a = p0 + i and b = p0 + i + 1 in
+    let new_loops = Array.copy nest.loops in
+    new_loops.(a) <- nest.loops.(b);
+    new_loops.(b) <- nest.loops.(a);
+    let swap (e : Affine.expr) =
+      let c = e.Affine.coeffs in
+      if c.(a) = c.(b) then e
+      else begin
+        let c' = Array.copy c in
+        c'.(a) <- c.(b);
+        c'.(b) <- c.(a);
+        { e with Affine.coeffs = c' }
+      end
+    in
+    Ok
+      (Loop_nest.map_body_exprs swap { nest with Loop_nest.loops = new_loops })
   end
 
 let is_vectorized (nest : Loop_nest.t) =

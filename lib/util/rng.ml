@@ -1,27 +1,30 @@
-type t = { mutable state : int64 }
+(* The 64-bit splitmix state, kept unboxed in 8 bytes: a mutable
+   [int64] record field would box a fresh value on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+let copy = Bytes.copy
+let state t = Bytes.get_int64_le t 0
+let set_state t s = Bytes.set_int64_le t 0 s
 
-let state t = t.state
-let set_state t s = t.state <- s
-let of_state s = { state = s }
-
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] int64 t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix s
 
-let split t =
-  let seed = int64 t in
-  { state = seed }
+let split t = of_state (int64 t)
 
 let derive seed ~stream =
   (* Run the seed and the stream id through the splitmix finalizer
@@ -30,7 +33,7 @@ let derive seed ~stream =
      generator every time without consuming entropy from anything. *)
   let a = mix (Int64.of_int seed) in
   let b = mix (Int64.logxor (Int64.of_int stream) 0x5851F42D4C957F2DL) in
-  { state = Int64.logxor a b }
+  of_state (Int64.logxor a b)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

@@ -28,7 +28,10 @@ type ref_info = {
 
 let gather_refs (nest : Loop_nest.t) =
   let n = Loop_nest.n_loops nest in
-  let tbl = Hashtbl.create 16 in
+  (* Unseeded: this table's fold order is the group order, and the
+     float sums over groups follow it, so a randomized table
+     (OCAMLRUNPARAM=R) would price one nest to different bits. *)
+  let tbl = Hashtbl.create ~random:false 16 in
   let add (r : Loop_nest.mem_ref) =
     let key = (r.buf, Array.map (fun (e : Affine.expr) -> e.coeffs) r.idx) in
     let consts = Array.map (fun (e : Affine.expr) -> e.const) r.idx in

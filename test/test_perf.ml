@@ -319,6 +319,72 @@ let qcheck_estimate_matches_reference =
          | Ok raised -> candidates raised
          | Error _ -> true))
 
+(* A synthetic nest whose body loads [groups] distinct (buffer,
+   coefficients) keys, four coefficient patterns per buffer and each
+   key at two constant offsets, into one store. No generated nest gets
+   past 32 groups, where the group order becomes that of a resized
+   table (64 buckets, then 128). *)
+let many_groups_nest ~groups ~vector =
+  let n = 3 in
+  let patterns =
+    [| [ [ (0, 1) ]; [ (1, 1) ] ];
+       [ [ (1, 1) ]; [ (2, 1) ] ];
+       [ [ (0, 1); (2, 1) ]; [ (1, 2) ] ];
+       [ [ (2, 2) ]; [ (0, 1); (1, 1) ] ] |]
+  in
+  let load g ~offset =
+    let subscript d terms = Affine.expr ~const:(offset * (d + 1)) n terms in
+    Loop_nest.Load
+      {
+        Loop_nest.buf = Printf.sprintf "B%d" (g / 4);
+        idx = Array.of_list (List.mapi subscript patterns.(g mod 4));
+      }
+  in
+  let sum =
+    List.fold_left
+      (fun acc g ->
+        Loop_nest.Binop
+          (Linalg.Add, acc, Loop_nest.Binop (Linalg.Mul, load g ~offset:0, load g ~offset:1)))
+      (Loop_nest.Const 0.0) (List.init groups Fun.id)
+  in
+  let out = { Loop_nest.buf = "O"; idx = [| Affine.dim n 0; Affine.dim n 1 |] } in
+  let loop d ub kind = { Loop_nest.ub; kind; origin = d } in
+  {
+    Loop_nest.name = Printf.sprintf "groups%d" groups;
+    loops =
+      [| loop 0 4 Loop_nest.Seq; loop 1 8 Loop_nest.Parallel;
+         loop 2 16 (if vector then Loop_nest.Vector else Loop_nest.Seq) |];
+    body = [ Loop_nest.Store (out, sum) ];
+    buffers =
+      ("O", [| 4; 8 |])
+      :: List.init ((groups + 3) / 4) (fun b -> (Printf.sprintf "B%d" b, [| 64; 64 |]));
+    inits = [];
+  }
+
+let test_estimate_many_groups () =
+  List.iter
+    (fun groups ->
+      List.iter
+        (fun vector ->
+          let nest = many_groups_nest ~groups ~vector in
+          (match Loop_nest.validate nest with
+          | Ok () -> ()
+          | Error e -> Alcotest.fail e);
+          List.iter
+            (fun machine ->
+              List.iter
+                (fun iter_kinds ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%d groups, vector %b, %s" groups vector
+                       machine.Machine.name)
+                    (report_bits (Cost_model_ref.estimate ~machine ~iter_kinds nest))
+                    (report_bits (Cost_model.estimate ~machine ~iter_kinds nest)))
+                [ [| Linalg.Parallel_iter; Linalg.Parallel_iter; Linalg.Reduction_iter |];
+                  [| Linalg.Parallel_iter; Linalg.Reduction_iter; Linalg.Parallel_iter |] ])
+            [ Machine.e5_2680_v4; Machine.avx512_server ])
+        [ false; true ])
+    [ 33; 40; 70 ]
+
 let suite =
   [
     Alcotest.test_case "positive time" `Quick test_positive_time;
@@ -348,4 +414,6 @@ let suite =
       test_cache_sim_validates_tiling_direction;
     QCheck_alcotest.to_alcotest qcheck_speedup_positive;
     QCheck_alcotest.to_alcotest qcheck_estimate_matches_reference;
+    Alcotest.test_case "estimate matches the reference past 32 groups" `Quick
+      test_estimate_many_groups;
   ]

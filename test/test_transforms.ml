@@ -273,6 +273,48 @@ let test_tile_rejects_wrong_arity_subscript () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* [swap_adjacent i] is [interchange] of the transposition of [i] and
+   [i+1]: the same loops and the same subscripts, on random tiled and
+   permuted nests (conv and pool subscripts with equal coefficients
+   included), and the same [Error] for an index outside the point
+   band. *)
+let qcheck_swap_matches_interchange =
+  QCheck.Test.make ~name:"swap_adjacent matches interchange of the transposition"
+    ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let op = Generator.random_op rng (Util.Rng.choice rng tile_kinds) in
+      let nest = ref (Lower.to_loop_nest op) in
+      for _ = 1 to Util.Rng.int rng 3 do
+        nest :=
+          reference_tile ~parallel:(Util.Rng.bool rng)
+            (random_tile_sizes rng !nest) !nest
+      done;
+      let point_count = Array.length (Loop_transforms.point_band !nest) in
+      let perm = Array.init point_count Fun.id in
+      Util.Rng.shuffle rng perm;
+      let nest =
+        match Loop_transforms.interchange perm !nest with
+        | Ok permuted -> permuted
+        | Error e -> QCheck.Test.fail_reportf "interchange failed: %s" e
+      in
+      let agrees i =
+        let want =
+          if i < 0 || i >= point_count - 1 then
+            Error (Printf.sprintf "swap_adjacent: index %d out of range" i)
+          else
+            Loop_transforms.interchange
+              (Array.init point_count (fun j ->
+                   if j = i then i + 1 else if j = i + 1 then i else j))
+              nest
+        in
+        Loop_transforms.swap_adjacent i nest = want
+        || QCheck.Test.fail_reportf "swap %d of a %d-loop point band differs" i
+             point_count
+      in
+      List.for_all agrees (List.init (point_count + 3) (fun i -> i - 2)))
+
 let suite =
   [
     Alcotest.test_case "divisors" `Quick test_divisors;
@@ -305,4 +347,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_tile_matches_substitution;
     Alcotest.test_case "tile rejects wrong-arity subscript" `Quick
       test_tile_rejects_wrong_arity_subscript;
+    QCheck_alcotest.to_alcotest qcheck_swap_matches_interchange;
   ]

@@ -257,6 +257,40 @@ let test_metrics_merge_collected () =
     "# TYPE eval_base_cache_hits_total counter\neval_base_cache_hits_total 7\n"
     (Util.Metrics.merge_rendered [ replica 3; replica 4 ])
 
+(* The splitmix64 stream as fixed values, so a change to the
+   generator's representation is checked against the stream itself
+   rather than against a second stream of the same build. *)
+let test_rng_pinned_stream () =
+  let r = Util.Rng.create 2026 in
+  Alcotest.(check int64) "create state" 2026L (Util.Rng.state r);
+  List.iter
+    (fun want -> Alcotest.(check int64) "int64" want (Util.Rng.int64 r))
+    [ -2622126769270649565L; 8699989649721214301L; -6136402475954816882L ];
+  List.iter
+    (fun want -> Alcotest.(check int) "int" want (Util.Rng.int r 1000))
+    [ 796; 810; 904; 251 ];
+  List.iter
+    (fun want ->
+      Alcotest.(check int64) "uniform bits" want
+        (Int64.bits_of_float (Util.Rng.uniform r)))
+    [ 4605421931513805596L; 4599703662515095556L; 4597456948517565472L ];
+  List.iter
+    (fun want -> Alcotest.(check bool) "bool" want (Util.Rng.bool r))
+    [ true; false; false; true; true; true; true; true ];
+  let s = Util.Rng.split r in
+  Alcotest.(check int64) "split" (-7099302903784106389L) (Util.Rng.int64 s);
+  Alcotest.(check int64) "after split" (-7672765440507556839L) (Util.Rng.int64 r);
+  let d = Util.Rng.derive 7 ~stream:(-3) in
+  Alcotest.(check int64) "derive state" (-8955198577275648978L) (Util.Rng.state d);
+  Alcotest.(check int64) "derive" (-4915878584078787409L) (Util.Rng.int64 d);
+  let saved = Util.Rng.state r in
+  Alcotest.(check int64) "state" 6653367501949352334L saved;
+  let next = Util.Rng.int64 r in
+  Util.Rng.set_state r saved;
+  Alcotest.(check int64) "set_state resumes" next (Util.Rng.int64 r);
+  Alcotest.(check int64) "of_state resumes" next
+    (Util.Rng.int64 (Util.Rng.of_state saved))
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -295,4 +329,5 @@ let suite =
       test_metrics_collector_takes_own_lock;
     Alcotest.test_case "metrics: merge sums collected counters" `Quick
       test_metrics_merge_collected;
+    Alcotest.test_case "rng pinned stream" `Quick test_rng_pinned_stream;
   ]
