@@ -256,9 +256,8 @@ let fleet_cache_totals fleet =
 (* Replay a Faults.chaos_plan against the live fleet: kills go through
    the supervisor's chaos hook (SIGKILL, unannounced), stalls
    SIGSTOP/SIGCONT the replica process so it is alive but
-   unresponsive. Garble events need a reply-corrupting transport and
-   are exercised by the tier-1 supervisor tests instead; here they are
-   counted and skipped. *)
+   unresponsive. Garbled replies are exercised by the tier-1 supervisor
+   tests. *)
 let run_chaos_plan fleet plan ~t0 =
   let applied_kills = ref 0 and applied_stalls = ref 0 in
   List.iter
@@ -283,8 +282,7 @@ let run_chaos_plan fleet plan ~t0 =
                     with Unix.Unix_error _ -> ())
                   ()
               in
-              ())
-      | Faults.Garble -> ())
+              ()))
     plan;
   (!applied_kills, !applied_stalls)
 
@@ -382,8 +380,7 @@ let run ?(quick = false) (_c : Bench_common.config) =
       (fun (k, s) (e : Faults.chaos_event) ->
         match e.Faults.action with
         | Faults.Kill_replica -> (k + 1, s)
-        | Faults.Stall _ -> (k, s + 1)
-        | Faults.Garble -> (k, s))
+        | Faults.Stall _ -> (k, s + 1))
       (0, 0) plan
   in
   (* Recovery: after the last kill, replicas must be back up within the

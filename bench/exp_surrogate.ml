@@ -166,11 +166,18 @@ let ratio p = p.exact_wall /. p.staged_wall
 let regression_pct p =
   Float.max 0.0 ((p.exact_speedup /. p.staged_speedup -. 1.0) *. 100.0)
 
-(* Both variants run twice from cold state (fresh evaluator, fresh
-   ranker) and keep the faster wall — single-shot timings on a shared
-   container are too noisy to gate on. Results are deterministic, so
-   the repetitions agree on everything but the clock. *)
-let reps = 3
+(* Each pair runs the exact search, then the staged one, both from cold
+   state (fresh evaluator, fresh ranker), and each side keeps its
+   fastest wall: single-shot timings on a shared container are too
+   noisy to gate on. Alternating puts a slow stretch of the host on
+   both sides instead of one, and pairs repeat until each side has
+   [min_timed_s] of timed work (at least [min_pairs] pairs), so a 10 ms
+   search is timed over a dozen runs, not three. Results are
+   deterministic, so the repetitions agree on everything but the
+   clock. *)
+let min_pairs = 3
+let max_pairs = 200
+let min_timed_s = 0.15
 
 let staged_vs_exact ~rerank_k model
     { e_label = label; e_op = op; e_tiles; e_budget; gated } =
@@ -181,18 +188,22 @@ let staged_vs_exact ~rerank_k model
       tile_sizes = e_tiles;
     }
   in
-  let exact = ref None and exact_wall = ref infinity in
-  for _ = 1 to reps do
+  let exact = ref None and exact_wall = ref infinity and exact_timed = ref 0.0 in
+  let staged = ref None and staged_wall = ref infinity and staged_timed = ref 0.0 in
+  let scored = ref 0 in
+  let pairs = ref 0 in
+  while
+    !pairs < min_pairs
+    || (!pairs < max_pairs && Float.min !exact_timed !staged_timed < min_timed_s)
+  do
+    incr pairs;
     let ev = Evaluator.create () in
     let t0 = now () in
     let r = Auto_scheduler.search ~config ev op in
-    exact_wall := Float.min !exact_wall (now () -. t0);
-    exact := Some r
-  done;
-  let exact = Option.get !exact in
-  let staged = ref None and staged_wall = ref infinity in
-  let scored = ref 0 in
-  for _ = 1 to reps do
+    let dt = now () -. t0 in
+    exact_wall := Float.min !exact_wall dt;
+    exact_timed := !exact_timed +. dt;
+    exact := Some r;
     let ranker = Surrogate.Ranker.create ~machine:Machine.e5_2680_v4 model in
     let ev = Evaluator.create () in
     Surrogate.Ranker.attach ranker ev;
@@ -202,12 +213,15 @@ let staged_vs_exact ~rerank_k model
         ~ranker:(Surrogate.Ranker.schedule_scorer ranker op)
         ~rerank_k ev op
     in
-    staged_wall := Float.min !staged_wall (now () -. t0);
-    (* A fresh ranker per rep: its cache misses are the candidates the
+    let dt = now () -. t0 in
+    staged_wall := Float.min !staged_wall dt;
+    staged_timed := !staged_timed +. dt;
+    (* A fresh ranker per run: its cache misses are the candidates the
        network scored in this search. *)
     scored := (Surrogate.Ranker.cache_stats ranker).Util.Sharded_cache.misses;
     staged := Some r
   done;
+  let exact = Option.get !exact in
   let staged = Option.get !staged in
   {
     label;

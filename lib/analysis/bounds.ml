@@ -92,8 +92,6 @@ let analyze (nest : Loop_nest.t) =
     structural = List.rev !structural;
   }
 
-let is_sound r = r.violations = [] && r.structural = []
-
 let check nest =
   let r = analyze nest in
   match (r.structural, r.violations) with

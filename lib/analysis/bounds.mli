@@ -46,13 +46,9 @@ type report = {
 val analyze : Loop_nest.t -> report
 (** Bounds-check every store and load of the nest. *)
 
-val is_sound : report -> bool
-(** No violations and no structurally unresolvable references. *)
-
 val check : Loop_nest.t -> (unit, string) result
 (** [analyze] folded to a result; the error message lists the first
     violation (or structural problem) in the same style as
     {!Loop_nest.validate}. *)
 
-val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string

@@ -52,8 +52,6 @@ let pp_dependence ppf d =
     | Some c -> Printf.sprintf "carried by loop %d" c)
     (String.concat ", " (Array.to_list (Array.map dir_label d.dirs)))
 
-let dependence_to_string d = Format.asprintf "%a" pp_dependence d
-
 (* ------------------------------------------------------------------ *)
 (* Access collection                                                  *)
 (* ------------------------------------------------------------------ *)

@@ -31,10 +31,7 @@ type dependence = {
           direction remains feasible at that position. *)
 }
 
-val kind_label : kind -> string
-val dir_label : dir option -> string
 val pp_dependence : Format.formatter -> dependence -> unit
-val dependence_to_string : dependence -> string
 
 type prepared
 (** A nest's ordered same-buffer access pairs (at least one a store),

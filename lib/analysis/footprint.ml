@@ -84,108 +84,3 @@ let level_elements t d =
   t.levels.(max 0 (min t.n_loops d)).elements
 
 let reuse_distance t d = level_elements t (d + 1)
-
-let predicted_misses t ~trip_counts ~cache_elements ~line_elements =
-  let line = float_of_int (max 1 line_elements) in
-  (* Shallowest depth whose working set fits; footprints only shrink as
-     depth grows, so scan outside-in. *)
-  let fit = ref t.n_loops in
-  (try
-     for d = 0 to t.n_loops do
-       if level_elements t d <= cache_elements then begin
-         fit := d;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  let outer_iters = ref 1.0 in
-  for i = 0 to !fit - 1 do
-    if i < Array.length trip_counts then
-      outer_iters := !outer_iters *. float_of_int trip_counts.(i)
-  done;
-  !outer_iters *. float_of_int (level_elements t !fit) /. line
-
-(* --- buffer regions and overlap ----------------------------------- *)
-
-type region = Bounds.interval array
-
-let accessed_region (nest : Loop_nest.t) ~kind buf =
-  let trip_counts = Loop_nest.trip_counts nest in
-  let n = Loop_nest.n_loops nest in
-  let refs =
-    match kind with
-    | `Read -> Loop_nest.loads_of_body nest
-    | `Write -> Loop_nest.stores_of_body nest
-    | `Any -> Loop_nest.stores_of_body nest @ Loop_nest.loads_of_body nest
-  in
-  let boxes =
-    List.filter_map
-      (fun (r : Loop_nest.mem_ref) ->
-        if
-          r.Loop_nest.buf = buf
-          && Array.for_all
-               (fun (e : Affine.expr) -> Array.length e.Affine.coeffs = n)
-               r.Loop_nest.idx
-        then
-          Some
-            (Array.map
-               (fun e -> Bounds.expr_interval ~trip_counts e)
-               r.Loop_nest.idx)
-        else None)
-      refs
-  in
-  match boxes with
-  | [] -> None
-  | first :: rest ->
-      if List.exists (fun b -> Array.length b <> Array.length first) rest then
-        None
-      else
-        Some
-          (List.fold_left
-             (fun acc b ->
-               Array.map2
-                 (fun (a : Bounds.interval) (x : Bounds.interval) ->
-                   { Bounds.lo = min a.Bounds.lo x.Bounds.lo;
-                     hi = max a.Bounds.hi x.Bounds.hi })
-                 acc b)
-             first rest)
-
-let regions_overlap a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun (x : Bounds.interval) (y : Bounds.interval) ->
-         x.Bounds.lo <= y.Bounds.hi && y.Bounds.lo <= x.Bounds.hi)
-       a b
-
-let region_contains ~outer ~inner =
-  Array.length outer = Array.length inner
-  && Array.for_all2
-       (fun (o : Bounds.interval) (i : Bounds.interval) ->
-         o.Bounds.lo <= i.Bounds.lo && i.Bounds.hi <= o.Bounds.hi)
-       outer inner
-
-type overlap = Disjoint | Partial | Covers
-
-let overlap_to_string = function
-  | Disjoint -> "disjoint"
-  | Partial -> "partial"
-  | Covers -> "covers"
-
-type pc_verdict = { pc_buf : string; pc_overlap : overlap }
-
-let producer_consumer ~producer ~consumer =
-  List.filter_map
-    (fun (buf, _) ->
-      match
-        ( accessed_region producer ~kind:`Write buf,
-          accessed_region consumer ~kind:`Read buf )
-      with
-      | Some w, Some r ->
-          let pc_overlap =
-            if not (regions_overlap w r) then Disjoint
-            else if region_contains ~outer:w ~inner:r then Covers
-            else Partial
-          in
-          Some { pc_buf = buf; pc_overlap }
-      | _ -> None)
-    consumer.Loop_nest.buffers

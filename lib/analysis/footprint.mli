@@ -1,5 +1,4 @@
-(** Per-loop-level data footprint, reuse distance, and buffer-overlap
-    (alias) analysis.
+(** Per-loop-level data footprint and reuse distance.
 
     For each nesting depth [d] (0 = whole nest, [n_loops] = one body
     execution) the pass computes how many distinct buffer elements one
@@ -14,10 +13,10 @@
     count (exact for the dense single-reference accesses produced by
     {!Lower}).
 
-    The per-level footprints feed three consumers: a working-set cache
-    miss predictor cross-checked against {!Cache_sim} (see the test
-    suite), optional {!Observation} features, and the producer/consumer
-    region-overlap verdict the fusion work needs. *)
+    The per-level footprints feed the surrogate's schedule features
+    ({!Nest_stats.band_footprint_features}) and the CLI's [analyze]
+    report; the test suite checks a working-set miss model built on them
+    against a trace-driven cache simulator. *)
 
 type buffer_footprint = { fb_buf : string; fb_elements : int }
 
@@ -43,45 +42,3 @@ val reuse_distance : t -> int -> int
     iterations of loop [d], i.e. the footprint of depth [d + 1]. Loop-
     carried reuse at depth [d] survives in a cache of at least this
     many elements. *)
-
-val predicted_misses :
-  t -> trip_counts:int array -> cache_elements:int -> line_elements:int -> float
-(** Analytic working-set miss count for an LRU cache holding
-    [cache_elements] elements with [line_elements]-element lines: find
-    the shallowest depth [l] whose footprint fits the cache; everything
-    below [l] hits after the first touch, so misses ≈ (product of trip
-    counts above [l]) × footprint(l) ÷ line size. A coarse model — its
-    job is to rank schedules the same way {!Cache_sim} does, not to
-    match absolute counts. *)
-
-(** {1 Buffer regions and overlap} *)
-
-type region = Bounds.interval array
-(** Per-dimension inclusive subscript intervals — the bounding box of
-    the elements a nest touches in one buffer. *)
-
-val accessed_region :
-  Loop_nest.t -> kind:[ `Read | `Write | `Any ] -> string -> region option
-(** Union bounding box over the nest's references to the named buffer
-    of the given kind; [None] when the buffer has no such (structurally
-    resolvable) reference. *)
-
-val regions_overlap : region -> region -> bool
-val region_contains : outer:region -> inner:region -> bool
-
-type overlap = Disjoint | Partial | Covers
-
-(** Producer/consumer verdict for one shared buffer: how the producer's
-    written region relates to the consumer's read region. [Covers]
-    (every element the consumer reads was written by the producer) is
-    the fusion-friendly case; [Partial] means the consumer also reads
-    elements the producer never defined; [Disjoint] means the shared
-    name carries no actual data flow. *)
-type pc_verdict = { pc_buf : string; pc_overlap : overlap }
-
-val producer_consumer :
-  producer:Loop_nest.t -> consumer:Loop_nest.t -> pc_verdict list
-(** One verdict per buffer the producer writes and the consumer reads
-    (matched by name), in consumer buffer-declaration order. *)
-
-val overlap_to_string : overlap -> string

@@ -123,11 +123,11 @@ type verdicts = {
   unroll : bool;
 }
 
-let verdicts ?(band_start = 0) t =
+let verdicts t =
   {
     parallelize = Array.init t.n (fun k -> can_parallelize t k);
     interchange = Array.init (max (t.n - 1) 0) (fun k -> can_interchange t k);
     vectorize = can_vectorize t;
-    tile = can_tile t ~band_start;
+    tile = can_tile t ~band_start:0;
     unroll = can_unroll t;
   }

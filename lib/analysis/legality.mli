@@ -51,9 +51,6 @@ val can_tile : t -> band_start:int -> bool
     order-safe. Accumulator self-dependences are exempt, as in
     {!can_interchange}. Memoized per [band_start], like every verdict. *)
 
-val can_unroll : t -> bool
-(** Always true: unrolling replicates the body in iteration order. *)
-
 type verdicts = {
   parallelize : bool array;
   interchange : bool array;
@@ -62,5 +59,6 @@ type verdicts = {
   unroll : bool;
 }
 
-val verdicts : ?band_start:int -> t -> verdicts
-(** The whole legality table at once (CLI / docs convenience). *)
+val verdicts : t -> verdicts
+(** The whole legality table at once (CLI / docs convenience); [tile]
+    is the verdict for the whole nest ([band_start] 0). *)

@@ -13,7 +13,6 @@ let severity_label = function
 let pp_diagnostic ppf d =
   Format.fprintf ppf "%s: %s: %s" (severity_label d.severity) d.loc d.message
 
-let diagnostic_to_string d = Format.asprintf "%a" pp_diagnostic d
 let has_error ds = List.exists (fun d -> d.severity = Error) ds
 
 let diag severity loc fmt =

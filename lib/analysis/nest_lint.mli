@@ -12,6 +12,5 @@ type diagnostic = { severity : severity; loc : string; message : string }
 
 val severity_label : severity -> string
 val pp_diagnostic : Format.formatter -> diagnostic -> unit
-val diagnostic_to_string : diagnostic -> string
 val has_error : diagnostic list -> bool
 val run : Loop_nest.t -> diagnostic list

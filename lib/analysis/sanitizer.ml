@@ -17,11 +17,6 @@ let set_budget n = if n > 0 then Atomic.set budget_ref n
 
 type outcome = Matched | Skipped of string | Mismatch of string
 
-let outcome_to_string = function
-  | Matched -> "matched"
-  | Skipped r -> "skipped: " ^ r
-  | Mismatch r -> "MISMATCH: " ^ r
-
 (* Lock-free on the check path; the registry reads them at render time. *)
 let runs_ctr = Atomic.make 0
 let skips_ctr = Atomic.make 0
@@ -118,9 +113,9 @@ let arrays_close tol a b =
     !bad
   end
 
-let run_pair ?(tol = 1e-6) ~(reference : Loop_nest.t)
+let run_pair ~(reference : Loop_nest.t)
     ~(ref_inputs : (string * float array) list) ~(candidate : Loop_nest.t)
-    ~(cand_inputs : (string * float array) list) () =
+    ~(cand_inputs : (string * float array) list) =
   let cost =
     Loop_nest.iteration_count reference + Loop_nest.iteration_count candidate
   in
@@ -143,7 +138,7 @@ let run_pair ?(tol = 1e-6) ~(reference : Loop_nest.t)
         | cand_bindings -> (
             let got = Interp.output_of candidate cand_bindings in
             Atomic.incr runs_ctr;
-            match arrays_close tol expected got with
+            match arrays_close 1e-6 expected got with
             | None -> Matched
             | Some i when i < 0 ->
                 Atomic.incr violations_ctr;
@@ -163,4 +158,4 @@ let skip reason =
 
 let check ~reference ~candidate =
   let inputs = seeded_inputs reference in
-  run_pair ~reference ~ref_inputs:inputs ~candidate ~cand_inputs:inputs ()
+  run_pair ~reference ~ref_inputs:inputs ~candidate ~cand_inputs:inputs

@@ -51,17 +51,16 @@ val seeded_inputs : Loop_nest.t -> (string * float array) list
     well-conditioned. *)
 
 val run_pair :
-  ?tol:float ->
   reference:Loop_nest.t ->
   ref_inputs:(string * float array) list ->
   candidate:Loop_nest.t ->
   cand_inputs:(string * float array) list ->
-  unit ->
   outcome
 (** The counted differential core: budget check, interpret both nests,
     compare the output buffers flat (they may be shaped differently —
     im2col's GEMM output is the conv output reshaped). Updates the
-    global counters. [tol] is the relative tolerance (default 1e-6). *)
+    global counters. Outputs match within a relative tolerance of
+    1e-6. *)
 
 val skip : string -> outcome
 (** Record a counted skip without executing anything — for callers that
@@ -70,5 +69,3 @@ val skip : string -> outcome
 val check : reference:Loop_nest.t -> candidate:Loop_nest.t -> outcome
 (** [run_pair] over shared {!seeded_inputs} of the reference — the
     common case where the transformation preserved buffer names. *)
-
-val outcome_to_string : outcome -> string

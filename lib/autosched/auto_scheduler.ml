@@ -1,8 +1,5 @@
 type config = {
   tile_sizes : int list;
-  min_tiled_loops : int;
-  par_loops_considered : int;
-  include_interchange : bool;
   include_im2col : bool;
   max_schedules : int;
 }
@@ -11,12 +8,15 @@ let default_config =
   {
     tile_sizes = [];
     (* empty = derive from divisors, capped at 64 (paper §5.1.4) *)
-    min_tiled_loops = 2;
-    par_loops_considered = 3;
-    include_interchange = true;
     include_im2col = true;
     max_schedules = 3000;
   }
+
+(* The paper's constraints (§5.1.4): at least two tiled loops, counting
+   parallelized ones, and parallel tiling on the first three non-trivial
+   parallel loops. *)
+let min_tiled_loops = 2
+let par_loops_considered = 3
 
 type result = {
   best_schedule : Schedule.t;
@@ -85,7 +85,7 @@ let make_space config ~prefix ~trips ~iter_kinds =
     Array.iteri
       (fun l trip ->
         if
-          !taken < config.par_loops_considered
+          !taken < par_loops_considered
           && trip > 1
           && l < Array.length iter_kinds
           && iter_kinds.(l) = Linalg.Parallel_iter
@@ -100,7 +100,7 @@ let make_space config ~prefix ~trips ~iter_kinds =
     List.rev !eligible
   in
   let swap_opts =
-    if config.include_interchange && n >= 2 then
+    if n >= 2 then
       None :: List.init (n - 1) (fun i -> Some i)
     else [ None ]
   in
@@ -137,8 +137,8 @@ let after_par (space : domain_space) = function
 
 (* The paper's "at least [min_tiled_loops] tiled loops" filter, counting
    parallelized loops as tiled. *)
-let enough_tiled config ~par_count tile_combo =
-  par_count + count_nonzero tile_combo >= config.min_tiled_loops
+let enough_tiled ~par_count tile_combo =
+  par_count + count_nonzero tile_combo >= min_tiled_loops
 
 (* Exhaustive stream over one domain space. *)
 let space_candidates config (space : domain_space) : Schedule.t Seq.t =
@@ -149,7 +149,7 @@ let space_candidates config (space : domain_space) : Schedule.t Seq.t =
       Seq.concat_map
         (fun tile_combo ->
           let tile_combo = Array.of_list tile_combo in
-          if not (enough_tiled config ~par_count tile_combo) then Seq.empty
+          if not (enough_tiled ~par_count tile_combo) then Seq.empty
           else
             Seq.map
               (fun swap_opt ->
@@ -380,7 +380,7 @@ let subtasks config op =
    candidates a from-scratch [apply_all] would have skipped, so
    explored counts, traces and noise streams line up with
    [search_naive]. *)
-let run_subtask config ev st =
+let run_subtask ev st =
   match st.st_state with
   | None -> []
   | Some after_par ->
@@ -388,7 +388,7 @@ let run_subtask config ev st =
       Seq.iter
         (fun rest_combo ->
           let tile_combo = Array.of_list (st.st_tile_prefix @ rest_combo) in
-          if enough_tiled config ~par_count:st.st_par_count tile_combo then
+          if enough_tiled ~par_count:st.st_par_count tile_combo then
             let after_tile =
               if count_nonzero tile_combo = 0 then Ok after_par
               else Sched_state.apply after_par (Schedule.Tile tile_combo)
@@ -473,7 +473,7 @@ let draw_space config index (space : domain_space) =
    parallel coin (only when the space has parallel slots), one pick per
    slot, one pick per loop among the sizes of its effective trip count,
    then — past the filter — the swap. *)
-let random_key rng config ds =
+let random_key rng ds =
   let key = ds.key and nslots = Array.length ds.par_opts in
   let par = nslots > 0 && Util.Rng.bool rng in
   let tiled = ref 0 in
@@ -498,7 +498,7 @@ let random_key rng config ds =
     if size > 0 then incr tiled;
     key.(1 + nslots + l) <- size
   done;
-  !tiled >= config.min_tiled_loops
+  !tiled >= min_tiled_loops
   && begin
        key.(Array.length key - 1) <- Util.Rng.int rng (Array.length ds.swaps);
        true
@@ -536,7 +536,6 @@ module Seen = Hashtbl.Make (struct
 end)
 
 type sampler = {
-  cfg : config;
   rng : Util.Rng.t;
   spaces : draw_space array;  (* the plain space first *)
   seen : unit Seen.t;
@@ -546,7 +545,6 @@ type sampler = {
 
 let sampler config op =
   {
-    cfg = config;
     rng = Util.Rng.create (sampling_seed op);
     spaces = Array.of_list (List.mapi (draw_space config) (spaces config op));
     seen = Seen.create 1024;
@@ -561,7 +559,7 @@ let draw s want =
   while !got < want && s.attempts < s.max_attempts do
     s.attempts <- s.attempts + 1;
     let ds = s.spaces.(Util.Rng.int s.rng (Array.length s.spaces)) in
-    if random_key s.rng s.cfg ds && not (Seen.mem s.seen ds.key) then begin
+    if random_key s.rng ds && not (Seen.mem s.seen ds.key) then begin
       Seen.add s.seen (Array.copy ds.key) ();
       out := schedule_of_key ds :: !out;
       incr got
@@ -596,7 +594,7 @@ let search ?(config = default_config) ?(jobs = 1) ?pool evaluator op =
          evaluator, so [best_speedup] is well-defined. *)
       record_result r trivial (Evaluator.schedule_speedup evaluator op trivial);
       if fits_budget config op then
-        Par_eval.map_forked exec evaluator ~first:0 (run_subtask config)
+        Par_eval.map_forked exec evaluator ~first:0 run_subtask
           (Array.of_list (subtasks config op))
         |> Array.iter (List.iter (fun (sched, s) -> record r sched s))
       else
@@ -637,17 +635,17 @@ let gather_candidates config op =
        budget and is never drawn again. *)
     let s = sampler config op in
     (* The trivial schedule's key: the plain space, every size 0, no
-       swap. With [min_tiled_loops = 0] it can be drawn. *)
+       swap. *)
     Seen.add s.seen (Array.make (Array.length s.spaces.(0).key) 0) ();
     trivial :: Array.to_list (draw s (config.max_schedules - 1))
   end
 
 let search_staged ?(config = default_config) ?ranker
-    ?(rerank_k = default_rerank_k) ?(jobs = 1) ?pool evaluator op =
+    ?(rerank_k = default_rerank_k) ?(jobs = 1) evaluator op =
   if jobs < 1 then
     invalid_arg "Auto_scheduler.search_staged: jobs must be >= 1";
   match ranker with
-  | None -> search ~config ~jobs ?pool evaluator op
+  | None -> search ~config ~jobs evaluator op
   | Some rank ->
       (* The survivors are selected before any evaluation: the trivial
          schedule is evaluated exactly anyway, so it never takes a slot. *)
@@ -659,10 +657,9 @@ let search_staged ?(config = default_config) ?ranker
       in
       let selected =
         survivors rerank_k
-          (Par_eval.rank_order ~who:"Auto_scheduler.search_staged" rank
-             (Array.of_list (gather_candidates config op)))
+          (Par_eval.rank_order rank (Array.of_list (gather_candidates config op)))
       in
-      Par_eval.with_executor ?pool ~jobs (fun exec ->
+      Par_eval.with_executor ~jobs (fun exec ->
           let r = recorder () in
           record_result r trivial (Evaluator.schedule_speedup evaluator op trivial);
           eval_schedules exec evaluator op (Hashtbl.create 16) r ~first:0

@@ -11,18 +11,15 @@ type config = {
   tile_sizes : int list;
   (** candidate sizes; [\[\]] (the default) derives each loop's options
       from its divisors, capped at 64 per the paper *)
-  min_tiled_loops : int;  (** paper: 2 *)
-  par_loops_considered : int;
-  (** how many leading non-trivial loops are eligible for parallel
-      tiling *)
-  include_interchange : bool;
   include_im2col : bool;
   max_schedules : int;  (** evaluation budget *)
 }
 
 val default_config : config
-(** divisor-derived sizes <= 64 (four largest per loop), min 2 tiled
-    loops, 3 parallel loops, interchange and im2col on, budget 3000.
+(** divisor-derived sizes <= 64 (four largest per loop), im2col on,
+    budget 3000. Every config keeps the paper's other constraints: at
+    least 2 tiled loops, parallel tiling on the first 3 non-trivial
+    parallel loops, interchange considered.
     When the space exceeds the budget, {!search} switches from full
     enumeration to seeded random sampling without replacement. *)
 
@@ -118,7 +115,6 @@ val search_staged :
   ?ranker:(Schedule.t array -> float array) ->
   ?rerank_k:int ->
   ?jobs:int ->
-  ?pool:Util.Domain_pool.t ->
   Evaluator.t ->
   Linalg.t ->
   result
@@ -130,7 +126,7 @@ val search_staged :
     trivial vectorize schedule is always evaluated exactly, and
     [explored]/[trace] count exact evaluations only.
 
-    [jobs]/[pool] follow {!search}'s contract: ranking stays one
+    [jobs] follows {!search}'s contract: ranking stays one
     batched call on the calling domain, and the [rerank_k] exact
     evaluations run as tasks on derived-stream forks, merged in rank
     order — byte-identical across all [jobs] values for any

@@ -94,16 +94,13 @@ let expansions config (state : Sched_state.t) =
   if Sched_state.can_im2col state then add Schedule.Im2col;
   List.rev !acc
 
-let default_rerank_k = 32
-
 (* One loop for every [jobs] value. Per depth: expansion (a pure [apply]
    per beam entry) goes through the executor and merges in entry x
-   expansion order; dedup and the optional batched ranking stay on this
-   domain; exact scoring goes through the executor on evaluator forks
-   keyed by a global scored-state index; the beam update then runs in
-   candidate order on this domain. *)
-let search ?(config = default_config) ?ranker ?(rerank_k = default_rerank_k)
-    ?(jobs = 1) ?pool evaluator op =
+   expansion order; dedup stays on this domain; exact scoring goes
+   through the executor on evaluator forks keyed by a global
+   scored-state index; the beam update then runs in candidate order on
+   this domain. *)
+let search ?(config = default_config) ?(jobs = 1) ?pool evaluator op =
   if jobs < 1 then invalid_arg "Beam_search.search: jobs must be >= 1";
   Par_eval.with_executor ?pool ~jobs (fun exec ->
       (* Expansion is already prefix-shared: each child is one [apply] on
@@ -144,20 +141,8 @@ let search ?(config = default_config) ?ranker ?(rerank_k = default_rerank_k)
                 (expansions config state))
             (Array.of_list !beam)
         in
-        let collected =
-          List.filter remember (List.concat (Array.to_list expanded))
-        in
-        (* Staged mode: ONE batched surrogate forward over the depth's
-           deduplicated children, and only the [rerank_k] best-ranked
-           proceed to exact scoring. *)
         let candidates =
-          Array.of_list
-            (match ranker with
-            | None -> collected
-            | Some rank ->
-                Par_eval.rank_order ~who:"Beam_search.search" rank
-                  (Array.of_list collected)
-                |> List.filteri (fun i _ -> i < rerank_k))
+          Array.of_list (List.filter remember (List.concat (Array.to_list expanded)))
         in
         let scores =
           Par_eval.map_forked exec evaluator ~first:!scored score candidates

@@ -25,13 +25,8 @@ type result = {
   explored : int;  (** states evaluated by the oracle *)
 }
 
-val default_rerank_k : int
-(** Per-depth exact-scoring budget of the staged mode (32). *)
-
 val search :
   ?config:config ->
-  ?ranker:(Sched_state.t array -> float array) ->
-  ?rerank_k:int ->
   ?jobs:int ->
   ?pool:Util.Domain_pool.t ->
   Evaluator.t ->
@@ -39,14 +34,6 @@ val search :
   result
 (** Deterministic for a given op and config. The returned schedule
     always ends with vectorization and applies cleanly.
-
-    With [ranker] (predicted log-seconds per state, positionally;
-    lower = faster) the search runs staged: at each depth the
-    deduplicated children are ranked by the surrogate in one batched
-    call — no cost-model call, no transformation applied — and only
-    the [rerank_k] best proceed to exact scoring and beam selection.
-    [explored] counts exact scorings only. Without [ranker], behavior
-    is byte-identical to the exact search.
 
     Each depth runs expansion and exact scoring as tasks — scoring on
     {!Evaluator.fork}s with noise streams derived from a global

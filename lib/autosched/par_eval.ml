@@ -1,5 +1,5 @@
 (* The executor and the fork-and-merge step shared by Auto_scheduler and
-   Beam_search, plus their optional ranker stage.
+   Beam_search, plus the staged search's ranker stage.
 
    The determinism contract both searches follow:
 
@@ -63,13 +63,14 @@ let map_forked exec evaluator ~first f tasks =
     (Array.fold_left (fun acc (_, d) -> acc + d) (Evaluator.explored evaluator) results);
   Array.map fst results
 
-(* The optional ranker stage: [rank] predicts log-seconds for every
-   candidate in one batched call (lower = faster); candidates come back
-   fastest first, ties in input order, so the stage is deterministic. *)
-let rank_order ~who rank cands =
+(* The staged search's ranker stage: [rank] predicts log-seconds for
+   every candidate in one batched call (lower = faster); candidates come
+   back fastest first, ties in input order, so the stage is
+   deterministic. *)
+let rank_order rank cands =
   let predictions = rank cands in
   if Array.length predictions <> Array.length cands then
-    invalid_arg (who ^ ": ranker size mismatch");
+    invalid_arg "Auto_scheduler.search_staged: ranker size mismatch";
   (* A stable sort of indices by prediction: ties stay in input order. *)
   let order = Array.init (Array.length cands) Fun.id in
   Array.stable_sort (fun i j -> Float.compare predictions.(i) predictions.(j)) order;

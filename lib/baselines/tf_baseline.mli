@@ -15,12 +15,6 @@ val expert_schedule : Evaluator.t -> Linalg.t -> Schedule.t * float
 (** Best schedule from the expert menu for this op and its speedup over
     the untransformed base — also a useful quick scheduler on its own. *)
 
-val tf_factor : Linalg.t -> float
-(** Kernel factor applied to the expert time: > 1 means TensorFlow is
-    slower than the best-schedule estimate, < 1 faster. *)
-
-val tf_jit_factor : Linalg.t -> float
-
 val tf_seconds : Evaluator.t -> Linalg.t -> float
 (** Simulated TensorFlow execution time for the op. *)
 

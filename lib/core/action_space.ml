@@ -1,8 +1,6 @@
 let t_tile = 0
 let t_parallelize = 1
 let t_interchange = 2
-let t_im2col = 3
-let t_vectorize = 4
 
 let transformation_label = function
   | 0 -> "tiling"

@@ -13,13 +13,12 @@
     transformations (uniform tilings/parallelizations at a few sizes,
     each adjacent swap, im2col, vectorize). *)
 
-(* -- transformation indices of the hierarchical head -- *)
+(* -- transformation indices of the hierarchical head (im2col is 3,
+   vectorization 4) -- *)
 
 val t_tile : int
 val t_parallelize : int
 val t_interchange : int
-val t_im2col : int
-val t_vectorize : int
 
 val transformation_label : int -> string
 
@@ -30,14 +29,6 @@ type hierarchical = {
       tiling or parallelization *)
   swap_choice : int;  (** read when [transform] is interchange *)
 }
-
-val slot_sizes : Env_config.t -> Sched_state.t -> int array array
-(** [slot_sizes cfg state] has shape (n_point_loops, M): the concrete
-    tile size each slot selects for each point loop — slot 0 is 0 (no
-    tiling); slots 1.. are the loop's largest divisors not exceeding
-    [max_tile_size], in decreasing order; trailing slots with no
-    divisor left hold 0. This realizes the paper's restriction of tile
-    sizes to divisors of the loop bounds. *)
 
 type masks = {
   t_mask : bool array;  (** length 5 *)
@@ -60,8 +51,12 @@ val to_transformation :
   hierarchical ->
   Schedule.transformation option
 (** Convert a sampled action to a schedule step. [None] when the action
-    is a no-op (an all-zero tiling vector). Raises [Invalid_argument] on
-    an out-of-range transformation index. *)
+    is a no-op (an all-zero tiling vector). Tile slot 0 of a point loop
+    selects size 0 (no tiling); slots 1.. select the loop's largest
+    divisors not exceeding [max_tile_size], in decreasing order, and a
+    slot with no divisor left selects 0 — the paper's restriction of
+    tile sizes to divisors of the loop bounds. Raises [Invalid_argument]
+    on an out-of-range transformation index. *)
 
 val cardinality : Env_config.t -> n_loops:int -> float
 (** Size of the flat action space the hierarchical product replaces:
@@ -98,12 +93,6 @@ val simple_mask :
     intersected (with [ctx]) with the dependence-analysis verdicts
     ({!Legality}). Pass the [legality_of] context that the same step's
     {!legalize} gets, so one analysis serves both. *)
-
-val swap_legal : ?ctx:legality_ctx -> Sched_state.t -> int -> bool
-(** Can point loops (i, i+1) be swapped? The single adjacent-swap
-    condition both [masks] and [simple_mask] route through: interchange
-    still available this episode, index in range, and (with [ctx]) no
-    dependence direction reversed by the swap. *)
 
 val legalize :
   ?ctx:legality_ctx ->

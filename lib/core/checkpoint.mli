@@ -39,9 +39,6 @@ val save :
 val exists : path:string -> bool
 (** Whether [<path>.meta] exists. *)
 
-val load_meta : path:string -> (meta, string) result
-(** Read and validate only the metadata. *)
-
 val restore :
   path:string ->
   params:Autodiff.Param.t list ->

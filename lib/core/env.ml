@@ -85,8 +85,6 @@ let state t =
   | Some s -> s
   | None -> raise (Env_error.Error Env_error.No_episode)
 
-let state_opt t = t.sched
-
 let reset t op =
   let s = Sched_state.init op in
   t.sched <- Some s;
@@ -100,7 +98,6 @@ let reset t op =
   obs
 
 let masks t = Action_space.masks t.cfg (state t)
-let step_count t = t.steps
 
 let charge_measurement t seconds =
   let total = t.cfg.Env_config.compile_seconds +. seconds in

@@ -61,13 +61,8 @@ val state : t -> Sched_state.t
 (** Current schedule state (for inspection and masking). Raises
     {!Env_error.Error} [No_episode] before the first {!reset}. *)
 
-val state_opt : t -> Sched_state.t option
-(** Non-raising variant of {!state}. *)
-
 val masks : t -> Action_space.masks
 (** Masks for the hierarchical policy at the current state. *)
-
-val step_count : t -> int
 
 val step : t -> Schedule.transformation option -> step_result
 (** Apply one transformation ([None] is an explicit no-op that still

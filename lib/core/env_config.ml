@@ -22,10 +22,6 @@ type t = {
   static_legality : bool;
       (* intersect the paper's syntactic masks with the static
          dependence-analysis verdicts (lib/analysis) *)
-  footprint_features : bool;
-      (* append per-level footprint / reuse-distance features to the
-         observation; changes obs_dim, so off by default to keep
-         checkpoints and network shapes stable *)
 }
 
 let all_features =
@@ -50,14 +46,10 @@ let default =
     machine = Machine.e5_2680_v4;
     features = all_features;
     static_legality = true;
-    footprint_features = false;
   }
 
 let with_reward_mode reward_mode t = { t with reward_mode }
 let with_static_legality static_legality t = { t with static_legality }
-
-let with_footprint_features footprint_features t =
-  { t with footprint_features }
 
 let n_tile_choices t = t.n_tile_slots
 
@@ -68,7 +60,6 @@ let obs_dim t =
   + (t.d_max * (n + 1))
   + 6
   + (n * 3 * t.tau)
-  + (if t.footprint_features then 2 * n else 0)
 
 let n_transformations = 5
 

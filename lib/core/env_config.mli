@@ -41,10 +41,6 @@ type t = {
       (** intersect the paper's syntactic action masks (§3.1.1) with the
           sound verdicts of the static dependence analysis
           ({!Legality}); on by default *)
-  footprint_features : bool;
-      (** append 2·N per-level footprint / reuse-distance features to
-          the observation. Changes [obs_dim] — and therefore network
-          shapes and checkpoints — so off by default *)
 }
 
 val all_features : features
@@ -55,14 +51,13 @@ val default : t
 
 val with_reward_mode : reward_mode -> t -> t
 val with_static_legality : bool -> t -> t
-val with_footprint_features : bool -> t -> t
 
 val n_tile_choices : t -> int
 (** M. *)
 
 val obs_dim : t -> int
 (** Flattened observation length: N + L*D*(N+1) + D*(N+1) + 6 + N*3*tau
-    (Table 1), plus 2·N when [footprint_features] is enabled. *)
+    (Table 1). *)
 
 val n_transformations : int
 (** The five transformation choices of the hierarchical space. *)

@@ -45,11 +45,13 @@ let forward tape t obs_tensor =
    escaping result extracted as a scalar before return (see Policy). *)
 let ws_key = Domain.DLS.new_key Tensor.Workspace.create
 
-(* The one tape-free routine: [pick i lp] chooses row [i]'s menu index
-   from the masked log-probs [lp]; the value net runs only when
-   [value]. Row-independent kernels make a batched call bit-equal to
-   singleton calls (see Policy). *)
-let decide t ~obs ~masks ~pick ~value =
+(* Tape-free sampling: row [i] draws its menu index from [rngs.(i)].
+   Row-independent kernels make a batched call bit-equal to singleton
+   calls (see Policy). *)
+let act_batch rngs t ~obs ~masks =
+  let b = Array.length obs in
+  if Array.length rngs <> b || Array.length masks <> b then
+    invalid_arg "Flat_policy.act_batch: obs/masks/rngs length mismatch";
   let ws = Domain.DLS.get ws_key in
   Tensor.Workspace.reset ws;
   let obs_t = obs_tensor_of_rows ~ws obs in
@@ -57,25 +59,10 @@ let decide t ~obs ~masks ~pick ~value =
   let logits = Layers.forward_batch ~ws t.head (Tensor.relu_into ~dst:out out) in
   let mask = Array.map Policy.safe_row masks in
   let lp = Distributions.masked_log_probs_values ~ws logits ~mask in
-  let values = if value then Some (Layers.forward_batch ~ws t.value_net obs_t) else None in
-  Array.init (Array.length obs) (fun i ->
-      let c = pick i lp in
-      let v = Option.fold values ~none:nan ~some:(fun v -> Tensor.get2 v i 0) in
-      (c, Tensor.get2 lp i c, v))
-
-let act_batch rngs t ~obs ~masks =
-  let b = Array.length obs in
-  if Array.length rngs <> b || Array.length masks <> b then
-    invalid_arg "Flat_policy.act_batch: obs/masks/rngs length mismatch";
-  decide t ~obs ~masks ~pick:(fun i lp -> Distributions.sample rngs.(i) lp i) ~value:true
-
-let act rng t ~obs ~mask =
-  (act_batch [| rng |] t ~obs:[| obs |] ~masks:[| mask |]).(0)
-
-let act_greedy t ~obs ~mask =
-  let argmax i lp = Distributions.argmax lp i in
-  let c, _, _ = (decide t ~obs:[| obs |] ~masks:[| mask |] ~pick:argmax ~value:false).(0) in
-  c
+  let values = Layers.forward_batch ~ws t.value_net obs_t in
+  Array.init b (fun i ->
+      let c = Distributions.sample rngs.(i) lp i in
+      (c, Tensor.get2 lp i c, Tensor.get2 values i 0))
 
 let evaluate t tape (samples : sample array) =
   let b = Array.length samples in

@@ -24,20 +24,15 @@ val create :
 val menu : t -> Action_space.simple_item array
 val params : t -> Autodiff.Param.t list
 
-val act :
-  Util.Rng.t -> t -> obs:float array -> mask:bool array -> int * float * float
-(** (menu index, log-probability, value). *)
-
 val act_batch :
   Util.Rng.t array ->
   t ->
   obs:float array array ->
   masks:bool array array ->
   (int * float * float) array
-(** Batched, tape-free {!act}: one forward pass for a slab of episodes,
-    row [i] sampling from [rngs.(i)] only — bit-equal to per-row {!act}
-    sampling, independent of batch composition. *)
-
-val act_greedy : t -> obs:float array -> mask:bool array -> int
+(** Tape-free sampling, one forward pass for a slab of episodes: row
+    [i]'s (menu index, log-probability, value), sampled from [rngs.(i)]
+    only — bit-equal to singleton calls, independent of batch
+    composition. *)
 
 val ppo_policy : t -> sample Ppo.policy

@@ -74,15 +74,6 @@ let history (cfg : Env_config.t) (state : Sched_state.t) =
     state.Sched_state.applied;
   out
 
-(* Per-level footprint and reuse-distance features, aligned to the
-   point band like the other per-loop blocks: slot j is the data
-   footprint of one execution of the subtree under point loop j, slot
-   n_max + j the reuse distance carried by that loop. Log-scaled the
-   same way as trip counts. *)
-let footprint_feats (cfg : Env_config.t) (state : Sched_state.t) =
-  Nest_stats.band_footprint_features ~n_max:cfg.Env_config.n_max
-    state.Sched_state.nest
-
 let math_counts (state : Sched_state.t) =
   Array.map
     (fun c -> float_of_int c /. 4.0)
@@ -116,9 +107,4 @@ let extract (cfg : Env_config.t) (state : Sched_state.t) =
         gate f.Env_config.use_math_counts (fun () -> math_counts state) 6;
         gate f.Env_config.use_history (fun () -> history cfg state)
           (cfg.Env_config.n_max * 3 * cfg.Env_config.tau);
-      ]
-    (* Unlike the gated blocks above, this one changes the observation
-       LENGTH, not just its contents — absent entirely unless the
-       config opted in (see Env_config.obs_dim). *)
-    @ (if cfg.Env_config.footprint_features then [ footprint_feats cfg state ]
-       else []))
+      ])

@@ -25,6 +25,3 @@ val access_matrix :
   Env_config.t -> Sched_state.t -> Linalg.operand -> float array
 (** One flattened D x (N+1) matrix (for tests), columns ordered by the
     current point-band loop order. *)
-
-val history : Env_config.t -> Sched_state.t -> float array
-(** Last component only (for tests): N x 3 x tau. *)

@@ -380,7 +380,7 @@ let train ?callback ?resume config env policy ~ops =
   run_loop ?callback ?resume config env ~params ~optimizer ~ops ~step_slab
     ~update
 
-let train_flat ?callback ?resume config env policy ~ops =
+let train_flat config env policy ~ops =
   if Array.length ops = 0 then invalid_arg "Trainer.train_flat: no training ops";
   let params = Flat_policy.params policy in
   let optimizer = Optim.adam ~lr:config.ppo.Ppo.learning_rate params in
@@ -414,8 +414,7 @@ let train_flat ?callback ?resume config env policy ~ops =
           } ))
   in
   let update batch ~rng = Ppo.update config.ppo ppo_policy optimizer batch ~rng in
-  run_loop ?callback ?resume config env ~params ~optimizer ~ops ~step_slab
-    ~update
+  run_loop config env ~params ~optimizer ~ops ~step_slab ~update
 
 let greedy_rollout env policy op =
   let obs = ref (Env.reset env op) in
@@ -434,7 +433,11 @@ let greedy_rollout env policy op =
    streams split off the caller's rng up front, contiguous trial ranges
    per worker, results reduced in trial order — the winning schedule is
    the same for every [jobs]. *)
-let sampled_best ?(temperature = 1.5) ?(jobs = 1) rng env policy op ~trials =
+(* Sampling temperature of [sampled_best]: flattens the policy so a
+   converged (low-entropy) agent still proposes diverse candidates. *)
+let sampling_temperature = 1.5
+
+let sampled_best ?(jobs = 1) rng env policy op ~trials =
   if jobs < 1 then invalid_arg "Trainer.sampled_best: jobs must be >= 1";
   let masters = Array.init trials (fun _ -> Util.Rng.state (Util.Rng.split rng)) in
   let run_range (lo, hi) =
@@ -455,7 +458,8 @@ let sampled_best ?(temperature = 1.5) ?(jobs = 1) rng env policy op ~trials =
         while !continue do
           let masks = Env.masks fork in
           let action, _, _ =
-            Policy.act ~temperature action_rng policy ~obs:!obs ~masks
+            Policy.act ~temperature:sampling_temperature action_rng policy ~obs:!obs
+              ~masks
           in
           let result = Env.step_hierarchical fork action in
           obs := result.Env.obs;

@@ -80,21 +80,19 @@ val train :
     corrupt. Checkpoint/resume composes with any [jobs] value. *)
 
 val train_flat :
-  ?callback:(iteration_stats -> unit) ->
-  ?resume:bool ->
   config ->
   Env.t ->
   Flat_policy.t ->
   ops:Linalg.t array ->
   iteration_stats list
-(** Same loop for the flat/simple action-space policy. All [ops] must
-    have the loop count the policy was built for. *)
+(** Same loop for the flat/simple action-space policy (no callback, no
+    resume). All [ops] must have the loop count the policy was built
+    for. *)
 
 val greedy_rollout : Env.t -> Policy.t -> Linalg.t -> Schedule.t * float
 (** Run one greedy episode; returns the schedule and its speedup. *)
 
 val sampled_best :
-  ?temperature:float ->
   ?jobs:int ->
   Util.Rng.t ->
   Env.t ->
@@ -104,8 +102,9 @@ val sampled_best :
   Schedule.t * float
 (** Sample [trials] stochastic episodes and keep the best schedule —
     the inference mode used for the Figure 6 exploration comparison.
-    [temperature] (default 1.5) flattens the policy so a converged
-    (low-entropy) agent still proposes diverse candidates. [jobs]
+    Episodes sample at temperature 1.5, which flattens the policy so a
+    converged (low-entropy) agent still proposes diverse candidates.
+    [jobs]
     (default 1) spreads the trials over worker domains; per-trial rng
     streams are split off [rng] up front and trial accounting is merged
     back into [env] in trial order, so the result and the evaluator

@@ -12,8 +12,6 @@ let table2_train =
 let table2_validation =
   { c_matmul = 15; c_conv2d = 18; c_maxpool = 10; c_add = 10; c_relu = 14 }
 
-let total c = c.c_matmul + c.c_conv2d + c.c_maxpool + c.c_add + c.c_relu
-
 type split = { train : Linalg.t array; validation : Linalg.t array }
 
 (* Shape menus typical of the networks the paper scraped: transformer
@@ -173,14 +171,13 @@ let generate_counts rng tag counts =
   emit "relu" counts.c_relu;
   Array.of_list (List.rev !ops)
 
-let generate ?(train_counts = table2_train)
-    ?(validation_counts = table2_validation) ~seed () =
+let generate ~seed () =
   let rng = Util.Rng.create seed in
   let train_rng = Util.Rng.split rng in
   let val_rng = Util.Rng.split rng in
   {
-    train = generate_counts train_rng "train" train_counts;
-    validation = generate_counts val_rng "val" validation_counts;
+    train = generate_counts train_rng "train" table2_train;
+    validation = generate_counts val_rng "val" table2_validation;
   }
 
 let kind_counts ops =

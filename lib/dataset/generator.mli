@@ -7,28 +7,13 @@
     Table 2 counts: 1088 training ops and 67 validation ops across
     matmul, conv2d, maxpool, add and relu. *)
 
-type counts = {
-  c_matmul : int;
-  c_conv2d : int;
-  c_maxpool : int;
-  c_add : int;
-  c_relu : int;
-}
-
-val table2_train : counts
-(** matmul 175, conv2d 232, maxpool 200, add 248, relu 233. *)
-
-val table2_validation : counts
-(** matmul 15, conv2d 18, maxpool 10, add 10, relu 14. *)
-
-val total : counts -> int
-
 type split = { train : Linalg.t array; validation : Linalg.t array }
 
-val generate :
-  ?train_counts:counts -> ?validation_counts:counts -> seed:int -> unit -> split
-(** Deterministic in [seed]; op names are unique within the split.
-    Defaults to the Table 2 counts. *)
+val generate : seed:int -> unit -> split
+(** The Table 2 counts — train: matmul 175, conv2d 232, maxpool 200,
+    add 248, relu 233; validation: matmul 15, conv2d 18, maxpool 10,
+    add 10, relu 14. Deterministic in [seed]; op names are unique
+    within the split. *)
 
 val random_op : Util.Rng.t -> string -> Linalg.t
 (** [random_op rng kind] draws one op of the given kind. The Table 2

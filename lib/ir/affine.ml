@@ -11,7 +11,6 @@ let expr ?(const = 0) n_dims terms =
   { coeffs; const }
 
 let dim n_dims d = expr n_dims [ (d, 1) ]
-let const_expr n_dims c = expr ~const:c n_dims []
 
 let scale k e =
   { coeffs = Array.map (fun c -> k * c) e.coeffs; const = k * e.const }
@@ -67,33 +66,10 @@ let substitute_map m subst =
   in
   { n_dims; exprs }
 
-let permute_dims perm m =
-  if Array.length perm <> m.n_dims then
-    invalid_arg "Affine.permute_dims: permutation arity mismatch";
-  let permute_expr e =
-    { e with coeffs = Array.init m.n_dims (fun i -> e.coeffs.(perm.(i))) }
-  in
-  { m with exprs = Array.map permute_expr m.exprs }
-
 let rank m = Array.length m.exprs
 
 let uses_dim m d =
   Array.exists (fun e -> e.coeffs.(d) <> 0) m.exprs
-
-let innermost_stride m shape d =
-  if Array.length shape <> rank m then
-    invalid_arg "Affine.innermost_stride: shape rank mismatch";
-  (* Row-major strides of the target array. *)
-  let n = Array.length shape in
-  let strides = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    strides.(i) <- strides.(i + 1) * shape.(i + 1)
-  done;
-  let total = ref 0 in
-  Array.iteri
-    (fun i e -> total := !total + (e.coeffs.(d) * strides.(i)))
-    m.exprs;
-  !total
 
 let to_matrix m =
   Array.map

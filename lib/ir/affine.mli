@@ -27,15 +27,6 @@ val expr : ?const:int -> int -> (int * int) list -> expr
 val dim : int -> int -> expr
 (** [dim n_dims d] is the single-iterator expression [iter_d]. *)
 
-val const_expr : int -> int -> expr
-(** [const_expr n_dims c] is the constant expression [c]. *)
-
-val scale : int -> expr -> expr
-(** Multiply all coefficients and the constant by a factor. *)
-
-val add_expr : expr -> expr -> expr
-(** Pointwise sum of two expressions over the same iterator count. *)
-
 val eval_expr : expr -> int array -> int
 (** [eval_expr e iters] evaluates [e] at concrete iterator values. *)
 
@@ -61,24 +52,12 @@ val projection_map : int -> int list -> map
 val eval_map : map -> int array -> int array
 (** Evaluate every result expression at concrete iterator values. *)
 
-val permute_dims : int array -> map -> map
-(** [permute_dims perm m] precomposes [m] with the loop permutation that
-    sends position [i] of the new loop order to original iterator
-    [perm.(i)]: new expression coefficient for new dim [i] is the old
-    coefficient of iterator [perm.(i)]. *)
-
 val rank : map -> int
 (** Number of result dimensions. *)
 
 val uses_dim : map -> int -> bool
 (** [uses_dim m d] is true when iterator [d] appears with a non-zero
     coefficient in some result expression. *)
-
-val innermost_stride : map -> int array -> int -> int
-(** [innermost_stride m shape d] is the flat row-major element stride of
-    the access described by [m] into an array of shape [shape] when only
-    iterator [d] advances by one. Zero means the access is invariant in
-    [d]. *)
 
 val to_matrix : map -> int array array
 (** The access matrix of Figure 2: one row per array dimension, columns
@@ -87,9 +66,6 @@ val to_matrix : map -> int array array
 
 val equal_expr : expr -> expr -> bool
 val equal_map : map -> map -> bool
-
-val pp_expr : Format.formatter -> expr -> unit
-(** Prints e.g. [d0 + 2*d2 + 3]. *)
 
 val pp_map : Format.formatter -> map -> unit
 (** Prints e.g. [(d0, d1, d2) -> (d0, d2 + 1)]. *)

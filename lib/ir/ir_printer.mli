@@ -17,8 +17,5 @@
     }
     v} *)
 
-val pp : Format.formatter -> Loop_nest.t -> unit
-(** Pretty-print a nest in the concrete syntax above. *)
-
 val to_string : Loop_nest.t -> string
-(** [to_string nest] is [Format.asprintf "%a" pp nest]. *)
+(** Print a nest in the concrete syntax above. *)

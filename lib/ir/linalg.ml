@@ -154,12 +154,10 @@ let matmul ?name ~m ~n ~k () =
       init = Some 0.0;
     }
 
-let batch_matmul ?name ~b ~m ~n ~k () =
+let batch_matmul ~b ~m ~n ~k () =
   let nd = 4 in
   let name =
-    match name with
-    | Some s -> s
-    | None -> Printf.sprintf "batch_matmul_%dx%dx%dx%d" b m n k
+    Printf.sprintf "batch_matmul_%dx%dx%dx%d" b m n k
   in
   checked
     {
@@ -192,7 +190,7 @@ let conv_out_dim ~in_dim ~kernel ~stride =
     invalid_arg "Linalg.conv2d: kernel larger than input";
   ((in_dim - kernel) / stride) + 1
 
-let conv2d ?name (p : conv_params) =
+let conv2d (p : conv_params) =
   if p.stride <= 0 then invalid_arg "Linalg.conv2d: stride must be positive";
   let oh = conv_out_dim ~in_dim:p.in_h ~kernel:p.kernel_h ~stride:p.stride in
   let ow = conv_out_dim ~in_dim:p.in_w ~kernel:p.kernel_w ~stride:p.stride in
@@ -210,11 +208,8 @@ let conv2d ?name (p : conv_params) =
   let filter_map = Affine.projection_map nd [ 4; 5; 6; 3 ] in
   let out_map = Affine.projection_map nd [ 0; 1; 2; 3 ] in
   let name =
-    match name with
-    | Some s -> s
-    | None ->
-        Printf.sprintf "conv2d_n%d_%dx%dx%d_k%dx%d_f%d_s%d" p.batch p.in_h
-          p.in_w p.channels p.kernel_h p.kernel_w p.filters p.stride
+    Printf.sprintf "conv2d_n%d_%dx%dx%d_k%dx%d_f%d_s%d" p.batch p.in_h
+      p.in_w p.channels p.kernel_h p.kernel_w p.filters p.stride
   in
   checked
     {
@@ -245,7 +240,7 @@ let conv2d ?name (p : conv_params) =
       init = Some 0.0;
     }
 
-let conv2d_nchw ?name (p : conv_params) =
+let conv2d_nchw (p : conv_params) =
   if p.stride <= 0 then invalid_arg "Linalg.conv2d_nchw: stride must be positive";
   let oh = conv_out_dim ~in_dim:p.in_h ~kernel:p.kernel_h ~stride:p.stride in
   let ow = conv_out_dim ~in_dim:p.in_w ~kernel:p.kernel_w ~stride:p.stride in
@@ -263,11 +258,8 @@ let conv2d_nchw ?name (p : conv_params) =
   let filter_map = Affine.projection_map nd [ 3; 6; 4; 5 ] in
   let out_map = Affine.projection_map nd [ 0; 3; 1; 2 ] in
   let name =
-    match name with
-    | Some s -> s
-    | None ->
-        Printf.sprintf "conv2d_nchw_n%d_%dx%dx%d_k%dx%d_f%d_s%d" p.batch
-          p.in_h p.in_w p.channels p.kernel_h p.kernel_w p.filters p.stride
+    Printf.sprintf "conv2d_nchw_n%d_%dx%dx%d_k%dx%d_f%d_s%d" p.batch
+      p.in_h p.in_w p.channels p.kernel_h p.kernel_w p.filters p.stride
   in
   checked
     {
@@ -298,7 +290,7 @@ let conv2d_nchw ?name (p : conv_params) =
       init = Some 0.0;
     }
 
-let depthwise_conv2d ?name (p : conv_params) =
+let depthwise_conv2d (p : conv_params) =
   if p.stride <= 0 then
     invalid_arg "Linalg.depthwise_conv2d: stride must be positive";
   let oh = conv_out_dim ~in_dim:p.in_h ~kernel:p.kernel_h ~stride:p.stride in
@@ -317,11 +309,8 @@ let depthwise_conv2d ?name (p : conv_params) =
   let filter_map = Affine.projection_map nd [ 4; 5; 3 ] in
   let out_map = Affine.projection_map nd [ 0; 1; 2; 3 ] in
   let name =
-    match name with
-    | Some s -> s
-    | None ->
-        Printf.sprintf "dwconv_n%d_%dx%dx%d_k%dx%d_s%d" p.batch p.in_h p.in_w
-          p.channels p.kernel_h p.kernel_w p.stride
+    Printf.sprintf "dwconv_n%d_%dx%dx%d_k%dx%d_s%d" p.batch p.in_h p.in_w
+      p.channels p.kernel_h p.kernel_w p.stride
   in
   checked
     {
@@ -352,7 +341,7 @@ let depthwise_conv2d ?name (p : conv_params) =
       init = Some 0.0;
     }
 
-let maxpool ?name (p : pool_params) =
+let maxpool (p : pool_params) =
   if p.p_stride <= 0 then invalid_arg "Linalg.maxpool: stride must be positive";
   let oh = conv_out_dim ~in_dim:p.p_in_h ~kernel:p.p_kernel ~stride:p.p_stride in
   let ow = conv_out_dim ~in_dim:p.p_in_w ~kernel:p.p_kernel ~stride:p.p_stride in
@@ -369,11 +358,8 @@ let maxpool ?name (p : pool_params) =
   in
   let out_map = Affine.projection_map nd [ 0; 1; 2; 3 ] in
   let name =
-    match name with
-    | Some s -> s
-    | None ->
-        Printf.sprintf "maxpool_n%d_%dx%dx%d_k%d_s%d" p.p_batch p.p_in_h
-          p.p_in_w p.p_channels p.p_kernel p.p_stride
+    Printf.sprintf "maxpool_n%d_%dx%dx%d_k%d_s%d" p.p_batch p.p_in_h
+      p.p_in_w p.p_channels p.p_kernel p.p_stride
   in
   checked
     {
@@ -399,16 +385,13 @@ let maxpool ?name (p : pool_params) =
       init = Some neg_infinity;
     }
 
-let avgpool ?name (p : pool_params) =
+let avgpool (p : pool_params) =
   if p.p_stride <= 0 then invalid_arg "Linalg.avgpool: stride must be positive";
-  let mp = maxpool ?name p in
+  let mp = maxpool p in
   let inv_area = 1.0 /. float_of_int (p.p_kernel * p.p_kernel) in
   let name =
-    match name with
-    | Some s -> s
-    | None ->
-        Printf.sprintf "avgpool_n%d_%dx%dx%d_k%d_s%d" p.p_batch p.p_in_h
-          p.p_in_w p.p_channels p.p_kernel p.p_stride
+    Printf.sprintf "avgpool_n%d_%dx%dx%d_k%d_s%d" p.p_batch p.p_in_h
+      p.p_in_w p.p_channels p.p_kernel p.p_stride
   in
   checked
     {
@@ -419,7 +402,7 @@ let avgpool ?name (p : pool_params) =
       init = Some 0.0;
     }
 
-let elementwise ?name ~tag ~kind ~n_inputs ~body shape =
+let elementwise ~tag ~kind ~n_inputs ~body shape =
   let nd = Array.length shape in
   if nd = 0 then invalid_arg "Linalg: elementwise op needs rank >= 1";
   let id = Affine.identity_map nd in
@@ -427,7 +410,7 @@ let elementwise ?name ~tag ~kind ~n_inputs ~body shape =
     String.concat "x" (Array.to_list (Array.map string_of_int shape))
   in
   let name =
-    match name with Some s -> s | None -> Printf.sprintf "%s_%s" tag dims_str
+    Printf.sprintf "%s_%s" tag dims_str
   in
   checked
     {
@@ -443,27 +426,27 @@ let elementwise ?name ~tag ~kind ~n_inputs ~body shape =
       init = None;
     }
 
-let add ?name shape =
-  elementwise ?name ~tag:"add" ~kind:(Add_op (Array.copy shape)) ~n_inputs:2
+let add shape =
+  elementwise ~tag:"add" ~kind:(Add_op (Array.copy shape)) ~n_inputs:2
     ~body:(Binop (Add, Input 0, Input 1))
     shape
 
-let relu ?name shape =
-  elementwise ?name ~tag:"relu" ~kind:(Relu_op (Array.copy shape)) ~n_inputs:1
+let relu shape =
+  elementwise ~tag:"relu" ~kind:(Relu_op (Array.copy shape)) ~n_inputs:1
     ~body:(Binop (Max, Input 0, Const 0.0))
     shape
 
-let unary ?name k shape =
+let unary k shape =
   let tag, body =
     match k with
     | Exp_k -> ("exp", Unop (Exp, Input 0))
     | Log_k -> ("log", Unop (Log, Input 0))
     | Relu_k -> ("relu", Binop (Max, Input 0, Const 0.0))
   in
-  elementwise ?name ~tag ~kind:(Unary_op (k, Array.copy shape)) ~n_inputs:1
+  elementwise ~tag ~kind:(Unary_op (k, Array.copy shape)) ~n_inputs:1
     ~body shape
 
-let binary ?name k shape =
+let binary k shape =
   let tag, op =
     match k with
     | Add_k -> ("add2", Add)
@@ -471,11 +454,11 @@ let binary ?name k shape =
     | Mul_k -> ("mul", Mul)
     | Div_k -> ("div", Div)
   in
-  elementwise ?name ~tag ~kind:(Binary_op (k, Array.copy shape)) ~n_inputs:2
+  elementwise ~tag ~kind:(Binary_op (k, Array.copy shape)) ~n_inputs:2
     ~body:(Binop (op, Input 0, Input 1))
     shape
 
-let bias_add ?name shape =
+let bias_add shape =
   let nd = Array.length shape in
   if nd < 2 then invalid_arg "Linalg.bias_add: rank >= 2 required";
   let id = Affine.identity_map nd in
@@ -484,7 +467,7 @@ let bias_add ?name shape =
     String.concat "x" (Array.to_list (Array.map string_of_int shape))
   in
   let name =
-    match name with Some s -> s | None -> Printf.sprintf "bias_add_%s" dims_str
+    Printf.sprintf "bias_add_%s" dims_str
   in
   checked
     {

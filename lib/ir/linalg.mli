@@ -78,47 +78,47 @@ type t = {
 val matmul : ?name:string -> m:int -> n:int -> k:int -> unit -> t
 (** C\[m,n\] = sum_k A\[m,k\] * B\[k,n\]. Iteration domain (m, n, k). *)
 
-val batch_matmul : ?name:string -> b:int -> m:int -> n:int -> k:int -> unit -> t
+val batch_matmul : b:int -> m:int -> n:int -> k:int -> unit -> t
 (** C\[b,m,n\] = sum_k A\[b,m,k\] * B\[b,k,n\] — transformer attention
     batches. Iteration domain (b, m, n, k). *)
 
-val conv2d : ?name:string -> conv_params -> t
+val conv2d : conv_params -> t
 (** NHWC valid convolution, iteration domain
     (batch, out_h, out_w, filters, kernel_h, kernel_w, channels) — seven
     loops, matching the paper's N = 7. Raises [Invalid_argument] when the
     kernel does not fit the input. *)
 
-val conv2d_nchw : ?name:string -> conv_params -> t
+val conv2d_nchw : conv_params -> t
 (** The same convolution in NCHW layout: input \[n,c,h,w\], filter
     \[f,c,kh,kw\], output \[n,f,oh,ow\]. Same seven-loop iteration
     domain as {!conv2d}, but every access matrix changes — the layout
     ablation's subject. Not eligible for im2col (the packing helper
     assumes NHWC). *)
 
-val depthwise_conv2d : ?name:string -> conv_params -> t
+val depthwise_conv2d : conv_params -> t
 (** NHWC depthwise convolution: each channel convolved with its own
     kernel ([filters] is ignored — the output has [channels] channels).
     Domain (batch, oh, ow, channels, kh, kw) — six loops. *)
 
-val maxpool : ?name:string -> pool_params -> t
+val maxpool : pool_params -> t
 (** NHWC max pooling, domain (batch, out_h, out_w, channels, kh, kw). *)
 
-val avgpool : ?name:string -> pool_params -> t
+val avgpool : pool_params -> t
 (** NHWC average pooling: accumulates input scaled by 1/(k*k). *)
 
-val add : ?name:string -> int array -> t
+val add : int array -> t
 (** Elementwise addition of two arrays of the given shape. *)
 
-val relu : ?name:string -> int array -> t
+val relu : int array -> t
 (** Elementwise [max(x, 0)]. *)
 
-val unary : ?name:string -> unary_kind -> int array -> t
+val unary : unary_kind -> int array -> t
 (** Elementwise exp / log / relu of one input. *)
 
-val binary : ?name:string -> binary_kind -> int array -> t
+val binary : binary_kind -> int array -> t
 (** Elementwise add / sub / mul / div of two inputs. *)
 
-val bias_add : ?name:string -> int array -> t
+val bias_add : int array -> t
 (** [x + b] where [b] broadcasts over all but the last dimension — the
     canonical bias of a dense or conv layer. The bias operand's access
     matrix has a single non-zero column, exercising the broadcast case

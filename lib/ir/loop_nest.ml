@@ -97,8 +97,6 @@ let validate t =
         | Some (b, _) -> err "nest %s: init of undeclared buffer %s" t.name b
         | None -> Ok ())
 
-let rename name t = { t with name }
-
 (* --- structural digest ----------------------------------------------
 
    A 126-bit structural fingerprint in O(nest size), with no
@@ -275,8 +273,3 @@ let map_body_exprs f t =
     t with
     body = List.map (fun (Store (r, e)) -> Store (map_ref r, map_sexpr e)) t.body;
   }
-
-let equal_semantics_domain a b =
-  List.sort compare a.buffers = List.sort compare b.buffers
-  && List.sort compare a.inits = List.sort compare b.inits
-  && iteration_count a = iteration_count b

@@ -63,8 +63,6 @@ val loads_of_body : t -> mem_ref list
 val stores_of_body : t -> mem_ref list
 (** All store targets, in order. *)
 
-val rename : string -> t -> t
-
 val digest : t -> string
 (** 128-bit structural fingerprint (32 hex chars) in O(nest size),
     without printing the nest: loops (trip count, kind, origin), body
@@ -78,7 +76,3 @@ val digest : t -> string
 
 val map_body_exprs : (Affine.expr -> Affine.expr) -> t -> t
 (** Rewrite every subscript expression of every load and store. *)
-
-val equal_semantics_domain : t -> t -> bool
-(** Quick structural test: same buffers, same inits, same total iteration
-    count — a necessary condition for two nests to be equivalent. *)

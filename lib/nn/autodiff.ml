@@ -44,7 +44,6 @@ type node = {
 module Tape = struct
   type t = {
     mutable nodes : node list;
-    mutable n : int;
     ws : Tensor.Workspace.t option;
   }
 
@@ -59,12 +58,9 @@ module Tape = struct
      fresh-allocation semantics. *)
   let create ?ws () =
     Option.iter Tensor.Workspace.reset ws;
-    { nodes = []; n = 0; ws }
+    { nodes = []; ws }
 
-  let push t node =
-    t.nodes <- node :: t.nodes;
-    t.n <- t.n + 1
-  let length t = t.n
+  let push t node = t.nodes <- node :: t.nodes
   let ws t = t.ws
 end
 
@@ -271,7 +267,6 @@ let exp_ tape a =
       done)
 let neg tape a = unary tape a ~f:(fun x -> -.x) ~df:(fun _ g -> -.g)
 let scale tape k a = unary tape a ~f:(fun x -> k *. x) ~df:(fun _ g -> k *. g)
-let add_scalar tape k a = unary tape a ~f:(fun x -> x +. k) ~df:(fun _ g -> g)
 let square tape a = unary tape a ~f:(fun x -> x *. x) ~df:(fun x g -> 2.0 *. x *. g)
 
 let clamp tape ~lo ~hi a =

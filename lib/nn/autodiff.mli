@@ -34,9 +34,6 @@ module Tape : sig
   val ws : t -> Tensor.Workspace.t option
   (** The arena this tape draws from, for staging related buffers
       (observation matrices, mask penalties) with the same lifetime. *)
-
-  val length : t -> int
-  (** Number of recorded nodes (for tests). *)
 end
 
 type node
@@ -70,7 +67,6 @@ val relu : Tape.t -> node -> node
 val exp_ : Tape.t -> node -> node
 val neg : Tape.t -> node -> node
 val scale : Tape.t -> float -> node -> node
-val add_scalar : Tape.t -> float -> node -> node
 val square : Tape.t -> node -> node
 
 val clamp : Tape.t -> lo:float -> hi:float -> node -> node

@@ -5,9 +5,6 @@
     action mask, §3.1.1). Sampling is performed on values (outside the
     graph); log-probabilities and entropies are differentiable nodes. *)
 
-val mask_penalty : float
-(** Added to masked-out logits (-1e9). *)
-
 val masked_log_probs :
   Autodiff.Tape.t -> Autodiff.node -> mask:bool array array -> Autodiff.node
 (** [masked_log_probs tape logits ~mask] for logits of shape

@@ -5,14 +5,6 @@ type linear = {
   b : Autodiff.Param.t;  (** \[out_dim\] *)
 }
 
-val linear : Util.Rng.t -> in_dim:int -> out_dim:int -> string -> linear
-(** Xavier-uniform weights, zero bias. *)
-
-val forward_linear : Autodiff.Tape.t -> linear -> Autodiff.node -> Autodiff.node
-(** [x * w + b] for a batch [x] of shape \[batch; in_dim\]. *)
-
-val linear_params : linear -> Autodiff.Param.t list
-
 type mlp = { layers : linear list }
 (** Dense layers with ReLU between them (none after the last). *)
 
@@ -20,11 +12,6 @@ val mlp : Util.Rng.t -> dims:int list -> string -> mlp
 (** [mlp rng ~dims:\[in; h1; ...; out\] name] builds len-1 linear layers. *)
 
 val forward_mlp : Autodiff.Tape.t -> mlp -> Autodiff.node -> Autodiff.node
-
-val forward_linear_values : ?ws:Tensor.Workspace.t -> linear -> Tensor.t -> Tensor.t
-(** Tape-free [x * w + b] on raw tensors — no gradients recorded. With
-    [?ws] the result lives in the workspace (valid until its next
-    [reset]) and the call allocates nothing in steady state. *)
 
 val forward_batch : ?ws:Tensor.Workspace.t -> mlp -> Tensor.t -> Tensor.t
 (** Tape-free MLP forward for inference. Produces bit-identical values

@@ -1,18 +1,11 @@
-(** Gradient-descent optimizers. *)
+(** The Adam optimizer. *)
 
 type t
 (** Optimizer state bound to a fixed parameter list. *)
 
-val adam :
-  ?beta1:float ->
-  ?beta2:float ->
-  ?eps:float ->
-  lr:float ->
-  Autodiff.Param.t list ->
-  t
-(** Adam with bias correction (Kingma & Ba). *)
-
-val sgd : lr:float -> Autodiff.Param.t list -> t
+val adam : lr:float -> Autodiff.Param.t list -> t
+(** Adam with bias correction (Kingma & Ba), at their defaults: beta1
+    0.9, beta2 0.999, eps 1e-8. *)
 
 val step : ?max_grad_norm:float -> t -> float
 (** Apply one update from the parameters' accumulated gradients and
@@ -29,8 +22,7 @@ val zero_grad : t -> unit
 
 val save : t -> string -> unit
 (** Persist the optimizer state (Adam moments and step counter) in the
-    {!Serialize} format, atomically. SGD has no state; an empty record
-    is written so [load] round-trips. *)
+    {!Serialize} format, atomically. *)
 
 val load : t -> string -> (unit, string) result
 (** Restore state saved by {!save} into an optimizer built over the

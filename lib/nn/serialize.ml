@@ -89,11 +89,3 @@ let load_params path params =
                     go params))
         | Some _ -> Error "not a mlir-rl parameter file"
         | None -> Error "empty file")
-
-let params_equal a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (x : Autodiff.Param.t) (y : Autodiff.Param.t) ->
-         x.Autodiff.Param.name = y.Autodiff.Param.name
-         && Tensor.equal x.Autodiff.Param.data y.Autodiff.Param.data)
-       a b

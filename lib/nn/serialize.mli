@@ -15,6 +15,3 @@ val save_params : string -> Autodiff.Param.t list -> unit
 val load_params : string -> Autodiff.Param.t list -> (unit, string) result
 (** [load_params path params] restores values in place. Errors on
     missing file, version/name/shape mismatch, or malformed data. *)
-
-val params_equal : Autodiff.Param.t list -> Autodiff.Param.t list -> bool
-(** Same names, shapes and values (for tests). *)

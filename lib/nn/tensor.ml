@@ -60,7 +60,6 @@ let create shape v =
   t
 
 let zeros shape = create shape 0.0
-let ones shape = create shape 1.0
 
 let numel t = Bigarray.Array1.dim t.data
 let dims t = Array.copy t.shape
@@ -84,22 +83,6 @@ let init shape f =
   done;
   t
 
-let scalar v = of_array [| 1 |] [| v |]
-
-let blit src dst =
-  if numel src <> numel dst then invalid_arg "Tensor.blit: size mismatch";
-  Bigarray.Array1.blit src.data dst.data
-
-let copy t =
-  let out = unsafe_create t.shape in
-  Bigarray.Array1.blit t.data out.data;
-  out
-
-let reshape shape t =
-  if product shape <> numel t then invalid_arg "Tensor.reshape: size mismatch";
-  let out = copy t in
-  { out with shape = Array.copy shape }
-
 let get t i = Bigarray.Array1.get t.data i
 let set t i v = Bigarray.Array1.set t.data i v
 let[@inline always] unsafe_get t i = uget t.data i
@@ -111,10 +94,6 @@ let check_rank2 name t =
 let get2 t i j =
   check_rank2 "Tensor.get2" t;
   Bigarray.Array1.get t.data ((i * t.shape.(1)) + j)
-
-let set2 t i j v =
-  check_rank2 "Tensor.set2" t;
-  Bigarray.Array1.set t.data ((i * t.shape.(1)) + j) v
 
 (* -- workspace arena ---------------------------------------------------
 
@@ -129,16 +108,14 @@ module Workspace = struct
   type nonrec t = {
     mutable slots : buf array;  (* backing buffers, in hand-out order *)
     mutable used : int;  (* cursor into [slots] *)
-    mutable grabs : int;  (* total [get] calls (stats) *)
     mutable reallocs : int;  (* [get]s that had to allocate (stats) *)
   }
 
-  let create () = { slots = [||]; used = 0; grabs = 0; reallocs = 0 }
+  let create () = { slots = [||]; used = 0; reallocs = 0 }
   let reset ws = ws.used <- 0
 
   let get ws shape =
     let n = product shape in
-    ws.grabs <- ws.grabs + 1;
     let slot = ws.used in
     ws.used <- slot + 1;
     if slot >= Array.length ws.slots then begin
@@ -166,12 +143,7 @@ module Workspace = struct
       end
     end
 
-  let slots ws = Array.length ws.slots
   let reallocs ws = ws.reallocs
-  let grabs ws = ws.grabs
-
-  let live_bytes ws =
-    Array.fold_left (fun acc b -> acc + (8 * Bigarray.Array1.dim b)) 0 ws.slots
 end
 
 (* -- matmul ------------------------------------------------------------
@@ -327,7 +299,6 @@ let transpose t =
   check_rank2 "Tensor.transpose" t;
   transpose_into ~dst:(unsafe_create [| t.shape.(1); t.shape.(0) |]) t
 
-let matmul_transpose_a a b = matmul (transpose a) b
 let matmul_transpose_b a b = matmul a (transpose b)
 
 (* dst += a * b^T, the [Autodiff.matmul] backward step for dA; a : [m; k]
@@ -522,8 +493,6 @@ let sum t =
   done;
   !acc
 
-let mean t = sum t /. float_of_int (numel t)
-
 let sum_rows_into ~dst t =
   check_rank2 "Tensor.sum_rows_into" t;
   let m = t.shape.(0) and n = t.shape.(1) in
@@ -582,12 +551,6 @@ let add_mul_inplace dst a b =
 
 let fill_inplace t v = Bigarray.Array1.fill t.data v
 
-let scale_inplace t k =
-  let d = t.data in
-  for i = 0 to numel t - 1 do
-    uset d i (uget d i *. k)
-  done
-
 let xavier_uniform rng ~fan_in ~fan_out shape =
   let bound = sqrt (6.0 /. float_of_int (fan_in + fan_out)) in
   init shape (fun _ -> (Util.Rng.uniform rng *. 2.0 *. bound) -. bound)
@@ -610,29 +573,3 @@ let equal a b =
        done;
        !ok
      end
-
-let approx_equal ?(tol = 1e-9) a b =
-  same_shape a b
-  && begin
-       let ad = a.data and bd = b.data in
-       let ok = ref true in
-       let i = ref 0 in
-       let n = numel a in
-       while !ok && !i < n do
-         if not (Float.abs (uget ad !i -. uget bd !i) <= tol) then ok := false;
-         incr i
-       done;
-       !ok
-     end
-
-let pp ppf t =
-  Format.fprintf ppf "tensor[%s]"
-    (String.concat "x" (Array.to_list (Array.map string_of_int t.shape)));
-  if numel t <= 16 then begin
-    Format.fprintf ppf " {";
-    for i = 0 to numel t - 1 do
-      if i > 0 then Format.fprintf ppf ", ";
-      Format.fprintf ppf "%g" (uget t.data i)
-    done;
-    Format.fprintf ppf "}"
-  end

@@ -20,11 +20,7 @@ type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = { shape : int array; data : buf }
 
-val create : int array -> float -> t
-(** [create shape v] fills a new tensor with [v]. *)
-
 val zeros : int array -> t
-val ones : int array -> t
 
 val of_array : int array -> float array -> t
 (** Validates that the data length matches the shape product. *)
@@ -35,18 +31,8 @@ val to_array : t -> float array
 val init : int array -> (int -> float) -> t
 (** [init shape f] fills index [i] (flat) with [f i]. *)
 
-val scalar : float -> t
-(** Rank-1 singleton. *)
-
 val numel : t -> int
 val dims : t -> int array
-val copy : t -> t
-
-val blit : t -> t -> unit
-(** [blit src dst] copies the payload of [src] into [dst] (equal sizes). *)
-
-val reshape : int array -> t -> t
-(** Same data, new shape (validated); shares no storage. *)
 
 val get : t -> int -> float
 (** Flat indexing (bounds-checked). *)
@@ -60,8 +46,6 @@ val unsafe_set : t -> int -> float -> unit
 
 val get2 : t -> int -> int -> float
 (** [get2 t i j] for rank-2 tensors. *)
-
-val set2 : t -> int -> int -> float -> unit
 
 (** Preallocated buffer arena for destination-passing kernels.
 
@@ -83,18 +67,9 @@ module Workspace : sig
   val reset : t -> unit
   val get : t -> int array -> tensor
 
-  val slots : t -> int
-  (** Number of backing buffers currently pooled. *)
-
-  val grabs : t -> int
-  (** Total [get] calls over the workspace's lifetime. *)
-
   val reallocs : t -> int
   (** [get] calls that had to allocate a buffer; a steady-state caller
       stops increasing this after the first pass. *)
-
-  val live_bytes : t -> int
-  (** Bytes held by the pooled buffers. *)
 end
 
 val matmul : t -> t -> t
@@ -106,9 +81,6 @@ val matmul : t -> t -> t
 val matmul_into : dst:t -> t -> t -> t
 (** [matmul_into ~dst a b] writes [a * b] into [dst] ([m; n]) and
     returns it. [dst] must not alias [a] or [b]. *)
-
-val matmul_transpose_a : t -> t -> t
-(** [matmul_transpose_a a b] computes [a^T * b] for a of shape [k; m]. *)
 
 val matmul_transpose_b : t -> t -> t
 (** [matmul_transpose_b a b] computes [a * b^T] for b of shape [n; k]. *)
@@ -164,7 +136,6 @@ val add_bias : t -> t -> t
 val add_bias_into : dst:t -> t -> t -> t
 
 val sum : t -> float
-val mean : t -> float
 
 val sum_rows : t -> t
 (** [sum_rows x] for [m; n] input returns shape [m] row sums. *)
@@ -181,7 +152,6 @@ val add_mul_inplace : t -> t -> t -> unit
 (** [add_mul_inplace dst a b]: dst += a * b elementwise, fused. *)
 
 val fill_inplace : t -> float -> unit
-val scale_inplace : t -> float -> unit
 
 val xavier_uniform : Util.Rng.t -> fan_in:int -> fan_out:int -> int array -> t
 (** Glorot/Xavier uniform initialization. *)
@@ -189,6 +159,3 @@ val xavier_uniform : Util.Rng.t -> fan_in:int -> fan_out:int -> int array -> t
 val equal : t -> t -> bool
 (** Bitwise element equality (NaN equals NaN; [0.0] differs from
     [-0.0]) — the right notion for "is this the same checkpoint". *)
-
-val approx_equal : ?tol:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit

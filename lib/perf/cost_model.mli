@@ -55,11 +55,3 @@ val seconds :
   Loop_nest.t ->
   float
 (** [seconds] is [(estimate ...).seconds]. *)
-
-val fit_fraction : float
-(** Fraction of a cache level the working set may occupy before the
-    model considers it evicted across re-entries (0.5). *)
-
-val prefetch_discount : float
-(** Multiplier applied to latency charges of hardware-prefetchable
-    (last-dimension-contiguous) streams. *)

@@ -22,7 +22,7 @@ let sanitize_state (state : Sched_state.t) =
       let outcome =
         if state.Sched_state.packing_elements = 0 then
           Sanitizer.run_pair ~reference ~ref_inputs
-            ~candidate:state.Sched_state.nest ~cand_inputs:ref_inputs ()
+            ~candidate:state.Sched_state.nest ~cand_inputs:ref_inputs
         else
           match
             ( state.Sched_state.original.Linalg.kind,
@@ -34,7 +34,6 @@ let sanitize_state (state : Sched_state.t) =
               Sanitizer.run_pair ~reference ~ref_inputs
                 ~candidate:state.Sched_state.nest
                 ~cand_inputs:[ ("A", packed); ("B", filter) ]
-                ()
           | _ -> Sanitizer.skip "packed state is not an NHWC convolution"
       in
       (match outcome with

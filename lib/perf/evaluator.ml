@@ -40,13 +40,16 @@ type t = {
 }
 
 let timeout_factor = 10.0
-let default_cache_capacity = 4096
+
+(* Base-time cache entries (FIFO eviction; an eviction only costs a
+   recompute). *)
+let base_cache_capacity = 4096
 
 let create ?(machine = Machine.e5_2680_v4) ?(noise = 0.0) ?(noise_seed = 0)
-    ?(cache_capacity = default_cache_capacity) ?(measure_delay_s = 0.0) () =
+    ?(measure_delay_s = 0.0) () =
   {
     machine;
-    base_cache = Util.Sharded_cache.create ~capacity:cache_capacity ();
+    base_cache = Util.Sharded_cache.create ~capacity:base_cache_capacity ();
     explored = 0;
     noise;
     noise_rng = Util.Rng.create noise_seed;
@@ -81,7 +84,6 @@ let jitter t seconds =
   else seconds *. exp (t.noise *. Util.Rng.gaussian t.noise_rng)
 
 let machine t = t.machine
-let noise t = t.noise
 
 let base_seconds t (op : Linalg.t) =
   match t.base_memo with
@@ -140,7 +142,6 @@ let schedule_speedup t op sched =
   Result.map (speedup t) (Sched_state.apply_all op sched)
 
 let explored t = t.explored
-let reset_explored t = t.explored <- 0
 let set_explored t n = t.explored <- n
 let noise_state t = Util.Rng.state t.noise_rng
 let set_noise_state t s = Util.Rng.set_state t.noise_rng s

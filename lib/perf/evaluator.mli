@@ -14,7 +14,6 @@ val create :
   ?machine:Machine.t ->
   ?noise:float ->
   ?noise_seed:int ->
-  ?cache_capacity:int ->
   ?measure_delay_s:float ->
   unit ->
   t
@@ -23,9 +22,9 @@ val create :
     (sigma of the log, e.g. 0.05 for ~5% timing noise) — real machines
     measure like this, and the paper's training signal carried such
     noise. Base times stay noiseless so speedups are jittered only
-    through the measurement. [cache_capacity] bounds the base-time
-    cache (default 4096 entries, FIFO eviction — an eviction only costs
-    a recompute). [measure_delay_s] emulates the hardware-measurement
+    through the measurement. The base-time cache holds 4096 entries
+    (FIFO eviction — an eviction only costs a recompute).
+    [measure_delay_s] emulates the hardware-measurement
     stall of a real deployment: every {!state_seconds} call sleeps that
     long before pricing, so parallel-search benches scale with how well
     the search overlaps measurement latency instead of with the host's
@@ -42,9 +41,6 @@ val fork : t -> t
     and merge the fork's {!explored} delta back. *)
 
 val machine : t -> Machine.t
-
-val noise : t -> float
-(** The jitter sigma this evaluator was created with. *)
 
 val base_seconds : t -> Linalg.t -> float
 (** Estimated time of the op with no transformation (cached). *)
@@ -73,8 +69,6 @@ val schedule_speedup : t -> Linalg.t -> Schedule.t -> (float, string) result
 val explored : t -> int
 (** Number of [state_seconds]/[measure] calls so far — the "schedules
     explored" counter used by the Figure 6 search-efficiency bench. *)
-
-val reset_explored : t -> unit
 
 val set_explored : t -> int -> unit
 (** Restore the explored counter (checkpoint resume). *)

@@ -67,9 +67,6 @@ let create ?(config = none) ~seed () =
   | Error e -> invalid_arg ("Faults.create: " ^ e));
   { config; rng = Util.Rng.create seed; calls = 0 }
 
-let config t = t.config
-let calls t = t.calls
-
 let fork t =
   (* Same fault mix, fresh stream position: parallel episodes each get
      their own deterministic fault sequence (the trainer seeds it from
@@ -121,32 +118,30 @@ let restore t (s, n) =
 type chaos_action =
   | Kill_replica
   | Stall of float
-  | Garble
 
 type chaos_event = { at_s : float; replica : int; action : chaos_action }
 
 let chaos_action_to_string = function
   | Kill_replica -> "kill"
   | Stall s -> Printf.sprintf "stall(%.2fs)" s
-  | Garble -> "garble"
 
 let chaos_event_to_string e =
   Printf.sprintf "t=%.3fs replica=%d %s" e.at_s e.replica
     (chaos_action_to_string e.action)
 
-(* Poisson process over the union of the three action rates: draw
+(* Poisson process over the union of the two action rates: draw
    exponential interarrivals at the total rate, then attribute each
    event to an action proportionally. Exactly four uniforms per event
    whatever the outcome, so plans replay bit-identically from the
    seed. *)
 let chaos_plan ~seed ~replicas ~duration_s ?(kill_rate = 0.5)
-    ?(stall_rate = 0.0) ?(garble_rate = 0.0) ?(stall_seconds = 0.5) () =
+    ?(stall_rate = 0.0) ?(stall_seconds = 0.5) () =
   if replicas < 1 then invalid_arg "Faults.chaos_plan: replicas < 1";
   if duration_s < 0.0 then invalid_arg "Faults.chaos_plan: duration_s < 0";
-  if kill_rate < 0.0 || stall_rate < 0.0 || garble_rate < 0.0 then
+  if kill_rate < 0.0 || stall_rate < 0.0 then
     invalid_arg "Faults.chaos_plan: negative rate";
   if stall_seconds < 0.0 then invalid_arg "Faults.chaos_plan: stall_seconds < 0";
-  let total = kill_rate +. stall_rate +. garble_rate in
+  let total = kill_rate +. stall_rate in
   if total <= 0.0 then []
   else begin
     let rng = Util.Rng.create seed in
@@ -164,9 +159,7 @@ let chaos_plan ~seed ~replicas ~duration_s ?(kill_rate = 0.5)
         let pick = u_pick *. total in
         let action =
           if pick < kill_rate then Kill_replica
-          else if pick < kill_rate +. stall_rate then
-            Stall (stall_seconds *. (0.5 +. u_mag))
-          else Garble
+          else Stall (stall_seconds *. (0.5 +. u_mag))
         in
         go now ({ at_s = now; replica; action } :: acc)
     in

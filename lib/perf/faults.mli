@@ -32,9 +32,6 @@ type config = {
           top of the probabilistic faults — for exception-safety tests *)
 }
 
-val none : config
-(** All probabilities zero: a perfectly reliable backend. *)
-
 val flaky : ?rate:float -> unit -> config
 (** A representative flaky backend. [rate] (default 0.1) is the total
     transient-failure probability, split 40/30/30 between timeouts,
@@ -49,9 +46,6 @@ type t
 val create : ?config:config -> seed:int -> unit -> t
 (** Raises [Invalid_argument] on an invalid config. Two injectors with
     the same config and seed produce identical fault sequences. *)
-
-val config : t -> config
-val calls : t -> int
 
 val fork : t -> t
 (** Same config, zero calls, a fresh stream the caller is expected to
@@ -74,8 +68,8 @@ val restore : t -> int64 * int -> unit
 
     The fleet chaos harness ([bench/exp_fleet], the CI chaos smoke)
     injects failures into a {e running fleet} rather than into single
-    measurements: replicas are SIGKILLed mid-load, SIGSTOPped so they
-    stall past their health deadlines, or made to answer garbage. A
+    measurements: replicas are SIGKILLed mid-load, or SIGSTOPped so
+    they stall past their health deadlines. A
     plan is generated once from a seed and then replayed against the
     wall clock, so a chaos run is exactly reproducible. *)
 
@@ -84,8 +78,6 @@ type chaos_action =
   | Stall of float
       (** SIGSTOP the replica for this many seconds, then SIGCONT —
           alive but unresponsive, the breaker-opening case *)
-  | Garble  (** corrupt the next reply to exercise the {!Replica}
-                [Garbled] path *)
 
 type chaos_event = { at_s : float; replica : int; action : chaos_action }
 
@@ -95,18 +87,15 @@ val chaos_plan :
   duration_s:float ->
   ?kill_rate:float ->
   ?stall_rate:float ->
-  ?garble_rate:float ->
   ?stall_seconds:float ->
   unit ->
   chaos_event list
 (** A Poisson event schedule over [0, duration_s), sorted by time.
-    Rates are events/second ([kill_rate] defaults to 0.5, the others
+    Rates are events/second ([kill_rate] defaults to 0.5, [stall_rate]
     to 0); stall durations are uniform in
     [[0.5, 1.5] * stall_seconds]. Deterministic: same arguments, same
     plan, on every host. Raises [Invalid_argument] on negative rates,
     durations or a non-positive replica count. *)
-
-val chaos_action_to_string : chaos_action -> string
 
 val chaos_event_to_string : chaos_event -> string
 (** E.g. ["t=1.250s replica=2 kill"]. *)

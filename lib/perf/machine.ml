@@ -106,28 +106,3 @@ let mobile_quad =
     parallel_efficiency = 0.92;
     elem_bytes = 4;
   }
-
-let single_core m = { m with cores = 1; total_bw_gbs = m.single_core_bw_gbs }
-
-let tiny_test_machine =
-  {
-    name = "tiny-test";
-    cores = 4;
-    freq_ghz = 1.0;
-    vector_lanes = 4;
-    scalar_flops_per_cycle = 1.0;
-    vector_flops_per_cycle = 8.0;
-    fma_latency_cycles = 4.0;
-    load_ports = 2;
-    l1 = { size_bytes = 1024; line_bytes = 64; assoc = 2; latency_cycles = 2.0 };
-    l2 = { size_bytes = 8 * 1024; line_bytes = 64; assoc = 4; latency_cycles = 8.0 };
-    l3 = { size_bytes = 64 * 1024; line_bytes = 64; assoc = 8; latency_cycles = 24.0 };
-    mem_latency_cycles = 100.0;
-    single_core_bw_gbs = 2.0;
-    total_bw_gbs = 6.0;
-    parallel_launch_cycles = 1000.0;
-    parallel_efficiency = 0.9;
-    elem_bytes = 4;
-  }
-
-let line_elems m c = c.line_bytes / m.elem_bytes

@@ -39,13 +39,3 @@ val avx512_server : t
 
 val mobile_quad : t
 (** A small 4-core mobile-class CPU with 128-bit SIMD and small caches. *)
-
-val single_core : t -> t
-(** Same machine restricted to one core (used for ablations). *)
-
-val tiny_test_machine : t
-(** Small caches and few cores, for unit tests that need cache effects to
-    appear at toy problem sizes. *)
-
-val line_elems : t -> cache -> int
-(** Elements of the machine's scalar type per cache line. *)

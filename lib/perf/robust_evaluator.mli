@@ -30,10 +30,8 @@ type config = {
 }
 
 val default_config : config
-(** 3..9 repeats to 5% stability, 4 retries with 1s/2x backoff, 60s
-    hang cap. *)
-
-val validate : config -> (unit, string) result
+(** The discipline every instance measures with: 3..9 repeats to 5%
+    stability, 4 retries with 1s/2x backoff, 60s hang cap. *)
 
 type quality =
   | Exact  (** aggregated from enough real samples *)
@@ -55,37 +53,28 @@ type measurement = {
 
 type t
 
-val create : ?config:config -> ?faults:Faults.t -> Evaluator.t -> t
-(** Wrap an evaluator; without [faults] the backend never fails but
-    repeats still smooth measurement noise. Raises [Invalid_argument]
-    on an invalid config. *)
+val create : ?faults:Faults.t -> Evaluator.t -> t
+(** Wrap an evaluator, measuring with {!default_config}; without
+    [faults] the backend never fails but repeats still smooth
+    measurement noise. *)
 
 val fork : t -> t
-(** Worker-local copy for parallel episode collection: same config, a
+(** Worker-local copy for parallel episode collection: a
     {!Evaluator.fork}ed evaluator (shared base cache, fresh jitter
-    stream), a {!Faults.fork}ed injector, zeroed counters, empty trace.
+    stream), a {!Faults.fork}ed injector and zeroed counters.
     The caller seeds the fork's noise/fault streams per episode and
     merges its counters back with {!absorb}. *)
 
 val absorb : t -> measurements:int -> retries:int -> degraded:int -> unit
 (** Add a fork's counter deltas to this instance (episode-merge step of
-    the parallel trainer). The fork's trace is not merged. *)
+    the parallel trainer). *)
 
 val evaluator : t -> Evaluator.t
 val faults : t -> Faults.t option
-val config : t -> config
-
-val base_seconds : t -> Linalg.t -> float
-(** Baseline of the untransformed op (delegates to the evaluator's
-    digest-keyed cache; never injected with faults, mirroring the
-    paper's once-per-op baseline measurement). *)
 
 val measure : t -> Sched_state.t -> measurement
 (** Price one schedule state. Never raises: every failure mode ends in
     a retry, a timeout cap or a [Degraded] estimate. *)
-
-val speedup : t -> Sched_state.t -> float
-(** [base /. measured] using {!measure}; strictly positive. *)
 
 val measurements : t -> int
 (** Total {!measure} calls. *)
@@ -95,10 +84,3 @@ val degraded_count : t -> int
 
 val retry_count : t -> int
 (** Total failure retries across all measurements. *)
-
-val trace : t -> string list
-(** One line per measurement in chronological order (samples, retries,
-    charge, quality) — the replay log asserted identical across runs by
-    the determinism smoke test. *)
-
-val clear_trace : t -> unit

@@ -22,8 +22,6 @@ let create ?(seed = 0x0b0f) cfg =
   | Error e -> invalid_arg ("Backoff.create: " ^ e));
   { cfg; rng = Util.Rng.create seed; attempt = 0 }
 
-let attempt t = t.attempt
-
 (* Deterministic given the seed: delay_n = min(cap, base * mult^n),
    scaled by a symmetric jitter factor in [1-j, 1+j] so a fleet of
    replicas restarting off the same crash does not reconnect in

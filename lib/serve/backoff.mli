@@ -29,9 +29,6 @@ val next : t -> float
 (** Delay in seconds before the next attempt; advances the attempt
     counter. *)
 
-val attempt : t -> int
-(** Consecutive attempts drawn since the last {!reset}. *)
-
 val reset : t -> unit
 (** Back to the base delay — call when the replica is healthy again. *)
 

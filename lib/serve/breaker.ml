@@ -26,7 +26,6 @@ type t = {
   mutable failures : int;  (** consecutive, while Closed *)
   mutable successes : int;  (** consecutive probes, while Half_open *)
   mutable opened_at : float;
-  mutable transitions : int;
 }
 
 let create ?(config = default_config) () =
@@ -39,7 +38,6 @@ let create ?(config = default_config) () =
     failures = 0;
     successes = 0;
     opened_at = neg_infinity;
-    transitions = 0;
   }
 
 let state t ~now =
@@ -49,20 +47,16 @@ let state t ~now =
 
 let allow t ~now = state t ~now <> Open
 
-let transitions t = t.transitions
-
 let trip t ~now =
   t.stored <- Open;
   t.opened_at <- now;
   t.failures <- 0;
-  t.successes <- 0;
-  t.transitions <- t.transitions + 1
+  t.successes <- 0
 
 let close t =
   t.stored <- Closed;
   t.failures <- 0;
-  t.successes <- 0;
-  t.transitions <- t.transitions + 1
+  t.successes <- 0
 
 let record_success t ~now =
   match state t ~now with

@@ -40,9 +40,6 @@ val record_success : t -> now:float -> unit
 
 val record_failure : t -> now:float -> unit
 
-val transitions : t -> int
-(** Total state transitions — a cheap flappiness signal for metrics. *)
-
 val state_to_string : state -> string
 
 val state_to_float : state -> float

@@ -86,9 +86,6 @@ val nest_digest : Linalg.t -> string
     print+MD5 scheme it replaced. Names are not hashed, so renamed
     copies of one op share a cache entry. *)
 
-val cache_key : t -> Linalg.t -> string
-(** The result-cache key: {!nest_digest} of the op. *)
-
 val target_digest : Protocol.target -> string
 (** Routing key for the fleet supervisor: {!nest_digest} of the parsed
     target, so it equals the replica-side {!cache_key} whenever the

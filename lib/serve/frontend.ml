@@ -65,12 +65,12 @@ let serve_channels_handler handler ic oc =
 let serve_channels server ic oc =
   serve_channels_handler (Server.submit server) ic oc
 
-let listen_unix_handler ?(backlog = 16) handler ~path =
+let listen_unix_handler handler ~path =
   Replica.ignore_sigpipe ();
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind sock (Unix.ADDR_UNIX path);
-  Unix.listen sock backlog;
+  Unix.listen sock 16;
   (* A signal (e.g. the fleet's SIGTERM handler poking its shutdown
      pipe) interrupts accept with EINTR; that must restart the loop,
      not crash the front door out from under the shutdown thread. *)
@@ -93,5 +93,4 @@ let listen_unix_handler ?(backlog = 16) handler ~path =
     ()
   done
 
-let listen_unix ?backlog server ~path =
-  listen_unix_handler ?backlog (Server.submit server) ~path
+let listen_unix server ~path = listen_unix_handler (Server.submit server) ~path

@@ -18,7 +18,7 @@ type handler = Protocol.request -> (Protocol.response -> unit) -> unit
 val serve_channels_handler : handler -> in_channel -> out_channel -> unit
 (** {!serve_channels} generalized over the {!handler}. *)
 
-val listen_unix_handler : ?backlog:int -> handler -> path:string -> unit
+val listen_unix_handler : handler -> path:string -> unit
 (** {!listen_unix} generalized over the {!handler}. *)
 
 val serve_channels : Server.t -> in_channel -> out_channel -> unit
@@ -27,7 +27,7 @@ val serve_channels : Server.t -> in_channel -> out_channel -> unit
     (the server itself is left running — the caller decides when to
     {!Server.drain}). *)
 
-val listen_unix : ?backlog:int -> Server.t -> path:string -> unit
+val listen_unix : Server.t -> path:string -> unit
 (** Bind a Unix-domain stream socket at [path] (unlinking any stale
     socket file first) and serve forever: one lightweight thread per
     connection, each running the {!serve_channels} loop. Never returns

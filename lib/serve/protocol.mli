@@ -78,24 +78,11 @@ type response =
   | Metrics_reply of { m_id : string; body : string }
   | Pong of { p_id : string }
 
-val version : int
-(** 1. Bumps when the line grammar changes; the tag token is
-    ["mrs" ^ string_of_int version]. *)
-
 val request_id : request -> string
 val response_id : response -> string
 
 val error_code_to_string : error_code -> string
 (** Stable lower-snake names, e.g. ["deadline_exceeded"]. *)
-
-val error_code_of_string : string -> error_code option
-
-val escape : string -> string
-(** Percent-escape ['%'], space, TAB, CR and LF (the characters that
-    would break line/token framing). Total and injective. *)
-
-val unescape : string -> (string, string) result
-(** Inverse of {!escape}; rejects truncated or non-hex [%] sequences. *)
 
 val encode_request : request -> string
 (** One line, no trailing newline. *)

@@ -191,11 +191,6 @@ let pool_close_all p =
   Mutex.unlock p.mutex;
   List.iter close_conn conns
 
-let pool_reopen p =
-  Mutex.lock p.mutex;
-  p.closed <- false;
-  Mutex.unlock p.mutex
-
 let pool_call p req ~timeout_s =
   match pool_checkout p with
   | Error _ as e -> e
@@ -211,28 +206,6 @@ let pool_call p req ~timeout_s =
           e)
 
 (* ---------- constructors ---------- *)
-
-let connect ?describe ~socket () =
-  let pool = pool_create socket in
-  let describe =
-    match describe with Some d -> d | None -> "socket:" ^ socket
-  in
-  {
-    pid = None;
-    describe;
-    call =
-      (fun req ~timeout_s ->
-        pool_reopen pool;
-        pool_call pool req ~timeout_s);
-    alive =
-      (fun () ->
-        match connect_fd socket with
-        | Ok c ->
-            close_conn c;
-            true
-        | Error _ -> false);
-    kill = (fun () -> pool_close_all pool);
-  }
 
 let dev_null_in () = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0
 

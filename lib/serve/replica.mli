@@ -42,12 +42,6 @@ type t = {
   kill : unit -> unit;  (** SIGKILL + reap; idempotent. *)
 }
 
-val connect :
-  ?describe:string -> socket:string -> unit -> t
-(** A client-only handle (no process) for a daemon someone else runs:
-    [pid = None], [alive] reports whether a fresh connection can be
-    opened, [kill] just closes pooled connections. *)
-
 val spawn :
   exe:string ->
   args:string list ->

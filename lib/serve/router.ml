@@ -46,8 +46,6 @@ let create ?(vnodes = 64) ~replicas () =
   Array.sort compare points;
   { replicas; points }
 
-let replicas t = t.replicas
-
 (* Index of the first point with hash >= h, wrapping to 0. The
    comparison must be unsigned: Int64 compare is signed, so map both
    operands through an offset flip. *)

@@ -19,11 +19,6 @@ val create : ?vnodes:int -> replicas:int -> unit -> t
 (** [vnodes] (default 64) points per replica — more points, smoother
     shard balance. Raises [Invalid_argument] when either is < 1. *)
 
-val replicas : t -> int
-
-val hash_key : string -> int64
-(** The ring hash (FNV-1a 64 + splitmix finalizer). Exposed for tests. *)
-
 val owner : t -> string -> int
 (** The key's home replica: first ring point clockwise of its hash. *)
 

@@ -59,10 +59,3 @@ val metrics : t -> Util.Metrics.t
     [eval_<tag>_cache_*_total] counters as a collector. The [metrics]
     reply renders it followed by {!Util.Metrics.global}. See
     [docs/serving.md] for the full reference. *)
-
-val stats_body : t -> string
-(** The [k=v] body served for [stats] requests: the instance fields
-    ([state queue in_flight admitted shed expired cache_hits
-    cache_misses cache_size], one snapshot under the server lock), then
-    {!Util.Metrics.stats_line} of {!metrics} and of
-    {!Util.Metrics.global}. *)

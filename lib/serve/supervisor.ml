@@ -77,7 +77,7 @@ type t = {
   cfg : config;
   now : unit -> float;
   sleep : float -> unit;
-  mutable launcher : index:int -> (Replica.t, string) result;
+  launcher : index:int -> (Replica.t, string) result;
   ring : Router.t;
   slots : slot array;
   mutex : Mutex.t;
@@ -577,13 +577,7 @@ let drain t =
     stop_heartbeat t
   end
 
-let reload ?launcher t =
-  (match launcher with
-  | Some l ->
-      Mutex.lock t.mutex;
-      t.launcher <- l;
-      Mutex.unlock t.mutex
-  | None -> ());
+let reload t =
   let errors = ref [] in
   Array.iter
     (fun slot ->

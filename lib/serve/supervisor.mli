@@ -49,8 +49,6 @@ type config = {
 
 val default_config : config
 
-val validate : config -> (unit, string) result
-
 type t
 
 val create :
@@ -81,22 +79,13 @@ val start_heartbeat : t -> unit
     [health_interval_s]. Idempotent; stopped by {!stop_heartbeat} or
     {!drain}, and restartable after {!stop_heartbeat}. *)
 
-val stop_heartbeat : t -> unit
-(** Stop and join the heartbeat thread (no-op if none runs).
-    Supervision pauses — no health probes, no restarts — but slot
-    state is kept and the request path stays live; {!start_heartbeat}
-    resumes. {!drain} calls this on the way down. *)
-
 val await_ready : t -> timeout_s:float -> bool
 (** Tick until every slot is up (true) or the timeout elapses (false).
     Uses the injected clock and sleep. *)
 
-val reload :
-  ?launcher:(index:int -> (Replica.t, string) result) -> t -> (unit, string) result
+val reload : t -> (unit, string) result
 (** Rolling restart, slot by slot: fence from routing, wait in-flight
-    to zero, stop the old process, launch (with [launcher] if given —
-    hot checkpoint reload passes a launcher pointing at the new
-    weights), wait ready. A slot that fails to come back is put on the
+    to zero, stop the old process, relaunch, wait ready. A slot that fails to come back is put on the
     normal restart schedule and reported in [Error]; the rest of the
     fleet keeps serving throughout. *)
 
@@ -104,8 +93,6 @@ val drain : t -> unit
 (** Graceful shutdown: fence every slot, wait for all in-flight
     requests to finish, stop all replicas and the heartbeat.
     Idempotent. *)
-
-val draining : t -> bool
 
 (** {1 Introspection} *)
 
@@ -121,20 +108,10 @@ type replica_status = {
 
 val status : t -> replica_status array
 
-val status_body : t -> string
-(** Multi-line fleet status: one [k=v] header line, one line per
-    replica, then the supervisor's {!Util.Metrics.stats_line}. *)
-
 val metrics : t -> Util.Metrics.t
 (** The supervisor's own registry: [fleet_*] counters and histograms
     plus per-replica [fleet_replica_<i>_up] / [..._breaker_state] /
     [..._in_flight] gauges. *)
-
-val render_metrics : t -> string
-(** {!Util.Metrics.merge_rendered} of the supervisor's registry and a
-    deadline-bounded [metrics] scrape of every live replica: one
-    Prometheus document with fleet-level series and the replicas'
-    [serve_*] series summed across the fleet. *)
 
 (** {1 Chaos and test hooks} *)
 

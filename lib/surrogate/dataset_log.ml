@@ -9,7 +9,7 @@
 
    Persistence is a versioned, tab-separated text file written through
    {!Util.Atomic_file} (temp + rename), so a crash mid-write leaves the
-   old log intact. [save ~merge:true] folds the on-disk rows back in
+   old log intact. [save] folds the on-disk rows back in
    first, which is what makes repeated `surrogate collect` runs
    append-only at the file level. *)
 
@@ -157,13 +157,13 @@ let parse_line ~expect_dim lineno line =
             else Ok { digest; machine; seconds; features })
   | _ -> Error (Printf.sprintf "line %d: expected 4 tab-separated fields" lineno)
 
-let rec save ?(merge = true) t ~path =
+let rec save t ~path =
   (* Merge semantics: rows already on disk keep their (older) position;
      new in-memory rows append. The capacity bound applies to the merged
      stream, dropping from the oldest end — the same FIFO rotation the
      in-memory store uses. *)
   let disk_entries =
-    if merge && Sys.file_exists path then begin
+    if Sys.file_exists path then begin
       match load ~path with Ok old -> entries old | Error _ -> [||]
     end
     else [||]

@@ -16,12 +16,9 @@ type entry = {
 
 type t
 
-val default_capacity : int
-(** 200_000 entries. *)
-
 val create : ?capacity:int -> unit -> t
-(** An empty in-memory log. [capacity] bounds it: adding beyond rotates
-    the oldest entries out. Thread-safe — the evaluator tap may fire
+(** An empty in-memory log. [capacity] (default 200,000) bounds it:
+    adding beyond rotates the oldest entries out. Thread-safe — the evaluator tap may fire
     from forked worker domains. *)
 
 val add : t -> entry -> bool
@@ -50,10 +47,9 @@ val attach : t -> Evaluator.t -> unit
 val detach : Evaluator.t -> unit
 (** Clear the evaluator's measurement tap. *)
 
-val save : ?merge:bool -> t -> path:string -> int
+val save : t -> path:string -> int
 (** Atomically write the log to [path], returning the row count
-    written. With [merge] (the default) rows already in the file are
-    kept (file order first, deduplicated against memory), making
+    written. Rows already in the file are kept (file order first, deduplicated against memory), making
     repeated collection runs append-only at the file level; the
     capacity bound applies to the merged stream. *)
 

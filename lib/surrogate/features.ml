@@ -17,10 +17,11 @@
      vectorize flags), derived from the [Schedule.t] alone — scoring a
      candidate never applies its transformations.
 
-   The same vector is produced two ways: [of_state] at logging time
-   (from the evaluator's measurement tap) and [of_schedule] at ranking
-   time (from the op and a candidate). Both decompose into the same
-   (machine, op, schedule) parts, so they agree by construction. *)
+   The same vector is produced two ways: at logging time (the
+   evaluator's measurement tap, from the measured state's original op
+   and applied schedule) and at ranking time (from the op and a
+   candidate). Both [assemble] the same (machine, op, schedule) parts,
+   so they agree by construction. *)
 
 let max_dims = 8
 let machine_dim = 10
@@ -157,20 +158,13 @@ let assemble ~machine ~op ~sched =
   then invalid_arg "Surrogate.Features.assemble: block size mismatch";
   Array.concat [ machine; op; sched ]
 
-let of_schedule ~machine op sched =
-  assemble ~machine:(machine_block machine) ~op:(op_block op)
-    ~sched:(schedule_block sched)
-
-let of_state ~machine (state : Sched_state.t) =
-  of_schedule ~machine state.Sched_state.original state.Sched_state.applied
-
 (* Op blocks are expensive relative to the rest (a Footprint pass and a
    cost-model estimate), and every consumer prices thousands of states
    of a handful of ops — memoize by op digest, domain-safe because the
    evaluator's measurement tap may fire from forked workers. *)
 type cache = (string, float array) Util.Sharded_cache.t
 
-let create_cache ?(capacity = 512) () = Util.Sharded_cache.create ~capacity ()
+let create_cache () = Util.Sharded_cache.create ~capacity:512 ()
 
 let cached_op_block cache op =
   Util.Sharded_cache.find_or_compute cache (Linalg.digest op) (fun () ->

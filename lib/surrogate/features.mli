@@ -10,9 +10,6 @@
     canonical nest, so the model learns the residual effect of the
     schedule rather than re-deriving the baseline. *)
 
-val max_dims : int
-(** Loop dims encoded per block (8); deeper nests are truncated. *)
-
 val machine_dim : int
 
 val op_dim : int
@@ -25,14 +22,6 @@ val dim : int
 val machine_block : Machine.t -> float array
 (** Cache sizes, cores, SIMD, frequency, latencies, bandwidths —
     normalized; length [machine_dim]. *)
-
-val op_block : Linalg.t -> float array
-(** Static features of the untransformed op: log-trip counts and
-    iteration kinds, per-level footprints/reuse distances of the
-    canonical nest, math-op mix, and cost-model priors (base seconds,
-    compute cycles, per-level miss lines, measured on a fixed reference
-    machine so the block is machine-independent and cacheable). Length
-    [op_dim]. Relatively expensive — cache it per op ({!cached_op_block}). *)
 
 val schedule_block_into : float array -> Schedule.t -> unit
 (** {!schedule_block} into a caller-owned buffer of length
@@ -49,17 +38,16 @@ val assemble :
   machine:float array -> op:float array -> sched:float array -> float array
 (** Concatenate pre-computed blocks (validates widths). *)
 
-val of_schedule : machine:Machine.t -> Linalg.t -> Schedule.t -> float array
-(** Convenience: all three blocks from scratch. *)
-
-val of_state : machine:Machine.t -> Sched_state.t -> float array
-(** The vector of a schedule state:
-    [of_schedule ~machine state.original state.applied] — identical by
-    construction to what ranking time produces for the same candidate. *)
-
 type cache
-(** A domain-safe op-block memo, keyed by {!Linalg.digest}. *)
+(** A domain-safe op-block memo, keyed by {!Linalg.digest} (512
+    entries). *)
 
-val create_cache : ?capacity:int -> unit -> cache
+val create_cache : unit -> cache
 
 val cached_op_block : cache -> Linalg.t -> float array
+(** Static features of the untransformed op: log-trip counts and
+    iteration kinds, per-level footprints/reuse distances of the
+    canonical nest, math-op mix, and cost-model priors (base seconds,
+    compute cycles, per-level miss lines, measured on a fixed reference
+    machine so the block is machine-independent and cacheable). Length
+    [op_dim]. Computed once per op digest. *)

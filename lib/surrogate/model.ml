@@ -68,23 +68,6 @@ let predict t features =
   let x = Array.mapi (fun i f -> (f -. t.f_mean.(i)) /. t.f_std.(i)) features in
   (predict_normalized t x *. t.t_std) +. t.t_mean
 
-(* Tape-free batched prediction: one [n; dim] forward. With [?ws] the
-   activations (and the returned predictions) live in the workspace —
-   steady state allocates only the result array. *)
-let predict_batch ?ws t (features : float array array) =
-  let n = Array.length features in
-  if n = 0 then [||]
-  else begin
-    let d = Features.dim in
-    let x =
-      Tensor.init [| n; d |] (fun i ->
-          let row = i / d and col = i mod d in
-          (features.(row).(col) -. t.f_mean.(col)) /. t.f_std.(col))
-    in
-    let y = Layers.forward_batch ?ws t.net x in
-    Array.init n (fun i -> (Tensor.get y i *. t.t_std) +. t.t_mean)
-  end
-
 let mse_loss t tape (xs : float array array) (ys : float array) =
   let b = Array.length xs in
   let d = Features.dim in

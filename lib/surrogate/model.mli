@@ -10,14 +10,8 @@
 
 type t
 
-val default_hidden : int list
-(** [\[24; 12\]] — sized so a batched stage-1 forward stays several
-    times cheaper per candidate than the exact path. *)
-
 val create : ?hidden:int list -> seed:int -> unit -> t
 (** Fresh Xavier-initialized model for {!Features.dim}-wide inputs. *)
-
-val params : t -> Autodiff.Param.t list
 
 val net : t -> Layers.mlp
 (** The underlying MLP, for callers running their own forward passes
@@ -29,12 +23,10 @@ val target_mean : t -> float
 val target_std : t -> float
 (** Stored standardization statistics (see {!fit}). *)
 
-val is_val : Dataset_log.entry -> bool
-(** Deterministic ~20% validation membership by (digest | machine)
-    hash — stable across runs and as the log grows. *)
-
 val split : Dataset_log.entry array -> Dataset_log.entry array * Dataset_log.entry array
-(** [(train, validation)] partition by {!is_val}. *)
+(** [(train, validation)] partition: an entry is in validation (about
+    20%) by its (digest | machine) hash, so membership is stable across
+    runs and as the log grows. *)
 
 type report = {
   examples : int;
@@ -70,11 +62,6 @@ val spearman : t -> Dataset_log.entry array -> float
 
 val predict : t -> float array -> float
 (** Predicted log-seconds for one raw (unnormalized) feature vector. *)
-
-val predict_batch : ?ws:Tensor.Workspace.t -> t -> float array array -> float array
-(** One batched forward over many feature vectors. With [?ws] the
-    activations are drawn from the workspace — steady state allocates
-    only the result array. Bit-identical to mapping {!predict}. *)
 
 val save : t -> path:string -> unit
 (** Write a single versioned checkpoint file atomically (hex floats:

@@ -18,7 +18,6 @@
 
 type t = {
   model : Model.t;
-  machine : Machine.t;
   machine_blk : float array;
   op_blocks : Features.cache;
   scored : int Atomic.t;  (* candidates the network scored *)
@@ -31,7 +30,6 @@ type t = {
 let create ~machine model =
   {
     model;
-    machine;
     machine_blk = Features.machine_block machine;
     op_blocks = Features.create_cache ();
     scored = Atomic.make 0;
@@ -42,9 +40,6 @@ let create ~machine model =
 
 let of_checkpoint ~machine ~path () =
   Result.map (fun m -> create ~machine m) (Model.load ~path)
-
-let machine t = t.machine
-let model t = t.model
 
 (* The scored count in the cache-stats shape the evaluator renders
    ({!Evaluator.attach_surrogate_cache}): every candidate is a miss. *)
@@ -89,18 +84,6 @@ let score_schedule t op sched =
        ~op:(Features.cached_op_block t.op_blocks op)
        ~sched:(Features.schedule_block sched))
 
-(* Beam search's exact scorer appends vectorization virtually before
-   consulting the oracle; mirror that in the encoded schedule so the
-   vectors the ranker scores look like the (vectorized) states the
-   surrogate was trained on. *)
-let virtual_vectorize (state : Sched_state.t) =
-  let applied = state.Sched_state.applied in
-  if List.mem Schedule.Vectorize applied then applied
-  else applied @ [ Schedule.Vectorize ]
-
-let score_state t (state : Sched_state.t) =
-  score_schedule t state.Sched_state.original (virtual_vectorize state)
-
 (* Batched stage-1 scoring: all candidates go through one forward —
    one matmul per layer instead of m tiny ones, which is what amortizes
    the network cost to well under the exact path's per-candidate price.
@@ -116,7 +99,7 @@ let score_state t (state : Sched_state.t) =
    +0.0, is the partial sum itself (a sum from +0.0 is never -0.0), so
    the folded layer computes the same bits as the full one on a third of
    the columns. *)
-let score_schedules t op (scheds : Schedule.t array) =
+let schedule_scorer t op (scheds : Schedule.t array) =
   let m = Array.length scheds in
   let out = Array.make m 0.0 in
   if m > 0 then begin
@@ -130,7 +113,7 @@ let score_schedules t op (scheds : Schedule.t array) =
     let first, rest =
       match (Model.net t.model).Layers.layers with
       | first :: rest -> (first, rest)
-      | [] -> invalid_arg "Ranker.score_schedules: empty network"
+      | [] -> invalid_arg "Ranker.schedule_scorer: empty network"
     in
     let w = first.Layers.w.Autodiff.Param.data in
     let h = w.Tensor.shape.(1) in
@@ -181,18 +164,3 @@ let score_schedules t op (scheds : Schedule.t array) =
         done)
   end;
   out
-
-let score_states t (states : Sched_state.t array) =
-  match states with
-  | [||] -> [||]
-  | _ ->
-      let op = states.(0).Sched_state.original in
-      score_schedules t op (Array.map virtual_vectorize states)
-
-(* Plain-closure views for the search layers (autosched cannot depend
-   on this library, so the staged entry points take these). *)
-let schedule_scorer t op : Schedule.t array -> float array =
- fun s -> score_schedules t op s
-
-let state_scorer t : Sched_state.t array -> float array =
- fun sts -> score_states t sts

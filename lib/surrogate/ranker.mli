@@ -16,9 +16,6 @@ val of_checkpoint :
   machine:Machine.t -> path:string -> unit -> (t, string) result
 (** {!Model.load} + {!create}. *)
 
-val machine : t -> Machine.t
-val model : t -> Model.t
-
 val cache_stats : t -> Util.Sharded_cache.stats
 (** The ranker's activity in the {!Util.Sharded_cache.stats} shape, so
     it plugs into the evaluator's unified cache rendering: [misses] is
@@ -32,31 +29,15 @@ val attach : t -> Evaluator.t -> unit
     {!Evaluator.cache_counters} reports the scored count as
     [eval_surrogate_cache_misses_total] alongside base/state. *)
 
-val score_features : t -> float array -> float
-(** Predicted log-seconds for a raw feature vector. *)
-
 val score_schedule : t -> Linalg.t -> Schedule.t -> float
 (** Predicted log-seconds of running [op] under [sched]; no
-    transformation is applied. *)
-
-val score_state : t -> Sched_state.t -> float
-(** [score_schedule] on the state's original op and applied schedule,
-    with vectorization virtually appended (beam search's exact scorer
-    does the same before consulting the oracle). *)
-
-val score_schedules : t -> Linalg.t -> Schedule.t array -> float array
-(** Batched stage-1 scoring: every candidate runs through a single
-    forward — one [m; dim] matmul per layer instead of [m] tiny ones —
-    which amortizes the network cost to well under the exact path's
-    per-candidate price. *)
-
-val score_states : t -> Sched_state.t array -> float array
-(** [score_schedules] over the states' virtually-vectorized schedules
-    (the states must share one original op, as a beam's children do). *)
+    transformation is applied. The reference that {!schedule_scorer}'s
+    folded batch must equal bit for bit. *)
 
 val schedule_scorer : t -> Linalg.t -> Schedule.t array -> float array
-(** Closure view for {!Auto_scheduler.search_staged} (the autosched
-    layer cannot depend on this library). *)
-
-val state_scorer : t -> Sched_state.t array -> float array
-(** Closure view for beam search. *)
+(** Batched stage-1 scoring for {!Auto_scheduler.search_staged} (the
+    autosched layer cannot depend on this library; partial application
+    to [op] gives its ranker closure): every candidate runs through a
+    single forward — one [m; dim] matmul per layer instead of [m] tiny
+    ones — which amortizes the network cost to well under the exact
+    path's per-candidate price. *)

@@ -94,31 +94,3 @@ let fuse ~(producer : Linalg.t) ~(consumer : Linalg.t) ~consumer_input =
       | Error msg -> Error ("fuse: invalid fused op: " ^ msg)
     end
   end
-
-let execute_fused_reference producer consumer ~consumer_input bindings =
-  let producer_bindings =
-    Array.to_list
-      (Array.map
-         (fun (o : Linalg.operand) ->
-           match List.assoc_opt ("p_" ^ o.Linalg.name) bindings with
-           | Some buf -> (o.Linalg.name, buf)
-           | None ->
-               invalid_arg
-                 ("execute_fused_reference: missing buffer p_" ^ o.Linalg.name))
-         producer.Linalg.inputs)
-  in
-  let intermediate = Linalg.execute_reference producer producer_bindings in
-  let consumer_bindings =
-    Array.to_list
-      (Array.mapi
-         (fun i (o : Linalg.operand) ->
-           if i = consumer_input then (o.Linalg.name, intermediate)
-           else
-             match List.assoc_opt o.Linalg.name bindings with
-             | Some buf -> (o.Linalg.name, buf)
-             | None ->
-                 invalid_arg
-                   ("execute_fused_reference: missing buffer " ^ o.Linalg.name))
-         consumer.Linalg.inputs)
-  in
-  Linalg.execute_reference consumer consumer_bindings

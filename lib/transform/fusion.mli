@@ -22,15 +22,4 @@ val fuse :
 (** [fuse ~producer ~consumer ~consumer_input] builds the fused op. Its
     inputs are the producer's inputs (renamed with a ["p_"] prefix to
     avoid collisions) followed by the consumer's remaining inputs, so
-    fusing into a pipeline stage's slot 0 keeps the chained value at
-    input 0. Schedules apply to the fused op like to any other. *)
-
-val execute_fused_reference :
-  Linalg.t ->
-  Linalg.t ->
-  consumer_input:int ->
-  (string * float array) list ->
-  float array
-(** Ground truth for tests: run producer then consumer sequentially on
-    the given buffers (producer inputs under their ["p_"]-prefixed
-    names) and return the final output. *)
+    fusing into slot 0 keeps a chained value at input 0. Schedules apply to the fused op like to any other. *)

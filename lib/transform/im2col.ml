@@ -10,10 +10,6 @@ let gemm_dims (p : Linalg.conv_params) =
   let k = p.kernel_h * p.kernel_w * p.channels in
   (m, n, k)
 
-let gemm_of p ~m ~n ~k =
-  let m', n', k' = gemm_dims p in
-  m = m' && n = n' && k = k'
-
 let rewrite (op : Linalg.t) =
   match op.Linalg.kind with
   | Linalg.Conv2d p ->

@@ -18,7 +18,3 @@ val pack_input : Linalg.conv_params -> float array -> float array
     input buffer: row [(n*OH + oh)*OW + ow], column [(kh*KW + kw)*C + c]
     holds [input\[n, oh*s + kh, ow*s + kw, c\]]. Used by the equivalence
     tests. Raises [Invalid_argument] on a mis-sized buffer. *)
-
-val gemm_of : Linalg.conv_params -> m:int -> n:int -> k:int -> bool
-(** [gemm_of p ~m ~n ~k] checks the GEMM dimensions match the
-    convolution parameters; exposed for assertions in callers. *)

@@ -174,9 +174,6 @@ let is_vectorized (nest : Loop_nest.t) =
   let n = Array.length nest.loops in
   n > 0 && nest.loops.(n - 1).Loop_nest.kind = Loop_nest.Vector
 
-let has_parallel_band (nest : Loop_nest.t) =
-  Array.exists (fun l -> l.Loop_nest.kind = Loop_nest.Parallel) nest.loops
-
 let unroll factor (nest : Loop_nest.t) =
   let n = Array.length nest.loops in
   if n = 0 then Error "unroll: nest has no loops"

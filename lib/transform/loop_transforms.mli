@@ -53,6 +53,3 @@ val unroll : int -> Loop_nest.t -> (Loop_nest.t, string) result
     action space. Errors when the factor does not divide the innermost
     trip count or the nest is already vectorized (MLIR unrolls before
     vectorizing, not after). *)
-
-val is_vectorized : Loop_nest.t -> bool
-val has_parallel_band : Loop_nest.t -> bool

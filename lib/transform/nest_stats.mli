@@ -13,10 +13,6 @@ val log2_trip_norm : int -> float
 (** [log2(max 1 trip) / 16] — the loop-info normalization (trips up to
     2^16 map into [0, 1]). *)
 
-val log2_count_norm : int -> float
-(** [log2(1 + count) / 32] — the element-count normalization used for
-    footprints and reuse distances. *)
-
 val trip_features : n_max:int -> Sched_state.t -> float array
 (** Trip counts of the state's point band, log-scaled, in an [n_max]
     array (extra loops beyond [n_max] are dropped, missing ones are

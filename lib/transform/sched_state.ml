@@ -181,10 +181,3 @@ let apply_all op sched =
   List.fold_left
     (fun acc tr -> Result.bind acc (fun state -> apply state tr))
     (Ok (init op)) sched
-
-let valid_tile_sizes state ~menu =
-  let trips = point_trip_counts state in
-  Array.map
-    (fun trip ->
-      Array.map (fun size -> size = 0 || (size <= trip && trip mod size = 0)) menu)
-    trips

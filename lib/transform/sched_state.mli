@@ -74,9 +74,3 @@ val certify_enabled : unit -> bool
 
 val apply_all : Linalg.t -> Schedule.t -> (t, string) result
 (** Fold {!apply} over a whole schedule from {!init}. *)
-
-val valid_tile_sizes : t -> menu:int array -> bool array array
-(** [valid_tile_sizes state ~menu] is a matrix of shape
-    (n_point_loops, Array.length menu): entry (l, m) says whether
-    [menu.(m)] is 0 (always allowed) or divides the trip count of point
-    loop [l]. *)

@@ -61,8 +61,6 @@ let dedup_key sched =
     sched;
   Buffer.contents b
 
-let pp ppf sched = Format.pp_print_string ppf (to_string sched)
-
 let equal a b =
   List.length a = List.length b
   && List.for_all2

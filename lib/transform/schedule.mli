@@ -34,8 +34,6 @@ val dedup_key : t -> string
 
 val equal : t -> t -> bool
 
-val pp : Format.formatter -> t -> unit
-
 val transformation_name : transformation -> string
 (** "tiling", "parallelization", "interchange", "im2col" or
     "vectorization" — the action labels used in logs and benches. *)

@@ -167,7 +167,6 @@ let make ~steal ~size =
 let create ~size = make ~steal:false ~size
 let create_stealing ~size = make ~steal:true ~size
 let size t = Array.length t.domains
-let stealing t = t.steal
 
 let submit t f =
   let p =

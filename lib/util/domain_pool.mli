@@ -42,9 +42,6 @@ val create_stealing : size:int -> t
 val size : t -> int
 (** Number of worker domains. *)
 
-val stealing : t -> bool
-(** Whether this pool was built by {!create_stealing}. *)
-
 val submit : t -> (unit -> 'a) -> 'a promise
 (** Queue a task. Raises [Invalid_argument] after {!shutdown}. *)
 

@@ -41,11 +41,11 @@ let with_lock t f =
 
 let add_collector t f = with_lock t (fun () -> t.collectors <- f :: t.collectors)
 
-let incr t ?(by = 1) name =
+let incr t name =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.counters name with
-      | Some r -> r := !r + by
-      | None -> Hashtbl.replace t.counters name (ref by))
+      | Some r -> incr r
+      | None -> Hashtbl.replace t.counters name (ref 1))
 
 (* Stored and collected counters, summed per name and sorted by name.
    Collectors run outside the lock: they read another layer's state and
@@ -74,10 +74,6 @@ let set_gauge t name v =
       match Hashtbl.find_opt t.gauges name with
       | Some r -> r := v
       | None -> Hashtbl.replace t.gauges name (ref v))
-
-let gauge t name =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.gauges name with Some r -> Some !r | None -> None)
 
 let make_hist () =
   let bounds = Array.init n_buckets (fun i -> base_bound *. (ratio ** float_of_int i)) in

@@ -34,8 +34,8 @@ val add_collector : t -> (unit -> (string * int) list) -> unit
 
 (** {1 Counters} *)
 
-val incr : t -> ?by:int -> string -> unit
-(** Bump counter [name], creating it at 0 first. [by] defaults to 1. *)
+val incr : t -> string -> unit
+(** Bump counter [name] by one, creating it at 0 first. *)
 
 val counter : t -> string -> int
 (** Current value, collected counters included; 0 for a counter never
@@ -48,9 +48,6 @@ val counter : t -> string -> int
 
 val set_gauge : t -> string -> float -> unit
 (** Set gauge [name] to [v], creating it if needed. *)
-
-val gauge : t -> string -> float option
-(** Current value; [None] for a gauge never set. *)
 
 (** {1 Histograms}
 

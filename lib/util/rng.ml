@@ -10,7 +10,6 @@ let of_state s =
   t
 
 let create seed = of_state (Int64.of_int seed)
-let copy = Bytes.copy
 let state t = Bytes.get_int64_le t 0
 let set_state t s = Bytes.set_int64_le t 0 s
 
@@ -46,8 +45,6 @@ let uniform t =
   let bits = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
   float_of_int bits *. (1.0 /. 9007199254740992.0)
 
-let float t bound = uniform t *. bound
-
 let bool t = Int64.logand (int64 t) 1L = 1L
 
 let gaussian t =
@@ -62,11 +59,6 @@ let gaussian t =
 let choice t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choice: empty array";
   arr.(int t (Array.length arr))
-
-let choice_list t l =
-  match l with
-  | [] -> invalid_arg "Rng.choice_list: empty list"
-  | _ -> List.nth l (int t (List.length l))
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

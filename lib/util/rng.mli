@@ -25,9 +25,6 @@ val derive : int -> stream:int -> t
     index for per-episode streams, which is what makes parallel
     episode collection bit-reproducible for any worker count. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing [t]. *)
-
 val state : t -> int64
 (** Raw generator state, for checkpointing. Restoring it with
     {!set_state} (or {!of_state}) resumes the exact stream. *)
@@ -45,9 +42,6 @@ val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound). Raises
     [Invalid_argument] if [bound <= 0]. *)
 
-val float : t -> float -> float
-(** [float t bound] draws uniformly from [0, bound). *)
-
 val uniform : t -> float
 (** Uniform draw in [0, 1). *)
 
@@ -60,9 +54,6 @@ val gaussian : t -> float
 val choice : t -> 'a array -> 'a
 (** Uniform draw from a non-empty array. Raises [Invalid_argument] on an
     empty array. *)
-
-val choice_list : t -> 'a list -> 'a
-(** Uniform draw from a non-empty list. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -35,13 +35,6 @@ let stddev xs =
   in
   sqrt var
 
-let min_max xs =
-  check_non_empty "Stats.min_max" xs;
-  List.fold_left
-    (fun (lo, hi) x -> (Float.min lo x, Float.max hi x))
-    (Float.infinity, Float.neg_infinity)
-    xs
-
 let percentile p xs =
   check_non_empty "Stats.percentile" xs;
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";

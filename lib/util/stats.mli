@@ -13,8 +13,5 @@ val median : float list -> float
 val stddev : float list -> float
 (** Population standard deviation. *)
 
-val min_max : float list -> float * float
-(** Smallest and largest value. *)
-
 val percentile : float -> float list -> float
 (** [percentile p xs] for [p] in [0, 100], nearest-rank method. *)

@@ -1,3 +1,10 @@
+(* Trace-driven set-associative cache simulator, the oracle for the
+   analytical model's locality analysis on small nests: the interpreter
+   replays a nest's exact access stream through a multi-level LRU cache
+   hierarchy (a write-allocate cache, so loads and stores probe
+   identically; buffers live in disjoint address regions), and tests
+   check that the analytical miss counts track the simulated ones. *)
+
 type level_stats = { name : string; accesses : int; misses : int }
 
 type level = {

@@ -6,8 +6,12 @@
    every report field (test_perf.ml, "estimate matches the reference
    bit for bit"). *)
 
-let fit_fraction = Cost_model.fit_fraction
-let prefetch_discount = Cost_model.prefetch_discount
+(* The model's constants: the fraction of a cache level the working set
+   may fill before re-entries count as evicted, and the multiplier on
+   latency charges of prefetchable (last-dimension-contiguous)
+   streams. *)
+let fit_fraction = 0.5
+let prefetch_discount = 0.2
 
 (* Per-iteration branch/index-arithmetic overhead of scalar loops; the
    vectorizer amortizes it across lanes. *)

@@ -1,10 +1,21 @@
 (* The reference sampler: the list-based draw [Auto_scheduler] used
-   before it drew by option index — choices through
-   [Util.Rng.choice_list], tile options memoized per trip count in a
+   before it drew by option index — choices through [choice_list]
+   below, tile options memoized per trip count in a
    [Hashtbl], each attempt assembled into a [Schedule.t] and deduped on
    that structural value. Written for clarity, not speed. The indexed
    sampler in lib/autosched must return the same candidates in the same
    order (test_autosched.ml, "sampler matches the list reference"). *)
+
+(* A uniform draw from a non-empty list: one [Util.Rng.int] over its
+   length, the draw [Util.Rng.choice] makes on an array. *)
+let choice_list rng l =
+  match l with
+  | [] -> invalid_arg "choice_list: empty list"
+  | _ -> List.nth l (Util.Rng.int rng (List.length l))
+
+(* The paper's constraints, as the auto-scheduler fixes them. *)
+let min_tiled_loops = 2
+let par_loops_considered = 3
 
 let max_tile_size = 64
 let max_options_per_loop = 4
@@ -35,7 +46,7 @@ let make_space (config : Auto_scheduler.config) ~prefix ~trips ~iter_kinds =
   Array.iteri
     (fun l trip ->
       if
-        !taken < config.Auto_scheduler.par_loops_considered
+        !taken < par_loops_considered
         && trip > 1
         && l < Array.length iter_kinds
         && iter_kinds.(l) = Linalg.Parallel_iter
@@ -48,7 +59,7 @@ let make_space (config : Auto_scheduler.config) ~prefix ~trips ~iter_kinds =
       end)
     trips;
   let swap_opts =
-    if config.Auto_scheduler.include_interchange && n >= 2 then
+    if n >= 2 then
       None :: List.init (n - 1) (fun i -> Some i)
     else [ None ]
   in
@@ -77,12 +88,12 @@ let assemble ~prefix ~par_opt ~tile_combo ~swap_opt =
   @ (match swap_opt with Some i -> [ Schedule.Swap i ] | None -> [])
   @ [ Schedule.Vectorize ]
 
-let random_candidate rng (config : Auto_scheduler.config) ~opts space =
+let random_candidate rng ~opts space =
   let par_opt =
     if space.par_slots <> [] && Util.Rng.bool rng then begin
       let sizes = Array.make (Array.length space.trips) 0 in
       List.iter
-        (fun (l, opts) -> sizes.(l) <- Util.Rng.choice_list rng opts)
+        (fun (l, opts) -> sizes.(l) <- choice_list rng opts)
         space.par_slots;
       if Array.exists (fun s -> s > 0) sizes then Some sizes else None
     end
@@ -96,14 +107,14 @@ let random_candidate rng (config : Auto_scheduler.config) ~opts space =
           count_nonzero sizes )
   in
   let tile_combo =
-    Array.map (fun trip -> Util.Rng.choice_list rng (opts trip)) effective
+    Array.map (fun trip -> choice_list rng (opts trip)) effective
   in
-  if par_count + count_nonzero tile_combo < config.Auto_scheduler.min_tiled_loops
+  if par_count + count_nonzero tile_combo < min_tiled_loops
   then None
   else
     Some
       (assemble ~prefix:space.prefix ~par_opt ~tile_combo
-         ~swap_opt:(Util.Rng.choice_list rng space.swap_opts))
+         ~swap_opt:(choice_list rng space.swap_opts))
 
 let gather_candidates (config : Auto_scheduler.config) op =
   let budget = config.Auto_scheduler.max_schedules in
@@ -127,8 +138,8 @@ let gather_candidates (config : Auto_scheduler.config) op =
     let out = ref [] and got = ref 0 and attempts = ref 0 in
     while !got < budget - 1 && !attempts < budget * 20 do
       incr attempts;
-      let space = Util.Rng.choice_list rng spaces in
-      match random_candidate rng config ~opts space with
+      let space = choice_list rng spaces in
+      match random_candidate rng ~opts space with
       | None -> ()
       | Some sched ->
           if not (Hashtbl.mem seen sched) then begin

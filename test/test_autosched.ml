@@ -122,9 +122,7 @@ let test_maxpool_search () =
 (* The indexed sampler against the list-based one it replaced
    (sampler_ref.ml): the same candidates in the same order, over random
    generator ops and configs that vary every field the sampler reads.
-   The custom size lists may name a size twice or exceed 64; a
-   [min_tiled_loops] of 0 lets the trivial schedule be drawn, which must
-   still be skipped. *)
+   The custom size lists may name a size twice or exceed 64. *)
 let qcheck_sampler_matches_reference =
   let kinds =
     [| "matmul"; "conv2d"; "maxpool"; "add"; "relu"; "batch_matmul";
@@ -139,21 +137,16 @@ let qcheck_sampler_matches_reference =
           [ return [];
             list_size (int_range 1 6) (oneofl [ 2; 3; 4; 4; 7; 8; 14; 16; 32; 64; 128 ]) ]
       in
-      let* min_tiled_loops = int_range 0 3 in
-      let* par_loops_considered = int_range 0 3 in
-      let* include_interchange = bool in
       let* include_im2col = bool in
       let* max_schedules = oneofl [ 1; 2; 30; 150; 400 ] in
       return
         ( kind, seed,
-          { Auto_scheduler.tile_sizes; min_tiled_loops; par_loops_considered;
-            include_interchange; include_im2col; max_schedules } ))
+          { Auto_scheduler.tile_sizes; include_im2col; max_schedules } ))
   in
   let print (kind, seed, (c : Auto_scheduler.config)) =
-    Printf.sprintf "%s seed %d: tiles [%s] min %d par %d swap %b im2col %b budget %d"
+    Printf.sprintf "%s seed %d: tiles [%s] im2col %b budget %d"
       kind seed
       (String.concat ";" (List.map string_of_int c.Auto_scheduler.tile_sizes))
-      c.min_tiled_loops c.par_loops_considered c.include_interchange
       c.include_im2col c.max_schedules
   in
   QCheck.Test.make ~name:"sampler matches the list reference" ~count:80

@@ -42,7 +42,7 @@ let stats_key (s : Trainer.iteration_stats) =
     s.Trainer.schedules_explored s.Trainer.degraded_measurements
 
 let copy_weights params =
-  List.map (fun (p : Autodiff.Param.t) -> Tensor.copy p.Autodiff.Param.data) params
+  List.map (fun (p : Autodiff.Param.t) -> Test_helpers.copy_tensor p.Autodiff.Param.data) params
 
 let restore_weights params snapshot =
   List.iter2
@@ -84,18 +84,24 @@ let test_meta_roundtrip () =
   in
   Checkpoint.save ~path meta ~params ~optimizer;
   Alcotest.(check bool) "exists" true (Checkpoint.exists ~path);
-  (match Checkpoint.load_meta ~path with
+  (match Checkpoint.restore ~path ~params ~optimizer with
   | Error e -> Alcotest.fail e
   | Ok m -> Alcotest.(check bool) "meta roundtrips" true (m = meta));
   cleanup path
 
 let test_restore_rejects_garbage () =
   let path = tmp_prefix "garbage" in
+  let restore () =
+    let params =
+      Policy.params
+        (Policy.create ~hidden:8 ~backbone_layers:1 (Util.Rng.create 1) Env_config.default)
+    in
+    Checkpoint.restore ~path ~params ~optimizer:(Optim.adam ~lr:1e-3 params)
+  in
   let oc = open_out (path ^ ".meta") in
   output_string oc "not a checkpoint\n";
   close_out oc;
-  Alcotest.(check bool) "corrupt meta rejected" true
-    (Result.is_error (Checkpoint.load_meta ~path));
+  Alcotest.(check bool) "corrupt meta rejected" true (Result.is_error (restore ()));
   cleanup path;
   (* a meta path that is a directory is a load error, not an exception *)
   (try Sys.mkdir (path ^ ".meta") 0o700 with Sys_error _ -> ());
@@ -103,7 +109,7 @@ let test_restore_rejects_garbage () =
     ~finally:(fun () -> try Sys.rmdir (path ^ ".meta") with Sys_error _ -> ())
     (fun () ->
       Alcotest.(check bool) "directory meta rejected" true
-        (Result.is_error (Checkpoint.load_meta ~path)))
+        (Result.is_error (restore ())))
 
 let test_optim_state_roundtrip () =
   (* Take two Adam steps, save; a third step from the saved point must
@@ -177,7 +183,7 @@ let check_identical ~faults () =
       Alcotest.(check string) (Printf.sprintf "iteration %d stats" (i + 1)) a b)
     (List.combine straight resumed);
   Alcotest.(check bool) "final weights identical" true
-    (Serialize.params_equal w_straight w_resumed)
+    (Test_helpers.params_equal w_straight w_resumed)
 
 let test_resume_identical_clean () = check_identical ~faults:false ()
 let test_resume_identical_faulty () = check_identical ~faults:true ()
@@ -216,7 +222,8 @@ let test_checkpoint_files_written () =
     (fun ext ->
       Alcotest.(check bool) (ext ^ " written") true (Sys.file_exists (path ^ ext)))
     [ ".meta"; ".params"; ".optim" ];
-  (match Checkpoint.load_meta ~path with
+  let params = Policy.params policy in
+  (match Checkpoint.restore ~path ~params ~optimizer:(Optim.adam ~lr:1e-3 params) with
   | Error e -> Alcotest.fail e
   | Ok m ->
       (* checkpoint_every=2 over 3 iterations: saved at 2 and at the
@@ -329,6 +336,44 @@ let test_optim_load_rejects_bad_step () =
     [ "nan"; "inf"; "-inf"; "-0x1p+3"; "0x1.8p+0" ];
   Sys.remove path
 
+(* Figure 8's flat baseline, pinned like the hierarchical run above:
+   3 iterations at hidden 16 with 2 backbone layers on one matmul, at
+   jobs 1 and 2, hashing the final checkpoint's weights and Adam
+   state. *)
+let pinned_flat_fingerprint = "ced413c8ce27ad82e2f7a6cfde63f433"
+
+let flat_fingerprint ~jobs =
+  let path = tmp_prefix (Printf.sprintf "pinned_flat_j%d" jobs) in
+  cleanup path;
+  let cfg = Env_config.default in
+  let op = Linalg.matmul ~m:64 ~n:64 ~k:64 () in
+  let policy =
+    Flat_policy.create ~hidden:16 ~backbone_layers:2 (Util.Rng.create 3) cfg
+      ~n_loops:(Linalg.n_loops op)
+  in
+  let config =
+    {
+      Trainer.default_config with
+      Trainer.iterations = 3;
+      seed = 3;
+      jobs;
+      checkpoint_path = Some path;
+      checkpoint_every = 3;
+    }
+  in
+  ignore (Trainer.train_flat config (Env.create cfg) policy ~ops:[| op |]);
+  let bytes = read_file (path ^ ".params") ^ read_file (path ^ ".optim") in
+  cleanup path;
+  Digest.to_hex (Digest.string bytes)
+
+let test_pinned_flat_fingerprint () =
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "flat weights and Adam state, jobs %d" jobs)
+        pinned_flat_fingerprint (flat_fingerprint ~jobs))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "meta roundtrip" `Quick test_meta_roundtrip;
@@ -348,4 +393,6 @@ let suite =
       test_pinned_training_fingerprint;
     Alcotest.test_case "optimizer load rejects a bad step" `Quick
       test_optim_load_rejects_bad_step;
+    Alcotest.test_case "pinned flat-training fingerprint" `Quick
+      test_pinned_flat_fingerprint;
   ]

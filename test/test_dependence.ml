@@ -111,7 +111,7 @@ let gen_nest rng =
 let input_data rng (nest : Loop_nest.t) =
   let shape = Loop_nest.buffer_shape nest "A" in
   let len = Array.fold_left ( * ) 1 shape in
-  [ ("A", Array.init len (fun i -> Util.Rng.float rng 4.0 +. float_of_int i)) ]
+  [ ("A", Array.init len (fun i -> (4.0 *. Util.Rng.uniform rng) +. float_of_int i)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Differential machinery                                             *)
@@ -367,7 +367,7 @@ let test_recurrence () =
   check "recurrence: not parallel" false (Legality.can_parallelize leg 0);
   check "recurrence: not vectorizable" false (Legality.can_vectorize leg);
   check "recurrence: tile 1-loop band ok" true (Legality.can_tile leg ~band_start:0);
-  check "recurrence: unroll ok" true (Legality.can_unroll leg)
+  check "recurrence: unroll ok" true ((Legality.verdicts leg).Legality.unroll)
 
 let test_skewed () =
   let leg = Legality.analyze (parse skewed) in
@@ -551,6 +551,10 @@ let mask_bytes (m : Action_space.masks) =
     (rows m.Action_space.tile_mask) (rows m.Action_space.par_mask)
     (bits m.Action_space.swap_mask)
 
+(* The hierarchical head's vectorization entry
+   ([Action_space.transformation_label 4]). *)
+let t_vectorize = 4
+
 (* One random action the masks admit. Vectorize is left to the end of
    the episode so the nests grow deep; slot choices are uniform over
    each loop's admitted slots. *)
@@ -560,7 +564,7 @@ let random_masked_action rng cfg st (m : Action_space.masks) =
     | l -> Some (List.nth l (Util.Rng.int rng (List.length l)))
   in
   let admitted row = List.filter (fun i -> row.(i)) (List.init (Array.length row) Fun.id) in
-  match pick (List.filter (fun t -> t <> Action_space.t_vectorize) (admitted m.Action_space.t_mask)) with
+  match pick (List.filter (fun t -> t <> t_vectorize) (admitted m.Action_space.t_mask)) with
   | None -> None
   | Some transform ->
       let rows =
@@ -651,7 +655,7 @@ let legality_fingerprint () =
           visit st;
           let next =
             if k = 0 then
-              if (Action_space.masks cfg st).Action_space.t_mask.(Action_space.t_vectorize)
+              if (Action_space.masks cfg st).Action_space.t_mask.(t_vectorize)
               then Some Schedule.Vectorize
               else None
             else random_masked_action rng cfg st (Action_space.masks cfg st)

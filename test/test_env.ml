@@ -58,8 +58,11 @@ let test_observation_history_tracks () =
     Result.get_ok
       (Sched_state.apply_all op [ Schedule.Tile [| 4; 0; 0 |]; Schedule.Swap 1 ])
   in
-  let h = Observation.history cfg st in
   let tau = cfg.Env_config.tau in
+  (* the history block ends the observation: N x 3 x tau *)
+  let obs = Observation.extract cfg st in
+  let len = cfg.Env_config.n_max * 3 * tau in
+  let h = Array.sub obs (Array.length obs - len) len in
   (* loop 0, row 0 (tiling), step 0: log2(4)/8 = 0.25 *)
   Alcotest.(check (float 1e-9)) "tile size recorded" 0.25 h.(0);
   (* loop 1, row 2 (interchange), step 1: (1+1)/7 *)
@@ -103,6 +106,23 @@ let test_masks_initial_matmul () =
     (Array.init 5 (fun j -> j = 0))
     m.Action_space.par_mask.(2)
 
+(* The tile size each slot selects for each point loop, read through
+   the action decoder: a tiling action that sets one loop to slot [s]
+   and every other loop to slot 0. *)
+let slot_sizes (cfg : Env_config.t) st =
+  let n = Sched_state.n_point_loops st in
+  Array.init n (fun l ->
+      Array.init (Env_config.n_tile_choices cfg) (fun s ->
+          let tile_choices = Array.make cfg.Env_config.n_max 0 in
+          tile_choices.(l) <- s;
+          match
+            Action_space.to_transformation cfg st
+              { Action_space.transform = Action_space.t_tile; tile_choices; swap_choice = 0 }
+          with
+          | Some (Schedule.Tile sizes) -> sizes.(l)
+          | None -> 0
+          | Some _ -> Alcotest.fail "tiling action decoded to another transform"))
+
 let test_masks_divisors () =
   let st = Sched_state.init (Test_helpers.small_matmul ()) in
   let m = Action_space.masks cfg st in
@@ -112,12 +132,12 @@ let test_masks_divisors () =
     m.Action_space.tile_mask.(0);
   Alcotest.(check (array bool)) "loop 2" [| true; true; true; true; false |]
     m.Action_space.tile_mask.(2);
-  let sizes = Action_space.slot_sizes cfg st in
+  let sizes = slot_sizes cfg st in
   Alcotest.(check (array int)) "loop 0 sizes" [| 0; 4; 2; 0; 0 |] sizes.(0);
   Alcotest.(check (array int)) "loop 1 sizes" [| 0; 6; 4; 3; 2 |] sizes.(1);
   Alcotest.(check (array int)) "loop 2 sizes" [| 0; 8; 4; 2; 0 |] sizes.(2)
 
-(* The list formula [Action_space.slot_sizes] used before its bounded
+(* The list formula the slot sizes used before their bounded
    scan: every divisor of the trip count, filtered, reversed, indexed. *)
 let slot_sizes_by_divisor_lists ~slots ~max_tile divisors trip =
   let kept = List.filter (fun d -> d > 1 && d < trip && d <= max_tile) divisors in
@@ -136,7 +156,7 @@ let test_slot_sizes_match_divisor_lists () =
             let cfg =
               { cfg with Env_config.max_tile_size = max_tile; n_tile_slots = slots }
             in
-            let got = (Action_space.slot_sizes cfg st).(0) in
+            let got = (slot_sizes cfg st).(0) in
             let want = slot_sizes_by_divisor_lists ~slots ~max_tile divisors trip in
             if got <> want then
               Alcotest.(check (array int))
@@ -212,7 +232,6 @@ let test_env_reset_and_masks () =
   let env = Env.create cfg in
   let obs = Env.reset env (Test_helpers.small_matmul ()) in
   Alcotest.(check int) "obs length" (Env_config.obs_dim cfg) (Array.length obs);
-  Alcotest.(check int) "step count" 0 (Env.step_count env);
   Alcotest.(check (float 1e-9)) "speedup 1" 1.0 (Env.current_speedup env)
 
 let test_env_vectorize_ends_episode () =
@@ -261,8 +280,7 @@ let test_env_tau_limit () =
   Alcotest.(check bool) "episode-over error" true
     (r.Env.error = Some Env_error.Episode_over);
   Alcotest.(check bool) "still terminal" true r.Env.terminal;
-  Alcotest.(check (float 1e-12)) "no reward" 0.0 r.Env.reward;
-  Alcotest.(check int) "no step consumed" cfg.Env_config.tau (Env.step_count env)
+  Alcotest.(check (float 1e-12)) "no reward" 0.0 r.Env.reward
 
 let test_env_step_after_vectorize_typed () =
   (* Vectorize terminates before tau; further steps must surface
@@ -293,7 +311,6 @@ let test_env_state_before_reset_typed () =
     (match Env.state env with
     | exception Env_error.Error Env_error.No_episode -> true
     | _ -> false);
-  Alcotest.(check bool) "state_opt is None" true (Env.state_opt env = None);
   Alcotest.(check bool) "step raises typed" true
     (match Env.step env None with
     | exception Env_error.Error Env_error.No_episode -> true
@@ -330,7 +347,13 @@ let test_env_noop_consumes_step () =
   ignore (Env.reset env (Test_helpers.small_matmul ()));
   let r = Env.step env None in
   Alcotest.(check bool) "noop" true r.Env.noop;
-  Alcotest.(check int) "step consumed" 1 (Env.step_count env)
+  (* The noop was step 1 of tau: tau - 2 more keep the episode open and
+     the next one ends it. *)
+  for k = 2 to cfg.Env_config.tau - 1 do
+    Alcotest.(check bool) (Printf.sprintf "step %d open" k) false
+      (Env.step env None).Env.terminal
+  done;
+  Alcotest.(check bool) "step consumed" true (Env.step env None).Env.terminal
 
 let test_env_measurement_time_accumulates () =
   let env = Env.create (Env_config.with_reward_mode Env_config.Immediate cfg) in

@@ -5,12 +5,43 @@ let rng () = Util.Rng.create 404
 let buffers rng specs =
   List.map (fun (name, size) -> (name, Test_helpers.buffer_of rng size)) specs
 
+(* Ground truth: run producer then consumer sequentially on the given
+   buffers (producer inputs under their "p_"-prefixed names) and return
+   the final output. *)
+let sequential_reference producer consumer ~consumer_input bindings =
+  let producer_bindings =
+    Array.to_list
+      (Array.map
+         (fun (o : Linalg.operand) ->
+           match List.assoc_opt ("p_" ^ o.Linalg.name) bindings with
+           | Some buf -> (o.Linalg.name, buf)
+           | None ->
+               invalid_arg
+                 ("sequential_reference: missing buffer p_" ^ o.Linalg.name))
+         producer.Linalg.inputs)
+  in
+  let intermediate = Linalg.execute_reference producer producer_bindings in
+  let consumer_bindings =
+    Array.to_list
+      (Array.mapi
+         (fun i (o : Linalg.operand) ->
+           if i = consumer_input then (o.Linalg.name, intermediate)
+           else
+             match List.assoc_opt o.Linalg.name bindings with
+             | Some buf -> (o.Linalg.name, buf)
+             | None ->
+                 invalid_arg
+                   ("sequential_reference: missing buffer " ^ o.Linalg.name))
+         consumer.Linalg.inputs)
+  in
+  Linalg.execute_reference consumer consumer_bindings
+
 let check_fusion ~producer ~consumer ~consumer_input bindings =
   match Fusion.fuse ~producer ~consumer ~consumer_input with
   | Error e -> Alcotest.fail e
   | Ok fused ->
       let expected =
-        Fusion.execute_fused_reference producer consumer ~consumer_input bindings
+        sequential_reference producer consumer ~consumer_input bindings
       in
       let fused_inputs =
         Array.to_list

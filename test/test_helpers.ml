@@ -1,6 +1,44 @@
 (* Shared helpers for the suites: random buffers, reference execution,
    semantic-equivalence checks for transformed nests. *)
 
+(* Small caches and few cores, for tests that need cache effects to
+   appear at toy problem sizes. *)
+let tiny_test_machine =
+  {
+    Machine.name = "tiny-test";
+    cores = 4;
+    freq_ghz = 1.0;
+    vector_lanes = 4;
+    scalar_flops_per_cycle = 1.0;
+    vector_flops_per_cycle = 8.0;
+    fma_latency_cycles = 4.0;
+    load_ports = 2;
+    l1 = { Machine.size_bytes = 1024; line_bytes = 64; assoc = 2; latency_cycles = 2.0 };
+    l2 = { Machine.size_bytes = 8 * 1024; line_bytes = 64; assoc = 4; latency_cycles = 8.0 };
+    l3 = { Machine.size_bytes = 64 * 1024; line_bytes = 64; assoc = 8; latency_cycles = 24.0 };
+    mem_latency_cycles = 100.0;
+    single_core_bw_gbs = 2.0;
+    total_bw_gbs = 6.0;
+    parallel_launch_cycles = 1000.0;
+    parallel_efficiency = 0.9;
+    elem_bytes = 4;
+  }
+
+(* A fresh tensor with [t]'s shape and elements. *)
+let copy_tensor (t : Tensor.t) =
+  let out = Tensor.zeros (Tensor.dims t) in
+  Bigarray.Array1.blit t.Tensor.data out.Tensor.data;
+  out
+
+(* Same names, shapes and values, bit for bit. *)
+let params_equal a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Autodiff.Param.t) (y : Autodiff.Param.t) ->
+         x.Autodiff.Param.name = y.Autodiff.Param.name
+         && Tensor.equal x.Autodiff.Param.data y.Autodiff.Param.data)
+       a b
+
 let buffer_of rng size = Array.init size (fun _ -> Util.Rng.gaussian rng)
 
 let input_buffers rng (op : Linalg.t) =

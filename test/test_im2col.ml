@@ -13,14 +13,6 @@ let test_rewrite_rejects_non_conv () =
   Alcotest.(check bool) "error" true
     (Result.is_error (Im2col.rewrite (Test_helpers.small_matmul ())))
 
-let test_gemm_of () =
-  let op = Test_helpers.small_conv () in
-  match op.Linalg.kind with
-  | Linalg.Conv2d p ->
-      Alcotest.(check bool) "dims check" true (Im2col.gemm_of p ~m:72 ~n:4 ~k:27);
-      Alcotest.(check bool) "wrong dims" false (Im2col.gemm_of p ~m:72 ~n:4 ~k:28)
-  | _ -> Alcotest.fail "expected conv"
-
 let equivalence_check p =
   let conv = Linalg.conv2d p in
   let rng = Util.Rng.create 99 in
@@ -110,7 +102,6 @@ let suite =
   [
     Alcotest.test_case "rewrite dims" `Quick test_rewrite_dims;
     Alcotest.test_case "rejects non-conv" `Quick test_rewrite_rejects_non_conv;
-    Alcotest.test_case "gemm_of" `Quick test_gemm_of;
     Alcotest.test_case "equivalence stride 1" `Quick test_equivalence_stride1;
     Alcotest.test_case "equivalence stride 2" `Quick test_equivalence_stride2;
     Alcotest.test_case "equivalence 1x1" `Quick test_equivalence_1x1_kernel;

@@ -1,12 +1,24 @@
 (* Tensor algebra, autodiff (against finite differences), layers,
    optimizers and masked categorical distributions. *)
 
-let t_testable = Alcotest.testable Tensor.pp (Tensor.approx_equal ~tol:1e-9)
+(* Elementwise within [tol], with IEEE semantics: NaN is never close. *)
+let approx_equal ?(tol = 1e-9) (a : Tensor.t) (b : Tensor.t) =
+  Tensor.dims a = Tensor.dims b
+  && Array.for_all2
+       (fun x y -> Float.abs (x -. y) <= tol)
+       (Tensor.to_array a) (Tensor.to_array b)
+
+let pp_tensor ppf t =
+  Format.fprintf ppf "tensor[%s] {%s}"
+    (String.concat "x" (Array.to_list (Array.map string_of_int (Tensor.dims t))))
+    (String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%g") (Tensor.to_array t))))
+
+let t_testable = Alcotest.testable pp_tensor (approx_equal ~tol:1e-9)
 
 (* --- Tensor --- *)
 
 let test_tensor_create () =
-  let t = Tensor.create [| 2; 3 |] 1.5 in
+  let t = Tensor.init [| 2; 3 |] (fun _ -> 1.5) in
   Alcotest.(check int) "numel" 6 (Tensor.numel t);
   Alcotest.(check (float 1e-12)) "value" 1.5 (Tensor.get t 5)
 
@@ -28,10 +40,8 @@ let test_tensor_matmul_transposes_agree () =
   let a = Tensor.init [| 3; 5 |] (fun _ -> Util.Rng.gaussian rng) in
   let b = Tensor.init [| 5; 2 |] (fun _ -> Util.Rng.gaussian rng) in
   let direct = Tensor.matmul a b in
-  let via_ta = Tensor.matmul_transpose_a (Tensor.transpose a) b in
   let via_tb = Tensor.matmul_transpose_b a (Tensor.transpose b) in
-  Alcotest.(check bool) "a^T path" true (Tensor.approx_equal ~tol:1e-9 direct via_ta);
-  Alcotest.(check bool) "b^T path" true (Tensor.approx_equal ~tol:1e-9 direct via_tb)
+  Alcotest.(check bool) "b^T path" true (approx_equal ~tol:1e-9 direct via_tb)
 
 let test_tensor_add_bias () =
   let x = Tensor.of_array [| 2; 2 |] [| 1.0; 2.0; 3.0; 4.0 |] in
@@ -50,10 +60,12 @@ let test_tensor_sum_rows_argmax () =
 
 let test_tensor_reshape () =
   let x = Tensor.of_array [| 2; 3 |] [| 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 |] in
-  let y = Tensor.reshape [| 3; 2 |] x in
+  let tape = Autodiff.Tape.create () in
+  let n = Autodiff.const tape x in
+  let y = Autodiff.value (Autodiff.reshape tape n [| 3; 2 |]) in
   Alcotest.(check (float 1e-12)) "data preserved" 4.0 (Tensor.get2 y 1 1);
   Alcotest.(check bool) "bad reshape raises" true
-    (match Tensor.reshape [| 4; 2 |] x with
+    (match Autodiff.reshape tape n [| 4; 2 |] with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -62,14 +74,14 @@ let test_tensor_equal_bitwise () =
      itself and 0.0 differs from -0.0 — both the opposite of (=). *)
   let x = Tensor.of_array [| 3 |] [| 1.0; nan; -0.0 |] in
   Alcotest.(check bool) "copy is equal (incl. NaN)" true
-    (Tensor.equal x (Tensor.copy x));
+    (Tensor.equal x (Test_helpers.copy_tensor x));
   let y = Tensor.of_array [| 3 |] [| 1.0; nan; 0.0 |] in
   Alcotest.(check bool) "-0.0 <> 0.0" false (Tensor.equal x y);
   Alcotest.(check bool) "shape mismatch" false
     (Tensor.equal x (Tensor.zeros [| 2 |]));
   (* approx_equal keeps IEEE semantics: NaN never close to anything. *)
   Alcotest.(check bool) "approx_equal rejects NaN" false
-    (Tensor.approx_equal x (Tensor.copy x))
+    (approx_equal x (Test_helpers.copy_tensor x))
 
 let test_transpose_known () =
   let x = Tensor.of_array [| 2; 3 |] [| 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 |] in
@@ -135,9 +147,9 @@ let test_into_kernels_bit_identical () =
           (* addto must equal allocate-then-add, starting from a
              nonzero accumulator. *)
           let seed = Tensor.init [| m; n |] (fun _ -> Util.Rng.gaussian rng) in
-          let addto = Tensor.copy seed in
+          let addto = Test_helpers.copy_tensor seed in
           Tensor.matmul_transpose_b_addto ~dst:addto a bt;
-          let via_alloc = Tensor.copy seed in
+          let via_alloc = Test_helpers.copy_tensor seed in
           Tensor.add_inplace via_alloc (Tensor.matmul_transpose_b a bt);
           eq "matmul_transpose_b_addto" addto via_alloc)
         [ (1, 1, 1); (3, 5, 2); (5, 7, 3); (17, 13, 9); (33, 65, 17) ])
@@ -191,7 +203,7 @@ let qcheck_matmul_kernels_naive =
       (* forward: a * b *)
       let fwd_ok =
         Tensor.equal
-          (Tensor.matmul_into ~dst:(Tensor.create [| m; n |] nan) a b)
+          (Tensor.matmul_into ~dst:(Tensor.init [| m; n |] (fun _ -> nan)) a b)
           (Tensor.of_array [| m; n |] (naive_matmul fa fb ~m ~k ~n))
       in
       (* dA: acc += a * c^T for c : [n; k], from a nonzero accumulator *)
@@ -267,7 +279,7 @@ let qcheck_row_ops_naive =
       in
       let tensor_ok =
         eq
-          (Tensor.gather_rows_into ~dst:(Tensor.create (shape k) nan) x rows)
+          (Tensor.gather_rows_into ~dst:(Tensor.init (shape k) (fun _ -> nan)) x rows)
           (naive_gather fx ~w rows)
       in
       let g = gaussian k in
@@ -317,17 +329,14 @@ let test_workspace_reuse () =
   let b = Tensor.Workspace.get ws [| 8 |] in
   Tensor.fill_inplace a 1.0;
   Tensor.fill_inplace b 2.0;
-  Alcotest.(check int) "two slots" 2 (Tensor.Workspace.slots ws);
   Alcotest.(check int) "two reallocs" 2 (Tensor.Workspace.reallocs ws);
   Tensor.Workspace.reset ws;
   (* Same shape sequence: same buffers, no allocation. *)
   let a' = Tensor.Workspace.get ws [| 4; 4 |] in
   let b' = Tensor.Workspace.get ws [| 8 |] in
-  Alcotest.(check int) "no new slots" 2 (Tensor.Workspace.slots ws);
   Alcotest.(check int) "no new reallocs" 2 (Tensor.Workspace.reallocs ws);
   Alcotest.(check (float 0.0)) "buffer reused" 1.0 (Tensor.get a' 0);
-  Alcotest.(check (float 0.0)) "buffer reused (2)" 2.0 (Tensor.get b' 0);
-  Alcotest.(check int) "grabs counted" 4 (Tensor.Workspace.grabs ws)
+  Alcotest.(check (float 0.0)) "buffer reused (2)" 2.0 (Tensor.get b' 0)
 
 let test_workspace_prefix_view_and_growth () =
   let ws = Tensor.Workspace.create () in
@@ -341,9 +350,7 @@ let test_workspace_prefix_view_and_growth () =
   (* ... a bigger one grows the slot. *)
   let big = Tensor.Workspace.get ws [| 9; 9 |] in
   Alcotest.(check int) "growth reallocates" 2 (Tensor.Workspace.reallocs ws);
-  Alcotest.(check int) "grown shape" 81 (Tensor.numel big);
-  Alcotest.(check bool) "live bytes cover capacity" true
-    (Tensor.Workspace.live_bytes ws >= 81 * 8)
+  Alcotest.(check int) "grown shape" 81 (Tensor.numel big)
 
 let test_tape_workspace_grads_bit_identical () =
   (* An arena-backed tape must produce bit-identical gradients to a
@@ -356,7 +363,7 @@ let test_tape_workspace_grads_bit_identical () =
     let xo = Autodiff.const tape x in
     let y = Autodiff.relu tape (Layers.forward_mlp tape mlp xo) in
     Autodiff.backward tape (Autodiff.mean_all tape (Autodiff.square tape y));
-    List.map (fun p -> Tensor.copy p.Autodiff.Param.grad) params
+    List.map (fun p -> Test_helpers.copy_tensor p.Autodiff.Param.grad) params
   in
   List.iter Autodiff.Param.zero_grad params;
   let plain = run (Autodiff.Tape.create ()) in
@@ -388,7 +395,7 @@ let test_const_leaf_pruning_invisible () =
     let xo = leaf tape in
     let y = Layers.forward_mlp tape mlp xo in
     Autodiff.backward tape (Autodiff.mean_all tape (Autodiff.square tape y));
-    (xo, List.map (fun p -> Tensor.copy p.Autodiff.Param.grad) params)
+    (xo, List.map (fun p -> Test_helpers.copy_tensor p.Autodiff.Param.grad) params)
   in
   let x_const, pruned = run (fun tape -> Autodiff.const tape x) in
   let x_param = Autodiff.Param.create "x" x in
@@ -411,7 +418,7 @@ let finite_diff_check ~build ~params ~eps ~tol =
   List.iter Autodiff.Param.zero_grad params;
   let tape, loss = build () in
   Autodiff.backward tape loss;
-  let analytic = List.map (fun p -> Tensor.copy p.Autodiff.Param.grad) params in
+  let analytic = List.map (fun p -> Test_helpers.copy_tensor p.Autodiff.Param.grad) params in
   List.iteri
     (fun pi p ->
       let d = p.Autodiff.Param.data in
@@ -434,29 +441,29 @@ let finite_diff_check ~build ~params ~eps ~tol =
 
 let test_grad_linear_relu () =
   let rng = Util.Rng.create 21 in
-  let layer = Layers.linear rng ~in_dim:4 ~out_dim:3 "l" in
+  let layer = Layers.mlp rng ~dims:[ 4; 3 ] "l" in
   let x = Tensor.init [| 2; 4 |] (fun _ -> Util.Rng.gaussian rng) in
   finite_diff_check
     ~build:(fun () ->
       let tape = Autodiff.Tape.create () in
       let xo = Autodiff.const tape x in
-      let y = Autodiff.relu tape (Layers.forward_linear tape layer xo) in
+      let y = Autodiff.relu tape (Layers.forward_mlp tape layer xo) in
       (tape, Autodiff.mean_all tape (Autodiff.square tape y)))
-    ~params:(Layers.linear_params layer) ~eps:1e-5 ~tol:1e-5
+    ~params:(Layers.mlp_params layer) ~eps:1e-5 ~tol:1e-5
 
 let test_grad_log_softmax_gather () =
   let rng = Util.Rng.create 22 in
-  let layer = Layers.linear rng ~in_dim:3 ~out_dim:4 "l" in
+  let layer = Layers.mlp rng ~dims:[ 3; 4 ] "l" in
   let x = Tensor.init [| 3; 3 |] (fun _ -> Util.Rng.gaussian rng) in
   finite_diff_check
     ~build:(fun () ->
       let tape = Autodiff.Tape.create () in
       let xo = Autodiff.const tape x in
-      let logits = Layers.forward_linear tape layer xo in
+      let logits = Layers.forward_mlp tape layer xo in
       let lp = Autodiff.log_softmax tape logits in
       let picked = Autodiff.gather_cols tape lp [| 0; 3; 2 |] in
       (tape, Autodiff.mean_all tape picked))
-    ~params:(Layers.linear_params layer) ~eps:1e-5 ~tol:1e-5
+    ~params:(Layers.mlp_params layer) ~eps:1e-5 ~tol:1e-5
 
 let test_grad_ppo_style_loss () =
   let rng = Util.Rng.create 23 in
@@ -481,38 +488,38 @@ let test_grad_ppo_style_loss () =
 
 let test_grad_slice_sum_rows () =
   let rng = Util.Rng.create 24 in
-  let layer = Layers.linear rng ~in_dim:3 ~out_dim:6 "l" in
+  let layer = Layers.mlp rng ~dims:[ 3; 6 ] "l" in
   let x = Tensor.init [| 2; 3 |] (fun _ -> Util.Rng.gaussian rng) in
   finite_diff_check
     ~build:(fun () ->
       let tape = Autodiff.Tape.create () in
       let xo = Autodiff.const tape x in
-      let y = Layers.forward_linear tape layer xo in
+      let y = Layers.forward_mlp tape layer xo in
       let left = Autodiff.slice_cols tape y ~lo:0 ~hi:3 in
       let right = Autodiff.slice_cols tape y ~lo:3 ~hi:6 in
       let h = Autodiff.mul tape left (Autodiff.exp_ tape right) in
       (tape, Autodiff.mean_all tape (Autodiff.sum_rows tape h)))
-    ~params:(Layers.linear_params layer) ~eps:1e-5 ~tol:1e-4
+    ~params:(Layers.mlp_params layer) ~eps:1e-5 ~tol:1e-4
 
 let test_grad_gather_scatter_reshape () =
   (* A branch-head shaped chain: gather rows (unsorted, repeated), view
      the segments as rows, log-softmax, pick, sum per row, scatter back
      (repeated). *)
   let rng = Util.Rng.create 25 in
-  let layer = Layers.linear rng ~in_dim:3 ~out_dim:6 "l" in
+  let layer = Layers.mlp rng ~dims:[ 3; 6 ] "l" in
   let x = Tensor.init [| 4; 3 |] (fun _ -> Util.Rng.gaussian rng) in
   let weights = Tensor.init [| 5 |] (fun _ -> Util.Rng.gaussian rng) in
   finite_diff_check
     ~build:(fun () ->
       let tape = Autodiff.Tape.create () in
-      let y = Layers.forward_linear tape layer (Autodiff.const tape x) in
+      let y = Layers.forward_mlp tape layer (Autodiff.const tape x) in
       let rows = Autodiff.gather_rows tape y [| 2; 0; 2 |] in
       let lp = Autodiff.log_softmax tape (Autodiff.reshape tape rows [| 9; 2 |]) in
       let picked = Autodiff.gather_cols tape lp [| 0; 1; 1; 0; 0; 1; 1; 1; 0 |] in
       let per_row = Autodiff.sum_rows tape (Autodiff.reshape tape picked [| 3; 3 |]) in
       let back = Autodiff.scatter_rows tape per_row [| 4; 1; 4 |] ~n:5 in
       (tape, Autodiff.mean_all tape (Autodiff.mul tape back (Autodiff.const tape weights))))
-    ~params:(Layers.linear_params layer) ~eps:1e-5 ~tol:1e-4
+    ~params:(Layers.mlp_params layer) ~eps:1e-5 ~tol:1e-4
 
 (* The accumulate arms of relu's and matmul's backward steps, which the
    policy network never reaches (each of its activations and weight
@@ -548,14 +555,14 @@ let test_grad_accumulate_arms_bit_identical () =
   in
   let c = t2 1 10 cs and c2 = t2 3 5 c2v and b = t2 3 4 bv in
   let g = zeros_like c in
-  Tensor.add_mul_inplace g (Tensor.ones [| 1; 10 |]) c;
+  Tensor.add_mul_inplace g (Tensor.init [| 1; 10 |] (fun _ -> 1.0)) c;
   let gy = acc g and grz = acc g in
   let gz = zeros_like c in
   relu_ref ~into:gz px.Autodiff.Param.data grz;
   let gx = acc gy and gr = acc gy in
   relu_ref ~into:gx px.Autodiff.Param.data gr;
   let gs = zeros_like c2 in
-  Tensor.add_mul_inplace gs (Tensor.ones [| 3; 5 |]) c2;
+  Tensor.add_mul_inplace gs (Tensor.init [| 3; 5 |] (fun _ -> 1.0)) c2;
   let g12 = acc gs and gy3 = acc gs in
   let gy1 = acc g12 and gy2 = acc g12 in
   let a = pa.Autodiff.Param.data and w1 = pw1.Autodiff.Param.data and w2 = pw2.Autodiff.Param.data in
@@ -605,7 +612,7 @@ let test_backward_rejects_non_scalar () =
     | _ -> false)
 
 let test_param_grad_accumulates () =
-  let p = Autodiff.Param.create "p" (Tensor.ones [| 2 |]) in
+  let p = Autodiff.Param.create "p" (Tensor.init [| 2 |] (fun _ -> 1.0)) in
   let run () =
     let tape = Autodiff.Tape.create () in
     let n = Autodiff.of_param tape p in
@@ -619,17 +626,6 @@ let test_param_grad_accumulates () =
 
 (* --- optimizers --- *)
 
-let test_sgd_descends_quadratic () =
-  let p = Autodiff.Param.create "x" (Tensor.of_array [| 1 |] [| 5.0 |]) in
-  let opt = Optim.sgd ~lr:0.1 [ p ] in
-  for _ = 1 to 100 do
-    let tape = Autodiff.Tape.create () in
-    let x = Autodiff.of_param tape p in
-    Autodiff.backward tape (Autodiff.sum_all tape (Autodiff.square tape x));
-    ignore (Optim.step opt)
-  done;
-  Alcotest.(check bool) "near zero" true (Float.abs (Tensor.get p.Autodiff.Param.data 0) < 1e-3)
-
 let test_adam_descends_rosenbrock_1d () =
   (* minimize (x - 3)^2 with Adam *)
   let p = Autodiff.Param.create "x" (Tensor.of_array [| 1 |] [| -2.0 |]) in
@@ -637,35 +633,40 @@ let test_adam_descends_rosenbrock_1d () =
   for _ = 1 to 500 do
     let tape = Autodiff.Tape.create () in
     let x = Autodiff.of_param tape p in
-    let diff = Autodiff.add_scalar tape (-3.0) x in
+    let diff = Autodiff.sub tape x (Autodiff.const tape (Tensor.of_array [| 1 |] [| 3.0 |])) in
     Autodiff.backward tape (Autodiff.sum_all tape (Autodiff.square tape diff));
     ignore (Optim.step opt)
   done;
   Alcotest.(check bool) "converges to 3" true
     (Float.abs (Tensor.get p.Autodiff.Param.data 0 -. 3.0) < 1e-2)
 
-(* The step clips before it updates: with lr 1 from zero weights, the
-   applied update is the clipped gradient, whose norm is the bound. It
-   reports the pre-clip norm and leaves every gradient at +0.0; without
-   a bound the same gradients go through unscaled. *)
+(* The step clips before it updates. Adam divides the gradient's scale
+   out of a single step, so the clip shows on the next one: a clipped
+   step leaves exactly the state of an unclipped step on gradients
+   pre-scaled by [max /. norm], and after a second, unclipped step the
+   weights differ from a run that was never clipped. The step reports
+   the pre-clip norm and leaves every gradient at +0.0. *)
 let test_clip_grad_norm () =
-  let run max_grad_norm =
+  let run ~first max_grad_norm =
     let p = Autodiff.Param.create "p" (Tensor.zeros [| 4 |]) in
-    Tensor.fill_inplace p.Autodiff.Param.grad 3.0;
-    (* norm = 6 *)
-    let opt = Optim.sgd ~lr:1.0 [ p ] in
+    let opt = Optim.adam ~lr:1.0 [ p ] in
+    Tensor.fill_inplace p.Autodiff.Param.grad first;
     let norm = Optim.step ?max_grad_norm opt in
-    Alcotest.(check (float 1e-9)) "reported pre-clip norm" 6.0 norm;
     Alcotest.(check bool) "gradients left at +0.0" true
       (Tensor.equal p.Autodiff.Param.grad (Tensor.zeros [| 4 |]));
-    sqrt
-      (Array.fold_left
-         (fun acc w -> acc +. (w *. w))
-         0.0
-         (Tensor.to_array p.Autodiff.Param.data))
+    (* norm 1, under the bound *)
+    Tensor.fill_inplace p.Autodiff.Param.grad 0.5;
+    ignore (Optim.step opt);
+    (norm, p.Autodiff.Param.data)
   in
-  Alcotest.(check (float 1e-9)) "clipped to max" 1.5 (run (Some 1.5));
-  Alcotest.(check (float 1e-9)) "unclipped" 6.0 (run None)
+  (* norm = 6; clipped to 1.5 every element becomes 3 * 0.25 = 0.75 *)
+  let clipped_norm, clipped = run ~first:3.0 (Some 1.5) in
+  let _, prescaled = run ~first:0.75 None in
+  let free_norm, free = run ~first:3.0 None in
+  Alcotest.(check (float 1e-9)) "reported pre-clip norm" 6.0 clipped_norm;
+  Alcotest.(check (float 1e-9)) "reported norm, unclipped" 6.0 free_norm;
+  Alcotest.(check bool) "clipped = pre-scaled" true (Tensor.equal clipped prescaled);
+  Alcotest.(check bool) "clipping changes the update" false (Tensor.equal clipped free)
 
 (* Neither the norm's accumulator nor the sweep's per-element values
    are boxed: one clipped Adam step over the 64-wide,
@@ -701,7 +702,7 @@ let qcheck_optim_matches_reference =
       let shape = list_size (int_range 1 3) (int_range 1 6) in
       quad
         (pair shape (int_range 1 3))
-        (pair bool (oneofl [ 0.0; 1e-3; 0.1; -0.1 ]))
+        (oneofl [ 0.0; 1e-3; 0.1; -0.1 ])
         (oneofl [ None; Some 0.5; Some 1e-3; Some 1e6 ])
         (pair (list_repeat 60 grad)
            (list_repeat 20
@@ -709,7 +710,7 @@ let qcheck_optim_matches_reference =
   in
   QCheck.Test.make ~name:"optimizer step matches the multi-pass reference" ~count:300
     (QCheck.make gen)
-    (fun ((sizes, steps), (use_adam, lr), max_grad_norm, (grads, init)) ->
+    (fun ((sizes, steps), lr, max_grad_norm, (grads, init)) ->
       let grads = Array.of_list grads and init = Array.of_list init in
       let mk () =
         List.mapi
@@ -719,8 +720,8 @@ let qcheck_optim_matches_reference =
           sizes
       in
       let ps = mk () and rs = mk () in
-      let opt = if use_adam then Optim.adam ~lr ps else Optim.sgd ~lr ps in
-      let ref_opt = if use_adam then Optim_ref.adam ~lr rs else Optim_ref.sgd ~lr rs in
+      let opt = Optim.adam ~lr ps in
+      let ref_opt = Optim_ref.adam ~lr rs in
       let same = ref true in
       for s = 0 to steps - 1 do
         Optim_ref.zero_grad ref_opt;
@@ -862,9 +863,10 @@ let suite =
     Alcotest.test_case "grad: slice+sum_rows" `Quick test_grad_slice_sum_rows;
     Alcotest.test_case "backward rejects non-scalar" `Quick test_backward_rejects_non_scalar;
     Alcotest.test_case "param grad accumulates" `Quick test_param_grad_accumulates;
-    Alcotest.test_case "sgd descends" `Quick test_sgd_descends_quadratic;
     Alcotest.test_case "adam converges" `Quick test_adam_descends_rosenbrock_1d;
     Alcotest.test_case "clip grad norm" `Quick test_clip_grad_norm;
+    Alcotest.test_case "clip grad norm allocation" `Quick
+      test_clip_grad_norm_allocation;
     Alcotest.test_case "mask excludes" `Quick test_masked_log_probs_excludes;
     Alcotest.test_case "mask rejects empty" `Quick test_masked_log_probs_rejects_empty;
     Alcotest.test_case "sample respects mask" `Quick test_sample_respects_mask;
@@ -875,8 +877,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_row_ops_naive;
     Alcotest.test_case "const-leaf pruning invisible" `Quick
       test_const_leaf_pruning_invisible;
-    Alcotest.test_case "clip grad norm allocation" `Quick
-      test_clip_grad_norm_allocation;
     Alcotest.test_case "grad: gather/scatter/reshape" `Quick
       test_grad_gather_scatter_reshape;
     Alcotest.test_case "row ops reject bad indices" `Quick

@@ -134,7 +134,6 @@ let test_evaluator_base_cached () =
 let test_evaluator_counts_measurements () =
   let ev = Evaluator.create () in
   let op = big_matmul () in
-  Evaluator.reset_explored ev;
   ignore (Evaluator.schedule_speedup ev op [ Schedule.Vectorize ]);
   ignore (Evaluator.schedule_speedup ev op [ Schedule.Swap 0; Schedule.Vectorize ]);
   Alcotest.(check int) "two measurements" 2 (Evaluator.explored ev)
@@ -165,7 +164,7 @@ let test_timeout_floor () =
 (* --- cache simulator --- *)
 
 let test_cache_sim_hit_after_miss () =
-  let sim = Cache_sim.create Machine.tiny_test_machine in
+  let sim = Cache_sim.create Test_helpers.tiny_test_machine in
   Cache_sim.access sim ~buf:"x" ~index:0 ~elem_bytes:4;
   Cache_sim.access sim ~buf:"x" ~index:1 ~elem_bytes:4;
   (* same line *)
@@ -176,7 +175,7 @@ let test_cache_sim_hit_after_miss () =
   | _ -> Alcotest.fail "expected l1 first"
 
 let test_cache_sim_capacity_eviction () =
-  let sim = Cache_sim.create Machine.tiny_test_machine in
+  let sim = Cache_sim.create Test_helpers.tiny_test_machine in
   (* L1 is 1 KiB = 16 lines; stream 64 distinct lines twice: second pass
      still misses (capacity). *)
   for pass = 1 to 2 do
@@ -191,7 +190,7 @@ let test_cache_sim_capacity_eviction () =
   | [] -> Alcotest.fail "no stats"
 
 let test_cache_sim_small_footprint_reuse () =
-  let sim = Cache_sim.create Machine.tiny_test_machine in
+  let sim = Cache_sim.create Test_helpers.tiny_test_machine in
   for pass = 1 to 10 do
     ignore pass;
     for i = 0 to 7 do
@@ -208,7 +207,7 @@ let test_cache_sim_validates_tiling_direction () =
   let op = Linalg.matmul ~m:32 ~n:32 ~k:32 () in
   let misses sched level_idx =
     let st = Result.get_ok (Sched_state.apply_all op sched) in
-    match Cache_sim.simulate_nest ~machine:Machine.tiny_test_machine st.Sched_state.nest with
+    match Cache_sim.simulate_nest ~machine:Test_helpers.tiny_test_machine st.Sched_state.nest with
     | Error e -> Alcotest.fail e
     | Ok (_, stats) -> (List.nth stats level_idx).Cache_sim.misses
   in

@@ -226,9 +226,9 @@ let test_evaluate_matches_indicator_reference () =
     let ev = evaluate tape (Array.map (fun i -> samples.(i)) rows) in
     Autodiff.backward tape (ppo_loss tape ev ~old_logp ~adv ~ret);
     ( List.map
-        (fun n -> Tensor.copy (Autodiff.value n))
+        (fun n -> Test_helpers.copy_tensor (Autodiff.value n))
         [ ev.Ppo.log_prob; ev.Ppo.entropy; ev.Ppo.value ],
-      List.map (fun p -> Tensor.copy p.Autodiff.Param.grad) params )
+      List.map (fun p -> Test_helpers.copy_tensor p.Autodiff.Param.grad) params )
   in
   let check_batch label rows =
     let values, grads = run (Policy.ppo_policy policy).Ppo.evaluate rows in
@@ -303,7 +303,9 @@ let test_flat_policy_act_and_evaluate () =
   let mask =
     Action_space.simple_mask ?ctx:(Action_space.legality_of cfg st) st menu
   in
-  let choice, logp, _ = Flat_policy.act rng policy ~obs ~mask in
+  let choice, logp, _ =
+    (Flat_policy.act_batch [| rng |] policy ~obs:[| obs |] ~masks:[| mask |]).(0)
+  in
   Alcotest.(check bool) "choice masked" true mask.(choice);
   let tape = Autodiff.Tape.create () in
   let ev =
@@ -322,8 +324,22 @@ let test_flat_greedy_masked () =
     Action_space.simple_mask ?ctx:(Action_space.legality_of cfg st) st
       (Flat_policy.menu policy)
   in
-  let c = Flat_policy.act_greedy policy ~obs ~mask in
-  Alcotest.(check bool) "greedy masked" true mask.(c)
+  (* A mask that admits one entry leaves the sampler one choice. *)
+  let last = ref (-1) in
+  Array.iteri (fun i ok -> if ok then last := i) mask;
+  let only = Array.mapi (fun i _ -> i = !last) mask in
+  let picks =
+    Flat_policy.act_batch
+      (Array.init 4 (fun _ -> Util.Rng.split rng))
+      policy ~obs:(Array.make 4 obs) ~masks:[| mask; only; mask; only |]
+  in
+  Array.iteri
+    (fun i (c, _, _) ->
+      Alcotest.(check bool) (Printf.sprintf "row %d masked" i) true mask.(c))
+    picks;
+  let c1, _, _ = picks.(1) and c3, _, _ = picks.(3) in
+  Alcotest.(check int) "single admitted entry chosen" !last c1;
+  Alcotest.(check int) "single admitted entry chosen (row 3)" !last c3
 
 let suite =
   [

@@ -4,6 +4,20 @@
 
 let cfg = Env_config.default
 
+(* A perfectly reliable backend: every probability zero, with the
+   default outlier tail and hang length for tests that turn one on. *)
+let no_faults =
+  {
+    Faults.transient_timeout_prob = 0.0;
+    compile_failure_prob = 0.0;
+    outlier_prob = 0.0;
+    outlier_scale = 3.0;
+    hang_prob = 0.0;
+    hang_seconds = 30.0;
+    crash_prob = 0.0;
+    crash_on_call = None;
+  }
+
 let matmul () = Linalg.matmul ~m:64 ~n:64 ~k:64 ()
 
 let vectorized_state () =
@@ -41,12 +55,12 @@ let test_faults_all_categories_fire () =
   Alcotest.(check bool) "outliers above 1x" true
     (has (function Faults.Latency_outlier k -> k > 1.0 | _ -> false));
   Alcotest.(check bool) "clean calls too" true (List.mem None seen);
-  Alcotest.(check int) "calls counted" 2000 (Faults.calls f)
+  Alcotest.(check int) "calls counted" 2000 (snd (Faults.state f))
 
 let test_faults_crash_on_nth () =
   let f =
     Faults.create
-      ~config:{ Faults.none with Faults.crash_on_call = Some 3 }
+      ~config:{ no_faults with Faults.crash_on_call = Some 3 }
       ~seed:0 ()
   in
   let seen = drain 5 f in
@@ -64,11 +78,11 @@ let test_faults_state_restore () =
 let test_faults_validate () =
   Alcotest.(check bool) "negative prob rejected" true
     (Result.is_error
-       (Faults.validate { Faults.none with Faults.hang_prob = -0.1 }));
+       (Faults.validate { no_faults with Faults.hang_prob = -0.1 }));
   Alcotest.(check bool) "overfull mass rejected" true
     (Result.is_error
        (Faults.validate
-          { Faults.none with Faults.hang_prob = 0.6; outlier_prob = 0.6 }))
+          { no_faults with Faults.hang_prob = 0.6; outlier_prob = 0.6 }))
 
 (* --- Robust evaluator --- *)
 
@@ -89,12 +103,7 @@ let test_robust_repeats_until_stable () =
   (* Heavy jitter: the adaptive loop should take more than min_repeats
      samples (up to the cap) before aggregating. *)
   let ev = Evaluator.create ~noise:0.4 ~noise_seed:9 () in
-  let rob =
-    Robust_evaluator.create
-      ~config:
-        { Robust_evaluator.default_config with Robust_evaluator.stability_rsd = 0.01 }
-      ev
-  in
+  let rob = Robust_evaluator.create ev in
   let m = Robust_evaluator.measure rob (vectorized_state ()) in
   Alcotest.(check int) "hits the repeat cap" 9 m.Robust_evaluator.samples;
   Alcotest.(check bool) "still exact" true
@@ -109,7 +118,7 @@ let test_robust_aggregation_tames_outliers () =
   let faults =
     Faults.create
       ~config:
-        { Faults.none with Faults.outlier_prob = 0.2; outlier_scale = 50.0 }
+        { no_faults with Faults.outlier_prob = 0.2; outlier_scale = 50.0 }
       ~seed:21 ()
   in
   let rob = Robust_evaluator.create ~faults (Evaluator.create ()) in
@@ -129,7 +138,7 @@ let test_robust_degrades_to_cost_model () =
   let ev = Evaluator.create () in
   let faults =
     Faults.create
-      ~config:{ Faults.none with Faults.transient_timeout_prob = 1.0 }
+      ~config:{ no_faults with Faults.transient_timeout_prob = 1.0 }
       ~seed:1 ()
   in
   let rob = Robust_evaluator.create ~faults ev in
@@ -154,18 +163,10 @@ let test_robust_backoff_charges_budget () =
   let ev = Evaluator.create () in
   let faults =
     Faults.create
-      ~config:{ Faults.none with Faults.compile_failure_prob = 1.0 }
+      ~config:{ no_faults with Faults.compile_failure_prob = 1.0 }
       ~seed:1 ()
   in
-  let cfg_r =
-    {
-      Robust_evaluator.default_config with
-      Robust_evaluator.backoff_base = 1.0;
-      backoff_factor = 2.0;
-      max_retries = 4;
-    }
-  in
-  let rob = Robust_evaluator.create ~config:cfg_r ~faults ev in
+  let rob = Robust_evaluator.create ~faults ev in
   let m = Robust_evaluator.measure rob (vectorized_state ()) in
   (* Compile failures charge nothing but the backoff pauses:
      1 + 2 + 4 + 8 = 15 simulated seconds. *)
@@ -176,7 +177,7 @@ let test_robust_recovers_from_crash () =
   let ev = Evaluator.create () in
   let faults =
     Faults.create
-      ~config:{ Faults.none with Faults.crash_on_call = Some 1 }
+      ~config:{ no_faults with Faults.crash_on_call = Some 1 }
       ~seed:4 ()
   in
   let rob = Robust_evaluator.create ~faults ev in
@@ -193,14 +194,11 @@ let test_robust_trace_replays_identically () =
     let rob =
       Robust_evaluator.create ~faults (Evaluator.create ~noise:0.05 ~noise_seed:2 ())
     in
-    for _ = 1 to 25 do
-      ignore (Robust_evaluator.measure rob (vectorized_state ()))
-    done;
-    Robust_evaluator.trace rob
+    List.init 25 (fun _ -> Robust_evaluator.measure rob (vectorized_state ()))
   in
   let a = run () and b = run () in
-  Alcotest.(check int) "25 trace lines" 25 (List.length a);
-  Alcotest.(check bool) "recovery trace identical across runs" true (a = b)
+  Alcotest.(check int) "25 measurements" 25 (List.length a);
+  Alcotest.(check bool) "measurements identical across runs" true (a = b)
 
 let test_base_cache_keys_by_shape () =
   (* Two ops sharing a name but differing in shape must not share a
@@ -250,7 +248,7 @@ let test_env_degraded_flagged () =
      complete without an exception. *)
   let faults =
     Faults.create
-      ~config:{ Faults.none with Faults.transient_timeout_prob = 1.0 }
+      ~config:{ no_faults with Faults.transient_timeout_prob = 1.0 }
       ~seed:2 ()
   in
   let robust = Robust_evaluator.create ~faults (Evaluator.create ()) in

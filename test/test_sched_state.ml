@@ -64,14 +64,6 @@ let test_point_trips_after_tiling () =
   Alcotest.(check (array int)) "point sizes" [| 4; 6; 16 |]
     (Sched_state.point_trip_counts st)
 
-let test_valid_tile_sizes () =
-  let st = Sched_state.init (Test_helpers.small_matmul ()) in
-  (* trips 8, 12, 16; menu 0,4,6,16 *)
-  let v = Sched_state.valid_tile_sizes st ~menu:[| 0; 4; 6; 16 |] in
-  Alcotest.(check (array bool)) "loop 0 (8)" [| true; true; false; false |] v.(0);
-  Alcotest.(check (array bool)) "loop 1 (12)" [| true; true; true; false |] v.(1);
-  Alcotest.(check (array bool)) "loop 2 (16)" [| true; true; false; true |] v.(2)
-
 let test_apply_all_error_propagates () =
   let op = Test_helpers.small_matmul () in
   Alcotest.(check bool) "error" true
@@ -129,7 +121,6 @@ let suite =
     Alcotest.test_case "im2col must be first" `Quick test_im2col_must_be_first;
     Alcotest.test_case "im2col changes op" `Quick test_im2col_changes_op;
     Alcotest.test_case "point trips after tiling" `Quick test_point_trips_after_tiling;
-    Alcotest.test_case "valid tile sizes" `Quick test_valid_tile_sizes;
     Alcotest.test_case "apply_all error" `Quick test_apply_all_error_propagates;
     Alcotest.test_case "apply_all records order" `Quick test_apply_all_records_order;
     Alcotest.test_case "no step cap in state" `Quick test_tau_independent;

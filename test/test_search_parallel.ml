@@ -13,13 +13,6 @@ let test_steal_pool_map_array () =
   Fun.protect
     ~finally:(fun () -> Util.Domain_pool.shutdown pool)
     (fun () ->
-      Alcotest.(check bool) "stealing flag" true (Util.Domain_pool.stealing pool);
-      Alcotest.(check bool)
-        "fifo pool is not stealing" false
-        (let p = Util.Domain_pool.create ~size:1 in
-         let s = Util.Domain_pool.stealing p in
-         Util.Domain_pool.shutdown p;
-         s);
       let out =
         Util.Domain_pool.map_array pool (fun x -> x * x)
           (Array.init 100 (fun i -> i))
@@ -136,13 +129,6 @@ let pseudo_schedule_ranker scheds =
   Array.map
     (fun s -> float_of_int (Hashtbl.hash (Schedule.dedup_key s) land 0xffff))
     scheds
-
-let pseudo_state_ranker states =
-  Array.map
-    (fun (st : Sched_state.t) ->
-      float_of_int
-        (Hashtbl.hash (Schedule.dedup_key st.Sched_state.applied) land 0xffff))
-    states
 
 let exhaustive_op () = Test_helpers.small_matmul ()
 let sampled_op () = Linalg.matmul ~m:64 ~n:64 ~k:64 ()
@@ -344,17 +330,6 @@ let test_beam_identity () =
         [ 2; 4 ])
     [ exhaustive_op (); Test_helpers.small_conv () ]
 
-let test_beam_ranked_identity () =
-  let op = exhaustive_op () in
-  let run jobs =
-    beam_key
-      (Beam_search.search ~ranker:pseudo_state_ranker ~rerank_k:12 ~jobs
-         (Evaluator.create ()) op)
-  in
-  let k1 = run 1 in
-  Alcotest.(check string) "ranked beam jobs 2" k1 (run 2);
-  Alcotest.(check string) "ranked beam jobs 4" k1 (run 4)
-
 let test_beam_noisy_parallel_identity () =
   let op = exhaustive_op () in
   let run jobs =
@@ -508,8 +483,6 @@ let suite =
     Alcotest.test_case "search: jobs < 1 rejected" `Quick
       test_search_jobs_validated;
     Alcotest.test_case "beam: identity jobs 1/2/4" `Slow test_beam_identity;
-    Alcotest.test_case "beam: ranked identity jobs 1/2/4" `Slow
-      test_beam_ranked_identity;
     Alcotest.test_case "beam: noisy jobs 1/2/4" `Slow
       test_beam_noisy_parallel_identity;
     Alcotest.test_case "workspace isolation under concurrent inference" `Slow

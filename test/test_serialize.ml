@@ -12,12 +12,12 @@ let test_roundtrip_params () =
   let mlp2 = Layers.mlp rng2 ~dims:[ 3; 5; 2 ] "m" in
   let params2 = Layers.mlp_params mlp2 in
   Alcotest.(check bool) "initially different" false
-    (Serialize.params_equal params params2);
+    (Test_helpers.params_equal params params2);
   (match Serialize.load_params path params2 with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "identical after load" true
-    (Serialize.params_equal params params2);
+    (Test_helpers.params_equal params params2);
   Sys.remove path
 
 let test_load_rejects_shape_mismatch () =
@@ -163,7 +163,7 @@ let test_concurrent_saves () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "file holds one complete weight set" true
-    (Serialize.params_equal loaded a || Serialize.params_equal loaded b);
+    (Test_helpers.params_equal loaded a || Test_helpers.params_equal loaded b);
   Alcotest.(check (list string))
     "no temp file left behind" [ "w.params" ]
     (Array.to_list (Sys.readdir dir));

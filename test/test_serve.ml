@@ -77,11 +77,17 @@ let gen_response =
         Serve.Protocol.Pong { p_id = id };
       ])
 
+(* Payloads are percent-escaped on the wire: any string survives an
+   encode/decode round trip as an op-spec payload. *)
 let qcheck_escape_roundtrip =
   QCheck.Test.make ~name:"escape/unescape identity" ~count:500
     (QCheck.make gnarly_string) (fun s ->
-      match Serve.Protocol.unescape (Serve.Protocol.escape s) with
-      | Ok s' -> String.equal s s'
+      let req =
+        Serve.Protocol.Optimize
+          { id = "e"; target = Serve.Protocol.Spec s; deadline_ms = None }
+      in
+      match Serve.Protocol.decode_request (Serve.Protocol.encode_request req) with
+      | Ok r -> r = req
       | Error _ -> false)
 
 let qcheck_request_roundtrip =
@@ -240,7 +246,7 @@ let test_metrics_counters () =
   let m = Util.Metrics.create () in
   check_int "unbumped counter reads 0" 0 (Util.Metrics.counter m "x");
   Util.Metrics.incr m "x";
-  Util.Metrics.incr m "x" ~by:4;
+  for _ = 1 to 4 do Util.Metrics.incr m "x" done;
   check_int "incr accumulates" 5 (Util.Metrics.counter m "x")
 
 let test_metrics_histogram () =
@@ -259,7 +265,7 @@ let test_metrics_histogram () =
 
 let test_metrics_render () =
   let m = Util.Metrics.create () in
-  Util.Metrics.incr m "serve_requests_total" ~by:7;
+  for _ = 1 to 7 do Util.Metrics.incr m "serve_requests_total" done;
   Util.Metrics.observe m "serve_latency_seconds" 0.002;
   let text = Util.Metrics.render m in
   let has needle = Astring_contains.contains text needle in
@@ -557,7 +563,9 @@ let collector () =
   (record, ok_ids)
 
 let stats_show server s =
-  Astring_contains.contains (Serve.Server.stats_body server) s
+  match sync_submit server (Serve.Protocol.Stats { id = "s" }) with
+  | Serve.Protocol.Stats_reply { body; _ } -> Astring_contains.contains body s
+  | _ -> Alcotest.fail "expected a stats reply"
 
 (* Occupy the single worker of a server whose engine stalls on every
    uncached nest: submit [id], then poll until the dispatcher has handed

@@ -200,9 +200,7 @@ let test_backoff_schedule () =
   check "doubles" true (d2 = 2.0);
   check "caps" true (d3 = 4.0);
   check "stays capped" true (d4 = 4.0);
-  check_int "attempts counted" 4 (Serve.Backoff.attempt b);
   Serve.Backoff.reset b;
-  check_int "reset clears attempts" 0 (Serve.Backoff.attempt b);
   check "reset returns to base" true (Serve.Backoff.next b = 1.0)
 
 let test_backoff_jitter_bounds () =
@@ -270,10 +268,7 @@ let test_breaker_cycle () =
   check "one success not enough" true (st 2.9 = Serve.Breaker.Half_open);
   Serve.Breaker.record_success b ~now:3.0;
   check "success_threshold successes close" true
-    (st 3.0 = Serve.Breaker.Closed);
-  (* trip, re-trip from half-open, final close: the clock-driven
-     open -> half-open reads are not stored transitions. *)
-  check_int "transitions counted" 3 (Serve.Breaker.transitions b)
+    (st 3.0 = Serve.Breaker.Closed)
 
 (* ------------------------------------------------------------------ *)
 (* Router                                                              *)
@@ -327,7 +322,6 @@ let test_supervisor_starts_healthy_fleet () =
   | Serve.Protocol.Ok_reply { r_id; _ } -> check_str "reply id" "q1" r_id
   | _ -> Alcotest.fail "expected Ok_reply");
   Serve.Supervisor.drain sup;
-  check "drained" true (Serve.Supervisor.draining sup);
   (match Serve.Supervisor.call sup (optimize "q2" "matmul:64x64x64") with
   | Serve.Protocol.Error_reply { code = Serve.Protocol.Shutting_down; _ } -> ()
   | _ -> Alcotest.fail "expected shutting_down while draining");
@@ -398,12 +392,11 @@ let test_supervisor_crash_detect_and_restart () =
     + (Serve.Supervisor.status sup).(2).Serve.Supervisor.rs_restarts);
   Serve.Supervisor.drain sup
 
-(* start_heartbeat after stop_heartbeat must spawn a live supervision
-   loop: a stale stop flag used to make the second thread exit
-   immediately, silently ending supervision. The heartbeat thread is
-   real; only the clock it ticks on is mocked, so recovery is awaited
-   under a wall-clock bound instead of driven by manual [tick]. *)
-let test_supervisor_heartbeat_restartable () =
+(* The heartbeat thread supervises on its own: a replica killed under it
+   comes back without a manual [tick]. The thread is real; only the
+   clock it ticks on is mocked, so recovery is awaited under a
+   wall-clock bound. *)
+let test_supervisor_heartbeat_restarts_replica () =
   let wait_for ?(timeout = 10.0) pred =
     let deadline = Unix.gettimeofday () +. timeout in
     let rec go () =
@@ -427,11 +420,6 @@ let test_supervisor_heartbeat_restartable () =
   Serve.Supervisor.kill_replica sup 0;
   check "heartbeat restarts the killed replica" true
     (wait_for (fun () -> restarts () >= 1));
-  Serve.Supervisor.stop_heartbeat sup;
-  Serve.Supervisor.start_heartbeat sup;
-  Serve.Supervisor.kill_replica sup 0;
-  check "heartbeat restarted after stop still supervises" true
-    (wait_for (fun () -> restarts () >= 2));
   Serve.Supervisor.drain sup
 
 (* ------------------------------------------------------------------ *)
@@ -557,7 +545,8 @@ let test_supervisor_drain_waits_for_in_flight () =
     (Serve.Supervisor.status sup).(0).Serve.Supervisor.rs_in_flight;
   (* ... and a concurrent drain must wait it out, not drop it. *)
   let drainer = Thread.create (fun () -> Serve.Supervisor.drain sup) () in
-  spin_until (fun () -> Serve.Supervisor.draining sup);
+  spin_until (fun () ->
+      (Serve.Supervisor.status sup).(0).Serve.Supervisor.rs_state = "draining");
   check "drain blocked on the in-flight request" true
     ((Serve.Supervisor.status sup).(0).Serve.Supervisor.rs_in_flight = 1);
   release ();
@@ -620,8 +609,8 @@ let test_supervisor_reload_waits_and_swaps () =
 
 let test_metrics_merge_rendered () =
   let a = Util.Metrics.create () and b = Util.Metrics.create () in
-  Util.Metrics.incr a ~by:2 "serve_requests_total";
-  Util.Metrics.incr b ~by:3 "serve_requests_total";
+  for _ = 1 to 2 do Util.Metrics.incr a "serve_requests_total" done;
+  for _ = 1 to 3 do Util.Metrics.incr b "serve_requests_total" done;
   Util.Metrics.incr b "serve_cache_hits_total";
   Util.Metrics.set_gauge a "serve_queue_depth" 4.0;
   Util.Metrics.set_gauge b "serve_queue_depth" 1.0;
@@ -649,8 +638,13 @@ let test_supervisor_fleet_metrics () =
     (Util.Metrics.counter m "fleet_replies_ok_total");
   check "latency observed" true
     (Util.Metrics.hist_count m "fleet_latency_seconds" = 1);
-  check "up gauge" true (Util.Metrics.gauge m "fleet_replica_0_up" = Some 1.0);
-  let rendered = Serve.Supervisor.render_metrics sup in
+  check "up gauge" true
+    (Astring_contains.contains (Util.Metrics.render m) "\nfleet_replica_0_up 1\n");
+  let rendered =
+    match Serve.Supervisor.call sup (Serve.Protocol.Metrics { id = "m" }) with
+    | Serve.Protocol.Metrics_reply { body; _ } -> body
+    | _ -> Alcotest.fail "expected a metrics reply"
+  in
   check "rendered fleet series" true
     (Astring_contains.contains rendered "fleet_requests_total 1");
   (* The status body is the stats verb's payload. *)
@@ -766,8 +760,8 @@ let suite =
       test_supervisor_restart_backoff_spacing;
     Alcotest.test_case "supervisor: crash detection + restart" `Quick
       test_supervisor_crash_detect_and_restart;
-    Alcotest.test_case "supervisor: heartbeat restart after stop" `Quick
-      test_supervisor_heartbeat_restartable;
+    Alcotest.test_case "supervisor: heartbeat restart of a killed replica" `Quick
+      test_supervisor_heartbeat_restarts_replica;
     Alcotest.test_case "supervisor: hedge rescue + breaker shed" `Quick
       test_supervisor_hedge_and_breaker_shed;
     Alcotest.test_case "supervisor: garbled reply hedged" `Quick

@@ -28,6 +28,14 @@ let check_str = Alcotest.(check string)
 let check_bits name a b =
   Alcotest.(check int64) name (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+(* The feature vector ranking time builds for a candidate, every block
+   computed afresh. *)
+let features_of ~machine op sched =
+  Surrogate.Features.assemble
+    ~machine:(Surrogate.Features.machine_block machine)
+    ~op:(Surrogate.Features.cached_op_block (Surrogate.Features.create_cache ()) op)
+    ~sched:(Surrogate.Features.schedule_block sched)
+
 let machine = Machine.e5_2680_v4
 
 (* ------------------------------------------------------------------ *)
@@ -51,9 +59,9 @@ let test_feature_widths () =
   let op = Linalg.matmul ~m:24 ~n:16 ~k:8 () in
   List.iter
     (fun sched ->
-      let v = Surrogate.Features.of_schedule ~machine op sched in
+      let v = features_of ~machine op sched in
       check_int "vector width" Surrogate.Features.dim (Array.length v);
-      let v' = Surrogate.Features.of_schedule ~machine op sched in
+      let v' = features_of ~machine op sched in
       Array.iteri (fun i x -> check_bits "deterministic" x v'.(i)) v)
     sample_schedules
 
@@ -69,15 +77,26 @@ let test_schedule_block_into_matches () =
       Array.iteri (fun i x -> check_bits "into = fresh" x buf.(i)) fresh)
     sample_schedules
 
+(* What the measurement tap logs for a priced state equals what ranking
+   time builds from the op and the schedule. *)
 let test_of_state_matches_of_schedule () =
   let op = Linalg.matmul ~m:24 ~n:16 ~k:8 () in
   let sched = [ Schedule.Tile [| 0; 8; 4 |]; Schedule.Vectorize ] in
   match Sched_state.apply_all op sched with
   | Error e -> Alcotest.fail e
-  | Ok state ->
-      let a = Surrogate.Features.of_state ~machine state in
-      let b = Surrogate.Features.of_schedule ~machine op sched in
-      Array.iteri (fun i x -> check_bits "state = schedule" x b.(i)) a
+  | Ok state -> (
+      let log = Surrogate.Dataset_log.create () in
+      let ev = Evaluator.create ~machine () in
+      Surrogate.Dataset_log.attach log ev;
+      ignore (Evaluator.state_seconds ev state);
+      Surrogate.Dataset_log.detach ev;
+      match Surrogate.Dataset_log.entries log with
+      | [| e |] ->
+          let b = features_of ~machine op sched in
+          Array.iteri
+            (fun i x -> check_bits "state = schedule" x b.(i))
+            e.Surrogate.Dataset_log.features
+      | es -> Alcotest.failf "expected one logged entry, got %d" (Array.length es))
 
 let test_op_block_cache () =
   let cache = Surrogate.Features.create_cache () in
@@ -85,8 +104,9 @@ let test_op_block_cache () =
   let a = Surrogate.Features.cached_op_block cache op in
   let b = Surrogate.Features.cached_op_block cache op in
   check "cached block is shared" true (a == b);
-  let direct = Surrogate.Features.op_block op in
-  Array.iteri (fun i x -> check_bits "cache = direct" x a.(i)) direct
+  let fresh = Surrogate.Features.cached_op_block (Surrogate.Features.create_cache ()) op in
+  check "a fresh cache computes its own block" false (a == fresh);
+  Array.iteri (fun i x -> check_bits "cache = fresh" x a.(i)) fresh
 
 (* ------------------------------------------------------------------ *)
 (* Schedule dedup keys                                                *)
@@ -379,19 +399,6 @@ let test_model_checkpoint_roundtrip () =
   | Ok _ -> Alcotest.fail "directory: expected load error"
   | Error _ -> ()
 
-let test_model_predict_batch_matches () =
-  let entries = synthetic_entries 40 in
-  let model = Surrogate.Model.create ~seed:3 () in
-  ignore (Surrogate.Model.fit ~epochs:2 ~seed:3 model entries);
-  let xs =
-    Array.map (fun e -> e.Surrogate.Dataset_log.features) (synthetic_entries 9)
-  in
-  let batched = Surrogate.Model.predict_batch model xs in
-  Array.iteri
-    (fun i x -> check_bits "batch = single" (Surrogate.Model.predict model x)
-        batched.(i))
-    xs
-
 (* ------------------------------------------------------------------ *)
 (* Ranker                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -408,7 +415,7 @@ let test_ranker_batch_matches_single () =
   (* separate rankers, so the two paths share no forward buffers *)
   let single = Surrogate.Ranker.create ~machine model in
   let batch = Surrogate.Ranker.create ~machine model in
-  let batched = Surrogate.Ranker.score_schedules batch op scheds in
+  let batched = Surrogate.Ranker.schedule_scorer batch op scheds in
   Array.iteri
     (fun i sched ->
       let s = Surrogate.Ranker.score_schedule single op sched in
@@ -422,14 +429,14 @@ let test_ranker_cache_counters () =
   let ranker = Surrogate.Ranker.create ~machine model in
   let op = Linalg.matmul ~m:24 ~n:16 ~k:8 () in
   let scheds = Array.of_list sample_schedules in
-  let first = Surrogate.Ranker.score_schedules ranker op scheds in
+  let first = Surrogate.Ranker.schedule_scorer ranker op scheds in
   let s = Surrogate.Ranker.cache_stats ranker in
   check_int "one miss per candidate scored" (Array.length scheds)
     s.Util.Sharded_cache.misses;
   check_int "no hits" 0 s.Util.Sharded_cache.hits;
   check_int "nothing held" 0 s.Util.Sharded_cache.size;
   let v = Surrogate.Ranker.score_schedule ranker op scheds.(5) in
-  let again = Surrogate.Ranker.score_schedules ranker op scheds in
+  let again = Surrogate.Ranker.schedule_scorer ranker op scheds in
   let s' = Surrogate.Ranker.cache_stats ranker in
   check_int "repeats are scored again" ((2 * Array.length scheds) + 1)
     s'.Util.Sharded_cache.misses;
@@ -446,7 +453,7 @@ let test_ranker_attaches_to_evaluator () =
   Surrogate.Ranker.attach ranker ev;
   let op = Linalg.matmul ~m:24 ~n:16 ~k:8 () in
   ignore
-    (Surrogate.Ranker.score_schedules ranker op (Array.of_list sample_schedules));
+    (Surrogate.Ranker.schedule_scorer ranker op (Array.of_list sample_schedules));
   (match (Evaluator.cache_stats ev).Evaluator.surrogate with
   | None -> Alcotest.fail "surrogate group missing after attach"
   | Some s ->
@@ -522,23 +529,6 @@ let test_staged_real_ranker_budgeted () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "staged best schedule does not apply: %s" e
 
-let test_beam_staged () =
-  let model = trained_model () in
-  let op = Linalg.matmul ~m:16 ~n:16 ~k:16 () in
-  let ranker = Surrogate.Ranker.create ~machine model in
-  let exact = Beam_search.search (Evaluator.create ()) op in
-  let staged =
-    Beam_search.search
-      ~ranker:(Surrogate.Ranker.state_scorer ranker)
-      ~rerank_k:8 (Evaluator.create ()) op
-  in
-  check "staged beam explores no more exactly" true
-    (staged.Beam_search.explored <= exact.Beam_search.explored);
-  check "staged beam finds a speedup" true
-    (staged.Beam_search.best_speedup >= 1.0);
-  check "ends with vectorize" true
-    (List.mem Schedule.Vectorize staged.Beam_search.best_schedule)
-
 (* ------------------------------------------------------------------ *)
 (* Counters                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -552,8 +542,8 @@ let test_counters () =
   Surrogate.Ranker.attach ranker ev;
   let op = Linalg.matmul ~m:24 ~n:16 ~k:8 () in
   let scheds = Array.of_list sample_schedules in
-  ignore (Surrogate.Ranker.score_schedules ranker op scheds);
-  ignore (Surrogate.Ranker.score_schedules ranker op scheds);
+  ignore (Surrogate.Ranker.schedule_scorer ranker op scheds);
+  ignore (Surrogate.Ranker.schedule_scorer ranker op scheds);
   let counter name =
     List.assoc name (Evaluator.cache_counters (Evaluator.cache_stats ev))
   in
@@ -575,7 +565,7 @@ let test_ranker_folded_first_layer () =
     let x = Tensor.zeros [| Array.length scheds; d |] in
     Array.iteri
       (fun row sched ->
-        let f = Surrogate.Features.of_schedule ~machine op sched in
+        let f = features_of ~machine op sched in
         for col = 0 to d - 1 do
           Tensor.set x ((row * d) + col)
             (if col < static then (f.(col) -. mean.(col)) /. std.(col)
@@ -599,7 +589,7 @@ let test_ranker_folded_first_layer () =
               (sample_schedules @ Auto_scheduler.gather_candidates config op)
           in
           let ranker = Surrogate.Ranker.create ~machine model in
-          let got = Surrogate.Ranker.score_schedules ranker op scheds in
+          let got = Surrogate.Ranker.schedule_scorer ranker op scheds in
           Array.iteri
             (fun i want -> check_bits "folded = full forward" want got.(i))
             (full_forward model op scheds))
@@ -635,8 +625,6 @@ let suite =
       test_model_fit_deterministic;
     Alcotest.test_case "model: checkpoint roundtrip" `Quick
       test_model_checkpoint_roundtrip;
-    Alcotest.test_case "model: predict_batch = predict" `Quick
-      test_model_predict_batch_matches;
     Alcotest.test_case "ranker: batch = single" `Quick
       test_ranker_batch_matches_single;
     Alcotest.test_case "ranker: cache counters" `Quick
@@ -649,7 +637,6 @@ let suite =
       test_staged_full_rerank_recovers_exact;
     Alcotest.test_case "staged: budgeted real ranker" `Quick
       test_staged_real_ranker_budgeted;
-    Alcotest.test_case "staged: beam search" `Quick test_beam_staged;
     Alcotest.test_case "counters" `Quick test_counters;
     Alcotest.test_case "ranker: folded first layer is bit-exact" `Quick
       test_ranker_folded_first_layer;
