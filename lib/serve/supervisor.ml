@@ -328,11 +328,7 @@ let await_ready t ~timeout_s =
 
 let start_heartbeat t =
   Mutex.lock t.mutex;
-  let need = t.heartbeat = None && not t.draining in
-  if need then begin
-    (* Reset the stop flag so start after stop spawns a live loop, not
-       a thread that observes a stale [true] and exits immediately. *)
-    t.heartbeat_stop <- false;
+  if t.heartbeat = None && not t.draining then
     t.heartbeat <-
       Some
         (Thread.create
@@ -341,8 +337,7 @@ let start_heartbeat t =
                tick t;
                t.sleep t.cfg.health_interval_s
              done)
-           ())
-  end;
+           ());
   Mutex.unlock t.mutex
 
 (* ---------- request path ---------- *)

@@ -66,8 +66,9 @@ val create :
 val call : t -> Protocol.request -> Protocol.response
 (** The front door. [optimize] routes by digest with breaker shedding
     and the hedged retry; [ping] answers directly; [stats] returns the
-    fleet status body ({!status_body}); [metrics] returns the
-    aggregated fleet scrape ({!render_metrics}). While draining, every
+    fleet status body (a header line, one line per slot as in
+    {!status}, then the fleet counters); [metrics] returns the fleet's
+    own scrape merged with every up replica's. While draining, every
     request is answered [shutting_down]. *)
 
 val tick : t -> unit
@@ -76,8 +77,8 @@ val tick : t -> unit
 
 val start_heartbeat : t -> unit
 (** Spawn the background thread that runs {!tick} every
-    [health_interval_s]. Idempotent; stopped by {!stop_heartbeat} or
-    {!drain}, and restartable after {!stop_heartbeat}. *)
+    [health_interval_s]. Idempotent; stopped by {!drain}, and not
+    restartable after it. *)
 
 val await_ready : t -> timeout_s:float -> bool
 (** Tick until every slot is up (true) or the timeout elapses (false).

@@ -1,14 +1,6 @@
 let is_identity_map (m : Affine.map) =
   Affine.equal_map m (Affine.identity_map m.Affine.n_dims)
 
-let rec renumber_inputs offset (e : Linalg.scalar_expr) =
-  match e with
-  | Linalg.Input i -> Linalg.Input (i + offset)
-  | Linalg.Output | Linalg.Const _ -> e
-  | Linalg.Binop (b, x, y) ->
-      Linalg.Binop (b, renumber_inputs offset x, renumber_inputs offset y)
-  | Linalg.Unop (u, x) -> Linalg.Unop (u, renumber_inputs offset x)
-
 (* Replace [Input target] in the consumer body with [replacement] and
    shift the consumer's other input indices per [shift]. *)
 let rec graft ~target ~replacement ~shift (e : Linalg.scalar_expr) =
@@ -65,17 +57,16 @@ let fuse ~(producer : Linalg.t) ~(consumer : Linalg.t) ~consumer_input =
         Array.sub consumer.Linalg.inputs (consumer_input + 1)
           (Array.length consumer.Linalg.inputs - consumer_input - 1)
       in
-      (* Producer inputs come first so that fusing into a pipeline
-         stage's slot 0 keeps the chained value at input 0. *)
+      (* Producer inputs come first so that fusing into slot 0 keeps a
+         chained value at input 0. *)
       let inputs = Array.concat [ rebased_inputs; kept_before; kept_after ] in
       let n_producer = Array.length rebased_inputs in
       (* Old consumer index -> new index among kept inputs. *)
       let shift i =
         n_producer + if i < consumer_input then i else i - 1
       in
-      let producer_body = renumber_inputs 0 producer.Linalg.body in
       let body =
-        graft ~target:consumer_input ~replacement:producer_body ~shift
+        graft ~target:consumer_input ~replacement:producer.Linalg.body ~shift
           consumer.Linalg.body
       in
       let fused =

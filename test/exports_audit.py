@@ -17,7 +17,7 @@ names as words in that file.
 Exits 1 on a finding that KEPT does not list, and on a KEPT entry that
 is no longer a finding.
 
-Usage: python3 test/exports_audit.py [--verbose]
+Usage: python3 test/exports_audit.py
 """
 
 import os
@@ -147,7 +147,6 @@ def source_files(dirs):
 
 
 def main():
-    verbose = "--verbose" in sys.argv
     libs = libraries()
     wrappers = {w for w in libs.values() if w}
     exported = {}  # qualified value -> owning compilation unit key
@@ -234,13 +233,9 @@ def main():
 
     findings = {v: c for v, c in callers.items() if "ship" not in c}
     problems = 0
-    for v in sorted(findings):
+    for v in sorted(set(findings) - set(KEPT)):
         where = "tests only" if findings[v] else "no caller"
         inside = ", used in its module" if own_use[v] else ""
-        if v in KEPT:
-            if verbose:
-                print(f"kept      {v} ({where}): {KEPT[v]}")
-            continue
         problems += 1
         print(f"unlisted  {v} ({where}{inside})")
     for v in sorted(KEPT):

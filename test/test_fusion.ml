@@ -5,22 +5,9 @@ let rng () = Util.Rng.create 404
 let buffers rng specs =
   List.map (fun (name, size) -> (name, Test_helpers.buffer_of rng size)) specs
 
-(* Ground truth: run producer then consumer sequentially on the given
-   buffers (producer inputs under their "p_"-prefixed names) and return
-   the final output. *)
-let sequential_reference producer consumer ~consumer_input bindings =
-  let producer_bindings =
-    Array.to_list
-      (Array.map
-         (fun (o : Linalg.operand) ->
-           match List.assoc_opt ("p_" ^ o.Linalg.name) bindings with
-           | Some buf -> (o.Linalg.name, buf)
-           | None ->
-               invalid_arg
-                 ("sequential_reference: missing buffer p_" ^ o.Linalg.name))
-         producer.Linalg.inputs)
-  in
-  let intermediate = Linalg.execute_reference producer producer_bindings in
+(* Run [consumer] with [intermediate] at input [consumer_input] and its
+   other inputs from [bindings] under their own names. *)
+let consume consumer ~consumer_input intermediate bindings =
   let consumer_bindings =
     Array.to_list
       (Array.mapi
@@ -36,22 +23,45 @@ let sequential_reference producer consumer ~consumer_input bindings =
   in
   Linalg.execute_reference consumer consumer_bindings
 
+(* Ground truth: run producer then consumer sequentially on the given
+   buffers (producer inputs under their "p_"-prefixed names) and return
+   the final output. *)
+let sequential_reference producer consumer ~consumer_input bindings =
+  let producer_bindings =
+    Array.to_list
+      (Array.map
+         (fun (o : Linalg.operand) ->
+           match List.assoc_opt ("p_" ^ o.Linalg.name) bindings with
+           | Some buf -> (o.Linalg.name, buf)
+           | None ->
+               invalid_arg
+                 ("sequential_reference: missing buffer p_" ^ o.Linalg.name))
+         producer.Linalg.inputs)
+  in
+  consume consumer ~consumer_input
+    (Linalg.execute_reference producer producer_bindings)
+    bindings
+
+(* Execute [fused] on its inputs, looked up by name in [bindings], and
+   compare with [expected]. *)
+let check_fused fused expected bindings =
+  let fused_inputs =
+    Array.to_list
+      (Array.map
+         (fun (o : Linalg.operand) ->
+           (o.Linalg.name, List.assoc o.Linalg.name bindings))
+         fused.Linalg.inputs)
+  in
+  let got = Linalg.execute_reference fused fused_inputs in
+  Test_helpers.check_close "fused == sequential" got expected
+
 let check_fusion ~producer ~consumer ~consumer_input bindings =
   match Fusion.fuse ~producer ~consumer ~consumer_input with
   | Error e -> Alcotest.fail e
   | Ok fused ->
-      let expected =
-        sequential_reference producer consumer ~consumer_input bindings
-      in
-      let fused_inputs =
-        Array.to_list
-          (Array.map
-             (fun (o : Linalg.operand) ->
-               (o.Linalg.name, List.assoc o.Linalg.name bindings))
-             fused.Linalg.inputs)
-      in
-      let got = Linalg.execute_reference fused fused_inputs in
-      Test_helpers.check_close "fused == sequential" got expected;
+      check_fused fused
+        (sequential_reference producer consumer ~consumer_input bindings)
+        bindings;
       fused
 
 let test_add_relu_fusion () =
@@ -125,7 +135,8 @@ let test_fusion_rejects_bad_index () =
     (Result.is_error (Fusion.fuse ~producer ~consumer ~consumer_input:3))
 
 let qcheck_chain_fusion =
-  (* Random elementwise chains fuse correctly. *)
+  (* Random elementwise chains fuse correctly, also when the fused op is
+     fused once more as the producer of a third stage. *)
   QCheck.Test.make ~name:"random elementwise chains fuse correctly" ~count:25
     QCheck.(int_range 0 10_000)
     (fun seed ->
@@ -139,17 +150,34 @@ let qcheck_chain_fusion =
       let pick_unary () =
         Linalg.unary (Util.Rng.choice r [| Linalg.Exp_k; Linalg.Relu_k |]) shape
       in
+      let pick_consumer () =
+        let c = if Util.Rng.bool r then pick_unary () else pick_binary () in
+        (c, Util.Rng.int r (Array.length c.Linalg.inputs))
+      in
+      let own_inputs c =
+        List.init (Array.length c.Linalg.inputs) (fun i ->
+            (Printf.sprintf "in%d" i, shape.(0) * shape.(1)))
+      in
       let producer = pick_binary () in
-      let consumer = if Util.Rng.bool r then pick_unary () else pick_binary () in
-      let ci = Util.Rng.int r (Array.length consumer.Linalg.inputs) in
-      let size = shape.(0) * shape.(1) in
+      let consumer, ci = pick_consumer () in
       let bindings =
         buffers r
-          ([ ("p_in0", size); ("p_in1", size) ]
-          @ List.init (Array.length consumer.Linalg.inputs) (fun i ->
-                (Printf.sprintf "in%d" i, size)))
+          (List.map (fun (n, s) -> ("p_" ^ n, s)) (own_inputs producer)
+          @ own_inputs consumer)
       in
-      ignore (check_fusion ~producer ~consumer ~consumer_input:ci bindings);
+      let fused = check_fusion ~producer ~consumer ~consumer_input:ci bindings in
+      (* Third stage: the fused op's inputs gain one more "p_" prefix;
+         the new consumer's own inputs get fresh buffers. *)
+      let consumer2, ci2 = pick_consumer () in
+      let bindings2 = buffers r (own_inputs consumer2) in
+      (match Fusion.fuse ~producer:fused ~consumer:consumer2 ~consumer_input:ci2 with
+       | Error e -> Alcotest.fail e
+       | Ok fused2 ->
+           check_fused fused2
+             (consume consumer2 ~consumer_input:ci2
+                (sequential_reference producer consumer ~consumer_input:ci bindings)
+                bindings2)
+             (List.map (fun (n, b) -> ("p_" ^ n, b)) bindings @ bindings2));
       true)
 
 let suite =
