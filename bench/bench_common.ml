@@ -26,7 +26,7 @@ let default =
     entropy_coef = 0.03;
   }
 
-let fast =
+let quick =
   {
     default with
     hidden = 48;
@@ -43,8 +43,6 @@ let heading title =
 
 let subheading title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '-')
-
-let note fmt = Printf.printf fmt
 
 (* The shared trained agent (hierarchical space, Final reward), reused
    by fig5 and fig6. *)

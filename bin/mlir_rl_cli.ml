@@ -541,7 +541,6 @@ let serve_cmd =
       ~cache_capacity ~measure_delay_ms ~jobs ~socket =
     let engine_cfg =
       {
-        Serve.Engine.default_config with
         Serve.Engine.hidden;
         backbone_layers;
         checkpoint = load_path;

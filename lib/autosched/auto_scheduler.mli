@@ -97,8 +97,8 @@ val search_naive : ?config:config -> Evaluator.t -> Linalg.t -> result
     candidate stream and the result bookkeeping with {!search}. Under
     noise it draws jitter from the evaluator's own stream, so it makes
     the same number of draws as {!search} but not the same values.
-    The differential tests and the evalcache bench compare {!search}
-    against it. *)
+    The differential tests and perfbench's search oracles compare
+    {!search} against it. *)
 
 val default_rerank_k : int
 (** Exact re-evaluation budget of {!search_staged} (64). *)

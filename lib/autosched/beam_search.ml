@@ -1,19 +1,12 @@
-type config = {
-  beam_width : int;
-  max_depth : int;
-  sizes_per_loop : int;
-  max_parallel_combos : int;
-  max_tile_size : int;
-}
+type config = { beam_width : int; max_depth : int }
 
-let default_config =
-  {
-    beam_width = 8;
-    max_depth = 7;
-    sizes_per_loop = 3;
-    max_parallel_combos = 24;
-    max_tile_size = 128;
-  }
+let default_config = { beam_width = 8; max_depth = 7 }
+
+(* Divisor options per loop, parallel combos per state, and the largest
+   tile size an expansion considers. *)
+let sizes_per_loop = 3
+let max_parallel_combos = 24
+let max_tile_size = 128
 
 type result = {
   best_schedule : Schedule.t;
@@ -21,23 +14,24 @@ type result = {
   explored : int;
 }
 
-(* Largest [k] divisors of [trip] that are proper and within bounds. *)
-let size_options config trip =
+(* Largest [sizes_per_loop] divisors of [trip] that are proper and
+   within bounds. *)
+let size_options trip =
   let divisors =
     List.filter
-      (fun d -> d > 1 && d < trip && d <= config.max_tile_size)
+      (fun d -> d > 1 && d < trip && d <= max_tile_size)
       (Loop_transforms.divisors trip)
   in
   let rec take k = function
     | [] -> []
     | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
   in
-  take config.sizes_per_loop (List.rev divisors)
+  take sizes_per_loop (List.rev divisors)
 
 (* Single transformations applicable to [state]: one- and two-loop
    tilings, bounded parallel combos over leading parallel dims, all
    adjacent swaps, im2col. Vectorization is handled by the driver. *)
-let expansions config (state : Sched_state.t) =
+let expansions (state : Sched_state.t) =
   let trips = Sched_state.point_trip_counts state in
   let n = Array.length trips in
   let acc = ref [] in
@@ -49,11 +43,11 @@ let expansions config (state : Sched_state.t) =
         let sizes = Array.make n 0 in
         sizes.(l) <- size;
         add (Schedule.Tile sizes))
-      (size_options config trips.(l))
+      (size_options trips.(l))
   done;
   (* two-loop tiles on adjacent pairs (largest option each) *)
   for l = 0 to n - 2 do
-    match (size_options config trips.(l), size_options config trips.(l + 1)) with
+    match (size_options trips.(l), size_options trips.(l + 1)) with
     | s1 :: _, s2 :: _ ->
         let sizes = Array.make n 0 in
         sizes.(l) <- s1;
@@ -75,10 +69,10 @@ let expansions config (state : Sched_state.t) =
           build chosen rest;
           List.iter
             (fun size -> build ((l, size) :: chosen) rest)
-            (size_options config trips.(l))
+            (size_options trips.(l))
     in
     build [] eligible;
-    let combos = List.filteri (fun i _ -> i < config.max_parallel_combos) !combos in
+    let combos = List.filteri (fun i _ -> i < max_parallel_combos) !combos in
     List.iter
       (fun combo ->
         let sizes = Array.make n 0 in
@@ -138,7 +132,7 @@ let search ?(config = default_config) ?(jobs = 1) ?pool evaluator op =
             (fun ((state : Sched_state.t), _) ->
               List.filter_map
                 (fun tr -> Result.to_option (Sched_state.apply state tr))
-                (expansions config state))
+                (expansions state))
             (Array.of_list !beam)
         in
         let candidates =

@@ -11,13 +11,11 @@
 type config = {
   beam_width : int;
   max_depth : int;  (** schedule length bound (the env's tau) *)
-  sizes_per_loop : int;  (** divisor options considered per loop *)
-  max_parallel_combos : int;
-  max_tile_size : int;
 }
 
 val default_config : config
-(** width 8, depth 7, 3 sizes/loop, 24 parallel combos, tiles <= 128. *)
+(** Width 8, depth 7. Every search considers the 3 largest tile sizes
+    up to 128 per loop and at most 24 parallel combos per state. *)
 
 type result = {
   best_schedule : Schedule.t;

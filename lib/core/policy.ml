@@ -90,8 +90,8 @@ let obs_tensor_of_rows ?ws rows =
     if Array.length row <> d then
       invalid_arg "Policy.obs_tensor_of_rows: ragged observation rows";
     let base = i * d in
-    (* The Bigarray primitive, not [Tensor.unsafe_set]: under the dev
-       profile's [-opaque] the cross-module call boxes each float it
+    (* The Bigarray primitive, not a [Tensor] setter: under the dev
+       profile's [-opaque] a cross-module call boxes each float it
        stores. *)
     let data = t.Tensor.data in
     for j = 0 to d - 1 do

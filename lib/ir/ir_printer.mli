@@ -1,6 +1,6 @@
 (** Textual concrete syntax for loop nests.
 
-    An MLIR-flavored, round-trippable format (see {!Ir_parser.parse}):
+    An MLIR-flavored, round-trippable format (see {!Ir_parser.parse_result}):
 
     {v
     func @matmul_4x4x8 {

@@ -1,6 +1,6 @@
 let mask_penalty = -1e9
 
-(* The Bigarray primitives, not [Tensor.unsafe_get]/[unsafe_set]: the
+(* The Bigarray primitives, not [Tensor.unsafe_get] and the like: the
    dev profile compiles the library with [-opaque], which keeps those
    cross-module calls real calls that box each float. The loops below
    run once per element of every masked row, so they fetch the raw

@@ -1,16 +1,12 @@
 (* Dense float64 tensors on Bigarray storage (c_layout, row-major).
 
-   Two tiers of kernels:
+   Kernels are destination-passing: an [_into] kernel writes into a
+   caller-supplied tensor (usually drawn from a {!Workspace} arena) and
+   allocates nothing on the OCaml heap beyond a few words. [matmul] and
+   [add_bias], the two allocating ops, run the same kernels on a fresh
+   destination.
 
-   - allocating ops ([matmul], [add], ...) keep the historical API and
-     allocate a fresh result per call;
-   - destination-passing [_into] twins write into a caller-supplied
-     tensor (usually drawn from a {!Workspace} arena) and allocate
-     nothing on the OCaml heap beyond a few words.
-
-   Every kernel pair is bit-identical: the [_into] variant and its
-   allocating twin perform the same float operations in the same order,
-   and the zero-skipping matmul row kernel keeps the accumulation order
+   The zero-skipping matmul row kernel keeps the accumulation order
    of the naive triple loop (for each output element the reduction
    index p ascends 0..k-1, added one product at a time), so unrolling
    and skipping are invisible at the bit level for finite operands.
@@ -73,9 +69,6 @@ let of_array shape data =
   done;
   t
 
-let to_array t =
-  Array.init (numel t) (fun i -> uget t.data i)
-
 let init shape f =
   let t = unsafe_create shape in
   for i = 0 to numel t - 1 do
@@ -86,7 +79,6 @@ let init shape f =
 let get t i = Bigarray.Array1.get t.data i
 let set t i v = Bigarray.Array1.set t.data i v
 let[@inline always] unsafe_get t i = uget t.data i
-let[@inline always] unsafe_set t i v = uset t.data i v
 
 let check_rank2 name t =
   if Array.length t.shape <> 2 then invalid_arg (name ^ ": expected rank 2")
@@ -295,12 +287,6 @@ let transpose_into ~dst t =
   done;
   dst
 
-let transpose t =
-  check_rank2 "Tensor.transpose" t;
-  transpose_into ~dst:(unsafe_create [| t.shape.(1); t.shape.(0) |]) t
-
-let matmul_transpose_b a b = matmul a (transpose b)
-
 (* dst += a * b^T, the [Autodiff.matmul] backward step for dA; a : [m; k]
    is the output gradient, whose zeros the gather skips. Each product row
    is formed from +0.0 in scratch and added to [dst] once, so [dst] ends
@@ -343,13 +329,6 @@ let slice_cols_into ~dst t ~lo ~hi =
   done;
   dst
 
-let slice_cols t ~lo ~hi =
-  check_rank2 "Tensor.slice_cols" t;
-  let m = t.shape.(0) and n = t.shape.(1) in
-  if lo < 0 || hi > n || lo >= hi then
-    invalid_arg "Tensor.slice_cols: bad column range";
-  slice_cols_into ~dst:(unsafe_create [| m; hi - lo |]) t ~lo ~hi
-
 (* Rows are slices along the leading dimension, [w] elements each: the
    product of the trailing dimensions. *)
 let gather_rows_into ~dst t rows =
@@ -385,8 +364,6 @@ let map_into f ~dst t =
   done;
   dst
 
-let map f t = map_into f ~dst:(unsafe_create t.shape) t
-
 (* [if v > 0.0 then v else 0.0] without the branch, which mispredicts
    on about half of a ReLU's inputs: [sel] holds 0.0 and [v], and the
    comparison's 0 or 1 picks one. Same bits for every input, NaN
@@ -402,20 +379,14 @@ let relu_into ~dst t =
   done;
   dst
 
-let relu t = relu_into ~dst:(unsafe_create t.shape) t
-
 let map2_into f ~dst a b =
-  if not (same_shape a b) then invalid_arg "Tensor.map2: shape mismatch";
+  if not (same_shape a b) then invalid_arg "Tensor.map2_into: shape mismatch";
   if not (same_shape dst a) then invalid_arg "Tensor.map2_into: shape mismatch";
   let ad = a.data and bd = b.data and out = dst.data in
   for i = 0 to numel a - 1 do
     uset out i (f (uget ad i) (uget bd i))
   done;
   dst
-
-let map2 f a b =
-  if not (same_shape a b) then invalid_arg "Tensor.map2: shape mismatch";
-  map2_into f ~dst:(unsafe_create a.shape) a b
 
 (* The arithmetic pairs spell out their loops instead of going through
    [map2_into]: an unknown [float -> float -> float] closure call boxes
@@ -447,20 +418,6 @@ let mul_into ~dst a b =
     uset out i (uget ad i *. uget bd i)
   done;
   dst
-
-let add a b = add_into ~dst:(unsafe_create a.shape) a b
-let sub a b = sub_into ~dst:(unsafe_create a.shape) a b
-let mul a b = mul_into ~dst:(unsafe_create a.shape) a b
-
-let scale_into k ~dst t =
-  if not (same_shape dst t) then invalid_arg "Tensor.scale_into: shape mismatch";
-  let src = t.data and out = dst.data in
-  for i = 0 to numel t - 1 do
-    uset out i (k *. uget src i)
-  done;
-  dst
-
-let scale k t = scale_into k ~dst:(unsafe_create t.shape) t
 
 let add_bias_into ~dst x b =
   check_rank2 "Tensor.add_bias_into" x;
@@ -509,10 +466,6 @@ let sum_rows_into ~dst t =
   done;
   dst
 
-let sum_rows t =
-  check_rank2 "Tensor.sum_rows" t;
-  sum_rows_into ~dst:(unsafe_create [| t.shape.(0) |]) t
-
 let argmax_row t i =
   check_rank2 "Tensor.argmax_row" t;
   let n = t.shape.(1) in
@@ -539,7 +492,7 @@ let add_inplace dst src =
   done
 
 (* dst += a * b elementwise; one fused traversal of the historical
-   "allocate [mul a b], then [add_inplace]" pair, same per-element
+   "allocate the product, then [add_inplace]" pair, same per-element
    float expression. *)
 let add_mul_inplace dst a b =
   if not (same_shape a b) || not (same_shape dst a) then
@@ -554,22 +507,3 @@ let fill_inplace t v = Bigarray.Array1.fill t.data v
 let xavier_uniform rng ~fan_in ~fan_out shape =
   let bound = sqrt (6.0 /. float_of_int (fan_in + fan_out)) in
   init shape (fun _ -> (Util.Rng.uniform rng *. 2.0 *. bound) -. bound)
-
-(* Bit-level equality: NaN payloads compare equal to themselves and
-   0.0 <> -0.0, unlike polymorphic [=] on floats (NaN <> NaN, and
-   0.0 = -0.0), which silently mis-answered "is this checkpoint the
-   same" whenever a weight was NaN. *)
-let equal a b =
-  same_shape a b
-  && begin
-       let ad = a.data and bd = b.data in
-       let ok = ref true in
-       let i = ref 0 in
-       let n = numel a in
-       while !ok && !i < n do
-         if Int64.bits_of_float (uget ad !i) <> Int64.bits_of_float (uget bd !i)
-         then ok := false;
-         incr i
-       done;
-       !ok
-     end

@@ -2,13 +2,10 @@
 
     The minimal tensor type the policy networks need: rank-1/rank-2
     data, matrix multiplication, broadcasting of a bias vector over
-    rows, and elementwise maps. Operations come in two tiers:
-
-    - allocating ops ([matmul], [add], ...) return fresh tensors;
-    - destination-passing [_into] twins write into a caller-supplied
-      tensor — usually one drawn from a {!Workspace} arena — and are
-      bit-identical to their allocating twin (same float operations in
-      the same order).
+    rows, and elementwise maps. The kernels are destination-passing:
+    an [_into] kernel writes into a caller-supplied tensor, usually one
+    drawn from a {!Workspace} arena. [matmul] and [add_bias] run the
+    same kernels on a fresh tensor.
 
     The matmul family runs one row kernel that skips the exact-zero
     entries of its left operand and otherwise keeps the accumulation
@@ -25,9 +22,6 @@ val zeros : int array -> t
 val of_array : int array -> float array -> t
 (** Validates that the data length matches the shape product. *)
 
-val to_array : t -> float array
-(** Flat copy of the payload (row-major), mainly for tests. *)
-
 val init : int array -> (int -> float) -> t
 (** [init shape f] fills index [i] (flat) with [f i]. *)
 
@@ -41,8 +35,6 @@ val set : t -> int -> float -> unit
 
 val unsafe_get : t -> int -> float
 (** Flat indexing without bounds checks — hot loops only. *)
-
-val unsafe_set : t -> int -> float -> unit
 
 val get2 : t -> int -> int -> float
 (** [get2 t i j] for rank-2 tensors. *)
@@ -82,26 +74,18 @@ val matmul_into : dst:t -> t -> t -> t
 (** [matmul_into ~dst a b] writes [a * b] into [dst] ([m; n]) and
     returns it. [dst] must not alias [a] or [b]. *)
 
-val matmul_transpose_b : t -> t -> t
-(** [matmul_transpose_b a b] computes [a * b^T] for b of shape [n; k]. *)
-
 val matmul_transpose_b_addto : dst:t -> t -> t -> unit
-(** [matmul_transpose_b_addto ~dst a b]: dst += a * b^T, skipping the
-    zero entries of [a]. Each product row is formed in per-domain
-    scratch and added once — bit-identical to allocating the product and
-    [add_inplace]-ing it. *)
-
-val transpose : t -> t
-(** Rank-2 transpose. *)
+(** [matmul_transpose_b_addto ~dst a b]: dst += a * b^T for [b] of
+    shape [n; k], skipping the zero entries of [a]. Each product row is
+    formed in per-domain scratch and added once — bit-identical to
+    allocating the product and [add_inplace]-ing it. *)
 
 val transpose_into : dst:t -> t -> t
-(** [dst] must not alias the source. *)
-
-val slice_cols : t -> lo:int -> hi:int -> t
-(** [slice_cols t ~lo ~hi] copies columns [lo, hi) of a rank-2 tensor
-    into a fresh [m; hi - lo] tensor. *)
+(** Rank-2 transpose. [dst] must not alias the source. *)
 
 val slice_cols_into : dst:t -> t -> lo:int -> hi:int -> t
+(** [slice_cols_into ~dst t ~lo ~hi] copies columns [lo, hi) of a
+    rank-2 tensor into [dst] ([m; hi - lo]). *)
 
 val gather_rows_into : dst:t -> t -> int array -> t
 (** [gather_rows_into ~dst t rows]: row [j] of [dst] is a copy of row
@@ -111,23 +95,12 @@ val gather_rows_into : dst:t -> t -> int array -> t
     Raises [Invalid_argument] on a row index out of range or a
     mismatched [dst]. *)
 
-val map : (float -> float) -> t -> t
 val map_into : (float -> float) -> dst:t -> t -> t
-val map2 : (float -> float -> float) -> t -> t -> t
 val map2_into : (float -> float -> float) -> dst:t -> t -> t -> t
-
-val relu : t -> t
 val relu_into : dst:t -> t -> t
-
-val add : t -> t -> t
-val sub : t -> t -> t
-val mul : t -> t -> t
-val scale : float -> t -> t
-
 val add_into : dst:t -> t -> t -> t
 val sub_into : dst:t -> t -> t -> t
 val mul_into : dst:t -> t -> t -> t
-val scale_into : float -> dst:t -> t -> t
 
 val add_bias : t -> t -> t
 (** [add_bias x b] adds the vector [b] of shape [n] to each row of the
@@ -137,10 +110,9 @@ val add_bias_into : dst:t -> t -> t -> t
 
 val sum : t -> float
 
-val sum_rows : t -> t
-(** [sum_rows x] for [m; n] input returns shape [m] row sums. *)
-
 val sum_rows_into : dst:t -> t -> t
+(** [sum_rows_into ~dst x] writes the row sums of [x] ([m; n]) into
+    [dst] ([m]). *)
 
 val argmax_row : t -> int -> int
 (** Index of the max element of row [i] of a rank-2 tensor. *)
@@ -155,7 +127,3 @@ val fill_inplace : t -> float -> unit
 
 val xavier_uniform : Util.Rng.t -> fan_in:int -> fan_out:int -> int array -> t
 (** Glorot/Xavier uniform initialization. *)
-
-val equal : t -> t -> bool
-(** Bitwise element equality (NaN equals NaN; [0.0] differs from
-    [-0.0]) — the right notion for "is this the same checkpoint". *)

@@ -1,29 +1,20 @@
 type config = {
   learning_rate : float;
-  clip_range : float;
-  gamma : float;
-  gae_lambda : float;
   batch_size : int;
   minibatch_size : int;
-  epochs : int;
-  value_coef : float;
   entropy_coef : float;
-  max_grad_norm : float;
 }
 
 let default_config =
-  {
-    learning_rate = 1e-3;
-    clip_range = 0.2;
-    gamma = 0.99;
-    gae_lambda = 0.95;
-    batch_size = 64;
-    minibatch_size = 64;
-    epochs = 4;
-    value_coef = 0.5;
-    entropy_coef = 0.01;
-    max_grad_norm = 0.5;
-  }
+  { learning_rate = 1e-3; batch_size = 64; minibatch_size = 64; entropy_coef = 0.01 }
+
+(* The paper's remaining hyperparameters (§5.1.3, DESIGN.md §1). *)
+let clip_range = 0.2
+let gamma = 0.99
+let gae_lambda = 0.95
+let epochs = 4
+let value_coef = 0.5
+let max_grad_norm = 0.5
 
 type evaluation = {
   log_prob : Autodiff.node;
@@ -70,7 +61,7 @@ let update config policy optimizer transitions ~rng =
       transitions
   in
   let advantages, returns =
-    Gae.advantages ~gamma:config.gamma ~lambda:config.gae_lambda gae_steps
+    Gae.advantages ~gamma ~lambda:gae_lambda gae_steps
   in
   let advantages = Gae.normalize advantages in
   let indices = Array.init n (fun i -> i) in
@@ -84,7 +75,7 @@ let update config policy optimizer transitions ~rng =
   and stat_clip = ref 0.0
   and stat_gnorm = ref 0.0
   and stat_count = ref 0 in
-  for _epoch = 1 to config.epochs do
+  for _epoch = 1 to epochs do
     Util.Rng.shuffle rng indices;
     let pos = ref 0 in
     while !pos < n do
@@ -108,8 +99,7 @@ let update config policy optimizer transitions ~rng =
       let unclipped = Autodiff.mul tape ratio adv_node in
       let clipped =
         Autodiff.mul tape
-          (Autodiff.clamp tape ~lo:(1.0 -. config.clip_range)
-             ~hi:(1.0 +. config.clip_range) ratio)
+          (Autodiff.clamp tape ~lo:(1.0 -. clip_range) ~hi:(1.0 +. clip_range) ratio)
           adv_node
       in
       let surrogate = Autodiff.min_ tape unclipped clipped in
@@ -122,11 +112,11 @@ let update config policy optimizer transitions ~rng =
       let loss =
         Autodiff.sub tape
           (Autodiff.add tape policy_loss
-             (Autodiff.scale tape config.value_coef value_loss))
+             (Autodiff.scale tape value_coef value_loss))
           (Autodiff.scale tape config.entropy_coef entropy_mean)
       in
       Autodiff.backward tape loss;
-      let gnorm = Optim.step ~max_grad_norm:config.max_grad_norm optimizer in
+      let gnorm = Optim.step ~max_grad_norm optimizer in
       (* statistics *)
       let ratio_v = Autodiff.value ratio in
       let kl = ref 0.0 and clipfrac = ref 0 in
@@ -134,7 +124,7 @@ let update config policy optimizer transitions ~rng =
         let r = Tensor.unsafe_get ratio_v i in
         (* approx KL: (r - 1) - log r *)
         kl := !kl +. (r -. 1.0 -. log (Float.max r 1e-12));
-        if Float.abs (r -. 1.0) > config.clip_range then incr clipfrac
+        if Float.abs (r -. 1.0) > clip_range then incr clipfrac
       done;
       stat_policy := !stat_policy +. Tensor.get (Autodiff.value policy_loss) 0;
       stat_value := !stat_value +. Tensor.get (Autodiff.value value_loss) 0;

@@ -2,24 +2,20 @@
 
     Generic over the sample type: the environment-specific policy plugs
     in through {!type-policy}, which must re-evaluate stored samples
-    differentiably. Hyperparameter defaults follow the paper (§5.1.3):
-    lr 1e-3, clip 0.2, gamma 0.99, GAE lambda 0.95, batch 64, 4 epochs,
-    value coefficient 0.5, entropy coefficient 0.01. *)
+    differentiably. Hyperparameters follow the paper (§5.1.3): the
+    update clips at 0.2, discounts with gamma 0.99 and GAE lambda 0.95,
+    runs 4 epochs, weighs the value loss by 0.5 and clips the gradient
+    norm at 0.5; the config below holds the rest. *)
 
 type config = {
   learning_rate : float;
-  clip_range : float;
-  gamma : float;
-  gae_lambda : float;
   batch_size : int;  (** steps collected per iteration *)
   minibatch_size : int;
-  epochs : int;  (** passes over the batch per iteration *)
-  value_coef : float;
   entropy_coef : float;
-  max_grad_norm : float;
 }
 
 val default_config : config
+(** lr 1e-3, batch 64, minibatch 64, entropy coefficient 0.01. *)
 
 type evaluation = {
   log_prob : Autodiff.node;  (** \[batch\] log pi(a|s) of stored actions *)
@@ -57,6 +53,6 @@ val update :
   rng:Util.Rng.t ->
   stats
 (** One PPO iteration over a collected batch: computes GAE advantages
-    (normalized), then runs [epochs] passes of minibatch updates with the
+    (normalized), then runs 4 epochs of minibatch updates with the
     clipped surrogate, value MSE and entropy bonus. Returns averaged
     statistics. *)

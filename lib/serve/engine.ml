@@ -1,5 +1,4 @@
 type config = {
-  env_cfg : Env_config.t;
   hidden : int;
   backbone_layers : int;
   checkpoint : string option;
@@ -10,7 +9,6 @@ type config = {
 
 let default_config =
   {
-    env_cfg = Env_config.default;
     hidden = 64;
     backbone_layers = 4;
     checkpoint = None;
@@ -49,32 +47,26 @@ let create cfg =
   if cfg.jobs < 1 then
     Error (Printf.sprintf "jobs must be >= 1 (got %d)" cfg.jobs)
   else
-  match Env_config.validate cfg.env_cfg with
-  | Error e -> Error ("bad env config: " ^ e)
-  | Ok () -> (
-      let policy =
-        Policy.create ~hidden:cfg.hidden ~backbone_layers:cfg.backbone_layers
-          (Util.Rng.create 0x51) cfg.env_cfg
-      in
-      let load_result =
-        match cfg.checkpoint with
-        | None -> Ok ()
-        | Some path -> Policy.load policy path
-      in
-      match load_result with
-      | Error e -> Error ("checkpoint load failed: " ^ e)
-      | Ok () ->
-          let base_env = Env.create cfg.env_cfg in
-          let cache =
-            Util.Sharded_cache.create ~capacity:cfg.cache_capacity ()
-          in
-          let digest = digest_params (Policy.params policy) in
-          let pool =
-            if cfg.jobs > 1 then
-              Some (Util.Domain_pool.create ~size:cfg.jobs)
-            else None
-          in
-          Ok { cfg; policy; base_env; cache; digest; pool })
+    let policy =
+      Policy.create ~hidden:cfg.hidden ~backbone_layers:cfg.backbone_layers
+        (Util.Rng.create 0x51) Env_config.default
+    in
+    let load_result =
+      match cfg.checkpoint with
+      | None -> Ok ()
+      | Some path -> Policy.load policy path
+    in
+    match load_result with
+    | Error e -> Error ("checkpoint load failed: " ^ e)
+    | Ok () ->
+        let base_env = Env.create Env_config.default in
+        let cache = Util.Sharded_cache.create ~capacity:cfg.cache_capacity () in
+        let digest = digest_params (Policy.params policy) in
+        let pool =
+          if cfg.jobs > 1 then Some (Util.Domain_pool.create ~size:cfg.jobs)
+          else None
+        in
+        Ok { cfg; policy; base_env; cache; digest; pool }
 
 let shutdown t =
   match t.pool with None -> () | Some p -> Util.Domain_pool.shutdown p

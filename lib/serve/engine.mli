@@ -15,7 +15,6 @@
 type t
 
 type config = {
-  env_cfg : Env_config.t;
   hidden : int;  (** policy width; see {!Policy.create} *)
   backbone_layers : int;
       (** policy backbone depth; see {!Policy.create}. A checkpoint
@@ -47,7 +46,7 @@ type config = {
 }
 
 val default_config : config
-(** [Env_config.default], hidden 64, backbone depth 4 ({!Policy.create}'s
+(** Hidden 64, backbone depth 4 ({!Policy.create}'s
     default), no checkpoint, capacity 4096, no measurement delay,
     jobs 1. *)
 

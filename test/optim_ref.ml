@@ -35,7 +35,7 @@ let clip_grad_norm opt max_norm =
   let sq = ref 0.0 in
   Array.iter
     (fun (p : Autodiff.Param.t) ->
-      Array.iter (fun g -> sq := !sq +. (g *. g)) (Tensor.to_array p.grad))
+      Array.iter (fun g -> sq := !sq +. (g *. g)) (Test_helpers.tensor_to_array p.grad))
     opt.params;
   let norm = sqrt !sq in
   if norm > max_norm && norm > 0.0 then begin

@@ -345,7 +345,7 @@ let test_randomized_deep () =
 (* Precision: known verdicts on canonical nests                       *)
 (* ------------------------------------------------------------------ *)
 
-let parse = Ir_parser.parse
+let parse = Test_helpers.parse
 
 let recurrence =
   "func @rec { buffer b : [16] init 1.0 \

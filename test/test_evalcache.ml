@@ -242,9 +242,14 @@ let check_same_result name (a : Auto_scheduler.result)
    they draw from different streams — naive from the evaluator's single
    sequential stream, search from per-task derived streams — so only the
    evaluation count (jitter draws) and the trace length must agree. *)
-let differential ?noise ?(budget = 20000) ?(jobs = 1) op =
+let differential ?noise ?(budget = 20000) ?(jobs = 1)
+    ?(tile_sizes = Auto_scheduler.default_config.Auto_scheduler.tile_sizes) op =
   let config =
-    { Auto_scheduler.default_config with Auto_scheduler.max_schedules = budget }
+    {
+      Auto_scheduler.default_config with
+      Auto_scheduler.max_schedules = budget;
+      tile_sizes;
+    }
   in
   let naive_ev = Evaluator.create ?noise ~noise_seed:11 () in
   let naive = Auto_scheduler.search_naive ~config naive_ev op in
@@ -264,7 +269,14 @@ let test_differential_exhaustive () =
   differential (Test_helpers.small_maxpool ())
 
 let test_differential_exhaustive_im2col () =
-  differential (Test_helpers.small_conv ())
+  differential (Test_helpers.small_conv ());
+  (* A 7-loop conv, where a candidate's shared prefix is the most work
+     to re-apply; tile sizes 2 and 4 keep its space (about 11k
+     candidates with the im2col twin) within the budget. *)
+  differential ~tile_sizes:[ 2; 4 ]
+    (Linalg.conv2d
+       { Linalg.batch = 1; in_h = 14; in_w = 14; channels = 8; kernel_h = 3;
+         kernel_w = 3; filters = 16; stride = 1 })
 
 let test_differential_exhaustive_noisy () =
   (* Under noise both searches must still make exactly one jitter draw

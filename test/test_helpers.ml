@@ -30,14 +30,32 @@ let copy_tensor (t : Tensor.t) =
   Bigarray.Array1.blit t.Tensor.data out.Tensor.data;
   out
 
+(* Flat copy of the payload, row-major. *)
+let tensor_to_array (t : Tensor.t) = Array.init (Tensor.numel t) (Tensor.get t)
+
+(* Same shape and the same elements bit for bit: NaN equals NaN and 0.0
+   differs from -0.0, unlike polymorphic [=] on floats, which would
+   mis-answer "is this the same checkpoint" whenever a weight is NaN. *)
+let tensor_equal (a : Tensor.t) (b : Tensor.t) =
+  Tensor.dims a = Tensor.dims b
+  && Array.for_all2
+       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+       (tensor_to_array a) (tensor_to_array b)
+
 (* Same names, shapes and values, bit for bit. *)
 let params_equal a b =
   List.length a = List.length b
   && List.for_all2
        (fun (x : Autodiff.Param.t) (y : Autodiff.Param.t) ->
          x.Autodiff.Param.name = y.Autodiff.Param.name
-         && Tensor.equal x.Autodiff.Param.data y.Autodiff.Param.data)
+         && tensor_equal x.Autodiff.Param.data y.Autodiff.Param.data)
        a b
+
+(* A nest from its printed form; malformed text fails the test. *)
+let parse text =
+  match Ir_parser.parse_result text with
+  | Ok nest -> nest
+  | Error msg -> Alcotest.failf "parse: %s" msg
 
 let buffer_of rng size = Array.init size (fun _ -> Util.Rng.gaussian rng)
 

@@ -1,6 +1,6 @@
 (* Printer/parser round-trip property: for randomized valid nests —
    including Parallel/Vector loop kinds and negative subscript
-   coefficients (reversed accesses) — [Ir_parser.parse] must be a left
+   coefficients (reversed accesses) — [Ir_parser.parse_result] must be a left
    inverse of [Ir_printer.to_string], structurally. *)
 
 let check = Alcotest.(check bool)

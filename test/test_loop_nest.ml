@@ -46,7 +46,7 @@ let roundtrip op sched =
     | Error msg -> Alcotest.failf "schedule failed: %s" msg
   in
   let text = Ir_printer.to_string st.Sched_state.nest in
-  let reparsed = Ir_parser.parse text in
+  let reparsed = Test_helpers.parse text in
   let text2 = Ir_printer.to_string reparsed in
   Alcotest.(check string) "print/parse/print fixpoint" text text2
 
@@ -99,7 +99,7 @@ let test_parsed_semantics_match () =
   (* Parsing the printed nest yields the same computation. *)
   let op = Test_helpers.small_matmul () in
   let nest = lower op in
-  let reparsed = Ir_parser.parse (Ir_printer.to_string nest) in
+  let reparsed = Test_helpers.parse (Ir_printer.to_string nest) in
   let rng = Util.Rng.create 5 in
   let inputs = Test_helpers.input_buffers rng op in
   let out1 = Interp.output_of nest (Interp.run nest ~inputs) in
@@ -131,7 +131,7 @@ let qcheck_roundtrip_random_schedules =
       | Error _ -> QCheck.assume_fail ()
       | Ok st ->
           let text = Ir_printer.to_string st.Sched_state.nest in
-          Ir_printer.to_string (Ir_parser.parse text) = text)
+          Ir_printer.to_string (Test_helpers.parse text) = text)
 
 let suite =
   [

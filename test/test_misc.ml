@@ -15,7 +15,7 @@ let test_printer_awkward_constants () =
   in
   let nest = Lower.to_loop_nest op in
   let text = Ir_printer.to_string nest in
-  let reparsed = Ir_parser.parse text in
+  let reparsed = Test_helpers.parse text in
   Alcotest.(check string) "fixpoint" text (Ir_printer.to_string reparsed);
   (* and it still computes x/3 *)
   let out =
@@ -72,20 +72,22 @@ let test_autodiff_clamp_min_boundaries () =
   let c = Autodiff.clamp tape ~lo:0.0 ~hi:1.0 x in
   Alcotest.(check (array (float 1e-12))) "clamped"
     [| 0.0; 0.5; 1.0 |]
-    (Tensor.to_array (Autodiff.value c));
+    (Test_helpers.tensor_to_array (Autodiff.value c));
   let y = Autodiff.const tape (Tensor.of_array [| 3 |] [| 0.0; 1.0; 1.0 |]) in
   let m = Autodiff.min_ tape c y in
   Alcotest.(check (array (float 1e-12))) "elementwise min"
     [| 0.0; 0.5; 1.0 |]
-    (Tensor.to_array (Autodiff.value m))
+    (Test_helpers.tensor_to_array (Autodiff.value m))
 
 let test_tensor_shape_errors () =
   let a = Tensor.zeros [| 2; 3 |] in
   let b = Tensor.zeros [| 2; 3 |] in
   Alcotest.(check bool) "matmul inner mismatch raises" true
     (match Tensor.matmul a b with exception Invalid_argument _ -> true | _ -> false);
-  Alcotest.(check bool) "map2 shape mismatch raises" true
-    (match Tensor.map2 ( +. ) a (Tensor.zeros [| 3; 2 |]) with
+  Alcotest.(check bool) "map2_into shape mismatch raises" true
+    (match
+       Tensor.map2_into ( +. ) ~dst:(Tensor.zeros [| 2; 3 |]) a (Tensor.zeros [| 3; 2 |])
+     with
     | exception Invalid_argument _ -> true
     | _ -> false)
 

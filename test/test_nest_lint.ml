@@ -4,7 +4,7 @@
    shipped under examples/nests/. *)
 
 let check = Alcotest.(check bool)
-let parse = Ir_parser.parse
+let parse = Test_helpers.parse
 
 let lint_agrees nest =
   let diags = Nest_lint.run nest in

@@ -6,14 +6,24 @@ let approx_equal ?(tol = 1e-9) (a : Tensor.t) (b : Tensor.t) =
   Tensor.dims a = Tensor.dims b
   && Array.for_all2
        (fun x y -> Float.abs (x -. y) <= tol)
-       (Tensor.to_array a) (Tensor.to_array b)
+       (Test_helpers.tensor_to_array a) (Test_helpers.tensor_to_array b)
 
 let pp_tensor ppf t =
   Format.fprintf ppf "tensor[%s] {%s}"
     (String.concat "x" (Array.to_list (Array.map string_of_int (Tensor.dims t))))
-    (String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%g") (Tensor.to_array t))))
+    (String.concat ", "
+       (Array.to_list
+          (Array.map (Printf.sprintf "%g") (Test_helpers.tensor_to_array t))))
 
 let t_testable = Alcotest.testable pp_tensor (approx_equal ~tol:1e-9)
+
+let transpose t =
+  let d = Tensor.dims t in
+  Tensor.transpose_into ~dst:(Tensor.zeros [| d.(1); d.(0) |]) t
+
+(* A [shape] tensor of NaN, as a destination: a kernel that leaves an
+   element unwritten shows. *)
+let nan_tensor shape = Tensor.init shape (fun _ -> nan)
 
 (* --- Tensor --- *)
 
@@ -40,7 +50,8 @@ let test_tensor_matmul_transposes_agree () =
   let a = Tensor.init [| 3; 5 |] (fun _ -> Util.Rng.gaussian rng) in
   let b = Tensor.init [| 5; 2 |] (fun _ -> Util.Rng.gaussian rng) in
   let direct = Tensor.matmul a b in
-  let via_tb = Tensor.matmul_transpose_b a (Tensor.transpose b) in
+  let via_tb = Tensor.zeros [| 3; 2 |] in
+  Tensor.matmul_transpose_b_addto ~dst:via_tb a (transpose b);
   Alcotest.(check bool) "b^T path" true (approx_equal ~tol:1e-9 direct via_tb)
 
 let test_tensor_add_bias () =
@@ -54,7 +65,7 @@ let test_tensor_sum_rows_argmax () =
   let x = Tensor.of_array [| 2; 3 |] [| 1.0; 5.0; 2.0; 4.0; 0.0; 3.0 |] in
   Alcotest.(check t_testable) "row sums"
     (Tensor.of_array [| 2 |] [| 8.0; 7.0 |])
-    (Tensor.sum_rows x);
+    (Tensor.sum_rows_into ~dst:(Tensor.zeros [| 2 |]) x);
   Alcotest.(check int) "argmax row 0" 1 (Tensor.argmax_row x 0);
   Alcotest.(check int) "argmax row 1" 0 (Tensor.argmax_row x 1)
 
@@ -74,33 +85,32 @@ let test_tensor_equal_bitwise () =
      itself and 0.0 differs from -0.0 — both the opposite of (=). *)
   let x = Tensor.of_array [| 3 |] [| 1.0; nan; -0.0 |] in
   Alcotest.(check bool) "copy is equal (incl. NaN)" true
-    (Tensor.equal x (Test_helpers.copy_tensor x));
+    (Test_helpers.tensor_equal x (Test_helpers.copy_tensor x));
   let y = Tensor.of_array [| 3 |] [| 1.0; nan; 0.0 |] in
-  Alcotest.(check bool) "-0.0 <> 0.0" false (Tensor.equal x y);
+  Alcotest.(check bool) "-0.0 <> 0.0" false (Test_helpers.tensor_equal x y);
   Alcotest.(check bool) "shape mismatch" false
-    (Tensor.equal x (Tensor.zeros [| 2 |]));
+    (Test_helpers.tensor_equal x (Tensor.zeros [| 2 |]));
   (* approx_equal keeps IEEE semantics: NaN never close to anything. *)
   Alcotest.(check bool) "approx_equal rejects NaN" false
     (approx_equal x (Test_helpers.copy_tensor x))
 
 let test_transpose_known () =
   let x = Tensor.of_array [| 2; 3 |] [| 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 |] in
-  let xt = Tensor.transpose x in
-  Alcotest.(check t_testable) "non-square transpose"
-    (Tensor.of_array [| 3; 2 |] [| 1.0; 4.0; 2.0; 5.0; 3.0; 6.0 |])
-    xt;
-  Alcotest.(check bool) "transpose_into matches" true
-    (Tensor.equal xt (Tensor.transpose_into ~dst:(Tensor.zeros [| 3; 2 |]) x))
+  Alcotest.(check bool) "non-square transpose" true
+    (Test_helpers.tensor_equal
+       (Tensor.transpose_into ~dst:(nan_tensor [| 3; 2 |]) x)
+       (Tensor.of_array [| 3; 2 |] [| 1.0; 4.0; 2.0; 5.0; 3.0; 6.0 |]))
 
 (* Float-array references: the naive i-p-j loop with memory accumulation,
    every product added (zeros included) in ascending p. *)
 let naive_matmul a b ~m ~k ~n =
   let out = Array.make (m * n) 0.0 in
   for i = 0 to m - 1 do
+    let arow = i * k and orow = i * n in
     for p = 0 to k - 1 do
-      let av = a.((i * k) + p) in
+      let av = a.(arow + p) and brow = p * n in
       for j = 0 to n - 1 do
-        out.((i * n) + j) <- out.((i * n) + j) +. (av *. b.((p * n) + j))
+        out.(orow + j) <- out.(orow + j) +. (av *. b.(brow + j))
       done
     done
   done;
@@ -119,10 +129,17 @@ let sparse_matrix rng ~share rows cols =
 
 let zero_shares = [ 0.0; 0.5; 0.94; 1.0 ]
 
-(* Every [_into] kernel against its allocating twin and the matmul
-   family against the naive loop, bit for bit, on shapes that hit the
-   4-wide unroll's remainders, across zero shares of the left operand. *)
+(* Every kernel against a float-array loop written here, bit for bit:
+   the matmul family on shapes that hit the 4-wide unroll's remainders,
+   across zero shares of the left operand, then the elementwise and
+   reduction kernels. Each [_into] kernel writes into a NaN-filled
+   destination. *)
 let test_into_kernels_bit_identical () =
+  let to_array = Test_helpers.tensor_to_array in
+  let eq name t expect =
+    Alcotest.(check bool) name true
+      (Test_helpers.tensor_equal t (Tensor.of_array (Tensor.dims t) expect))
+  in
   List.iter
     (fun share ->
       List.iter
@@ -131,57 +148,76 @@ let test_into_kernels_bit_identical () =
           let a = sparse_matrix rng ~share m k in
           let b = Tensor.init [| k; n |] (fun _ -> Util.Rng.gaussian rng) in
           let ctx op = Printf.sprintf "%s %dx%dx%d zeros=%g" op m k n share in
-          let eq name x y =
-            Alcotest.(check bool) (ctx name) true (Tensor.equal x y)
-          in
-          let naive =
-            Tensor.of_array [| m; n |]
-              (naive_matmul (Tensor.to_array a) (Tensor.to_array b) ~m ~k ~n)
-          in
-          eq "matmul=naive" (Tensor.matmul a b) naive;
-          eq "matmul_into"
-            (Tensor.matmul_into ~dst:(Tensor.zeros [| m; n |]) a b)
-            (Tensor.matmul a b);
-          let bt = Tensor.transpose b in
-          eq "matmul_transpose_b" (Tensor.matmul_transpose_b a bt) naive;
-          (* addto must equal allocate-then-add, starting from a
-             nonzero accumulator. *)
-          let seed = Tensor.init [| m; n |] (fun _ -> Util.Rng.gaussian rng) in
-          let addto = Test_helpers.copy_tensor seed in
-          Tensor.matmul_transpose_b_addto ~dst:addto a bt;
-          let via_alloc = Test_helpers.copy_tensor seed in
-          Tensor.add_inplace via_alloc (Tensor.matmul_transpose_b a bt);
-          eq "matmul_transpose_b_addto" addto via_alloc)
+          let naive = naive_matmul (to_array a) (to_array b) ~m ~k ~n in
+          eq (ctx "matmul=naive") (Tensor.matmul a b) naive;
+          eq (ctx "matmul_into=naive")
+            (Tensor.matmul_into ~dst:(nan_tensor [| m; n |]) a b)
+            naive;
+          let bt = transpose_array (to_array b) ~rows:k ~cols:n in
+          eq (ctx "transpose_into")
+            (Tensor.transpose_into ~dst:(nan_tensor [| n; k |]) b)
+            bt;
+          (* addto adds the whole product to a nonzero accumulator *)
+          let acc = Tensor.init [| m; n |] (fun _ -> Util.Rng.gaussian rng) in
+          let expect = Array.map2 ( +. ) (to_array acc) naive in
+          Tensor.matmul_transpose_b_addto ~dst:acc a (Tensor.of_array [| n; k |] bt);
+          eq (ctx "matmul_transpose_b_addto") acc expect)
         [ (1, 1, 1); (3, 5, 2); (5, 7, 3); (17, 13, 9); (33, 65, 17) ])
     zero_shares;
-  (* Elementwise and reduction twins. *)
+  (* Elementwise and reduction kernels. *)
   let rng = Util.Rng.create 77 in
   let m = 7 and n = 11 in
   let x = Tensor.init [| m; n |] (fun _ -> Util.Rng.gaussian rng) in
   let y = Tensor.init [| m; n |] (fun _ -> Util.Rng.gaussian rng) in
   let bias = Tensor.init [| n |] (fun _ -> Util.Rng.gaussian rng) in
-  let d () = Tensor.zeros [| m; n |] in
-  let eq name a b = Alcotest.(check bool) name true (Tensor.equal a b) in
-  eq "add_into" (Tensor.add_into ~dst:(d ()) x y) (Tensor.add x y);
-  eq "sub_into" (Tensor.sub_into ~dst:(d ()) x y) (Tensor.sub x y);
-  eq "mul_into" (Tensor.mul_into ~dst:(d ()) x y) (Tensor.mul x y);
-  eq "scale_into" (Tensor.scale_into 1.7 ~dst:(d ()) x) (Tensor.scale 1.7 x);
-  eq "relu_into" (Tensor.relu_into ~dst:(d ()) x) (Tensor.relu x);
+  let fx = to_array x and fy = to_array y and fbias = to_array bias in
+  let d () = nan_tensor [| m; n |] in
+  eq "add_into" (Tensor.add_into ~dst:(d ()) x y) (Array.map2 ( +. ) fx fy);
+  eq "sub_into" (Tensor.sub_into ~dst:(d ()) x y) (Array.map2 ( -. ) fx fy);
+  eq "mul_into" (Tensor.mul_into ~dst:(d ()) x y) (Array.map2 ( *. ) fx fy);
+  let branchy v = if v > 0.0 then v else 0.0 in
+  eq "relu_into" (Tensor.relu_into ~dst:(d ()) x) (Array.map branchy fx);
   (* the branch-free ReLU against the branch, on the inputs where a
      select could differ from it *)
-  let edge = Tensor.of_array [| 7 |] [| nan; -0.0; 0.0; infinity; neg_infinity; 5e-324; -1.0 |] in
-  eq "relu = branchy map" (Tensor.relu edge)
-    (Tensor.map (fun v -> if v > 0.0 then v else 0.0) edge);
-  eq "add_bias_into" (Tensor.add_bias_into ~dst:(d ()) x bias)
-    (Tensor.add_bias x bias);
+  let edge = [| nan; -0.0; 0.0; infinity; neg_infinity; 5e-324; -1.0 |] in
+  eq "relu = branchy map"
+    (Tensor.relu_into ~dst:(nan_tensor [| 7 |]) (Tensor.of_array [| 7 |] edge))
+    (Array.map branchy edge);
+  let biased = Array.mapi (fun i v -> v +. fbias.(i mod n)) fx in
+  eq "add_bias_into" (Tensor.add_bias_into ~dst:(d ()) x bias) biased;
+  eq "add_bias" (Tensor.add_bias x bias) biased;
   eq "slice_cols_into"
-    (Tensor.slice_cols_into ~dst:(Tensor.zeros [| m; 4 |]) x ~lo:2 ~hi:6)
-    (Tensor.slice_cols x ~lo:2 ~hi:6);
-  eq "sum_rows_into" (Tensor.sum_rows_into ~dst:(Tensor.zeros [| m |]) x)
-    (Tensor.sum_rows x);
-  eq "map_into" (Tensor.map_into exp ~dst:(d ()) x) (Tensor.map exp x);
+    (Tensor.slice_cols_into ~dst:(nan_tensor [| m; 4 |]) x ~lo:2 ~hi:6)
+    (Array.init (m * 4) (fun i -> fx.((i / 4 * n) + 2 + (i mod 4))));
+  eq "sum_rows_into"
+    (Tensor.sum_rows_into ~dst:(nan_tensor [| m |]) x)
+    (Array.init m (fun i -> Array.fold_left ( +. ) 0.0 (Array.sub fx (i * n) n)));
+  eq "map_into" (Tensor.map_into exp ~dst:(d ()) x) (Array.map exp fx);
   eq "map2_into" (Tensor.map2_into Float.min ~dst:(d ()) x y)
-    (Tensor.map2 Float.min x y)
+    (Array.map2 Float.min fx fy)
+
+(* On dense operands the zero-skipping kernel has nothing to skip; it
+   must still not be slower than the naive loop: at most 1.2x its time
+   at 64x128x128, best of 5, the two run alternately. *)
+let test_dense_matmul_not_slower () =
+  let m = 64 and k = 128 and n = 128 in
+  let rng = Util.Rng.create 42 in
+  let a = Tensor.init [| m; k |] (fun _ -> Util.Rng.gaussian rng) in
+  let b = Tensor.init [| k; n |] (fun _ -> Util.Rng.gaussian rng) in
+  let fa = Test_helpers.tensor_to_array a and fb = Test_helpers.tensor_to_array b in
+  let best = [| infinity; infinity |] in
+  let time slot f =
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (f ()));
+    best.(slot) <- Float.min best.(slot) (Unix.gettimeofday () -. t0)
+  in
+  for _ = 1 to 5 do
+    time 0 (fun () -> naive_matmul fa fb ~m ~k ~n);
+    time 1 (fun () -> Tensor.matmul a b)
+  done;
+  if best.(1) > 1.2 *. best.(0) then
+    Alcotest.failf "dense matmul %.0f us, naive loop %.0f us" (1e6 *. best.(1))
+      (1e6 *. best.(0))
 
 (* The three places the row kernel runs — the forward [matmul_into], the
    dA step [matmul_transpose_b_addto] and the dB step of
@@ -199,10 +235,10 @@ let qcheck_matmul_kernels_naive =
       let share = List.nth zero_shares share_i in
       let a = sparse_matrix rng ~share m k in
       let b = Tensor.init [| k; n |] (fun _ -> Util.Rng.gaussian rng) in
-      let fa = Tensor.to_array a and fb = Tensor.to_array b in
+      let fa = Test_helpers.tensor_to_array a and fb = Test_helpers.tensor_to_array b in
       (* forward: a * b *)
       let fwd_ok =
-        Tensor.equal
+        Test_helpers.tensor_equal
           (Tensor.matmul_into ~dst:(Tensor.init [| m; n |] (fun _ -> nan)) a b)
           (Tensor.of_array [| m; n |] (naive_matmul fa fb ~m ~k ~n))
       in
@@ -210,13 +246,13 @@ let qcheck_matmul_kernels_naive =
       let c = Tensor.init [| n; k |] (fun _ -> Util.Rng.gaussian rng) in
       let acc = Tensor.init [| m; n |] (fun _ -> Util.Rng.gaussian rng) in
       let expect =
-        Array.map2 ( +. ) (Tensor.to_array acc)
+        Array.map2 ( +. ) (Test_helpers.tensor_to_array acc)
           (naive_matmul fa
-             (transpose_array (Tensor.to_array c) ~rows:n ~cols:k)
+             (transpose_array (Test_helpers.tensor_to_array c) ~rows:n ~cols:k)
              ~m ~k ~n)
       in
       Tensor.matmul_transpose_b_addto ~dst:acc a c;
-      let da_ok = Tensor.equal acc (Tensor.of_array [| m; n |] expect) in
+      let da_ok = Test_helpers.tensor_equal acc (Tensor.of_array [| m; n |] expect) in
       (* dB: the gradient of sum((a * w) . g) in w is a^T * g *)
       let w =
         Autodiff.Param.create "w" (Tensor.init [| k; n |] (fun _ -> Util.Rng.gaussian rng))
@@ -227,9 +263,9 @@ let qcheck_matmul_kernels_naive =
       Autodiff.backward tape
         (Autodiff.sum_all tape (Autodiff.mul tape y (Autodiff.const tape g)));
       let db_ok =
-        Tensor.equal w.Autodiff.Param.grad
+        Test_helpers.tensor_equal w.Autodiff.Param.grad
           (Tensor.of_array [| k; n |]
-             (naive_matmul (transpose_array fa ~rows:m ~cols:k) (Tensor.to_array g)
+             (naive_matmul (transpose_array fa ~rows:m ~cols:k) (Test_helpers.tensor_to_array g)
                 ~m:k ~k:m ~n))
       in
       fwd_ok && da_ok && db_ok)
@@ -266,8 +302,8 @@ let qcheck_row_ops_naive =
       let rows = Array.init k (fun _ -> Util.Rng.int rng m) in
       let gaussian rows = Tensor.init (shape rows) (fun _ -> Util.Rng.gaussian rng) in
       let x = gaussian m in
-      let fx = Tensor.to_array x in
-      let eq t expect = Tensor.equal t (Tensor.of_array (Tensor.dims t) expect) in
+      let fx = Test_helpers.tensor_to_array x in
+      let eq t expect = Test_helpers.tensor_equal t (Tensor.of_array (Tensor.dims t) expect) in
       (* [value], and the parameter's gradient, of sum(op(p) . g) *)
       let through op p_data g =
         let p = Autodiff.Param.create "p" p_data in
@@ -286,18 +322,18 @@ let qcheck_row_ops_naive =
       let y, gx = through (fun tape p -> Autodiff.gather_rows tape p rows) x g in
       let gather_ok =
         eq y (naive_gather fx ~w rows)
-        && eq gx (naive_scatter (Tensor.to_array g) ~w rows ~n:m)
+        && eq gx (naive_scatter (Test_helpers.tensor_to_array g) ~w rows ~n:m)
       in
       let s = gaussian k and h = gaussian m in
       let z, gs = through (fun tape p -> Autodiff.scatter_rows tape p rows ~n:m) s h in
       let scatter_ok =
-        eq z (naive_scatter (Tensor.to_array s) ~w rows ~n:m)
-        && eq gs (naive_gather (Tensor.to_array h) ~w rows)
+        eq z (naive_scatter (Test_helpers.tensor_to_array s) ~w rows ~n:m)
+        && eq gs (naive_gather (Test_helpers.tensor_to_array h) ~w rows)
       in
       let q = Tensor.init [| w; m |] (fun _ -> Util.Rng.gaussian rng) in
       let r, gr = through (fun tape p -> Autodiff.reshape tape p [| w; m |]) x q in
       let reshape_ok =
-        Tensor.dims r = [| w; m |] && eq r fx && eq gr (Tensor.to_array q)
+        Tensor.dims r = [| w; m |] && eq r fx && eq gr (Test_helpers.tensor_to_array q)
       in
       tensor_ok && gather_ok && scatter_ok && reshape_ok)
 
@@ -376,7 +412,7 @@ let test_tape_workspace_grads_bit_identical () =
         Alcotest.(check bool)
           (Printf.sprintf "grad %d bit-identical (round %d)" i round)
           true
-          (Tensor.equal g (List.nth plain i)))
+          (Test_helpers.tensor_equal g (List.nth plain i)))
       with_ws
   done
 
@@ -405,12 +441,13 @@ let test_const_leaf_pruning_invisible () =
       Alcotest.(check bool)
         (Printf.sprintf "param grad %d bit-identical" i)
         true
-        (Tensor.equal g (List.nth full i)))
+        (Test_helpers.tensor_equal g (List.nth full i)))
     pruned;
   Alcotest.(check bool) "const leaf grad stays zero" true
-    (Tensor.equal (Autodiff.grad x_const) (Tensor.zeros [| 6; 13 |]));
+    (Test_helpers.tensor_equal (Autodiff.grad x_const) (Tensor.zeros [| 6; 13 |]));
   Alcotest.(check bool) "parameter leaf grad is formed" true
-    (Tensor.sum (Tensor.map Float.abs x_param.Autodiff.Param.grad) > 0.0)
+    (Array.exists (fun v -> v <> 0.0)
+       (Test_helpers.tensor_to_array x_param.Autodiff.Param.grad))
 
 (* --- Autodiff vs finite differences --- *)
 
@@ -567,12 +604,12 @@ let test_grad_accumulate_arms_bit_identical () =
   let gy1 = acc g12 and gy2 = acc g12 in
   let a = pa.Autodiff.Param.data and w1 = pw1.Autodiff.Param.data and w2 = pw2.Autodiff.Param.data in
   let gw1 = zeros_like w1 in
-  Tensor.add_inplace gw1 (Tensor.matmul (Tensor.transpose b) gy3);
-  Tensor.add_inplace gw1 (Tensor.matmul (Tensor.transpose a) gy1);
-  let gw2 = acc (Tensor.matmul (Tensor.transpose a) gy2) in
+  Tensor.add_inplace gw1 (Tensor.matmul (transpose b) gy3);
+  Tensor.add_inplace gw1 (Tensor.matmul (transpose a) gy1);
+  let gw2 = acc (Tensor.matmul (transpose a) gy2) in
   let ga = zeros_like a in
-  Tensor.add_inplace ga (Tensor.matmul gy2 (Tensor.transpose w2));
-  Tensor.add_inplace ga (Tensor.matmul gy1 (Tensor.transpose w1));
+  Tensor.add_inplace ga (Tensor.matmul gy2 (transpose w2));
+  Tensor.add_inplace ga (Tensor.matmul gy1 (transpose w1));
   let expected = [ acc gx; acc gz; acc ga; acc gw1; acc gw2 ] in
   let ws = Tensor.Workspace.create () in
   for _ = 1 to 100 do
@@ -599,7 +636,7 @@ let test_grad_accumulate_arms_bit_identical () =
       (fun (p : Autodiff.Param.t) e ->
         Alcotest.(check bool)
           (Printf.sprintf "run %d: grad of %s" run p.name)
-          true (Tensor.equal p.grad e))
+          true (Test_helpers.tensor_equal p.grad e))
       params expected
   done
 
@@ -653,7 +690,7 @@ let test_clip_grad_norm () =
     Tensor.fill_inplace p.Autodiff.Param.grad first;
     let norm = Optim.step ?max_grad_norm opt in
     Alcotest.(check bool) "gradients left at +0.0" true
-      (Tensor.equal p.Autodiff.Param.grad (Tensor.zeros [| 4 |]));
+      (Test_helpers.tensor_equal p.Autodiff.Param.grad (Tensor.zeros [| 4 |]));
     (* norm 1, under the bound *)
     Tensor.fill_inplace p.Autodiff.Param.grad 0.5;
     ignore (Optim.step opt);
@@ -665,8 +702,8 @@ let test_clip_grad_norm () =
   let free_norm, free = run ~first:3.0 None in
   Alcotest.(check (float 1e-9)) "reported pre-clip norm" 6.0 clipped_norm;
   Alcotest.(check (float 1e-9)) "reported norm, unclipped" 6.0 free_norm;
-  Alcotest.(check bool) "clipped = pre-scaled" true (Tensor.equal clipped prescaled);
-  Alcotest.(check bool) "clipping changes the update" false (Tensor.equal clipped free)
+  Alcotest.(check bool) "clipped = pre-scaled" true (Test_helpers.tensor_equal clipped prescaled);
+  Alcotest.(check bool) "clipping changes the update" false (Test_helpers.tensor_equal clipped free)
 
 (* Neither the norm's accumulator nor the sweep's per-element values
    are boxed: one clipped Adam step over the 64-wide,
@@ -685,6 +722,27 @@ let test_clip_grad_norm_allocation () =
   Alcotest.(check bool) "clipped" true (norm > 0.5);
   if words >= 1000.0 then
     Alcotest.failf "Optim.step allocated %.0f minor words" words
+
+(* A 64^3 [matmul_into] through a workspace, after a warm-up call that
+   sizes the slot and the row kernel's scratch, allocates fewer than
+   100 minor words per call. *)
+let test_matmul_into_allocation () =
+  let rng = Util.Rng.create 11 in
+  let a = Tensor.init [| 64; 64 |] (fun _ -> Util.Rng.gaussian rng) in
+  let b = Tensor.init [| 64; 64 |] (fun _ -> Util.Rng.gaussian rng) in
+  let ws = Tensor.Workspace.create () in
+  let call () =
+    Tensor.Workspace.reset ws;
+    ignore (Tensor.matmul_into ~dst:(Tensor.Workspace.get ws [| 64; 64 |]) a b)
+  in
+  call ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    call ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. 100.0 in
+  if words >= 100.0 then
+    Alcotest.failf "matmul_into allocated %.0f minor words per call" words
 
 (* The one-sweep step against the multi-pass reference in optim_ref.ml:
    same weights bit for bit after each of 1-3 steps, the same [save]
@@ -742,8 +800,8 @@ let qcheck_optim_matches_reference =
         Optim_ref.step ref_opt;
         List.iter2
           (fun (p : Autodiff.Param.t) (r : Autodiff.Param.t) ->
-            if not (Tensor.equal p.data r.data) then same := false;
-            if not (Tensor.equal p.grad (Tensor.zeros (Tensor.dims p.grad))) then
+            if not (Test_helpers.tensor_equal p.data r.data) then same := false;
+            if not (Test_helpers.tensor_equal p.grad (Tensor.zeros (Tensor.dims p.grad))) then
               same := false)
           ps rs
       done;
@@ -884,4 +942,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_optim_matches_reference;
     Alcotest.test_case "grad: accumulate arms bit-identical" `Quick
       test_grad_accumulate_arms_bit_identical;
+    Alcotest.test_case "dense matmul not slower than naive" `Quick
+      test_dense_matmul_not_slower;
+    Alcotest.test_case "matmul_into steady-state allocation" `Quick
+      test_matmul_into_allocation;
   ]

@@ -105,6 +105,81 @@ let test_jobs_bit_reproducible () =
   cleanup p1;
   cleanup p4
 
+(* A noisy, flaky training run on two matmuls, pinned by the MD5 of its
+   [stats_key] lines at jobs 1, 2 and 4: hidden 48 for 2 iterations and
+   hidden 128 for 6. The pins are the stats digests the bench's
+   throughput and tensor experiments recorded (EXPERIMENTS.md), so a
+   change that moves a bit of the noisy-training trajectory fails here. *)
+let noisy_training_digest ~hidden ~iterations ~jobs =
+  let cfg = Env_config.default in
+  let evaluator =
+    Evaluator.create ~machine:cfg.Env_config.machine ~noise:0.02 ~noise_seed:2039 ()
+  in
+  let faults = Faults.create ~config:(Faults.flaky ~rate:0.1 ()) ~seed:2057 () in
+  let env = Env.create ~robust:(Robust_evaluator.create ~faults evaluator) cfg in
+  let policy = Policy.create ~hidden ~backbone_layers:2 (Util.Rng.create 2026) cfg in
+  let ops =
+    [| Linalg.matmul ~m:64 ~n:64 ~k:64 (); Linalg.matmul ~m:128 ~n:128 ~k:64 () |]
+  in
+  let config = { Trainer.default_config with Trainer.iterations; seed = 2026; jobs } in
+  let stats = Trainer.train config env policy ~ops in
+  Digest.to_hex (Digest.string (String.concat "\n" (List.map stats_key stats)))
+
+let test_pinned_noisy_training_digests () =
+  List.iter
+    (fun (hidden, iterations, pin) ->
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "hidden %d, %d iterations, jobs %d" hidden iterations jobs)
+            pin
+            (noisy_training_digest ~hidden ~iterations ~jobs))
+        [ 1; 2; 4 ])
+    [
+      (48, 2, "79acaba552852c3fc9b08f962216b7ed");
+      (128, 6, "7fb8cb76a133dc42202038192dda5e7b");
+    ]
+
+(* [sampled_best] splits every trial's streams off [rng] up front and
+   merges each trial's accounting in trial order, so the winning
+   schedule, its speedup and the merged counters are the same for any
+   [jobs]. The jobs-1 winner is pinned too. *)
+let test_sampled_best_jobs_identical () =
+  let op = Linalg.matmul ~m:64 ~n:64 ~k:64 () in
+  let policy =
+    Policy.create ~hidden:8 ~backbone_layers:1 (Util.Rng.create 42) Env_config.default
+  in
+  let run jobs =
+    let env = noisy_faulty_env () in
+    let sched, speedup =
+      Trainer.sampled_best ~jobs (Util.Rng.create 5) env policy op ~trials:12
+    in
+    let rob = Option.get (Env.robust env) in
+    ( Schedule.to_string sched,
+      Int64.bits_of_float speedup,
+      Printf.sprintf
+        "measurement seconds %h, explored %d, degraded %d, robust measurements %d, \
+         retries %d, degraded %d"
+        (Env.measurement_seconds env)
+        (Evaluator.explored (Env.evaluator env))
+        (Env.degraded_measurements env)
+        (Robust_evaluator.measurements rob)
+        (Robust_evaluator.retry_count rob)
+        (Robust_evaluator.degraded_count rob) )
+  in
+  let sched, speedup, accounting = run 1 in
+  Alcotest.(check string) "jobs 1 schedule" "S(1) P(4,0,16) T(2,8,8) V" sched;
+  Alcotest.(check int64) "jobs 1 speedup"
+    (Int64.bits_of_float 0x1.65fe1f75c55f3p+7) speedup;
+  List.iter
+    (fun jobs ->
+      let sched', speedup', accounting' = run jobs in
+      let what s = Printf.sprintf "jobs %d %s" jobs s in
+      Alcotest.(check string) (what "schedule") sched sched';
+      Alcotest.(check int64) (what "speedup") speedup speedup';
+      Alcotest.(check string) (what "accounting") accounting accounting')
+    [ 2; 4 ]
+
 (* ------------------------------------------------------------------ *)
 (* Batched inference == per-state inference                            *)
 
@@ -349,4 +424,8 @@ let suite =
       test_pool_concurrent_shutdown;
     Alcotest.test_case "pool survives raising tasks" `Quick
       test_pool_survives_raising_tasks;
+    Alcotest.test_case "pinned noisy-training stats digests" `Slow
+      test_pinned_noisy_training_digests;
+    Alcotest.test_case "sampled_best identical across jobs" `Quick
+      test_sampled_best_jobs_identical;
   ]

@@ -257,7 +257,7 @@ let example_nests =
          let ic = open_in (Filename.concat "../examples/nests" file) in
          let text = really_input_string ic (in_channel_length ic) in
          close_in ic;
-         Ir_parser.parse text)
+         Test_helpers.parse text)
        (List.sort compare
           (List.filter
              (fun f -> Filename.check_suffix f ".nest")

@@ -92,7 +92,7 @@ let test_exact_float_roundtrip () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "bit exact" true
-    (Tensor.equal p.Autodiff.Param.data q.Autodiff.Param.data);
+    (Test_helpers.tensor_equal p.Autodiff.Param.data q.Autodiff.Param.data);
   Sys.remove path
 
 let test_golden_file_compat () =
@@ -120,11 +120,11 @@ let test_golden_file_compat () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "w bit exact" true
-    (Tensor.equal w.Autodiff.Param.data
+    (Test_helpers.tensor_equal w.Autodiff.Param.data
        (Tensor.of_array [| 2; 3 |]
           [| 1.0 /. 3.0; -0.0; 5e-324; infinity; neg_infinity; 12345.6789 |]));
   Alcotest.(check bool) "b bit exact" true
-    (Tensor.equal b.Autodiff.Param.data
+    (Test_helpers.tensor_equal b.Autodiff.Param.data
        (Tensor.of_array [| 2 |] [| 0.1; max_float |]));
   let path2 = temp_file () in
   Serialize.save_params path2 [ w; b ];

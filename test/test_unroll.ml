@@ -60,7 +60,7 @@ let test_unroll_printer_roundtrip () =
   in
   let text = Ir_printer.to_string st.Sched_state.nest in
   Alcotest.(check string) "IR roundtrips" text
-    (Ir_printer.to_string (Ir_parser.parse text))
+    (Ir_printer.to_string (Test_helpers.parse text))
 
 let qcheck_unroll_factors_preserve =
   QCheck.Test.make ~name:"every divisor unroll factor preserves semantics" ~count:20
