@@ -293,7 +293,7 @@ let train_cmd =
         ~noise_seed:(seed + 13) ()
     in
     if resume && checkpoint_path = None then begin
-      Format.eprintf "--resume requires --checkpoint PREFIX@.";
+      Format.eprintf "--resume requires --checkpoint PATH@.";
       exit 2
     end;
     let robust =
@@ -370,11 +370,18 @@ let train_cmd =
               (if s.Trainer.degraded_measurements > 0 then
                  Printf.sprintf " | degraded %d" s.Trainer.degraded_measurements
                else ""))
-      with Invalid_argument msg
+      with
+      | Invalid_argument msg
         when String.length msg >= 8 && String.sub msg 0 8 = "Trainer:" ->
-        (* a corrupt or mismatched checkpoint is a user error, not a bug *)
-        Format.eprintf "%s@." msg;
-        exit 2
+          (* a corrupt or mismatched checkpoint is a user error, not a bug *)
+          Format.eprintf "%s@." msg;
+          exit 2
+      | Sys_error msg ->
+          (* so is a --checkpoint path that cannot be written *)
+          Format.eprintf "cannot write checkpoint %s: %s@."
+            (Option.value ~default:"" checkpoint_path)
+            msg;
+          exit 2
     in
     (match Env.robust env with
     | Some r ->
@@ -434,7 +441,10 @@ let train_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "checkpoint" ]
-          ~doc:"Checkpoint file prefix (writes PREFIX.meta/.params/.optim)")
+          ~docv:"PATH"
+          ~doc:
+            "Checkpoint file: the iteration state, weights and Adam state in \
+             one sealed file, replaced atomically at each save")
   in
   let checkpoint_every =
     Arg.(
@@ -1222,7 +1232,7 @@ let log_arg =
   Arg.(
     required
     & opt (some string) None
-    & info [ "log" ] ~docv:"PATH" ~doc:"Evaluation log (surrogate-log v1)")
+    & info [ "log" ] ~docv:"PATH" ~doc:"Evaluation log (surrogate-log v2)")
 
 let surrogate_collect_cmd =
   let run out seed n_ops budget machine_name =
@@ -1248,7 +1258,13 @@ let surrogate_collect_cmd =
           (Surrogate.Dataset_log.length log))
       ops;
     Surrogate.Dataset_log.detach ev;
-    let rows = Surrogate.Dataset_log.save log ~path:out in
+    let rows =
+      match Surrogate.Dataset_log.save log ~path:out with
+      | Ok rows -> rows
+      | Error e ->
+          Format.eprintf "log left unchanged: %s@." e;
+          exit 1
+    in
     let s = Surrogate.Dataset_log.stats log in
     Format.printf
       "collected %d entries (%d duplicates deduped, %d rotated out); %s now \
@@ -1287,7 +1303,7 @@ let surrogate_collect_cmd =
 
 let parse_hidden s =
   let parts = List.filter (fun x -> x <> "") (String.split_on_char ',' s) in
-  let dims = List.filter_map int_of_string_opt parts in
+  let dims = List.filter (fun d -> d > 0) (List.filter_map int_of_string_opt parts) in
   if List.length dims <> List.length parts || dims = [] then begin
     Format.eprintf "bad --hidden %S (want e.g. 24,12)@." s;
     exit 2

@@ -3,15 +3,10 @@ let read_enabled () =
   | Some ("1" | "true" | "yes") -> true
   | Some _ | None -> false
 
-let read_budget () =
-  match Sys.getenv_opt "MLIR_RL_SANITIZE_BUDGET" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 300_000)
-  | None -> 300_000
-
 let enabled_flag = Atomic.make (read_enabled ())
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
-let budget_ref = Atomic.make (read_budget ())
+let budget_ref = Atomic.make 300_000
 let budget () = Atomic.get budget_ref
 let set_budget n = if n > 0 then Atomic.set budget_ref n
 

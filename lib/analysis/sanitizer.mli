@@ -13,8 +13,8 @@
     a memoized search doesn't re-execute the same (original,
     transformed) comparison thousands of times. Enablement, the budget
     and all counters are process-global and domain-safe; the
-    [MLIR_RL_SANITIZE] / [MLIR_RL_SANITIZE_BUDGET] environment
-    variables set the defaults. The counters are lock-free atomics,
+    [MLIR_RL_SANITIZE] environment variable sets the default
+    enablement. The counters are lock-free atomics,
     registered on {!Util.Metrics.global} as [sanitize_runs_total],
     [sanitize_skips_total] and [sanitize_violations_total].
 
@@ -32,7 +32,7 @@ val budget : unit -> int
 val set_budget : int -> unit
 (** Maximum summed iteration count (reference + candidate) a single
     differential run may execute; larger pairs are skipped. Defaults to
-    [MLIR_RL_SANITIZE_BUDGET] or 300_000. *)
+    300_000. *)
 
 type outcome =
   | Matched  (** outputs agree within tolerance *)

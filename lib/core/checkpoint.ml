@@ -10,20 +10,17 @@ type meta = {
   fault_state : (int64 * int) option;
 }
 
-(* v2 added the global [episodes] counter (parallel rollout engine);
-   v1 files are not readable — training runs are short enough that
-   re-running beats carrying a migration path. *)
-let magic = "mlir-rl-checkpoint v2"
+(* Files of an older version do not load: training runs are short
+   enough that re-running beats carrying a migration path. *)
+let header = "mlir-rl-checkpoint v3"
 
-let meta_path path = path ^ ".meta"
-let params_path path = path ^ ".params"
-let optim_path path = path ^ ".optim"
+let exists ~path = Sys.file_exists path
 
-let exists ~path = Sys.file_exists (meta_path path)
-
-let write_meta path m =
-  Util.Atomic_file.with_out ~path:(meta_path path) (fun oc ->
-      output_string oc (magic ^ "\n");
+(* The payload: the nine meta lines, the weight records, the Adam
+   section. One file under one rename, so a kill cannot pair new
+   metadata with old weights. *)
+let save ~path m ~params ~optimizer =
+  Util.Atomic_file.write_sealed ~path ~header (fun oc ->
       Printf.fprintf oc "iteration %d\n" m.iteration;
       Printf.fprintf oc "rng_state %Ld\n" m.rng_state;
       Printf.fprintf oc "episodes %d\n" m.episodes;
@@ -32,28 +29,22 @@ let write_meta path m =
       Printf.fprintf oc "explored %d\n" m.explored;
       Printf.fprintf oc "degraded %d\n" m.degraded;
       Printf.fprintf oc "noise_state %Ld\n" m.noise_state;
-      match m.fault_state with
+      (match m.fault_state with
       | None -> output_string oc "fault_state none\n"
-      | Some (s, n) -> Printf.fprintf oc "fault_state %Ld %d\n" s n)
+      | Some (s, n) -> Printf.fprintf oc "fault_state %Ld %d\n" s n);
+      Serialize.write oc params;
+      Optim.write_state oc optimizer)
 
-let parse_meta lines =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun line ->
-      match String.index_opt line ' ' with
-      | Some i ->
-          Hashtbl.replace tbl
-            (String.sub line 0 i)
-            (String.sub line (i + 1) (String.length line - i - 1))
-      | None -> ())
-    lines;
+let read_meta next =
   let field name parse =
-    match Hashtbl.find_opt tbl name with
-    | None -> Error ("missing field " ^ name)
-    | Some v -> (
-        match parse (String.trim v) with
+    let prefix = name ^ " " in
+    match next () with
+    | Some line when String.starts_with ~prefix line -> (
+        let n = String.length prefix in
+        match parse (String.sub line n (String.length line - n)) with
         | Some x -> Ok x
         | None -> Error ("bad value for " ^ name))
+    | _ -> Error ("missing field " ^ name)
   in
   let ( let* ) = Result.bind in
   let* iteration = field "iteration" int_of_string_opt in
@@ -88,29 +79,10 @@ let parse_meta lines =
       fault_state;
     }
 
-let load_meta ~path =
-  let file = meta_path path in
-  if not (Sys.file_exists file) then Error ("no such checkpoint: " ^ file)
-  else
-    Util.Atomic_file.with_in ~path:file (fun ic ->
-        let lines = ref [] in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> ());
-        match List.rev !lines with
-        | header :: rest when header = magic -> parse_meta rest
-        | _ -> Error "not a mlir-rl checkpoint file")
-
-let save ~path meta ~params ~optimizer =
-  write_meta path meta;
-  Serialize.save_params (params_path path) params;
-  Optim.save optimizer (optim_path path)
-
 let restore ~path ~params ~optimizer =
-  let ( let* ) = Result.bind in
-  let* meta = load_meta ~path in
-  let* () = Serialize.load_params (params_path path) params in
-  let* () = Optim.load optimizer (optim_path path) in
-  Ok meta
+  Util.Atomic_file.read_sealed ~path ~header (fun next ->
+      let ( let* ) = Result.bind in
+      let* meta = read_meta next in
+      let* () = Serialize.read next params in
+      let* () = Optim.read_state next optimizer in
+      Ok meta)

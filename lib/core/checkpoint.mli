@@ -1,12 +1,11 @@
 (** Crash-recoverable training state.
 
-    A checkpoint is three sibling files derived from one path prefix:
-    [<path>.meta] (iteration counter, RNG streams, accounting),
-    [<path>.params] (policy weights, {!Serialize} format) and
-    [<path>.optim] (Adam moments and step counter). Each file is
-    written atomically (temp file + rename), so a kill at any moment
-    leaves either the previous checkpoint or the new one — never a
-    torn one.
+    A checkpoint is one sealed [mlir-rl-checkpoint v3] file
+    ({!Util.Atomic_file.write_sealed}): the metadata lines (iteration
+    counter, RNG streams, accounting), then the policy weights and the
+    Adam section (moments and step counter) as {!Serialize} records. It
+    is committed by one rename, so a kill at any moment leaves either
+    the previous checkpoint or the new one — never a torn one.
 
     Restoring everything in [meta] makes a resumed run bit-identical
     to an uninterrupted one: the trainer RNG drives op selection,
@@ -34,10 +33,11 @@ val save :
   params:Autodiff.Param.t list ->
   optimizer:Optim.t ->
   unit
-(** Write all three files atomically. Raises [Sys_error] on IO failure. *)
+(** Write the checkpoint file atomically. Raises [Sys_error] on IO
+    failure. *)
 
 val exists : path:string -> bool
-(** Whether [<path>.meta] exists. *)
+(** Whether [path] exists. *)
 
 val restore :
   path:string ->
@@ -45,4 +45,8 @@ val restore :
   optimizer:Optim.t ->
   (meta, string) result
 (** Load metadata, then restore weights and optimizer state in place
-    (names and shapes validated). Nothing is modified on error. *)
+    (names and shapes validated). A missing, truncated or corrupted
+    file is rejected before anything is modified. A sound file that
+    does not fit (another architecture, a bad Adam step counter) is an
+    [Error] too, but may leave [params] and [optimizer] partly
+    restored. *)

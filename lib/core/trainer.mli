@@ -31,8 +31,8 @@ type config = {
   iterations : int;  (** batch-collection + update rounds (paper: 1000) *)
   seed : int;
   checkpoint_path : string option;
-      (** prefix for the [.meta]/[.params]/[.optim] checkpoint files;
-          [None] disables checkpointing *)
+      (** the checkpoint file ({!Checkpoint}); [None] disables
+          checkpointing *)
   checkpoint_every : int;
       (** checkpoint every this many iterations (and always at the
           last); [<= 0] disables *)

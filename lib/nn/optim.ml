@@ -78,7 +78,7 @@ let step ?max_grad_norm opt =
 let zero_grad opt = Array.iter Autodiff.Param.zero_grad opt.params
 
 (* Adam moments (and the step counter, boxed as a 1-element tensor) as
-   named parameters, so checkpoints reuse the Serialize format. *)
+   named parameters, so checkpoints reuse the Serialize records. *)
 let state_params opt step_tensor =
   let wrap prefix arr =
     Array.to_list
@@ -90,16 +90,16 @@ let state_params opt step_tensor =
   Autodiff.Param.create "adam.step" step_tensor
   :: (wrap "adam.m." opt.m @ wrap "adam.v." opt.v)
 
-let save opt path =
+let write_state oc opt =
   let step_tensor = Tensor.of_array [| 1 |] [| float_of_int opt.t |] in
-  Serialize.save_params path (state_params opt step_tensor)
+  Serialize.write oc (state_params opt step_tensor)
 
 (* The step counter is stored as a float: anything but a finite,
    non-negative integer would feed NaN or a negative power into the
    bias corrections of the next step. *)
-let load opt path =
+let read_state next opt =
   let step_tensor = Tensor.of_array [| 1 |] [| 0.0 |] in
-  match Serialize.load_params path (state_params opt step_tensor) with
+  match Serialize.read next (state_params opt step_tensor) with
   | Error _ as e -> e
   | Ok () ->
       let s = Tensor.get step_tensor 0 in

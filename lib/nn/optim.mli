@@ -20,11 +20,13 @@ val zero_grad : t -> unit
 (** Set every gradient to +0.0. Only needed when something other than
     {!step} last wrote the gradients. *)
 
-val save : t -> string -> unit
-(** Persist the optimizer state (Adam moments and step counter) in the
-    {!Serialize} format, atomically. *)
+val write_state : out_channel -> t -> unit
+(** Write the optimizer state (the step counter, then the Adam first and
+    second moments per parameter) as {!Serialize} records: the Adam
+    section of a training checkpoint. *)
 
-val load : t -> string -> (unit, string) result
-(** Restore state saved by {!save} into an optimizer built over the
-    same parameter list (names and shapes are validated). A step
-    counter that is not a finite, non-negative integer is an [Error]. *)
+val read_state : (unit -> string option) -> t -> (unit, string) result
+(** Read a section written by {!write_state} (see {!Serialize.read})
+    into an optimizer built over the same parameter list (names and
+    shapes are validated). A step counter that is not a finite,
+    non-negative integer is an [Error]. *)

@@ -32,17 +32,6 @@ type t = {
   pool : Util.Domain_pool.t option;
 }
 
-(* The digest is over the canonical serialized weights, not the
-   checkpoint file: a random-init policy gets a digest too, and two
-   checkpoints with identical weights share one. *)
-let digest_params params =
-  let path = Filename.temp_file "mrs_policy" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Serialize.save_params path params;
-      Digest.to_hex (Digest.file path))
-
 let create cfg =
   if cfg.jobs < 1 then
     Error (Printf.sprintf "jobs must be >= 1 (got %d)" cfg.jobs)
@@ -61,7 +50,10 @@ let create cfg =
     | Ok () ->
         let base_env = Env.create Env_config.default in
         let cache = Util.Sharded_cache.create ~capacity:cfg.cache_capacity () in
-        let digest = digest_params (Policy.params policy) in
+        (* Over the weight records, not the checkpoint file: a
+           random-init policy gets a digest too, and identical weights
+           share one. *)
+        let digest = Serialize.digest (Policy.params policy) in
         let pool =
           if cfg.jobs > 1 then Some (Util.Domain_pool.create ~size:cfg.jobs)
           else None

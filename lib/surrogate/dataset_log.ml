@@ -7,11 +7,11 @@
    across evaluators too — and enforces a bounded-size FIFO rotation:
    when full, the oldest entries rotate out (counted, never silently).
 
-   Persistence is a versioned, tab-separated text file written through
+   Persistence is a sealed file of tab-separated rows written through
    {!Util.Atomic_file} (temp + rename), so a crash mid-write leaves the
-   old log intact. [save] folds the on-disk rows back in
-   first, which is what makes repeated `surrogate collect` runs
-   append-only at the file level. *)
+   old log intact. [save] folds the on-disk rows back in first, which
+   is what makes repeated `surrogate collect` runs append-only at the
+   file level. *)
 
 type entry = {
   digest : string;  (** {!Sched_state.digest} of the measured nest *)
@@ -114,10 +114,7 @@ let detach evaluator = Evaluator.set_measure_hook evaluator None
 
 (* -- persistence ------------------------------------------------------- *)
 
-let format_version = 1
-
-let header t_dim =
-  Printf.sprintf "surrogate-log v%d dim=%d" format_version t_dim
+let header = Printf.sprintf "surrogate-log v2 dim=%d" Features.dim
 
 let entry_line e =
   let b = Buffer.create (32 + (Array.length e.features * 12)) in
@@ -136,7 +133,7 @@ let entry_line e =
     e.features;
   Buffer.contents b
 
-let parse_line ~expect_dim lineno line =
+let parse_line lineno line =
   match String.split_on_char '\t' line with
   | [ digest; machine; seconds_s; feats_s ] -> (
       match float_of_string_opt seconds_s with
@@ -150,67 +147,54 @@ let parse_line ~expect_dim lineno line =
             Error (Printf.sprintf "line %d: bad feature float" lineno)
           else
             let features = Array.of_list feats in
-            if Array.length features <> expect_dim then
+            if Array.length features <> Features.dim then
               Error
                 (Printf.sprintf "line %d: expected %d features, got %d" lineno
-                   expect_dim (Array.length features))
+                   Features.dim (Array.length features))
             else Ok { digest; machine; seconds; features })
   | _ -> Error (Printf.sprintf "line %d: expected 4 tab-separated fields" lineno)
 
-let rec save t ~path =
+let load ~path =
+  Util.Atomic_file.read_sealed ~path ~header (fun next ->
+      let t = create () in
+      let rec go lineno =
+        match next () with
+        | None -> Ok t
+        | Some line -> (
+            match parse_line lineno line with
+            | Error e -> Error e
+            | Ok entry ->
+                ignore (add t entry);
+                go (lineno + 1))
+      in
+      go 2)
+
+(* The rows already at [path]: none for a missing or zero-byte file, an
+   [Error] for a file that does not load, which [save] then leaves
+   untouched. *)
+let on_disk ~path =
+  match In_channel.with_open_bin path In_channel.length with
+  | exception Sys_error _ when not (Sys.file_exists path) -> Ok [||]
+  | exception Sys_error e -> Error e
+  | 0L -> Ok [||]
+  | _ -> Result.map entries (load ~path)
+
+let save t ~path =
   (* Merge semantics: rows already on disk keep their (older) position;
      new in-memory rows append. The capacity bound applies to the merged
      stream, dropping from the oldest end — the same FIFO rotation the
      in-memory store uses. *)
-  let disk_entries =
-    if Sys.file_exists path then begin
-      match load ~path with Ok old -> entries old | Error _ -> [||]
-    end
-    else [||]
-  in
-  let mem = entries t in
-  let merged = create ~capacity:t.capacity () in
-  Array.iter (fun e -> ignore (add merged e)) disk_entries;
-  Array.iter (fun e -> ignore (add merged e)) mem;
-  let all = entries merged in
-  Util.Atomic_file.with_out ~path (fun oc ->
-      output_string oc (header Features.dim);
-      output_char oc '\n';
-      Array.iter
-        (fun e ->
-          output_string oc (entry_line e);
-          output_char oc '\n')
-        all);
-  Array.length all
-
-and load ~path =
-  Util.Atomic_file.with_in ~path (fun ic ->
-      match input_line ic with
-      | exception End_of_file -> Error "empty log file"
-      | first -> (
-          match
-            Scanf.sscanf_opt first "surrogate-log v%d dim=%d" (fun v d ->
-                (v, d))
-          with
-          | None -> Error "not a surrogate log (bad header)"
-          | Some (v, _) when v <> format_version ->
-              Error (Printf.sprintf "unsupported log version %d" v)
-          | Some (_, d) when d <> Features.dim ->
-              Error
-                (Printf.sprintf
-                   "feature dim %d does not match this build (%d)" d
-                   Features.dim)
-          | Some (_, d) -> (
-              let t = create () in
-              let rec go lineno =
-                match input_line ic with
-                | exception End_of_file -> Ok t
-                | line when String.trim line = "" -> go (lineno + 1)
-                | line -> (
-                    match parse_line ~expect_dim:d lineno line with
-                    | Error e -> Error e
-                    | Ok entry ->
-                        ignore (add t entry);
-                        go (lineno + 1))
-              in
-              go 2)))
+  Result.map
+    (fun disk_entries ->
+      let merged = create ~capacity:t.capacity () in
+      Array.iter (fun e -> ignore (add merged e)) disk_entries;
+      Array.iter (fun e -> ignore (add merged e)) (entries t);
+      let all = entries merged in
+      Util.Atomic_file.write_sealed ~path ~header (fun oc ->
+          Array.iter
+            (fun e ->
+              output_string oc (entry_line e);
+              output_char oc '\n')
+            all);
+      Array.length all)
+    (on_disk ~path)

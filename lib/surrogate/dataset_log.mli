@@ -4,8 +4,9 @@
     feature vector) tuples collected from the evaluator's measurement
     tap ({!Evaluator.set_measure_hook}). Deduplicated by
     (digest | machine); bounded by a FIFO rotation policy; persisted as
-    a versioned tab-separated text file (hex floats, so rows round-trip
-    bit-exactly) through {!Util.Atomic_file}. *)
+    a sealed [surrogate-log v2 dim=<Features.dim>] file of
+    tab-separated rows (hex floats, so rows round-trip bit-exactly)
+    through {!Util.Atomic_file}. *)
 
 type entry = {
   digest : string;  (** {!Sched_state.digest} of the measured nest *)
@@ -47,12 +48,16 @@ val attach : t -> Evaluator.t -> unit
 val detach : Evaluator.t -> unit
 (** Clear the evaluator's measurement tap. *)
 
-val save : t -> path:string -> int
+val save : t -> path:string -> (int, string) result
 (** Atomically write the log to [path], returning the row count
-    written. Rows already in the file are kept (file order first, deduplicated against memory), making
-    repeated collection runs append-only at the file level; the
-    capacity bound applies to the merged stream. *)
+    written. Rows already in the file are kept (file order first,
+    deduplicated against memory), making repeated collection runs
+    append-only at the file level; the capacity bound applies to the
+    merged stream. A missing or zero-byte [path] holds no rows. A
+    non-empty file that does not {!load} is an [Error], and its bytes
+    stay unchanged. Raises [Sys_error] if the write fails. *)
 
 val load : path:string -> (t, string) result
-(** Parse a file written by {!save}. Errors on a missing file, a bad
-    header/version, a feature-width mismatch or a malformed row. *)
+(** Load a file written by {!save}. Errors on a missing, truncated or
+    corrupted file, another version or feature width, or a malformed
+    row. *)

@@ -8,8 +8,8 @@
    target trains far faster). Training is seeded end to end — same log,
    same seed, same hyperparameters => bit-identical weights.
 
-   Checkpoints are a single versioned text file (hex floats, so values
-   round-trip exactly) written through {!Util.Atomic_file}. *)
+   Checkpoints are one sealed file of {!Serialize} records (hex floats,
+   so values round-trip exactly) written through {!Util.Atomic_file}. *)
 
 type t = {
   net : Layers.mlp;
@@ -212,135 +212,53 @@ let fit ?(epochs = 40) ?(batch_size = 64) ?(learning_rate = 1e-3) ?(seed = 7)
 
 (* -- checkpoint -------------------------------------------------------- *)
 
-let format_version = 1
+(* The feature width is part of the header, so a checkpoint from a build
+   with other features fails the header check. *)
+let header = Printf.sprintf "surrogate-ckpt v2 dim=%d" Features.dim
+
+(* The standardization statistics as records ahead of the weights, in
+   the order fmean, fstd, (tmean, tstd). *)
+let stat_records ~fmean ~fstd ~target =
+  [
+    Autodiff.Param.create "fmean" fmean;
+    Autodiff.Param.create "fstd" fstd;
+    Autodiff.Param.create "target" target;
+  ]
 
 let save t ~path =
-  Util.Atomic_file.with_out ~path (fun oc ->
-      Printf.fprintf oc "surrogate-ckpt v%d\n" format_version;
-      Printf.fprintf oc "dim %d\n" Features.dim;
+  Util.Atomic_file.write_sealed ~path ~header (fun oc ->
       Printf.fprintf oc "hidden %s\n"
         (String.concat " " (List.map string_of_int t.hidden));
-      let floats_line tag arr =
-        output_string oc tag;
-        Array.iter (fun f -> Printf.fprintf oc " %h" f) arr;
-        output_char oc '\n'
-      in
-      floats_line "fmean" t.f_mean;
-      floats_line "fstd" t.f_std;
-      Printf.fprintf oc "tmean %h\n" t.t_mean;
-      Printf.fprintf oc "tstd %h\n" t.t_std;
-      List.iter
-        (fun (p : Autodiff.Param.t) ->
-          let dims = Tensor.dims p.Autodiff.Param.data in
-          Printf.fprintf oc "param %s %s\n" p.Autodiff.Param.name
-            (String.concat " " (Array.to_list (Array.map string_of_int dims)));
-          let data = p.Autodiff.Param.data in
-          for i = 0 to Tensor.numel data - 1 do
-            if i > 0 then output_char oc ' ';
-            Printf.fprintf oc "%h" (Tensor.get data i)
-          done;
-          output_char oc '\n')
-        (params t);
-      output_string oc "end\n")
+      let vec a = Tensor.of_array [| Array.length a |] a in
+      Serialize.write oc
+        (stat_records ~fmean:(vec t.f_mean) ~fstd:(vec t.f_std)
+           ~target:(vec [| t.t_mean; t.t_std |])
+        @ params t))
 
-let parse_floats ~expect s =
-  let parts = List.filter (fun x -> x <> "") (String.split_on_char ' ' s) in
-  let floats = List.filter_map float_of_string_opt parts in
-  if List.length floats <> List.length parts then Error "bad float"
-  else
-    let arr = Array.of_list floats in
-    if expect >= 0 && Array.length arr <> expect then
-      Error (Printf.sprintf "expected %d floats, got %d" expect (Array.length arr))
-    else Ok arr
+let parse_hidden line =
+  match String.split_on_char ' ' line with
+  | "hidden" :: (_ :: _ as ws) ->
+      let widths = List.filter_map int_of_string_opt ws in
+      if List.length widths = List.length ws && List.for_all (fun w -> w > 0) widths
+      then Ok widths
+      else Error (Printf.sprintf "bad hidden widths %S (want positive ints)" line)
+  | _ -> Error (Printf.sprintf "expected hidden widths, found %S" line)
 
 let load ~path =
-  if not (Sys.file_exists path) then
-    Error (Printf.sprintf "no such checkpoint: %s" path)
-  else
-    Util.Atomic_file.with_in ~path (fun ic ->
-        let line () = try Some (input_line ic) with End_of_file -> None in
-        let field tag =
-          match line () with
-          | Some l
-            when String.length l > String.length tag
-                 && String.sub l 0 (String.length tag + 1) = tag ^ " " ->
-              Ok (String.sub l (String.length tag + 1)
-                    (String.length l - String.length tag - 1))
-          | Some l -> Error (Printf.sprintf "expected %S, found %S" tag l)
-          | None -> Error (Printf.sprintf "truncated checkpoint at %S" tag)
-        in
-        let ( let* ) = Result.bind in
-        let* () =
-          match line () with
-          | Some h when h = Printf.sprintf "surrogate-ckpt v%d" format_version ->
-              Ok ()
-          | Some h -> Error (Printf.sprintf "bad checkpoint header %S" h)
-          | None -> Error "empty checkpoint"
-        in
-        let* dim_s = field "dim" in
-        let* () =
-          match int_of_string_opt (String.trim dim_s) with
-          | Some d when d = Features.dim -> Ok ()
-          | Some d ->
-              Error
-                (Printf.sprintf
-                   "checkpoint feature dim %d does not match this build (%d)" d
-                   Features.dim)
-          | None -> Error "bad dim"
-        in
-        let* hidden_s = field "hidden" in
-        let* hidden =
-          let parts =
-            List.filter (fun x -> x <> "") (String.split_on_char ' ' hidden_s)
-          in
-          let ints = List.filter_map int_of_string_opt parts in
-          if List.length ints <> List.length parts || ints = [] then
-            Error "bad hidden dims"
-          else Ok ints
-        in
-        let t = create ~hidden ~seed:0 () in
-        let* fmean = Result.bind (field "fmean") (parse_floats ~expect:Features.dim) in
-        let* fstd = Result.bind (field "fstd") (parse_floats ~expect:Features.dim) in
-        Array.blit fmean 0 t.f_mean 0 Features.dim;
-        Array.blit fstd 0 t.f_std 0 Features.dim;
-        let* tmean = Result.bind (field "tmean") (parse_floats ~expect:1) in
-        let* tstd = Result.bind (field "tstd") (parse_floats ~expect:1) in
-        t.t_mean <- tmean.(0);
-        t.t_std <- tstd.(0);
-        let load_param (p : Autodiff.Param.t) =
-          let* header = field "param" in
-          match String.split_on_char ' ' header with
-          | name :: dims when name = p.Autodiff.Param.name -> (
-              let shape = List.filter_map int_of_string_opt dims in
-              let expected = Array.to_list (Tensor.dims p.Autodiff.Param.data) in
-              if shape <> expected then
-                Error (Printf.sprintf "shape mismatch for %s" name)
-              else
-                match line () with
-                | None -> Error "truncated checkpoint (values)"
-                | Some vals -> (
-                    match
-                      parse_floats
-                        ~expect:(Tensor.numel p.Autodiff.Param.data)
-                        vals
-                    with
-                    | Error e -> Error (Printf.sprintf "%s: %s" name e)
-                    | Ok arr ->
-                        Array.iteri (Tensor.set p.Autodiff.Param.data) arr;
-                        Ok ()))
-          | name :: _ ->
-              Error
-                (Printf.sprintf "expected parameter %s, found %s"
-                   p.Autodiff.Param.name name)
-          | [] -> Error "bad param record"
-        in
-        let rec load_all = function
-          | [] -> (
-              match line () with
-              | Some "end" -> Ok t
-              | _ -> Error "missing end marker")
-          | p :: rest ->
-              let* () = load_param p in
-              load_all rest
-        in
-        load_all (params t))
+  Util.Atomic_file.read_sealed ~path ~header (fun next ->
+      let ( let* ) = Result.bind in
+      let* hidden =
+        Option.fold ~none:(Error "missing hidden widths") ~some:parse_hidden (next ())
+      in
+      let t = create ~hidden ~seed:0 () in
+      let fmean = Tensor.zeros [| Features.dim |]
+      and fstd = Tensor.zeros [| Features.dim |]
+      and target = Tensor.zeros [| 2 |] in
+      let* () = Serialize.read next (stat_records ~fmean ~fstd ~target @ params t) in
+      for i = 0 to Features.dim - 1 do
+        t.f_mean.(i) <- Tensor.get fmean i;
+        t.f_std.(i) <- Tensor.get fstd i
+      done;
+      t.t_mean <- Tensor.get target 0;
+      t.t_std <- Tensor.get target 1;
+      Ok t)

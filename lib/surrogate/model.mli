@@ -64,10 +64,13 @@ val predict : t -> float array -> float
 (** Predicted log-seconds for one raw (unnormalized) feature vector. *)
 
 val save : t -> path:string -> unit
-(** Write a single versioned checkpoint file atomically (hex floats:
-    weights and normalization round-trip exactly). *)
+(** Write one sealed [surrogate-ckpt v2 dim=<Features.dim>] file
+    atomically: the hidden widths, then the normalization statistics
+    and the weights as {!Serialize} records (hex floats, so they
+    round-trip exactly). *)
 
 val load : path:string -> (t, string) result
-(** Parse a checkpoint written by {!save}. Errors on a missing file,
-    version/feature-dim mismatch with this build, or any malformed or
-    truncated record. *)
+(** Load a checkpoint written by {!save}. Errors on a missing,
+    truncated or corrupted file, another version or feature width, a
+    hidden width that is not a positive integer, or a record that does
+    not fit. *)

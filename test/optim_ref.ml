@@ -4,7 +4,7 @@
    [step] that reads them again, with Adam's constants recomputed per
    parameter. Written for clarity, not speed. [Optim.step
    ~max_grad_norm] must leave the same weights and write the same
-   [save] bytes (test_nn.ml, "optimizer step matches the multi-pass
+   [write_state] bytes (test_nn.ml, "optimizer step matches the multi-pass
    reference"). *)
 
 let uget (b : Tensor.buf) i : float = Bigarray.Array1.unsafe_get b i
@@ -71,9 +71,10 @@ let step opt =
       done)
     opt.params
 
-(* The checkpoint layout [Optim.save] writes: the step counter as a
-   1-element tensor, then the first and second moments per parameter. *)
-let save opt path =
+(* The checkpoint section [Optim.write_state] writes: the step counter
+   as a 1-element tensor, then the first and second moments per
+   parameter. *)
+let write_state oc opt =
   let wrap prefix arr =
     Array.to_list
       (Array.mapi
@@ -81,6 +82,6 @@ let save opt path =
            Autodiff.Param.create (prefix ^ p.Autodiff.Param.name) arr.(i))
          opt.params)
   in
-  Serialize.save_params path
+  Serialize.write oc
     (Autodiff.Param.create "adam.step" (Tensor.of_array [| 1 |] [| float_of_int opt.t |])
     :: (wrap "adam.m." opt.m @ wrap "adam.v." opt.v))

@@ -6,10 +6,7 @@
 let tmp_prefix name =
   Filename.concat (Filename.get_temp_dir_name ()) ("mlir_rl_ckpt_" ^ name)
 
-let cleanup path =
-  List.iter
-    (fun ext -> try Sys.remove (path ^ ext) with Sys_error _ -> ())
-    [ ".meta"; ".params"; ".optim" ]
+let cleanup path = try Sys.remove path with Sys_error _ -> ()
 
 let small_ops = [| Linalg.matmul ~m:8 ~n:12 ~k:16 (); Linalg.add [| 32; 32 |] |]
 
@@ -98,15 +95,15 @@ let test_restore_rejects_garbage () =
     in
     Checkpoint.restore ~path ~params ~optimizer:(Optim.adam ~lr:1e-3 params)
   in
-  let oc = open_out (path ^ ".meta") in
+  let oc = open_out path in
   output_string oc "not a checkpoint\n";
   close_out oc;
   Alcotest.(check bool) "corrupt meta rejected" true (Result.is_error (restore ()));
   cleanup path;
-  (* a meta path that is a directory is a load error, not an exception *)
-  (try Sys.mkdir (path ^ ".meta") 0o700 with Sys_error _ -> ());
+  (* a checkpoint path that is a directory is a load error, not an exception *)
+  (try Sys.mkdir path 0o700 with Sys_error _ -> ());
   Fun.protect
-    ~finally:(fun () -> try Sys.rmdir (path ^ ".meta") with Sys_error _ -> ())
+    ~finally:(fun () -> try Sys.rmdir path with Sys_error _ -> ())
     (fun () ->
       Alcotest.(check bool) "directory meta rejected" true
         (Result.is_error (restore ())))
@@ -114,8 +111,7 @@ let test_restore_rejects_garbage () =
 let test_optim_state_roundtrip () =
   (* Take two Adam steps, save; a third step from the saved point must
      land on the same weights whether the moments come from memory or
-     from the reloaded file. *)
-  let path = tmp_prefix "optim" ^ ".optim" in
+     from the reloaded section. *)
   let cfg = Env_config.default in
   let policy = Policy.create ~hidden:8 ~backbone_layers:1 (Util.Rng.create 5) cfg in
   let params = Policy.params policy in
@@ -132,16 +128,17 @@ let test_optim_state_roundtrip () =
   in
   poke ();
   poke ();
-  Optim.save optimizer path;
+  let section = Test_helpers.written (fun oc -> Optim.write_state oc optimizer) in
   let w2 = copy_weights params in
   poke ();
   let expected = copy_weights params in
   restore_weights params w2;
-  (match Optim.load optimizer path with Error e -> Alcotest.fail e | Ok () -> ());
+  (match Optim.read_state (Test_helpers.lines_of section) optimizer with
+  | Error e -> Alcotest.fail e
+  | Ok () -> ());
   poke ();
   Alcotest.(check bool) "third step reproduced after reload" true
-    (weights_equal expected (copy_weights params));
-  Sys.remove path
+    (weights_equal expected (copy_weights params))
 
 let run_straight ?(faults = false) ~iterations () =
   let env, policy = fresh_setup ~faults () in
@@ -211,17 +208,18 @@ let test_resume_without_path_rejected () =
            env policy ~ops:small_ops))
 
 let test_checkpoint_files_written () =
-  let path = tmp_prefix "files" in
-  cleanup path;
+  let dir = Filename.temp_file "mlir_rl_ckpt_files" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let path = Filename.concat dir "run.ckpt" in
   let env, policy = fresh_setup () in
   ignore
     (Trainer.train
        (train_config ~checkpoint_path:path ~checkpoint_every:2 ~iterations:3 ())
        env policy ~ops:small_ops);
-  List.iter
-    (fun ext ->
-      Alcotest.(check bool) (ext ^ " written") true (Sys.file_exists (path ^ ext)))
-    [ ".meta"; ".params"; ".optim" ];
+  Alcotest.(check (list string))
+    "exactly one file written" [ "run.ckpt" ]
+    (Array.to_list (Sys.readdir dir));
   let params = Policy.params policy in
   (match Checkpoint.restore ~path ~params ~optimizer:(Optim.adam ~lr:1e-3 params) with
   | Error e -> Alcotest.fail e
@@ -229,19 +227,20 @@ let test_checkpoint_files_written () =
       (* checkpoint_every=2 over 3 iterations: saved at 2 and at the
          final iteration. *)
       Alcotest.(check int) "meta records last iteration" 3 m.Checkpoint.iteration);
-  cleanup path
+  cleanup path;
+  Sys.rmdir dir
 
 (* The bytes training writes, pinned. Every other identity test here
    compares two runs of one build, so a change that moved both runs the
    same way would pass them. The policy half trains 3 iterations at
    hidden 16 with 2 backbone layers on one matmul and one conv, at jobs
-   1 and 2, and hashes the final checkpoint's weights and Adam state
-   (the [Serialize.save_params] and [Optim.save] bytes). The surrogate
+   1 and 2, and hashes the final checkpoint file (its meta lines, weight
+   records and Adam section, sealed). The surrogate
    half fits 5 epochs on a log the evaluator's tap collected and hashes
    the saved checkpoint. An intended change to these bytes updates the
    constants and says so in CHANGES.md. *)
-let pinned_train_fingerprint = "b41ee3ebd6e77c177f221b2524f2f158"
-let pinned_surrogate_fingerprint = "56e88f2ce6ea213251e025a2f4e255fc"
+let pinned_train_fingerprint = "34253d25c0c528f55e181c9315ab42f7"
+let pinned_surrogate_fingerprint = "7284153c93b975d595f1a367fb0d1795"
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -267,7 +266,7 @@ let train_fingerprint ~jobs =
     }
   in
   ignore (Trainer.train config (Env.create cfg) policy ~ops);
-  let bytes = read_file (path ^ ".params") ^ read_file (path ^ ".optim") in
+  let bytes = read_file path in
   cleanup path;
   Digest.to_hex (Digest.string bytes)
 
@@ -305,14 +304,15 @@ let test_pinned_training_fingerprint () =
    load: NaN or a negative power in the bias corrections would write
    NaN into the weights on the next step. *)
 let test_optim_load_rejects_bad_step () =
-  let path = tmp_prefix "badstep" ^ ".optim" in
   let cfg = Env_config.default in
   let params =
     Policy.params (Policy.create ~hidden:8 ~backbone_layers:1 (Util.Rng.create 5) cfg)
   in
   let optimizer = Optim.adam ~lr:1e-2 params in
-  Optim.save optimizer path;
-  let saved = String.split_on_char '\n' (read_file path) in
+  let saved =
+    String.split_on_char '\n'
+      (Test_helpers.written (fun oc -> Optim.write_state oc optimizer))
+  in
   let with_step value =
     (* the value line follows the "adam.step" header *)
     let rec go = function
@@ -321,9 +321,7 @@ let test_optim_load_rejects_bad_step () =
       | line :: rest -> line :: go rest
       | [] -> []
     in
-    Out_channel.with_open_bin path (fun oc ->
-        output_string oc (String.concat "\n" (go saved)));
-    Optim.load optimizer path
+    Optim.read_state (Test_helpers.lines_of (String.concat "\n" (go saved))) optimizer
   in
   Alcotest.(check bool) "an integral step loads" true (Result.is_ok (with_step "0x1.8p+1"));
   List.iter
@@ -333,14 +331,12 @@ let test_optim_load_rejects_bad_step () =
       | Error e ->
           Alcotest.(check bool) ("error names the step: " ^ e) true
             (Astring_contains.contains e "adam.step"))
-    [ "nan"; "inf"; "-inf"; "-0x1p+3"; "0x1.8p+0" ];
-  Sys.remove path
+    [ "nan"; "inf"; "-inf"; "-0x1p+3"; "0x1.8p+0" ]
 
 (* Figure 8's flat baseline, pinned like the hierarchical run above:
    3 iterations at hidden 16 with 2 backbone layers on one matmul, at
-   jobs 1 and 2, hashing the final checkpoint's weights and Adam
-   state. *)
-let pinned_flat_fingerprint = "ced413c8ce27ad82e2f7a6cfde63f433"
+   jobs 1 and 2, hashing the final checkpoint file. *)
+let pinned_flat_fingerprint = "4c975f6f595c4b4bbcd74f6f425fe1f2"
 
 let flat_fingerprint ~jobs =
   let path = tmp_prefix (Printf.sprintf "pinned_flat_j%d" jobs) in
@@ -362,7 +358,7 @@ let flat_fingerprint ~jobs =
     }
   in
   ignore (Trainer.train_flat config (Env.create cfg) policy ~ops:[| op |]);
-  let bytes = read_file (path ^ ".params") ^ read_file (path ^ ".optim") in
+  let bytes = read_file path in
   cleanup path;
   Digest.to_hex (Digest.string bytes)
 

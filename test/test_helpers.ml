@@ -51,6 +51,26 @@ let params_equal a b =
          && tensor_equal x.Autodiff.Param.data y.Autodiff.Param.data)
        a b
 
+(* The bytes [write] puts on a channel, e.g. one checkpoint section. *)
+let written write =
+  let path = Filename.temp_file "mlir_rl_written" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path write;
+      In_channel.with_open_bin path In_channel.input_all)
+
+(* A line reader over [text], the way a sealed file's payload is
+   handed to its parser: one line per call, [None] at the end. *)
+let lines_of text =
+  let rest = ref (String.split_on_char '\n' text) in
+  fun () ->
+    match !rest with
+    | [] | [ "" ] -> None
+    | line :: tl ->
+        rest := tl;
+        Some line
+
 (* A nest from its printed form; malformed text fails the test. *)
 let parse text =
   match Ir_parser.parse_result text with

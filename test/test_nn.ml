@@ -805,14 +805,9 @@ let qcheck_optim_matches_reference =
               same := false)
           ps rs
       done;
-      let bytes save =
-        let path = Filename.temp_file "mlir_rl_optim" ".state" in
-        save path;
-        let s = In_channel.with_open_bin path In_channel.input_all in
-        Sys.remove path;
-        s
-      in
-      !same && bytes (Optim.save opt) = bytes (Optim_ref.save ref_opt))
+      !same
+      && Test_helpers.written (fun oc -> Optim.write_state oc opt)
+         = Test_helpers.written (fun oc -> Optim_ref.write_state oc ref_opt))
 
 (* --- distributions --- *)
 

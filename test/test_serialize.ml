@@ -1,4 +1,5 @@
-(* Weight persistence. *)
+(* Weight persistence, and the sealed file format every saved file
+   shares. *)
 
 let temp_file () = Filename.temp_file "mlir_rl_test" ".params"
 
@@ -96,19 +97,24 @@ let test_exact_float_roundtrip () =
   Sys.remove path
 
 let test_golden_file_compat () =
-  (* A checkpoint as written by the pre-Bigarray float-array
-     implementation, byte for byte (the text format never changed when
-     the tensor representation did). Loading it must restore the exact
-     bit patterns onto Bigarray storage, and re-saving must reproduce
-     the original bytes. *)
-  let golden =
-    "mlir-rl-params v1\n\
-     2\n\
+  (* The records as written by the pre-Bigarray float-array
+     implementation, byte for byte (the record text never changed when
+     the tensor representation did, nor when the file was sealed), inside
+     a v2 header and trailer. Loading it must restore the exact bit
+     patterns onto Bigarray storage, and re-saving must reproduce the
+     original bytes. *)
+  let records =
+    "2\n\
      golden.w 2 2 3\n\
      0x1.5555555555555p-2 -0x0p+0 0x0.0000000000001p-1022 infinity \
      -infinity 0x1.81cd6e631f8a1p+13\n\
      golden.b 1 2\n\
      0x1.999999999999ap-4 0x1.fffffffffffffp+1023\n"
+  in
+  let sealed = "mlir-rl-params v2\n" ^ records in
+  let golden =
+    Printf.sprintf "%send %d %s\n" sealed (String.length sealed)
+      (Digest.to_hex (Digest.string sealed))
   in
   let path = temp_file () in
   let oc = open_out_bin path in
@@ -170,6 +176,96 @@ let test_concurrent_saves () =
   Sys.remove path;
   Sys.rmdir dir
 
+(* Every sealed format, saved small and then damaged: truncated at
+   every byte offset, and with each of 256 seeded one-bit flips. Each
+   damaged file must load as an [Error] (never an exception, never a
+   silent load), and the intact file must still load. *)
+let test_corruption_is_an_error () =
+  let dir = Filename.temp_file "mlir_rl_sealed" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let mlp () = Layers.mlp_params (Layers.mlp (Util.Rng.create 1) ~dims:[ 3; 4; 2 ] "m") in
+  let weights = mlp () in
+  let restore path =
+    let params = mlp () in
+    Result.map ignore
+      (Checkpoint.restore ~path ~params ~optimizer:(Optim.adam ~lr:1e-3 params))
+  in
+  let meta =
+    {
+      Checkpoint.iteration = 2;
+      rng_state = 11L;
+      episodes = 16;
+      best_speedup = 3.25;
+      measurement_seconds = 0.5;
+      explored = 40;
+      degraded = 1;
+      noise_state = 12L;
+      fault_state = Some (13L, 2);
+    }
+  in
+  let log = Surrogate.Dataset_log.create () in
+  List.iter
+    (fun i ->
+      ignore
+        (Surrogate.Dataset_log.add log
+           {
+             Surrogate.Dataset_log.digest = Printf.sprintf "d%d" i;
+             machine = "m";
+             seconds = 1e-3 *. float_of_int (i + 1);
+             features = Array.init Surrogate.Features.dim (fun j -> float_of_int (i + j) /. 7.0);
+           }))
+    [ 0; 1 ];
+  let formats =
+    [
+      ( "params",
+        (fun path -> Serialize.save_params path weights),
+        fun path -> Serialize.load_params path (mlp ()) );
+      ( "checkpoint",
+        (fun path ->
+          Checkpoint.save ~path meta ~params:weights
+            ~optimizer:(Optim.adam ~lr:1e-3 weights)),
+        restore );
+      ( "surrogate",
+        (fun path -> Surrogate.Model.save (Surrogate.Model.create ~hidden:[ 2 ] ~seed:1 ()) ~path),
+        fun path -> Result.map ignore (Surrogate.Model.load ~path) );
+      ( "log",
+        (fun path -> ignore (Surrogate.Dataset_log.save log ~path)),
+        fun path -> Result.map ignore (Surrogate.Dataset_log.load ~path) );
+    ]
+  in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let write path bytes = Out_channel.with_open_bin path (fun oc -> output_string oc bytes) in
+  let rng = Util.Rng.create 2026 in
+  List.iter
+    (fun (name, save, load) ->
+      let path = Filename.concat dir name in
+      save path;
+      let intact = read path in
+      let rejects what bytes =
+        write path bytes;
+        match load path with
+        | Ok () -> Alcotest.failf "%s %s: loaded" name what
+        | Error _ -> ()
+        | exception e -> Alcotest.failf "%s %s: raised %s" name what (Printexc.to_string e)
+      in
+      for k = 0 to String.length intact - 1 do
+        rejects (Printf.sprintf "truncated at %d" k) (String.sub intact 0 k)
+      done;
+      for _ = 1 to 256 do
+        let b = Bytes.of_string intact in
+        let i = Util.Rng.int rng (Bytes.length b) and bit = Util.Rng.int rng 8 in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+        rejects (Printf.sprintf "with bit %d of byte %d flipped" bit i) (Bytes.to_string b)
+      done;
+      write path intact;
+      (match load path with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s intact: %s" name e);
+      Sys.remove path)
+    formats;
+  Sys.rmdir dir
+
 let suite =
   [
     Alcotest.test_case "roundtrip params" `Quick test_roundtrip_params;
@@ -183,4 +279,6 @@ let suite =
     Alcotest.test_case "exact float roundtrip" `Quick test_exact_float_roundtrip;
     Alcotest.test_case "concurrent saves to one path" `Quick
       test_concurrent_saves;
+    Alcotest.test_case "every corrupted file is an Error" `Quick
+      test_corruption_is_an_error;
   ]

@@ -464,7 +464,7 @@ let test_engine_loads_train_checkpoint () =
       (match Serve.Engine.create { cfg with Serve.Engine.backbone_layers = 2 } with
       | Ok e ->
           check "serves the saved weights" true
-            (Serve.Engine.policy_digest e = Digest.to_hex (Digest.file path));
+            (Serve.Engine.policy_digest e = Serialize.digest (Policy.params policy));
           Serve.Engine.shutdown e
       | Error e -> Alcotest.failf "backbone-2 checkpoint rejected: %s" e);
       (match Serve.Engine.create cfg with

@@ -730,7 +730,7 @@ let test_atomic_file_write_and_abort () =
   (* A writer that dies mid-dump must leave the old content intact and
      no temp debris behind. *)
   (try
-     Util.Atomic_file.with_out ~path (fun oc ->
+     Util.Atomic_file.write_sealed ~path ~header:"test v1" (fun oc ->
          output_string oc "half-written garbage";
          failwith "simulated crash")
    with Failure _ -> ());

@@ -28,6 +28,11 @@ let check_str = Alcotest.(check string)
 let check_bits name a b =
   Alcotest.(check int64) name (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+let save_log log ~path =
+  match Surrogate.Dataset_log.save log ~path with
+  | Ok rows -> rows
+  | Error e -> Alcotest.failf "log save: %s" e
+
 (* The feature vector ranking time builds for a candidate, every block
    computed afresh. *)
 let features_of ~machine op sched =
@@ -178,7 +183,7 @@ let test_log_save_load_roundtrip () =
     ignore (Surrogate.Dataset_log.add log (entry i))
   done;
   let path = Filename.temp_file "surrogate_log" ".tsv" in
-  let written = Surrogate.Dataset_log.save log ~path in
+  let written = save_log log ~path in
   check_int "rows written" 8 written;
   (match Surrogate.Dataset_log.load ~path with
   | Error e -> Alcotest.fail e
@@ -207,12 +212,12 @@ let test_log_save_merge () =
   let first = Surrogate.Dataset_log.create () in
   ignore (Surrogate.Dataset_log.add first (entry 0));
   ignore (Surrogate.Dataset_log.add first (entry 1));
-  ignore (Surrogate.Dataset_log.save first ~path);
+  ignore (save_log first ~path);
   let second = Surrogate.Dataset_log.create () in
   ignore (Surrogate.Dataset_log.add second (entry 1));
   (* overlaps the file *)
   ignore (Surrogate.Dataset_log.add second (entry 2));
-  let written = Surrogate.Dataset_log.save second ~path in
+  let written = save_log second ~path in
   check_int "merged row count" 3 written;
   (match Surrogate.Dataset_log.load ~path with
   | Error e -> Alcotest.fail e
@@ -596,6 +601,69 @@ let test_ranker_folded_first_layer () =
         [ Linalg.matmul ~m:8 ~n:8 ~k:4 (); Linalg.matmul ~m:48 ~n:48 ~k:48 () ])
     [ trained_model (); Surrogate.Model.create ~hidden:[ 7; 5 ] ~seed:4 () ]
 
+(* [save] merges with the rows already in the file, so a file it cannot
+   read must stop it: overwriting would drop every row in it. A
+   zero-byte file (a fresh [Filename.temp_file]) holds no rows. *)
+let test_log_save_keeps_unreadable_file () =
+  let path = Filename.temp_file "surrogate_log" ".tsv" in
+  let log = Surrogate.Dataset_log.create () in
+  for i = 0 to 19 do
+    ignore (Surrogate.Dataset_log.add log (entry i))
+  done;
+  check_int "zero-byte file overwritten" 20 (save_log log ~path);
+  let intact = In_channel.with_open_bin path In_channel.input_all in
+  let newer = Surrogate.Dataset_log.create () in
+  for i = 20 to 24 do
+    ignore (Surrogate.Dataset_log.add newer (entry i))
+  done;
+  let keeps label content =
+    Util.Atomic_file.write_string ~path content;
+    (match Surrogate.Dataset_log.save newer ~path with
+    | Ok rows -> Alcotest.failf "%s: overwritten with %d rows" label rows
+    | Error e -> check ("error names the file: " ^ e) true (Astring_contains.contains e path));
+    check_str (label ^ ": bytes unchanged") content
+      (In_channel.with_open_bin path In_channel.input_all)
+  in
+  let i = String.index_from intact (String.index intact '\n' + 1) '\t' in
+  keeps "one garbled tab" (String.mapi (fun j c -> if j = i then ' ' else c) intact);
+  keeps "another version's header"
+    ("surrogate-log v1 dim=" ^ string_of_int Surrogate.Features.dim
+    ^ String.sub intact (String.index intact '\n') (String.length intact - String.index intact '\n'));
+  Util.Atomic_file.write_string ~path intact;
+  check_int "a readable file is merged" 25 (save_log newer ~path);
+  Sys.remove path
+
+(* A checkpoint whose hidden widths are not positive is an [Error], not
+   an exception from allocating the network: the file below is sealed
+   correctly, so only the width parser can reject it. *)
+let test_model_load_rejects_bad_hidden () =
+  let path = Filename.temp_file "surrogate_model" ".ckpt" in
+  Surrogate.Model.save (Surrogate.Model.create ~hidden:[ 2 ] ~seed:1 ()) ~path;
+  let header = Printf.sprintf "surrogate-ckpt v2 dim=%d" Surrogate.Features.dim in
+  let payload =
+    match
+      Util.Atomic_file.read_sealed ~path ~header (fun next ->
+          let rec all acc = match next () with None -> Ok (List.rev acc) | Some l -> all (l :: acc) in
+          all [])
+    with
+    | Ok lines -> lines
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun hidden ->
+      Util.Atomic_file.write_sealed ~path ~header (fun oc ->
+          List.iteri
+            (fun i line ->
+              output_string oc (if i = 0 then hidden else line);
+              output_char oc '\n')
+            payload);
+      match Surrogate.Model.load ~path with
+      | Ok _ -> Alcotest.failf "%S loaded" hidden
+      | Error _ -> ()
+      | exception e -> Alcotest.failf "%S raised %s" hidden (Printexc.to_string e))
+    [ "hidden -3"; "hidden 0"; "hidden 2 -1" ];
+  Sys.remove path
+
 let suite =
   [
     Alcotest.test_case "features: widths and determinism" `Quick
@@ -640,4 +708,8 @@ let suite =
     Alcotest.test_case "counters" `Quick test_counters;
     Alcotest.test_case "ranker: folded first layer is bit-exact" `Quick
       test_ranker_folded_first_layer;
+    Alcotest.test_case "log: save keeps a file it cannot read" `Quick
+      test_log_save_keeps_unreadable_file;
+    Alcotest.test_case "model: load rejects a non-positive hidden width" `Quick
+      test_model_load_rejects_bad_hidden;
   ]

@@ -151,7 +151,7 @@ let test_atomic_exception_cleans_tmp () =
   let path = Filename.concat dir "data.txt" in
   Util.Atomic_file.write_string ~path "old";
   (match
-     Util.Atomic_file.with_out ~path (fun oc ->
+     Util.Atomic_file.write_sealed ~path ~header:"test v1" (fun oc ->
          output_string oc "half-written";
          failwith "boom")
    with
