@@ -488,7 +488,7 @@ let infer_cmd =
     (match Policy.load policy load_path with
     | Ok () -> ()
     | Error e ->
-        Format.eprintf "failed to load %s: %s@." load_path e;
+        Format.eprintf "failed to load %s@." e;
         exit 1);
     Format.printf "checkpoint: %s@." (Digest.to_hex (Digest.file load_path));
     let sched, speedup = Trainer.greedy_rollout env policy op in
@@ -1313,7 +1313,7 @@ let parse_hidden s =
 let load_log_or_die path =
   match Surrogate.Dataset_log.load ~path with
   | Error e ->
-      Format.eprintf "cannot load log %s: %s@." path e;
+      Format.eprintf "cannot load log %s@." e;
       exit 1
   | Ok log -> Surrogate.Dataset_log.entries log
 
@@ -1373,7 +1373,7 @@ let surrogate_eval_cmd =
     let entries = load_log_or_die log_path in
     match Surrogate.Model.load ~path:ckpt with
     | Error e ->
-        Format.eprintf "cannot load checkpoint %s: %s@." ckpt e;
+        Format.eprintf "cannot load checkpoint %s@." e;
         exit 1
     | Ok model ->
         let train, validation = Surrogate.Model.split entries in

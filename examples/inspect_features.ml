@@ -73,4 +73,4 @@ let () =
       | Error e -> Format.printf "  step rejected: %s@." e)
     steps;
   Format.printf "History tensor (N x 3 x tau) now encodes the schedule %s@."
-    (Schedule.to_string !state.Sched_state.applied)
+    (Schedule.to_string (Sched_state.applied !state))

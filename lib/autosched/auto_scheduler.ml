@@ -56,19 +56,23 @@ let rec product (options : int list list) : int list Seq.t =
 
 let trivial = [ Schedule.Vectorize ]
 
-(* One schedule from (par combo option, tile combo, swap option). *)
-let assemble ~prefix ~par_opt ~tile_combo ~swap_opt =
+(* A candidate's steps after its head: the tile combo, the swap option
+   and the final vectorize. *)
+let tail_steps ~tile_combo ~swap_opt =
   let steps = [ Schedule.Vectorize ] in
   let steps = match swap_opt with Some i -> Schedule.Swap i :: steps | None -> steps in
-  let steps =
-    if count_nonzero tile_combo > 0 then Schedule.Tile tile_combo :: steps else steps
-  in
-  let steps =
-    match par_opt with
-    | Some sizes when count_nonzero sizes > 0 -> Schedule.Parallelize sizes :: steps
-    | Some _ | None -> steps
-  in
-  prefix @ steps
+  if count_nonzero tile_combo > 0 then Schedule.Tile tile_combo :: steps else steps
+
+(* The whole schedule: the prefix and the par combo option, then [tail]. *)
+let with_head ~prefix ~par_opt tail =
+  prefix
+  @
+  match par_opt with
+  | Some sizes when count_nonzero sizes > 0 -> Schedule.Parallelize sizes :: tail
+  | Some _ | None -> tail
+
+let assemble ~prefix ~par_opt ~tile_combo ~swap_opt =
+  with_head ~prefix ~par_opt (tail_steps ~tile_combo ~swap_opt)
 
 type domain_space = {
   prefix : Schedule.t;
@@ -251,27 +255,32 @@ let finish r =
    or nothing) and its Parallelize step. An op has at most two spaces
    and a few hundred parallel combos, yet a search evaluates thousands
    of candidates per head, so each search applies every head once, on
-   the calling domain, and evaluates only the rest of a candidate (tile,
-   swap, vectorize) from the head's state. States are immutable, so pool
-   tasks share a head by reading it. *)
-type heads = (Schedule.t, Sched_state.t option) Hashtbl.t
+   the calling domain, and walks its nest's body once there. The rest
+   of a candidate (tile, swap, vectorize) is priced from the head's
+   walk through the steps' column maps ([Evaluator.tail_speedup]).
+   States and walks are read-only, so pool tasks share a head by
+   reading it. *)
+type heads = (Schedule.t, (Sched_state.t * Cost_model.walk) option) Hashtbl.t
 
-(* The state after [steps] (a head), [None] when they do not apply.
-   Every prefix of a head is memoized too, so a search lowers the op and
-   rewrites it to im2col once, not once per head. *)
+(* The state after [steps] (a head) and its walk, [None] when they do
+   not apply. Every prefix of a head is memoized too, so a search lowers
+   the op and rewrites it to im2col once, not once per head. *)
 let rec head_state (heads : heads) op steps =
   match Hashtbl.find_opt heads steps with
-  | Some state -> state
+  | Some head -> head
   | None ->
       let state =
         match List.rev steps with
         | [] -> Some (Sched_state.init op)
         | last :: rev_before ->
-            Option.bind (head_state heads op (List.rev rev_before)) (fun pre ->
+            Option.bind (head_state heads op (List.rev rev_before)) (fun (pre, _) ->
                 Result.to_option (Sched_state.apply pre last))
       in
-      Hashtbl.add heads steps state;
-      state
+      let head =
+        Option.map (fun state -> (state, Cost_model.walk state.Sched_state.nest)) state
+      in
+      Hashtbl.add heads steps head;
+      head
 
 let rec split_head = function
   | (Schedule.Im2col | Schedule.Parallelize _) as step :: rest ->
@@ -281,11 +290,10 @@ let rec split_head = function
 
 (* Evaluate [scheds] through the executor, candidate [k] on a fork keyed
    by stream [first + k], and record them in order. Heads are looked up
-   (and applied when new) here, in candidate order; each fork applies
-   only the candidate's remaining steps. The result is the one
-   [Evaluator.schedule_speedup] gives: the same [Sched_state.apply]
-   calls in the same order, and a candidate whose head fails is skipped
-   like any other that fails to apply. *)
+   (and applied and walked when new) here, in candidate order; each fork
+   prices only the candidate's remaining steps from the head. The result
+   is the one [Evaluator.schedule_speedup] gives, and a candidate whose
+   head fails is skipped like any other that fails to apply. *)
 let eval_schedules exec evaluator op heads r ~first scheds =
   Array.map
     (fun sched ->
@@ -295,11 +303,7 @@ let eval_schedules exec evaluator op heads r ~first scheds =
   |> Par_eval.map_forked exec evaluator ~first (fun fork (head, rest) ->
          match head with
          | None -> Error "head does not apply"
-         | Some state ->
-             List.fold_left
-               (fun acc tr -> Result.bind acc (fun s -> Sched_state.apply s tr))
-               (Ok state) rest
-             |> Result.map (Evaluator.speedup fork))
+         | Some (state, walk) -> Evaluator.tail_speedup fork state walk rest)
   |> Array.iter2 (record_result r) scheds
 
 (* -- Candidate source: exhaustive trie subtasks --
@@ -317,9 +321,10 @@ type subtask = {
   st_space : domain_space;
   st_par : int array option;
   st_par_count : int;
-  st_state : Sched_state.t option;
-      (* prefix and parallel combo applied; [None] when the Parallelize
-         step fails, which prunes the subtrie but keeps its index *)
+  st_head : (Sched_state.t * Cost_model.walk) option;
+      (* prefix and parallel combo applied, and walked; [None] when the
+         Parallelize step fails, which prunes the subtrie but keeps its
+         index *)
   st_tile_prefix : int list;  (* pinned tile choices of the leading loops *)
   st_rest_opts : int list list;  (* remaining loops' tile options *)
 }
@@ -349,7 +354,7 @@ let subtasks config op =
             (Seq.concat_map
                (fun par_opt ->
                  let effective, par_count = after_par space par_opt in
-                 let state =
+                 let head =
                    head_state heads op
                      (match par_opt with
                      | None -> space.prefix
@@ -365,7 +370,7 @@ let subtasks config op =
                        st_space = space;
                        st_par = par_opt;
                        st_par_count = par_count;
-                       st_state = state;
+                       st_head = head;
                        st_tile_prefix = tile_prefix;
                        st_rest_opts = rest_opts;
                      })
@@ -375,45 +380,30 @@ let subtasks config op =
 
 (* One subtask's leaves with their speedups on [ev], in [candidates]
    order: the unpinned tile options, the swaps and the final vectorize,
-   each transformation applied once per trie node instead of once per
-   leaf. A transformation that fails prunes its subtree — exactly the
-   candidates a from-scratch [apply_all] would have skipped, so
-   explored counts, traces and noise streams line up with
-   [search_naive]. *)
+   each leaf's tail priced from the subtask's head. A step that fails
+   skips its leaf — exactly the candidates a from-scratch [apply_all]
+   would have skipped, so explored counts, traces and noise streams
+   line up with [search_naive]. *)
 let run_subtask ev st =
-  match st.st_state with
+  match st.st_head with
   | None -> []
-  | Some after_par ->
+  | Some (state, walk) ->
       let leaves = ref [] in
       Seq.iter
         (fun rest_combo ->
           let tile_combo = Array.of_list (st.st_tile_prefix @ rest_combo) in
           if enough_tiled ~par_count:st.st_par_count tile_combo then
-            let after_tile =
-              if count_nonzero tile_combo = 0 then Ok after_par
-              else Sched_state.apply after_par (Schedule.Tile tile_combo)
-            in
-            Result.iter
-              (fun after_tile ->
-                List.iter
-                  (fun swap_opt ->
-                    let swapped =
-                      match swap_opt with
-                      | None -> Ok after_tile
-                      | Some i -> Sched_state.apply after_tile (Schedule.Swap i)
+            List.iter
+              (fun swap_opt ->
+                let tail = tail_steps ~tile_combo ~swap_opt in
+                match Evaluator.tail_speedup ev state walk tail with
+                | Error _ -> ()
+                | Ok speedup ->
+                    let sched =
+                      with_head ~prefix:st.st_space.prefix ~par_opt:st.st_par tail
                     in
-                    match
-                      Result.bind swapped (fun s -> Sched_state.apply s Schedule.Vectorize)
-                    with
-                    | Error _ -> ()
-                    | Ok final ->
-                        let sched =
-                          assemble ~prefix:st.st_space.prefix ~par_opt:st.st_par
-                            ~tile_combo ~swap_opt
-                        in
-                        leaves := (sched, Evaluator.speedup ev final) :: !leaves)
-                  st.st_space.swap_opts)
-              after_tile)
+                    leaves := (sched, speedup) :: !leaves)
+              st.st_space.swap_opts)
         (product st.st_rest_opts);
       List.rev !leaves
 
@@ -509,7 +499,10 @@ let random_key rng ds =
 let schedule_of_key ds =
   let key = ds.key and n = Array.length ds.tile_opts in
   let nslots = Array.length ds.par_opts in
-  let par = Array.init n (fun l -> if ds.slot_of.(l) < 0 then 0 else key.(1 + ds.slot_of.(l))) in
+  let par = Array.make n 0 in
+  for l = 0 to n - 1 do
+    if ds.slot_of.(l) >= 0 then par.(l) <- key.(1 + ds.slot_of.(l))
+  done;
   assemble ~prefix:ds.space.prefix ~par_opt:(Some par)
     ~tile_combo:(Array.sub key (1 + nslots) n)
     ~swap_opt:ds.swaps.(key.(Array.length key - 1))
@@ -525,14 +518,16 @@ module Seen = Hashtbl.Make (struct
   let equal (a : t) b = Array.length a = Array.length b && same a b 0
 
   (* Sizes are small and mostly powers of two, which a plain polynomial
-     hash leaves clustered in the low bits a bucket index reads; the
-     final [Hashtbl.hash] mixes them. *)
+     hash leaves clustered in the low bits a bucket index reads; a
+     splitmix-style finalizer mixes them, without a call into the
+     runtime's hash. *)
   let hash (a : t) =
     let h = ref 0 in
     for i = 0 to Array.length a - 1 do
       h := (!h * 0x100000001b3) lxor a.(i)
     done;
-    Hashtbl.hash !h
+    let h = (!h lxor (!h lsr 31)) * 0x2f58476d1ce4e5b9 in
+    h lxor (h lsr 29)
 end)
 
 type sampler = {
@@ -547,7 +542,8 @@ let sampler config op =
   {
     rng = Util.Rng.create (sampling_seed op);
     spaces = Array.of_list (List.mapi (draw_space config) (spaces config op));
-    seen = Seen.create 1024;
+    (* Sized for the budget, so the table never rehashes its keys. *)
+    seen = Seen.create (2 * config.max_schedules);
     attempts = 0;
     max_attempts = config.max_schedules * 20;
   }
@@ -648,7 +644,9 @@ let search_staged ?(config = default_config) ?ranker
   | None -> search ~config ~jobs evaluator op
   | Some rank ->
       (* The survivors are selected before any evaluation: the trivial
-         schedule is evaluated exactly anyway, so it never takes a slot. *)
+         schedule is evaluated exactly anyway, so it never takes a slot.
+         It is one candidate, so the [rerank_k + 1] best hold every
+         survivor. *)
       let rec survivors k = function
         | sched :: rest when k > 0 ->
             if Schedule.equal sched trivial then survivors k rest
@@ -657,7 +655,9 @@ let search_staged ?(config = default_config) ?ranker
       in
       let selected =
         survivors rerank_k
-          (Par_eval.rank_order rank (Array.of_list (gather_candidates config op)))
+          (Par_eval.rank_best rank
+             (Array.of_list (gather_candidates config op))
+             (if rerank_k < max_int then rerank_k + 1 else rerank_k))
       in
       Par_eval.with_executor ~jobs (fun exec ->
           let r = recorder () in

@@ -74,11 +74,11 @@ val search :
     tasks; the sampled fallback keeps its draws sequential and
     evaluates them in chunks. Both regimes start candidates from shared
     heads: a candidate's head (its im2col prefix, if any, and its
-    Parallelize step) is applied once per search, on the calling
-    domain, and each candidate applies only its remaining tile, swap
-    and vectorize steps to the head's immutable state — the same
-    {!Sched_state.apply} calls, in the same order, as applying it from
-    scratch. Each task evaluates on an
+    Parallelize step) is applied and its body walked once per search,
+    on the calling domain, and each candidate's remaining tile, swap
+    and vectorize steps are priced from the head's walk through their
+    column maps ({!Evaluator.tail_speedup}): the value, jitter draw and
+    failures of applying it from scratch. Each task evaluates on an
     {!Evaluator.fork} whose noise stream is derived from the task's
     position in the enumeration, sharing the evaluator's base-time
     cache, and results merge back in enumeration order. [jobs]

@@ -111,7 +111,7 @@ let search ?(config = default_config) ?(jobs = 1) ?pool evaluator op =
       in
       let seen = Hashtbl.create 256 in
       let remember (state : Sched_state.t) =
-        let key = Schedule.dedup_key state.Sched_state.applied in
+        let key = Schedule.dedup_key (Sched_state.applied state) in
         if Hashtbl.mem seen key then false
         else begin
           Hashtbl.add seen key ();
@@ -147,7 +147,7 @@ let search ?(config = default_config) ?(jobs = 1) ?pool evaluator op =
           (fun (child : Sched_state.t) s ->
             if s > !best_speedup then begin
               best_speedup := s;
-              best_schedule := child.Sched_state.applied @ [ Schedule.Vectorize ]
+              best_schedule := Sched_state.applied child @ [ Schedule.Vectorize ]
             end;
             children := (child, s) :: !children)
           candidates scores;

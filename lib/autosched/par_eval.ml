@@ -64,14 +64,32 @@ let map_forked exec evaluator ~first f tasks =
   Array.map fst results
 
 (* The staged search's ranker stage: [rank] predicts log-seconds for
-   every candidate in one batched call (lower = faster); candidates come
-   back fastest first, ties in input order, so the stage is
-   deterministic. *)
-let rank_order rank cands =
+   every candidate in one batched call (lower = faster); the [k] fastest
+   come back fastest first, ties in input order, so the stage is
+   deterministic. They are the first [k] of a stable sort by
+   prediction, kept by insertion into a [k]-slot array instead of
+   sorting every candidate. *)
+let rank_best rank cands k =
   let predictions = rank cands in
   if Array.length predictions <> Array.length cands then
     invalid_arg "Auto_scheduler.search_staged: ranker size mismatch";
-  (* A stable sort of indices by prediction: ties stay in input order. *)
-  let order = Array.init (Array.length cands) Fun.id in
-  Array.stable_sort (fun i j -> Float.compare predictions.(i) predictions.(j)) order;
-  Array.fold_right (fun i acc -> cands.(i) :: acc) order []
+  let k = Int.min k (Array.length cands) in
+  if k <= 0 then []
+  else begin
+    let best = Array.make k 0 and kept = ref 0 in
+    Array.iteri
+      (fun i p ->
+        if !kept < k || Float.compare p predictions.(best.(k - 1)) < 0 then begin
+          (* A full array drops its last entry. Entries that tie with [p]
+             came first and stay ahead of it. *)
+          let j = ref (Int.min !kept (k - 1)) in
+          while !j > 0 && Float.compare predictions.(best.(!j - 1)) p > 0 do
+            best.(!j) <- best.(!j - 1);
+            decr j
+          done;
+          best.(!j) <- i;
+          if !kept < k then incr kept
+        end)
+      predictions;
+    List.init !kept (fun r -> cands.(best.(r)))
+  end

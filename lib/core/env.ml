@@ -145,7 +145,7 @@ let current_speedup t =
       let now = Evaluator.state_seconds t.ev s in
       base /. now
 
-let schedule t = (state t).Sched_state.applied
+let schedule t = Sched_state.applied (state t)
 
 let measurement_seconds t = t.measurement_seconds
 let episode_measurement_seconds t = t.episode_measurement_seconds
@@ -167,7 +167,7 @@ let render t =
         s.Sched_state.original.Linalg.op_name
         (Linalg.kind_name s.Sched_state.original)
         t.steps t.cfg.Env_config.tau
-        (match s.Sched_state.applied with
+        (match Sched_state.applied s with
         | [] -> "<empty>"
         | applied -> Schedule.to_string applied)
         now base (base /. now) s.Sched_state.parallelized

@@ -71,7 +71,7 @@ let history (cfg : Env_config.t) (state : Sched_state.t) =
             (fun l p -> set l 2 s (float_of_int (p + 1) /. float_of_int n))
             perm
       | Schedule.Im2col | Schedule.Vectorize | Schedule.Unroll _ -> ())
-    state.Sched_state.applied;
+    (Sched_state.applied state);
   out
 
 let math_counts (state : Sched_state.t) =

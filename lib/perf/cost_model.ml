@@ -33,48 +33,122 @@ let[@inline] fmin (x : float) y =
   else if x = y && x <> 0.0 then x
   else Float.min x y
 
-(* A deduplicated memory reference of the nest body. References that
-   share coefficient structure and differ only in constant offsets
-   (unrolled copies, neighbouring stencil taps) are merged: their
-   footprints overlap almost entirely, so we keep one representative and
-   fold the constant spread into the per-dimension extents. *)
-type group = {
-  buf : string;
-  shape : int array;
-  idx : Affine.expr array;  (* the first occurrence's subscripts *)
-  deps : bool array;  (* per loop: does the subscript use it? *)
-  lo : int array;  (* min constant per array dim *)
-  hi : int array;  (* max constant per array dim *)
-  hash : int;  (* [Hashtbl.hash (buf, coefficient arrays)]: see [order_groups] *)
-}
+(* --- [Hashtbl.hash] of a group's key, transcribed -------------------
 
-let spread g d = g.hi.(d) - g.lo.(d)
+   The group order (see [order_groups]) is the one a table keyed by
+   [(buffer, coefficient arrays)] gives, which follows [Hashtbl.hash]
+   of that pair. A candidate priced through a column map has no such
+   pair, so the hash is computed from the coefficient table instead:
+   this is the runtime's MurmurHash3 walk over the pair on a 64-bit
+   little-endian runtime, for [Hashtbl.hash]'s limits of ten
+   meaningful values and a 100-value queue. It mixes the pair's header,
+   the buffer name, the subscript array's header, every coefficient
+   array's header and then the first nine coefficients in breadth-first
+   (row-major) order, each as its tagged word folded to 32 bits. The
+   reference model in test/cost_model_ref.ml keys a real [Hashtbl], so
+   the bit-for-bit reference test in [test_perf] holds every price's
+   group order to [Hashtbl.hash]. *)
 
-(* What one walk of the body gathers: the reference groups, the body's
-   memory operations and flops, and — when the innermost loop is a
-   vector loop — the vectorized issue cost of its references, summed in
-   walk order. Vectorized code hoists loop-invariant operands out of the
-   vector loop, and keeps the accumulator in registers across an
-   adjacent inner reduction loop (unroll-and-jam). *)
-type body = {
-  nest : Loop_nest.t;
-  mutable groups : group array;  (* the first [count], in first-occurrence order *)
-  mutable count : int;
-  mutable mem_ops : int;  (* loads + stores *)
+let mask32 = 0xffff_ffff
+let[@inline] rotl32 x k = ((x lsl k) lor (x lsr (32 - k))) land mask32
+
+(* MurmurHash3's mix of a 32-bit word [d] into [h], split in two: the
+   word's own scramble, and the step that folds a scrambled word in. *)
+let[@inline] scramble d = (rotl32 ((d * 0xcc9e2d51) land mask32) 15 * 0x1b873593) land mask32
+let[@inline] step h k = ((rotl32 (h lxor k) 13 * 5) + 0xe6546b64) land mask32
+let[@inline] mix h d = step h (scramble d)
+
+(* A block of [size] fields with tag 0. *)
+let[@inline] header size = scramble (size lsl 10)
+
+(* The int [c] as the word [d = 2c+1] folded as [(d >> 32) ^ (d >> 63) ^ d]. *)
+let[@inline] int_word c = ((c asr 31) lxor (c asr 62) lxor ((2 * c) + 1)) land mask32
+
+(* Most coefficients are 0. *)
+let scrambled_zero = scramble (int_word 0)
+
+let[@inline] byte s i = Char.code (String.unsafe_get s i)
+
+(* Little-endian 32-bit words, the last one zero-padded, then the
+   length. *)
+let mix_string h s =
+  let len = String.length s in
+  let h = ref h and i = ref 0 in
+  while !i + 4 <= len do
+    h :=
+      mix !h
+        (byte s !i
+        lor (byte s (!i + 1) lsl 8)
+        lor (byte s (!i + 2) lsl 16)
+        lor (byte s (!i + 3) lsl 24));
+    i := !i + 4
+  done;
+  if len land 3 > 0 then begin
+    let w = ref 0 in
+    for k = (len land 3) - 1 downto 0 do
+      w := (!w lsl 8) lor byte s (!i + k)
+    done;
+    h := mix !h !w
+  end;
+  !h lxor (len land mask32)
+
+let final_mix h =
+  let h = h lxor (h lsr 16) in
+  let h = (h * 0x85ebca6b) land mask32 in
+  let h = h lxor (h lsr 13) in
+  let h = (h * 0xc2b2ae35) land mask32 in
+  h lxor (h lsr 16)
+
+(* The hash state after the pair's header, [buf] and the header of an
+   array of [rank] subscripts. *)
+let key_prefix buf rank = step (mix_string (step 0 (header 2)) buf) (header rank)
+
+(* --- The walk ---------------------------------------------------------
+
+   One walk of a nest's body, loads in body order and then stores,
+   gathers what pricing needs that column maps do not change: the
+   reference groups in first-occurrence order, each reference's group
+   in walk order, flops and memory operations. A group is a buffer with
+   one set of subscript coefficients; references that differ only in
+   constant offsets (unrolled copies, neighbouring stencil taps) share
+   it, and their constant spread widens its extents. Tiling and
+   swapping map distinct coefficient arrays to distinct ones and leave
+   constants alone, so a head's walk holds for every candidate after
+   it. A walk is read-only once built: every domain pricing candidates
+   of one head reads the same walk. *)
+type walk = {
+  body : Loop_nest.stmt list;  (* for the store-replication count *)
+  arity : int;  (* loops of the walked nest *)
+  mutable count : int;  (* groups *)
+  first : Loop_nest.mem_ref array;  (* per group: its first reference *)
+  shape : int array array;  (* per group *)
+  stored : bool array;  (* per group: the body stores into its buffer *)
+  row0 : int array;
+      (* per group and one past the last: group [g]'s subscripts are
+         rows [row0.(g)] to [row0.(g+1) - 1] of the coefficient table *)
+  lo : int array;  (* per row: min constant *)
+  hi : int array;  (* per row: max constant *)
+  key : int array;  (* per group: [key_prefix] of its buffer and rank *)
+  refs : int array;  (* per reference, in walk order: its group *)
+  mutable nrefs : int;  (* loads + stores *)
   mutable flops : int;
-  vectorized : bool;
-  vec_trip : int;
-  (* The loop outside the vector loop iterates a reduction dim: an
-     accumulator stored by the body stays in a register across it. *)
-  outer_reduction : bool;
-  outer_trip : int;
-  vector_cost : float array;
-      (* one cell: a mutable float field of this record would box on
-         every add *)
 }
 
-(* A group's key is its buffer and the coefficient arrays of its
-   subscripts; two keys are equal when the polymorphic compare of
+let weight rows (r : Loop_nest.mem_ref) = if rows then Array.length r.idx else 1
+
+let rec tally_loads rows acc = function
+  | Loop_nest.Load r -> acc + weight rows r
+  | Loop_nest.Const _ -> acc
+  | Loop_nest.Binop (_, x, y) -> tally_loads rows (tally_loads rows acc x) y
+  | Loop_nest.Unop (_, x) -> tally_loads rows acc x
+
+(* The body's references ([rows = false]) or their subscripts. *)
+let rec tally rows acc = function
+  | [] -> acc
+  | Loop_nest.Store (r, e) :: rest ->
+      tally rows (tally_loads rows (acc + weight rows r) e) rest
+
+(* Two groups are one when the polymorphic compare of
    [(buf, coefficient arrays)] says so. *)
 let rec same_ints (a : int array) (b : int array) i =
   i = Array.length a || (a.(i) = b.(i) && same_ints a b (i + 1))
@@ -86,112 +160,227 @@ let rec same_coeffs (a : Affine.expr array) (b : Affine.expr array) d =
   (ca == cb || (Array.length ca = Array.length cb && same_ints ca cb 0))
   && same_coeffs a b (d + 1)
 
-let rec find_group b (r : Loop_nest.mem_ref) i =
-  if i = b.count then -1
+let rec find_group w (r : Loop_nest.mem_ref) g =
+  if g = w.count then -1
   else
-    let g = b.groups.(i) in
+    let f = w.first.(g) in
     if
-      String.equal g.buf r.buf
-      && Array.length g.idx = Array.length r.idx
-      && same_coeffs g.idx r.idx 0
-    then i
-    else find_group b r (i + 1)
-
-let new_group nest (r : Loop_nest.mem_ref) =
-  let n = Loop_nest.n_loops nest in
-  let deps = Array.make n false in
-  for i = 0 to Array.length r.idx - 1 do
-    for d = 0 to n - 1 do
-      if r.idx.(i).Affine.coeffs.(d) <> 0 then deps.(d) <- true
-    done
-  done;
-  let consts = Array.map (fun (e : Affine.expr) -> e.const) r.idx in
-  {
-    buf = r.buf;
-    shape = Loop_nest.buffer_shape nest r.buf;
-    idx = r.idx;
-    deps;
-    lo = consts;
-    hi = Array.copy consts;
-    hash = Hashtbl.hash (r.buf, Array.map (fun (e : Affine.expr) -> e.coeffs) r.idx);
-  }
-
-let push_group b g =
-  let len = Array.length b.groups in
-  if b.count = len then begin
-    let grown = Array.make (Int.max 4 (2 * len)) g in
-    Array.blit b.groups 0 grown 0 len;
-    b.groups <- grown
-  end;
-  b.groups.(b.count) <- g;
-  b.count <- b.count + 1
+      String.equal f.buf r.buf
+      && Array.length f.idx = Array.length r.idx
+      && same_coeffs f.idx r.idx 0
+    then g
+    else find_group w r (g + 1)
 
 let rec stores_into buf = function
   | [] -> false
   | Loop_nest.Store (s, _) :: rest -> String.equal s.Loop_nest.buf buf || stores_into buf rest
 
-let add_ref b (r : Loop_nest.mem_ref) =
-  b.mem_ops <- b.mem_ops + 1;
-  let i = find_group b r 0 in
+let add_ref nest w (r : Loop_nest.mem_ref) =
+  let g = find_group w r 0 in
   let g =
-    if i >= 0 then begin
-      let g = b.groups.(i) in
+    if g >= 0 then begin
+      let r0 = w.row0.(g) in
       for d = 0 to Array.length r.idx - 1 do
         let c = r.idx.(d).Affine.const in
-        if c < g.lo.(d) then g.lo.(d) <- c;
-        if c > g.hi.(d) then g.hi.(d) <- c
+        if c < w.lo.(r0 + d) then w.lo.(r0 + d) <- c;
+        if c > w.hi.(r0 + d) then w.hi.(r0 + d) <- c
       done;
       g
     end
     else begin
-      let g = new_group b.nest r in
-      push_group b g;
+      let g = w.count and rank = Array.length r.idx in
+      let r0 = w.row0.(g) in
+      w.first.(g) <- r;
+      w.shape.(g) <- Loop_nest.buffer_shape nest r.buf;
+      w.stored.(g) <- stores_into r.buf w.body;
+      w.row0.(g + 1) <- r0 + rank;
+      for d = 0 to rank - 1 do
+        let c = r.idx.(d).Affine.const in
+        w.lo.(r0 + d) <- c;
+        w.hi.(r0 + d) <- c
+      done;
+      w.key.(g) <- key_prefix r.buf rank;
+      w.count <- g + 1;
       g
     end
   in
-  if b.vectorized then begin
-    let n = Array.length g.deps in
-    b.vector_cost.(0) <-
-      b.vector_cost.(0)
-      +.
-      if not g.deps.(n - 1) then 1.0 /. float_of_int b.vec_trip
-      else if
-        b.outer_reduction
-        && (not g.deps.(n - 2))
-        && stores_into r.buf b.nest.Loop_nest.body
-      then 1.0 /. float_of_int b.outer_trip
-      else 1.0
-  end
+  w.refs.(w.nrefs) <- g;
+  w.nrefs <- w.nrefs + 1
 
-let rec walk_loads b (e : Loop_nest.sexpr) =
+let rec walk_loads nest w (e : Loop_nest.sexpr) =
   match e with
-  | Loop_nest.Load r -> add_ref b r
+  | Loop_nest.Load r -> add_ref nest w r
   | Loop_nest.Const _ -> ()
   | Loop_nest.Binop (_, x, y) ->
-      b.flops <- b.flops + 1;
-      walk_loads b x;
-      walk_loads b y
+      w.flops <- w.flops + 1;
+      walk_loads nest w x;
+      walk_loads nest w y
   | Loop_nest.Unop (_, x) ->
-      b.flops <- b.flops + 1;
-      walk_loads b x
+      w.flops <- w.flops + 1;
+      walk_loads nest w x
 
-let rec walk_stored b = function
+let rec walk_stored nest w = function
   | [] -> ()
   | Loop_nest.Store (_, e) :: rest ->
-      walk_loads b e;
-      walk_stored b rest
+      walk_loads nest w e;
+      walk_stored nest w rest
 
-let rec walk_stores b = function
+let rec walk_stores nest w = function
   | [] -> ()
   | Loop_nest.Store (r, _) :: rest ->
-      add_ref b r;
-      walk_stores b rest
+      add_ref nest w r;
+      walk_stores nest w rest
 
-(* Loads are walked before stores, each in body order, as the group
-   order and the vectorized cost sum require. *)
-let walk_body b stmts =
-  walk_stored b stmts;
-  walk_stores b stmts
+let no_ref = { Loop_nest.buf = ""; idx = [||] }
+
+(* Every array is sized by a first count of the body's references and
+   their subscripts. *)
+let walk (nest : Loop_nest.t) =
+  let refs = tally false 0 nest.body and rows = tally true 0 nest.body in
+  let w =
+    {
+      body = nest.body;
+      arity = Loop_nest.n_loops nest;
+      count = 0;
+      first = Array.make refs no_ref;
+      shape = Array.make refs [||];
+      stored = Array.make refs false;
+      row0 = Array.make (refs + 1) 0;
+      lo = Array.make rows 0;
+      hi = Array.make rows 0;
+      key = Array.make refs 0;
+      refs = Array.make refs 0;
+      nrefs = 0;
+      flops = 0;
+    }
+  in
+  walk_stored nest w nest.body;
+  walk_stores nest w nest.body;
+  w
+
+let spread w row = w.hi.(row) - w.lo.(row)
+
+(* --- The coefficient table ---------------------------------------------
+
+   Pricing reads every group's subscripts from one flat table: row
+   [row0.(g) + d] holds subscript [d] of group [g], one column per loop
+   of the priced nest, so entry [(row * n) + j] is the coefficient of
+   loop [j]. Each domain keeps its own table and pricing buffers; a
+   pricing that starts while another holds them (systhreads of one
+   domain) gets fresh ones. *)
+type scratch = {
+  mutable busy : bool;
+  mutable table : int array;
+  mutable deps : bool array;  (* (g * n) + j: does group [g] use loop [j] *)
+  mutable order : int array;  (* the groups in pricing order *)
+  mutable bucket : int array;  (* per group *)
+  mutable lines : float array;  (* per position in [order] *)
+  mutable discount : float array;  (* per position in [order] *)
+  mutable footprints : float array;  (* per region depth *)
+  mutable ext : int array;  (* per array dim *)
+  out : float array;  (* see [out_cells] *)
+}
+
+(* The cells of [out] after the six traffic cells. *)
+let out_compute = 6
+let out_parallel = 7
+let out_packing = 8
+let out_vec_eff = 9
+let out_cells = 10
+
+let fresh_scratch () =
+  {
+    busy = false;
+    table = [||];
+    deps = [||];
+    order = [||];
+    bucket = [||];
+    lines = [||];
+    discount = [||];
+    footprints = [||];
+    ext = [||];
+    out = Array.make out_cells 0.0;
+  }
+
+let scratch_key = Domain.DLS.new_key fresh_scratch
+
+(* Buffers large enough to price [w] over [n] loops, held until
+   [release]. *)
+let acquire w n =
+  let s = Domain.DLS.get scratch_key in
+  let s = if s.busy then fresh_scratch () else s in
+  s.busy <- true;
+  let rows = w.row0.(w.count) in
+  if Array.length s.table < rows * n then
+    s.table <- Array.make (Int.max (rows * n) (2 * Array.length s.table)) 0;
+  if Array.length s.deps < w.count * n then
+    s.deps <- Array.make (Int.max (w.count * n) (2 * Array.length s.deps)) false;
+  if Array.length s.order < w.count then begin
+    let len = Int.max w.count (2 * Array.length s.order) in
+    s.order <- Array.make len 0;
+    s.bucket <- Array.make len 0;
+    s.lines <- Array.make len 0.0;
+    s.discount <- Array.make len 0.0
+  end;
+  if Array.length s.footprints < n + 1 then
+    s.footprints <- Array.make (Int.max (n + 1) (2 * Array.length s.footprints)) 0.0;
+  if Array.length s.ext < rows then
+    s.ext <- Array.make (Int.max rows (2 * Array.length s.ext)) 0;
+  s
+
+let release s = s.busy <- false
+
+(* The table of the walked nest itself. *)
+let fill_walked w s =
+  let n = w.arity and tbl = s.table and deps = s.deps in
+  for g = 0 to w.count - 1 do
+    let idx = w.first.(g).Loop_nest.idx and r0 = w.row0.(g) in
+    for j = 0 to n - 1 do
+      deps.((g * n) + j) <- false
+    done;
+    for d = 0 to Array.length idx - 1 do
+      let c = idx.(d).Affine.coeffs and base = (r0 + d) * n in
+      for j = 0 to n - 1 do
+        let v = c.(j) in
+        tbl.(base + j) <- v;
+        if v <> 0 then deps.((g * n) + j) <- true
+      done
+    done
+  done
+
+(* The table of the walked nest's subscripts after [map]. *)
+let fill_mapped w s { Loop_transforms.src; factor } =
+  let n = Array.length src and tbl = s.table and deps = s.deps in
+  for g = 0 to w.count - 1 do
+    let idx = w.first.(g).Loop_nest.idx and r0 = w.row0.(g) in
+    for j = 0 to n - 1 do
+      deps.((g * n) + j) <- false
+    done;
+    for d = 0 to Array.length idx - 1 do
+      let c = idx.(d).Affine.coeffs and base = (r0 + d) * n in
+      for j = 0 to n - 1 do
+        let v = factor.(j) * c.(src.(j)) in
+        tbl.(base + j) <- v;
+        if v <> 0 then deps.((g * n) + j) <- true
+      done
+    done
+  done
+
+(* Does a subscript of group [g] use loop [j]? *)
+let uses s n g j = s.deps.((g * n) + j)
+
+(* [row_header] is [header n]. *)
+let group_hash w tbl n row_header g =
+  let r0 = w.row0.(g) and r1 = w.row0.(g + 1) in
+  let h = ref w.key.(g) in
+  for _ = r0 to r1 - 1 do
+    h := step !h row_header
+  done;
+  for k = r0 * n to Int.min (r1 * n) ((r0 * n) + 9) - 1 do
+    let c = tbl.(k) in
+    h := step !h (if c = 0 then scrambled_zero else scramble (int_word c))
+  done;
+  final_mix !h land 0x3fff_ffff
 
 (* The group order fixes the float sums over groups, so it is part of
    every price. It is the order in which a [Hashtbl.create ~random:false
@@ -199,24 +388,27 @@ let walk_body b stmts =
    list: by bucket [hash land (size - 1)] from the highest bucket down,
    and by first occurrence within a bucket, where [size] starts at 16
    and doubles while the group count exceeds twice it. A stable
-   insertion sort by bucket gives it from first-occurrence order; each
-   key is hashed once, with the unseeded hash, so the order does not
-   depend on OCAMLRUNPARAM's [R] flag. *)
-let order_groups groups count =
+   insertion sort of the group indices by bucket gives it from
+   first-occurrence order; each key is hashed once, with the unseeded
+   hash, so the order does not depend on OCAMLRUNPARAM's [R] flag. *)
+let order_groups w tbl n s =
+  let count = w.count and order = s.order and bucket = s.bucket in
   let size = ref 16 in
   while count > 2 * !size do
     size := 2 * !size
   done;
-  let mask = !size - 1 in
-  for i = 1 to count - 1 do
-    let g = groups.(i) in
-    let bucket = g.hash land mask in
+  let mask = !size - 1 and row_header = header n in
+  for g = 0 to count - 1 do
+    bucket.(g) <- group_hash w tbl n row_header g land mask
+  done;
+  for i = 0 to count - 1 do
+    let b = bucket.(i) in
     let j = ref (i - 1) in
-    while !j >= 0 && groups.(!j).hash land mask < bucket do
-      groups.(!j + 1) <- groups.(!j);
+    while !j >= 0 && bucket.(order.(!j)) < b do
+      order.(!j + 1) <- order.(!j);
       decr j
     done;
-    groups.(!j + 1) <- g
+    order.(!j + 1) <- i
   done
 
 (* Distinct stores: by buffer and subscripts, coefficients and
@@ -227,10 +419,10 @@ let rec distinct_stores = function
       let repeated = List.exists (fun (Loop_nest.Store (r', _)) -> r' = r) rest in
       (if repeated then 0 else 1) + distinct_stores rest
 
-(* Distinct lines of [g] at every region depth (loops depth..n-1
+(* Distinct lines of group [g] at every region depth (loops depth..n-1
    iterating, the others fixed), each depth's bytes added to
    [footprints.(depth)], and the whole nest's lines (depth 0) returned
-   in [base.(i)]. One innermost-first sweep keeps, per array dim, the
+   in [lines.(i)]. One innermost-first sweep keeps, per array dim, the
    bounding-box extent of the region as a running integer sum over the
    loops in [ext]; integer sums are exact, so this is bit-identical to
    recomputing every depth from scratch, and the footprint sums add the
@@ -241,33 +433,35 @@ let rec distinct_stores = function
    stride-8 access). A group dense over the whole nest, or one of rank
    0, is a hardware-prefetched stream: [discount.(i)] gets its latency
    multiplier. *)
-let add_lines ~elems_per_line ~line_bytes trips footprints base discount ext i g =
-  let n = Array.length trips in
-  let nd = Array.length g.shape in
+let add_lines ~elems_per_line ~line_bytes w tbl (loops : Loop_nest.loop array) s i g =
+  let n = Array.length loops in
+  let footprints = s.footprints and ext = s.ext in
+  let shape = w.shape.(g) and r0 = w.row0.(g) in
+  let nd = Array.length shape in
   if nd = 0 then begin
     for depth = 0 to n do
       footprints.(depth) <- footprints.(depth) +. (1.0 *. line_bytes)
     done;
-    base.(i) <- 1.0;
-    discount.(i) <- prefetch_discount
+    s.lines.(i) <- 1.0;
+    s.discount.(i) <- prefetch_discount
   end
   else begin
     let last = nd - 1 in
-    let max_step = spread g last + 1 in
+    let max_step = spread w (r0 + last) + 1 in
     for d = 0 to last do
-      ext.(d) <- 1 + spread g d
+      ext.(d) <- 1 + spread w (r0 + d)
     done;
     let dense = ref false in
     for depth = n downto 0 do
       if depth < n then begin
+        let trip = loops.(depth).Loop_nest.ub in
         for d = 0 to last do
-          ext.(d) <-
-            ext.(d) + (abs g.idx.(d).Affine.coeffs.(depth) * (trips.(depth) - 1))
+          ext.(d) <- ext.(d) + (abs tbl.(((r0 + d) * n) + depth) * (trip - 1))
         done;
-        let c = abs g.idx.(last).Affine.coeffs.(depth) in
+        let c = abs tbl.(((r0 + last) * n) + depth) in
         if c >= 1 && c <= max_step then dense := true
       end;
-      let last_extent = Int.min ext.(last) g.shape.(last) in
+      let last_extent = Int.min ext.(last) shape.(last) in
       let last_lines =
         if !dense then
           float_of_int ((last_extent + elems_per_line - 1) / elems_per_line)
@@ -275,13 +469,13 @@ let add_lines ~elems_per_line ~line_bytes trips footprints base discount ext i g
       in
       let other = ref 1.0 in
       for d = 0 to last - 1 do
-        other := !other *. float_of_int (Int.min ext.(d) g.shape.(d))
+        other := !other *. float_of_int (Int.min ext.(d) shape.(d))
       done;
       let lines = fmax 1.0 (!other *. last_lines) in
       footprints.(depth) <- footprints.(depth) +. (lines *. line_bytes);
-      if depth = 0 then base.(i) <- lines
+      if depth = 0 then s.lines.(i) <- lines
     done;
-    discount.(i) <- (if !dense then prefetch_discount else 1.0)
+    s.discount.(i) <- (if !dense then prefetch_discount else 1.0)
   end
 
 (* Miss lines brought into L1, L2 and L3, and the cycles they cost: the
@@ -289,26 +483,26 @@ let add_lines ~elems_per_line ~line_bytes trips footprints base discount ext i g
    group does not depend on whenever the working set inside that loop
    exceeds the level's cache; summed in group order into [out.(0..5)],
    lines then cycles per level. *)
-let charge (machine : Machine.t) groups count base discount footprints trips out =
-  let n = Array.length trips in
+let charge (machine : Machine.t) w (loops : Loop_nest.loop array) s =
+  let n = Array.length loops and out = s.out and footprints = s.footprints in
   let limit (c : Machine.cache) = fit_fraction *. float_of_int c.Machine.size_bytes in
   let limit1 = limit machine.l1 and limit2 = limit machine.l2 in
   let limit3 = limit machine.l3 in
   let lat1 = machine.l2.latency_cycles and lat2 = machine.l3.latency_cycles in
   let lat3 = machine.mem_latency_cycles in
-  for i = 0 to count - 1 do
-    let deps = groups.(i).deps in
+  for i = 0 to w.count - 1 do
+    let g = s.order.(i) in
     let f1 = ref 1.0 and f2 = ref 1.0 and f3 = ref 1.0 in
     for d = 0 to n - 1 do
       (* the working set of loops d+1..n-1 does not fit comfortably *)
-      if not deps.(d) then begin
-        let fp = footprints.(d + 1) and trip = float_of_int trips.(d) in
+      if not (uses s n g d) then begin
+        let fp = footprints.(d + 1) and trip = float_of_int loops.(d).Loop_nest.ub in
         if not (fp <= limit1) then f1 := !f1 *. trip;
         if not (fp <= limit2) then f2 := !f2 *. trip;
         if not (fp <= limit3) then f3 := !f3 *. trip
       end
     done;
-    let lines = base.(i) and disc = discount.(i) in
+    let lines = s.lines.(i) and disc = s.discount.(i) in
     let l1 = lines *. !f1 and l2 = lines *. !f2 and l3 = lines *. !f3 in
     out.(0) <- out.(0) +. l1;
     out.(1) <- out.(1) +. (l1 *. lat1 *. disc);
@@ -318,18 +512,43 @@ let charge (machine : Machine.t) groups count base discount footprints trips out
     out.(5) <- out.(5) +. (l3 *. lat3 *. disc)
   done
 
-(* Flat element stride of [g] when loop [d] advances by one. *)
-let stride_wrt g d =
+(* Flat element stride of group [g] when loop [d] advances by one. *)
+let stride_wrt w tbl n g d =
+  let shape = w.shape.(g) and r0 = w.row0.(g) in
   let s = ref 0 and stride = ref 1 in
-  for i = Array.length g.shape - 1 downto 0 do
-    s := !s + (g.idx.(i).Affine.coeffs.(d) * !stride);
-    stride := !stride * g.shape.(i)
+  for i = Array.length shape - 1 downto 0 do
+    s := !s + (tbl.(((r0 + i) * n) + d) * !stride);
+    stride := !stride * shape.(i)
   done;
   !s
 
-let reduction_at ~(iter_kinds : Linalg.iter_kind array) (nest : Loop_nest.t) d =
-  let origin = nest.loops.(d).Loop_nest.origin in
+let reduction_at ~(iter_kinds : Linalg.iter_kind array) (loops : Loop_nest.loop array) d =
+  let origin = loops.(d).Loop_nest.origin in
   origin < Array.length iter_kinds && iter_kinds.(origin) = Linalg.Reduction_iter
+
+(* The vectorized issue cost of the references, summed in walk order.
+   Vectorized code hoists loop-invariant operands out of the vector
+   loop, and keeps the accumulator in registers across an adjacent
+   inner reduction loop (unroll-and-jam). *)
+let vector_cost ~iter_kinds w s (loops : Loop_nest.loop array) =
+  let n = Array.length loops in
+  let vec_trip = loops.(n - 1).Loop_nest.ub in
+  (* The loop outside the vector loop iterates a reduction dim: an
+     accumulator stored by the body stays in a register across it. *)
+  let outer_reduction = n >= 2 && reduction_at ~iter_kinds loops (n - 2) in
+  let outer_trip = if n >= 2 then loops.(n - 2).Loop_nest.ub else 1 in
+  let cost = ref 0.0 in
+  for k = 0 to w.nrefs - 1 do
+    let g = w.refs.(k) in
+    cost :=
+      !cost
+      +.
+      if not (uses s n g (n - 1)) then 1.0 /. float_of_int vec_trip
+      else if outer_reduction && (not (uses s n g (n - 2))) && w.stored.(g)
+      then 1.0 /. float_of_int outer_trip
+      else 1.0
+  done;
+  !cost
 
 (* Parallel-region forks: the iterations of the loops outside the first
    parallel loop, 0 without one. *)
@@ -338,50 +557,30 @@ let rec launches_from (loops : Loop_nest.loop array) d acc =
   else if loops.(d).Loop_nest.kind = Loop_nest.Parallel then acc
   else launches_from loops (d + 1) (acc * loops.(d).Loop_nest.ub)
 
-(* The cells of [price]'s [out] after the six traffic cells. *)
-let out_compute = 6
-let out_parallel = 7
-let out_packing = 8
-let out_vec_eff = 9
-let out_cells = 10
-
-(* The one pricing path of [estimate] and [seconds]: returns the
-   seconds, and leaves the other report numbers in [out]. *)
-let price ~(machine : Machine.t) ~iter_kinds ~packing_elements
-    (nest : Loop_nest.t) out =
-  let n = Loop_nest.n_loops nest in
-  let trips = Loop_nest.trip_counts nest in
+(* The one pricing path: [w] priced over [loops], with the subscripts in
+   the table of [s]. Returns the seconds and leaves the other report
+   numbers in [s.out]. *)
+let price ~(machine : Machine.t) ~iter_kinds ~packing_elements w
+    (loops : Loop_nest.loop array) s =
+  let n = Array.length loops and count = w.count in
+  let tbl = s.table and out = s.out in
+  for c = 0 to 5 do
+    out.(c) <- 0.0
+  done;
   let total_iters = ref 1.0 in
   for d = 0 to n - 1 do
-    total_iters := !total_iters *. float_of_int trips.(d)
+    total_iters := !total_iters *. float_of_int loops.(d).Loop_nest.ub
   done;
   let total_iters = !total_iters in
-  (* --- one walk of the body: loads, then stores --- *)
-  let vectorized = n > 0 && nest.loops.(n - 1).Loop_nest.kind = Loop_nest.Vector in
-  let vec_trip = if n > 0 then trips.(n - 1) else 1 in
-  let body =
-    {
-      nest;
-      groups = [||];
-      count = 0;
-      mem_ops = 0;
-      flops = 0;
-      vectorized;
-      vec_trip;
-      outer_reduction = vectorized && n >= 2 && reduction_at ~iter_kinds nest (n - 2);
-      outer_trip = (if n >= 2 then trips.(n - 2) else 1);
-      vector_cost = [| 0.0 |];
-    }
-  in
-  walk_body body nest.body;
-  let groups = body.groups and count = body.count in
-  order_groups groups count;
+  order_groups w tbl n s;
   (* --- vectorization --- *)
+  let vectorized = n > 0 && loops.(n - 1).Loop_nest.kind = Loop_nest.Vector in
+  let vec_trip = if n > 0 then loops.(n - 1).Loop_nest.ub else 1 in
   let contiguous = ref true in
   if vectorized then
-    for i = 0 to count - 1 do
-      let g = groups.(i) in
-      if g.deps.(n - 1) && abs (stride_wrt g (n - 1)) > 1 then contiguous := false
+    for g = 0 to count - 1 do
+      if uses s n g (n - 1) && abs (stride_wrt w tbl n g (n - 1)) > 1 then
+        contiguous := false
     done;
   let vec_eff =
     if not vectorized then 0.0
@@ -392,9 +591,10 @@ let price ~(machine : Machine.t) ~iter_kinds ~packing_elements
       lane_fill *. if !contiguous then 1.0 else 0.3
   in
   (* --- issue model --- *)
-  let flops = float_of_int body.flops in
+  let flops = float_of_int w.flops in
   let mem_ops =
-    if vectorized then body.vector_cost.(0) else float_of_int body.mem_ops
+    if vectorized then vector_cost ~iter_kinds w s loops
+    else float_of_int w.nrefs
   in
   let flop_rate =
     if vectorized then
@@ -410,7 +610,7 @@ let price ~(machine : Machine.t) ~iter_kinds ~packing_elements
   let issue = fmax (flops /. flop_rate) (mem_ops /. load_rate) in
   (* Loop-carried reduction chain: innermost loop iterating a reduction
      dim serializes the accumulator updates. *)
-  let innermost_is_reduction = n > 0 && reduction_at ~iter_kinds nest (n - 1) in
+  let innermost_is_reduction = n > 0 && reduction_at ~iter_kinds loops (n - 1) in
   let chain =
     if innermost_is_reduction && flops > 0.0 then
       if vectorized then
@@ -424,10 +624,10 @@ let price ~(machine : Machine.t) ~iter_kinds ~packing_elements
            accumulator in a register between them: several stores to
            the same ref mean it is register-promoted across the unrolled
            copies (one memory round-trip per iteration instead of one
-           per copy). *)
+           per copy). Column maps keep equal stores equal and distinct
+           ones distinct, so the walked body gives the count. *)
         let replication =
-          Int.max 1
-            (List.length nest.body / Int.max 1 (distinct_stores nest.body))
+          Int.max 1 (List.length w.body / Int.max 1 (distinct_stores w.body))
         in
         (machine.fma_latency_cycles *. float_of_int replication)
         +. (2.0 *. machine.l1.latency_cycles)
@@ -443,18 +643,13 @@ let price ~(machine : Machine.t) ~iter_kinds ~packing_elements
   (* --- memory hierarchy traffic --- *)
   let line_bytes = float_of_int machine.l1.line_bytes in
   let elems_per_line = machine.l1.line_bytes / machine.elem_bytes in
-  let footprints = Array.make (n + 1) 0.0 in
-  let base = Array.make count 0.0 and discount = Array.make count 0.0 in
-  let max_rank = ref 0 in
-  for i = 0 to count - 1 do
-    max_rank := Int.max !max_rank (Array.length groups.(i).shape)
+  for d = 0 to n do
+    s.footprints.(d) <- 0.0
   done;
-  let ext = Array.make !max_rank 0 in
   for i = 0 to count - 1 do
-    add_lines ~elems_per_line ~line_bytes trips footprints base discount ext i
-      groups.(i)
+    add_lines ~elems_per_line ~line_bytes w tbl loops s i s.order.(i)
   done;
-  charge machine groups count base discount footprints trips out;
+  charge machine w loops s;
   let l3_lines = out.(4) and l3_cycles = out.(5) in
   (* Streaming DRAM floor: bytes cannot move faster than bandwidth. *)
   let mem_bytes = l3_lines *. float_of_int machine.l1.line_bytes in
@@ -466,11 +661,11 @@ let price ~(machine : Machine.t) ~iter_kinds ~packing_elements
   (* --- parallelism --- *)
   let par_iters = ref 1 in
   for d = 0 to n - 1 do
-    let l = nest.loops.(d) in
+    let l = loops.(d) in
     if l.Loop_nest.kind = Loop_nest.Parallel then par_iters := !par_iters * l.Loop_nest.ub
   done;
   let par_iters = !par_iters in
-  let launches = launches_from nest.loops 0 1 in
+  let launches = launches_from loops 0 1 in
   let parallel_factor =
     if par_iters <= 1 then 1.0
     else begin
@@ -506,10 +701,26 @@ let price ~(machine : Machine.t) ~iter_kinds ~packing_elements
   out.(out_vec_eff) <- vec_eff;
   core_seconds +. mem_seconds +. launch_seconds +. packing_seconds
 
-let estimate ~machine ~iter_kinds ?(packing_elements = 0) (nest : Loop_nest.t) =
-  let out = Array.make out_cells 0.0 in
-  let seconds = price ~machine ~iter_kinds ~packing_elements nest out in
-  let n = Loop_nest.n_loops nest in
+let seconds_walked ~machine ~iter_kinds ~packing_elements w loops map =
+  let s = acquire w (Array.length loops) in
+  match
+    (match map with
+    | None -> fill_walked w s
+    | Some map -> fill_mapped w s map);
+    price ~machine ~iter_kinds ~packing_elements w loops s
+  with
+  | seconds ->
+      release s;
+      seconds
+  | exception e ->
+      release s;
+      raise e
+
+let seconds ~machine ~iter_kinds ?(packing_elements = 0) (nest : Loop_nest.t) =
+  seconds_walked ~machine ~iter_kinds ~packing_elements (walk nest) nest.loops None
+
+let report s seconds (loops : Loop_nest.loop array) =
+  let out = s.out and n = Array.length loops in
   {
     seconds;
     compute_cycles = out.(out_compute);
@@ -520,11 +731,22 @@ let estimate ~machine ~iter_kinds ?(packing_elements = 0) (nest : Loop_nest.t) =
         { level = "l3"; miss_lines = out.(4); cycles = out.(5) };
       ];
     parallel_factor = out.(out_parallel);
-    launches = launches_from nest.loops 0 1;
+    launches = launches_from loops 0 1;
     packing_seconds = out.(out_packing);
-    vectorized = n > 0 && nest.loops.(n - 1).Loop_nest.kind = Loop_nest.Vector;
+    vectorized = n > 0 && loops.(n - 1).Loop_nest.kind = Loop_nest.Vector;
     vector_efficiency = out.(out_vec_eff);
   }
 
-let seconds ~machine ~iter_kinds ?(packing_elements = 0) nest =
-  price ~machine ~iter_kinds ~packing_elements nest (Array.make out_cells 0.0)
+let estimate ~machine ~iter_kinds ?(packing_elements = 0) (nest : Loop_nest.t) =
+  let w = walk nest in
+  let s = acquire w (Loop_nest.n_loops nest) in
+  match
+    fill_walked w s;
+    report s (price ~machine ~iter_kinds ~packing_elements w nest.loops s) nest.loops
+  with
+  | r ->
+      release s;
+      r
+  | exception e ->
+      release s;
+      raise e

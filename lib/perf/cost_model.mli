@@ -55,3 +55,26 @@ val seconds :
   Loop_nest.t ->
   float
 (** [seconds] is [(estimate ...).seconds]. *)
+
+type walk
+(** One walk of a nest's body: its reference groups in first-occurrence
+    order, each reference's group and whether the body stores into its
+    buffer, its flops and memory operations. Read-only once built, so
+    one walk may be priced from several domains at once. *)
+
+val walk : Loop_nest.t -> walk
+
+val seconds_walked :
+  machine:Machine.t ->
+  iter_kinds:Linalg.iter_kind array ->
+  packing_elements:int ->
+  walk ->
+  Loop_nest.loop array ->
+  Loop_transforms.column_map option ->
+  float
+(** [seconds_walked ~machine ~iter_kinds ~packing_elements (walk nest)
+    loops map] is [seconds] of the nest whose loops are [loops] and
+    whose subscripts are [nest]'s rewritten through [map] ([None]: as
+    they are), without building that nest. [map] must keep distinct
+    subscripts distinct and constants as they are, as
+    {!Loop_transforms.tile_plan} and {!Loop_transforms.swap_plan} do. *)

@@ -10,7 +10,7 @@
    measurement path train, autosched and serve all share. *)
 
 let sanitize_state (state : Sched_state.t) =
-  if state.Sched_state.applied = [] then None
+  if state.Sched_state.history = [] then None
   else begin
     let reference = Lower.to_loop_nest state.Sched_state.original in
     let ref_digest = Loop_nest.digest reference in
@@ -41,7 +41,7 @@ let sanitize_state (state : Sched_state.t) =
           Printf.eprintf
             "[sanitize] differential violation on %s (schedule %s): %s\n%!"
             state.Sched_state.original.Linalg.op_name
-            (Schedule.to_string state.Sched_state.applied)
+            (Schedule.to_string (Sched_state.applied state))
             msg
       | _ -> ());
       Some outcome

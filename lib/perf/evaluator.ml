@@ -141,6 +141,55 @@ let speedup t state =
 let schedule_speedup t op sched =
   Result.map (speedup t) (Sched_state.apply_all op sched)
 
+(* The loops and column map after [steps], without a nest: [None] when
+   a step is not a tile, a swap or a final vectorize. A failing step is
+   the [Error] [Sched_state.apply] gives for it. *)
+let rec plan_tail loops map = function
+  | [] -> Some (Ok (loops, map))
+  | [ Schedule.Vectorize ] ->
+      Some (Result.map (fun loops -> (loops, map)) (Loop_transforms.vectorize_loops loops))
+  | Schedule.Tile sizes :: rest -> then_plan (Loop_transforms.tile_plan sizes loops) map rest
+  | Schedule.Swap i :: rest -> then_plan (Loop_transforms.swap_plan i loops) map rest
+  | _ -> None
+
+and then_plan step map rest =
+  match step with
+  | Error e -> Some (Error e)
+  | Ok (loops, m) ->
+      plan_tail loops
+        (Some (match map with None -> m | Some first -> Loop_transforms.compose first m))
+        rest
+
+let speedup_on_states t head steps =
+  Result.map (speedup t)
+    (List.fold_left
+       (fun acc tr -> Result.bind acc (fun s -> Sched_state.apply s tr))
+       (Ok head) steps)
+
+let tail_speedup t (head : Sched_state.t) walk steps =
+  (* Whatever reads states — the tap, the sanitizer, the verifier,
+     certificates — gets them. *)
+  if
+    head.Sched_state.vectorized || Option.is_some t.measure_hook
+    || Sanitizer.enabled () || Verifier.enabled () || Sched_state.certify_enabled ()
+  then speedup_on_states t head steps
+  else
+    match plan_tail head.Sched_state.nest.Loop_nest.loops None steps with
+    | None -> speedup_on_states t head steps
+    | Some (Error e) -> Error e
+    | Some (Ok (loops, map)) ->
+        let base = base_seconds t head.Sched_state.original in
+        t.explored <- t.explored + 1;
+        if t.measure_delay_s > 0.0 then Unix.sleepf t.measure_delay_s;
+        let s =
+          jitter t
+            (Cost_model.seconds_walked ~machine:t.machine
+               ~iter_kinds:head.Sched_state.op.Linalg.iter_kinds
+               ~packing_elements:head.Sched_state.packing_elements walk loops map)
+        in
+        let cap = timeout_factor *. base in
+        Ok (base /. if s > cap then cap else s)
+
 let explored t = t.explored
 let set_explored t n = t.explored <- n
 let noise_state t = Util.Rng.state t.noise_rng

@@ -66,6 +66,18 @@ val speedup : t -> Sched_state.t -> float
 val schedule_speedup : t -> Linalg.t -> Schedule.t -> (float, string) result
 (** Apply a whole schedule and return its speedup. *)
 
+val tail_speedup :
+  t -> Sched_state.t -> Cost_model.walk -> Schedule.t -> (float, string) result
+(** [tail_speedup t head (Cost_model.walk head.nest) steps] is
+    [Result.map (speedup t)] of [steps] applied to [head] with
+    {!Sched_state.apply}: the same value, [explored] count, jitter draw
+    and [Error]. When [steps] are tiles and swaps with at most a final
+    vectorize, it prices [head]'s walk through their column maps
+    ({!Cost_model.seconds_walked}) and builds no state. It applies the
+    steps to states, as {!speedup} needs them, when something reads
+    states: the measurement tap, the sanitizer, the verifier or
+    legality certificates. *)
+
 val explored : t -> int
 (** Number of [state_seconds]/[measure] calls so far — the "schedules
     explored" counter used by the Figure 6 search-efficiency bench. *)

@@ -99,7 +99,7 @@ let attach t evaluator =
            Features.assemble ~machine:machine_blk
              ~op:
                (Features.cached_op_block fcache state.Sched_state.original)
-             ~sched:(Features.schedule_block state.Sched_state.applied)
+             ~sched:(Features.schedule_block (Sched_state.applied state))
          in
          ignore
            (add t

@@ -96,8 +96,12 @@ let op_block (op : Linalg.t) =
   out
 
 (* log2(size)/8 for transformation sizes, like the observation's history
-   block (sizes are <= 256). *)
-let size_norm size = if size <= 0 then 0.0 else log2 (float_of_int size) /. 8.0
+   block (sizes are <= 256), from a table of the same values for those. *)
+let size_norm_of size = log2 (float_of_int size) /. 8.0
+let size_norms = Array.init 257 (fun size -> if size <= 0 then 0.0 else size_norm_of size)
+
+let size_norm size =
+  if size <= 0 then 0.0 else if size <= 256 then size_norms.(size) else size_norm_of size
 
 let set_sizes out off sizes =
   for l = 0 to Int.min max_dims (Array.length sizes) - 1 do
@@ -138,7 +142,10 @@ let rec encode_steps out pos n = function
    loops: no closure per step or per size. *)
 let schedule_block_into (out : float array) (sched : Schedule.t) =
   Array.fill out 0 schedule_dim 0.0;
-  let pos = Array.init max_dims Fun.id in
+  let pos = Array.make max_dims 0 in
+  for j = 1 to max_dims - 1 do
+    pos.(j) <- j
+  done;
   let n_steps = encode_steps out pos 0 sched in
   for j = 0 to max_dims - 1 do
     out.((2 * max_dims) + j) <- float_of_int pos.(j) /. 8.0

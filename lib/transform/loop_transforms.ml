@@ -16,16 +16,60 @@ let rec distinct_suffix loops i =
   if i < 0 || seen_after loops loops.(i).Loop_nest.origin (i + 1) then i + 1
   else distinct_suffix loops (i - 1)
 
-let point_band_start (nest : Loop_nest.t) =
-  distinct_suffix nest.loops (Array.length nest.loops - 1)
+let band_start (loops : Loop_nest.loop array) =
+  distinct_suffix loops (Array.length loops - 1)
+
+let point_band_start (nest : Loop_nest.t) = band_start nest.loops
 
 let point_band (nest : Loop_nest.t) =
   let p0 = point_band_start nest in
   Array.sub nest.loops p0 (Array.length nest.loops - p0)
 
-let tile ?(parallel = false) sizes (nest : Loop_nest.t) =
-  let n = Array.length nest.loops in
-  let p0 = point_band_start nest in
+type column_map = { src : int array; factor : int array }
+
+let compose first second =
+  let m = Array.length second.src in
+  let src = Array.make m 0 and factor = Array.make m 0 in
+  for j = 0 to m - 1 do
+    let s = second.src.(j) in
+    src.(j) <- first.src.(s);
+    factor.(j) <- second.factor.(j) * first.factor.(s)
+  done;
+  { src; factor }
+
+let rec unchanged map c j =
+  j = Array.length map.src
+  || (map.factor.(j) * c.(map.src.(j)) = c.(j) && unchanged map c (j + 1))
+
+(* The subscript [map] makes of [e], which has [arity] columns. A
+   subscript the map leaves unchanged is kept as it is. *)
+let remap ~arity ({ src; factor } as map) (e : Affine.expr) =
+  let c = e.Affine.coeffs in
+  if Array.length c <> arity then
+    invalid_arg "Loop_transforms: subscript arity mismatch";
+  let m = Array.length src in
+  if m = arity && unchanged map c 0 then e
+  else begin
+    let c' = Array.make m 0 in
+    for j = 0 to m - 1 do
+      c'.(j) <- factor.(j) * c.(src.(j))
+    done;
+    { e with Affine.coeffs = c' }
+  end
+
+(* The nest with [plan]'s loops, every subscript rewritten through its
+   column map. *)
+let rebuild plan (nest : Loop_nest.t) =
+  Result.map
+    (fun (loops, map) ->
+      Loop_nest.map_body_exprs
+        (remap ~arity:(Array.length nest.loops) map)
+        { nest with Loop_nest.loops })
+    (plan nest.loops)
+
+let tile_plan ?(parallel = false) sizes (loops : Loop_nest.loop array) =
+  let n = Array.length loops in
+  let p0 = band_start loops in
   let point_count = n - p0 in
   if Array.length sizes <> point_count then
     Error
@@ -39,7 +83,7 @@ let tile ?(parallel = false) sizes (nest : Loop_nest.t) =
     for rel = 0 to point_count - 1 do
       let t = sizes.(rel) in
       if t > 0 then begin
-        let ub = nest.loops.(p0 + rel).Loop_nest.ub in
+        let ub = loops.(p0 + rel).Loop_nest.ub in
         if t > ub || ub mod t <> 0 then
           bad :=
             Some (Printf.sprintf "tile: size %d does not divide trip count %d" t ub)
@@ -52,51 +96,41 @@ let tile ?(parallel = false) sizes (nest : Loop_nest.t) =
         let k = Array.fold_left (fun k t -> if t > 0 then k + 1 else k) 0 sizes in
         let new_n = n + k in
         (* The outer loops, then the tile band (one tile loop per tiled
-           point loop, in point order), then the point band. [tile_pos]
-           is each tiled rel's loop in the tile band, else -1. *)
-        let new_loops = Array.make new_n nest.loops.(p0) in
-        Array.blit nest.loops 0 new_loops 0 p0;
-        let tile_pos = Array.make point_count (-1) in
+           point loop, in point order), then the point band. An outer
+           column keeps its index and point column [rel] moves to
+           [p0+k+rel]; a tiled one also puts [size] times itself on its
+           tile loop. Every new column reads one old column, which is
+           [Affine.substitute] over [d -> size*tile + point]. *)
+        let new_loops = Array.make new_n loops.(p0) in
+        let src = Array.make new_n 0 and factor = Array.make new_n 1 in
+        for j = 0 to p0 - 1 do
+          new_loops.(j) <- loops.(j);
+          src.(j) <- j
+        done;
         let r = ref 0 in
         for rel = 0 to point_count - 1 do
-          let l = nest.loops.(p0 + rel) in
+          let l = loops.(p0 + rel) in
           let size = sizes.(rel) in
+          src.(p0 + k + rel) <- p0 + rel;
           if size > 0 then begin
-            tile_pos.(rel) <- p0 + !r;
-            new_loops.(p0 + !r) <-
+            let t = p0 + !r in
+            new_loops.(t) <-
               {
                 Loop_nest.ub = l.Loop_nest.ub / size;
                 kind = (if parallel then Loop_nest.Parallel else Loop_nest.Seq);
                 origin = l.Loop_nest.origin;
               };
+            src.(t) <- p0 + rel;
+            factor.(t) <- size;
             new_loops.(p0 + k + rel) <- { l with Loop_nest.ub = size };
             incr r
           end
           else new_loops.(p0 + k + rel) <- l
         done;
-        (* Remap coefficients directly, as [interchange] does: an outer
-           dim keeps its index, point dim [rel] moves to [p0+k+rel], and
-           a tiled one also puts [size*c] on its tile loop. Every target
-           receives one source coefficient, so this is exactly
-           [Affine.substitute] over [d -> size*tile + point] without its
-           per-coefficient temporaries. *)
-        let remap (e : Affine.expr) =
-          let c = e.Affine.coeffs in
-          if Array.length c <> n then
-            invalid_arg "Loop_transforms.tile: subscript arity mismatch";
-          let c' = Array.make new_n 0 in
-          Array.blit c 0 c' 0 p0;
-          for rel = 0 to point_count - 1 do
-            let v = c.(p0 + rel) in
-            c'.(p0 + k + rel) <- v;
-            if tile_pos.(rel) >= 0 then c'.(tile_pos.(rel)) <- sizes.(rel) * v
-          done;
-          { e with Affine.coeffs = c' }
-        in
-        Ok
-          (Loop_nest.map_body_exprs remap
-             { nest with Loop_nest.loops = new_loops })
+        Ok (new_loops, { src; factor })
   end
+
+let tile ?parallel sizes nest = rebuild (tile_plan ?parallel sizes) nest
 
 let is_permutation perm =
   let n = Array.length perm in
@@ -142,33 +176,25 @@ let interchange perm (nest : Loop_nest.t) =
          { nest with Loop_nest.loops = new_loops })
   end
 
-let swap_adjacent i (nest : Loop_nest.t) =
-  let p0 = point_band_start nest in
-  let point_count = Array.length nest.loops - p0 in
-  if i < 0 || i >= point_count - 1 then
+let swap_plan i (loops : Loop_nest.loop array) =
+  let n = Array.length loops in
+  let p0 = band_start loops in
+  if i < 0 || i >= n - p0 - 1 then
     Error (Printf.sprintf "swap_adjacent: index %d out of range" i)
   else begin
-    (* [interchange] of the transposition of [i] and [i+1], without its
-       permutation arrays: the two loops trade places and so do the two
-       coefficients of every subscript. A subscript whose two
-       coefficients are equal is kept as it is. *)
+    (* [interchange] of the transposition of [i] and [i+1]: the two
+       loops trade places and so do their columns. *)
     let a = p0 + i and b = p0 + i + 1 in
-    let new_loops = Array.copy nest.loops in
-    new_loops.(a) <- nest.loops.(b);
-    new_loops.(b) <- nest.loops.(a);
-    let swap (e : Affine.expr) =
-      let c = e.Affine.coeffs in
-      if c.(a) = c.(b) then e
-      else begin
-        let c' = Array.copy c in
-        c'.(a) <- c.(b);
-        c'.(b) <- c.(a);
-        { e with Affine.coeffs = c' }
-      end
-    in
-    Ok
-      (Loop_nest.map_body_exprs swap { nest with Loop_nest.loops = new_loops })
+    let new_loops = Array.copy loops in
+    new_loops.(a) <- loops.(b);
+    new_loops.(b) <- loops.(a);
+    let src = Array.init n Fun.id in
+    src.(a) <- b;
+    src.(b) <- a;
+    Ok (new_loops, { src; factor = Array.make n 1 })
   end
+
+let swap_adjacent i nest = rebuild (swap_plan i) nest
 
 let is_vectorized (nest : Loop_nest.t) =
   let n = Array.length nest.loops in
@@ -207,13 +233,16 @@ let unroll factor (nest : Loop_nest.t) =
     end
   end
 
-let vectorize (nest : Loop_nest.t) =
-  let n = Array.length nest.loops in
+let vectorize_loops (loops : Loop_nest.loop array) =
+  let n = Array.length loops in
   if n = 0 then Error "vectorize: nest has no loops"
-  else if is_vectorized nest then Error "vectorize: already vectorized"
+  else if loops.(n - 1).Loop_nest.kind = Loop_nest.Vector then
+    Error "vectorize: already vectorized"
   else begin
-    let new_loops = Array.copy nest.loops in
-    new_loops.(n - 1) <-
-      { (new_loops.(n - 1)) with Loop_nest.kind = Loop_nest.Vector };
-    Ok { nest with Loop_nest.loops = new_loops }
+    let new_loops = Array.copy loops in
+    new_loops.(n - 1) <- { (loops.(n - 1)) with Loop_nest.kind = Loop_nest.Vector };
+    Ok new_loops
   end
+
+let vectorize (nest : Loop_nest.t) =
+  Result.map (fun loops -> { nest with Loop_nest.loops }) (vectorize_loops nest.loops)

@@ -20,6 +20,26 @@ val point_band_start : Loop_nest.t -> int
 val point_band : Loop_nest.t -> Loop_nest.loop array
 (** The point-band loops, outermost first. *)
 
+type column_map = { src : int array; factor : int array }
+(** How a transformation rewrites subscripts: column [j] of a new
+    subscript is [factor.(j)] times column [src.(j)] of the old one.
+    Tiling and swapping are such maps, and each keeps every old column
+    in some new column with factor 1, so distinct subscripts stay
+    distinct. *)
+
+val compose : column_map -> column_map -> column_map
+(** [compose first second] is [first], then [second]:
+    [src'.(j) = first.src.(second.src.(j))] and
+    [factor'.(j) = second.factor.(j) * first.factor.(second.src.(j))]. *)
+
+val tile_plan :
+  ?parallel:bool ->
+  int array ->
+  Loop_nest.loop array ->
+  (Loop_nest.loop array * column_map, string) result
+(** The loops {!tile} produces and its column map, without touching a
+    body; the same errors. *)
+
 val tile :
   ?parallel:bool -> int array -> Loop_nest.t -> (Loop_nest.t, string) result
 (** [tile sizes nest] splits each point-band loop [i] with
@@ -37,9 +57,19 @@ val interchange : int array -> Loop_nest.t -> (Loop_nest.t, string) result
     [i] receives the loop previously at point position [perm.(i)].
     Errors when [perm] is not a permutation of the point band. *)
 
+val swap_plan :
+  int -> Loop_nest.loop array -> (Loop_nest.loop array * column_map, string) result
+(** The loops {!swap_adjacent} produces and its column map; the same
+    errors. *)
+
 val swap_adjacent : int -> Loop_nest.t -> (Loop_nest.t, string) result
 (** [swap_adjacent i nest] exchanges point loops [i] and [i+1] — the
-    paper's consecutive-permutation interchange parameterization. *)
+    paper's consecutive-permutation interchange parameterization. A
+    subscript whose two coefficients are equal is kept as it is. *)
+
+val vectorize_loops :
+  Loop_nest.loop array -> (Loop_nest.loop array, string) result
+(** The loops {!vectorize} produces; the same errors. *)
 
 val vectorize : Loop_nest.t -> (Loop_nest.t, string) result
 (** Mark the innermost loop as a vector loop. Errors when the nest has no

@@ -2,7 +2,7 @@ type t = {
   original : Linalg.t;
   op : Linalg.t;
   nest : Loop_nest.t;
-  applied : Schedule.t;
+  history : Schedule.t;
   packing_elements : int;
   parallelized : bool;
   vectorized : bool;
@@ -14,12 +14,13 @@ let init op =
     original = op;
     op;
     nest;
-    applied = [];
+    history = [];
     packing_elements = 0;
     parallelized = false;
     vectorized = false;
   }
 
+let applied state = List.rev state.history
 let digest state = Loop_nest.digest state.nest
 
 let n_point_loops state = Linalg.n_loops state.op
@@ -33,7 +34,7 @@ let can_parallelize state = (not state.vectorized) && not state.parallelized
 let can_vectorize state = not state.vectorized
 
 let can_im2col state =
-  (not state.vectorized) && Linalg.is_conv state.op && state.applied = []
+  (not state.vectorized) && Linalg.is_conv state.op && state.history = []
 
 let is_done state = state.vectorized
 
@@ -104,13 +105,17 @@ let certificate_check (before : Loop_nest.t) (tr : Schedule.transformation)
         fail "innermost loop carries a non-reduction dependence"
   | Schedule.Unroll _ | Schedule.Im2col -> ()
 
+(* Re-proves an accepted step's nest when certificates or the
+   post-transform verifier (MLIR_RL_VERIFY: validate and bounds
+   soundness, raising Verifier.Violation at the step that broke it)
+   are on. *)
+let check before tr nest =
+  if !certify then certificate_check before tr nest;
+  if Verifier.enabled () then Verifier.run nest
+
 let record state tr nest =
-  if !certify then certificate_check state.nest tr nest;
-  (* Post-transform verifier (MLIR_RL_VERIFY): independently re-proves
-     the accepted nest well-formed — validate and bounds soundness.
-     Raises Verifier.Violation at the transformation that broke it. *)
-  if Verifier.enabled () then Verifier.run nest;
-  { state with nest; applied = state.applied @ [ tr ] }
+  check state.nest tr nest;
+  { state with nest; history = tr :: state.history }
 
 (* Point loops whose op dim is a reduction cannot run in parallel: that
    would race on the accumulator (MLIR's tile_using_forall rejects it). *)
@@ -142,7 +147,9 @@ let apply state (tr : Schedule.transformation) =
         then Error "cannot parallelize a reduction dimension"
         else
           Result.map
-            (fun nest -> { (record state tr nest) with parallelized = true })
+            (fun nest ->
+              check state.nest tr nest;
+              { state with nest; history = tr :: state.history; parallelized = true })
             (Loop_transforms.tile ~parallel:true sizes state.nest)
     | Schedule.Interchange perm ->
         Result.map (record state tr)
@@ -151,7 +158,9 @@ let apply state (tr : Schedule.transformation) =
         Result.map (record state tr) (Loop_transforms.swap_adjacent i state.nest)
     | Schedule.Vectorize ->
         Result.map
-          (fun nest -> { (record state tr nest) with vectorized = true })
+          (fun nest ->
+            check state.nest tr nest;
+            { state with nest; history = tr :: state.history; vectorized = true })
           (Loop_transforms.vectorize state.nest)
     | Schedule.Unroll factor ->
         Result.map (record state tr) (Loop_transforms.unroll factor state.nest)
@@ -166,14 +175,13 @@ let apply state (tr : Schedule.transformation) =
           | Error _ as e -> e
           | Ok (gemm, `Packing_elements elems) ->
               let nest = Lower.to_loop_nest gemm in
-              if !certify then certificate_check state.nest tr nest;
-              if Verifier.enabled () then Verifier.run nest;
+              check state.nest tr nest;
               Ok
                 {
                   state with
                   op = gemm;
                   nest;
-                  applied = state.applied @ [ tr ];
+                  history = tr :: state.history;
                   packing_elements = elems;
                 })
 

@@ -10,7 +10,9 @@ type t = {
   original : Linalg.t;  (** the untransformed operation *)
   op : Linalg.t;  (** current op — replaced by a GEMM after im2col *)
   nest : Loop_nest.t;  (** current transformed loop nest *)
-  applied : Schedule.t;  (** transformations so far, in order *)
+  history : Schedule.t;
+      (** transformations so far, newest first: a step conses onto it.
+          {!applied} gives them in order. *)
   packing_elements : int;  (** elements materialized by im2col, else 0 *)
   parallelized : bool;
   vectorized : bool;
@@ -18,6 +20,10 @@ type t = {
 
 val init : Linalg.t -> t
 (** Start a schedule on an op; lowers it to its canonical nest. *)
+
+val applied : t -> Schedule.t
+(** The transformations so far, oldest first: the schedule a state
+    prints, hashes or encodes as. *)
 
 val digest : t -> string
 (** [Loop_nest.digest state.nest], computed on demand in O(nest size).

@@ -47,7 +47,6 @@ KEPT = {
     "Surrogate.Model.predict": "seam: one prediction, compared bit for bit by the fit, checkpoint and constant-feature tests",
     # Process-global settings, left for the configuration work.
     "Sched_state.set_certify": "global setting: certification on or off, toggled by the certify test",
-    "Sched_state.certify_enabled": "global setting: read back so the certify test restores it",
     "Sanitizer.set_budget": "global setting: the sanitizer's size budget, lowered by the budget-skip test",
     "Sanitizer.budget": "global setting: read back so the budget-skip test restores it",
 }

@@ -157,6 +157,24 @@ let qcheck_sampler_matches_reference =
         (Auto_scheduler.gather_candidates config op)
         (Sampler_ref.gather_candidates config op))
 
+(* The staged search keeps the [k] best-ranked candidates by insertion;
+   they must be the first [k] of a stable sort by prediction, ties (and
+   NaNs, which [Float.compare] puts first) included. Predictions come
+   from a small pool so that ties are common. *)
+let qcheck_rank_best_is_stable_sort_prefix =
+  QCheck.Test.make ~name:"rank_best is a stable sort's prefix" ~count:300
+    QCheck.(
+      pair (int_range 0 70)
+        (list_of_size Gen.(int_range 0 120) (int_range 0 9)))
+    (fun (k, picks) ->
+      let pool = [| 0.5; -1.0; 2.0; nan; 0.5; 3.25; -0.0; 0.0; infinity; 1e-3 |] in
+      let preds = Array.of_list (List.map (fun i -> pool.(i)) picks) in
+      let cands = Array.init (Array.length preds) Fun.id in
+      let order = Array.copy cands in
+      Array.stable_sort (fun i j -> Float.compare preds.(i) preds.(j)) order;
+      let want = List.filteri (fun r _ -> r < k) (Array.to_list order) in
+      Par_eval.rank_best (fun _ -> preds) cands k = want)
+
 let suite =
   [
     Alcotest.test_case "candidates respect constraints" `Quick
@@ -173,4 +191,5 @@ let suite =
     Alcotest.test_case "elementwise search" `Quick test_elementwise_search;
     Alcotest.test_case "maxpool search" `Quick test_maxpool_search;
     QCheck_alcotest.to_alcotest qcheck_sampler_matches_reference;
+    QCheck_alcotest.to_alcotest qcheck_rank_best_is_stable_sort_prefix;
   ]

@@ -487,7 +487,7 @@ let test_certificates () =
           Sched_state.original = op;
           op;
           nest = rec_nest;
-          applied = [];
+          history = [];
           packing_elements = 0;
           parallelized = false;
           vectorized = false;
@@ -636,7 +636,7 @@ let legality_fingerprint () =
     let nest = st.Sched_state.nest in
     incr states;
     deepest := max !deepest (Loop_nest.n_loops nest);
-    Buffer.add_string b (Schedule.to_string st.Sched_state.applied);
+    Buffer.add_string b (Schedule.to_string (Sched_state.applied st));
     Buffer.add_char b '|';
     add_verdicts nest;
     Buffer.add_char b '|';

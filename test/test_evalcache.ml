@@ -52,7 +52,7 @@ let check_stepwise op sched =
           st := st';
           check_str
             (Printf.sprintf "digest after %s"
-               (Schedule.to_string !st.Sched_state.applied))
+               (Schedule.to_string (Sched_state.applied !st)))
             (Loop_nest.digest st'.Sched_state.nest)
             (Sched_state.digest st'))
     sched
@@ -390,6 +390,130 @@ let test_searches_price_through_tap () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Pricing a tail through column maps                                 *)
+(* ------------------------------------------------------------------ *)
+
+let op_of_spec spec =
+  match Op_spec.parse spec with Ok op -> op | Error e -> Alcotest.fail e
+
+(* A candidate's head (im2col prefix and Parallelize step) and the rest,
+   as exact search splits it. *)
+let rec split_head = function
+  | (Schedule.Im2col | Schedule.Parallelize _) as step :: rest ->
+      let head, tail = split_head rest in
+      (step :: head, tail)
+  | tail -> ([], tail)
+
+(* [Evaluator.tail_speedup] from a head's walk against [apply] then
+   [Evaluator.speedup]: the same speedup bits, [explored] count, noise
+   stream and [Error], on every budget-400 candidate of one op per
+   Table 2 kind plus an im2col conv, and on tails that fail. *)
+let test_tail_through_map_equals_states () =
+  let config = { Auto_scheduler.default_config with max_schedules = 400 } in
+  let fail_tails (head : Sched_state.t) =
+    let band = Sched_state.point_trip_counts head in
+    let bad_tile = Array.make (Array.length band) 0 in
+    bad_tile.(0) <- band.(0) + 1;
+    [
+      [ Schedule.Tile bad_tile; Schedule.Vectorize ];
+      [ Schedule.Swap 99; Schedule.Vectorize ];
+      [ Schedule.Tile (Array.map (fun _ -> 1) band); Schedule.Swap (-1) ];
+      [ Schedule.Vectorize; Schedule.Swap 0 ];
+      [ Schedule.Vectorize; Schedule.Vectorize ];
+    ]
+  in
+  List.iter
+    (fun noise ->
+      List.iter
+        (fun spec ->
+          let op = op_of_spec spec in
+          let heads = Hashtbl.create 16 in
+          let head steps =
+            match Hashtbl.find_opt heads steps with
+            | Some h -> h
+            | None ->
+                let h =
+                  Result.to_option (Sched_state.apply_all op steps)
+                  |> Option.map (fun st -> (st, Cost_model.walk st.Sched_state.nest))
+                in
+                Hashtbl.add heads steps h;
+                h
+          in
+          let mapped = Evaluator.create ~noise ~noise_seed:3 () in
+          let states = Evaluator.create ~noise ~noise_seed:3 () in
+          let compare what (st, walk) tail =
+            let a = Evaluator.tail_speedup mapped st walk tail in
+            let b =
+              List.fold_left
+                (fun acc tr -> Result.bind acc (fun s -> Sched_state.apply s tr))
+                (Ok st) tail
+              |> Result.map (Evaluator.speedup states)
+            in
+            let name =
+              Printf.sprintf "%s %s noise %g: %s" spec what noise
+                (Schedule.to_string (Sched_state.applied st @ tail))
+            in
+            (match (a, b) with
+            | Ok x, Ok y -> check_bits name x y
+            | Error x, Error y -> check_str name y x
+            | Ok _, Error e -> Alcotest.failf "%s: map Ok, states Error %s" name e
+            | Error e, Ok _ -> Alcotest.failf "%s: map Error %s, states Ok" name e);
+            check_int (name ^ ": explored") (Evaluator.explored states)
+              (Evaluator.explored mapped);
+            Alcotest.(check int64) (name ^ ": noise state")
+              (Evaluator.noise_state states) (Evaluator.noise_state mapped)
+          in
+          List.iter
+            (fun sched ->
+              let h, tail = split_head sched in
+              Option.iter (fun hw -> compare "candidate" hw tail) (head h))
+            (Auto_scheduler.gather_candidates config op);
+          Hashtbl.iter
+            (fun _ h ->
+              Option.iter
+                (fun ((st, _) as hw) ->
+                  List.iter (compare "failing tail" hw) (fail_tails st))
+                h)
+            heads;
+          check (spec ^ ": candidates priced") true (Evaluator.explored mapped > 100))
+        [
+          "matmul:64x64x64"; "conv2d:8x8x3,k3,f4,s1"; "maxpool:56x56x16,k2,s2";
+          "add:28x28x32"; "relu:56x56x64"; "conv2d:28x28x32,k3,f32,s1";
+        ])
+    [ 0.0; 0.05 ]
+
+(* ------------------------------------------------------------------ *)
+(* Pinned exact-search words                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words one [Auto_scheduler.search ~jobs:1] allocates on a fresh
+   evaluator, pinned exactly as the fingerprints are: words do not drift
+   with host load, so an allocation added to or removed from a
+   candidate's path moves these values. The search runs once before it
+   is counted, so per-domain buffers and lazily created tables exist
+   already. matmul:64x64x64 at budget 3000 runs the sampled regime,
+   relu:128x128 the exhaustive one. [Gc.minor_words] counts the calling
+   domain only, hence jobs 1. A compiler or flag change moves every
+   value; an intended change updates them and says so in CHANGES.md. *)
+let pinned_search_words =
+  [ ("matmul:64x64x64", 3000, 711_702); ("relu:128x128", 3000, 275_872) ]
+
+let test_pinned_search_words () =
+  List.iter
+    (fun (spec, budget, words) ->
+      let op = op_of_spec spec in
+      let config = { Auto_scheduler.default_config with max_schedules = budget } in
+      let search () = Auto_scheduler.search ~config ~jobs:1 (Evaluator.create ()) op in
+      ignore (search ());
+      let before = Gc.minor_words () in
+      let r = search () in
+      let used = Gc.minor_words () -. before in
+      check (spec ^ ": candidates explored") true (r.Auto_scheduler.explored > 1000);
+      check_int (Printf.sprintf "%s budget %d: minor words" spec budget) words
+        (int_of_float used))
+    pinned_search_words
+
+(* ------------------------------------------------------------------ *)
 (* Serve cache keys                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -684,4 +808,8 @@ let suite =
       test_pinned_search_fingerprint;
     Alcotest.test_case "searches price every candidate through the tap"
       `Quick test_searches_price_through_tap;
+    Alcotest.test_case "tail through column maps = through states" `Quick
+      test_tail_through_map_equals_states;
+    Alcotest.test_case "pinned exact-search words" `Quick
+      test_pinned_search_words;
   ]

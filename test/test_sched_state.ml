@@ -7,7 +7,7 @@ let test_init () =
   Alcotest.(check (array int)) "trips" [| 8; 12; 16 |] (Sched_state.point_trip_counts st);
   Alcotest.(check bool) "not done" false (Sched_state.is_done st);
   Alcotest.(check (list string)) "empty schedule" []
-    (List.map Schedule.transformation_name st.Sched_state.applied)
+    (List.map Schedule.transformation_name (Sched_state.applied st))
 
 let apply_exn st tr = Result.get_ok (Sched_state.apply st tr)
 
@@ -77,7 +77,7 @@ let test_apply_all_records_order () =
       (Sched_state.apply_all op [ Schedule.Swap 0; Schedule.Tile [| 2; 2; 2 |] ])
   in
   Alcotest.(check string) "order kept" "S(0) T(2,2,2)"
-    (Schedule.to_string st.Sched_state.applied)
+    (Schedule.to_string (Sched_state.applied st))
 
 let test_tau_independent () =
   (* Sched_state itself has no step cap; that's the env's tau. *)
@@ -91,7 +91,7 @@ let test_tau_independent () =
         Schedule.Swap 0; Schedule.Swap 1; Schedule.Swap 0; Schedule.Swap 1;
       ]
   in
-  Alcotest.(check int) "8 steps recorded" 8 (List.length st.Sched_state.applied)
+  Alcotest.(check int) "8 steps recorded" 8 (List.length (Sched_state.applied st))
 
 (* A size past the point band names no loop, so a wrong-arity
    Parallelize gets the tile arity error wherever its extra size sits,
